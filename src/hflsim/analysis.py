@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import membership_weights
 from .models import UnsupportedModelError, gradient, loss
 
 DEFAULT_SLACK = 1e-9
@@ -67,17 +68,8 @@ def estimate_divergences(spec, shards, association_history, probes, tau_l=1):
     N = int(hist.max()) + 1 if hist.size else 1
 
     # per-bracket edge weight matrices: A[j, n, m] = alpha_{m,n} at bracket j
-    A = np.zeros((J + 1, N, M))
-    occupied = np.zeros((J + 1, N), dtype=bool)
-    theta = np.zeros((J + 1, N))
-    for j in range(J + 1):
-        for n in range(N):
-            members = hist[j] == n
-            tot = sizes[members].sum()
-            theta[j, n] = tot / sizes.sum()
-            if tot > 0:
-                A[j, n, members] = sizes[members] / tot
-                occupied[j, n] = True
+    A, theta = membership_weights(hist, sizes, N)
+    occupied = theta > 0
 
     delta_m = np.zeros(M)
     Delta_n = np.zeros((J + 1, N))
@@ -90,7 +82,7 @@ def estimate_divergences(spec, shards, association_history, probes, tau_l=1):
         Delta_n = np.maximum(Delta_n, vals)
     Delta_n = np.where(occupied, Delta_n, np.nan)
     delta_n = np.where(occupied, A @ delta_m, np.nan)
-    Delta = np.nansum(np.where(theta > 0, theta * Delta_n, 0.0), axis=1)
+    Delta = np.nansum(np.where(occupied, theta * Delta_n, 0.0), axis=1)
     return DivergenceEstimates(
         tau_l=tau_l,
         delta_m=delta_m, delta=float(alpha @ delta_m), alpha=alpha,

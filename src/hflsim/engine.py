@@ -1,10 +1,10 @@
 """Hierarchical federated training with mobile clients.
 
-Schedule per edge round: tau_l local SGD steps on every vehicle, one
-1-second mobility advance, re-association, edge aggregation; every tau_e-th
-edge round is followed by a cloud aggregation. Aggregation weights are
-data-size proportional and always use the association snapshot taken at
-the aggregation instant.
+Schedule per edge round: tau_l local SGD steps on every vehicle, then the
+next row of the precomputed association schedule takes effect and every
+edge aggregates its members; every tau_e-th edge round is followed by a
+cloud aggregation. Aggregation weights are data-size proportional and
+always use the association in force at the aggregation instant.
 
 When record_virtual is on, the run also materializes the virtual
 trajectories used by the analysis module: u (size-weighted average of all
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import mobility, rng
+from . import rng
 from .datasets import union_of_shards
 from .models import (accuracy, gradient_xy, init_params, loss, param_length,
                      write_param_vector, read_param_vector)
@@ -100,21 +100,30 @@ def local_update(spec, shard, w, batch_idx, eta, vehicle=None, iteration=None):
     return w_new
 
 
-def edge_weights(members, shard_sizes):
-    """alpha_{m,n}: shard size over the edge's total, in member-id order."""
-    total = sum(shard_sizes[m] for m in members)
-    return np.array([shard_sizes[m] / total for m in members])
+def membership_weights(edge_of, sizes, edge_count):
+    """Aggregation weights of one association row.
+
+    Returns A (N, M) with A[n, m] = size_m / (data on edge n) for the
+    members of edge n and 0 elsewhere, and theta (N,), each edge's share
+    of all data. Empty edges get a zero row and theta 0. Leading axes of
+    edge_of (one association row per bracket, say) carry through to A
+    and theta. Shard sizes are integer-valued, so every total is exact.
+    """
+    onehot = np.asarray(edge_of)[..., None, :] == np.arange(edge_count)[:, None]
+    S = onehot * sizes                    # (..., N, M) member sizes
+    totals = S.sum(axis=-1)               # (..., N)
+    A = np.divide(S, totals[..., None], out=np.zeros(S.shape),
+                  where=totals[..., None] > 0)
+    return A, totals / sizes.sum()
 
 
-def edge_aggregate(members, vehicle_params, shard_sizes):
-    """Size-weighted average of the member models, fixed id-order sum."""
-    if len(members) == 0:
-        raise ValueError("edge_aggregate requires a nonempty member set")
-    members = sorted(members)
-    w = edge_weights(members, shard_sizes)
-    acc = np.zeros_like(vehicle_params[members[0]])
-    for wi, m in zip(w, members):
-        acc += wi * vehicle_params[m]
+def weighted_sum(weights, rows):
+    """sum_i weights[i] * rows[i], accumulated from zero over the nonzero
+    weights in index order. The fixed order keeps every aggregate
+    bit-reproducible."""
+    acc = np.zeros(rows.shape[1:])
+    for i in np.flatnonzero(weights):
+        acc += weights[i] * rows[i]
     return acc
 
 
@@ -123,11 +132,7 @@ def cloud_aggregate(edge_params, theta):
     s = float(np.sum(theta))
     if abs(s - 1.0) > 1e-9:
         raise InternalInvariantError(f"edge weights sum to {s}, expected 1")
-    acc = np.zeros_like(edge_params[0])
-    for t, wn in zip(theta, edge_params):
-        if t != 0.0:
-            acc += t * wn
-    return acc
+    return weighted_sum(theta, edge_params)
 
 
 @dataclass
@@ -186,10 +191,6 @@ class VirtualTrace:
     u_cloud: np.ndarray           # (K+1, P) u_post at cloud instants; row 0 = w0
     association_history: np.ndarray  # (K*tau_e + 1, M) edge index per round
 
-    def membership_at(self, tau):
-        """Association snapshot in force at local iteration tau."""
-        return self.association_history[tau // self.tau_l]
-
     @property
     def total_iterations(self):
         return self.cloud_epochs * self.tau_l * self.tau_e
@@ -206,38 +207,31 @@ class RunResult:
         return [METRICS_HEADER] + [r.csv_fields() for r in self.metrics]
 
 
-def _theta(edge_of, shard_sizes, n_edges):
-    out = np.zeros(n_edges)
-    total = shard_sizes.sum()
-    for n in range(n_edges):
-        out[n] = shard_sizes[edge_of == n].sum() / total
-    return out
-
-
-def _u_of(alpha, params):
-    acc = np.zeros(params.shape[1])
-    for a, row in zip(alpha, params):
-        acc += a * row
-    return acc
-
-
-def run(config, shards, spec, network=None, vehicles=None, edge_count=4,
-        p_turn=0.0, eval_data=None, init_params_vec=None, union_data=None):
+def run(config, shards, spec, association=None, edge_count=1, *,
+        eval_data=None, init_params_vec=None, union_data=None):
     """Execute the full hierarchical schedule.
 
-    network/vehicles describe mobility; passing network=None selects the
-    static degenerate mode where every vehicle stays attached to edge 0
-    (used for the single-edge equivalence checks). Returns metrics, the
-    final fleet state, per-epoch cloud/vehicle-average consistency, and
-    the virtual trace when config.record_virtual is set.
+    association is the (K*tau_e + 1, M) schedule of edge ids, row j in
+    force from the end of edge round j (row 0 from the start); see
+    mobility.schedule. None selects the static mode where every vehicle
+    stays on edge 0 (used for the single-edge equivalence checks).
+    Returns metrics, the final fleet state, per-epoch cloud/vehicle-average
+    consistency, and the virtual trace when config.record_virtual is set.
     """
     M = len(shards)
     if M < 1:
         raise ValueError("need at least one shard")
-    if network is not None:
-        if vehicles is None or len(vehicles) != M:
-            raise ValueError("mobility mode needs one VehicleState per shard")
-        edge_count = network.edge_count
+    K, tau_l, tau_e = config.cloud_epochs, config.tau_l, config.tau_e
+    T = config.total_iterations
+    rounds = K * tau_e
+    if association is None:
+        association = np.zeros((rounds + 1, M), dtype=np.int64)
+    association = np.asarray(association)
+    if association.shape != (rounds + 1, M):
+        raise InternalInvariantError(
+            f"association has shape {association.shape}, expected {(rounds + 1, M)}")
+    if association.min() < 0 or association.max() >= edge_count:
+        raise InternalInvariantError(f"association names an edge outside [0, {edge_count})")
     P = param_length(spec)
     sizes = np.array([s.size for s in shards], dtype=np.float64)
     alpha = sizes / sizes.sum()
@@ -253,19 +247,10 @@ def run(config, shards, spec, network=None, vehicles=None, edge_count=4,
     cloud = w0.copy()
     sampler = BatchSampler(sizes.astype(int), config.batch_size, config.seed,
                            full_batch=config.full_batch)
-    turn_rng = rng.stream(config.seed, rng.MOBILITY_TURNS) if p_turn > 0 else None
 
-    K, tau_l, tau_e = config.cloud_epochs, config.tau_l, config.tau_e
-    T = config.total_iterations
-    rounds = K * tau_e
-
-    if network is not None:
-        snap = mobility.associate(network, vehicles, time=0.0)
-        edge_of = snap.edge_of.copy()
-    else:
-        edge_of = np.zeros(M, dtype=np.int64)
-    assoc_hist = np.empty((rounds + 1, M), dtype=np.int64)
-    assoc_hist[0] = edge_of
+    # weights of the association in force; refreshed at every round boundary
+    A, theta = membership_weights(association[0], sizes, edge_count)
+    occupied = np.flatnonzero(theta)
 
     union = union_data if union_data is not None else union_of_shards(shards)
     record = config.record_virtual
@@ -283,7 +268,7 @@ def run(config, shards, spec, network=None, vehicles=None, edge_count=4,
             vehicle_gap=np.zeros((M, T + 1)),
             edge_gap=np.full((edge_count, T + 1), np.nan),
             u_cloud=np.zeros((K + 1, P)),
-            association_history=assoc_hist,
+            association_history=association,
         )
         trace.vtilde[0] = w0
         trace.edge_gap[:, 0] = 0.0
@@ -292,32 +277,25 @@ def run(config, shards, spec, network=None, vehicles=None, edge_count=4,
         trace = None
 
     def record_pre(tau, vtilde_now):
-        u_pre = _u_of(alpha, W)
+        u_pre = weighted_sum(alpha, W)
         trace.vtilde[tau] = vtilde_now
         trace.gap_u_vtilde[tau] = np.linalg.norm(u_pre - vtilde_now)
         for m in range(M):
             trace.vehicle_gap[m, tau] = np.linalg.norm(W[m] - vtilde_now)
-        for n in range(edge_count):
-            members = np.flatnonzero(edge_of == n)
-            if members.size:
-                u_n = _u_of(edge_weights(members, sizes), W[members])
-                trace.edge_gap[n, tau] = np.linalg.norm(u_n - vtilde_now)
+        for n in occupied:
+            trace.edge_gap[n, tau] = np.linalg.norm(weighted_sum(A[n], W) - vtilde_now)
         return u_pre
 
     def record_post(tau, v_now):
-        u_post = _u_of(alpha, W)
+        u_post = weighted_sum(alpha, W)
         trace.gap_u_v[tau] = np.linalg.norm(u_post - v_now)
         s1 = 0.0
         for m in range(M):
             s1 += alpha[m] * np.linalg.norm(W[m] - v_now)
         trace.s_vehicle[tau] = s1
-        th = _theta(edge_of, sizes, edge_count)
         s2 = 0.0
-        for n in range(edge_count):
-            members = np.flatnonzero(edge_of == n)
-            if members.size:
-                u_n = _u_of(edge_weights(members, sizes), W[members])
-                s2 += th[n] * np.linalg.norm(u_n - v_now)
+        for n in occupied:
+            s2 += theta[n] * np.linalg.norm(weighted_sum(A[n], W) - v_now)
         trace.s_edge[tau] = s2
         return u_post
 
@@ -337,30 +315,23 @@ def run(config, shards, spec, network=None, vehicles=None, edge_count=4,
                     record_pre(tau, vtilde)
                     v = vtilde
                     record_post(tau, v)
-        # round boundary: move, re-associate, aggregate (in that order)
-        if network is not None:
-            vehicles = mobility.advance(network, vehicles, dt=1.0,
-                                        p_turn=p_turn, turn_rng=turn_rng)
-            snap = mobility.associate(network, vehicles, time=float(j))
-            edge_of = snap.edge_of.copy()
-        assoc_hist[j] = edge_of
+        # round boundary: the new association takes effect, then aggregation
+        edge_of = association[j]
+        A, theta = membership_weights(edge_of, sizes, edge_count)
+        occupied = np.flatnonzero(theta)
         if record:
             u_pre = record_pre(tau, vtilde)
         elif j % tau_e == 0:
-            u_pre = _u_of(alpha, W)
+            u_pre = weighted_sum(alpha, W)
 
-        for n in range(edge_count):
-            members = np.flatnonzero(edge_of == n)
-            if members.size:
-                edge_params[n] = edge_aggregate(list(members), W, sizes)
-            # empty edge keeps its previous model and gets theta = 0 later
-        for m in range(M):
-            W[m] = edge_params[edge_of[m]]
+        for n in occupied:
+            edge_params[n] = weighted_sum(A[n], W)
+        # an empty edge keeps its previous model and gets theta = 0
+        W[:] = edge_params[edge_of]
 
         is_cloud = (j % tau_e == 0)
         if is_cloud:
-            th = _theta(edge_of, sizes, edge_count)
-            cloud = cloud_aggregate(edge_params, th)
+            cloud = cloud_aggregate(edge_params, theta)
             edge_params[:] = cloud
             W[:] = cloud
             k = j // tau_e
@@ -368,7 +339,7 @@ def run(config, shards, spec, network=None, vehicles=None, edge_count=4,
 
         if record:
             if tau % (tau_l * tau_e) == 0:
-                u_post = record_post(tau, _u_of(alpha, W))
+                u_post = record_post(tau, weighted_sum(alpha, W))
                 v = u_post.copy()  # exact synchronization v <- u
                 trace.gap_u_v[tau] = 0.0
                 trace.u_cloud[tau // (tau_l * tau_e)] = u_post
@@ -376,7 +347,7 @@ def run(config, shards, spec, network=None, vehicles=None, edge_count=4,
                 v = vtilde
                 record_post(tau, v)
 
-        u_metric = _u_of(alpha, W)
+        u_metric = weighted_sum(alpha, W)
         train_loss = loss(spec, u_metric, union)
         test_acc = accuracy(spec, u_metric, eval_data) if eval_data is not None else float("nan")
         gap = trace.gap_u_vtilde[tau] if record else float("nan")

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import analysis, datasets, engine, mobility, models, rng
+from . import analysis, datasets, engine, mobility, models
 from .config import validate
 
 
@@ -92,10 +92,12 @@ def hfl_config(cfg, **overrides):
 
 def run_instance(inst, init_params_vec=None, **config_overrides):
     rc = hfl_config(inst.cfg, **config_overrides)
-    return engine.run(rc, inst.shards, inst.spec,
-                      network=inst.network, vehicles=inst.vehicles,
-                      edge_count=inst.cfg.mobility.edges,
-                      p_turn=inst.cfg.mobility.p_turn,
+    association = None
+    if inst.network is not None:
+        _, association = mobility.schedule(inst.network, inst.vehicles,
+                                           rc.cloud_epochs * rc.tau_e,
+                                           inst.cfg.mobility.p_turn, rc.seed)
+    return engine.run(rc, inst.shards, inst.spec, association, inst.cfg.mobility.edges,
                       eval_data=inst.test, union_data=inst.union,
                       init_params_vec=init_params_vec)
 
@@ -123,8 +125,7 @@ def centralized_ceiling(inst):
                           cloud_epochs=h.cloud_epochs, batch_size=h.batch_size,
                           seed=h.seed)
     shard = datasets.Shard(0, inst.union)
-    res = engine.run(rc, [shard], inst.spec, network=None, edge_count=1,
-                     eval_data=inst.test, union_data=inst.union)
+    res = engine.run(rc, [shard], inst.spec, eval_data=inst.test, union_data=inst.union)
     best = max(r.test_accuracy for r in res.metrics)
     return float(best), None
 
@@ -259,22 +260,13 @@ def pretrain_checkpoint(cfg, accuracy_target, max_epochs=200):
     pre.mobility.speed = 0.0
     pre.hfl.record_virtual = False
     inst = build_instance(pre)
-    rc = hfl_config(pre, cloud_epochs=max_epochs)
-    best = None
-    res = engine.run(rc, inst.shards, inst.spec, network=inst.network,
-                     vehicles=inst.vehicles, edge_count=pre.mobility.edges,
-                     p_turn=pre.mobility.p_turn, eval_data=inst.test,
-                     union_data=inst.union)
+    res = run_instance(inst, cloud_epochs=max_epochs)
     # replay the metrics to find the first epoch at target, then rerun to it
+    best = None
     for row in res.metrics:
         if row.test_accuracy >= accuracy_target:
             epochs = (row.edge_round + pre.hfl.tau_e - 1) // pre.hfl.tau_e
-            rc2 = hfl_config(pre, cloud_epochs=max(1, epochs))
-            res2 = engine.run(rc2, inst.shards, inst.spec, network=inst.network,
-                              vehicles=inst.vehicles, edge_count=pre.mobility.edges,
-                              p_turn=pre.mobility.p_turn, eval_data=inst.test,
-                              union_data=inst.union)
-            best = res2.final_state.cloud_params
+            best = run_instance(inst, cloud_epochs=max(1, epochs)).final_state.cloud_params
             break
     if best is None:
         raise RuntimeError(
@@ -352,23 +344,14 @@ def bound_summary_json(suite):
 
 def mobility_trace(cfg, rounds):
     """Vehicle trajectory rows without training: one row per vehicle per
-    1-second edge round."""
+    1-second edge round, the same schedule a run of that many rounds uses."""
     inst = build_instance(cfg)
     if inst.network is None:
         raise ValueError("mobility trace needs the square topology (edges = 4)")
-    snaps, states = [], []
-    veh = inst.vehicles
-    snaps.append(mobility.associate(inst.network, veh, time=0.0))
-    states.append(veh)
-    turn_rng = None
-    if cfg.mobility.p_turn > 0:
-        turn_rng = rng.stream(cfg.hfl.seed, rng.MOBILITY_TURNS)
-    for j in range(1, rounds + 1):
-        veh = mobility.advance(inst.network, veh, dt=1.0,
-                               p_turn=cfg.mobility.p_turn, turn_rng=turn_rng)
-        snaps.append(mobility.associate(inst.network, veh, time=float(j)))
-        states.append(veh)
-    return mobility.trace_rows(snaps, states)
+    positions, edge_of = mobility.schedule(inst.network, inst.vehicles, rounds,
+                                           cfg.mobility.p_turn, cfg.hfl.seed)
+    return [(float(j), m, positions[j, m], int(edge_of[j, m]))
+            for j in range(rounds + 1) for m in range(positions.shape[1])]
 
 
 def to_json(obj):

@@ -54,16 +54,6 @@ class AssociationSnapshot:
     time: float
     edge_of: np.ndarray  # (M,) edge index per vehicle, ordered by list position
 
-    @property
-    def membership(self):
-        out = {}
-        for i, n in enumerate(self.edge_of):
-            out.setdefault(int(n), set()).add(i)
-        return out
-
-    def counts(self, edge_count):
-        return np.bincount(self.edge_of, minlength=edge_count)
-
 
 def init_positions(network, vehicle_count, speed, seed, edge_assignment=None):
     """Random initial states, deterministic for a given seed.
@@ -104,8 +94,8 @@ def _in_zone(network, pos):
 
 
 def _advance_one(network, pos, direction, v, dt, p_turn, g):
-    if v == 0.0 or dt <= 0.0:
-        return pos, direction
+    if v * network.slowdown_factor == 0.0 or dt <= 0.0:
+        return pos, direction  # stopped, or so slow the zone speed underflows to 0
     P = network.perimeter
     corners = {0.0, network.side_length, 2 * network.side_length, 3 * network.side_length}
     bounds = _speed_boundaries(network)
@@ -167,10 +157,21 @@ def associate(network, states, time=0.0):
     return AssociationSnapshot(time=time, edge_of=edges)
 
 
-def trace_rows(snapshots, states_per_time):
-    """CSV rows time_s, vehicle_id, arc_position_m, edge_id."""
-    rows = []
-    for snap, states in zip(snapshots, states_per_time):
-        for s in states:
-            rows.append((snap.time, s.id, s.arc_position, int(snap.edge_of[s.id])))
-    return rows
+def schedule(network, states, rounds, p_turn=0.0, seed=0):
+    """Arc positions and edge ids over a run, computed before it starts.
+
+    Vehicle motion never depends on training, so the whole association
+    history is data: row j of both (rounds+1, M) arrays holds the state
+    after j one-second rounds (row 0 is the initial placement). With
+    p_turn > 0 the corner turns draw from the (seed, MOBILITY_TURNS)
+    stream, vehicles in list order at every crossing.
+    """
+    turn_rng = rng.stream(seed, rng.MOBILITY_TURNS) if p_turn > 0 else None
+    positions = np.empty((rounds + 1, len(states)))
+    edge_of = np.empty((rounds + 1, len(states)), dtype=np.int64)
+    for j in range(rounds + 1):
+        if j:
+            states = advance(network, states, dt=1.0, p_turn=p_turn, turn_rng=turn_rng)
+        positions[j] = [s.arc_position for s in states]
+        edge_of[j] = associate(network, states, time=float(j)).edge_of
+    return positions, edge_of

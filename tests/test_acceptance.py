@@ -108,7 +108,7 @@ def test_a1_degenerate_equivalence_bit_identical():
     cfg = engine.HflConfig(eta=0.1, tau_l=5, tau_e=10, cloud_epochs=20,
                            batch_size=20, seed=9)
     assert cfg.total_iterations == 1000
-    res = engine.run(cfg, [shard], spec, network=None, edge_count=1)
+    res = engine.run(cfg, [shard], spec)
 
     sampler = engine.BatchSampler([ds.n_samples], 20, seed=9)
     w = np.zeros(models.param_length(spec))
@@ -132,7 +132,8 @@ def test_a2_aggregation_identity_mobile_run():
     veh = mobility.init_positions(net, 32, speed=30.0, seed=3)
     cfg = engine.HflConfig(eta=0.1, tau_l=6, tau_e=10, cloud_epochs=20,
                            batch_size=20, seed=4)
-    res = engine.run(cfg, shards, spec, network=net, vehicles=veh, eval_data=test)
+    _, assoc = mobility.schedule(net, veh, cfg.cloud_epochs * cfg.tau_e)
+    res = engine.run(cfg, shards, spec, assoc, net.edge_count, eval_data=test)
     worst = max(d for _, d in res.cloud_consistency)
     report("A2", worst <= 1e-12,
            f"max per-coordinate |cloud - weighted vehicle average| = {worst:.3g} "
@@ -189,6 +190,7 @@ def test_a4_inapplicable_is_reported_not_violated():
            f"bound withheld when conditions fail ({[k for k, v in gr.conditions.items() if not v]})")
 
 
+@pytest.mark.slow
 def test_a5_iid_insensitivity():
     """Mobility changes nothing measurable under an iid partition."""
     cfg = parse(HARD_TASK_CFG.format(classes=8, dim=16, spc=500, G=2,
@@ -203,6 +205,7 @@ def test_a5_iid_insensitivity():
            f"= {diff:.4f} (v0={m0:.3f}, v30={m30:.3f}; tol 2pp)")
 
 
+@pytest.mark.slow
 def test_a6_mobility_benefit():
     """Edge non-iid(1): mobility lifts mean max accuracy by >= 5 points."""
     cfg = parse(HARD_TASK_CFG.format(classes=4, dim=8, spc=500, G=2,
@@ -216,6 +219,7 @@ def test_a6_mobility_benefit():
            f"v0={m0:.3f} (gain {m30 - m0:+.3f}, need >= +0.05)")
 
 
+@pytest.mark.slow
 def test_a7_convergence_speed_ordering():
     """Rounds to 0.75x ceiling from a pretrained start: v30 <= v1 <= v0."""
     cfg = parse(HARD_TASK_CFG.format(classes=8, dim=12, spc=300, G=4,
@@ -270,6 +274,7 @@ def test_a8_delta_mixing_trend():
            f"static quarters agree to {rel:.2%} (tol 1%)")
 
 
+@pytest.mark.slow
 def test_a9_speed_saturation():
     """Accuracy gains saturate: the 15->30 step buys no more than 0->2."""
     cfg = parse(HARD_TASK_CFG.format(classes=4, dim=8, spc=500, G=2,

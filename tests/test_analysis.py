@@ -215,7 +215,8 @@ def bound_suite_run(speed, K=4, eta=0.05, seed=13):
     veh = mobility.init_positions(net, 32, speed=speed, seed=11, edge_assignment=emap)
     cfg = engine.HflConfig(eta=eta, tau_l=6, tau_e=10, cloud_epochs=K, seed=seed,
                            record_virtual=True, full_batch=True)
-    res = engine.run(cfg, shards, spec, network=net, vehicles=veh)
+    _, assoc = mobility.schedule(net, veh, K * cfg.tau_e)
+    res = engine.run(cfg, shards, spec, assoc, net.edge_count)
     union = datasets.union_of_shards(shards)
     opt = models.solve_optimum(spec, union)
     tr = res.trace
@@ -273,7 +274,7 @@ class TestGapBound:
                                 l2_reg=0.1)
         cfg = engine.HflConfig(eta=0.2, tau_l=2, tau_e=2, cloud_epochs=3, seed=3,
                                record_virtual=True, full_batch=True)
-        res = engine.run(cfg, shards, spec, network=None, edge_count=1)
+        res = engine.run(cfg, shards, spec)
         tr = res.trace
         union = datasets.union_of_shards(shards)
         opt = models.solve_optimum(spec, union)
@@ -326,11 +327,7 @@ class TestMixingReport:
         net = mobility.RoadNetwork()
         veh = mobility.init_positions(net, 32, speed=30.0, seed=11,
                                       edge_assignment=emap)
-        hist = [mobility.associate(net, veh).edge_of]
-        for _ in range(100):
-            veh = mobility.advance(net, veh, dt=1.0)
-            hist.append(mobility.associate(net, veh).edge_of)
-        est = estimate_divergences(spec, shards, np.stack(hist),
-                                   [np.zeros(32)], tau_l=6)
+        _, hist = mobility.schedule(net, veh, 100)
+        est = estimate_divergences(spec, shards, hist, [np.zeros(32)], tau_l=6)
         mix = mobility_mixing_report(est)
         assert mix.last_quarter_mean < mix.first_quarter_mean

@@ -5,8 +5,9 @@ import os
 import numpy as np
 import pytest
 
-from hflsim import cli, config, experiments
+from hflsim import cli, config, experiments, mobility
 from hflsim.config import ConfigError, ExperimentConfig, parse_config, serialize_config, validate
+from hflsim.engine import InternalInvariantError
 
 
 MINI = """
@@ -174,6 +175,20 @@ class TestCmdRun:
     def test_missing_config_exit_4(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "nope.cfg")]) == 4
 
+    @pytest.mark.parametrize("corrupt", [lambda e: e + 4, lambda e: e[:-1]])
+    def test_bad_association_not_exit_2(self, tmp_path, monkeypatch, corrupt):
+        text = MINI.replace("vehicles = 1", "vehicles = 4").replace("edges = 1", "edges = 4")
+        path = write_cfg(tmp_path, text)
+        real = mobility.schedule
+
+        def broken(*args):
+            positions, edge_of = real(*args)
+            return positions, corrupt(edge_of)
+
+        monkeypatch.setattr(mobility, "schedule", broken)
+        with pytest.raises(InternalInvariantError):
+            cli.main(["run", "--config", path])
+
 
 class TestCmdVerifyBounds:
     def test_clean_exit_0(self, tmp_path):
@@ -251,6 +266,21 @@ class TestCmdPartitionReport:
             for (t0, p0), (t1, p1) in zip(track, track[1:]):
                 moved = min(abs(p1 - p0), perimeter - abs(p1 - p0))
                 assert moved <= 30.0 * (t1 - t0) + 1e-9
+
+    def test_trace_is_the_run_association(self, tmp_path):
+        # the report's edge ids are the association a run of the same
+        # length consumes, corner turns included
+        text = BOUNDS.replace("speed = 0.0", "speed = 30.0\np_turn = 0.3")
+        path = write_cfg(tmp_path, text)
+        assert cli.main(["partition-report", "--config", path]) == 0
+        with open(tmp_path / "out" / "mobility_trace.csv") as f:
+            edges = [int(r[3]) for r in list(csv.reader(f))[1:]]
+        cfg = config.load_config(path)
+        _, res = experiments.run_from_config(cfg, record_virtual=True)
+        hist = res.trace.association_history
+        assert hist.shape == (cfg.hfl.cloud_epochs * cfg.hfl.tau_e + 1, 32)
+        assert edges == hist.ravel().tolist()
+        assert len(np.unique(hist, axis=0)) > 1
 
 
 class TestCmdSweep:

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from hflsim import datasets, engine, mobility, models
 from hflsim.engine import (
     BatchSampler, DivergenceError, HflConfig, InternalInvariantError,
-    cloud_aggregate, config_hash, edge_aggregate, local_update,
-    read_checkpoint, run, write_checkpoint,
+    cloud_aggregate, config_hash, local_update, membership_weights,
+    read_checkpoint, run, weighted_sum, write_checkpoint,
 )
 
 
@@ -20,6 +20,12 @@ def make_shards(M, C=3, d=6, n_per=60, seed=1, pseed=2):
     ds = datasets.generate_synthetic(C, d, n_per, 3.0, seed=seed)
     spec = datasets.PartitionSpec(datasets.IID, vehicle_count=M, edge_count=4, seed=pseed)
     return datasets.partition(ds, spec)[0]
+
+
+def mobile_run(cfg, shards, spec, net, veh):
+    """run() on the association schedule of the given vehicles."""
+    _, assoc = mobility.schedule(net, veh, cfg.cloud_epochs * cfg.tau_e)
+    return run(cfg, shards, spec, assoc, net.edge_count)
 
 
 class TestBatchSampler:
@@ -79,16 +85,48 @@ class TestLocalUpdate:
                          vehicle=3, iteration=17)
 
 
+def edge_average(edge_of, params, sizes, n=0):
+    """Size-weighted average of edge n's members via the shared helpers."""
+    A, _ = membership_weights(np.asarray(edge_of), np.asarray(sizes), n + 1)
+    return weighted_sum(A[n], params)
+
+
 class TestAggregation:
     def test_single_member_exact(self):
         params = np.array([[1.5, -2.25, 3.0]])
-        out = edge_aggregate([0], params, np.array([7.0]))
+        out = edge_average([0], params, [7.0])
         assert np.array_equal(out, params[0])
 
     def test_two_member_weighted(self):
         params = np.array([[0.0, 0.0], [4.0, 4.0]])
-        out = edge_aggregate([0, 1], params, np.array([1.0, 3.0]))
+        out = edge_average([0, 0], params, [1.0, 3.0])
         assert out == pytest.approx([3.0, 3.0], abs=1e-15)
+
+    def test_non_members_ignored(self):
+        params = np.array([[1.0, 1.0], [9.0, 9.0], [3.0, 3.0]])
+        out = edge_average([1, 0, 1], params, [2.0, 5.0, 2.0], n=1)
+        assert np.array_equal(out, [2.0, 2.0])
+
+    def test_membership_weights_match_member_loop(self):
+        # reference: per-bracket, per-edge loop over the member sets;
+        # edges 4 and 5 are always empty
+        g = np.random.default_rng(3)
+        sizes = g.integers(1, 50, size=7).astype(float)
+        hist = g.integers(0, 4, size=(5, 7))
+        A, theta = membership_weights(hist, sizes, 6)
+        assert A.shape == (5, 6, 7) and theta.shape == (5, 6)
+        assert np.all(A[:, 4:] == 0.0) and np.all(theta[:, 4:] == 0.0)
+        for j in range(5):
+            Aj, thj = membership_weights(hist[j], sizes, 6)
+            assert np.array_equal(A[j], Aj) and np.array_equal(theta[j], thj)
+            for n in range(6):
+                members = hist[j] == n
+                tot = sizes[members].sum()
+                assert theta[j, n] == tot / sizes.sum()
+                want = np.zeros(7)
+                if tot > 0:
+                    want[members] = sizes[members] / tot
+                assert np.array_equal(A[j, n], want)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000))
@@ -97,7 +135,7 @@ class TestAggregation:
         m = int(g.integers(2, 9))
         params = g.normal(size=(m, 5))
         sizes = g.integers(1, 50, size=m).astype(float)
-        out = edge_aggregate(list(range(m)), params, sizes)
+        out = edge_average(np.zeros(m, dtype=np.int64), params, sizes)
         oracle = np.zeros(5)
         for i in range(m):  # independent accumulation
             oracle += (sizes[i] / sizes.sum()) * params[i]
@@ -119,7 +157,7 @@ class TestDegenerateEquivalence:
         shards = make_shards(1)
         spec = logistic_spec()
         cfg = HflConfig(eta=0.1, tau_l=5, tau_e=4, cloud_epochs=3, batch_size=16, seed=9)
-        res = run(cfg, shards, spec, network=None, edge_count=1)
+        res = run(cfg, shards, spec)
 
         sampler = BatchSampler([shards[0].size], 16, seed=9)
         w = np.zeros(models.param_length(spec))
@@ -176,11 +214,10 @@ class TestRun:
         veh = mobility.init_positions(net, M, speed=0.0, seed=3,
                                       edge_assignment=assignment)
         cfg = HflConfig(eta=0.1, tau_l=3, tau_e=4, cloud_epochs=2, batch_size=16, seed=5)
-        res = run(cfg, shards, spec, network=net, vehicles=veh)
+        res = mobile_run(cfg, shards, spec, net, veh)
         edge_of = [assignment[m] for m in range(M)]
         ref = reference_static_hfl(cfg, shards, spec, edge_of, res)
         assert np.max(np.abs(ref - res.final_state.cloud_params)) <= 1e-12
-        hist = res.trace.association_history if res.trace is not None else None
         # association never changes at v=0
         internal = [r.membership_counts for r in res.metrics]
         assert len(set(internal)) == 1
@@ -192,7 +229,7 @@ class TestRun:
         net = mobility.RoadNetwork()
         veh = mobility.init_positions(net, M, speed=30.0, seed=3)
         cfg = HflConfig(eta=0.1, tau_l=2, tau_e=3, cloud_epochs=2, batch_size=16, seed=5)
-        res = run(cfg, shards, spec, network=net, vehicles=veh)
+        res = mobile_run(cfg, shards, spec, net, veh)
         st_ = res.final_state
         assert np.max(np.abs(st_.vehicle_params - st_.cloud_params)) == 0.0
         assert np.max(np.abs(st_.edge_params - st_.cloud_params)) == 0.0
@@ -204,7 +241,7 @@ class TestRun:
         net = mobility.RoadNetwork()
         veh = mobility.init_positions(net, M, speed=30.0, seed=3)
         cfg = HflConfig(eta=0.1, tau_l=2, tau_e=3, cloud_epochs=4, batch_size=16, seed=5)
-        res = run(cfg, shards, spec, network=net, vehicles=veh)
+        res = mobile_run(cfg, shards, spec, net, veh)
         assert max(d for _, d in res.cloud_consistency) <= 1e-12
 
     def test_virtual_sync_exact_and_trivial_gap(self):
@@ -214,11 +251,12 @@ class TestRun:
         spec = logistic_spec(d=5, C=3)
         cfg = HflConfig(eta=0.1, tau_l=1, tau_e=1, cloud_epochs=12, batch_size=8,
                         seed=2, record_virtual=True, full_batch=True)
-        res = run(cfg, shards, spec, network=None, edge_count=1)
+        res = run(cfg, shards, spec)
         tr = res.trace
         span = cfg.tau_l * cfg.tau_e
         for k in range(cfg.cloud_epochs + 1):
-            assert np.array_equal(tr.u_cloud[k], tr.u_cloud[k])
+            assert np.max(np.abs(tr.u_cloud[k] - tr.vtilde[k * span])) <= 1e-12
+        assert np.array_equal(tr.u_cloud[cfg.cloud_epochs], res.final_state.cloud_params)
         assert np.max(tr.gap_u_vtilde) <= 1e-12
 
     def test_virtual_sync_rule(self):
@@ -226,7 +264,7 @@ class TestRun:
         spec = logistic_spec()
         cfg = HflConfig(eta=0.05, tau_l=3, tau_e=2, cloud_epochs=3, batch_size=16,
                         seed=7, record_virtual=True)
-        res = run(cfg, shards, spec, network=None, edge_count=1)
+        res = run(cfg, shards, spec)
         tr = res.trace
         span = cfg.tau_l * cfg.tau_e
         # v <- u at cloud instants, bitwise
@@ -242,7 +280,7 @@ class TestRun:
         veh = [mobility.VehicleState(0, 100.0, 1, 0.0),
                mobility.VehicleState(1, 200.0, 1, 0.0)]
         cfg = HflConfig(eta=0.1, tau_l=2, tau_e=2, cloud_epochs=2, batch_size=16, seed=1)
-        res = run(cfg, shards, spec, network=net, vehicles=veh)
+        res = mobile_run(cfg, shards, spec, net, veh)
         assert res.metrics[-1].membership_counts == (2, 0, 0, 0)
         assert np.all(np.isfinite(res.final_state.cloud_params))
 
@@ -252,14 +290,37 @@ class TestRun:
         spec = models.ModelSpec(models.QUADRATIC, dim=6, class_count=3)
         cfg = HflConfig(eta=1e160, tau_l=2, tau_e=2, cloud_epochs=1, batch_size=16, seed=1)
         with pytest.raises(DivergenceError, match="vehicle"):
-            run(cfg, shards, spec, network=None, edge_count=1)
+            run(cfg, shards, spec)
+
+    @pytest.mark.parametrize("bad", [np.zeros((2, 2), dtype=np.int64),   # too few rounds
+                                     np.zeros((3, 3), dtype=np.int64),   # too many vehicles
+                                     np.full((3, 2), 4),                 # edge id == edge_count
+                                     np.full((3, 2), -1)])
+    def test_bad_association_is_internal_error(self, bad):
+        # a malformed schedule is a bug in the caller, not a configuration
+        # error, so it must not surface as ValueError (exit 2 in the CLI)
+        shards = make_shards(2)
+        cfg = HflConfig(eta=0.1, tau_l=1, tau_e=2, cloud_epochs=1, batch_size=16, seed=1)
+        with pytest.raises(InternalInvariantError) as e:
+            run(cfg, shards, logistic_spec(), bad, 4)
+        assert not isinstance(e.value, ValueError)
+
+    def test_association_history_is_the_schedule(self):
+        shards = make_shards(4)
+        cfg = HflConfig(eta=0.1, tau_l=2, tau_e=2, cloud_epochs=2, batch_size=16, seed=1,
+                        record_virtual=True)
+        assoc = np.array([[0, 1, 1, 3]] * 3 + [[2, 1, 0, 3]] * 2)
+        res = run(cfg, shards, logistic_spec(), assoc, 4)
+        assert res.trace.association_history is assoc
+        counts = [r.membership_counts for r in res.metrics]
+        assert counts == [(1, 2, 0, 1), (1, 2, 0, 1), (1, 1, 1, 1), (1, 1, 1, 1)]
 
     def test_metrics_rows_and_determinism(self):
         shards = make_shards(4)
         spec = logistic_spec()
         cfg = HflConfig(eta=0.1, tau_l=2, tau_e=3, cloud_epochs=2, batch_size=16, seed=8)
-        a = run(cfg, shards, spec, network=None, edge_count=1)
-        b = run(cfg, shards, spec, network=None, edge_count=1)
+        a = run(cfg, shards, spec)
+        b = run(cfg, shards, spec)
         assert len(a.metrics) == cfg.cloud_epochs * cfg.tau_e
         assert a.metrics_csv_rows() == b.metrics_csv_rows()
 
@@ -268,7 +329,7 @@ class TestRun:
         spec = logistic_spec()
         w0 = np.linspace(-0.5, 0.5, models.param_length(spec))
         cfg = HflConfig(eta=1e-9, tau_l=1, tau_e=1, cloud_epochs=1, batch_size=16, seed=0)
-        res = run(cfg, shards, spec, network=None, edge_count=1, init_params_vec=w0)
+        res = run(cfg, shards, spec, init_params_vec=w0)
         assert np.max(np.abs(res.final_state.cloud_params - w0)) < 1e-6
 
 
@@ -277,7 +338,7 @@ class TestCheckpoint:
         shards = make_shards(3)
         spec = logistic_spec()
         cfg = HflConfig(eta=0.1, tau_l=2, tau_e=2, cloud_epochs=1, batch_size=16, seed=4)
-        res = run(cfg, shards, spec, network=None, edge_count=1)
+        res = run(cfg, shards, spec)
         path = tmp_path / "state.bin"
         h = config_hash("some canonical text")
         write_checkpoint(path, res.final_state, h)
