@@ -37,23 +37,14 @@ class DivergenceEstimates:
     theta_bracket: np.ndarray    # (J+1, N)
     probe_count: int
 
-    def delta_n(self, n, tau):
-        return float(self.delta_n_bracket[tau // self.tau_l, n])
-
-    def Delta_n(self, n, tau):
-        return float(self.Delta_n_bracket[tau // self.tau_l, n])
-
-    def Delta(self, tau):
-        return float(self.Delta_bracket[tau // self.tau_l])
-
 
 def estimate_divergences(spec, shards, association_history, probes, tau_l=1):
     """Definition-style divergence constants, maximized over the probes.
 
     delta_m = max_w ||grad f_m(w) - grad F(w)||; Delta_n at bracket j uses
     the weighted edge objective over the snapshot at j. Full-batch
-    gradients throughout. tau_l maps local iterations onto bracket
-    indices for the per-iteration accessors.
+    gradients throughout. tau_l maps local iteration tau onto bracket
+    tau // tau_l for the edge-drift check.
     """
     if not spec.is_convex:
         raise UnsupportedModelError("divergence constants require a convex family")
@@ -116,18 +107,23 @@ def shared_input_delta_m(shards):
 
 
 def _powi(base, n):
-    """base**n by square-and-multiply on the exact binary value."""
-    if n < 0:
+    """base**n by square-and-multiply on the exact binary value.
+
+    Element-wise over an integer array of exponents, each element getting
+    the same products as a scalar call; a scalar exponent gives a float.
+    Overflow saturates to inf, as scalar float arithmetic does.
+    """
+    k = np.asarray(n, dtype=np.int64)
+    if np.any(k < 0):
         raise ValueError("exponent must be >= 0")
-    result = 1.0
+    result = np.ones(k.shape)
     acc = float(base)
-    k = int(n)
-    while k:
-        if k & 1:
-            result *= acc
-        acc *= acc
-        k >>= 1
-    return result
+    with np.errstate(over="ignore"):
+        while np.any(k):
+            np.multiply(result, acc, out=result, where=(k & 1) == 1)
+            acc *= acc
+            k = k >> 1
+    return float(result) if result.ndim == 0 else result
 
 
 def drift_polynomial(tau, eta, delta, beta):
@@ -141,32 +137,19 @@ def drift_polynomial(tau, eta, delta, beta):
 
 def vehicle_drift_bound(tau0, delta_m, eta, beta):
     """Drift of one vehicle from the centralized trajectory, tau0 steps
-    after the last cloud synchronization."""
-    if not 0 < tau0:
+    after the last cloud synchronization. Broadcasts over arrays."""
+    if not np.all(0 < np.asarray(tau0)):
         raise ValueError("tau0 must be positive")
     return delta_m / beta * (_powi(1.0 + eta * beta, tau0) - 1.0)
 
 
 def edge_drift_bound(tau0, delta_n, Delta_n, eta, beta):
-    """Drift of one edge's virtual average from the centralized trajectory."""
-    if not 0 < tau0:
+    """Drift of one edge's virtual average from the centralized trajectory.
+    Broadcasts over arrays."""
+    if not np.all(0 < np.asarray(tau0)):
         raise ValueError("tau0 must be positive")
     return (delta_n / beta * (_powi(1.0 + eta * beta, tau0) - 1.0)
             - eta * tau0 * (delta_n - Delta_n))
-
-
-def drift_bound(tau0, estimates, inputs, edge=None, vehicle=None, tau=None):
-    """Dispatch to the vehicle-level or edge-level drift bound."""
-    if not 0 < tau0 <= inputs.tau_l * inputs.tau_e:
-        raise ValueError(f"tau0 must lie in (0, {inputs.tau_l * inputs.tau_e}]")
-    if (edge is None) == (vehicle is None):
-        raise ValueError("pass exactly one of edge or vehicle")
-    if vehicle is not None:
-        return vehicle_drift_bound(tau0, estimates.delta_m[vehicle], inputs.eta, inputs.beta)
-    if tau is None:
-        raise ValueError("edge bound needs the iteration tau for its snapshot")
-    return edge_drift_bound(tau0, estimates.delta_n(edge, tau),
-                            estimates.Delta_n(edge, tau), inputs.eta, inputs.beta)
 
 
 @dataclass
@@ -263,66 +246,57 @@ class Violation:
         return f"{self.check} violated at {loc}: {self.measured} > {self.bound}"
 
 
+def _clock(trace, inputs):
+    """tau = 1..T and tau0, the steps since the last cloud synchronization."""
+    span = inputs.tau_l * inputs.tau_e
+    tau = np.arange(1, trace.total_iterations + 1)
+    return tau, tau - ((tau - 1) // span) * span
+
+
+def _violations(measured, bound, slack, label):
+    """One Violation per entry with measured > bound + slack, in row-major
+    order: iteration first, then vehicle or edge id. A NaN entry never
+    fires. label(*index) gives the entry's check name and location."""
+    out = []
+    for i in map(tuple, np.argwhere(measured > bound + slack)):
+        check, where = label(*i)
+        out.append(Violation(check, where, float(measured[i]), float(bound[i])))
+    return out
+
+
 def check_vehicle_drift(trace, estimates, inputs, slack=DEFAULT_SLACK):
     """Vehicle drift vs its bound, for every vehicle and iteration."""
-    out = []
-    span = inputs.tau_l * inputs.tau_e
-    T = trace.total_iterations
-    for tau in range(1, T + 1):
-        tau0 = tau - ((tau - 1) // span) * span
-        for m in range(trace.vehicle_gap.shape[0]):
-            bound = vehicle_drift_bound(tau0, estimates.delta_m[m], inputs.eta, inputs.beta)
-            measured = float(trace.vehicle_gap[m, tau])
-            if measured > bound + slack:
-                out.append(Violation("vehicle_drift", {"m": m, "tau": tau, "tau0": tau0},
-                                     measured, bound))
-    return out
+    tau, tau0 = _clock(trace, inputs)
+    bound = vehicle_drift_bound(tau0[:, None], estimates.delta_m, inputs.eta, inputs.beta)
+    return _violations(
+        trace.vehicle_gap[:, 1:].T, bound, slack,
+        lambda t, m: ("vehicle_drift", {"m": int(m), "tau": int(tau[t]), "tau0": int(tau0[t])}))
 
 
 def check_edge_drift(trace, estimates, inputs, slack=DEFAULT_SLACK):
-    """Edge drift vs its bound; empty edges are skipped."""
-    out = []
-    span = inputs.tau_l * inputs.tau_e
-    T = trace.total_iterations
-    N = trace.edge_gap.shape[0]
-    for tau in range(1, T + 1):
-        tau0 = tau - ((tau - 1) // span) * span
-        for n in range(N):
-            measured = trace.edge_gap[n, tau]
-            if np.isnan(measured):
-                continue
-            dn = estimates.delta_n(n, tau)
-            Dn = estimates.Delta_n(n, tau)
-            if np.isnan(dn):
-                continue
-            bound = edge_drift_bound(tau0, dn, Dn, inputs.eta, inputs.beta)
-            if measured > bound + slack:
-                out.append(Violation("edge_drift", {"n": n, "tau": tau, "tau0": tau0},
-                                     float(measured), bound))
-    return out
+    """Edge drift vs its bound; empty edges (NaN) never fire."""
+    tau, tau0 = _clock(trace, inputs)
+    bracket = tau // estimates.tau_l
+    bound = edge_drift_bound(tau0[:, None], estimates.delta_n_bracket[bracket],
+                             estimates.Delta_n_bracket[bracket], inputs.eta, inputs.beta)
+    # the estimates stop at the highest edge the association history
+    # names; an edge past it never held a vehicle, so its gaps are all NaN
+    return _violations(
+        trace.edge_gap[:bound.shape[1], 1:].T, bound, slack,
+        lambda t, n: ("edge_drift", {"n": int(n), "tau": int(tau[t]), "tau0": int(tau0[t])}))
 
 
 def check_recursion(trace, inputs, slack=DEFAULT_SLACK):
     """Three-case recursion on ||u - vtilde||, one inequality per iteration."""
-    out = []
-    span = inputs.tau_l * inputs.tau_e
-    eb = inputs.eta * inputs.beta
-    T = trace.total_iterations
-    for tau in range(1, T + 1):
-        prev = tau - 1
-        if prev % span == 0:
-            rhs = 0.0
-            case = "cloud"
-        elif prev % inputs.tau_l == 0:
-            rhs = trace.gap_u_v[prev] + eb * trace.s_edge[prev]
-            case = "edge"
-        else:
-            rhs = trace.gap_u_v[prev] + eb * trace.s_vehicle[prev]
-            case = "local"
-        measured = float(trace.gap_u_vtilde[tau])
-        if measured > rhs + slack:
-            out.append(Violation(f"recursion[{case}]", {"tau": tau}, measured, rhs))
-    return out
+    tau, _ = _clock(trace, inputs)
+    prev = tau - 1
+    cloud = prev % (inputs.tau_l * inputs.tau_e) == 0
+    edge = ~cloud & (prev % inputs.tau_l == 0)
+    s = np.where(edge, trace.s_edge[prev], trace.s_vehicle[prev])
+    rhs = np.where(cloud, 0.0, trace.gap_u_v[prev] + inputs.eta * inputs.beta * s)
+    case = np.where(cloud, "cloud", np.where(edge, "edge", "local"))
+    return _violations(trace.gap_u_vtilde[1:], rhs, slack,
+                       lambda t: (f"recursion[{case[t]}]", {"tau": int(tau[t])}))
 
 
 def check_central_drift(trace, estimates, inputs, slack=DEFAULT_SLACK):

@@ -83,7 +83,9 @@ def cmd_run(args):
     os.makedirs(out, exist_ok=True)
     tmp = ckpt + ".tmp"
     try:
-        write_checkpoint(tmp, res.final_state, config_hash(serialize_config(cfg)))
+        # the hash names the experiment, not where its files were written
+        cfg_hash = config_hash(serialize_config(cfg, exclude=("output",)))
+        write_checkpoint(tmp, res.final_state, cfg_hash)
         os.replace(tmp, ckpt)
     except BaseException:
         if os.path.exists(tmp):
@@ -187,8 +189,6 @@ def build_parser():
         sp.add_argument("--out", default=None, help="output directory override")
         sp.add_argument("--seed", type=int, default=None,
                         help="override every section seed")
-        sp.add_argument("--parallel", type=int, default=1,
-                        help="concurrent sweep cells")
 
     sp = sub.add_parser("run", help="single training run")
     common(sp)
@@ -198,6 +198,7 @@ def build_parser():
     common(sp)
     sp.add_argument("--speeds", required=True, help="comma-separated speeds (m/s)")
     sp.add_argument("--seeds", required=True, help="comma-separated seeds")
+    sp.add_argument("--parallel", type=int, default=1, help="concurrent sweep cells")
     sp.set_defaults(func=cmd_sweep_speed)
 
     sp = sub.add_parser("verify-bounds", help="run and check every bound inequality")

@@ -146,10 +146,13 @@ def load_config(path):
         return parse_config(f.read())
 
 
-def serialize_config(cfg):
-    """Canonical text form; parse(serialize(c)) == c."""
+def serialize_config(cfg, exclude=()):
+    """Canonical text form; parse(serialize(c)) == c. Sections named in
+    exclude are left out."""
     out = io.StringIO()
     for section, cls in _SECTIONS.items():
+        if section in exclude:
+            continue
         out.write(f"[{section}]\n")
         target = getattr(cfg, section)
         for f in fields(cls):

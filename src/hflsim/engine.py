@@ -276,28 +276,35 @@ def run(config, shards, spec, association=None, edge_count=1, *,
     else:
         trace = None
 
-    def record_pre(tau, vtilde_now):
-        u_pre = weighted_sum(alpha, W)
-        trace.vtilde[tau] = vtilde_now
-        trace.gap_u_vtilde[tau] = np.linalg.norm(u_pre - vtilde_now)
-        for m in range(M):
-            trace.vehicle_gap[m, tau] = np.linalg.norm(W[m] - vtilde_now)
-        for n in occupied:
-            trace.edge_gap[n, tau] = np.linalg.norm(weighted_sum(A[n], W) - vtilde_now)
-        return u_pre
+    def edge_averages():
+        return {n: weighted_sum(A[n], W) for n in occupied}
 
-    def record_post(tau, v_now):
-        u_post = weighted_sum(alpha, W)
-        trace.gap_u_v[tau] = np.linalg.norm(u_post - v_now)
-        s1 = 0.0
-        for m in range(M):
-            s1 += alpha[m] * np.linalg.norm(W[m] - v_now)
-        trace.s_vehicle[tau] = s1
-        s2 = 0.0
-        for n in occupied:
-            s2 += theta[n] * np.linalg.norm(weighted_sum(A[n], W) - v_now)
-        trace.s_edge[tau] = s2
-        return u_post
+    def measure(ref=None):
+        """The fleet against ref (None: against u itself): u, ||u - ref||,
+        each ||W[m] - ref||, each occupied edge's average, and each edge
+        average's distance to ref (nan for empty edges)."""
+        u = weighted_sum(alpha, W)
+        ref = u if ref is None else ref
+        vehicle = np.array([np.linalg.norm(w - ref) for w in W])
+        avgs = edge_averages()
+        edge = np.full(edge_count, np.nan)
+        for n, avg in avgs.items():
+            edge[n] = np.linalg.norm(avg - ref)
+        return u, np.linalg.norm(u - ref), vehicle, avgs, edge
+
+    def store(tau, look, pre, post):
+        """Store a measurement as the pre-aggregation fields (against
+        vtilde), the post-aggregation fields (against v), or both."""
+        _, gap, vehicle, _, edge = look
+        if pre:
+            trace.gap_u_vtilde[tau] = gap
+            trace.vehicle_gap[:, tau] = vehicle
+            trace.edge_gap[:, tau] = edge
+        if post:
+            trace.gap_u_v[tau] = gap
+            # cumsum adds strictly in id order, like a running loop from zero
+            trace.s_vehicle[tau] = np.cumsum(alpha * vehicle)[-1]
+            trace.s_edge[tau] = np.cumsum(theta[occupied] * edge[occupied])[-1]
 
     metrics = []
     cloud_consistency = []
@@ -311,25 +318,30 @@ def run(config, shards, spec, association=None, edge_count=1, *,
                                     vehicle=m, iteration=tau)
             if record:
                 vtilde = v - config.eta * gradient_xy(spec, v, uX, uy)
+                trace.vtilde[tau] = vtilde
                 if s < tau_l:
-                    record_pre(tau, vtilde)
+                    # no aggregation: W is unchanged and v = vtilde, so one
+                    # measurement serves as both the pre and the post fields
                     v = vtilde
-                    record_post(tau, v)
+                    store(tau, measure(v), pre=True, post=True)
         # round boundary: the new association takes effect, then aggregation
         edge_of = association[j]
         A, theta = membership_weights(edge_of, sizes, edge_count)
         occupied = np.flatnonzero(theta)
+        is_cloud = (j % tau_e == 0)
         if record:
-            u_pre = record_pre(tau, vtilde)
-        elif j % tau_e == 0:
-            u_pre = weighted_sum(alpha, W)
+            look = measure(vtilde)
+            store(tau, look, pre=True, post=False)
+            u_pre, _, _, avgs, _ = look
+        else:
+            u_pre = weighted_sum(alpha, W) if is_cloud else None
+            avgs = edge_averages()
 
-        for n in occupied:
-            edge_params[n] = weighted_sum(A[n], W)
+        for n, avg in avgs.items():
+            edge_params[n] = avg
         # an empty edge keeps its previous model and gets theta = 0
         W[:] = edge_params[edge_of]
 
-        is_cloud = (j % tau_e == 0)
         if is_cloud:
             cloud = cloud_aggregate(edge_params, theta)
             edge_params[:] = cloud
@@ -338,16 +350,16 @@ def run(config, shards, spec, association=None, edge_count=1, *,
             cloud_consistency.append((k, float(np.max(np.abs(cloud - u_pre)))))
 
         if record:
-            if tau % (tau_l * tau_e) == 0:
-                u_post = record_post(tau, weighted_sum(alpha, W))
-                v = u_post.copy()  # exact synchronization v <- u
-                trace.gap_u_v[tau] = 0.0
-                trace.u_cloud[tau // (tau_l * tau_e)] = u_post
-            else:
-                v = vtilde
-                record_post(tau, v)
+            # at a cloud instant v synchronizes exactly to u
+            look = measure(None if is_cloud else vtilde)
+            store(tau, look, pre=False, post=True)
+            u_metric = look[0]
+            v = u_metric if is_cloud else vtilde
+            if is_cloud:
+                trace.u_cloud[k] = u_metric
+        else:
+            u_metric = weighted_sum(alpha, W)
 
-        u_metric = weighted_sum(alpha, W)
         train_loss = loss(spec, u_metric, union)
         test_acc = accuracy(spec, u_metric, eval_data) if eval_data is not None else float("nan")
         gap = trace.gap_u_vtilde[tau] if record else float("nan")

@@ -93,12 +93,10 @@ def _in_zone(network, pos):
     return min(offset, a - offset) < network.intersection_zone
 
 
-def _advance_one(network, pos, direction, v, dt, p_turn, g):
+def _advance_one(network, bounds, corners, pos, direction, v, dt, p_turn, g):
     if v * network.slowdown_factor == 0.0 or dt <= 0.0:
         return pos, direction  # stopped, or so slow the zone speed underflows to 0
     P = network.perimeter
-    corners = {0.0, network.side_length, 2 * network.side_length, 3 * network.side_length}
-    bounds = _speed_boundaries(network)
     t = dt
     while t > 0.0:
         # next boundary strictly ahead in the travel direction
@@ -132,10 +130,12 @@ def advance(network, states, dt, p_turn=0.0, turn_rng=None):
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
+    bounds = _speed_boundaries(network)
+    corners = {0.0, network.side_length, 2 * network.side_length, 3 * network.side_length}
     out = []
     for s in states:
-        pos, d = _advance_one(network, s.arc_position, s.direction, s.max_speed,
-                              dt, p_turn, turn_rng)
+        pos, d = _advance_one(network, bounds, corners, s.arc_position, s.direction,
+                              s.max_speed, dt, p_turn, turn_rng)
         out.append(replace(s, arc_position=pos, direction=d))
     return out
 

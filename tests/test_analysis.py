@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ from hflsim import analysis, datasets, engine, mobility, models
 from hflsim.analysis import (
     BoundInputs, build_drift_report, central_drift_bound, check_central_drift,
     check_edge_drift, check_gap_bound, check_recursion, check_vehicle_drift,
-    choose_epsilon, convex_combination_residuals, drift_bound, drift_polynomial,
+    choose_epsilon, convex_combination_residuals, drift_polynomial,
     edge_drift_bound, estimate_divergences, estimates_for_trace,
     mobility_mixing_report, shared_input_delta_m, vehicle_drift_bound,
 )
@@ -131,17 +132,37 @@ class TestDriftBounds:
         # 2/1 * ((1.1)^2 - 1) = 0.42
         assert vehicle_drift_bound(2, 2.0, 0.1, 1.0) == pytest.approx(0.42, abs=1e-12)
 
-    def test_dispatcher(self):
-        inputs = make_inputs(eta=0.1, beta=1.0)
-        est = const_estimates(delta=2.0, Delta=1.0, tau_l=6, brackets=40)
-        assert drift_bound(2, est, inputs, vehicle=0) == pytest.approx(0.42, abs=1e-12)
-        got = drift_bound(2, est, inputs, edge=0, tau=12)
-        want = edge_drift_bound(2, 2.0, 1.0, 0.1, 1.0)
-        assert got == pytest.approx(want, rel=1e-12)
+    def test_arrays_match_scalar_calls_bitwise(self):
+        g = np.random.default_rng(3)
+        tau0 = g.integers(1, 200, size=(7, 1))
+        dm = g.uniform(0.0, 3.0, size=5)
+        Dn = g.uniform(0.0, 3.0, size=5)
+        eta, beta = 0.07, 1.9
+        got_v = vehicle_drift_bound(tau0, dm, eta, beta)
+        got_e = edge_drift_bound(tau0, dm, Dn, eta, beta)
+        got_p = analysis._powi(1.0 + eta * beta, tau0[:, 0])
+        for i in range(tau0.shape[0]):
+            t = int(tau0[i, 0])
+            assert got_p[i] == analysis._powi(1.0 + eta * beta, t)
+            for m in range(dm.size):
+                assert got_v[i, m] == vehicle_drift_bound(t, float(dm[m]), eta, beta)
+                assert got_e[i, m] == edge_drift_bound(t, float(dm[m]), float(Dn[m]), eta, beta)
+
+    def test_scalar_in_float_out(self):
+        assert type(analysis._powi(1.1, 3)) is float
+        assert type(vehicle_drift_bound(3, 0.5, 0.1, 1.0)) is float
+
+    def test_powi_overflow_saturates(self):
+        big = analysis._powi(10.0, np.array([2, 400]))
+        assert big[0] == 100.0 and big[1] == np.inf
+
+    def test_nonpositive_tau0_rejected(self):
         with pytest.raises(ValueError):
-            drift_bound(0, est, inputs, vehicle=0)
+            vehicle_drift_bound(0, 1.0, 0.1, 1.0)
         with pytest.raises(ValueError):
-            drift_bound(2, est, inputs)
+            edge_drift_bound(np.array([3, 0]), 1.0, 0.5, 0.1, 1.0)
+        with pytest.raises(ValueError):
+            analysis._powi(1.1, np.array([2, -1]))
 
 
 class TestEstimateDivergences:
@@ -255,6 +276,137 @@ class TestInequalitySuite:
         span = inputs.tau_l * inputs.tau_e
         for k in range(inputs.cloud_epochs):
             assert tr.gap_u_vtilde[k * span + 1] <= 1e-9
+
+
+def loop_vehicle_drift(trace, est, inputs, slack=analysis.DEFAULT_SLACK):
+    """Scalar-loop oracle: one bound per (iteration, vehicle)."""
+    out = []
+    span = inputs.tau_l * inputs.tau_e
+    for tau in range(1, trace.total_iterations + 1):
+        tau0 = tau - ((tau - 1) // span) * span
+        for m in range(trace.vehicle_gap.shape[0]):
+            bound = vehicle_drift_bound(tau0, est.delta_m[m], inputs.eta, inputs.beta)
+            measured = float(trace.vehicle_gap[m, tau])
+            if measured > bound + slack:
+                out.append(("vehicle_drift", {"m": m, "tau": tau, "tau0": tau0},
+                            measured, bound))
+    return out
+
+
+def loop_edge_drift(trace, est, inputs, slack=analysis.DEFAULT_SLACK):
+    """Scalar-loop oracle: one bound per (iteration, occupied edge)."""
+    out = []
+    span = inputs.tau_l * inputs.tau_e
+    for tau in range(1, trace.total_iterations + 1):
+        tau0 = tau - ((tau - 1) // span) * span
+        for n in range(trace.edge_gap.shape[0]):
+            measured = trace.edge_gap[n, tau]
+            if np.isnan(measured):
+                continue
+            dn = float(est.delta_n_bracket[tau // est.tau_l, n])
+            Dn = float(est.Delta_n_bracket[tau // est.tau_l, n])
+            if np.isnan(dn):
+                continue
+            bound = edge_drift_bound(tau0, dn, Dn, inputs.eta, inputs.beta)
+            if measured > bound + slack:
+                out.append(("edge_drift", {"n": n, "tau": tau, "tau0": tau0},
+                            float(measured), bound))
+    return out
+
+
+def loop_recursion(trace, inputs, slack=analysis.DEFAULT_SLACK):
+    """Scalar-loop oracle: one three-case recursion step per iteration."""
+    out = []
+    span = inputs.tau_l * inputs.tau_e
+    eb = inputs.eta * inputs.beta
+    for tau in range(1, trace.total_iterations + 1):
+        prev = tau - 1
+        if prev % span == 0:
+            rhs, case = 0.0, "cloud"
+        elif prev % inputs.tau_l == 0:
+            rhs, case = trace.gap_u_v[prev] + eb * trace.s_edge[prev], "edge"
+        else:
+            rhs, case = trace.gap_u_v[prev] + eb * trace.s_vehicle[prev], "local"
+        measured = float(trace.gap_u_vtilde[tau])
+        if measured > rhs + slack:
+            out.append((f"recursion[{case}]", {"tau": tau}, measured, rhs))
+    return out
+
+
+def as_tuples(violations):
+    return [(v.check, v.where, float(v.measured), float(v.bound)) for v in violations]
+
+
+class TestCheckersMatchScalarLoops:
+    """The array checkers list the same violations, in the same order
+    (iteration-major, then vehicle or edge id), as per-entry loops."""
+
+    @pytest.fixture(scope="class")
+    def suite(self):
+        _, _, tr, est, inputs = bound_suite_run(speed=30.0, K=2)
+        return tr, est, inputs
+
+    def test_scaled_estimates(self, suite):
+        tr, est, inputs = suite
+        est = copy.deepcopy(est)
+        est.delta_m = est.delta_m * 0.5
+        est.delta_n_bracket = est.delta_n_bracket * 0.5
+        est.Delta_n_bracket = est.Delta_n_bracket * 0.5
+        vehicle = check_vehicle_drift(tr, est, inputs)
+        edge = check_edge_drift(tr, est, inputs)
+        assert len(vehicle) > 0 and len(edge) > 0
+        assert as_tuples(vehicle) == loop_vehicle_drift(tr, est, inputs)
+        assert as_tuples(edge) == loop_edge_drift(tr, est, inputs)
+
+    def test_bumped_recursion_cases(self, suite):
+        tr, _, inputs = suite
+        tr = copy.deepcopy(tr)
+        span = inputs.tau_l * inputs.tau_e
+        # tau - 1 a cloud instant, an edge-only instant, and a local step
+        for tau in (span + 1, inputs.tau_l + 1, 3):
+            tr.gap_u_vtilde[tau] += 1.0
+        got = check_recursion(tr, inputs)
+        assert [v.check for v in got] == ["recursion[local]", "recursion[edge]",
+                                          "recursion[cloud]"]
+        assert as_tuples(got) == loop_recursion(tr, inputs)
+
+    def test_empty_edge_rows_never_fire(self, suite):
+        tr, est, inputs = suite
+        tr, est = copy.deepcopy(tr), copy.deepcopy(est)
+        est.delta_n_bracket = est.delta_n_bracket * 0.5
+        est.Delta_n_bracket = est.Delta_n_bracket * 0.5
+        tr.edge_gap[1, :] = np.nan
+        est.delta_n_bracket[2:5, 3] = np.nan
+        got = check_edge_drift(tr, est, inputs)
+        assert len(got) > 0
+        assert all(v.where["n"] != 1 for v in got)
+        assert as_tuples(got) == loop_edge_drift(tr, est, inputs)
+
+    def test_never_occupied_last_edge(self):
+        # the estimates have a column per edge up to the highest one the
+        # history names; the trace has one per edge of the topology
+        shards, _ = datasets.shared_input_shards(8, 4, 1, 4, 20, 6, seed=5)
+        spec = models.ModelSpec(models.QUADRATIC, dim=6, class_count=4, l2_reg=0.05)
+        cfg = engine.HflConfig(eta=0.05, tau_l=2, tau_e=2, cloud_epochs=2, seed=1,
+                               record_virtual=True, full_batch=True)
+        assoc = np.array([[m % 3 for m in range(8)]] * 5)
+        tr = engine.run(cfg, shards, spec, assoc, 4).trace
+        est = estimates_for_trace(spec, shards, tr, tr.vtilde)
+        assert (tr.edge_gap.shape[0], est.delta_n_bracket.shape[1]) == (4, 3)
+        est.delta_n_bracket = est.delta_n_bracket * 0.5
+        est.Delta_n_bracket = est.Delta_n_bracket * 0.5
+        inputs = make_inputs(eta=0.05, beta=1.0, tau_l=2, tau_e=2, K=2)
+        got = check_edge_drift(tr, est, inputs)
+        assert len(got) > 0
+        assert as_tuples(got) == loop_edge_drift(tr, est, inputs)
+
+    def test_fields_are_python_scalars(self, suite):
+        tr, est, inputs = suite
+        est = copy.deepcopy(est)
+        est.delta_m = est.delta_m * 0.5
+        v = check_vehicle_drift(tr, est, inputs)[0]
+        assert type(v.measured) is float and type(v.bound) is float
+        assert all(type(x) is int for x in v.where.values())
 
 
 class TestGapBound:

@@ -5,9 +5,9 @@ import os
 import numpy as np
 import pytest
 
-from hflsim import cli, config, experiments, mobility
+from hflsim import cli, config, engine, experiments, mobility
 from hflsim.config import ConfigError, ExperimentConfig, parse_config, serialize_config, validate
-from hflsim.engine import InternalInvariantError
+from hflsim.engine import InternalInvariantError, read_checkpoint
 
 
 MINI = """
@@ -160,6 +160,21 @@ class TestCmdRun:
         leftovers = [p for p in (tmp_path / "out").iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
 
+    def test_checkpoint_hash_names_the_experiment(self, tmp_path):
+        # the same experiment written to two directories gives the same
+        # bytes; a changed [hfl] value or --seed gives another hash
+        path = write_cfg(tmp_path, MINI)
+        other = write_cfg(tmp_path, MINI.replace("eta = 0.1", "eta = 0.09"), name="other.cfg")
+        runs = {"a": [path], "b": [path], "eta": [other], "seed": [path, "--seed", "99"]}
+        for d, args in runs.items():
+            assert cli.main(["run", "--config", *args, "--out", str(tmp_path / d)]) == 0
+        ckpt = {d: tmp_path / d / "checkpoint.bin" for d in runs}
+        assert ckpt["a"].read_bytes() == ckpt["b"].read_bytes()
+        hashes = {d: read_checkpoint(p)[1] for d, p in ckpt.items()}
+        assert hashes["eta"] != hashes["a"] and hashes["seed"] != hashes["a"]
+        cfg = config.load_config(path)
+        assert hashes["a"] == engine.config_hash(serialize_config(cfg, exclude=("output",)))
+
     def test_invalid_config_exit_2(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text("[hfl]\neta = -1\n[output]\ndirectory = x\n")
@@ -311,6 +326,16 @@ class TestCmdSweep:
             rows = list(csv.reader(f))
         assert rows[0] == ["speed", "mean_max_accuracy", "std_max_accuracy"]
         assert len(rows) == 3
+
+    def test_parallel_only_on_sweep(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, MINI)
+        for command in ("run", "verify-bounds", "partition-report"):
+            with pytest.raises(SystemExit) as e:
+                cli.main([command, "--config", path, "--parallel", "2"])
+            assert e.value.code == 2
+        assert "--parallel" in capsys.readouterr().err
+        assert cli.main(["sweep-speed", "--config", path, "--speeds", "0",
+                         "--seeds", "3", "--parallel", "1"]) == 0
 
     def test_seed_override_flag(self, tmp_path):
         path = write_cfg(tmp_path, MINI)

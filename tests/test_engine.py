@@ -284,6 +284,42 @@ class TestRun:
         assert res.metrics[-1].membership_counts == (2, 0, 0, 0)
         assert np.all(np.isfinite(res.final_state.cloud_params))
 
+    def test_in_round_trace_identities(self):
+        # inside an edge round nothing aggregates, so the post fields are the
+        # pre fields: v = vtilde, and the drift sums are the id-order sums of
+        # the recorded per-vehicle and per-edge gaps; three vehicles on four
+        # edges leave at least one edge empty (NaN) at every iteration
+        M = 3
+        shards = make_shards(M)
+        net = mobility.RoadNetwork(side_length=200.0, intersection_zone=10.0)
+        veh = mobility.init_positions(net, M, speed=60.0, seed=4)
+        cfg = HflConfig(eta=0.1, tau_l=3, tau_e=2, cloud_epochs=3, batch_size=16,
+                        seed=6, record_virtual=True)
+        _, assoc = mobility.schedule(net, veh, cfg.cloud_epochs * cfg.tau_e,
+                                     p_turn=0.5, seed=4)
+        assert len({tuple(r) for r in assoc}) > 1  # the membership really changes
+        tr = run(cfg, shards, logistic_spec(), assoc, net.edge_count).trace
+        sizes = np.array([s.size for s in shards], dtype=np.float64)
+        checked = 0
+        for tau in range(1, cfg.total_iterations + 1):
+            if tau % cfg.tau_l == 0:
+                continue
+            _, theta = membership_weights(assoc[(tau - 1) // cfg.tau_l], sizes,
+                                          net.edge_count)
+            assert tr.gap_u_v[tau] == tr.gap_u_vtilde[tau]
+            s1 = 0.0
+            for m in range(M):
+                s1 += tr.alpha[m] * tr.vehicle_gap[m, tau]
+            assert tr.s_vehicle[tau] == s1
+            s2 = 0.0
+            for n in range(net.edge_count):
+                if not np.isnan(tr.edge_gap[n, tau]):
+                    s2 += theta[n] * tr.edge_gap[n, tau]
+            assert tr.s_edge[tau] == s2
+            assert np.isnan(tr.edge_gap[:, tau]).any()
+            checked += 1
+        assert checked == cfg.total_iterations * (cfg.tau_l - 1) // cfg.tau_l
+
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_aborts_with_location(self):
         shards = make_shards(2)
