@@ -20,8 +20,8 @@ import numpy as np
 
 from . import rng
 from .datasets import union_of_shards
-from .models import (accuracy, gradient_xy, init_params, loss, param_length,
-                     write_param_vector, read_param_vector)
+from .models import (accuracy, gradient_fleet, gradient_xy, init_params, loss,
+                     param_length, write_param_vector, read_param_vector)
 
 CHECKPOINT_MAGIC = b"HFLCKPT1"
 
@@ -59,45 +59,64 @@ class HflConfig:
 
 
 class BatchSampler:
-    """Per-vehicle minibatch index streams.
+    """Minibatch index streams for the whole fleet.
 
-    Each vehicle samples without replacement within a pass: a seeded
-    permutation of its shard is consumed in batch_size chunks, the
-    incomplete tail is dropped, and the next pass reshuffles. The stream
-    for vehicle m depends only on (seed, m) and the number of batches
-    already drawn, so runs are reproducible.
+    Vehicle m samples without replacement within a pass: a permutation of
+    its shard, drawn from its own stream (seed, BATCH_BASE + m), is
+    consumed in batch_size chunks, the incomplete tail is dropped, and the
+    next pass reshuffles. A vehicle whose shard is no larger than
+    batch_size, and every vehicle in full-batch mode, uses its whole shard
+    in order at every step. Vehicles are grouped once, by batch length
+    (min(batch_size, n_m), or n_m in full-batch mode) and by whether they
+    shuffle, so unequal shards need neither padding nor a mask.
     """
 
     def __init__(self, shard_sizes, batch_size, seed, full_batch=False):
-        self.sizes = list(shard_sizes)
+        sizes = np.asarray(shard_sizes, dtype=np.int64)
         self.batch_size = batch_size
-        self.full_batch = full_batch
-        self._gens = [rng.stream(seed, rng.BATCH_BASE + m) for m in range(len(self.sizes))]
-        self._perm = [None] * len(self.sizes)
-        self._cursor = [0] * len(self.sizes)
+        # first row of each shard when the shards are stacked in id order
+        self.offset = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        shuffled = np.zeros(sizes.size, bool) if full_batch else sizes > batch_size
+        self.groups = []   # vehicle ids of each group, ascending
+        self._fixed = []   # each whole-shard group's constant (G, n_m) indices
+        for n in np.unique(sizes[~shuffled]):
+            ids = np.flatnonzero(~shuffled & (sizes == n))
+            self.groups.append(ids)
+            self._fixed.append(np.broadcast_to(np.arange(n), (ids.size, n)))
+        ids = np.flatnonzero(shuffled)
+        self._gens = [rng.stream(seed, rng.BATCH_BASE + int(m)) for m in ids]
+        if ids.size:
+            self.groups.append(ids)
+            self._n = sizes[ids]
+            self._perm = np.zeros((ids.size, self._n.max()), dtype=np.int64)
+            self._cursor = self._n.copy()  # every pass "ended": shuffle at the first step
 
-    def next_batch(self, m):
-        n = self.sizes[m]
-        if self.full_batch or self.batch_size >= n:
-            return np.arange(n)
-        b = self.batch_size
-        if self._perm[m] is None or self._cursor[m] + b > n:
-            self._perm[m] = self._gens[m].permutation(n)
-            self._cursor[m] = 0
-        idx = self._perm[m][self._cursor[m]:self._cursor[m] + b]
-        self._cursor[m] += b
-        return idx
+    def next_batches(self):
+        """Advance every vehicle one step; returns one (G, b) array of
+        shard-local indices per group, aligned with self.groups."""
+        batches = list(self._fixed)
+        if self._gens:
+            b = self.batch_size
+            for i in np.flatnonzero(self._cursor + b > self._n):
+                self._perm[i, :self._n[i]] = self._gens[i].permutation(self._n[i])
+                self._cursor[i] = 0
+            rows = np.arange(len(self._gens))[:, None]
+            batches.append(self._perm[rows, self._cursor[:, None] + np.arange(b)])
+            self._cursor += b
+        return batches
 
 
-def local_update(spec, shard, w, batch_idx, eta, vehicle=None, iteration=None):
-    """One SGD step on the given batch of the shard."""
-    X = shard.data.features[batch_idx]
-    y = shard.data.labels[batch_idx]
-    w_new = w - eta * gradient_xy(spec, w, X, y)
-    if not np.all(np.isfinite(w_new)):
-        raise DivergenceError(
-            f"non-finite parameters at vehicle {vehicle} iteration {iteration}")
-    return w_new
+def fleet_step(spec, W, data, sampler, eta, iteration):
+    """One local SGD step of every vehicle, in place. data holds the shards
+    stacked in id order; each sampler group is one gather and one
+    gradient_fleet call. A non-finite result names the lowest-id vehicle."""
+    for ids, idx in zip(sampler.groups, sampler.next_batches()):
+        rows = sampler.offset[ids, None] + idx
+        W[ids] -= eta * gradient_fleet(spec, W[ids], data.features[rows], data.labels[rows])
+    finite = np.isfinite(W)
+    if not finite.all():
+        m = int(np.flatnonzero(~finite.all(axis=1))[0])
+        raise DivergenceError(f"non-finite parameters at vehicle {m} iteration {iteration}")
 
 
 def membership_weights(edge_of, sizes, edge_count):
@@ -202,6 +221,7 @@ class RunResult:
     final_state: FleetState
     trace: VirtualTrace = None
     cloud_consistency: list = field(default_factory=list)  # (k, max |w - u_pre|) per epoch
+    cloud_history: np.ndarray = None  # (K+1, P) cloud model after epoch k; row 0 = w0
 
     def metrics_csv_rows(self):
         return [METRICS_HEADER] + [r.csv_fields() for r in self.metrics]
@@ -215,8 +235,10 @@ def run(config, shards, spec, association=None, edge_count=1, *,
     force from the end of edge round j (row 0 from the start); see
     mobility.schedule. None selects the static mode where every vehicle
     stays on edge 0 (used for the single-edge equivalence checks).
+    Each local iteration is one fleet_step over all vehicles.
     Returns metrics, the final fleet state, per-epoch cloud/vehicle-average
-    consistency, and the virtual trace when config.record_virtual is set.
+    consistency, the cloud model after every cloud aggregation, and the
+    virtual trace when config.record_virtual is set.
     """
     M = len(shards)
     if M < 1:
@@ -245,14 +267,17 @@ def run(config, shards, spec, association=None, edge_count=1, *,
     W = np.tile(w0, (M, 1))
     edge_params = np.tile(w0, (edge_count, 1))
     cloud = w0.copy()
+    cloud_history = np.empty((K + 1, P))
+    cloud_history[0] = w0
     sampler = BatchSampler(sizes.astype(int), config.batch_size, config.seed,
                            full_batch=config.full_batch)
+    fleet = union_of_shards(shards)
 
     # weights of the association in force; refreshed at every round boundary
     A, theta = membership_weights(association[0], sizes, edge_count)
     occupied = np.flatnonzero(theta)
 
-    union = union_data if union_data is not None else union_of_shards(shards)
+    union = union_data if union_data is not None else fleet
     record = config.record_virtual
     if record:
         uX, uy = union.features, union.labels
@@ -312,10 +337,7 @@ def run(config, shards, spec, association=None, edge_count=1, *,
     for j in range(1, rounds + 1):
         for s in range(1, tau_l + 1):
             tau += 1
-            for m in range(M):
-                idx = sampler.next_batch(m)
-                W[m] = local_update(spec, shards[m], W[m], idx, config.eta,
-                                    vehicle=m, iteration=tau)
+            fleet_step(spec, W, fleet, sampler, config.eta, tau)
             if record:
                 vtilde = v - config.eta * gradient_xy(spec, v, uX, uy)
                 trace.vtilde[tau] = vtilde
@@ -347,6 +369,7 @@ def run(config, shards, spec, association=None, edge_count=1, *,
             edge_params[:] = cloud
             W[:] = cloud
             k = j // tau_e
+            cloud_history[k] = cloud
             cloud_consistency.append((k, float(np.max(np.abs(cloud - u_pre)))))
 
         if record:
@@ -371,7 +394,7 @@ def run(config, shards, spec, association=None, edge_count=1, *,
     final = FleetState(tau=tau, vehicle_params=W.copy(),
                        edge_params=edge_params.copy(), cloud_params=cloud.copy())
     return RunResult(metrics=metrics, final_state=final, trace=trace,
-                     cloud_consistency=cloud_consistency)
+                     cloud_consistency=cloud_consistency, cloud_history=cloud_history)
 
 
 def config_hash(text):

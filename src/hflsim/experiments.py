@@ -261,18 +261,14 @@ def pretrain_checkpoint(cfg, accuracy_target, max_epochs=200):
     pre.hfl.record_virtual = False
     inst = build_instance(pre)
     res = run_instance(inst, cloud_epochs=max_epochs)
-    # replay the metrics to find the first epoch at target, then rerun to it
-    best = None
+    # the cloud model at the end of the first cloud epoch that hits the target
     for row in res.metrics:
         if row.test_accuracy >= accuracy_target:
             epochs = (row.edge_round + pre.hfl.tau_e - 1) // pre.hfl.tau_e
-            best = run_instance(inst, cloud_epochs=max(1, epochs)).final_state.cloud_params
-            break
-    if best is None:
-        raise RuntimeError(
-            f"pretraining never reached accuracy {accuracy_target:.3f} "
-            f"within {max_epochs} cloud epochs")
-    return best
+            return res.cloud_history[epochs].copy()
+    raise RuntimeError(
+        f"pretraining never reached accuracy {accuracy_target:.3f} "
+        f"within {max_epochs} cloud epochs")
 
 
 # --- bound verification ----------------------------------------------------

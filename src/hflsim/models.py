@@ -91,19 +91,20 @@ def _targets(spec, y):
 
 
 def _softmax(logits):
-    z = logits - logits.max(axis=1, keepdims=True)
+    """Row softmax over the last axis (class scores), any leading axes."""
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _mlp_unpack(spec, w):
+    """Views W1 (d, h), b1 (1, h), W2 (h, c), b2 (1, c) of an mlp1 parameter
+    vector; leading axes of w (one row per vehicle) stay in front."""
     d, c, h = spec.dim, spec.class_count, spec.hidden_width
-    i = 0
-    W1 = w[i:i + d * h].reshape(d, h); i += d * h
-    b1 = w[i:i + h]; i += h
-    W2 = w[i:i + h * c].reshape(h, c); i += h * c
-    b2 = w[i:i + c]
-    return W1, b1, W2, b2
+    i, j, k = d * h, d * h + h, d * h + h + h * c
+    lead = w.shape[:-1]
+    return (w[..., :i].reshape(lead + (d, h)), w[..., i:j].reshape(lead + (1, h)),
+            w[..., j:k].reshape(lead + (h, c)), w[..., k:].reshape(lead + (1, c)))
 
 
 def _logits(spec, w, X):
@@ -148,6 +149,46 @@ def gradient_xy(spec, w, X, y):
     gb1 = dZ.sum(axis=0)
     g = np.concatenate([gW1.ravel(), gb1, gW2.ravel(), gb2])
     return g + spec.l2_reg * w
+
+
+def gradient_fleet(spec, W, X, y):
+    """gradient_xy for a whole fleet: W (M, P), X (M, B, d), y (M, B).
+
+    Row m is bitwise gradient_xy(spec, W[m], X[m], y[m]): the same
+    operations in the same order on stacked arrays, with batched matmul
+    (numpy runs one product per vehicle, as in the 2-D code) and every
+    reduction over the axis the 2-D code reduces.
+    """
+    M, n = y.shape
+    if W.shape != (M, param_length(spec)) or X.shape != (M, n, spec.dim):
+        raise ValueError(f"fleet shapes W {W.shape}, X {X.shape}, y {y.shape} "
+                         f"do not match P={param_length(spec)}, d={spec.dim}")
+    Xt = np.swapaxes(X, 1, 2)
+    mi, bi = np.arange(M)[:, None], np.arange(n)
+    if spec.family == QUADRATIC:
+        if spec.class_count == 1:
+            T = y.astype(np.float64)[..., None]
+        else:
+            T = np.zeros((M, n, spec.class_count))
+            T[mi, bi, y] = 1.0
+        R = X @ W.reshape(M, spec.dim, -1) - T
+        return (Xt @ R).reshape(M, -1) / n + spec.l2_reg * W
+    if spec.family == MULTINOMIAL_LOGISTIC:
+        S = _softmax(X @ W.reshape(M, spec.dim, spec.class_count))
+        S[mi, bi, y] -= 1.0
+        return (Xt @ S).reshape(M, -1) / n + spec.l2_reg * W
+    W1, b1, W2, b2 = _mlp_unpack(spec, W)
+    Z = np.tanh(X @ W1 + b1)
+    S = _softmax(Z @ W2 + b2)
+    S[mi, bi, y] -= 1.0
+    S /= n
+    gW2 = np.swapaxes(Z, 1, 2) @ S
+    gb2 = S.sum(axis=1)
+    dZ = (S @ np.swapaxes(W2, 1, 2)) * (1.0 - Z * Z)
+    gW1 = Xt @ dZ
+    gb1 = dZ.sum(axis=1)
+    g = np.concatenate([gW1.reshape(M, -1), gb1, gW2.reshape(M, -1), gb2], axis=1)
+    return g + spec.l2_reg * W
 
 
 def loss(spec, w, data):

@@ -12,7 +12,7 @@ import csv
 import numpy as np
 import pytest
 
-from hflsim import analysis, cli, config, datasets, engine, experiments, mobility, models
+from hflsim import analysis, cli, config, datasets, engine, experiments, mobility, models, rng
 
 
 def report(name, ok, detail):
@@ -110,10 +110,14 @@ def test_a1_degenerate_equivalence_bit_identical():
     assert cfg.total_iterations == 1000
     res = engine.run(cfg, [shard], spec)
 
-    sampler = engine.BatchSampler([ds.n_samples], 20, seed=9)
+    # plain SGD over vehicle 0's batch stream: a fresh permutation per pass
+    # of 400 samples, consumed in 20 chunks of 20
+    stream = rng.stream(9, rng.BATCH_BASE + 0)
     w = np.zeros(models.param_length(spec))
-    for _ in range(1000):
-        idx = sampler.next_batch(0)
+    for t in range(1000):
+        if t % 20 == 0:
+            perm = stream.permutation(ds.n_samples)
+        idx = perm[(t % 20) * 20:(t % 20 + 1) * 20]
         w = w - 0.1 * models.gradient_xy(spec, w, ds.features[idx], ds.labels[idx])
     identical = np.array_equal(w, res.final_state.cloud_params)
     report("A1", identical, "1000-iteration single-vehicle trajectory bit-identical "

@@ -5,7 +5,9 @@ import os
 import numpy as np
 import pytest
 
-from hflsim import cli, config, engine, experiments, mobility
+import copy
+
+from hflsim import cli, config, datasets, engine, experiments, mobility, models
 from hflsim.config import ConfigError, ExperimentConfig, parse_config, serialize_config, validate
 from hflsim.engine import InternalInvariantError, read_checkpoint
 
@@ -187,6 +189,26 @@ class TestCmdRun:
         path = write_cfg(tmp_path, text)
         assert cli.main(["run", "--config", path]) == 3
 
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_one_vehicle_divergence_exit_3(self, tmp_path, monkeypatch, capsys):
+        # only vehicle 2's data is scaled up, so only vehicle 2 diverges
+        text = MINI.replace("vehicles = 1", "vehicles = 4").replace("edges = 1", "edges = 4")
+        text = text.replace("family = multinomial_logistic", "family = quadratic")
+        path = write_cfg(tmp_path, text)
+        real = experiments.build_instance
+
+        def scaled(*args, **kwargs):
+            inst = real(*args, **kwargs)
+            d = inst.shards[2].data
+            inst.shards[2] = datasets.Shard(2, datasets.LabeledDataset(
+                d.features * 1e20, d.labels, d.class_count))
+            inst.union = datasets.union_of_shards(inst.shards)
+            return inst
+
+        monkeypatch.setattr(experiments, "build_instance", scaled)
+        assert cli.main(["run", "--config", path]) == 3
+        assert "divergence: non-finite parameters at vehicle 2 iteration" in capsys.readouterr().err
+
     def test_missing_config_exit_4(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "nope.cfg")]) == 4
 
@@ -343,3 +365,44 @@ class TestCmdSweep:
         first = (tmp_path / "out" / "metrics.csv").read_bytes()
         assert cli.main(["run", "--config", path]) == 0
         assert (tmp_path / "out" / "metrics.csv").read_bytes() != first
+
+
+MLP_MOBILE = (MINI.replace("vehicles = 1", "vehicles = 4")
+              .replace("edges = 1", "edges = 4").replace("speed = 0.0", "speed = 30.0")
+              .replace("cloud_epochs = 2", "cloud_epochs = 4").replace("tau_e = 10", "tau_e = 3")
+              .replace("family = multinomial_logistic", "family = mlp1\nhidden_width = 6"))
+
+
+class TestPretrain:
+    def test_cloud_history_rows_are_shorter_runs(self, tmp_path):
+        cfg = config.load_config(write_cfg(tmp_path, MLP_MOBILE))
+        inst = experiments.build_instance(cfg)
+        res = experiments.run_instance(inst)
+        K = cfg.hfl.cloud_epochs
+        assert res.cloud_history.shape == (K + 1, models.param_length(inst.spec))
+        assert np.array_equal(res.cloud_history[0], models.init_params(inst.spec, cfg.hfl.seed))
+        assert np.array_equal(res.cloud_history[K], res.final_state.cloud_params)
+        for k in range(1, K + 1):
+            short = experiments.run_instance(inst, cloud_epochs=k)
+            assert np.array_equal(res.cloud_history[k], short.final_state.cloud_params)
+
+    def test_pretrain_equals_rerun_to_first_epoch_at_target(self, tmp_path):
+        cfg = config.load_config(write_cfg(tmp_path, MLP_MOBILE))
+        # oracle: the former two-run method, a full pretraining run and then a
+        # rerun to the first cloud epoch whose metrics row reaches the target
+        pre = copy.deepcopy(cfg)
+        pre.partition.regime = datasets.IID
+        pre.mobility.speed = 0.0
+        inst = experiments.build_instance(pre)
+        rows = experiments.run_instance(inst, cloud_epochs=6).metrics
+        target = rows[len(rows) // 2].test_accuracy
+        first = next(r for r in rows if r.test_accuracy >= target)
+        epochs = (first.edge_round + pre.hfl.tau_e - 1) // pre.hfl.tau_e
+        want = experiments.run_instance(inst, cloud_epochs=epochs).final_state.cloud_params
+        got = experiments.pretrain_checkpoint(cfg, target, max_epochs=6)
+        assert np.array_equal(got, want)
+
+    def test_pretrain_unreachable_target(self, tmp_path):
+        cfg = config.load_config(write_cfg(tmp_path, MLP_MOBILE))
+        with pytest.raises(RuntimeError, match="never reached"):
+            experiments.pretrain_checkpoint(cfg, 1.1, max_epochs=2)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hflsim import datasets, engine, mobility, models
+from hflsim import datasets, engine, mobility, models, rng
 from hflsim.engine import (
     BatchSampler, DivergenceError, HflConfig, InternalInvariantError,
-    cloud_aggregate, config_hash, local_update, membership_weights,
+    cloud_aggregate, config_hash, fleet_step, membership_weights,
     read_checkpoint, run, weighted_sum, write_checkpoint,
 )
 
@@ -22,10 +22,52 @@ def make_shards(M, C=3, d=6, n_per=60, seed=1, pseed=2):
     return datasets.partition(ds, spec)[0]
 
 
+def unequal_shards(sizes, C=3, d=6):
+    """Consecutive slices of one synthetic dataset, of the given sizes."""
+    ds = datasets.generate_synthetic(C, d, 60, 3.0, seed=1)
+    cuts = np.cumsum([0] + list(sizes))
+    return [datasets.Shard(m, ds.subset(np.arange(cuts[m], cuts[m + 1])))
+            for m in range(len(sizes))]
+
+
+def blowup_shards(M=4, bad=2, scale=1e20):
+    """make_shards(M) with vehicle `bad`'s features scaled up, so that a
+    quadratic SGD step on that vehicle alone grows until it overflows."""
+    shards = make_shards(M)
+    d = shards[bad].data
+    shards[bad] = datasets.Shard(bad, datasets.LabeledDataset(
+        d.features * scale, d.labels, d.class_count))
+    return shards
+
+
 def mobile_run(cfg, shards, spec, net, veh):
     """run() on the association schedule of the given vehicles."""
     _, assoc = mobility.schedule(net, veh, cfg.cloud_epochs * cfg.tau_e)
     return run(cfg, shards, spec, assoc, net.edge_count)
+
+
+def reference_batches(size, batch_size, seed, m, full_batch=False):
+    """Independent transcription of vehicle m's batch stream: its own
+    permutation of range(size) chunked by batch_size, reshuffled when
+    fewer than batch_size indices remain; the whole shard in order when
+    it is no larger than a batch or in full-batch mode."""
+    if full_batch or batch_size >= size:
+        while True:
+            yield np.arange(size)
+    g = rng.stream(seed, rng.BATCH_BASE + m)
+    while True:
+        perm = g.permutation(size)
+        for k in range(size // batch_size):
+            yield perm[k * batch_size:(k + 1) * batch_size]
+
+
+def draws_by_vehicle(sampler):
+    """One fleet step of the sampler as {vehicle: its batch indices}."""
+    out = {}
+    for ids, idx in zip(sampler.groups, sampler.next_batches()):
+        assert idx.shape[0] == ids.size
+        out.update({int(m): row for m, row in zip(ids, idx)})
+    return out
 
 
 class TestBatchSampler:
@@ -33,22 +75,52 @@ class TestBatchSampler:
         a = BatchSampler([50, 70], 16, seed=9)
         b = BatchSampler([50, 70], 16, seed=9)
         for _ in range(10):
-            assert np.array_equal(a.next_batch(0), b.next_batch(0))
-            assert np.array_equal(a.next_batch(1), b.next_batch(1))
+            da, db = draws_by_vehicle(a), draws_by_vehicle(b)
+            assert np.array_equal(da[0], db[0])
+            assert np.array_equal(da[1], db[1])
 
     def test_without_replacement_within_pass(self):
         s = BatchSampler([50], 16, seed=3)
-        seen = np.concatenate([s.next_batch(0) for _ in range(3)])  # one full pass
+        seen = np.concatenate([draws_by_vehicle(s)[0] for _ in range(3)])  # one full pass
         assert len(np.unique(seen)) == len(seen)
         assert np.all(seen < 50)
 
     def test_full_batch_mode(self):
         s = BatchSampler([13], 5, seed=1, full_batch=True)
-        assert np.array_equal(s.next_batch(0), np.arange(13))
+        assert np.array_equal(draws_by_vehicle(s)[0], np.arange(13))
 
     def test_batch_larger_than_shard(self):
         s = BatchSampler([7], 20, seed=1)
-        assert np.array_equal(s.next_batch(0), np.arange(7))
+        assert np.array_equal(draws_by_vehicle(s)[0], np.arange(7))
+
+    @pytest.mark.parametrize("sizes, batch, full", [
+        ([50, 70, 16, 7, 33, 48, 61], 16, False),   # unequal; n < B, n == B, n > B, B | n
+        ([5, 9, 12], 20, False),                    # B >= every shard
+        ([23, 40, 57, 40], 16, True),               # full batch, unequal
+    ])
+    def test_matches_per_vehicle_transcription(self, sizes, batch, full):
+        s = BatchSampler(sizes, batch, seed=11, full_batch=full)
+        ids = np.sort(np.concatenate(s.groups))
+        assert np.array_equal(ids, np.arange(len(sizes)))  # each vehicle in one group
+        refs = [reference_batches(n, batch, 11, m, full) for m, n in enumerate(sizes)]
+        for _ in range(30):  # several passes of the smallest shuffled shard
+            got = draws_by_vehicle(s)
+            for m, ref in enumerate(refs):
+                assert np.array_equal(got[m], next(ref))
+
+    def test_groups_by_batch_length(self):
+        s = BatchSampler([5, 30, 5, 12, 30], 12, seed=0)
+        assert [g.tolist() for g in s.groups] == [[0, 2], [3], [1, 4]]
+        assert [b.shape for b in s.next_batches()] == [(2, 5), (1, 12), (2, 12)]
+        assert s.offset.tolist() == [0, 5, 35, 40, 52]
+
+
+def step_once(spec, shards, W, eta, batch_size=5, iteration=None):
+    """fleet_step on a copy of W, with a fresh sampler over the shards."""
+    W = np.array(W, dtype=float)
+    sampler = BatchSampler([s.size for s in shards], batch_size, seed=0)
+    fleet_step(spec, W, datasets.union_of_shards(shards), sampler, eta, iteration)
+    return W
 
 
 class TestLocalUpdate:
@@ -57,32 +129,32 @@ class TestLocalUpdate:
         shard = datasets.Shard(0, datasets.LabeledDataset(
             np.array([[1.0]]), np.array([2]), class_count=1))
         spec = models.ModelSpec(models.QUADRATIC, dim=1, class_count=1)
-        w = local_update(spec, shard, np.zeros(1), np.array([0]), eta=0.1)
-        assert w == pytest.approx([0.2], abs=1e-15)
+        w = step_once(spec, [shard], np.zeros((1, 1)), eta=0.1)
+        assert w[0] == pytest.approx([0.2], abs=1e-15)
 
     def test_fixed_point_at_shard_optimum(self):
         shards = make_shards(1)
         spec = logistic_spec()
         opt = models.solve_optimum(spec, shards[0].data)
-        batch = np.arange(shards[0].size)
-        w = local_update(spec, shards[0], opt.w, batch, eta=0.1)
-        assert np.max(np.abs(w - opt.w)) <= 1e-8
+        w = step_once(spec, shards, opt.w[None, :], eta=0.1, batch_size=shards[0].size)
+        assert np.max(np.abs(w[0] - opt.w)) <= 1e-8
 
     def test_zero_eta_identity(self):
-        shards = make_shards(1)
+        shards = make_shards(3)
         spec = logistic_spec()
-        w0 = np.linspace(-1, 1, models.param_length(spec))
-        w = local_update(spec, shards[0], w0, np.arange(5), eta=0.0)
-        assert np.array_equal(w, w0)
+        W0 = np.linspace(-1, 1, 3 * models.param_length(spec)).reshape(3, -1)
+        W = step_once(spec, shards, W0, eta=0.0)
+        assert np.array_equal(W, W0)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_named(self):
-        shard = datasets.Shard(3, datasets.LabeledDataset(
-            np.array([[1e200]]), np.array([1]), class_count=2))
+        # only vehicle 2 overflows; the error names it, not a later vehicle
+        shards = [datasets.Shard(m, datasets.LabeledDataset(
+            np.array([[1e200 if m in (2, 3) else 1.0]]), np.array([1]), class_count=2))
+            for m in range(4)]
         spec = models.ModelSpec(models.QUADRATIC, dim=1, class_count=2)
-        with pytest.raises(DivergenceError, match="vehicle 3 iteration 17"):
-            local_update(spec, shard, np.ones(2), np.array([0]), eta=1e300,
-                         vehicle=3, iteration=17)
+        with pytest.raises(DivergenceError, match="vehicle 2 iteration 17"):
+            step_once(spec, shards, np.ones((4, 2)), eta=1e300, iteration=17)
 
 
 def edge_average(edge_of, params, sizes, n=0):
@@ -159,30 +231,30 @@ class TestDegenerateEquivalence:
         cfg = HflConfig(eta=0.1, tau_l=5, tau_e=4, cloud_epochs=3, batch_size=16, seed=9)
         res = run(cfg, shards, spec)
 
-        sampler = BatchSampler([shards[0].size], 16, seed=9)
+        batches = reference_batches(shards[0].size, 16, 9, 0)
         w = np.zeros(models.param_length(spec))
         X, y = shards[0].data.features, shards[0].data.labels
         for _ in range(cfg.total_iterations):
-            idx = sampler.next_batch(0)
+            idx = next(batches)
             w = w - cfg.eta * models.gradient_xy(spec, w, X[idx], y[idx])
         assert np.array_equal(w, res.final_state.cloud_params)
 
 
-def reference_static_hfl(cfg, shards, spec, edge_of, eval_iterations):
+def reference_static_hfl(cfg, shards, spec, edge_of):
     """Independent static-topology oracle: direct transcription of the
     update/aggregate schedule with fixed membership."""
     M = len(shards)
     sizes = np.array([s.size for s in shards], float)
     P = models.param_length(spec)
-    W = np.zeros((M, P))
-    sampler = BatchSampler(sizes.astype(int), cfg.batch_size, cfg.seed,
-                           full_batch=cfg.full_batch)
+    W = np.tile(models.init_params(spec, cfg.seed), (M, 1))
+    batches = [reference_batches(s.size, cfg.batch_size, cfg.seed, m, cfg.full_batch)
+               for m, s in enumerate(shards)]
     tau = 0
     for j in range(1, cfg.cloud_epochs * cfg.tau_e + 1):
         for _ in range(cfg.tau_l):
             tau += 1
             for m in range(M):
-                idx = sampler.next_batch(m)
+                idx = next(batches[m])
                 X = shards[m].data.features[idx]
                 y = shards[m].data.labels[idx]
                 W[m] = W[m] - cfg.eta * models.gradient_xy(spec, W[m], X, y)
@@ -216,7 +288,7 @@ class TestRun:
         cfg = HflConfig(eta=0.1, tau_l=3, tau_e=4, cloud_epochs=2, batch_size=16, seed=5)
         res = mobile_run(cfg, shards, spec, net, veh)
         edge_of = [assignment[m] for m in range(M)]
-        ref = reference_static_hfl(cfg, shards, spec, edge_of, res)
+        ref = reference_static_hfl(cfg, shards, spec, edge_of)
         assert np.max(np.abs(ref - res.final_state.cloud_params)) <= 1e-12
         # association never changes at v=0
         internal = [r.membership_counts for r in res.metrics]
@@ -319,6 +391,42 @@ class TestRun:
             assert np.isnan(tr.edge_gap[:, tau]).any()
             checked += 1
         assert checked == cfg.total_iterations * (cfg.tau_l - 1) // cfg.tau_l
+
+    @pytest.mark.parametrize("family", [models.QUADRATIC, models.MULTINOMIAL_LOGISTIC,
+                                        models.MLP1])
+    @pytest.mark.parametrize("sizes, full", [([23, 40, 57], True),         # full batch
+                                             ([9, 16, 32, 45, 12], False)],  # some n_m < B
+                             ids=["full_batch", "minibatch"])
+    def test_unequal_shards_equal_static_reference(self, family, sizes, full):
+        shards = unequal_shards(sizes)
+        spec = models.ModelSpec(family, dim=6, class_count=3, l2_reg=0.01,
+                                hidden_width=5 if family == models.MLP1 else 0)
+        cfg = HflConfig(eta=0.1, tau_l=3, tau_e=2, cloud_epochs=3, batch_size=16,
+                        seed=5, full_batch=full)
+        edge_of = [m % 2 for m in range(len(sizes))]
+        assoc = np.tile(edge_of, (cfg.cloud_epochs * cfg.tau_e + 1, 1))
+        res = run(cfg, shards, spec, assoc, 2)
+        ref = reference_static_hfl(cfg, shards, spec, edge_of)
+        assert np.array_equal(ref, res.final_state.cloud_params)  # tolerance 0
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_divergence_names_the_only_diverging_vehicle(self):
+        shards = blowup_shards()
+        spec = models.ModelSpec(models.QUADRATIC, dim=6, class_count=3)
+        cfg = HflConfig(eta=0.1, tau_l=20, tau_e=1, cloud_epochs=1, batch_size=16, seed=1)
+        # oracle: vehicle 2 on its own, until its parameters stop being finite;
+        # no aggregation happens before then, so no other vehicle is touched
+        w = np.zeros(models.param_length(spec))
+        batches = reference_batches(shards[2].size, 16, 1, 2)
+        X, y = shards[2].data.features, shards[2].data.labels
+        for t in range(1, cfg.tau_l + 1):
+            idx = next(batches)
+            w = w - cfg.eta * models.gradient_xy(spec, w, X[idx], y[idx])
+            if not np.all(np.isfinite(w)):
+                break
+        assert 1 < t < cfg.tau_l
+        with pytest.raises(DivergenceError, match=f"vehicle 2 iteration {t}$"):
+            run(cfg, shards, spec)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_aborts_with_location(self):

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from hflsim import datasets, models
 from hflsim.models import (
     MLP1, MULTINOMIAL_LOGISTIC, QUADRATIC,
-    ModelSpec, UnsupportedModelError, estimate_constants, gradient, init_params,
-    loss, param_length, read_param_vector, solve_optimum, write_param_vector,
+    ModelSpec, UnsupportedModelError, estimate_constants, gradient, gradient_fleet,
+    gradient_xy, init_params, loss, param_length, read_param_vector, solve_optimum,
+    write_param_vector,
 )
 
 
@@ -112,6 +113,52 @@ class TestGradient:
         spec = ModelSpec(QUADRATIC, dim=6, class_count=4, l2_reg=0.3)
         opt = solve_optimum(spec, ds)
         assert np.linalg.norm(gradient(spec, opt.w, ds)) <= 1e-10
+
+
+FLEET_SPECS = SPECS + [
+    ModelSpec(QUADRATIC, dim=6, class_count=1, l2_reg=0.2),        # scalar regression
+    ModelSpec(QUADRATIC, dim=6, class_count=4),
+    ModelSpec(MLP1, dim=6, class_count=2, hidden_width=1),          # single hidden unit
+]
+
+
+class TestGradientFleet:
+    """gradient_fleet is the fast path of the local step; gradient_xy on
+    each vehicle in turn is its reference, and they must agree bitwise."""
+
+    @pytest.mark.parametrize("spec", FLEET_SPECS,
+                             ids=lambda s: f"{s.family}-C{s.class_count}-h{s.hidden_width}")
+    @pytest.mark.parametrize("M, B", [(1, 1), (1, 20), (5, 1), (4, 7), (32, 20), (3, 33)])
+    def test_rows_equal_looped_gradient_xy_bitwise(self, spec, M, B):
+        g = np.random.default_rng(1000 * M + B)
+        for _ in range(3):
+            W = init_params(spec, seed=M) + 0.5 * g.normal(size=(M, param_length(spec)))
+            X = 3.0 * g.normal(size=(M, B, spec.dim))
+            if spec.class_count == 1:
+                y = g.integers(-3, 4, size=(M, B))
+            else:
+                y = g.integers(0, spec.class_count, size=(M, B))
+            want = np.stack([gradient_xy(spec, W[m], X[m], y[m]) for m in range(M)])
+            got = gradient_fleet(spec, W, X, y)
+            assert got.shape == (M, param_length(spec))
+            assert np.array_equal(got, want)
+
+    def test_gathered_batches_of_real_shards(self):
+        # the engine passes fancy-index gathers of one stacked dataset
+        ds = small_dataset()
+        spec = SPECS[2]
+        g = np.random.default_rng(4)
+        rows = g.integers(0, ds.n_samples, size=(6, 20))
+        W = init_params(spec, seed=1) + 0.1 * g.normal(size=(6, param_length(spec)))
+        got = gradient_fleet(spec, W, ds.features[rows], ds.labels[rows])
+        for m in range(6):
+            assert np.array_equal(got[m], gradient(spec, W[m], ds.subset(rows[m])))
+
+    def test_shape_mismatch_rejected(self):
+        spec = SPECS[0]
+        with pytest.raises(ValueError):
+            gradient_fleet(spec, np.zeros((2, param_length(spec))),
+                           np.zeros((3, 4, spec.dim)), np.zeros((3, 4), dtype=int))
 
 
 class TestConstants:
