@@ -9,7 +9,6 @@ trajectory plus the origin and the optimum), so every constant is a
 region-restricted estimate, not a global bound.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,11 +78,6 @@ def estimate_divergences(spec, shards, association_history, probes, tau_l=1):
         delta_m=delta_m, delta=float(alpha @ delta_m), alpha=alpha,
         delta_n_bracket=delta_n, Delta_n_bracket=Delta_n,
         Delta_bracket=Delta, theta_bracket=theta, probe_count=probes.shape[0])
-
-
-def estimates_for_trace(spec, shards, trace, probes):
-    return estimate_divergences(spec, shards, trace.association_history, probes,
-                                tau_l=trace.tau_l)
 
 
 def shared_input_delta_m(shards):
@@ -436,7 +430,3 @@ def convex_combination_residuals(estimates):
     Dn = np.where(np.isnan(estimates.Delta_n_bracket), 0.0, estimates.Delta_n_bracket)
     r2 = float(np.max(np.abs((th * Dn).sum(axis=1) - estimates.Delta_bracket)))
     return max(r1, r2)
-
-
-def summary_json(inputs, estimates, gap_report):
-    return json.dumps(gap_report.to_json_dict(inputs, estimates), indent=2, sort_keys=True)

@@ -15,7 +15,7 @@ import os
 import sys
 import tempfile
 
-from . import analysis, datasets, experiments, models
+from . import analysis, datasets, experiments
 from .config import ConfigError, load_config, serialize_config, validate
 from .engine import DivergenceError, config_hash, write_checkpoint
 from .models import UnsupportedModelError
@@ -66,7 +66,7 @@ def _load(args):
 def cmd_run(args):
     cfg = _load(args)
     out = cfg.output.directory
-    inst, res = experiments.run_from_config(cfg)
+    res = experiments.run_instance(experiments.build_instance(cfg))
     for row in res.metrics:
         if row.edge_round % cfg.hfl.tau_e == 0:
             acc = "" if row.test_accuracy != row.test_accuracy else f" acc={row.test_accuracy:.4f}"
@@ -135,15 +135,11 @@ def cmd_sweep_speed(args):
 
 def cmd_verify_bounds(args):
     cfg = _load(args)
-    if cfg.model.family == models.MLP1:
-        raise UnsupportedModelError("verify-bounds requires a convex family")
-    cfg.hfl.full_batch = True
-    cfg.hfl.record_virtual = True
     suite = experiments.verify_bounds(cfg, delta_scale=args.debug_scale_delta)
     out = cfg.output.directory
     atomic_write_csv(os.path.join(out, "bound_report.csv"), suite.drift_report.csv_rows())
-    atomic_write_text(os.path.join(out, "bound_summary.json"),
-                      experiments.bound_summary_json(suite))
+    atomic_write_text(os.path.join(out, "bound_summary.json"), experiments.to_json(
+        suite.gap_report.to_json_dict(suite.inputs, suite.estimates)))
     ident = analysis.convex_combination_residuals(suite.estimates)
     print(f"beta={suite.inputs.beta:.6g} rho={suite.inputs.rho:.6g} "
           f"delta={suite.estimates.delta:.6g} epsilon={suite.inputs.epsilon:.6g}")
@@ -174,7 +170,7 @@ def cmd_partition_report(args):
             cfg.hfl.cloud_epochs * cfg.hfl.tau_e
         trace = [["time_s", "vehicle_id", "arc_position_m", "edge_id"]]
         trace += [[repr(float(t)), str(m), repr(float(p)), str(e)]
-                  for t, m, p, e in experiments.mobility_trace(cfg, rounds)]
+                  for t, m, p, e in experiments.mobility_trace(inst, rounds)]
         atomic_write_csv(os.path.join(out, "mobility_trace.csv"), trace)
     return EXIT_OK
 

@@ -8,9 +8,11 @@ file fails with the complete list.
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field, fields
 
 from . import datasets, models
+from .engine import HflConfig
 
 
 class ConfigError(ValueError):
@@ -55,18 +57,6 @@ class MobilitySection:
 
 
 @dataclass
-class HflSection:
-    eta: float = 0.1
-    tau_l: int = 6
-    tau_e: int = 10
-    cloud_epochs: int = 10
-    batch_size: int = 20
-    seed: int = 4
-    record_virtual: bool = False
-    full_batch: bool = False
-
-
-@dataclass
 class ModelSection:
     family: str = models.MULTINOMIAL_LOGISTIC
     l2_reg: float = 0.01
@@ -83,7 +73,7 @@ class ExperimentConfig:
     dataset: DatasetSection = field(default_factory=DatasetSection)
     partition: PartitionSection = field(default_factory=PartitionSection)
     mobility: MobilitySection = field(default_factory=MobilitySection)
-    hfl: HflSection = field(default_factory=HflSection)
+    hfl: HflConfig = field(default_factory=HflConfig)
     model: ModelSection = field(default_factory=ModelSection)
     output: OutputSection = field(default_factory=OutputSection)
 
@@ -92,7 +82,7 @@ _SECTIONS = {
     "dataset": DatasetSection,
     "partition": PartitionSection,
     "mobility": MobilitySection,
-    "hfl": HflSection,
+    "hfl": HflConfig,
     "model": ModelSection,
     "output": OutputSection,
 }
@@ -170,6 +160,14 @@ def validate(cfg):
     """Collect every violation; raise ConfigError listing all of them."""
     p = []
     d, pt, mo, h, md = cfg.dataset, cfg.partition, cfg.mobility, cfg.hfl, cfg.model
+    # NaN fails every range check below silently, and an infinite speed
+    # never finishes a mobility step
+    for section in _SECTIONS:
+        target = getattr(cfg, section)
+        for f in fields(target):
+            v = getattr(target, f.name)
+            if isinstance(v, float) and not math.isfinite(v):
+                p.append(f"[{section}] {f.name} must be finite")
 
     if d.kind not in ("synthetic", "csv"):
         p.append(f"[dataset] kind must be synthetic or csv, got {d.kind!r}")
@@ -196,16 +194,19 @@ def validate(cfg):
     if pt.classes_per_unit < 1:
         p.append("[partition] classes_per_unit must be >= 1")
     C, M, N, l = d.classes, pt.vehicles, mo.edges, pt.classes_per_unit
-    if pt.regime == datasets.LOCAL_NONIID and l * M < C:
+    # a CSV's class count is known once the file is loaded; datasets.partition
+    # checks coverage against it then
+    classes_known = d.kind != "csv" or pt.shared_input
+    if classes_known and pt.regime == datasets.LOCAL_NONIID and l * M < C:
         p.append(f"[partition] local_noniid needs classes_per_unit*vehicles >= classes "
                  f"({l}*{M} < {C})")
     if pt.regime == datasets.EDGE_NONIID or pt.shared_input:
         if M % max(N, 1) != 0:
             p.append(f"[partition] vehicles must be divisible by edges ({M} % {N})")
-        if l * N < C and not pt.allow_partial_class_coverage:
+        if classes_known and l * N < C and not pt.allow_partial_class_coverage:
             p.append(f"[partition] edge_noniid needs classes_per_unit*edges >= classes "
                      f"({l}*{N} < {C}); set allow_partial_class_coverage to override")
-    if pt.regime != datasets.IID and l > C:
+    if classes_known and pt.regime != datasets.IID and l > C:
         p.append(f"[partition] classes_per_unit exceeds classes ({l} > {C})")
     if pt.shared_input and md.family != models.QUADRATIC:
         p.append("[partition] shared_input requires the quadratic family")

@@ -36,12 +36,14 @@ class InternalInvariantError(AssertionError):
 
 @dataclass
 class HflConfig:
+    """The schedule of a run; also the [hfl] config section, whose keys
+    and defaults are these fields."""
     eta: float = 0.1
     tau_l: int = 6
     tau_e: int = 10
-    cloud_epochs: int = 1  # K
+    cloud_epochs: int = 10  # K
     batch_size: int = 20
-    seed: int = 0
+    seed: int = 4
     record_virtual: bool = False
     full_batch: bool = False
 
@@ -228,14 +230,15 @@ class RunResult:
 
 
 def run(config, shards, spec, association=None, edge_count=1, *,
-        eval_data=None, init_params_vec=None, union_data=None):
+        eval_data=None, init_params_vec=None):
     """Execute the full hierarchical schedule.
 
     association is the (K*tau_e + 1, M) schedule of edge ids, row j in
     force from the end of edge round j (row 0 from the start); see
     mobility.schedule. None selects the static mode where every vehicle
     stays on edge 0 (used for the single-edge equivalence checks).
-    Each local iteration is one fleet_step over all vehicles.
+    Each local iteration is one fleet_step over all vehicles; the training
+    loss and the centralized descent use the shards stacked in id order.
     Returns metrics, the final fleet state, per-epoch cloud/vehicle-average
     consistency, the cloud model after every cloud aggregation, and the
     virtual trace when config.record_virtual is set.
@@ -277,10 +280,9 @@ def run(config, shards, spec, association=None, edge_count=1, *,
     A, theta = membership_weights(association[0], sizes, edge_count)
     occupied = np.flatnonzero(theta)
 
-    union = union_data if union_data is not None else fleet
     record = config.record_virtual
     if record:
-        uX, uy = union.features, union.labels
+        uX, uy = fleet.features, fleet.labels
         v = w0.copy()
         trace = VirtualTrace(
             eta=config.eta, tau_l=tau_l, tau_e=tau_e, cloud_epochs=K,
@@ -383,7 +385,7 @@ def run(config, shards, spec, association=None, edge_count=1, *,
         else:
             u_metric = weighted_sum(alpha, W)
 
-        train_loss = loss(spec, u_metric, union)
+        train_loss = loss(spec, u_metric, fleet)
         test_acc = accuracy(spec, u_metric, eval_data) if eval_data is not None else float("nan")
         gap = trace.gap_u_vtilde[tau] if record else float("nan")
         metrics.append(MetricsRow(

@@ -6,7 +6,7 @@ import copy
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -16,7 +16,9 @@ from .config import validate
 
 @dataclass
 class Instance:
-    """Everything a run needs, resolved from an ExperimentConfig."""
+    """The data of an experiment, resolved from an ExperimentConfig. The
+    association is not part of it: schedule builds that from cfg.mobility,
+    so instances that differ only in [mobility] share their data."""
     cfg: object
     spec: object
     train: object
@@ -24,8 +26,6 @@ class Instance:
     shards: list
     edge_map: dict
     union: object
-    network: object      # None in static degenerate mode
-    vehicles: list       # None in static degenerate mode
 
 
 def build_dataset(cfg):
@@ -39,15 +39,10 @@ def build_dataset(cfg):
     return datasets.train_test_split(full, d.test_fraction, d.seed)
 
 
-def build_instance(cfg, speed=None, mobility_seed=None):
-    """Resolve config into data, shards, model spec and mobility state.
-
-    speed/mobility_seed override the config (used by sweeps, which hold
-    everything else fixed)."""
+def build_instance(cfg):
+    """Resolve config into data, shards and model spec."""
     validate(cfg)
     pt, mo, md = cfg.partition, cfg.mobility, cfg.model
-    v = mo.speed if speed is None else float(speed)
-    mseed = mo.seed if mobility_seed is None else int(mobility_seed)
 
     if pt.shared_input:
         shards, edge_map = datasets.shared_input_shards(
@@ -66,45 +61,34 @@ def build_instance(cfg, speed=None, mobility_seed=None):
     spec = models.ModelSpec(family=md.family, dim=union.dim,
                             class_count=union.class_count,
                             l2_reg=md.l2_reg, hidden_width=md.hidden_width)
-    if mo.edges == 1:
-        network, vehicles = None, None
-    else:
-        network = mobility.RoadNetwork(side_length=mo.side_length,
-                                       edge_count=mo.edges,
-                                       intersection_zone=mo.intersection_zone,
-                                       slowdown_factor=mo.slowdown_factor)
-        # edge-skewed data pins vehicles to their data's side initially
-        assignment = edge_map if (pt.regime == datasets.EDGE_NONIID or pt.shared_input) else None
-        vehicles = mobility.init_positions(network, pt.vehicles, v, mseed,
-                                           edge_assignment=assignment)
     return Instance(cfg=cfg, spec=spec, train=train, test=test, shards=shards,
-                    edge_map=edge_map, union=union, network=network, vehicles=vehicles)
+                    edge_map=edge_map, union=union)
 
 
-def hfl_config(cfg, **overrides):
-    h = cfg.hfl
-    kw = dict(eta=h.eta, tau_l=h.tau_l, tau_e=h.tau_e, cloud_epochs=h.cloud_epochs,
-              batch_size=h.batch_size, seed=h.seed, record_virtual=h.record_virtual,
-              full_batch=h.full_batch)
-    kw.update(overrides)
-    return engine.HflConfig(**kw)
+def schedule(inst, rounds):
+    """Arc positions and edge ids of every vehicle over rounds edge rounds,
+    both (rounds+1, M), as mobility.schedule builds them from the road,
+    the placement and the corner turns of inst.cfg; None when edges = 1
+    (every vehicle stays on edge 0)."""
+    pt, mo = inst.cfg.partition, inst.cfg.mobility
+    if mo.edges == 1:
+        return None
+    network = mobility.RoadNetwork(side_length=mo.side_length, edge_count=mo.edges,
+                                   intersection_zone=mo.intersection_zone,
+                                   slowdown_factor=mo.slowdown_factor)
+    # edge-skewed data pins vehicles to their data's side initially
+    assignment = inst.edge_map if (pt.regime == datasets.EDGE_NONIID or pt.shared_input) else None
+    vehicles = mobility.init_positions(network, pt.vehicles, mo.speed, mo.seed,
+                                       edge_assignment=assignment)
+    return mobility.schedule(network, vehicles, rounds, mo.p_turn, inst.cfg.hfl.seed)
 
 
 def run_instance(inst, init_params_vec=None, **config_overrides):
-    rc = hfl_config(inst.cfg, **config_overrides)
-    association = None
-    if inst.network is not None:
-        _, association = mobility.schedule(inst.network, inst.vehicles,
-                                           rc.cloud_epochs * rc.tau_e,
-                                           inst.cfg.mobility.p_turn, rc.seed)
-    return engine.run(rc, inst.shards, inst.spec, association, inst.cfg.mobility.edges,
-                      eval_data=inst.test, union_data=inst.union,
+    rc = replace(inst.cfg.hfl, **config_overrides)
+    sched = schedule(inst, rc.cloud_epochs * rc.tau_e)
+    return engine.run(rc, inst.shards, inst.spec, None if sched is None else sched[1],
+                      inst.cfg.mobility.edges, eval_data=inst.test,
                       init_params_vec=init_params_vec)
-
-
-def run_from_config(cfg, **overrides):
-    inst = build_instance(cfg)
-    return inst, run_instance(inst, **overrides)
 
 
 # --- accuracy targets and sweep machinery ---------------------------------
@@ -120,12 +104,8 @@ def centralized_ceiling(inst):
     if inst.spec.is_convex:
         opt = models.solve_optimum(inst.spec, inst.union)
         return models.accuracy(inst.spec, opt.w, inst.test), opt
-    h = inst.cfg.hfl
-    rc = engine.HflConfig(eta=h.eta, tau_l=h.tau_l, tau_e=h.tau_e,
-                          cloud_epochs=h.cloud_epochs, batch_size=h.batch_size,
-                          seed=h.seed)
-    shard = datasets.Shard(0, inst.union)
-    res = engine.run(rc, [shard], inst.spec, eval_data=inst.test, union_data=inst.union)
+    rc = replace(inst.cfg.hfl, record_virtual=False, full_batch=False)
+    res = engine.run(rc, [datasets.Shard(0, inst.union)], inst.spec, eval_data=inst.test)
     best = max(r.test_accuracy for r in res.metrics)
     return float(best), None
 
@@ -197,18 +177,19 @@ class SweepResult:
 DEFAULT_TARGET_FRACTIONS = (0.65, 0.70, 0.75)
 
 
-def _sweep_cell(cfg, speed, seed, targets, init_params_vec):
-    inst = build_instance(cfg, speed=speed, mobility_seed=seed)
+def _sweep_cell(inst, targets, init_params_vec):
     res = run_instance(inst, init_params_vec=init_params_vec)
     accs = np.array([r.test_accuracy for r in res.metrics])
     best = float(np.max(accs[~np.isnan(accs)])) if np.any(~np.isnan(accs)) else float("nan")
-    cell = SweepCell(speed=float(speed), seed=int(seed),
-                     max_test_accuracy=best,
+    mo = inst.cfg.mobility
+    cell = SweepCell(speed=mo.speed, seed=mo.seed, max_test_accuracy=best,
                      rounds_to_target=rounds_to_targets(res.metrics, targets,
-                                                        cfg.hfl.tau_e))
-    if res.trace is not None:
-        probes = np.vstack([np.zeros(res.trace.vtilde.shape[1]), res.trace.vtilde[-1]])
-        est = analysis.estimates_for_trace(inst.spec, inst.shards, res.trace, probes)
+                                                        inst.cfg.hfl.tau_e))
+    tr = res.trace
+    if tr is not None:
+        probes = np.vstack([np.zeros(tr.vtilde.shape[1]), tr.vtilde[-1]])
+        est = analysis.estimate_divergences(inst.spec, inst.shards, tr.association_history,
+                                            probes, tau_l=tr.tau_l)
         mix = analysis.mobility_mixing_report(est)
         cell.delta_first_quarter = mix.first_quarter_mean
         cell.delta_last_quarter = mix.last_quarter_mean
@@ -219,9 +200,10 @@ def sweep_speed(cfg, speeds, seeds, target_fractions=DEFAULT_TARGET_FRACTIONS,
                 init_params_vec=None, parallel=1, on_cell=None):
     """Cross product over (speed, seed), everything else held fixed.
 
-    Mobility-only pairing: the partition, batch streams and initial
-    placement seed are shared across speeds so that accuracy differences
-    isolate the mobility effect.
+    Mobility-only pairing: the data is built once, and a cell differs from
+    the base instance only in its [mobility] speed and seed, so the
+    partition and the batch streams are shared across cells and accuracy
+    differences isolate the mobility effect.
     """
     if len(speeds) < 1 or len(seeds) < 1:
         raise ValueError("need at least one speed and one seed")
@@ -231,23 +213,23 @@ def sweep_speed(cfg, speeds, seeds, target_fractions=DEFAULT_TARGET_FRACTIONS,
     result = SweepResult(speeds=[float(v) for v in speeds], seeds=[int(s) for s in seeds],
                          targets=targets, target_fractions=list(target_fractions),
                          ceiling=ceiling)
-    jobs = [(v, s) for v in speeds for s in seeds]
+    cells = []
+    for v in speeds:
+        for s in seeds:
+            mo = replace(cfg.mobility, speed=float(v), seed=int(s))
+            cells.append(replace(base, cfg=validate(replace(cfg, mobility=mo))))
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=parallel) as ex:
-            futs = {ex.submit(_sweep_cell, cfg, v, s, targets, init_params_vec): (v, s)
-                    for v, s in jobs}
-            done = {}
-            for fut, key in futs.items():
-                done[key] = fut.result()
+            futs = [ex.submit(_sweep_cell, inst, targets, init_params_vec) for inst in cells]
+            for fut in futs:
+                result.cells.append(fut.result())
                 if on_cell:
-                    on_cell(done[key])
-            result.cells = [done[key] for key in jobs]
+                    on_cell(result.cells[-1])
     else:
-        for v, s in jobs:
-            cell = _sweep_cell(cfg, v, s, targets, init_params_vec)
-            result.cells.append(cell)
+        for inst in cells:
+            result.cells.append(_sweep_cell(inst, targets, init_params_vec))
             if on_cell:
-                on_cell(cell)
+                on_cell(result.cells[-1])
     return result
 
 
@@ -302,7 +284,8 @@ def verify_bounds(cfg, delta_scale=1.0, slack=analysis.DEFAULT_SLACK):
     # cloud instants where v synchronizes to it), plus the origin and the
     # optimum; this is exactly where the recursion evaluates gradients
     probes = np.vstack([tr.vtilde, tr.u_cloud, np.zeros(tr.vtilde.shape[1]), opt.w])
-    est = analysis.estimates_for_trace(inst.spec, inst.shards, tr, probes)
+    est = analysis.estimate_divergences(inst.spec, inst.shards, tr.association_history,
+                                        probes, tau_l=tr.tau_l)
     if delta_scale != 1.0:
         est.delta_m = est.delta_m * delta_scale
         est.delta = float(est.alpha @ est.delta_m)
@@ -334,18 +317,13 @@ def verify_bounds(cfg, delta_scale=1.0, slack=analysis.DEFAULT_SLACK):
                       gap_report=gap, violations=violations, mixing=mixing)
 
 
-def bound_summary_json(suite):
-    return analysis.summary_json(suite.inputs, suite.estimates, suite.gap_report)
-
-
-def mobility_trace(cfg, rounds):
+def mobility_trace(inst, rounds):
     """Vehicle trajectory rows without training: one row per vehicle per
     1-second edge round, the same schedule a run of that many rounds uses."""
-    inst = build_instance(cfg)
-    if inst.network is None:
+    sched = schedule(inst, rounds)
+    if sched is None:
         raise ValueError("mobility trace needs the square topology (edges = 4)")
-    positions, edge_of = mobility.schedule(inst.network, inst.vehicles, rounds,
-                                           cfg.mobility.p_turn, cfg.hfl.seed)
+    positions, edge_of = sched
     return [(float(j), m, positions[j, m], int(edge_of[j, m]))
             for j in range(rounds + 1) for m in range(positions.shape[1])]
 

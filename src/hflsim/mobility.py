@@ -45,8 +45,8 @@ class VehicleState:
     def __post_init__(self):
         if self.direction not in (+1, -1):
             raise ValueError("direction must be +1 or -1")
-        if self.max_speed < 0:
-            raise ValueError("max_speed must be >= 0")
+        if not np.isfinite(self.max_speed) or self.max_speed < 0:
+            raise ValueError("max_speed must be finite and >= 0")
 
 
 @dataclass

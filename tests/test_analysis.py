@@ -10,7 +10,7 @@ from hflsim.analysis import (
     BoundInputs, build_drift_report, central_drift_bound, check_central_drift,
     check_edge_drift, check_gap_bound, check_recursion, check_vehicle_drift,
     choose_epsilon, convex_combination_residuals, drift_polynomial,
-    edge_drift_bound, estimate_divergences, estimates_for_trace,
+    edge_drift_bound, estimate_divergences,
     mobility_mixing_report, shared_input_delta_m, vehicle_drift_bound,
 )
 
@@ -242,7 +242,7 @@ def bound_suite_run(speed, K=4, eta=0.05, seed=13):
     opt = models.solve_optimum(spec, union)
     tr = res.trace
     probes = np.vstack([tr.vtilde, np.zeros(tr.vtilde.shape[1]), opt.w])
-    est = estimates_for_trace(spec, shards, tr, probes)
+    est = estimate_divergences(spec, shards, tr.association_history, probes, tau_l=tr.tau_l)
     sm = models.estimate_constants(spec, union, probes=list(tr.vtilde))
     eps = choose_epsilon(spec, union, tr, opt.value, 6, 10, K)
     inputs = BoundInputs(beta=sm.beta, rho=sm.rho, eta=eta, tau_l=6, tau_e=10,
@@ -391,7 +391,8 @@ class TestCheckersMatchScalarLoops:
                                record_virtual=True, full_batch=True)
         assoc = np.array([[m % 3 for m in range(8)]] * 5)
         tr = engine.run(cfg, shards, spec, assoc, 4).trace
-        est = estimates_for_trace(spec, shards, tr, tr.vtilde)
+        est = estimate_divergences(spec, shards, tr.association_history, tr.vtilde,
+                                   tau_l=tr.tau_l)
         assert (tr.edge_gap.shape[0], est.delta_n_bracket.shape[1]) == (4, 3)
         est.delta_n_bracket = est.delta_n_bracket * 0.5
         est.Delta_n_bracket = est.Delta_n_bracket * 0.5
@@ -431,7 +432,8 @@ class TestGapBound:
         union = datasets.union_of_shards(shards)
         opt = models.solve_optimum(spec, union)
         probes = np.vstack([tr.vtilde, np.zeros(tr.vtilde.shape[1]), opt.w])
-        est = estimates_for_trace(spec, shards, tr, probes)
+        est = estimate_divergences(spec, shards, tr.association_history, probes,
+                                   tau_l=tr.tau_l)
         assert est.delta <= 1e-12
         sm = models.estimate_constants(spec, union, probes=list(tr.vtilde))
         eps = choose_epsilon(spec, union, tr, opt.value, 2, 2, 3)

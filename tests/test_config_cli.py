@@ -1,11 +1,11 @@
+import copy
 import csv
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
-
-import copy
 
 from hflsim import cli, config, datasets, engine, experiments, mobility, models
 from hflsim.config import ConfigError, ExperimentConfig, parse_config, serialize_config, validate
@@ -126,6 +126,17 @@ tau_l = 0
         with pytest.raises(ConfigError, match="eta"):
             parse_config("[hfl]\neta = fast\n")
 
+    @pytest.mark.parametrize("section, key, raw", [
+        ("hfl", "eta", "nan"), ("mobility", "speed", "nan"), ("mobility", "speed", "inf"),
+        ("dataset", "separation", "-inf"), ("model", "l2_reg", "nan")])
+    def test_non_finite_floats_rejected(self, section, key, raw):
+        # NaN passes every range comparison, and an infinite speed would
+        # never finish a mobility step
+        cfg = parse_config(f"[{section}]\n{key} = {raw}\n")
+        with pytest.raises(ConfigError) as e:
+            validate(cfg)
+        assert f"[{section}] {key} must be finite" in e.value.problems
+
     def test_cross_section_rules(self):
         cfg = parse_config(MINI.format(out="/tmp/x"))
         cfg.partition.regime = "edge_noniid"
@@ -209,6 +220,11 @@ class TestCmdRun:
         assert cli.main(["run", "--config", path]) == 3
         assert "divergence: non-finite parameters at vehicle 2 iteration" in capsys.readouterr().err
 
+    def test_nan_eta_is_a_config_error(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, MINI.replace("eta = 0.1", "eta = nan"))
+        assert cli.main(["run", "--config", path]) == 2
+        assert "[hfl] eta must be finite" in capsys.readouterr().err
+
     def test_missing_config_exit_4(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "nope.cfg")]) == 4
 
@@ -225,6 +241,43 @@ class TestCmdRun:
         monkeypatch.setattr(mobility, "schedule", broken)
         with pytest.raises(InternalInvariantError):
             cli.main(["run", "--config", path])
+
+
+def csv_config(tmp_path, classes):
+    # a CSV dataset with edge-skewed data and [dataset] classes left at its
+    # default of 8, which does not describe the file
+    datasets.save_csv(datasets.generate_synthetic(classes, 3, 20, 3.0, 1),
+                      tmp_path / "d.csv")
+    return write_cfg(tmp_path, f"""
+[dataset]
+kind = csv
+csv_path = {tmp_path / "d.csv"}
+
+[partition]
+regime = edge_noniid
+classes_per_unit = 1
+vehicles = 4
+
+[mobility]
+edges = 4
+
+[hfl]
+tau_l = 2
+tau_e = 2
+cloud_epochs = 1
+
+[output]
+directory = {{out}}
+""")
+
+
+class TestCsvClassCoverage:
+    def test_four_class_csv_runs(self, tmp_path):
+        assert cli.main(["run", "--config", csv_config(tmp_path, 4)]) == 0
+
+    def test_eight_class_csv_rejected_by_the_partition(self, tmp_path, capsys):
+        assert cli.main(["run", "--config", csv_config(tmp_path, 8)]) == 2
+        assert "edge_noniid needs l*N >= C (1*4 < 8)" in capsys.readouterr().err
 
 
 class TestCmdVerifyBounds:
@@ -313,11 +366,36 @@ class TestCmdPartitionReport:
         with open(tmp_path / "out" / "mobility_trace.csv") as f:
             edges = [int(r[3]) for r in list(csv.reader(f))[1:]]
         cfg = config.load_config(path)
-        _, res = experiments.run_from_config(cfg, record_virtual=True)
+        res = experiments.run_instance(experiments.build_instance(cfg), record_virtual=True)
         hist = res.trace.association_history
         assert hist.shape == (cfg.hfl.cloud_epochs * cfg.hfl.tau_e + 1, 32)
         assert edges == hist.ravel().tolist()
         assert len(np.unique(hist, axis=0)) > 1
+
+
+class TestSchedule:
+    def test_reads_the_mobility_section(self, tmp_path):
+        cfg = config.load_config(write_cfg(tmp_path, MINI.replace("vehicles = 1", "vehicles = 8")))
+        assert experiments.schedule(experiments.build_instance(cfg), 5) is None
+        cfg.mobility.edges = 4
+        base = experiments.build_instance(cfg)
+
+        def positions(**mo):
+            inst = replace(base, cfg=replace(cfg, mobility=replace(cfg.mobility, **mo)))
+            pos, edge_of = experiments.schedule(inst, 5)
+            assert pos.shape == edge_of.shape == (6, 8)
+            return pos
+
+        ref = positions(speed=30.0, seed=3)
+        moved = positions(speed=10.0, seed=3)
+        assert np.array_equal(ref[0], moved[0]) and not np.array_equal(ref[1], moved[1])
+        assert not np.array_equal(ref[0], positions(speed=30.0, seed=4)[0])
+        assert not np.array_equal(ref, positions(speed=30.0, seed=3, side_length=500.0))
+
+
+# 8 vehicles on the square road, with the divergence columns filled in
+SWEEP = (MINI.replace("vehicles = 1", "vehicles = 8").replace("edges = 1", "edges = 4")
+         .replace("batch_size = 20", "batch_size = 20\nrecord_virtual = true"))
 
 
 class TestCmdSweep:
@@ -331,10 +409,48 @@ class TestCmdSweep:
             rows = list(csv.reader(f))
         assert len(rows) == 2
         cfg = config.load_config(path)
-        inst = experiments.build_instance(cfg, speed=0.0, mobility_seed=3)
-        res = experiments.run_instance(inst)
+        cfg.mobility.speed, cfg.mobility.seed = 0.0, 3
+        res = experiments.run_instance(experiments.build_instance(cfg))
         best = max(r.test_accuracy for r in res.metrics)
         assert float(rows[1][2]) == pytest.approx(best, abs=1e-12)
+
+    def test_data_built_once(self, tmp_path, monkeypatch):
+        # the sweep partitions once, and each cell equals a cell built from
+        # scratch with that speed and mobility seed
+        cfg = config.load_config(write_cfg(tmp_path, SWEEP))
+        real, calls = datasets.partition, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(datasets, "partition", counted)
+        res = experiments.sweep_speed(cfg, speeds=[0.0, 30.0], seeds=[1, 2])
+        assert len(calls) == 1
+        assert [(c.speed, c.seed) for c in res.cells] == [(0.0, 1), (0.0, 2), (30.0, 1), (30.0, 2)]
+        for cell in res.cells:
+            one = copy.deepcopy(cfg)
+            one.mobility.speed, one.mobility.seed = cell.speed, cell.seed
+            inst = experiments.build_instance(one)
+            assert experiments._sweep_cell(inst, res.targets, None) == cell
+
+    def test_parallel_outputs_identical(self, tmp_path):
+        # workers receive pickled instances; the files must not notice
+        path = write_cfg(tmp_path, SWEEP)
+        for n in ("1", "2"):
+            assert cli.main(["sweep-speed", "--config", path, "--speeds", "0,30",
+                             "--seeds", "1,2", "--parallel", n,
+                             "--out", str(tmp_path / n)]) == 0
+        for name in ("sweep.csv", "sweep_summary.csv", "sweep_manifest.json"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+        with open(tmp_path / "1" / "sweep.csv") as f:
+            assert all(row[-1] != "" for row in list(csv.reader(f))[1:])
+
+    def test_non_finite_speed_rejected(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, MINI.replace("edges = 1", "edges = 4"))
+        assert cli.main(["sweep-speed", "--config", path, "--speeds", "0,nan",
+                         "--seeds", "1"]) == 2
+        assert "[mobility] speed must be finite" in capsys.readouterr().err
 
     def test_manifest_written(self, tmp_path):
         text = MINI.replace("vehicles = 1", "vehicles = 8")

@@ -57,6 +57,14 @@ class TestInitPositions:
         assert all(snap.edge_of[m] == m % 4 for m in range(16))
 
 
+class TestVehicleState:
+    @pytest.mark.parametrize("speed", [float("nan"), float("inf"), -1.0])
+    def test_invalid_max_speed(self, speed):
+        # an infinite speed would make advance loop forever
+        with pytest.raises(ValueError, match="max_speed"):
+            VehicleState(0, 0.0, 1, speed)
+
+
 class TestAdvance:
     def test_zero_speed_fixed(self):
         n = net()
