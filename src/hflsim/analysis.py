@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import membership_weights
-from .models import UnsupportedModelError, gradient, loss
+from .models import CHUNK_BYTES, UnsupportedModelError, gradient_probes, loss
 
 DEFAULT_SLACK = 1e-9
 
@@ -37,6 +37,48 @@ class DivergenceEstimates:
     probe_count: int
 
 
+class _SharedRows:
+    """Rows of stacked products that repeat earlier ones: row r is meant
+    to equal row rep[r], and a row is its own representative when
+    rep[r] == r. Works on up to `chunk` products of `width` columns at a
+    time, in buffers allocated once: fresh arrays of this size would be
+    mapped and unmapped at every probe, at the cost of a page fault per
+    page."""
+
+    def __init__(self, rep, chunk, width):
+        r = np.arange(rep.size)
+        self.own = np.flatnonzero(rep == r)
+        self.dup = np.flatnonzero(rep != r)
+        self.dup_rep = rep[self.dup]
+        self.at = np.searchsorted(self.own, rep)  # rep[r] == own[at[r]]
+        self.d = np.empty((chunk, self.own.size, width))
+        self.a = np.empty((chunk, self.dup.size, width))
+        self.b = np.empty((chunk, self.dup.size, width))
+        self.ne = np.empty((chunk, self.dup.size, width), dtype=bool)
+
+    def distances(self, ge, ref):
+        """||ge[q, r] - ref[q]|| for ge (Q, R, P), ref (Q, P), bitwise as
+        np.linalg.norm(ge - ref[:, None], axis=2), which is the square
+        root of the sum over P of the squares. Each representative's norm
+        is taken once and copied to its repeats; a repeat that is not
+        bit-equal to its representative (BLAS can round equal rows of one
+        product differently) gets its own."""
+        Q = ge.shape[0]
+        # the indices are valid: "clip" only spares take a checked copy of out
+        d = np.take(ge, self.own, axis=1, out=self.d[:Q], mode="clip")
+        np.subtract(d, ref[:, None], out=d)
+        np.multiply(d, d, out=d)
+        out = np.sqrt(np.add.reduce(d, axis=2))[:, self.at]
+        ne = np.not_equal(np.take(ge, self.dup, axis=1, out=self.a[:Q], mode="clip"),
+                          np.take(ge, self.dup_rep, axis=1, out=self.b[:Q], mode="clip"),
+                          out=self.ne[:Q])
+        if ne.any():
+            q, i = np.nonzero(ne.any(axis=2))
+            r = self.dup[i]
+            out[q, r] = np.linalg.norm(ge[q, r] - ref[q], axis=1)
+        return out
+
+
 def estimate_divergences(spec, shards, association_history, probes, tau_l=1):
     """Definition-style divergence constants, maximized over the probes.
 
@@ -44,6 +86,14 @@ def estimate_divergences(spec, shards, association_history, probes, tau_l=1):
     the weighted edge objective over the snapshot at j. Full-batch
     gradients throughout. tau_l maps local iteration tau onto bracket
     tau // tau_l for the edge-drift check.
+
+    Probes are taken in chunks (CHUNK_BYTES), and every value is bitwise
+    the one a loop over single probes gives: each group of equal-size
+    shards is one gradient_probes call, and each probe's edge gradients
+    are the same ((J+1)*N, M) @ (M, P) product. That product is not cut
+    down to the distinct association rows, because BLAS may round a row
+    differently when the matrix shape changes; the norms are shared
+    instead (_SharedRows), between rows whose edge gradients are equal.
     """
     if not spec.is_convex:
         raise UnsupportedModelError("divergence constants require a convex family")
@@ -60,17 +110,37 @@ def estimate_divergences(spec, shards, association_history, probes, tau_l=1):
     # per-bracket edge weight matrices: A[j, n, m] = alpha_{m,n} at bracket j
     A, theta = membership_weights(hist, sizes, N)
     occupied = theta > 0
+    A2 = A.reshape(-1, M)  # one row per (bracket, edge)
+    groups = []  # (shard ids, stacked features, stacked labels) per shard size
+    for n in np.unique(sizes):
+        ids = np.flatnonzero(sizes == n)
+        groups.append((ids, np.stack([shards[m].data.features for m in ids]),
+                       np.stack([shards[m].data.labels for m in ids])))
+    P = probes.shape[1]
+    # a probe's largest arrays: its tiled shard features (plus gradient
+    # intermediates of the same row count), or its edge gradients
+    per_probe = 8 * max(int(sizes.sum()) * (spec.dim + spec.class_count), A2.shape[0] * P)
+    chunk = max(1, CHUNK_BYTES // per_probe)
+    ge_buf = np.empty((chunk, A2.shape[0], P))
+    # each bracket's rows share their norms with the first bracket that
+    # has the same association row
+    seen = {}
+    first = np.array([seen.setdefault(row.tobytes(), j) for j, row in enumerate(hist)])
+    rows = _SharedRows((first[:, None] * N + np.arange(N)).reshape(-1), chunk, P)
 
     delta_m = np.zeros(M)
-    Delta_n = np.zeros((J + 1, N))
-    for w in probes:
-        G = np.stack([gradient(spec, w, s.data) for s in shards])  # (M, P)
-        gF = alpha @ G
-        delta_m = np.maximum(delta_m, np.linalg.norm(G - gF, axis=1))
-        ge = A.reshape(-1, M) @ G  # ((J+1)*N, P)
-        vals = np.linalg.norm(ge - gF, axis=1).reshape(J + 1, N)
-        Delta_n = np.maximum(Delta_n, vals)
-    Delta_n = np.where(occupied, Delta_n, np.nan)
+    Delta_n = np.zeros(A2.shape[0])
+    for i in range(0, probes.shape[0], chunk):
+        w = probes[i:i + chunk]
+        G = np.empty((w.shape[0], M, P))
+        for ids, X, y in groups:
+            G[:, ids] = gradient_probes(spec, w, X, y)
+        gF = alpha @ G  # (q, P)
+        delta_m = np.maximum(delta_m, np.linalg.norm(G - gF[:, None], axis=2).max(axis=0))
+        # per probe, the same product a lone probe gets
+        ge = np.matmul(A2, G, out=ge_buf[:w.shape[0]])
+        Delta_n = np.maximum(Delta_n, rows.distances(ge, gF).max(axis=0))
+    Delta_n = np.where(occupied, Delta_n.reshape(J + 1, N), np.nan)
     delta_n = np.where(occupied, A @ delta_m, np.nan)
     Delta = np.nansum(np.where(occupied, theta * Delta_n, 0.0), axis=1)
     return DivergenceEstimates(
@@ -162,7 +232,7 @@ class BoundInputs:
         if self.epsilon <= 0:
             raise ValueError("epsilon must be > 0")
         if self.beta <= 0 or self.rho <= 0:
-            raise ValueError("beta and rho must be > 0")
+            raise ValueError(f"beta and rho must be > 0, got beta={self.beta!r}, rho={self.rho!r}")
 
     @property
     def eta_feasible(self):

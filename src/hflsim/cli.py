@@ -94,18 +94,18 @@ def cmd_run(args):
     return EXIT_OK
 
 
-def _parse_float_list(text):
-    return [float(v) for v in text.split(",") if v.strip() != ""]
-
-
-def _parse_int_list(text):
-    return [int(v) for v in text.split(",") if v.strip() != ""]
+def _parse_list(text, typ, option):
+    try:
+        return [typ(v) for v in text.split(",") if v.strip() != ""]
+    except ValueError:
+        raise ConfigError([f"{option} expects comma-separated {typ.__name__} values, "
+                           f"got {text!r}"]) from None
 
 
 def cmd_sweep_speed(args):
     cfg = _load(args)
-    speeds = _parse_float_list(args.speeds)
-    seeds = _parse_int_list(args.seeds)
+    speeds = _parse_list(args.speeds, float, "--speeds")
+    seeds = _parse_list(args.seeds, int, "--seeds")
     if len(speeds) < 1:
         raise ConfigError(["sweep-speed needs at least one speed"])
     if len(seeds) < 1:
@@ -159,6 +159,8 @@ def cmd_verify_bounds(args):
 
 def cmd_partition_report(args):
     cfg = _load(args)
+    if args.rounds is not None and args.rounds < 0:
+        raise ConfigError([f"--rounds must be >= 0, got {args.rounds}"])
     out = cfg.output.directory
     inst = experiments.build_instance(cfg)
     rows = [["vehicle_id", "edge_id", "shard_size", "label_histogram"]]
@@ -219,7 +221,7 @@ def main(argv=None):
         print(str(e), file=sys.stderr)
         return EXIT_CONFIG
     except (UnsupportedModelError, datasets.InfeasiblePartitionError,
-            datasets.CsvFormatError, ValueError) as e:
+            datasets.CsvFormatError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except DivergenceError as e:

@@ -15,6 +15,14 @@ from . import datasets, models
 from .engine import HflConfig
 
 
+# A one-second edge round may carry a vehicle at most this many road sides.
+# mobility.advance integrates one speed boundary at a time, so its cost
+# grows with the speed, and once a step's travel time falls below the
+# rounding of the time left (near 1e16 sides per second) a step no longer
+# shortens that time and the integration never returns.
+MAX_SIDES_PER_ROUND = 10
+
+
 class ConfigError(ValueError):
     def __init__(self, problems):
         self.problems = list(problems)
@@ -161,13 +169,16 @@ def validate(cfg):
     p = []
     d, pt, mo, h, md = cfg.dataset, cfg.partition, cfg.mobility, cfg.hfl, cfg.model
     # NaN fails every range check below silently, and an infinite speed
-    # never finishes a mobility step
+    # never finishes a mobility step; a seed keys a random stream, which
+    # takes no negative key
     for section in _SECTIONS:
         target = getattr(cfg, section)
         for f in fields(target):
             v = getattr(target, f.name)
             if isinstance(v, float) and not math.isfinite(v):
                 p.append(f"[{section}] {f.name} must be finite")
+            if f.name == "seed" and v < 0:
+                p.append(f"[{section}] seed must be >= 0")
 
     if d.kind not in ("synthetic", "csv"):
         p.append(f"[dataset] kind must be synthetic or csv, got {d.kind!r}")
@@ -223,6 +234,10 @@ def validate(cfg):
         p.append("[mobility] slowdown_factor must be in (0, 1]")
     if mo.speed < 0:
         p.append("[mobility] speed must be >= 0")
+    if mo.side_length > 0 and mo.speed > MAX_SIDES_PER_ROUND * mo.side_length:
+        p.append(f"[mobility] speed must be at most {MAX_SIDES_PER_ROUND} sides per "
+                 f"one-second round ({MAX_SIDES_PER_ROUND} * side_length = "
+                 f"{MAX_SIDES_PER_ROUND * mo.side_length:g} m/s), got {mo.speed!r}")
     if not 0.0 <= mo.p_turn <= 1.0:
         p.append("[mobility] p_turn must be in [0, 1]")
 

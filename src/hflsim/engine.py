@@ -21,7 +21,7 @@ import numpy as np
 from . import rng
 from .datasets import union_of_shards
 from .models import (accuracy, gradient_fleet, gradient_xy, init_params, loss,
-                     param_length, write_param_vector, read_param_vector)
+                     param_length, row_norms, write_param_vector, read_param_vector)
 
 CHECKPOINT_MAGIC = b"HFLCKPT1"
 
@@ -146,6 +146,16 @@ def weighted_sum(weights, rows):
     for i in np.flatnonzero(weights):
         acc += weights[i] * rows[i]
     return acc
+
+
+def fleet_averages(B, W):
+    """weighted_sum(B[i], W) for every row i of B (K, M) at once, bit for
+    bit while W is finite: one running sum over the vehicles in id order.
+    A zero weight adds a signed zero, which changes no sum but can leave
+    -0.0 where weighted_sum, starting from +0.0, gives +0.0; the final
+    + 0.0 turns it back. (A zero weight times inf is NaN, where
+    weighted_sum skips the row.)"""
+    return np.add.accumulate(B[:, :, None] * W, axis=1)[:, -1] + 0.0
 
 
 def cloud_aggregate(edge_params, theta):
@@ -303,21 +313,20 @@ def run(config, shards, spec, association=None, edge_count=1, *,
     else:
         trace = None
 
-    def edge_averages():
-        return {n: weighted_sum(A[n], W) for n in occupied}
+    def averages():
+        """u (row 0), then every edge's average (an empty edge's is unused)."""
+        return fleet_averages(np.vstack([alpha, A]), W)
 
     def measure(ref=None):
         """The fleet against ref (None: against u itself): u, ||u - ref||,
-        each ||W[m] - ref||, each occupied edge's average, and each edge
-        average's distance to ref (nan for empty edges)."""
-        u = weighted_sum(alpha, W)
+        each ||W[m] - ref||, every edge's average, and each edge average's
+        distance to ref (nan for empty edges)."""
+        avgs = averages()
+        u = avgs[0]
         ref = u if ref is None else ref
-        vehicle = np.array([np.linalg.norm(w - ref) for w in W])
-        avgs = edge_averages()
-        edge = np.full(edge_count, np.nan)
-        for n, avg in avgs.items():
-            edge[n] = np.linalg.norm(avg - ref)
-        return u, np.linalg.norm(u - ref), vehicle, avgs, edge
+        dist = row_norms(np.vstack([W, avgs]) - ref)
+        edge = np.where(theta > 0, dist[M + 1:], np.nan)
+        return u, dist[M], dist[:M], avgs[1:], edge
 
     def store(tau, look, pre, post):
         """Store a measurement as the pre-aggregation fields (against
@@ -358,11 +367,10 @@ def run(config, shards, spec, association=None, edge_count=1, *,
             store(tau, look, pre=True, post=False)
             u_pre, _, _, avgs, _ = look
         else:
-            u_pre = weighted_sum(alpha, W) if is_cloud else None
-            avgs = edge_averages()
+            avgs = averages()
+            u_pre, avgs = avgs[0], avgs[1:]
 
-        for n, avg in avgs.items():
-            edge_params[n] = avg
+        edge_params[occupied] = avgs[occupied]
         # an empty edge keeps its previous model and gets theta = 0
         W[:] = edge_params[edge_of]
 

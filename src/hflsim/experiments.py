@@ -6,12 +6,13 @@ import copy
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import analysis, datasets, engine, mobility, models
-from .config import validate
+from .config import ConfigError, validate
 
 
 @dataclass
@@ -28,15 +29,31 @@ class Instance:
     union: object
 
 
+@contextmanager
+def _config_fault(section):
+    """A ValueError raised inside comes from the values of [section], in a
+    way validate cannot see before the data exists (a seed that draws
+    coincident cluster means, a split that leaves a side empty): re-raise
+    it as a ConfigError. The exit-2 errors of datasets pass unchanged."""
+    try:
+        yield
+    except (ConfigError, datasets.InfeasiblePartitionError, datasets.CsvFormatError):
+        raise
+    except ValueError as e:
+        raise ConfigError([f"[{section}] {e}"]) from e
+
+
 def build_dataset(cfg):
     d = cfg.dataset
     if d.kind == "csv":
         full = datasets.load_csv(d.csv_path)
     else:
-        full = datasets.generate_synthetic(d.classes, d.dim, d.samples_per_class,
-                                           d.separation, d.seed,
-                                           clusters_per_class=d.clusters_per_class)
-    return datasets.train_test_split(full, d.test_fraction, d.seed)
+        with _config_fault("dataset"):
+            full = datasets.generate_synthetic(d.classes, d.dim, d.samples_per_class,
+                                               d.separation, d.seed,
+                                               clusters_per_class=d.clusters_per_class)
+    with _config_fault("dataset"):
+        return datasets.train_test_split(full, d.test_fraction, d.seed)
 
 
 def build_instance(cfg):
@@ -55,12 +72,16 @@ def build_instance(cfg):
             regime=pt.regime, vehicle_count=pt.vehicles, edge_count=mo.edges,
             classes_per_unit=pt.classes_per_unit, seed=pt.seed,
             allow_partial_class_coverage=pt.allow_partial_class_coverage)
-        shards, edge_map = datasets.partition(train, pspec)
+        with _config_fault("partition"):
+            shards, edge_map = datasets.partition(train, pspec)
     union = datasets.union_of_shards(shards)
 
-    spec = models.ModelSpec(family=md.family, dim=union.dim,
-                            class_count=union.class_count,
-                            l2_reg=md.l2_reg, hidden_width=md.hidden_width)
+    # a CSV's class count is only known here; one class is scalar
+    # regression, which only the quadratic family takes
+    with _config_fault("model"):
+        spec = models.ModelSpec(family=md.family, dim=union.dim,
+                                class_count=union.class_count,
+                                l2_reg=md.l2_reg, hidden_width=md.hidden_width)
     return Instance(cfg=cfg, spec=spec, train=train, test=test, shards=shards,
                     edge_map=edge_map, union=union)
 
@@ -208,16 +229,17 @@ def sweep_speed(cfg, speeds, seeds, target_fractions=DEFAULT_TARGET_FRACTIONS,
     if len(speeds) < 1 or len(seeds) < 1:
         raise ValueError("need at least one speed and one seed")
     base = build_instance(cfg)
-    ceiling, _ = centralized_ceiling(base) if base.test is not None else (float("nan"), None)
-    targets = [f * ceiling for f in target_fractions]
-    result = SweepResult(speeds=[float(v) for v in speeds], seeds=[int(s) for s in seeds],
-                         targets=targets, target_fractions=list(target_fractions),
-                         ceiling=ceiling)
+    # every cell is validated before the ceiling or any cell runs
     cells = []
     for v in speeds:
         for s in seeds:
             mo = replace(cfg.mobility, speed=float(v), seed=int(s))
             cells.append(replace(base, cfg=validate(replace(cfg, mobility=mo))))
+    ceiling, _ = centralized_ceiling(base) if base.test is not None else (float("nan"), None)
+    targets = [f * ceiling for f in target_fractions]
+    result = SweepResult(speeds=[float(v) for v in speeds], seeds=[int(s) for s in seeds],
+                         targets=targets, target_fractions=list(target_fractions),
+                         ceiling=ceiling)
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=parallel) as ex:
             futs = [ex.submit(_sweep_cell, inst, targets, init_params_vec) for inst in cells]
@@ -297,10 +319,12 @@ def verify_bounds(cfg, delta_scale=1.0, slack=analysis.DEFAULT_SLACK):
     sm = models.estimate_constants(inst.spec, inst.union, probes=list(tr.vtilde))
     eps = analysis.choose_epsilon(inst.spec, inst.union, tr, opt.value,
                                   cfg.hfl.tau_l, cfg.hfl.tau_e, cfg.hfl.cloud_epochs)
-    inputs = analysis.BoundInputs(
-        beta=sm.beta, rho=sm.rho, eta=cfg.hfl.eta, tau_l=cfg.hfl.tau_l,
-        tau_e=cfg.hfl.tau_e, cloud_epochs=cfg.hfl.cloud_epochs,
-        epsilon=max(eps, 1e-12), w_star=opt.w, f_star=opt.value)
+    # features without spread (and l2_reg = 0) give beta = 0 or rho = 0
+    with _config_fault("dataset"):
+        inputs = analysis.BoundInputs(
+            beta=sm.beta, rho=sm.rho, eta=cfg.hfl.eta, tau_l=cfg.hfl.tau_l,
+            tau_e=cfg.hfl.tau_e, cloud_epochs=cfg.hfl.cloud_epochs,
+            epsilon=max(eps, 1e-12), w_star=opt.w, f_star=opt.value)
 
     violations = []
     violations += analysis.check_vehicle_drift(tr, est, inputs, slack)

@@ -24,6 +24,11 @@ FAMILIES = (QUADRATIC, MULTINOMIAL_LOGISTIC, MLP1)
 POWER_ITERATION_TOL = 1e-8
 POWER_ITERATION_MAX = 10_000
 
+# The batched probe estimates (rho here, the divergences in analysis) take
+# as many probes per chunk as keep a chunk's largest array near this size,
+# so their memory does not grow with the probe count.
+CHUNK_BYTES = 1 << 16
+
 
 class UnsupportedModelError(ValueError):
     """Operation requires a convex family."""
@@ -191,6 +196,31 @@ def gradient_fleet(spec, W, X, y):
     return g + spec.l2_reg * W
 
 
+def gradient_probes(spec, W, X, y):
+    """Full-batch gradients of G equal-size datasets at Q probe points:
+    W (Q, P), X (G, n, d), y (G, n) -> (Q, G, P).
+
+    Entry [q, g] is bitwise gradient_xy(spec, W[q], X[g], y[g]): one
+    gradient_fleet call over the Q*G (probe, dataset) pairs, the probe
+    rows repeated and the datasets tiled (a single dataset or a single
+    probe needs no copy).
+    """
+    Q, G = W.shape[0], X.shape[0]
+    if G == 1:
+        X, y = np.broadcast_to(X, (Q,) + X.shape[1:]), np.broadcast_to(y, (Q,) + y.shape[1:])
+    elif Q > 1:
+        X, y = np.tile(X, (Q, 1, 1)), np.tile(y, (Q, 1))
+    return gradient_fleet(spec, np.repeat(W, G, axis=0), X, y).reshape(Q, G, -1)
+
+
+def row_norms(D):
+    """Euclidean norm of every row of D (R, P), each bitwise equal to
+    np.linalg.norm(D[r]). That norm is sqrt(dot(x, x)); a stacked
+    (1, P) @ (P, 1) product makes the same dot call per row, which
+    np.linalg.norm(D, axis=1) and einsum do not."""
+    return np.sqrt(D[:, None, :] @ D[:, :, None]).reshape(-1)
+
+
 def loss(spec, w, data):
     """Mean per-sample loss over `data` plus the l2 term."""
     return loss_xy(spec, w, data.features, data.labels)
@@ -245,6 +275,8 @@ def estimate_constants(spec, data, probes):
     iteration); logistic -> the softmax-Hessian bound 0.5*lmax(X'X)/n
     plus l2_reg. rho: max over probe points of the full-loss gradient
     norm, i.e. a Lipschitz constant valid over the probed region only.
+    The probe gradients come in chunks from gradient_probes and their norms
+    from row_norms, so rho is bitwise the per-probe loop's value.
     """
     if not spec.is_convex:
         raise UnsupportedModelError(f"{spec.family} has no certified constants")
@@ -259,7 +291,12 @@ def estimate_constants(spec, data, probes):
     else:
         beta = 0.5 * lam + spec.l2_reg
         method = "analytic"
-    rho = max(float(np.linalg.norm(gradient(spec, w, data))) for w in probes)
+    W = np.asarray(probes, dtype=np.float64).reshape(len(probes), -1)
+    chunk = max(1, CHUNK_BYTES // (8 * data.n_samples * spec.class_count))
+    G = np.concatenate([gradient_probes(spec, W[i:i + chunk], X[None], data.labels[None])[:, 0]
+                        for i in range(0, len(W), chunk)])
+    # Python's max over the same floats in probe order, as one call per probe gave
+    rho = max(row_norms(G).tolist())
     return SmoothnessEstimate(beta=beta, rho=rho, method=method)
 
 

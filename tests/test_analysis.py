@@ -229,6 +229,178 @@ class TestEstimateDivergences:
                                  np.zeros((1, 1), dtype=int), [np.zeros(1)])
 
 
+def loop_divergences(spec, shards, hist, probes):
+    """estimate_divergences one probe at a time, one gradient_xy call per
+    shard, every (bracket, edge) row through the same product and norm."""
+    probes = np.atleast_2d(np.asarray(probes, dtype=np.float64))
+    M = len(shards)
+    sizes = np.array([s.size for s in shards], dtype=np.float64)
+    alpha = sizes / sizes.sum()
+    hist = np.asarray(hist)
+    J, N = hist.shape[0] - 1, int(hist.max()) + 1
+    A, theta = engine.membership_weights(hist, sizes, N)
+    occupied = theta > 0
+    delta_m = np.zeros(M)
+    Delta_n = np.zeros((J + 1, N))
+    for w in probes:
+        G = np.stack([models.gradient(spec, w, s.data) for s in shards])
+        gF = alpha @ G
+        delta_m = np.maximum(delta_m, np.linalg.norm(G - gF, axis=1))
+        ge = A.reshape(-1, M) @ G
+        Delta_n = np.maximum(Delta_n, np.linalg.norm(ge - gF, axis=1).reshape(J + 1, N))
+    Delta_n = np.where(occupied, Delta_n, np.nan)
+    return dict(delta_m=delta_m, delta=float(alpha @ delta_m), alpha=alpha,
+                delta_n_bracket=np.where(occupied, A @ delta_m, np.nan),
+                Delta_n_bracket=Delta_n,
+                Delta_bracket=np.nansum(np.where(occupied, theta * Delta_n, 0.0), axis=1),
+                theta_bracket=theta)
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+def local_noniid_unequal():
+    """Label-skewed shards of three sizes, two of them shared by two shards."""
+    ds = datasets.generate_synthetic(4, 6, 60, 3.0, seed=21)
+    shards, _ = datasets.partition(ds, datasets.PartitionSpec(
+        datasets.LOCAL_NONIID, vehicle_count=5, edge_count=4, classes_per_unit=1, seed=3))
+    return [datasets.Shard(s.owner, s.data.subset(np.arange(s.size - 3 * (s.owner % 3))))
+            for s in shards]
+
+
+def scalar_regression_shards():
+    """class_count == 1: the labels are raw regression targets."""
+    g = np.random.default_rng(8)
+    return [datasets.Shard(m, datasets.LabeledDataset(
+        g.normal(size=(n, 5)), g.integers(-3, 4, size=n), 1)) for m, n in enumerate((12, 9, 12, 7))]
+
+
+DIVERGENCE_CASES = {
+    "quadratic_shared_input": (
+        lambda: datasets.shared_input_shards(8, 4, 1, 4, 20, 6, seed=5)[0],
+        models.ModelSpec(models.QUADRATIC, dim=6, class_count=4, l2_reg=0.05)),
+    "quadratic_scalar_regression": (
+        scalar_regression_shards,
+        models.ModelSpec(models.QUADRATIC, dim=5, class_count=1, l2_reg=0.0)),
+    "logistic_local_noniid_unequal": (
+        local_noniid_unequal,
+        models.ModelSpec(models.MULTINOMIAL_LOGISTIC, dim=6, class_count=4, l2_reg=0.01)),
+}
+
+
+class TestDivergencesMatchProbeLoop:
+    """The chunked, shard-grouped estimate equals the per-probe loop bit
+    for bit, whatever the chunk size."""
+
+    @staticmethod
+    def history(M, rows, N, seed):
+        # brackets drawn from a few distinct rows, so rows repeat
+        g = np.random.default_rng(seed)
+        base = g.integers(0, N, size=(3, M))
+        base[0, -1] = N - 1  # the highest edge is named at least once
+        return base[g.integers(0, 3, size=rows)]
+
+    @staticmethod
+    def spy_chunks(monkeypatch):
+        sizes = []
+        real = analysis.gradient_probes
+
+        def spy(spec, W, X, y):
+            sizes.append(W.shape[0])
+            return real(spec, W, X, y)
+
+        monkeypatch.setattr(analysis, "gradient_probes", spy)
+        return sizes
+
+    def check(self, spec, shards, hist, probes):
+        est = estimate_divergences(spec, shards, hist, probes, tau_l=3)
+        for name, want in loop_divergences(spec, shards, hist, probes).items():
+            assert_same_bits(getattr(est, name), want)
+        assert est.probe_count == np.atleast_2d(probes).shape[0]
+        return est
+
+    @pytest.mark.parametrize("case", sorted(DIVERGENCE_CASES))
+    @pytest.mark.parametrize("chunk_bytes", [1, 40_000, 10**9])
+    def test_repeated_rows_any_chunk(self, case, chunk_bytes, monkeypatch):
+        make, spec = DIVERGENCE_CASES[case]
+        shards = make()
+        hist = self.history(len(shards), 23, 4, seed=len(case))
+        probes = np.random.default_rng(1).normal(size=(7, models.param_length(spec)))
+        monkeypatch.setattr(analysis, "CHUNK_BYTES", chunk_bytes)
+        self.check(spec, shards, hist, probes)
+
+    def test_partial_last_chunk(self, monkeypatch):
+        shards, spec = local_noniid_unequal(), DIVERGENCE_CASES["logistic_local_noniid_unequal"][1]
+        hist = self.history(len(shards), 11, 4, seed=2)
+        probes = np.random.default_rng(3).normal(size=(7, models.param_length(spec)))
+        # per probe the largest block is the (12*4, P) edge product or the
+        # stacked shard features; budget three probes
+        rows = sum(s.size for s in shards)
+        per_probe = 8 * max(rows * (spec.dim + spec.class_count),
+                            hist.size // len(shards) * 4 * models.param_length(spec))
+        monkeypatch.setattr(analysis, "CHUNK_BYTES", 3 * per_probe)
+        chunks = self.spy_chunks(monkeypatch)
+        self.check(spec, shards, hist, probes)
+        # one call per shard size and chunk: 3 + 3 + 1 probes
+        assert sorted(set(chunks)) == [1, 3] and sum(chunks) == 7 * len({s.size for s in shards})
+
+    def test_single_probe(self):
+        make, spec = DIVERGENCE_CASES["quadratic_scalar_regression"]
+        shards = make()
+        self.check(spec, shards, self.history(len(shards), 5, 2, seed=4),
+                   np.ones(models.param_length(spec)))
+
+    def test_never_occupied_last_edge(self):
+        # the topology has 4 edges, the history names 0..2 and leaves edge 1
+        # empty in some brackets: those entries are NaN in both
+        make, spec = DIVERGENCE_CASES["quadratic_shared_input"]
+        shards = make()
+        hist = np.array([[m % 3 for m in range(8)], [0, 2] * 4, [m % 3 for m in range(8)]] * 4)
+        est = self.check(spec, shards, hist, np.random.default_rng(5).normal(size=(4, 24)))
+        assert est.Delta_n_bracket.shape == (12, 3)
+        assert np.isnan(est.Delta_n_bracket[1, 1]) and not np.isnan(est.Delta_n_bracket[0, 1])
+
+    def test_recorded_run(self):
+        # the verify-bounds shape: a mobile run's history and trajectory probes
+        spec, union, tr, est, inputs = bound_suite_run(speed=30.0, K=2)
+        probes = np.vstack([tr.vtilde, np.zeros(tr.vtilde.shape[1])])
+        shards, _ = datasets.shared_input_shards(32, 4, 1, 4, 40, 8, seed=5)
+        assert len(np.unique(tr.association_history, axis=0)) < len(tr.association_history)
+        self.check(spec, shards, tr.association_history, probes)
+
+
+class TestSharedRows:
+    def test_repeats_that_differ_get_their_own_norm(self):
+        # rows 3..7 repeat rows 0..2; BLAS may round a repeat differently,
+        # here rows 4 and 6 at probe 1 and row 7 at probe 0
+        g = np.random.default_rng(9)
+        rep = np.array([0, 1, 2, 0, 1, 2, 1, 0])
+        ge = g.normal(size=(2, 3, 5))[:, rep]
+        ge[1, 4, 2] = np.nextafter(ge[1, 4, 2], np.inf)
+        ge[1, 6, 0] = -ge[1, 6, 0]
+        ge[0, 7] = np.nextafter(ge[0, 7], -np.inf)
+        ref = g.normal(size=(2, 5))
+        got = analysis._SharedRows(rep, 2, 5).distances(ge, ref)
+        assert_same_bits(got, np.linalg.norm(ge - ref[:, None], axis=2))
+        assert got[1, 4] != got[1, 1] and got[0, 7] != got[0, 0]
+
+
+class TestRhoMatchesProbeLoop:
+    @pytest.mark.parametrize("case", sorted(DIVERGENCE_CASES))
+    @pytest.mark.parametrize("chunk_bytes", [1, 5_000, 10**9])
+    def test_bitwise(self, case, chunk_bytes, monkeypatch):
+        make, spec = DIVERGENCE_CASES[case]
+        union = datasets.union_of_shards(make())
+        probes = list(np.random.default_rng(6).normal(size=(9, models.param_length(spec))))
+        want = max(float(np.linalg.norm(models.gradient(spec, w, union))) for w in probes)
+        monkeypatch.setattr(models, "CHUNK_BYTES", chunk_bytes)
+        got = models.estimate_constants(spec, union, probes).rho
+        assert type(got) is float and got == want
+
+
 def bound_suite_run(speed, K=4, eta=0.05, seed=13):
     shards, emap = datasets.shared_input_shards(32, 4, 1, 4, 40, 8, seed=5)
     spec = models.ModelSpec(models.QUADRATIC, dim=8, class_count=4, l2_reg=0.05)

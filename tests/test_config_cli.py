@@ -2,6 +2,8 @@ import copy
 import csv
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -522,3 +524,123 @@ class TestPretrain:
         cfg = config.load_config(write_cfg(tmp_path, MLP_MOBILE))
         with pytest.raises(RuntimeError, match="never reached"):
             experiments.pretrain_checkpoint(cfg, 1.1, max_epochs=2)
+
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+
+
+def hflsim_process(args, timeout=60):
+    """hflsim in a child process, killed (and the test failed) after timeout s."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return subprocess.run([sys.executable, "-m", "hflsim", *args], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+MOBILE = MINI.replace("vehicles = 1", "vehicles = 4").replace("edges = 1", "edges = 4")
+
+
+class TestSpeedLimit:
+    def test_limit_named_in_the_message(self):
+        cfg = parse_config(MOBILE.format(out="o").replace(
+            "speed = 0.0", "speed = 1500.0001\nside_length = 150.0"))
+        with pytest.raises(ConfigError) as e:
+            validate(cfg)
+        assert e.value.problems == [
+            f"[mobility] speed must be at most {config.MAX_SIDES_PER_ROUND} sides per "
+            f"one-second round ({config.MAX_SIDES_PER_ROUND} * side_length = 1500 m/s), "
+            "got 1500.0001"]
+
+    def test_hanging_speed_exits_2_promptly(self, tmp_path):
+        path = write_cfg(tmp_path, MOBILE.replace("speed = 0.0", "speed = 1e20"))
+        proc = hflsim_process(["run", "--config", path])
+        assert proc.returncode == 2
+        assert "speed must be at most 10 sides per one-second round" in proc.stderr
+        assert "10000 m/s), got 1e+20" in proc.stderr
+
+    def test_sweep_hanging_speed_exits_2_promptly(self, tmp_path):
+        path = write_cfg(tmp_path, MOBILE)
+        proc = hflsim_process(["sweep-speed", "--config", path, "--speeds", "0,1e20",
+                               "--seeds", "1"])
+        assert proc.returncode == 2
+        assert "10000 m/s), got 1e+20" in proc.stderr
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
+    def test_speed_at_the_limit_runs(self, tmp_path):
+        text = MOBILE.replace("speed = 0.0", "speed = 1500.0\nside_length = 150.0\n"
+                                             "intersection_zone = 10.0\np_turn = 0.3")
+        path = write_cfg(tmp_path, text)
+        assert cli.main(["run", "--config", path]) == 0
+        with open(tmp_path / "out" / "metrics.csv") as f:
+            counts = [r[-1] for r in csv.reader(f)][1:]
+        assert len(set(counts)) > 1  # the vehicles really change edges
+
+
+class TestExitCodes:
+    """Exit 2 means the configuration or the arguments; an internal error
+    is not reported as one."""
+
+    @pytest.mark.parametrize("option, value", [("--speeds", "abc"), ("--seeds", "1.5")])
+    def test_bad_sweep_lists(self, tmp_path, capsys, option, value):
+        path = write_cfg(tmp_path, MOBILE)
+        args = {"--speeds": "0", "--seeds": "1", option: value}
+        assert cli.main(["sweep-speed", "--config", path, *sum(args.items(), ())]) == 2
+        assert f"{option} expects comma-separated" in capsys.readouterr().err
+
+    def test_degenerate_cluster_means(self, tmp_path, capsys, monkeypatch):
+        # a stream whose cluster means all coincide, as an unlucky seed would draw
+        real = datasets.rng.stream
+
+        class Coincident:
+            def normal(self, size):
+                return np.zeros(size)
+
+        monkeypatch.setattr(datasets.rng, "stream", lambda seed, tag: (
+            Coincident() if tag == datasets.rng.SYNTHETIC_DATA else real(seed, tag)))
+        assert cli.main(["run", "--config", write_cfg(tmp_path, MINI)]) == 2
+        assert "[dataset] degenerate cluster means; choose another seed" in capsys.readouterr().err
+
+    def test_split_leaves_an_empty_side(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, MINI.replace("samples_per_class = 50", "samples_per_class = 2"))
+        assert cli.main(["run", "--config", path]) == 2
+        assert "[dataset] split leaves an empty side" in capsys.readouterr().err
+
+    def test_empty_shard(self, tmp_path, capsys):
+        text = MINI.replace("samples_per_class = 50", "samples_per_class = 5")
+        path = write_cfg(tmp_path, text.replace("vehicles = 1", "vehicles = 32"))
+        assert cli.main(["run", "--config", path]) == 2
+        assert "[partition] features must be a nonempty" in capsys.readouterr().err
+
+    def test_one_class_csv_needs_quadratic(self, tmp_path, capsys):
+        ds = datasets.generate_synthetic(2, 3, 20, 3.0, 1)
+        datasets.save_csv(datasets.LabeledDataset(ds.features, np.zeros(40, int), 1),
+                          tmp_path / "d.csv")
+        path = write_cfg(tmp_path, MINI.replace(
+            "kind = synthetic", f"kind = csv\ncsv_path = {tmp_path / 'd.csv'}"))
+        assert cli.main(["run", "--config", path]) == 2
+        assert "[model] class_count == 1 is only meaningful for quadratic" in capsys.readouterr().err
+
+    def test_featureless_data_cannot_verify(self, tmp_path, capsys):
+        datasets.save_csv(datasets.LabeledDataset(np.zeros((40, 3)), np.arange(40) % 2, 2),
+                          tmp_path / "d.csv")
+        text = MINI.replace("kind = synthetic", f"kind = csv\ncsv_path = {tmp_path / 'd.csv'}")
+        text = text.replace("multinomial_logistic", "quadratic").replace("l2_reg = 0.01",
+                                                                        "l2_reg = 0.0")
+        assert cli.main(["verify-bounds", "--config", write_cfg(tmp_path, text)]) == 2
+        assert "[dataset] beta and rho must be > 0, got beta=0.0" in capsys.readouterr().err
+
+    def test_negative_seed_and_rounds(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, MOBILE)
+        assert cli.main(["run", "--config", path, "--seed", "-1"]) == 2
+        assert "[hfl] seed must be >= 0" in capsys.readouterr().err
+        assert cli.main(["sweep-speed", "--config", path, "--speeds", "0",
+                         "--seeds", "-3"]) == 2
+        assert "[mobility] seed must be >= 0" in capsys.readouterr().err
+        assert cli.main(["partition-report", "--config", path, "--rounds", "-1"]) == 2
+        assert "--rounds must be >= 0" in capsys.readouterr().err
+
+    def test_internal_value_error_is_not_exit_2(self, tmp_path, monkeypatch):
+        # engine.run's init-length check guards against a caller's bug
+        monkeypatch.setattr(engine, "init_params", lambda spec, seed: np.zeros(3))
+        with pytest.raises(ValueError, match="init params have wrong length"):
+            cli.main(["run", "--config", write_cfg(tmp_path, MINI)])

@@ -224,6 +224,136 @@ class TestAggregation:
             cloud_aggregate(p, np.array([0.5, 0.5, 0.5, 0.5]))
 
 
+class TestBatchedMeasurement:
+    """The one-pass averages (recording and aggregation) and the
+    stacked-product norms (recording) equal the per-row weighted_sum and
+    np.linalg.norm calls bit for bit."""
+
+    def test_fleet_averages_match_weighted_sum(self):
+        g = np.random.default_rng(4)
+        for _ in range(50):
+            M, P = int(g.integers(1, 12)), int(g.integers(1, 30))
+            W = g.normal(size=(M, P)) * 10.0 ** g.integers(-200, 200, size=(M, 1))
+            W[g.random((M, P)) < 0.2] = -0.0  # signed zeros under zero weights
+            B = g.random((5, M)) * (g.random((5, M)) < 0.5)
+            got = engine.fleet_averages(B, W)
+            for i in range(5):
+                assert got[i].tobytes() == weighted_sum(B[i], W).tobytes()
+
+    def test_row_norms_match_linalg_norm(self):
+        g = np.random.default_rng(5)
+        for _ in range(50):
+            R, P = int(g.integers(1, 40)), int(g.integers(1, 70))
+            D = g.normal(size=(R, P)) * 10.0 ** g.integers(-150, 150, size=(R, 1))
+            D[0] = 0.0
+            got = models.row_norms(D)
+            assert got.tobytes() == np.array([np.linalg.norm(d) for d in D]).tobytes()
+
+
+def reference_record(cfg, shards, spec, association, edge_count):
+    """The VirtualTrace fields of a recording run, measured as engine.run
+    measured them with one weighted_sum per occupied edge and one
+    np.linalg.norm per vehicle and per edge, on the same training steps."""
+    M, P = len(shards), models.param_length(spec)
+    K, tau_l, tau_e, T = cfg.cloud_epochs, cfg.tau_l, cfg.tau_e, cfg.total_iterations
+    sizes = np.array([s.size for s in shards], dtype=np.float64)
+    alpha = sizes / sizes.sum()
+    w0 = models.init_params(spec, cfg.seed)
+    W, edge_params, v = np.tile(w0, (M, 1)), np.tile(w0, (edge_count, 1)), w0.copy()
+    sampler = BatchSampler(sizes.astype(int), cfg.batch_size, cfg.seed,
+                           full_batch=cfg.full_batch)
+    fleet = datasets.union_of_shards(shards)
+    out = dict(vtilde=np.zeros((T + 1, P)), gap_u_vtilde=np.zeros(T + 1),
+               gap_u_v=np.zeros(T + 1), s_vehicle=np.zeros(T + 1), s_edge=np.zeros(T + 1),
+               vehicle_gap=np.zeros((M, T + 1)),
+               edge_gap=np.full((edge_count, T + 1), np.nan), u_cloud=np.zeros((K + 1, P)))
+    out["vtilde"][0] = out["u_cloud"][0] = w0
+    out["edge_gap"][:, 0] = 0.0
+    A, theta = membership_weights(association[0], sizes, edge_count)
+
+    def measure(ref):
+        u = weighted_sum(alpha, W)
+        ref = u if ref is None else ref
+        vehicle = np.array([np.linalg.norm(w - ref) for w in W])
+        avgs = {n: weighted_sum(A[n], W) for n in np.flatnonzero(theta)}
+        edge = np.full(edge_count, np.nan)
+        for n, avg in avgs.items():
+            edge[n] = np.linalg.norm(avg - ref)
+        return u, np.linalg.norm(u - ref), vehicle, avgs, edge
+
+    def store(tau, look, pre, post):
+        _, gap, vehicle, _, edge = look
+        if pre:
+            out["gap_u_vtilde"][tau] = gap
+            out["vehicle_gap"][:, tau] = vehicle
+            out["edge_gap"][:, tau] = edge
+        if post:
+            occupied = np.flatnonzero(theta)
+            out["gap_u_v"][tau] = gap
+            out["s_vehicle"][tau] = np.cumsum(alpha * vehicle)[-1]
+            out["s_edge"][tau] = np.cumsum(theta[occupied] * edge[occupied])[-1]
+
+    tau = 0
+    for j in range(1, K * tau_e + 1):
+        for s in range(1, tau_l + 1):
+            tau += 1
+            fleet_step(spec, W, fleet, sampler, cfg.eta, tau)
+            vtilde = v - cfg.eta * models.gradient_xy(spec, v, fleet.features, fleet.labels)
+            out["vtilde"][tau] = vtilde
+            if s < tau_l:
+                v = vtilde
+                store(tau, measure(v), pre=True, post=True)
+        edge_of = association[j]
+        A, theta = membership_weights(edge_of, sizes, edge_count)
+        is_cloud = j % tau_e == 0
+        look = measure(vtilde)
+        store(tau, look, pre=True, post=False)
+        for n, avg in look[3].items():
+            edge_params[n] = avg
+        W[:] = edge_params[edge_of]
+        if is_cloud:
+            edge_params[:] = cloud_aggregate(edge_params, theta)
+            W[:] = edge_params[0]
+        look = measure(None if is_cloud else vtilde)
+        store(tau, look, pre=False, post=True)
+        v = look[0] if is_cloud else vtilde
+        if is_cloud:
+            out["u_cloud"][j // tau_e] = look[0]
+    return out
+
+
+class TestRecordingMatchesPerRowLoop:
+    def check(self, cfg, shards, spec, assoc, edge_count):
+        tr = run(cfg, shards, spec, assoc, edge_count).trace
+        want = reference_record(cfg, shards, spec, assoc, edge_count)
+        for name, value in want.items():
+            assert getattr(tr, name).tobytes() == value.tobytes(), name
+        assert np.isnan(tr.edge_gap).any()  # some edge was empty at some iteration
+        return tr
+
+    def test_logistic_minibatch_turning_vehicles(self):
+        # three vehicles on four edges with p_turn = 0.3: an edge is always empty
+        shards = unequal_shards([23, 40, 31])
+        net = mobility.RoadNetwork(side_length=200.0, intersection_zone=10.0)
+        veh = mobility.init_positions(net, 3, speed=60.0, seed=4)
+        cfg = HflConfig(eta=0.1, tau_l=3, tau_e=2, cloud_epochs=3, batch_size=16,
+                        seed=6, record_virtual=True)
+        _, assoc = mobility.schedule(net, veh, cfg.cloud_epochs * cfg.tau_e,
+                                     p_turn=0.3, seed=4)
+        assert len({tuple(r) for r in assoc}) > 1
+        self.check(cfg, shards, logistic_spec(), assoc, net.edge_count)
+
+    def test_quadratic_full_batch_never_occupied_edge(self):
+        shards, _ = datasets.shared_input_shards(8, 4, 1, 4, 20, 6, seed=5)
+        spec = models.ModelSpec(models.QUADRATIC, dim=6, class_count=4, l2_reg=0.05)
+        cfg = HflConfig(eta=0.05, tau_l=2, tau_e=3, cloud_epochs=2, seed=1,
+                        record_virtual=True, full_batch=True)
+        g = np.random.default_rng(7)
+        assoc = g.integers(0, 3, size=(cfg.cloud_epochs * cfg.tau_e + 1, 8))  # edge 3 never
+        tr = self.check(cfg, shards, spec, assoc, 4)
+        assert np.isnan(tr.edge_gap[3, 1:]).all()
+
+
 class TestDegenerateEquivalence:
     def test_single_vehicle_bit_identical_to_sgd(self):
         shards = make_shards(1)
