@@ -16,10 +16,11 @@ from .engine import HflConfig
 
 
 # A one-second edge round may carry a vehicle at most this many road sides.
-# mobility.advance integrates one speed boundary at a time, so its cost
-# grows with the speed, and once a step's travel time falls below the
-# rounding of the time left (near 1e16 sides per second) a step no longer
-# shortens that time and the integration never returns.
+# With p_turn > 0 every corner crossed costs a draw and a step of the
+# mobility event loop, so this bounds the draws per vehicle and round. It
+# also keeps the closed-form schedule well conditioned: row j reads the
+# position at unit-speed time (t0 + j*v) % lap, whose rounding error grows
+# with j*v, so the sides travelled per round bound that error.
 MAX_SIDES_PER_ROUND = 10
 
 

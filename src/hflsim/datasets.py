@@ -217,6 +217,9 @@ def partition(dataset, spec):
     g = rng.stream(spec.seed, rng.PARTITION)
 
     if spec.regime == IID:
+        if dataset.n_samples < M:
+            raise InfeasiblePartitionError(
+                f"iid needs at least vehicle_count = {M} samples, have {dataset.n_samples}")
         perm = g.permutation(dataset.n_samples)
         chunks = np.array_split(perm, M)
         shards = [Shard(m, dataset.subset(np.sort(chunks[m]))) for m in range(M)]

@@ -60,6 +60,10 @@ class HflConfig:
         return self.cloud_epochs * self.tau_l * self.tau_e
 
 
+# Size of each chunk of minibatch indices a BatchSampler draws ahead.
+BATCH_CHUNK_BYTES = 1 << 18
+
+
 class BatchSampler:
     """Minibatch index streams for the whole fleet.
 
@@ -71,6 +75,11 @@ class BatchSampler:
     in order at every step. Vehicles are grouped once, by batch length
     (min(batch_size, n_m), or n_m in full-batch mode) and by whether they
     shuffle, so unequal shards need neither padding nor a mask.
+
+    The streams never depend on training, so the shuffling vehicles' batches
+    are drawn ahead into one buffer of about BATCH_CHUNK_BYTES, a chunk of
+    steps at a time, each vehicle's passes with one Generator.permuted call
+    (the same draws as one permutation call per pass).
     """
 
     def __init__(self, shard_sizes, batch_size, seed, full_batch=False):
@@ -89,22 +98,38 @@ class BatchSampler:
         self._gens = [rng.stream(seed, rng.BATCH_BASE + int(m)) for m in ids]
         if ids.size:
             self.groups.append(ids)
-            self._n = sizes[ids]
-            self._perm = np.zeros((ids.size, self._n.max()), dtype=np.int64)
-            self._cursor = self._n.copy()  # every pass "ended": shuffle at the first step
+            self._n = sizes[ids].tolist()
+            steps = max(1, BATCH_CHUNK_BYTES // (ids.size * batch_size * 8))
+            self._chunk = np.empty((steps, ids.size, batch_size), dtype=np.int64)
+            self._step = steps  # the chunk is used up: draw one at the first step
+            # batches drawn past the end of the last chunk, per vehicle
+            self._spare = [np.empty((0, batch_size), dtype=np.int64)] * ids.size
+
+    def _draw_chunk(self):
+        """Fill the chunk with the next steps of every shuffling vehicle: its
+        spare batches, then as many whole passes as the chunk still needs."""
+        b, steps = self.batch_size, len(self._chunk)
+        for i, (g, n) in enumerate(zip(self._gens, self._n)):
+            spare = self._spare[i]
+            per_pass = n // b
+            passes = max(0, -(-(steps - len(spare)) // per_pass))
+            perms = g.permuted(np.tile(np.arange(n), (passes, 1)), axis=1)
+            batches = np.concatenate([spare, perms[:, :per_pass * b].reshape(-1, b)])
+            self._chunk[:, i] = batches[:steps]
+            self._spare[i] = batches[steps:].copy()  # a view would keep all of batches
+        self._step = 0
 
     def next_batches(self):
         """Advance every vehicle one step; returns one (G, b) array of
-        shard-local indices per group, aligned with self.groups."""
+        shard-local indices per group, aligned with self.groups. The
+        shuffling group's array is a view of the chunk, which the step that
+        draws the next chunk overwrites."""
         batches = list(self._fixed)
         if self._gens:
-            b = self.batch_size
-            for i in np.flatnonzero(self._cursor + b > self._n):
-                self._perm[i, :self._n[i]] = self._gens[i].permutation(self._n[i])
-                self._cursor[i] = 0
-            rows = np.arange(len(self._gens))[:, None]
-            batches.append(self._perm[rows, self._cursor[:, None] + np.arange(b)])
-            self._cursor += b
+            if self._step == len(self._chunk):
+                self._draw_chunk()
+            batches.append(self._chunk[self._step])
+            self._step += 1
         return batches
 
 

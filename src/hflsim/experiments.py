@@ -228,6 +228,8 @@ def sweep_speed(cfg, speeds, seeds, target_fractions=DEFAULT_TARGET_FRACTIONS,
     """
     if len(speeds) < 1 or len(seeds) < 1:
         raise ValueError("need at least one speed and one seed")
+    if parallel < 1:
+        raise ConfigError([f"--parallel must be >= 1, got {parallel}"])
     base = build_instance(cfg)
     # every cell is validated before the ceiling or any cell runs
     cells = []
@@ -241,7 +243,7 @@ def sweep_speed(cfg, speeds, seeds, target_fractions=DEFAULT_TARGET_FRACTIONS,
                          targets=targets, target_fractions=list(target_fractions),
                          ceiling=ceiling)
     if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as ex:
+        with ProcessPoolExecutor(max_workers=min(parallel, len(cells))) as ex:
             futs = [ex.submit(_sweep_cell, inst, targets, init_params_vec) for inst in cells]
             for fut in futs:
                 result.cells.append(fut.result())

@@ -1,9 +1,10 @@
 """Square-perimeter road, vehicle kinematics and vehicle-to-edge association.
 
 Vehicles travel along the perimeter of a square whose four sides are each
-covered by one edge server. Motion is integrated exactly piecewise:
-within an intersection zone around each corner the speed is
-max_speed * slowdown_factor, elsewhere max_speed.
+covered by one edge server. Within an intersection zone around each
+corner the speed is max_speed * slowdown_factor, elsewhere max_speed, so
+position is a periodic, piecewise-linear function of time that a whole
+schedule evaluates in closed form (see _trajectory).
 """
 
 from dataclasses import dataclass, replace
@@ -78,51 +79,101 @@ def init_positions(network, vehicle_count, speed, seed, edge_assignment=None):
             for m in range(vehicle_count)]
 
 
-def _speed_boundaries(network):
-    a, z = network.side_length, network.intersection_zone
-    corners = np.arange(4) * a
-    if z == 0.0:
-        return np.array(sorted(corners))
-    pts = np.concatenate([corners, (corners - z) % (4 * a), (corners + z) % (4 * a)])
-    return np.unique(pts)
+def _road_table(network):
+    """Knots and unit-speed times of the road in the forward direction.
+
+    knots holds every speed boundary (corners and zone edges) in [0, P]
+    in ascending order; tau[i] is the time from 0 to knots[i] at unit speed,
+    where a metre inside a zone costs 1 / slowdown_factor. tau[-1] is
+    then the lap time at unit speed, and position is a piecewise-linear
+    function of tau. corner_tau holds tau at the corners 0, a, 2a, 3a
+    and P.
+    """
+    a, z, P = network.side_length, network.intersection_zone, network.perimeter
+    corners = np.arange(5) * a
+    pts = np.concatenate([corners, corners - z, corners + z])
+    knots = np.unique(pts[(pts >= 0.0) & (pts <= P)])
+    gaps = np.diff(knots)
+    offset = (knots[:-1] + gaps / 2.0) % a  # midpoint of each gap, past its corner
+    slow = np.minimum(offset, a - offset) < z
+    tau = np.concatenate([[0.0], np.cumsum(np.where(slow, gaps / network.slowdown_factor, gaps))])
+    return knots, tau, tau[np.searchsorted(knots, corners)]
 
 
-def _in_zone(network, pos):
-    a = network.side_length
-    offset = pos % a  # distance past the previous corner
-    return min(offset, a - offset) < network.intersection_zone
+def _forward(P, x, direction):
+    """Map arc positions x, in place, to the frame where each vehicle moves
+    forward. The zone profile is symmetric, so a vehicle on direction -1 at
+    x moves like one on direction +1 at the mirror P - x; the same map takes
+    it back. direction broadcasts over the rows of x."""
+    np.subtract(P, x, out=x, where=direction < 0)
+    return np.remainder(x, P, out=x)
 
 
-def _advance_one(network, bounds, corners, pos, direction, v, dt, p_turn, g):
-    if v * network.slowdown_factor == 0.0 or dt <= 0.0:
-        return pos, direction  # stopped, or so slow the zone speed underflows to 0
+def _unit_time(network, knots, tau, corner_tau, pos, direction):
+    """Unit-speed time of each arc position in its vehicle's forward frame.
+    A vehicle exactly on a corner gets that corner's time exactly: the mirror
+    can miss a corner by an ulp (P - 3a is not always a), and the vehicle
+    would then cross, and draw for, the corner it stands on."""
+    u = np.interp(_forward(network.perimeter, pos.copy(), direction), knots, tau)
+    corners = np.arange(4) * network.side_length
+    k = np.minimum(np.searchsorted(corners, pos), 3)
+    on = corners[k] == pos
+    u[on] = corner_tau[np.where(direction > 0, k, -k % 4)[on]]
+    return u
+
+
+def _trajectory(network, states, dt, steps, p_turn=0.0, turn_rng=None):
+    """Arc positions after 0, 1, ..., steps moves of dt seconds, (steps+1, M),
+    and the directions after the last move.
+
+    Without turns the position is closed form: a vehicle at unit-speed time
+    t0 of its forward frame is at np.interp((t0 + t*v) % lap, tau, knots)
+    after t seconds, so every row comes from one np.interp call. With turns
+    each step moves every vehicle from corner to corner on the same table: a
+    vehicle crosses a corner when it reaches it strictly before the step
+    ends, and then draws once from turn_rng, in step order, then vehicle
+    order, then crossing order.
+    Row 0, and every row of a stopped vehicle (max_speed * slowdown_factor
+    is 0), is the starting position bit for bit.
+    """
     P = network.perimeter
-    t = dt
-    while t > 0.0:
-        # next boundary strictly ahead in the travel direction
-        if direction > 0:
-            gaps = (bounds - pos) % P
-        else:
-            gaps = (pos - bounds) % P
-        gaps[gaps == 0.0] = P
-        i = int(np.argmin(gaps))
-        gap = float(gaps[i])
-        mid = (pos + direction * gap / 2.0) % P
-        speed = v * network.slowdown_factor if _in_zone(network, mid) else v
-        t_hit = gap / speed
-        if t_hit >= t:
-            pos = (pos + direction * speed * t) % P
-            break
-        pos = float(bounds[i])  # land exactly on the boundary
-        t -= t_hit
-        if p_turn > 0.0 and pos in corners and g is not None:
-            if g.random() < p_turn:
-                direction = -direction
-    return pos % P, direction
+    knots, tau, corner_tau = _road_table(network)
+    lap = tau[-1]
+    pos = np.array([s.arc_position for s in states], dtype=float)
+    direction = np.array([s.direction for s in states], dtype=np.int64)
+    speed = np.array([s.max_speed for s in states], dtype=float)
+    moving = speed * network.slowdown_factor != 0.0
+    out = np.empty((steps + 1, pos.size))
+    out[0] = pos
+    if not (p_turn > 0.0 and turn_rng is not None):
+        t = dt * np.arange(1.0, steps + 1.0)[:, None] * speed
+        t += _unit_time(network, knots, tau, corner_tau, pos, direction)
+        out[1:] = _forward(P, np.interp(np.remainder(t, lap, out=t), tau, knots), direction)
+        np.copyto(out[1:], pos, where=~moving)
+        return out, direction
+    direction = direction.copy()
+    corners = corner_tau.tolist()
+    for j in range(1, steps + 1):
+        u = _unit_time(network, knots, tau, corner_tau, pos, direction) % lap
+        left = speed * dt
+        ahead = np.searchsorted(corner_tau, u, side="right")  # next corner, strictly ahead
+        for m in np.flatnonzero(moving & (corner_tau[ahead] - u < left)):
+            um, lm, d, c = float(u[m]), float(left[m]), int(direction[m]), int(ahead[m])
+            while corners[c] - um < lm:
+                lm -= corners[c] - um
+                c %= 4
+                if turn_rng.random() < p_turn:
+                    d, c = -d, -c % 4  # the same corner, seen from the mirror frame
+                um = corners[c]
+                c += 1
+            u[m], left[m], direction[m] = um, lm, d
+        y = _forward(P, np.interp((u + left) % lap, tau, knots), direction)
+        pos = out[j] = np.where(moving, y, pos)
+    return out, direction
 
 
 def advance(network, states, dt, p_turn=0.0, turn_rng=None):
-    """Move every vehicle for dt seconds with exact piecewise integration.
+    """Every vehicle after dt seconds of travel.
 
     With p_turn > 0 a vehicle reverses direction with that probability at
     each corner it crosses; turn_rng supplies the randomness (vehicles are
@@ -130,31 +181,23 @@ def advance(network, states, dt, p_turn=0.0, turn_rng=None):
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    bounds = _speed_boundaries(network)
-    corners = {0.0, network.side_length, 2 * network.side_length, 3 * network.side_length}
-    out = []
-    for s in states:
-        pos, d = _advance_one(network, bounds, corners, s.arc_position, s.direction,
-                              s.max_speed, dt, p_turn, turn_rng)
-        out.append(replace(s, arc_position=pos, direction=d))
-    return out
+    rows, direction = _trajectory(network, states, dt, 1, p_turn, turn_rng)
+    return [replace(s, arc_position=float(x), direction=int(d))
+            for s, x, d in zip(states, rows[1], direction)]
 
 
-def edge_of_position(network, pos):
-    """Side index containing an arc position; corner ties go to the
-    lower-indexed adjacent side (corner 0 belongs to side 0)."""
+def edge_ids(network, positions):
+    """Side index of every arc position (any shape); a corner belongs to the
+    lower-indexed adjacent side, and corner 0 to side 0."""
     a = network.side_length
-    pos = pos % network.perimeter
-    k = pos / a
-    if pos % a == 0.0 and pos >= a:
-        return int(round(k)) - 1
-    return int(k)
+    pos = np.asarray(positions, dtype=float) % network.perimeter
+    on_corner = (pos % a == 0.0) & (pos >= a)
+    return np.floor(pos / a).astype(np.int64) - on_corner
 
 
-def associate(network, states, time=0.0):
-    edges = np.array([edge_of_position(network, s.arc_position) for s in states],
-                     dtype=np.int64)
-    return AssociationSnapshot(time=time, edge_of=edges)
+def associate(network, positions, time=0.0):
+    """The association at one instant, from a row of arc positions."""
+    return AssociationSnapshot(time=time, edge_of=edge_ids(network, positions))
 
 
 def schedule(network, states, rounds, p_turn=0.0, seed=0):
@@ -167,11 +210,9 @@ def schedule(network, states, rounds, p_turn=0.0, seed=0):
     stream, vehicles in list order at every crossing.
     """
     turn_rng = rng.stream(seed, rng.MOBILITY_TURNS) if p_turn > 0 else None
-    positions = np.empty((rounds + 1, len(states)))
-    edge_of = np.empty((rounds + 1, len(states)), dtype=np.int64)
-    for j in range(rounds + 1):
-        if j:
-            states = advance(network, states, dt=1.0, p_turn=p_turn, turn_rng=turn_rng)
-        positions[j] = [s.arc_position for s in states]
-        edge_of[j] = associate(network, states, time=float(j)).edge_of
+    positions, _ = _trajectory(network, states, 1.0, rounds, p_turn, turn_rng)
+    edge_of = np.empty(positions.shape, dtype=np.int64)
+    # one associate call per row: perfbench/tracer.py counts handoffs there
+    for j, row in enumerate(positions):
+        edge_of[j] = associate(network, row, float(j)).edge_of
     return positions, edge_of

@@ -259,11 +259,8 @@ def test_a8_delta_mixing_trend():
     def mixing(speed):
         veh = mobility.init_positions(net, 32, speed=speed, seed=11,
                                       edge_assignment=emap)
-        hist = [mobility.associate(net, veh).edge_of]
-        for _ in range(rounds):
-            veh = mobility.advance(net, veh, dt=1.0)
-            hist.append(mobility.associate(net, veh).edge_of)
-        est = analysis.estimate_divergences(spec, shards, np.stack(hist),
+        _, hist = mobility.schedule(net, veh, rounds)
+        est = analysis.estimate_divergences(spec, shards, hist,
                                             [np.zeros(32)], tau_l=6)
         return analysis.mobility_mixing_report(est)
 

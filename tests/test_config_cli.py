@@ -1,3 +1,4 @@
+import concurrent.futures
 import copy
 import csv
 import json
@@ -448,6 +449,41 @@ class TestCmdSweep:
         with open(tmp_path / "1" / "sweep.csv") as f:
             assert all(row[-1] != "" for row in list(csv.reader(f))[1:])
 
+    @pytest.mark.parametrize("parallel", ["0", "-1"])
+    def test_parallel_below_one_rejected(self, tmp_path, capsys, parallel):
+        path = write_cfg(tmp_path, MINI)
+        assert cli.main(["sweep-speed", "--config", path, "--speeds", "0",
+                         "--seeds", "3", "--parallel", parallel]) == 2
+        assert f"--parallel must be >= 1, got {parallel}" in capsys.readouterr().err
+
+    def test_pool_capped_at_cell_count(self, tmp_path, monkeypatch):
+        # a fake pool records its size and runs the cells inline, so a large
+        # --parallel starts no process
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = concurrent.futures.Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+        path = write_cfg(tmp_path, SWEEP)
+        for n in ("1000", "3"):
+            assert cli.main(["sweep-speed", "--config", path, "--speeds", "0,30",
+                             "--seeds", "1,2", "--parallel", n,
+                             "--out", str(tmp_path / n)]) == 0
+        assert sizes == [4, 3]  # 4 cells
+
     def test_non_finite_speed_rejected(self, tmp_path, capsys):
         path = write_cfg(tmp_path, MINI.replace("edges = 1", "edges = 4"))
         assert cli.main(["sweep-speed", "--config", path, "--speeds", "0,nan",
@@ -609,7 +645,7 @@ class TestExitCodes:
         text = MINI.replace("samples_per_class = 50", "samples_per_class = 5")
         path = write_cfg(tmp_path, text.replace("vehicles = 1", "vehicles = 32"))
         assert cli.main(["run", "--config", path]) == 2
-        assert "[partition] features must be a nonempty" in capsys.readouterr().err
+        assert "iid needs at least vehicle_count = 32 samples, have 16" in capsys.readouterr().err
 
     def test_one_class_csv_needs_quadratic(self, tmp_path, capsys):
         ds = datasets.generate_synthetic(2, 3, 20, 3.0, 1)

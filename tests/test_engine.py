@@ -108,6 +108,24 @@ class TestBatchSampler:
             for m, ref in enumerate(refs):
                 assert np.array_equal(got[m], next(ref))
 
+    @pytest.mark.parametrize("sizes, batch, full, chunk_steps", [
+        # n = B+1, n % B != 0, n < B, B | n
+        *[([21, 37, 50, 101, 16, 7, 40, 21], 20, False, c) for c in (1, 3, 64, None)],
+        ([23, 40, 57, 40], 16, True, None),             # full batch, unequal
+    ])
+    def test_chunks_match_per_step_stream(self, monkeypatch, sizes, batch, full, chunk_steps):
+        # chunk_steps sets BATCH_CHUNK_BYTES to that many steps of the
+        # shuffling group (None: the default); 1200 steps cross many chunks
+        shuffled = sum(n > batch for n in sizes) if not full else 0
+        if chunk_steps is not None:
+            monkeypatch.setattr(engine, "BATCH_CHUNK_BYTES", chunk_steps * shuffled * batch * 8)
+        s = BatchSampler(sizes, batch, seed=11, full_batch=full)
+        refs = [reference_batches(n, batch, 11, m, full) for m, n in enumerate(sizes)]
+        for _ in range(1200):
+            got = draws_by_vehicle(s)
+            for m, ref in enumerate(refs):
+                assert np.array_equal(got[m], next(ref))
+
     def test_groups_by_batch_length(self):
         s = BatchSampler([5, 30, 5, 12, 30], 12, seed=0)
         assert [g.tolist() for g in s.groups] == [[0, 2], [3], [1, 4]]
