@@ -37,48 +37,6 @@ class DivergenceEstimates:
     probe_count: int
 
 
-class _SharedRows:
-    """Rows of stacked products that repeat earlier ones: row r is meant
-    to equal row rep[r], and a row is its own representative when
-    rep[r] == r. Works on up to `chunk` products of `width` columns at a
-    time, in buffers allocated once: fresh arrays of this size would be
-    mapped and unmapped at every probe, at the cost of a page fault per
-    page."""
-
-    def __init__(self, rep, chunk, width):
-        r = np.arange(rep.size)
-        self.own = np.flatnonzero(rep == r)
-        self.dup = np.flatnonzero(rep != r)
-        self.dup_rep = rep[self.dup]
-        self.at = np.searchsorted(self.own, rep)  # rep[r] == own[at[r]]
-        self.d = np.empty((chunk, self.own.size, width))
-        self.a = np.empty((chunk, self.dup.size, width))
-        self.b = np.empty((chunk, self.dup.size, width))
-        self.ne = np.empty((chunk, self.dup.size, width), dtype=bool)
-
-    def distances(self, ge, ref):
-        """||ge[q, r] - ref[q]|| for ge (Q, R, P), ref (Q, P), bitwise as
-        np.linalg.norm(ge - ref[:, None], axis=2), which is the square
-        root of the sum over P of the squares. Each representative's norm
-        is taken once and copied to its repeats; a repeat that is not
-        bit-equal to its representative (BLAS can round equal rows of one
-        product differently) gets its own."""
-        Q = ge.shape[0]
-        # the indices are valid: "clip" only spares take a checked copy of out
-        d = np.take(ge, self.own, axis=1, out=self.d[:Q], mode="clip")
-        np.subtract(d, ref[:, None], out=d)
-        np.multiply(d, d, out=d)
-        out = np.sqrt(np.add.reduce(d, axis=2))[:, self.at]
-        ne = np.not_equal(np.take(ge, self.dup, axis=1, out=self.a[:Q], mode="clip"),
-                          np.take(ge, self.dup_rep, axis=1, out=self.b[:Q], mode="clip"),
-                          out=self.ne[:Q])
-        if ne.any():
-            q, i = np.nonzero(ne.any(axis=2))
-            r = self.dup[i]
-            out[q, r] = np.linalg.norm(ge[q, r] - ref[q], axis=1)
-        return out
-
-
 def estimate_divergences(spec, shards, association_history, probes, tau_l=1):
     """Definition-style divergence constants, maximized over the probes.
 
@@ -87,13 +45,13 @@ def estimate_divergences(spec, shards, association_history, probes, tau_l=1):
     gradients throughout. tau_l maps local iteration tau onto bracket
     tau // tau_l for the edge-drift check.
 
-    Probes are taken in chunks (CHUNK_BYTES), and every value is bitwise
-    the one a loop over single probes gives: each group of equal-size
-    shards is one gradient_probes call, and each probe's edge gradients
-    are the same ((J+1)*N, M) @ (M, P) product. That product is not cut
-    down to the distinct association rows, because BLAS may round a row
-    differently when the matrix shape changes; the norms are shared
-    instead (_SharedRows), between rows whose edge gradients are equal.
+    Delta_n depends on a bracket only through its association row, so the
+    edge gradients are computed once per distinct row and expanded to the
+    brackets afterwards. Probes are taken in chunks (CHUNK_BYTES), and
+    every value is bitwise the one a loop over single probes gives: each
+    group of equal-size shards is one gradient_probes call, and each
+    probe's edge gradients are the same (R*N, M) @ (M, P) product over
+    the R distinct rows, whatever the chunk size.
     """
     if not spec.is_convex:
         raise UnsupportedModelError("divergence constants require a convex family")
@@ -104,13 +62,15 @@ def estimate_divergences(spec, shards, association_history, probes, tau_l=1):
     sizes = np.array([s.size for s in shards], dtype=np.float64)
     alpha = sizes / sizes.sum()
     hist = np.asarray(association_history)
-    J = hist.shape[0] - 1
     N = int(hist.max()) + 1 if hist.size else 1
 
-    # per-bracket edge weight matrices: A[j, n, m] = alpha_{m,n} at bracket j
-    A, theta = membership_weights(hist, sizes, N)
+    # rows[inv[j]] is bracket j's association; A_rows[r, n, m] = alpha_{m,n}
+    rows, inv = np.unique(hist, axis=0, return_inverse=True)
+    inv = inv.reshape(-1)  # its shape varies across numpy 2.0.x releases
+    A_rows, theta_rows = membership_weights(rows, sizes, N)
+    A, theta = A_rows[inv], theta_rows[inv]
     occupied = theta > 0
-    A2 = A.reshape(-1, M)  # one row per (bracket, edge)
+    B = A_rows.reshape(-1, M)  # one row per (distinct row, edge)
     groups = []  # (shard ids, stacked features, stacked labels) per shard size
     for n in np.unique(sizes):
         ids = np.flatnonzero(sizes == n)
@@ -119,17 +79,14 @@ def estimate_divergences(spec, shards, association_history, probes, tau_l=1):
     P = probes.shape[1]
     # a probe's largest arrays: its tiled shard features (plus gradient
     # intermediates of the same row count), or its edge gradients
-    per_probe = 8 * max(int(sizes.sum()) * (spec.dim + spec.class_count), A2.shape[0] * P)
+    per_probe = 8 * max(int(sizes.sum()) * (spec.dim + spec.class_count), B.shape[0] * P)
     chunk = max(1, CHUNK_BYTES // per_probe)
-    ge_buf = np.empty((chunk, A2.shape[0], P))
-    # each bracket's rows share their norms with the first bracket that
-    # has the same association row
-    seen = {}
-    first = np.array([seen.setdefault(row.tobytes(), j) for j, row in enumerate(hist)])
-    rows = _SharedRows((first[:, None] * N + np.arange(N)).reshape(-1), chunk, P)
+    # allocated once: a fresh array this size at every probe would be
+    # mapped and unmapped each time, at the cost of a page fault per page
+    ge_out = np.empty((chunk, B.shape[0], P))
 
     delta_m = np.zeros(M)
-    Delta_n = np.zeros(A2.shape[0])
+    Delta_u = np.zeros(B.shape[0])
     for i in range(0, probes.shape[0], chunk):
         w = probes[i:i + chunk]
         G = np.empty((w.shape[0], M, P))
@@ -137,10 +94,10 @@ def estimate_divergences(spec, shards, association_history, probes, tau_l=1):
             G[:, ids] = gradient_probes(spec, w, X, y)
         gF = alpha @ G  # (q, P)
         delta_m = np.maximum(delta_m, np.linalg.norm(G - gF[:, None], axis=2).max(axis=0))
-        # per probe, the same product a lone probe gets
-        ge = np.matmul(A2, G, out=ge_buf[:w.shape[0]])
-        Delta_n = np.maximum(Delta_n, rows.distances(ge, gF).max(axis=0))
-    Delta_n = np.where(occupied, Delta_n.reshape(J + 1, N), np.nan)
+        ge = np.matmul(B, G, out=ge_out[:w.shape[0]])
+        np.subtract(ge, gF[:, None], out=ge)
+        Delta_u = np.maximum(Delta_u, np.linalg.norm(ge, axis=2).max(axis=0))
+    Delta_n = np.where(occupied, Delta_u.reshape(-1, N)[inv], np.nan)
     delta_n = np.where(occupied, A @ delta_m, np.nan)
     Delta = np.nansum(np.where(occupied, theta * Delta_n, 0.0), axis=1)
     return DivergenceEstimates(
@@ -396,7 +353,14 @@ class GapBoundReport:
         }
 
 
-def check_gap_bound(spec, union, trace, inputs, drift_report, slack=DEFAULT_SLACK):
+def epoch_losses(spec, union, trace, span, cloud_epochs):
+    """(F(vtilde), F(u)) at each cloud instant k*span, k = 1..K: the losses
+    that choose_epsilon and check_gap_bound read."""
+    return [(loss(spec, trace.vtilde[k * span], union), loss(spec, trace.u_cloud[k], union))
+            for k in range(1, cloud_epochs + 1)]
+
+
+def check_gap_bound(trace, inputs, drift_report, losses, slack=DEFAULT_SLACK):
     """Evaluate the convergence-gap bound and its applicability gates.
 
     Gates: step size at most 1/beta, a positive per-epoch margin, two
@@ -406,19 +370,20 @@ def check_gap_bound(spec, union, trace, inputs, drift_report, slack=DEFAULT_SLAC
     case no valid U_k exists and the bound is inapplicable). The fourth
     gate is evaluated twice: on the raw loss, F(w) >= epsilon, and in a
     strict centered mode, F(w) - F* >= epsilon. Both are reported;
-    applicability follows the raw form.
+    applicability follows the raw form. losses are epoch_losses(...).
     """
     span = inputs.tau_l * inputs.tau_e
     K = inputs.cloud_epochs
     T = K * span
     eps = inputs.epsilon
+    measured = float(losses[K - 1][1] - inputs.f_star)
 
     dists = [float(np.linalg.norm(trace.vtilde[(k - 1) * span] - inputs.w_star))
              for k in range(1, K + 1)]
     if min(dists) == 0.0:
         return GapBoundReport(
             applicable=False, bound=float("nan"),
-            measured_gap=float(loss(spec, trace.u_cloud[K], union) - inputs.f_star),
+            measured_gap=measured,
             phi=float("inf"), epsilon=eps, conditions={}, per_epoch=[],
             degenerate=True, note="bound degenerate, training already optimal")
     phi = min((1.0 - inputs.beta * inputs.eta / 2.0) / d ** 2 for d in dists)
@@ -426,13 +391,11 @@ def check_gap_bound(spec, union, trace, inputs, drift_report, slack=DEFAULT_SLAC
     cond1 = inputs.eta_feasible
     per_epoch = []
     cond2 = cond3 = cond4 = cond4_strict = premise = True
-    for k in range(1, K + 1):
+    for k, (f_vt, f_w) in enumerate(losses, 1):
         entry = drift_report.entries[k - 1]
         uk = entry.value
         c2 = inputs.eta * phi - inputs.rho * uk / (span * eps ** 2) > 0.0
         cp = entry.measured <= uk + slack
-        f_vt = loss(spec, trace.vtilde[k * span], union)
-        f_w = loss(spec, trace.u_cloud[k], union)
         c3 = f_vt - inputs.f_star >= eps
         c4 = f_w >= eps
         c4s = f_w - inputs.f_star >= eps
@@ -454,24 +417,19 @@ def check_gap_bound(spec, union, trace, inputs, drift_report, slack=DEFAULT_SLAC
     bound = 1.0 / denom if (applicable and denom > 0.0) else float("nan")
     if applicable and denom <= 0.0:
         applicable = False
-    measured = float(loss(spec, trace.u_cloud[K], union) - inputs.f_star)
     return GapBoundReport(applicable=applicable, bound=bound, measured_gap=measured,
                           phi=phi, epsilon=eps, conditions=conditions,
                           per_epoch=per_epoch)
 
 
-def choose_epsilon(spec, union, trace, f_star, tau_l, tau_e, cloud_epochs):
+def choose_epsilon(losses, f_star):
     """Largest epsilon for which the two loss-level gates can hold.
 
-    Returns min over epochs of min(F(vtilde) - F*, F(w)); nonpositive
-    means no feasible epsilon exists for this run.
+    Returns min over epochs of min(F(vtilde) - F*, F(w)), losses being
+    epoch_losses(...); nonpositive means no feasible epsilon exists for
+    this run.
     """
-    span = tau_l * tau_e
-    vals = []
-    for k in range(1, cloud_epochs + 1):
-        vals.append(loss(spec, trace.vtilde[k * span], union) - f_star)
-        vals.append(loss(spec, trace.u_cloud[k], union))
-    return float(min(vals))
+    return float(min(v for f_vt, f_w in losses for v in (f_vt - f_star, f_w)))
 
 
 @dataclass

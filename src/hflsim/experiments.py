@@ -5,6 +5,7 @@ tests drive it directly."""
 import copy
 import json
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -230,18 +231,24 @@ def sweep_speed(cfg, speeds, seeds, target_fractions=DEFAULT_TARGET_FRACTIONS,
         raise ValueError("need at least one speed and one seed")
     if parallel < 1:
         raise ConfigError([f"--parallel must be >= 1, got {parallel}"])
+    speeds, seeds = [float(v) for v in speeds], [int(s) for s in seeds]
+    # a repeated speed or seed would rerun a cell and count it twice in the summary
+    repeats = [f"{option} lists {v!r} more than once"
+               for option, values in (("--speeds", speeds), ("--seeds", seeds))
+               for v, n in Counter(values).items() if n > 1]
+    if repeats:
+        raise ConfigError(repeats)
     base = build_instance(cfg)
     # every cell is validated before the ceiling or any cell runs
     cells = []
     for v in speeds:
         for s in seeds:
-            mo = replace(cfg.mobility, speed=float(v), seed=int(s))
+            mo = replace(cfg.mobility, speed=v, seed=s)
             cells.append(replace(base, cfg=validate(replace(cfg, mobility=mo))))
     ceiling, _ = centralized_ceiling(base) if base.test is not None else (float("nan"), None)
     targets = [f * ceiling for f in target_fractions]
-    result = SweepResult(speeds=[float(v) for v in speeds], seeds=[int(s) for s in seeds],
-                         targets=targets, target_fractions=list(target_fractions),
-                         ceiling=ceiling)
+    result = SweepResult(speeds=speeds, seeds=seeds, targets=targets,
+                         target_fractions=list(target_fractions), ceiling=ceiling)
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=min(parallel, len(cells))) as ex:
             futs = [ex.submit(_sweep_cell, inst, targets, init_params_vec) for inst in cells]
@@ -319,8 +326,9 @@ def verify_bounds(cfg, delta_scale=1.0, slack=analysis.DEFAULT_SLACK):
         est.Delta_bracket = est.Delta_bracket * delta_scale
 
     sm = models.estimate_constants(inst.spec, inst.union, probes=list(tr.vtilde))
-    eps = analysis.choose_epsilon(inst.spec, inst.union, tr, opt.value,
-                                  cfg.hfl.tau_l, cfg.hfl.tau_e, cfg.hfl.cloud_epochs)
+    losses = analysis.epoch_losses(inst.spec, inst.union, tr, cfg.hfl.tau_l * cfg.hfl.tau_e,
+                                   cfg.hfl.cloud_epochs)
+    eps = analysis.choose_epsilon(losses, opt.value)
     # features without spread (and l2_reg = 0) give beta = 0 or rho = 0
     with _config_fault("dataset"):
         inputs = analysis.BoundInputs(
@@ -334,7 +342,7 @@ def verify_bounds(cfg, delta_scale=1.0, slack=analysis.DEFAULT_SLACK):
     violations += analysis.check_recursion(tr, inputs, slack)
     vt, drift_report = analysis.check_central_drift(tr, est, inputs, slack)
     violations += vt
-    gap = analysis.check_gap_bound(inst.spec, inst.union, tr, inputs, drift_report)
+    gap = analysis.check_gap_bound(tr, inputs, drift_report, losses)
     if gap.applicable and gap.measured_gap > gap.bound + slack:
         violations.append(analysis.Violation("gap_bound", {"T": tr.total_iterations},
                                              gap.measured_gap, gap.bound))

@@ -231,29 +231,50 @@ class TestEstimateDivergences:
 
 def loop_divergences(spec, shards, hist, probes):
     """estimate_divergences one probe at a time, one gradient_xy call per
-    shard, every (bracket, edge) row through the same product and norm."""
+    shard, the edge gradients of the distinct association rows through one
+    product and norm per probe, expanded to the brackets afterwards."""
     probes = np.atleast_2d(np.asarray(probes, dtype=np.float64))
     M = len(shards)
     sizes = np.array([s.size for s in shards], dtype=np.float64)
     alpha = sizes / sizes.sum()
     hist = np.asarray(hist)
-    J, N = hist.shape[0] - 1, int(hist.max()) + 1
-    A, theta = engine.membership_weights(hist, sizes, N)
+    N = int(hist.max()) + 1
+    rows, inv = np.unique(hist, axis=0, return_inverse=True)
+    inv = inv.reshape(-1)
+    A_rows, theta_rows = engine.membership_weights(rows, sizes, N)
+    A, theta = A_rows[inv], theta_rows[inv]
     occupied = theta > 0
     delta_m = np.zeros(M)
-    Delta_n = np.zeros((J + 1, N))
+    Delta_u = np.zeros((rows.shape[0], N))
     for w in probes:
         G = np.stack([models.gradient(spec, w, s.data) for s in shards])
         gF = alpha @ G
         delta_m = np.maximum(delta_m, np.linalg.norm(G - gF, axis=1))
-        ge = A.reshape(-1, M) @ G
-        Delta_n = np.maximum(Delta_n, np.linalg.norm(ge - gF, axis=1).reshape(J + 1, N))
-    Delta_n = np.where(occupied, Delta_n, np.nan)
+        ge = A_rows.reshape(-1, M) @ G
+        Delta_u = np.maximum(Delta_u, np.linalg.norm(ge - gF, axis=1).reshape(-1, N))
+    Delta_n = np.where(occupied, Delta_u[inv], np.nan)
     return dict(delta_m=delta_m, delta=float(alpha @ delta_m), alpha=alpha,
                 delta_n_bracket=np.where(occupied, A @ delta_m, np.nan),
                 Delta_n_bracket=Delta_n,
                 Delta_bracket=np.nansum(np.where(occupied, theta * Delta_n, 0.0), axis=1),
                 theta_bracket=theta)
+
+
+def bracket_product_Delta_n(spec, shards, hist, probes):
+    """Delta_n with one product row per (bracket, edge), repeats included:
+    the same values, but BLAS may round a row of this larger product
+    differently."""
+    M = len(shards)
+    sizes = np.array([s.size for s in shards], dtype=np.float64)
+    alpha = sizes / sizes.sum()
+    N = int(hist.max()) + 1
+    A, theta = engine.membership_weights(hist, sizes, N)
+    Delta_n = np.zeros((hist.shape[0], N))
+    for w in probes:
+        G = np.stack([models.gradient(spec, w, s.data) for s in shards])
+        ge = A.reshape(-1, M) @ G
+        Delta_n = np.maximum(Delta_n, np.linalg.norm(ge - alpha @ G, axis=1).reshape(-1, N))
+    return np.where(theta > 0, Delta_n, np.nan)
 
 
 def assert_same_bits(a, b):
@@ -322,6 +343,36 @@ class TestDivergencesMatchProbeLoop:
         assert est.probe_count == np.atleast_2d(probes).shape[0]
         return est
 
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.sampled_from(sorted(DIVERGENCE_CASES)), N=st.integers(1, 4),
+           data=st.data(), chunk_bytes=st.sampled_from([1, 40_000, 10**9]),
+           seed=st.integers(0, 2**16))
+    def test_random_histories(self, case, N, data, chunk_bytes, seed):
+        make, spec = DIVERGENCE_CASES[case]
+        shards = make()
+        M = len(shards)
+        base = data.draw(st.lists(st.lists(st.integers(0, N - 1), min_size=M, max_size=M),
+                                  min_size=1, max_size=4))
+        picks = data.draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=12))
+        hist = np.array([base[i] for i in picks])
+        probes = np.random.default_rng(seed).normal(size=(3, models.param_length(spec)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "CHUNK_BYTES", chunk_bytes)
+            est = self.check(spec, shards, hist, probes)
+        # theta and delta_n are elementwise in the bracket's row, so the
+        # full history gives the same bits
+        sizes = np.array([s.size for s in shards], dtype=np.float64)
+        A, theta = engine.membership_weights(hist, sizes, int(hist.max()) + 1)
+        assert_same_bits(est.theta_bracket, theta)
+        assert_same_bits(est.delta_n_bracket, np.where(theta > 0, A @ est.delta_m, np.nan))
+        # one product row per bracket agrees to rounding, relative to the
+        # gradient scale (a Delta_n can be a rounding residue near 0)
+        old = bracket_product_Delta_n(spec, shards, hist, probes)
+        assert_same_bits(np.isnan(est.Delta_n_bracket), np.isnan(old))
+        scale = max(np.linalg.norm(models.gradient(spec, w, s.data)) for w in probes for s in shards)
+        err = np.abs(np.nan_to_num(est.Delta_n_bracket) - np.nan_to_num(old))
+        assert np.all(err <= 1e-12 * np.fmax(old, scale))
+
     @pytest.mark.parametrize("case", sorted(DIVERGENCE_CASES))
     @pytest.mark.parametrize("chunk_bytes", [1, 40_000, 10**9])
     def test_repeated_rows_any_chunk(self, case, chunk_bytes, monkeypatch):
@@ -336,11 +387,11 @@ class TestDivergencesMatchProbeLoop:
         shards, spec = local_noniid_unequal(), DIVERGENCE_CASES["logistic_local_noniid_unequal"][1]
         hist = self.history(len(shards), 11, 4, seed=2)
         probes = np.random.default_rng(3).normal(size=(7, models.param_length(spec)))
-        # per probe the largest block is the (12*4, P) edge product or the
-        # stacked shard features; budget three probes
+        # per probe the largest block is the edge product of the distinct
+        # rows, (R*4, P), or the stacked shard features; budget three probes
         rows = sum(s.size for s in shards)
         per_probe = 8 * max(rows * (spec.dim + spec.class_count),
-                            hist.size // len(shards) * 4 * models.param_length(spec))
+                            len(np.unique(hist, axis=0)) * 4 * models.param_length(spec))
         monkeypatch.setattr(analysis, "CHUNK_BYTES", 3 * per_probe)
         chunks = self.spy_chunks(monkeypatch)
         self.check(spec, shards, hist, probes)
@@ -372,22 +423,6 @@ class TestDivergencesMatchProbeLoop:
         self.check(spec, shards, tr.association_history, probes)
 
 
-class TestSharedRows:
-    def test_repeats_that_differ_get_their_own_norm(self):
-        # rows 3..7 repeat rows 0..2; BLAS may round a repeat differently,
-        # here rows 4 and 6 at probe 1 and row 7 at probe 0
-        g = np.random.default_rng(9)
-        rep = np.array([0, 1, 2, 0, 1, 2, 1, 0])
-        ge = g.normal(size=(2, 3, 5))[:, rep]
-        ge[1, 4, 2] = np.nextafter(ge[1, 4, 2], np.inf)
-        ge[1, 6, 0] = -ge[1, 6, 0]
-        ge[0, 7] = np.nextafter(ge[0, 7], -np.inf)
-        ref = g.normal(size=(2, 5))
-        got = analysis._SharedRows(rep, 2, 5).distances(ge, ref)
-        assert_same_bits(got, np.linalg.norm(ge - ref[:, None], axis=2))
-        assert got[1, 4] != got[1, 1] and got[0, 7] != got[0, 0]
-
-
 class TestRhoMatchesProbeLoop:
     @pytest.mark.parametrize("case", sorted(DIVERGENCE_CASES))
     @pytest.mark.parametrize("chunk_bytes", [1, 5_000, 10**9])
@@ -416,7 +451,7 @@ def bound_suite_run(speed, K=4, eta=0.05, seed=13):
     probes = np.vstack([tr.vtilde, np.zeros(tr.vtilde.shape[1]), opt.w])
     est = estimate_divergences(spec, shards, tr.association_history, probes, tau_l=tr.tau_l)
     sm = models.estimate_constants(spec, union, probes=list(tr.vtilde))
-    eps = choose_epsilon(spec, union, tr, opt.value, 6, 10, K)
+    eps = choose_epsilon(analysis.epoch_losses(spec, union, tr, 60, K), opt.value)
     inputs = BoundInputs(beta=sm.beta, rho=sm.rho, eta=eta, tau_l=6, tau_e=10,
                          cloud_epochs=K, epsilon=max(eps, 1e-12),
                          w_star=opt.w, f_star=opt.value)
@@ -582,12 +617,17 @@ class TestCheckersMatchScalarLoops:
         assert all(type(x) is int for x in v.where.values())
 
 
+def gap_losses(spec, union, tr, inputs):
+    return analysis.epoch_losses(spec, union, tr, inputs.tau_l * inputs.tau_e,
+                                 inputs.cloud_epochs)
+
+
 class TestGapBound:
     def test_eta_above_one_over_beta_not_applicable(self):
         spec, union, tr, est, inputs = bound_suite_run(speed=0.0, K=2)
         inputs.beta = 2.0 / inputs.eta  # force eta > 1/beta
         report_uk = build_drift_report(tr, est, inputs)
-        gr = check_gap_bound(spec, union, tr, inputs, report_uk)
+        gr = check_gap_bound(tr, inputs, report_uk, gap_losses(spec, union, tr, inputs))
         assert not gr.applicable
         assert not gr.conditions["eta_le_inv_beta"]
         assert np.isnan(gr.bound)
@@ -608,13 +648,14 @@ class TestGapBound:
                                    tau_l=tr.tau_l)
         assert est.delta <= 1e-12
         sm = models.estimate_constants(spec, union, probes=list(tr.vtilde))
-        eps = choose_epsilon(spec, union, tr, opt.value, 2, 2, 3)
+        losses = analysis.epoch_losses(spec, union, tr, 4, 3)
+        eps = choose_epsilon(losses, opt.value)
         inputs = BoundInputs(beta=sm.beta, rho=sm.rho, eta=0.2, tau_l=2, tau_e=2,
                              cloud_epochs=3, epsilon=max(eps, 1e-12),
                              w_star=opt.w, f_star=opt.value)
         uk = build_drift_report(tr, est, inputs)
         assert uk.total == pytest.approx(0.0, abs=1e-10)
-        gr = check_gap_bound(spec, union, tr, inputs, uk)
+        gr = check_gap_bound(tr, inputs, uk, losses)
         if gr.applicable:
             T = 12
             assert gr.bound == pytest.approx(1.0 / (T * 0.2 * gr.phi), rel=1e-6)
@@ -625,7 +666,7 @@ class TestGapBound:
         opt_w = tr.vtilde[0].copy()  # pretend the start is the optimum
         inputs.w_star = opt_w
         uk = build_drift_report(tr, est, inputs)
-        gr = check_gap_bound(spec, union, tr, inputs, uk)
+        gr = check_gap_bound(tr, inputs, uk, gap_losses(spec, union, tr, inputs))
         assert gr.degenerate
         assert not gr.applicable
         assert "optimal" in gr.note
@@ -636,7 +677,7 @@ class TestGapBound:
         for e in uk.entries:
             e.value = -1.0  # unsatisfiable premise
             e.satisfied = False
-        gr = check_gap_bound(spec, union, tr, inputs, uk)
+        gr = check_gap_bound(tr, inputs, uk, gap_losses(spec, union, tr, inputs))
         assert not gr.conditions["uk_upper_bounds_gap"]
         assert not gr.applicable
 

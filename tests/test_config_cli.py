@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hflsim import cli, config, datasets, engine, experiments, mobility, models
+from hflsim import analysis, cli, config, datasets, engine, experiments, mobility, models
 from hflsim.config import ConfigError, ExperimentConfig, parse_config, serialize_config, validate
 from hflsim.engine import InternalInvariantError, read_checkpoint
 
@@ -303,6 +303,27 @@ class TestCmdVerifyBounds:
                        "--debug-scale-delta", "0.5"])
         assert rc == 5
 
+    def test_each_epoch_loss_once(self, tmp_path, monkeypatch):
+        # F(vtilde) and F(u) at each of the 3 cloud instants, each computed
+        # once and read by both choose_epsilon and check_gap_bound; without
+        # shared inputs the two differ, so every read is pinned
+        text = BOUNDS.replace("shared_input = true", "shared_input = false")
+        values, real = [], analysis.loss
+
+        def counted(*args):
+            values.append(real(*args))
+            return values[-1]
+
+        monkeypatch.setattr(analysis, "loss", counted)
+        suite = experiments.verify_bounds(config.load_config(write_cfg(tmp_path, text)))
+        gap = suite.gap_report
+        assert len(values) == 2 * 3 and len(set(values)) == 6
+        assert [v for e in gap.per_epoch for v in (e["F_vtilde"], e["F_w"])] == values
+        f_star = suite.inputs.f_star
+        assert gap.measured_gap == values[-1] - f_star
+        eps = min(min(values[0::2]) - f_star, min(values[1::2]))
+        assert suite.inputs.epsilon == max(eps, 1e-12)
+
     def test_nonconvex_exit_2(self, tmp_path):
         text = BOUNDS.replace("family = quadratic", "family = mlp1")
         text = text.replace("l2_reg = 0.05", "l2_reg = 0.0\nhidden_width = 4")
@@ -489,6 +510,16 @@ class TestCmdSweep:
         assert cli.main(["sweep-speed", "--config", path, "--speeds", "0,nan",
                          "--seeds", "1"]) == 2
         assert "[mobility] speed must be finite" in capsys.readouterr().err
+
+    def test_repeated_speed_or_seed_rejected(self, tmp_path, capsys):
+        # 0 and 0.0 are one speed: the sweep would run 6 cells for 2
+        path = write_cfg(tmp_path, MINI.replace("vehicles = 1", "vehicles = 8"))
+        assert cli.main(["sweep-speed", "--config", path, "--speeds", "0,0.0,30",
+                         "--seeds", "1,1"]) == 2
+        err = capsys.readouterr().err
+        assert "--speeds lists 0.0 more than once" in err
+        assert "--seeds lists 1 more than once" in err
+        assert not (tmp_path / "out" / "sweep.csv").exists()
 
     def test_manifest_written(self, tmp_path):
         text = MINI.replace("vehicles = 1", "vehicles = 8")
