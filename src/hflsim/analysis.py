@@ -14,9 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import membership_weights
-from .models import CHUNK_BYTES, UnsupportedModelError, gradient_probes, loss
+from .models import UnsupportedModelError, gradient_probes, loss, row_norms
 
 DEFAULT_SLACK = 1e-9
+
+# estimate_divergences takes as many probes per chunk as keep a chunk's largest
+# array near this size, so its memory does not grow with the probe count.
+CHUNK_BYTES = 1 << 16
 
 
 @dataclass
@@ -34,6 +38,7 @@ class DivergenceEstimates:
     Delta_n_bracket: np.ndarray  # (J+1, N); nan for empty edges
     Delta_bracket: np.ndarray    # (J+1,)  sum_n theta_n Delta_n
     theta_bracket: np.ndarray    # (J+1, N)
+    grad_norm: np.ndarray        # (Q,)    ||grad F|| at each probe
     probe_count: int
 
 
@@ -43,7 +48,8 @@ def estimate_divergences(spec, shards, association_history, probes, tau_l=1):
     delta_m = max_w ||grad f_m(w) - grad F(w)||; Delta_n at bracket j uses
     the weighted edge objective over the snapshot at j. Full-batch
     gradients throughout. tau_l maps local iteration tau onto bracket
-    tau // tau_l for the edge-drift check.
+    tau // tau_l for the edge-drift check. grad_norm[q] = ||grad F(probe q)||,
+    whose maximum over a probe subset is the region Lipschitz constant rho.
 
     Delta_n depends on a bracket only through its association row, so the
     edge gradients are computed once per distinct row and expanded to the
@@ -87,12 +93,14 @@ def estimate_divergences(spec, shards, association_history, probes, tau_l=1):
 
     delta_m = np.zeros(M)
     Delta_u = np.zeros(B.shape[0])
+    grad_norm = np.empty(probes.shape[0])
     for i in range(0, probes.shape[0], chunk):
         w = probes[i:i + chunk]
         G = np.empty((w.shape[0], M, P))
         for ids, X, y in groups:
             G[:, ids] = gradient_probes(spec, w, X, y)
         gF = alpha @ G  # (q, P)
+        grad_norm[i:i + chunk] = row_norms(gF)
         delta_m = np.maximum(delta_m, np.linalg.norm(G - gF[:, None], axis=2).max(axis=0))
         ge = np.matmul(B, G, out=ge_out[:w.shape[0]])
         np.subtract(ge, gF[:, None], out=ge)
@@ -104,7 +112,7 @@ def estimate_divergences(spec, shards, association_history, probes, tau_l=1):
         tau_l=tau_l,
         delta_m=delta_m, delta=float(alpha @ delta_m), alpha=alpha,
         delta_n_bracket=delta_n, Delta_n_bracket=Delta_n,
-        Delta_bracket=Delta, theta_bracket=theta, probe_count=probes.shape[0])
+        Delta_bracket=Delta, theta_bracket=theta, grad_norm=grad_norm, probe_count=len(probes))
 
 
 def shared_input_delta_m(shards):
@@ -360,17 +368,18 @@ def epoch_losses(spec, union, trace, span, cloud_epochs):
             for k in range(1, cloud_epochs + 1)]
 
 
-def check_gap_bound(trace, inputs, drift_report, losses, slack=DEFAULT_SLACK):
+def check_gap_bound(trace, inputs, drift_report, losses):
     """Evaluate the convergence-gap bound and its applicability gates.
 
     Gates: step size at most 1/beta, a positive per-epoch margin, two
     loss-level floors, and the definitional premise that every supplied
     U_k actually upper-bounds the measured central-cloud gap (with
     small-eta iid-like runs the drift formula can go negative, in which
-    case no valid U_k exists and the bound is inapplicable). The fourth
-    gate is evaluated twice: on the raw loss, F(w) >= epsilon, and in a
-    strict centered mode, F(w) - F* >= epsilon. Both are reported;
-    applicability follows the raw form. losses are epoch_losses(...).
+    case no valid U_k exists and the bound is inapplicable), read from the
+    entries' `satisfied`. The fourth gate is evaluated twice: on the raw
+    loss, F(w) >= epsilon, and in a strict centered mode, F(w) - F* >=
+    epsilon. Both are reported; applicability follows the raw form.
+    losses are epoch_losses(...).
     """
     span = inputs.tau_l * inputs.tau_e
     K = inputs.cloud_epochs
@@ -395,7 +404,7 @@ def check_gap_bound(trace, inputs, drift_report, losses, slack=DEFAULT_SLACK):
         entry = drift_report.entries[k - 1]
         uk = entry.value
         c2 = inputs.eta * phi - inputs.rho * uk / (span * eps ** 2) > 0.0
-        cp = entry.measured <= uk + slack
+        cp = entry.satisfied
         c3 = f_vt - inputs.f_star >= eps
         c4 = f_w >= eps
         c4s = f_w - inputs.f_star >= eps

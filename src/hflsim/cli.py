@@ -14,6 +14,7 @@ import csv
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 
 from . import analysis, datasets, experiments
 from .config import ConfigError, load_config, serialize_config, validate
@@ -27,18 +28,30 @@ EXIT_IO = 4
 EXIT_VIOLATION = 5
 
 
-def atomic_write_text(path, text):
+@contextmanager
+def _replacing(path):
+    """A fresh temp file beside path, with the mode open() would give it,
+    for the block to write. A clean exit renames it onto path; any failure
+    unlinks it, so path is only ever absent, old or whole."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as f:
-            f.write(text)
+        umask = os.umask(0)  # reading the umask means setting it; put it back at once
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        yield tmp
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path, text):
+    with _replacing(path) as tmp, open(tmp, "w", encoding="utf-8", newline="") as f:
+        f.write(text)
 
 
 def atomic_write_csv(path, rows):
@@ -79,18 +92,10 @@ def cmd_run(args):
             rows.append([str(t), repr(float(tr.gap_u_vtilde[t])), repr(float(tr.gap_u_v[t])),
                          repr(float(tr.s_vehicle[t])), repr(float(tr.s_edge[t]))])
         atomic_write_csv(os.path.join(out, "virtual_trace.csv"), rows)
-    ckpt = os.path.join(out, "checkpoint.bin")
-    os.makedirs(out, exist_ok=True)
-    tmp = ckpt + ".tmp"
-    try:
-        # the hash names the experiment, not where its files were written
-        cfg_hash = config_hash(serialize_config(cfg, exclude=("output",)))
+    # the hash names the experiment, not where its files were written
+    cfg_hash = config_hash(serialize_config(cfg, exclude=("output",)))
+    with _replacing(os.path.join(out, "checkpoint.bin")) as tmp:
         write_checkpoint(tmp, res.final_state, cfg_hash)
-        os.replace(tmp, ckpt)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
     return EXIT_OK
 
 

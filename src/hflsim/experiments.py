@@ -300,10 +300,10 @@ class BoundSuite:
         return not self.violations
 
 
-def verify_bounds(cfg, delta_scale=1.0, slack=analysis.DEFAULT_SLACK):
+def verify_bounds(cfg, delta_scale=1.0):
     """Full-batch convex run, divergence estimation and every inequality
-    check. delta_scale is a test hook: scaling the estimated delta_m
-    down must make the checker report violations."""
+    check (slack analysis.DEFAULT_SLACK). delta_scale is a test hook:
+    scaling the estimated delta_m down must make the checker report violations."""
     inst = build_instance(cfg)
     if not inst.spec.is_convex:
         raise models.UnsupportedModelError("bound verification needs a convex family")
@@ -325,25 +325,27 @@ def verify_bounds(cfg, delta_scale=1.0, slack=analysis.DEFAULT_SLACK):
         est.Delta_n_bracket = np.where(occupied, est.Delta_n_bracket * delta_scale, np.nan)
         est.Delta_bracket = est.Delta_bracket * delta_scale
 
-    sm = models.estimate_constants(inst.spec, inst.union, probes=list(tr.vtilde))
+    beta = models.estimate_constants(inst.spec, inst.union).beta
+    # rho over the vtilde rows, which lead the probes
+    rho = max(est.grad_norm[:len(tr.vtilde)].tolist())
     losses = analysis.epoch_losses(inst.spec, inst.union, tr, cfg.hfl.tau_l * cfg.hfl.tau_e,
                                    cfg.hfl.cloud_epochs)
     eps = analysis.choose_epsilon(losses, opt.value)
     # features without spread (and l2_reg = 0) give beta = 0 or rho = 0
     with _config_fault("dataset"):
         inputs = analysis.BoundInputs(
-            beta=sm.beta, rho=sm.rho, eta=cfg.hfl.eta, tau_l=cfg.hfl.tau_l,
+            beta=beta, rho=rho, eta=cfg.hfl.eta, tau_l=cfg.hfl.tau_l,
             tau_e=cfg.hfl.tau_e, cloud_epochs=cfg.hfl.cloud_epochs,
             epsilon=max(eps, 1e-12), w_star=opt.w, f_star=opt.value)
 
     violations = []
-    violations += analysis.check_vehicle_drift(tr, est, inputs, slack)
-    violations += analysis.check_edge_drift(tr, est, inputs, slack)
-    violations += analysis.check_recursion(tr, inputs, slack)
-    vt, drift_report = analysis.check_central_drift(tr, est, inputs, slack)
+    violations += analysis.check_vehicle_drift(tr, est, inputs)
+    violations += analysis.check_edge_drift(tr, est, inputs)
+    violations += analysis.check_recursion(tr, inputs)
+    vt, drift_report = analysis.check_central_drift(tr, est, inputs)
     violations += vt
     gap = analysis.check_gap_bound(tr, inputs, drift_report, losses)
-    if gap.applicable and gap.measured_gap > gap.bound + slack:
+    if gap.applicable and gap.measured_gap > gap.bound + analysis.DEFAULT_SLACK:
         violations.append(analysis.Violation("gap_bound", {"T": tr.total_iterations},
                                              gap.measured_gap, gap.bound))
     mixing = analysis.mobility_mixing_report(est)
@@ -363,4 +365,7 @@ def mobility_trace(inst, rounds):
 
 
 def to_json(obj):
-    return json.dumps(obj, indent=2, sort_keys=True)
+    """Strict JSON: a non-finite float is written as null, via a round trip
+    that parses NaN/Infinity to None and reads every finite float back exact."""
+    tree = json.loads(json.dumps(obj), parse_constant=lambda token: None)
+    return json.dumps(tree, indent=2, sort_keys=True, allow_nan=False)

@@ -24,11 +24,6 @@ FAMILIES = (QUADRATIC, MULTINOMIAL_LOGISTIC, MLP1)
 POWER_ITERATION_TOL = 1e-8
 POWER_ITERATION_MAX = 10_000
 
-# The batched probe estimates (rho here, the divergences in analysis) take
-# as many probes per chunk as keep a chunk's largest array near this size,
-# so their memory does not grow with the probe count.
-CHUNK_BYTES = 1 << 16
-
 
 class UnsupportedModelError(ValueError):
     """Operation requires a convex family."""
@@ -244,8 +239,7 @@ def accuracy(spec, w, data):
 @dataclass
 class SmoothnessEstimate:
     beta: float
-    rho: float
-    method: str  # "power_iteration" | "analytic" | "trajectory_sup"
+    method: str  # "power_iteration" | "analytic"
 
 
 def _lambda_max(A):
@@ -268,36 +262,21 @@ def _lambda_max(A):
         f"no convergence after {POWER_ITERATION_MAX} iterations (last {lam})")
 
 
-def estimate_constants(spec, data, probes):
-    """Smoothness bound beta and region-restricted Lipschitz constant rho.
+def estimate_constants(spec, data):
+    """Smoothness bound beta of the full loss over `data`.
 
-    beta: quadratic -> top eigenvalue of X'X/n plus l2_reg (power
-    iteration); logistic -> the softmax-Hessian bound 0.5*lmax(X'X)/n
-    plus l2_reg. rho: max over probe points of the full-loss gradient
-    norm, i.e. a Lipschitz constant valid over the probed region only.
-    The probe gradients come in chunks from gradient_probes and their norms
-    from row_norms, so rho is bitwise the per-probe loop's value.
+    quadratic -> top eigenvalue of X'X/n plus l2_reg (power iteration);
+    logistic -> the softmax-Hessian bound 0.5*lmax(X'X)/n plus l2_reg.
+    The region Lipschitz constant rho is a supremum of gradient norms over
+    probe points; analysis.estimate_divergences measures it (grad_norm).
     """
     if not spec.is_convex:
         raise UnsupportedModelError(f"{spec.family} has no certified constants")
-    if len(probes) == 0:
-        raise ValueError("need at least one probe point for rho")
     X = data.features
-    A = (X.T @ X) / X.shape[0]
-    lam = _lambda_max(A)
+    lam = _lambda_max((X.T @ X) / X.shape[0])
     if spec.family == QUADRATIC:
-        beta = lam + spec.l2_reg
-        method = "power_iteration"
-    else:
-        beta = 0.5 * lam + spec.l2_reg
-        method = "analytic"
-    W = np.asarray(probes, dtype=np.float64).reshape(len(probes), -1)
-    chunk = max(1, CHUNK_BYTES // (8 * data.n_samples * spec.class_count))
-    G = np.concatenate([gradient_probes(spec, W[i:i + chunk], X[None], data.labels[None])[:, 0]
-                        for i in range(0, len(W), chunk)])
-    # Python's max over the same floats in probe order, as one call per probe gave
-    rho = max(row_norms(G).tolist())
-    return SmoothnessEstimate(beta=beta, rho=rho, method=method)
+        return SmoothnessEstimate(beta=lam + spec.l2_reg, method="power_iteration")
+    return SmoothnessEstimate(beta=0.5 * lam + spec.l2_reg, method="analytic")
 
 
 @dataclass
@@ -331,8 +310,7 @@ def solve_optimum(spec, data, grad_tol=1e-8, max_iter=2_000_000):
             W = np.linalg.solve(A, B)
         w = W.ravel()
         return Optimum(w, loss(spec, w, data), fallback)
-    est = estimate_constants(spec, data, probes=[np.zeros(param_length(spec))])
-    step = 1.0 / est.beta
+    step = 1.0 / estimate_constants(spec, data).beta
     w = np.zeros(param_length(spec))
     for _ in range(max_iter):
         g = gradient(spec, w, data)

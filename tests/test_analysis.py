@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hflsim import analysis, datasets, engine, mobility, models
+from hflsim import analysis, config, datasets, engine, experiments, mobility, models
 from hflsim.analysis import (
     BoundInputs, build_drift_report, central_drift_bound, check_central_drift,
     check_edge_drift, check_gap_bound, check_recursion, check_vehicle_drift,
@@ -60,7 +60,7 @@ def const_estimates(delta, Delta, tau_l, brackets, N=1):
         delta_n_bracket=np.full((brackets, N), delta),
         Delta_n_bracket=np.full((brackets, N), Delta),
         Delta_bracket=np.full(brackets, Delta),
-        theta_bracket=np.full((brackets, N), 1.0), probe_count=1)
+        theta_bracket=np.full((brackets, N), 1.0), grad_norm=np.ones(1), probe_count=1)
     return est
 
 
@@ -232,7 +232,8 @@ class TestEstimateDivergences:
 def loop_divergences(spec, shards, hist, probes):
     """estimate_divergences one probe at a time, one gradient_xy call per
     shard, the edge gradients of the distinct association rows through one
-    product and norm per probe, expanded to the brackets afterwards."""
+    product and norm per probe, expanded to the brackets afterwards, and
+    the norm of each probe's full gradient."""
     probes = np.atleast_2d(np.asarray(probes, dtype=np.float64))
     M = len(shards)
     sizes = np.array([s.size for s in shards], dtype=np.float64)
@@ -246,9 +247,11 @@ def loop_divergences(spec, shards, hist, probes):
     occupied = theta > 0
     delta_m = np.zeros(M)
     Delta_u = np.zeros((rows.shape[0], N))
+    grad_norm = []
     for w in probes:
         G = np.stack([models.gradient(spec, w, s.data) for s in shards])
         gF = alpha @ G
+        grad_norm.append(np.linalg.norm(gF))
         delta_m = np.maximum(delta_m, np.linalg.norm(G - gF, axis=1))
         ge = A_rows.reshape(-1, M) @ G
         Delta_u = np.maximum(Delta_u, np.linalg.norm(ge - gF, axis=1).reshape(-1, N))
@@ -257,7 +260,7 @@ def loop_divergences(spec, shards, hist, probes):
                 delta_n_bracket=np.where(occupied, A @ delta_m, np.nan),
                 Delta_n_bracket=Delta_n,
                 Delta_bracket=np.nansum(np.where(occupied, theta * Delta_n, 0.0), axis=1),
-                theta_bracket=theta)
+                theta_bracket=theta, grad_norm=np.array(grad_norm))
 
 
 def bracket_product_Delta_n(spec, shards, hist, probes):
@@ -423,17 +426,51 @@ class TestDivergencesMatchProbeLoop:
         self.check(spec, shards, tr.association_history, probes)
 
 
-class TestRhoMatchesProbeLoop:
-    @pytest.mark.parametrize("case", sorted(DIVERGENCE_CASES))
-    @pytest.mark.parametrize("chunk_bytes", [1, 5_000, 10**9])
-    def test_bitwise(self, case, chunk_bytes, monkeypatch):
-        make, spec = DIVERGENCE_CASES[case]
-        union = datasets.union_of_shards(make())
-        probes = list(np.random.default_rng(6).normal(size=(9, models.param_length(spec))))
-        want = max(float(np.linalg.norm(models.gradient(spec, w, union))) for w in probes)
-        monkeypatch.setattr(models, "CHUNK_BYTES", chunk_bytes)
-        got = models.estimate_constants(spec, union, probes).rho
-        assert type(got) is float and got == want
+RHO_CONFIG = """
+[dataset]
+classes = 4
+dim = 6
+samples_per_class = 30
+
+[partition]
+regime = local_noniid
+classes_per_unit = 1
+vehicles = 8
+shared_input = {shared}
+shared_samples_per_shard = 20
+
+[mobility]
+edges = 4
+speed = 30.0
+
+[hfl]
+eta = 0.05
+tau_l = 3
+tau_e = 4
+cloud_epochs = 2
+
+[model]
+family = {family}
+l2_reg = 0.05
+"""
+
+
+class TestRhoFromDivergenceGradients:
+    @pytest.mark.parametrize("family,shared", [("quadratic", "true"),
+                                               ("multinomial_logistic", "false")])
+    @pytest.mark.parametrize("chunk_bytes", [1, 40_000, 10**9])
+    def test_max_of_probe_loop_norms(self, family, shared, chunk_bytes, monkeypatch):
+        cfg = config.parse_config(RHO_CONFIG.format(family=family, shared=shared))
+        monkeypatch.setattr(analysis, "CHUNK_BYTES", chunk_bytes)
+        rho = experiments.verify_bounds(cfg).inputs.rho
+        inst = experiments.build_instance(cfg)
+        tr = experiments.run_instance(inst, record_virtual=True, full_batch=True).trace
+        norms = loop_divergences(inst.spec, inst.shards, tr.association_history,
+                                 tr.vtilde)["grad_norm"]
+        assert type(rho) is float and rho == max(norms.tolist())
+        # the shard-weighted gradient is the union's up to rounding
+        union = max(np.linalg.norm(models.gradient(inst.spec, w, inst.union)) for w in tr.vtilde)
+        assert rho == pytest.approx(union, rel=1e-12)
 
 
 def bound_suite_run(speed, K=4, eta=0.05, seed=13):
@@ -450,9 +487,10 @@ def bound_suite_run(speed, K=4, eta=0.05, seed=13):
     tr = res.trace
     probes = np.vstack([tr.vtilde, np.zeros(tr.vtilde.shape[1]), opt.w])
     est = estimate_divergences(spec, shards, tr.association_history, probes, tau_l=tr.tau_l)
-    sm = models.estimate_constants(spec, union, probes=list(tr.vtilde))
+    beta = models.estimate_constants(spec, union).beta
+    rho = max(est.grad_norm[:len(tr.vtilde)].tolist())
     eps = choose_epsilon(analysis.epoch_losses(spec, union, tr, 60, K), opt.value)
-    inputs = BoundInputs(beta=sm.beta, rho=sm.rho, eta=eta, tau_l=6, tau_e=10,
+    inputs = BoundInputs(beta=beta, rho=rho, eta=eta, tau_l=6, tau_e=10,
                          cloud_epochs=K, epsilon=max(eps, 1e-12),
                          w_star=opt.w, f_star=opt.value)
     return spec, union, tr, est, inputs
@@ -647,10 +685,11 @@ class TestGapBound:
         est = estimate_divergences(spec, shards, tr.association_history, probes,
                                    tau_l=tr.tau_l)
         assert est.delta <= 1e-12
-        sm = models.estimate_constants(spec, union, probes=list(tr.vtilde))
+        beta = models.estimate_constants(spec, union).beta
+        rho = max(est.grad_norm[:len(tr.vtilde)].tolist())
         losses = analysis.epoch_losses(spec, union, tr, 4, 3)
         eps = choose_epsilon(losses, opt.value)
-        inputs = BoundInputs(beta=sm.beta, rho=sm.rho, eta=0.2, tau_l=2, tau_e=2,
+        inputs = BoundInputs(beta=beta, rho=rho, eta=0.2, tau_l=2, tau_e=2,
                              cloud_epochs=3, epsilon=max(eps, 1e-12),
                              w_star=opt.w, f_star=opt.value)
         uk = build_drift_report(tr, est, inputs)

@@ -176,6 +176,35 @@ class TestCmdRun:
         leftovers = [p for p in (tmp_path / "out").iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
 
+    def test_outputs_take_the_umask(self, tmp_path):
+        path = write_cfg(tmp_path, MINI)
+        old = os.umask(0o027)
+        try:
+            assert cli.main(["run", "--config", path]) == 0
+        finally:
+            os.umask(old)
+        for name in ("metrics.csv", "checkpoint.bin"):
+            assert (tmp_path / "out" / name).stat().st_mode & 0o777 == 0o640
+
+    def test_failed_text_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "out" / "summary.json"
+        cli.atomic_write_text(path, "old")
+        with pytest.raises(UnicodeEncodeError):
+            cli.atomic_write_text(path, "\ud800")  # a lone surrogate has no UTF-8 form
+        assert path.read_text() == "old"
+        assert [p.name for p in path.parent.iterdir()] == ["summary.json"]
+
+    def test_failed_checkpoint_leaves_nothing(self, tmp_path, monkeypatch):
+        def broken(path, state, cfg_hash):
+            with open(path, "wb") as f:
+                f.write(b"partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_checkpoint", broken)
+        path = write_cfg(tmp_path, MINI)
+        assert cli.main(["run", "--config", path]) == 4
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["metrics.csv"]
+
     def test_checkpoint_hash_names_the_experiment(self, tmp_path):
         # the same experiment written to two directories gives the same
         # bytes; a changed [hfl] value or --seed gives another hash
@@ -338,6 +367,41 @@ class TestCmdVerifyBounds:
         text = text.replace("eta = 0.05", "eta = 0.1")
         path = write_cfg(tmp_path, text)
         assert cli.main(["verify-bounds", "--config", path]) == 0
+
+
+def strict_json(path):
+    """Parse a JSON file, rejecting the NaN/Infinity tokens strict parsers refuse."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+class TestStrictJson:
+    def test_non_finite_floats_become_null(self):
+        obj = {"a": [float("nan"), 0.1, (float("-inf"), 2)], "b": {"c": np.float64("inf")}}
+        assert json.loads(experiments.to_json(obj)) == {"a": [None, 0.1, [None, 2]],
+                                                         "b": {"c": None}}
+        assert experiments.to_json([0.1 + 0.2]) == json.dumps([0.1 + 0.2], indent=2)
+
+    def test_sweep_without_test_split(self, tmp_path):
+        # shared inputs leave no test split: no ceiling, targets or accuracy
+        path = write_cfg(tmp_path, BOUNDS.replace("cloud_epochs = 3", "cloud_epochs = 1"))
+        assert cli.main(["sweep-speed", "--config", path, "--speeds", "0", "--seeds", "1"]) == 0
+        manifest = strict_json(tmp_path / "out" / "sweep_manifest.json")
+        assert manifest["ceiling"] is None and manifest["targets"] == [None] * 3
+        assert manifest["completed"][0]["max_test_accuracy"] is None
+
+    def test_degenerate_gap_report(self, tmp_path, monkeypatch):
+        # the start (the origin) posing as the optimum makes phi infinite
+        def at_origin(spec, data):
+            w = np.zeros(models.param_length(spec))
+            return models.Optimum(w, models.loss(spec, w, data))
+
+        monkeypatch.setattr(models, "solve_optimum", at_origin)
+        assert cli.main(["verify-bounds", "--config", write_cfg(tmp_path, BOUNDS)]) in (0, 5)
+        summary = strict_json(tmp_path / "out" / "bound_summary.json")
+        assert summary["phi"] is None and summary["applicable"] is False
+        assert "optimal" in summary["note"]
 
 
 class TestCmdPartitionReport:

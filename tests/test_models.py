@@ -165,37 +165,28 @@ class TestConstants:
     def test_identity_features_beta_is_one(self):
         ds = datasets.LabeledDataset(np.array([[1.0]]), np.array([2]), class_count=1)
         spec = ModelSpec(QUADRATIC, dim=1, class_count=1, l2_reg=0.0)
-        est = estimate_constants(spec, ds, probes=[np.zeros(1)])
+        est = estimate_constants(spec, ds)
         assert est.beta == pytest.approx(1.0, abs=1e-8)
         assert est.method == "power_iteration"
 
     def test_power_iteration_matches_eigvalsh(self):
         ds = small_dataset(C=3, d=8, n_per=50, seed=8)
         spec = ModelSpec(QUADRATIC, dim=8, class_count=3, l2_reg=0.0)
-        est = estimate_constants(spec, ds, probes=[np.zeros(param_length(spec))])
+        est = estimate_constants(spec, ds)
         A = ds.features.T @ ds.features / ds.n_samples
         lam = np.linalg.eigvalsh(A)[-1]
         assert est.beta == pytest.approx(lam, rel=1e-7)
 
     def test_l2_shifts_beta_exactly(self):
         ds = small_dataset()
-        p = [np.zeros(param_length(ModelSpec(QUADRATIC, dim=6, class_count=4)))]
-        b0 = estimate_constants(ModelSpec(QUADRATIC, dim=6, class_count=4), ds, p).beta
-        b1 = estimate_constants(ModelSpec(QUADRATIC, dim=6, class_count=4, l2_reg=0.7),
-                                ds, p).beta
+        b0 = estimate_constants(ModelSpec(QUADRATIC, dim=6, class_count=4), ds).beta
+        b1 = estimate_constants(ModelSpec(QUADRATIC, dim=6, class_count=4, l2_reg=0.7), ds).beta
         assert b1 - b0 == pytest.approx(0.7, abs=1e-12)
-
-    def test_rho_single_probe(self):
-        ds = small_dataset()
-        spec = ModelSpec(MULTINOMIAL_LOGISTIC, dim=6, class_count=4, l2_reg=0.0)
-        w0 = rand_params(spec, seed=4, scale=0.2)
-        est = estimate_constants(spec, ds, probes=[w0])
-        assert est.rho == pytest.approx(np.linalg.norm(gradient(spec, w0, ds)), rel=1e-12)
 
     @pytest.mark.parametrize("spec", SPECS[:2], ids=lambda s: s.family)
     def test_beta_bounds_gradient_lipschitz(self, spec):
         ds = small_dataset()
-        est = estimate_constants(spec, ds, probes=[np.zeros(param_length(spec))])
+        est = estimate_constants(spec, ds)
         g = np.random.default_rng(12)
         for _ in range(100):
             w1 = 0.5 * g.normal(size=param_length(spec))
@@ -217,7 +208,7 @@ class TestConstants:
         ds = small_dataset()
         spec = ModelSpec(MLP1, dim=6, class_count=4, hidden_width=5)
         with pytest.raises(UnsupportedModelError):
-            estimate_constants(spec, ds, probes=[np.zeros(param_length(spec))])
+            estimate_constants(spec, ds)
         with pytest.raises(UnsupportedModelError):
             solve_optimum(spec, ds)
 
