@@ -136,10 +136,15 @@ class BatchSampler:
 def fleet_step(spec, W, data, sampler, eta, iteration):
     """One local SGD step of every vehicle, in place. data holds the shards
     stacked in id order; each sampler group is one gather and one
-    gradient_fleet call. A non-finite result names the lowest-id vehicle."""
+    gradient_fleet call. A group whose ids form a run (the whole fleet,
+    when every shard shuffles) updates a slice of W, with no gather and
+    scatter of its rows. A non-finite result names the lowest-id vehicle."""
     for ids, idx in zip(sampler.groups, sampler.next_batches()):
         rows = sampler.offset[ids, None] + idx
-        W[ids] -= eta * gradient_fleet(spec, W[ids], data.features[rows], data.labels[rows])
+        if ids[-1] - ids[0] + 1 == ids.size:
+            ids = slice(ids[0], ids[-1] + 1)
+        W[ids] -= eta * gradient_fleet(spec, W[ids], data.features.take(rows, axis=0),
+                                       data.labels[rows])
     finite = np.isfinite(W)
     if not finite.all():
         m = int(np.flatnonzero(~finite.all(axis=1))[0])
@@ -163,24 +168,19 @@ def membership_weights(edge_of, sizes, edge_count):
     return A, totals / sizes.sum()
 
 
-def weighted_sum(weights, rows):
-    """sum_i weights[i] * rows[i], accumulated from zero over the nonzero
-    weights in index order. The fixed order keeps every aggregate
-    bit-reproducible."""
-    acc = np.zeros(rows.shape[1:])
-    for i in np.flatnonzero(weights):
-        acc += weights[i] * rows[i]
-    return acc
-
-
 def fleet_averages(B, W):
-    """weighted_sum(B[i], W) for every row i of B (K, M) at once, bit for
-    bit while W is finite: one running sum over the vehicles in id order.
-    A zero weight adds a signed zero, which changes no sum but can leave
-    -0.0 where weighted_sum, starting from +0.0, gives +0.0; the final
-    + 0.0 turns it back. (A zero weight times inf is NaN, where
-    weighted_sum skips the row.)"""
-    return np.add.accumulate(B[:, :, None] * W, axis=1)[:, -1] + 0.0
+    """sum_m B[i, m] * W[m] for every row i of B (K, M): a sum from +0.0
+    over the vehicles in id order, so every aggregate is bit-reproducible.
+    numpy sums the vehicle-major terms over the leading axis in that
+    order, one elementwise pass per vehicle; a single (K, P) entry would
+    be one contiguous column, which numpy sums pairwise, so that case is
+    accumulated. While W is finite this equals a loop that skips the zero
+    weights: a zero weight adds a signed zero, which can leave -0.0 where
+    the loop gives +0.0, and the final + 0.0 turns it back. (A zero
+    weight times inf is NaN, where the loop skips the row.)"""
+    terms = np.multiply(B.T[:, :, None], W[:, None, :], order="C")  # (M, K, P)
+    total = np.cumsum(terms, axis=0)[-1] if terms[0].size == 1 else terms.sum(axis=0)
+    return total + 0.0
 
 
 def cloud_aggregate(edge_params, theta):
@@ -188,7 +188,7 @@ def cloud_aggregate(edge_params, theta):
     s = float(np.sum(theta))
     if abs(s - 1.0) > 1e-9:
         raise InternalInvariantError(f"edge weights sum to {s}, expected 1")
-    return weighted_sum(theta, edge_params)
+    return fleet_averages(theta[None], edge_params)[0]
 
 
 @dataclass
@@ -416,7 +416,7 @@ def run(config, shards, spec, association=None, edge_count=1, *,
             if is_cloud:
                 trace.u_cloud[k] = u_metric
         else:
-            u_metric = weighted_sum(alpha, W)
+            u_metric = fleet_averages(alpha[None], W)[0]
 
         train_loss = loss(spec, u_metric, fleet)
         test_acc = accuracy(spec, u_metric, eval_data) if eval_data is not None else float("nan")

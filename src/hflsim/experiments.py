@@ -225,7 +225,8 @@ def sweep_speed(cfg, speeds, seeds, target_fractions=DEFAULT_TARGET_FRACTIONS,
     Mobility-only pairing: the data is built once, and a cell differs from
     the base instance only in its [mobility] speed and seed, so the
     partition and the batch streams are shared across cells and accuracy
-    differences isolate the mobility effect.
+    differences isolate the mobility effect. Accuracy is measured on the
+    test split, so a shared-input config (which has none) is a ConfigError.
     """
     if len(speeds) < 1 or len(seeds) < 1:
         raise ValueError("need at least one speed and one seed")
@@ -233,11 +234,15 @@ def sweep_speed(cfg, speeds, seeds, target_fractions=DEFAULT_TARGET_FRACTIONS,
         raise ConfigError([f"--parallel must be >= 1, got {parallel}"])
     speeds, seeds = [float(v) for v in speeds], [int(s) for s in seeds]
     # a repeated speed or seed would rerun a cell and count it twice in the summary
-    repeats = [f"{option} lists {v!r} more than once"
-               for option, values in (("--speeds", speeds), ("--seeds", seeds))
-               for v, n in Counter(values).items() if n > 1]
-    if repeats:
-        raise ConfigError(repeats)
+    problems = [f"{option} lists {v!r} more than once"
+                for option, values in (("--speeds", speeds), ("--seeds", seeds))
+                for v, n in Counter(values).items() if n > 1]
+    if cfg.partition.shared_input:
+        # every cell would report a NaN accuracy against a NaN ceiling
+        problems.append("the speed sweep needs a test split to measure accuracy; "
+                        "[partition] shared_input = true leaves none")
+    if problems:
+        raise ConfigError(problems)
     base = build_instance(cfg)
     # every cell is validated before the ceiling or any cell runs
     cells = []
@@ -245,7 +250,7 @@ def sweep_speed(cfg, speeds, seeds, target_fractions=DEFAULT_TARGET_FRACTIONS,
         for s in seeds:
             mo = replace(cfg.mobility, speed=v, seed=s)
             cells.append(replace(base, cfg=validate(replace(cfg, mobility=mo))))
-    ceiling, _ = centralized_ceiling(base) if base.test is not None else (float("nan"), None)
+    ceiling, _ = centralized_ceiling(base)
     targets = [f * ceiling for f in target_fractions]
     result = SweepResult(speeds=speeds, seeds=seeds, targets=targets,
                          target_fractions=list(target_fractions), ceiling=ceiling)

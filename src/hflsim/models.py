@@ -90,11 +90,57 @@ def _targets(spec, y):
     return T
 
 
+# Reductions over a short axis. numpy's reduce runs one inner loop per
+# output element, so over the class axis (a few entries per row) or the
+# batch axis of a fleet array it costs far more than an elementwise pass.
+# These helpers add (or compare) the same entries in numpy's own order at
+# elementwise speed, so every result keeps its bits. Below 8 terms numpy
+# folds a contiguous axis in index order, a sum from +0.0. From 8 up its
+# sum is pairwise (and past 8 its max can settle a tie of -0.0 and +0.0
+# the other way), so from 8 up the helpers call numpy.
+
+def _class_max(Z):
+    """Z.max(axis=-1) bit for bit (signed zeros included)."""
+    c = Z.shape[-1]
+    if c >= 8:
+        return Z.max(axis=-1)
+    m = Z[..., 0].copy()
+    for j in range(1, c):
+        np.maximum(m, Z[..., j], out=m)
+    return m
+
+
+def _class_sum(Z):
+    """Z.sum(axis=-1) bit for bit."""
+    c = Z.shape[-1]
+    if c >= 8:
+        return Z.sum(axis=-1)
+    s = Z[..., 0] + 0.0
+    for j in range(1, c):
+        s += Z[..., j]
+    return s
+
+
+def _batch_sum(A):
+    """A.sum(axis=1) of a fleet array A (M, B, k), bit for bit: for k > 1
+    numpy adds the B rows of each vehicle in order, and so does a sum over
+    the leading axis of a batch-major copy, one elementwise pass per batch
+    row. A (B, 1) column is contiguous, and numpy sums it pairwise, as
+    gradient_xy does; that case keeps numpy's reduce."""
+    if A.shape[2] == 1:
+        return A.sum(axis=1)
+    return np.ascontiguousarray(np.swapaxes(A, 0, 1)).sum(axis=0)
+
+
 def _softmax(logits):
-    """Row softmax over the last axis (class scores), any leading axes."""
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Row softmax over the last axis (class scores), any leading axes;
+    in place when logits is C-contiguous, as the fresh products the
+    callers pass are."""
+    Z = logits.reshape(-1, logits.shape[-1])  # the rows on one axis
+    Z -= _class_max(Z)[:, None]
+    np.exp(Z, out=Z)
+    Z /= _class_sum(Z)[:, None]
+    return Z.reshape(logits.shape)
 
 
 def _mlp_unpack(spec, w):
@@ -122,8 +168,8 @@ def loss_xy(spec, w, X, y):
         R = X @ w.reshape(spec.dim, -1) - _targets(spec, y)
         return 0.5 * float((R * R).sum()) / n + reg
     logits = _logits(spec, w, X)
-    zmax = logits.max(axis=1)
-    lse = zmax + np.log(np.exp(logits - zmax[:, None]).sum(axis=1))
+    zmax = _class_max(logits)
+    lse = zmax + np.log(_class_sum(np.exp(logits - zmax[:, None])))
     return float((lse - logits[np.arange(n), y]).mean()) + reg
 
 
@@ -156,39 +202,50 @@ def gradient_fleet(spec, W, X, y):
 
     Row m is bitwise gradient_xy(spec, W[m], X[m], y[m]): the same
     operations in the same order on stacked arrays, with batched matmul
-    (numpy runs one product per vehicle, as in the 2-D code) and every
-    reduction over the axis the 2-D code reduces.
+    (numpy runs one product per vehicle, as in the 2-D code), some of
+    them in place, and every reduction adding the terms the 2-D code adds
+    in its order (_class_max, _class_sum, _batch_sum).
     """
     M, n = y.shape
     if W.shape != (M, param_length(spec)) or X.shape != (M, n, spec.dim):
         raise ValueError(f"fleet shapes W {W.shape}, X {X.shape}, y {y.shape} "
                          f"do not match P={param_length(spec)}, d={spec.dim}")
     Xt = np.swapaxes(X, 1, 2)
-    mi, bi = np.arange(M)[:, None], np.arange(n)
     if spec.family == QUADRATIC:
         if spec.class_count == 1:
             T = y.astype(np.float64)[..., None]
         else:
             T = np.zeros((M, n, spec.class_count))
-            T[mi, bi, y] = 1.0
+            T[np.arange(M)[:, None], np.arange(n), y] = 1.0
         R = X @ W.reshape(M, spec.dim, -1) - T
         return (Xt @ R).reshape(M, -1) / n + spec.l2_reg * W
+    # entry [m, b, y[m, b]] of the contiguous (M, B, c) scores, by one flat index
+    label = np.arange(0, y.size * spec.class_count, spec.class_count).reshape(y.shape)
+    label += y
     if spec.family == MULTINOMIAL_LOGISTIC:
         S = _softmax(X @ W.reshape(M, spec.dim, spec.class_count))
-        S[mi, bi, y] -= 1.0
+        S.reshape(-1)[label] -= 1.0
         return (Xt @ S).reshape(M, -1) / n + spec.l2_reg * W
     W1, b1, W2, b2 = _mlp_unpack(spec, W)
-    Z = np.tanh(X @ W1 + b1)
-    S = _softmax(Z @ W2 + b2)
-    S[mi, bi, y] -= 1.0
+    Z = X @ W1
+    Z += b1
+    np.tanh(Z, out=Z)
+    S = Z @ W2
+    S += b2
+    S = _softmax(S)
+    S.reshape(-1)[label] -= 1.0
     S /= n
-    gW2 = np.swapaxes(Z, 1, 2) @ S
-    gb2 = S.sum(axis=1)
-    dZ = (S @ np.swapaxes(W2, 1, 2)) * (1.0 - Z * Z)
-    gW1 = Xt @ dZ
-    gb1 = dZ.sum(axis=1)
-    g = np.concatenate([gW1.reshape(M, -1), gb1, gW2.reshape(M, -1), gb2], axis=1)
-    return g + spec.l2_reg * W
+    g = np.empty(W.shape)
+    gW1, gb1, gW2, gb2 = _mlp_unpack(spec, g)  # views of g's rows
+    np.matmul(np.swapaxes(Z, 1, 2), S, out=gW2)
+    gb2[:, 0] = _batch_sum(S)
+    dZ = S @ np.swapaxes(W2, 1, 2)
+    Z *= Z
+    dZ *= np.subtract(1.0, Z, out=Z)
+    np.matmul(Xt, dZ, out=gW1)
+    gb1[:, 0] = _batch_sum(dZ)
+    g += spec.l2_reg * W
+    return g
 
 
 def gradient_probes(spec, W, X, y):

@@ -383,13 +383,14 @@ class TestStrictJson:
                                                          "b": {"c": None}}
         assert experiments.to_json([0.1 + 0.2]) == json.dumps([0.1 + 0.2], indent=2)
 
-    def test_sweep_without_test_split(self, tmp_path):
-        # shared inputs leave no test split: no ceiling, targets or accuracy
+    def test_sweep_without_test_split(self, tmp_path, capsys):
+        # shared inputs leave no test split, so no accuracy to sweep: a
+        # configuration error before any cell runs
         path = write_cfg(tmp_path, BOUNDS.replace("cloud_epochs = 3", "cloud_epochs = 1"))
-        assert cli.main(["sweep-speed", "--config", path, "--speeds", "0", "--seeds", "1"]) == 0
-        manifest = strict_json(tmp_path / "out" / "sweep_manifest.json")
-        assert manifest["ceiling"] is None and manifest["targets"] == [None] * 3
-        assert manifest["completed"][0]["max_test_accuracy"] is None
+        assert cli.main(["sweep-speed", "--config", path, "--speeds", "0", "--seeds", "1"]) == 2
+        assert "needs a test split" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+        assert not (tmp_path / "out" / "sweep_manifest.json").exists()
 
     def test_degenerate_gap_report(self, tmp_path, monkeypatch):
         # the start (the origin) posing as the optimum makes phi infinite

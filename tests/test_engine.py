@@ -8,7 +8,7 @@ from hflsim import datasets, engine, mobility, models, rng
 from hflsim.engine import (
     BatchSampler, DivergenceError, HflConfig, InternalInvariantError,
     cloud_aggregate, config_hash, fleet_step, membership_weights,
-    read_checkpoint, run, weighted_sum, write_checkpoint,
+    read_checkpoint, run, write_checkpoint,
 )
 
 
@@ -175,10 +175,19 @@ class TestLocalUpdate:
             step_once(spec, shards, np.ones((4, 2)), eta=1e300, iteration=17)
 
 
+def weighted_sum(weights, rows):
+    """Loop oracle of the aggregation: sum_i weights[i] * rows[i],
+    accumulated from +0.0 over the nonzero weights in index order."""
+    acc = np.zeros(rows.shape[1:])
+    for i in np.flatnonzero(weights):
+        acc += weights[i] * rows[i]
+    return acc
+
+
 def edge_average(edge_of, params, sizes, n=0):
     """Size-weighted average of edge n's members via the shared helpers."""
     A, _ = membership_weights(np.asarray(edge_of), np.asarray(sizes), n + 1)
-    return weighted_sum(A[n], params)
+    return engine.fleet_averages(A[n:n + 1], params)[0]
 
 
 class TestAggregation:
@@ -244,19 +253,34 @@ class TestAggregation:
 
 class TestBatchedMeasurement:
     """The one-pass averages (recording and aggregation) and the
-    stacked-product norms (recording) equal the per-row weighted_sum and
-    np.linalg.norm calls bit for bit."""
+    stacked-product norms (recording) equal the per-row weighted_sum loop
+    and np.linalg.norm calls bit for bit."""
 
-    def test_fleet_averages_match_weighted_sum(self):
-        g = np.random.default_rng(4)
+    @pytest.mark.parametrize("K", [1, 2, 5])
+    def test_fleet_averages_match_weighted_sum(self, K):
+        g = np.random.default_rng(4 + K)
         for _ in range(50):
-            M, P = int(g.integers(1, 12)), int(g.integers(1, 30))
+            M, P = int(g.integers(1, 40)), int(g.integers(1, 30))
             W = g.normal(size=(M, P)) * 10.0 ** g.integers(-200, 200, size=(M, 1))
             W[g.random((M, P)) < 0.2] = -0.0  # signed zeros under zero weights
-            B = g.random((5, M)) * (g.random((5, M)) < 0.5)
+            B = g.random((K, M)) * (g.random((K, M)) < 0.5)
             got = engine.fleet_averages(B, W)
-            for i in range(5):
+            for i in range(K):
                 assert got[i].tobytes() == weighted_sum(B[i], W).tobytes()
+
+    @pytest.mark.parametrize("M, K, P", [(1, 1, 1), (1, 3, 5), (20, 1, 1), (20, 3, 1),
+                                         (20, 1, 6), (33, 2, 212)])
+    def test_fleet_averages_edge_shapes(self, M, K, P):
+        # P == 1 with K == 1 is one contiguous column of terms, which numpy
+        # alone would add pairwise; the loop adds them in order
+        g = np.random.default_rng(M * 100 + K * 10 + P)
+        W = g.normal(size=(M, P)) * 10.0 ** g.integers(-8, 8, size=(M, 1))
+        cases = [g.random((K, M)), np.zeros((K, M)), g.random((K, M)) * (g.random((K, M)) < 0.5)]
+        for B in cases:
+            for rows in (W, -np.abs(W), np.full((M, P), -0.0)):
+                got = engine.fleet_averages(B, rows)
+                want = np.stack([weighted_sum(b, rows) for b in B])
+                assert got.tobytes() == want.tobytes()
 
     def test_row_norms_match_linalg_norm(self):
         g = np.random.default_rng(5)

@@ -119,7 +119,82 @@ FLEET_SPECS = SPECS + [
     ModelSpec(QUADRATIC, dim=6, class_count=1, l2_reg=0.2),        # scalar regression
     ModelSpec(QUADRATIC, dim=6, class_count=4),
     ModelSpec(MLP1, dim=6, class_count=2, hidden_width=1),          # single hidden unit
+    # from 8 classes up numpy sums the class axis pairwise
+    ModelSpec(MULTINOMIAL_LOGISTIC, dim=6, class_count=8, l2_reg=0.05),
+    ModelSpec(MULTINOMIAL_LOGISTIC, dim=6, class_count=10),
+    ModelSpec(MLP1, dim=6, class_count=10, l2_reg=0.01, hidden_width=16),
+    ModelSpec(MLP1, dim=6, class_count=4, hidden_width=1),          # a pairwise batch sum
 ]
+
+
+def short_axis_values(g, shape):
+    """Entries over 1e-300..1e300 of both signs, with ties, signed zeros
+    and infinities mixed in."""
+    Z = g.normal(size=shape) * 10.0 ** g.integers(-300, 301, size=shape)
+    pick = g.random(shape)
+    Z[pick < 0.1] = 0.0
+    Z[(pick >= 0.1) & (pick < 0.2)] = -0.0
+    Z[(pick >= 0.2) & (pick < 0.25)] = np.inf
+    Z[(pick >= 0.25) & (pick < 0.3)] = -np.inf
+    Z[(pick >= 0.3) & (pick < 0.4)] = 2.5  # ties
+    return Z
+
+
+class TestShortAxisReductions:
+    """The class-axis and batch-axis helpers reproduce numpy's reductions
+    bit for bit, in whichever order numpy adds at each length."""
+
+    @pytest.mark.parametrize("lead", [(50,), (6, 9), (1, 1)])
+    @pytest.mark.parametrize("c", range(1, 13))
+    def test_class_max_and_sum_equal_numpy(self, lead, c):
+        g = np.random.default_rng(100 * c + len(lead))
+        for _ in range(20):
+            Z = short_axis_values(g, lead + (c,))
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert models._class_max(Z).tobytes() == Z.max(axis=-1).tobytes()
+                assert models._class_sum(Z).tobytes() == Z.sum(axis=-1).tobytes()
+            # softmax inputs: a row's exponentials, all in [0, 1]
+            E = np.exp(g.normal(size=lead + (c,)) * 20.0 - 30.0)
+            assert models._class_sum(E).tobytes() == E.sum(axis=-1).tobytes()
+
+    @pytest.mark.parametrize("M, B, k", [(1, 1, 1), (1, 20, 1), (5, 20, 1), (5, 20, 4),
+                                         (1, 20, 16), (32, 20, 16), (3, 33, 2)])
+    def test_batch_sum_equals_numpy(self, M, B, k):
+        g = np.random.default_rng(M * B * k)
+        for A in (g.normal(size=(M, B, k)), np.full((M, B, k), -0.0),
+                  short_axis_values(g, (M, B, k))):
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = models._batch_sum(A)
+                assert got.tobytes() == A.sum(axis=1).tobytes()
+                assert got.tobytes() == np.stack([a.sum(axis=0) for a in A]).tobytes()
+
+
+def parent_loss_xy(spec, w, X, y):
+    """loss_xy of the cross-entropy families, written with numpy's own
+    reductions: the reference for the helpers' order."""
+    n = X.shape[0]
+    if spec.family == MLP1:
+        W1, b1, W2, b2 = models._mlp_unpack(spec, w)
+        logits = np.tanh(X @ W1 + b1) @ W2 + b2
+    else:
+        logits = X @ w.reshape(spec.dim, spec.class_count)
+    zmax = logits.max(axis=1)
+    lse = zmax + np.log(np.exp(logits - zmax[:, None]).sum(axis=1))
+    return float((lse - logits[np.arange(n), y]).mean()) + 0.5 * spec.l2_reg * float(w @ w)
+
+
+@pytest.mark.parametrize("c", [2, 4, 7, 8, 10])
+@pytest.mark.parametrize("family", [MULTINOMIAL_LOGISTIC, MLP1])
+def test_loss_xy_equals_numpy_reductions(family, c):
+    spec = ModelSpec(family, dim=5, class_count=c, l2_reg=0.03,
+                     hidden_width=7 if family == MLP1 else 0)
+    g = np.random.default_rng(c)
+    for n in (1, 9, 40):
+        for _ in range(5):
+            w = 2.0 * g.normal(size=param_length(spec))
+            X = 3.0 * g.normal(size=(n, spec.dim))
+            y = g.integers(0, c, size=n)
+            assert models.loss_xy(spec, w, X, y).hex() == parent_loss_xy(spec, w, X, y).hex()
 
 
 class TestGradientFleet:

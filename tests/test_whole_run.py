@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from hflsim import config, datasets, experiments, models
+from hflsim import config, datasets, engine, experiments, models
 
 
 @st.composite
@@ -39,13 +39,26 @@ class TestWholeRun:
     @settings(max_examples=60, deadline=None)
     @given(cfg=small_configs())
     def test_membership_and_cloud_identity(self, cfg):
-        res = experiments.run_instance(experiments.build_instance(cfg))
+        inst = experiments.build_instance(cfg)
+        res = experiments.run_instance(inst)
         M, N = cfg.partition.vehicles, cfg.mobility.edges
+        rounds = cfg.hfl.cloud_epochs * cfg.hfl.tau_e
+        sched = experiments.schedule(inst, rounds)
+        association = np.zeros((rounds + 1, M), dtype=np.int64) if sched is None else sched[1]
         rows = res.metrics_csv_rows()
-        assert len(rows) == 1 + cfg.hfl.cloud_epochs * cfg.hfl.tau_e
-        for row in rows[1:]:
+        assert len(rows) == 1 + rounds
+        for j, row in enumerate(rows[1:], start=1):
             counts = [int(c) for c in row[-1].split(";")]
             assert len(counts) == N and sum(counts) == M
+            assert counts == np.bincount(association[j], minlength=N).tolist()
+        # the aggregation weights of every round: the edges' shares of the
+        # data sum to one, and so do the member weights of every occupied edge
+        sizes = np.array([s.size for s in inst.shards], dtype=np.float64)
+        A, theta = engine.membership_weights(association, sizes, N)
+        assert np.all(np.abs(theta.sum(axis=1) - 1.0) <= 1e-12)
+        occupied = theta > 0
+        assert np.all(np.abs(A.sum(axis=2)[occupied] - 1.0) <= 1e-12)
+        assert np.all(A[~occupied] == 0.0)
         if cfg.hfl.record_virtual:
             # A2 at every cloud instant: the virtual u is the cloud model, to
             # rounding (1e-12 of the parameters' scale, at least 1)
