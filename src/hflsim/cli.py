@@ -116,7 +116,6 @@ def cmd_sweep_speed(args):
     if len(seeds) < 1:
         raise ConfigError(["sweep-speed needs at least one seed"])
     out = cfg.output.directory
-    os.makedirs(out, exist_ok=True)
     manifest_path = os.path.join(out, "sweep_manifest.json")
     done = []
 

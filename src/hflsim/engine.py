@@ -265,7 +265,7 @@ class RunResult:
 
 
 def run(config, shards, spec, association=None, edge_count=1, *,
-        eval_data=None, init_params_vec=None):
+        eval_data=None, init_params_vec=None, train_loss=True):
     """Execute the full hierarchical schedule.
 
     association is the (K*tau_e + 1, M) schedule of edge ids, row j in
@@ -276,7 +276,9 @@ def run(config, shards, spec, association=None, edge_count=1, *,
     loss and the centralized descent use the shards stacked in id order.
     Returns metrics, the final fleet state, per-epoch cloud/vehicle-average
     consistency, the cloud model after every cloud aggregation, and the
-    virtual trace when config.record_virtual is set.
+    virtual trace when config.record_virtual is set. With train_loss=False
+    the metrics rows carry a nan training loss, and the full-union loss is
+    not evaluated; nothing else changes.
     """
     M = len(shards)
     if M < 1:
@@ -418,12 +420,12 @@ def run(config, shards, spec, association=None, edge_count=1, *,
         else:
             u_metric = fleet_averages(alpha[None], W)[0]
 
-        train_loss = loss(spec, u_metric, fleet)
+        round_loss = loss(spec, u_metric, fleet) if train_loss else float("nan")
         test_acc = accuracy(spec, u_metric, eval_data) if eval_data is not None else float("nan")
         gap = trace.gap_u_vtilde[tau] if record else float("nan")
         metrics.append(MetricsRow(
             cloud_epoch=(j + tau_e - 1) // tau_e, edge_round=j, iteration=tau,
-            train_loss=train_loss, test_accuracy=test_acc, u_vtilde_gap=float(gap),
+            train_loss=round_loss, test_accuracy=test_acc, u_vtilde_gap=float(gap),
             membership_counts=tuple(int(c) for c in np.bincount(edge_of, minlength=edge_count))))
 
     final = FleetState(tau=tau, vehicle_params=W.copy(),

@@ -3,10 +3,10 @@ bound-verification suite. The CLI is a thin wrapper around this module;
 tests drive it directly."""
 
 import copy
+import functools
 import json
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
@@ -105,12 +105,18 @@ def schedule(inst, rounds):
     return mobility.schedule(network, vehicles, rounds, mo.p_turn, inst.cfg.hfl.seed)
 
 
-def run_instance(inst, init_params_vec=None, **config_overrides):
+def run_instance(inst, init_params_vec=None, *, association=None, train_loss=True,
+                 **config_overrides):
+    """Train inst under its [hfl] section with config_overrides applied.
+    association is the edge-id half of schedule(inst, rounds) when the
+    caller already holds it; None builds it here."""
     rc = replace(inst.cfg.hfl, **config_overrides)
-    sched = schedule(inst, rc.cloud_epochs * rc.tau_e)
-    return engine.run(rc, inst.shards, inst.spec, None if sched is None else sched[1],
-                      inst.cfg.mobility.edges, eval_data=inst.test,
-                      init_params_vec=init_params_vec)
+    if association is None:
+        sched = schedule(inst, rc.cloud_epochs * rc.tau_e)
+        association = None if sched is None else sched[1]
+    return engine.run(rc, inst.shards, inst.spec, association, inst.cfg.mobility.edges,
+                      eval_data=inst.test, init_params_vec=init_params_vec,
+                      train_loss=train_loss)
 
 
 # --- accuracy targets and sweep machinery ---------------------------------
@@ -127,7 +133,8 @@ def centralized_ceiling(inst):
         opt = models.solve_optimum(inst.spec, inst.union)
         return models.accuracy(inst.spec, opt.w, inst.test), opt
     rc = replace(inst.cfg.hfl, record_virtual=False, full_batch=False)
-    res = engine.run(rc, [datasets.Shard(0, inst.union)], inst.spec, eval_data=inst.test)
+    res = engine.run(rc, [datasets.Shard(0, inst.union)], inst.spec, eval_data=inst.test,
+                     train_loss=False)
     best = max(r.test_accuracy for r in res.metrics)
     return float(best), None
 
@@ -199,8 +206,9 @@ class SweepResult:
 DEFAULT_TARGET_FRACTIONS = (0.65, 0.70, 0.75)
 
 
-def _sweep_cell(inst, targets, init_params_vec):
-    res = run_instance(inst, init_params_vec=init_params_vec)
+def _sweep_cell(inst, targets, init_params_vec, association=None):
+    res = run_instance(inst, init_params_vec=init_params_vec, association=association,
+                       train_loss=False)
     accs = np.array([r.test_accuracy for r in res.metrics])
     best = float(np.max(accs[~np.isnan(accs)])) if np.any(~np.isnan(accs)) else float("nan")
     mo = inst.cfg.mobility
@@ -227,6 +235,14 @@ def sweep_speed(cfg, speeds, seeds, target_fractions=DEFAULT_TARGET_FRACTIONS,
     partition and the batch streams are shared across cells and accuracy
     differences isolate the mobility effect. Accuracy is measured on the
     test split, so a shared-input config (which has none) is a ConfigError.
+
+    Training sees [mobility] only through the association schedule, so
+    cells with equal schedules give equal results: each distinct schedule
+    trains once, on its first cell, and the others copy that cell with
+    their own speed and seed. Edge-skewed placement pins every vehicle to
+    its data's side, which makes all speed-0 cells equal; with edges = 1
+    every cell is. result.cells and on_cell still cover every cell, in
+    order, and a DivergenceError stops the sweep at the same cell.
     """
     if len(speeds) < 1 or len(seeds) < 1:
         raise ValueError("need at least one speed and one seed")
@@ -250,22 +266,45 @@ def sweep_speed(cfg, speeds, seeds, target_fractions=DEFAULT_TARGET_FRACTIONS,
         for s in seeds:
             mo = replace(cfg.mobility, speed=v, seed=s)
             cells.append(replace(base, cfg=validate(replace(cfg, mobility=mo))))
+    # one (association, first cell) per distinct schedule, in order of
+    # first appearance; group[i] is cell i's entry. The association is
+    # None for every cell when edges = 1, and None matches only itself.
+    rounds = cfg.hfl.cloud_epochs * cfg.hfl.tau_e
+    distinct, group = [], []
+    for i, inst in enumerate(cells):
+        sched = schedule(inst, rounds)
+        association = None if sched is None else sched[1]
+        g = next((g for g, (a, _) in enumerate(distinct)
+                  if a is association or np.array_equal(a, association)), len(distinct))
+        if g == len(distinct):
+            distinct.append((association, i))
+        group.append(g)
     ceiling, _ = centralized_ceiling(base)
     targets = [f * ceiling for f in target_fractions]
     result = SweepResult(speeds=speeds, seeds=seeds, targets=targets,
                          target_fractions=list(target_fractions), ceiling=ceiling)
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=min(parallel, len(cells))) as ex:
-            futs = [ex.submit(_sweep_cell, inst, targets, init_params_vec) for inst in cells]
-            for fut in futs:
-                result.cells.append(fut.result())
-                if on_cell:
-                    on_cell(result.cells[-1])
-    else:
-        for inst in cells:
-            result.cells.append(_sweep_cell(inst, targets, init_params_vec))
+
+    def emit(trained):
+        """Every cell in order, as a copy of its schedule's trained cell."""
+        for inst, g in zip(cells, group):
+            cell = trained(g)
+            result.cells.append(replace(cell, speed=inst.cfg.mobility.speed,
+                                        seed=inst.cfg.mobility.seed,
+                                        rounds_to_target=list(cell.rounds_to_target)))
             if on_cell:
                 on_cell(result.cells[-1])
+
+    if parallel > 1:
+        # imported here: the pool pulls in multiprocessing, which a serial
+        # sweep and every other command can do without
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=min(parallel, len(distinct))) as ex:
+            futs = [ex.submit(_sweep_cell, cells[i], targets, init_params_vec, association)
+                    for association, i in distinct]
+            emit(lambda g: futs[g].result())
+    else:
+        emit(functools.cache(lambda g: _sweep_cell(cells[distinct[g][1]], targets,
+                                                   init_params_vec, distinct[g][0])))
     return result
 
 
@@ -278,7 +317,7 @@ def pretrain_checkpoint(cfg, accuracy_target, max_epochs=200):
     pre.mobility.speed = 0.0
     pre.hfl.record_virtual = False
     inst = build_instance(pre)
-    res = run_instance(inst, cloud_epochs=max_epochs)
+    res = run_instance(inst, cloud_epochs=max_epochs, train_loss=False)
     # the cloud model at the end of the first cloud epoch that hits the target
     for row in res.metrics:
         if row.test_accuracy >= accuracy_target:
@@ -312,7 +351,7 @@ def verify_bounds(cfg, delta_scale=1.0):
     inst = build_instance(cfg)
     if not inst.spec.is_convex:
         raise models.UnsupportedModelError("bound verification needs a convex family")
-    res = run_instance(inst, record_virtual=True, full_batch=True)
+    res = run_instance(inst, record_virtual=True, full_batch=True, train_loss=False)
     tr = res.trace
 
     opt = models.solve_optimum(inst.spec, inst.union)

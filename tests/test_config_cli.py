@@ -389,8 +389,7 @@ class TestStrictJson:
         path = write_cfg(tmp_path, BOUNDS.replace("cloud_epochs = 3", "cloud_epochs = 1"))
         assert cli.main(["sweep-speed", "--config", path, "--speeds", "0", "--seeds", "1"]) == 2
         assert "needs a test split" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "sweep.csv").exists()
-        assert not (tmp_path / "out" / "sweep_manifest.json").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_degenerate_gap_report(self, tmp_path, monkeypatch):
         # the start (the origin) posing as the optimum makes phi infinite
@@ -486,6 +485,9 @@ class TestSchedule:
 SWEEP = (MINI.replace("vehicles = 1", "vehicles = 8").replace("edges = 1", "edges = 4")
          .replace("batch_size = 20", "batch_size = 20\nrecord_virtual = true"))
 
+# the same fleet with each class on one edge's vehicles
+SWEEP_NONIID = SWEEP.replace("regime = iid", "regime = edge_noniid\nclasses_per_unit = 1")
+
 
 class TestCmdSweep:
     def test_degenerate_single_cell_matches_run(self, tmp_path):
@@ -541,6 +543,7 @@ class TestCmdSweep:
         assert cli.main(["sweep-speed", "--config", path, "--speeds", "0",
                          "--seeds", "3", "--parallel", parallel]) == 2
         assert f"--parallel must be >= 1, got {parallel}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_pool_capped_at_cell_count(self, tmp_path, monkeypatch):
         # a fake pool records its size and runs the cells inline, so a large
@@ -562,7 +565,7 @@ class TestCmdSweep:
                 fut.set_result(fn(*args))
                 return fut
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         path = write_cfg(tmp_path, SWEEP)
         for n in ("1000", "3"):
             assert cli.main(["sweep-speed", "--config", path, "--speeds", "0,30",
@@ -570,11 +573,47 @@ class TestCmdSweep:
                              "--out", str(tmp_path / n)]) == 0
         assert sizes == [4, 3]  # 4 cells
 
+    @pytest.mark.parametrize("text, trained", [
+        # edge-skewed placement pins the vehicles: both speed-0 cells are one run
+        (SWEEP_NONIID, 3),
+        # one edge: every cell has the same (empty) schedule
+        (MINI.replace("vehicles = 1", "vehicles = 8"), 1),
+        # iid placement draws every seed's start: four distinct schedules
+        (SWEEP, 4)], ids=["edge_noniid", "one_edge", "iid"])
+    def test_each_distinct_schedule_trains_once(self, tmp_path, monkeypatch, text, trained):
+        real, calls = engine.run, []
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[1]))  # the fleet size; the ceiling's is 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "run", counted)
+        # mlp1, whose ceiling is a centralized run; divergences need a convex family
+        mlp = (text.replace("family = multinomial_logistic", "family = mlp1\nhidden_width = 6")
+               .replace("record_virtual = true", "record_virtual = false"))
+        res = experiments.sweep_speed(config.load_config(write_cfg(tmp_path, mlp)),
+                                      speeds=[0.0, 30.0], seeds=[1, 2])
+        assert [(c.speed, c.seed) for c in res.cells] == [(0.0, 1), (0.0, 2), (30.0, 1), (30.0, 2)]
+        assert calls.count(1) == 1 and len(calls) == trained + 1
+
+    def test_lazy_pool_import(self):
+        # only a parallel sweep needs the process pool and what it imports
+        code = ("import sys, hflsim.cli; "
+                "print([m for m in ('multiprocessing', 'concurrent.futures.process') "
+                "if m in sys.modules])")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_non_finite_speed_rejected(self, tmp_path, capsys):
         path = write_cfg(tmp_path, MINI.replace("edges = 1", "edges = 4"))
         assert cli.main(["sweep-speed", "--config", path, "--speeds", "0,nan",
                          "--seeds", "1"]) == 2
         assert "[mobility] speed must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_repeated_speed_or_seed_rejected(self, tmp_path, capsys):
         # 0 and 0.0 are one speed: the sweep would run 6 cells for 2
@@ -584,7 +623,7 @@ class TestCmdSweep:
         err = capsys.readouterr().err
         assert "--speeds lists 0.0 more than once" in err
         assert "--seeds lists 1 more than once" in err
-        assert not (tmp_path / "out" / "sweep.csv").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_manifest_written(self, tmp_path):
         text = MINI.replace("vehicles = 1", "vehicles = 8")

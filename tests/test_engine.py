@@ -640,6 +640,38 @@ class TestRun:
         assert len(a.metrics) == cfg.cloud_epochs * cfg.tau_e
         assert a.metrics_csv_rows() == b.metrics_csv_rows()
 
+    @pytest.mark.parametrize("record", [False, True])
+    def test_train_loss_off_changes_nothing_else(self, record):
+        # skipping the full-union loss leaves every other output bit alone
+        shards = make_shards(6)
+        test = datasets.generate_synthetic(3, 6, 20, 3.0, seed=9)
+        net = mobility.RoadNetwork(side_length=200.0, intersection_zone=10.0)
+        veh = mobility.init_positions(net, 6, speed=60.0, seed=4)
+        cfg = HflConfig(eta=0.1, tau_l=3, tau_e=2, cloud_epochs=3, batch_size=16, seed=6,
+                        record_virtual=record)
+        _, assoc = mobility.schedule(net, veh, cfg.cloud_epochs * cfg.tau_e, p_turn=0.3, seed=4)
+        on = run(cfg, shards, logistic_spec(), assoc, net.edge_count, eval_data=test)
+        off = run(cfg, shards, logistic_spec(), assoc, net.edge_count, eval_data=test,
+                  train_loss=False)
+        assert all(np.isfinite(r.train_loss) for r in on.metrics)
+        assert all(np.isnan(r.train_loss) for r in off.metrics)
+        column = engine.METRICS_HEADER.index("train_loss")
+
+        def other_fields(res):
+            return [[f for i, f in enumerate(r.csv_fields()) if i != column] for r in res.metrics]
+
+        assert other_fields(on) == other_fields(off)
+        for name in ("tau", "vehicle_params", "edge_params", "cloud_params"):
+            assert (np.asarray(getattr(on.final_state, name)).tobytes()
+                    == np.asarray(getattr(off.final_state, name)).tobytes()), name
+        assert on.cloud_history.tobytes() == off.cloud_history.tobytes()
+        assert on.cloud_consistency == off.cloud_consistency
+        assert (on.trace is None) == (off.trace is None) == (not record)
+        if record:
+            for name, value in vars(on.trace).items():
+                assert (np.asarray(value).tobytes()
+                        == np.asarray(getattr(off.trace, name)).tobytes()), name
+
     def test_init_params_override(self):
         shards = make_shards(2)
         spec = logistic_spec()

@@ -1,9 +1,14 @@
 """Properties of whole runs over small random configurations."""
 
+import copy
+import csv
+import json
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from hflsim import config, datasets, engine, experiments, models
+from hflsim import cli, config, datasets, engine, experiments, models
 
 
 @st.composite
@@ -67,3 +72,102 @@ class TestWholeRun:
             assert np.max(np.abs(res.trace.u_cloud - res.cloud_history)) <= 1e-12 * scale
         else:
             assert res.trace is None
+
+
+def reference_sweep(cfg, speeds, seeds):
+    """The sweep as a per-cell loop: a fresh instance and a training run
+    for every (speed, seed), against the ceiling of a fresh instance."""
+    ceiling, _ = experiments.centralized_ceiling(experiments.build_instance(cfg))
+    fractions = list(experiments.DEFAULT_TARGET_FRACTIONS)
+    ref = experiments.SweepResult(speeds=speeds, seeds=seeds, ceiling=ceiling,
+                                  targets=[f * ceiling for f in fractions],
+                                  target_fractions=fractions)
+    for v in speeds:
+        for s in seeds:
+            one = copy.deepcopy(cfg)
+            one.mobility.speed, one.mobility.seed = v, s
+            ref.cells.append(experiments._sweep_cell(experiments.build_instance(one),
+                                                     ref.targets, None))
+    return ref
+
+
+@st.composite
+def small_sweeps(draw):
+    cfg = config.ExperimentConfig()
+    d, pt, mo, h, md = cfg.dataset, cfg.partition, cfg.mobility, cfg.hfl, cfg.model
+    d.classes, d.dim, d.samples_per_class = 4, 4, 15
+    d.seed = draw(st.integers(0, 50))
+    mo.edges = draw(st.sampled_from([1, 4]))
+    pt.regime = draw(st.sampled_from([datasets.IID] + [datasets.EDGE_NONIID] * (mo.edges == 4)))
+    pt.classes_per_unit = 2
+    pt.vehicles = draw(st.sampled_from([4, 8]))
+    pt.seed = draw(st.integers(0, 50))
+    mo.side_length, mo.intersection_zone = 200.0, 10.0
+    mo.p_turn = draw(st.sampled_from([0.0, 0.5]))
+    h.eta = 0.05
+    h.tau_l, h.tau_e, h.cloud_epochs = (draw(st.integers(1, 3)) for _ in range(3))
+    h.batch_size = draw(st.integers(1, 8))
+    h.seed = draw(st.integers(0, 50))
+    md.family = draw(st.sampled_from(models.FAMILIES))
+    md.l2_reg = 0.05  # a well-conditioned optimum keeps the convex ceilings quick
+    if md.family == models.MLP1:
+        md.hidden_width = 3
+    else:  # the divergence columns need a convex family
+        h.record_virtual = draw(st.booleans())
+    speeds = draw(st.lists(st.sampled_from([0.0, 2.0, 30.0]), min_size=1, max_size=3,
+                           unique=True))
+    seeds = draw(st.lists(st.integers(0, 50), min_size=1, max_size=3, unique=True))
+    return config.validate(cfg), speeds, seeds, draw(st.sampled_from([1, 2]))
+
+
+class TestSweepDeduplication:
+    """A sweep trains each distinct association schedule once; its cells
+    must be those of training every cell on its own."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(sweep=small_sweeps())
+    def test_random_sweeps_equal_per_cell_loop(self, sweep):
+        cfg, speeds, seeds, parallel = sweep
+        res = experiments.sweep_speed(cfg, speeds, seeds, parallel=parallel)
+        ref = reference_sweep(cfg, speeds, seeds)
+        assert (res.ceiling, res.targets) == (ref.ceiling, ref.targets)
+        assert res.csv_rows() == ref.csv_rows()
+        assert res.summary_rows() == ref.summary_rows()
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_files_equal_per_cell_loop(self, tmp_path, parallel):
+        # edge-skewed placement: the two speed-0 cells share one schedule
+        cfg = config.ExperimentConfig()
+        cfg.dataset.classes, cfg.dataset.dim, cfg.dataset.samples_per_class = 4, 8, 50
+        cfg.partition.regime, cfg.partition.classes_per_unit = datasets.EDGE_NONIID, 1
+        cfg.partition.vehicles = 8
+        cfg.mobility.side_length, cfg.mobility.intersection_zone = 200.0, 10.0
+        cfg.hfl.tau_l, cfg.hfl.tau_e, cfg.hfl.cloud_epochs = 3, 5, 2
+        cfg.hfl.record_virtual = True
+        cfg.output.directory = str(tmp_path / "out")
+        cfg = config.validate(cfg)
+        speeds, seeds = [0.0, 30.0], [1, 2]
+        ref = reference_sweep(cfg, speeds, seeds)
+
+        reported = []
+        res = experiments.sweep_speed(cfg, speeds, seeds, parallel=parallel,
+                                      on_cell=reported.append)
+        assert res.cells == reported == ref.cells
+        assert res.csv_rows() == ref.csv_rows()
+        assert res.summary_rows() == ref.summary_rows()
+
+        path = tmp_path / "exp.cfg"
+        path.write_text(config.serialize_config(cfg))
+        assert cli.main(["sweep-speed", "--config", str(path), "--speeds", "0,30",
+                         "--seeds", "1,2", "--parallel", str(parallel)]) == 0
+        out = tmp_path / "out"
+        for name, rows in (("sweep.csv", ref.csv_rows()),
+                           ("sweep_summary.csv", ref.summary_rows())):
+            with open(out / name, newline="") as f:
+                assert list(csv.reader(f)) == rows
+        done = [{"speed": c.speed, "seed": c.seed, "max_test_accuracy": c.max_test_accuracy}
+                for c in ref.cells]
+        assert json.loads((out / "sweep_manifest.json").read_text()) == json.loads(
+            experiments.to_json({"ceiling": ref.ceiling, "targets": ref.targets,
+                                 "target_fractions": ref.target_fractions,
+                                 "completed": done}))
