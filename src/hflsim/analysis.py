@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import membership_weights
-from .models import UnsupportedModelError, gradient_probes, loss, row_norms
+from .models import (UnsupportedModelError, gradient_probes, loss, quadratic_targets,
+                     row_norms)
 
 DEFAULT_SLACK = 1e-9
 
@@ -77,11 +78,12 @@ def estimate_divergences(spec, shards, association_history, probes, tau_l=1):
     A, theta = A_rows[inv], theta_rows[inv]
     occupied = theta > 0
     B = A_rows.reshape(-1, M)  # one row per (distinct row, edge)
-    groups = []  # (shard ids, stacked features, stacked labels) per shard size
+    groups = []  # (shard ids, stacked features, labels, targets) per shard size
     for n in np.unique(sizes):
         ids = np.flatnonzero(sizes == n)
-        groups.append((ids, np.stack([shards[m].data.features for m in ids]),
-                       np.stack([shards[m].data.labels for m in ids])))
+        y = np.stack([shards[m].data.labels for m in ids])
+        groups.append((ids, np.stack([shards[m].data.features for m in ids]), y,
+                       quadratic_targets(spec, y)))
     P = probes.shape[1]
     # a probe's largest arrays: its tiled shard features (plus gradient
     # intermediates of the same row count), or its edge gradients
@@ -91,20 +93,25 @@ def estimate_divergences(spec, shards, association_history, probes, tau_l=1):
     # mapped and unmapped each time, at the cost of a page fault per page
     ge_out = np.empty((chunk, B.shape[0], P))
 
-    delta_m = np.zeros(M)
-    Delta_u = np.zeros(B.shape[0])
+    # running maxima of the squared norms. np.linalg.norm(x, axis=2) is
+    # sqrt(add.reduce(x * x, axis=2)), and sqrt is correctly rounded and
+    # monotone, so one sqrt after the loop gives the same maxima
+    delta_sq = np.zeros(M)
+    Delta_sq = np.zeros(B.shape[0])
     grad_norm = np.empty(probes.shape[0])
     for i in range(0, probes.shape[0], chunk):
         w = probes[i:i + chunk]
         G = np.empty((w.shape[0], M, P))
-        for ids, X, y in groups:
-            G[:, ids] = gradient_probes(spec, w, X, y)
+        for ids, X, y, T in groups:
+            G[:, ids] = gradient_probes(spec, w, X, y, targets=T)
         gF = alpha @ G  # (q, P)
         grad_norm[i:i + chunk] = row_norms(gF)
-        delta_m = np.maximum(delta_m, np.linalg.norm(G - gF[:, None], axis=2).max(axis=0))
         ge = np.matmul(B, G, out=ge_out[:w.shape[0]])
-        np.subtract(ge, gF[:, None], out=ge)
-        Delta_u = np.maximum(Delta_u, np.linalg.norm(ge, axis=2).max(axis=0))
+        for D, sq in ((G, delta_sq), (ge, Delta_sq)):
+            D -= gF[:, None]
+            D *= D
+            np.maximum(sq, D.sum(axis=2).max(axis=0), out=sq)
+    delta_m, Delta_u = np.sqrt(delta_sq), np.sqrt(Delta_sq)
     Delta_n = np.where(occupied, Delta_u.reshape(-1, N)[inv], np.nan)
     delta_n = np.where(occupied, A @ delta_m, np.nan)
     Delta = np.nansum(np.where(occupied, theta * Delta_n, 0.0), axis=1)

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import rng
 from .datasets import union_of_shards
-from .models import (accuracy, gradient_fleet, gradient_xy, init_params, loss,
-                     param_length, row_norms, write_param_vector, read_param_vector)
+from .models import (accuracy, gradient_fleet, init_params, loss, param_length,
+                     quadratic_targets, row_norms, write_param_vector, read_param_vector)
 
 CHECKPOINT_MAGIC = b"HFLCKPT1"
 
@@ -80,6 +80,10 @@ class BatchSampler:
     are drawn ahead into one buffer of about BATCH_CHUNK_BYTES, a chunk of
     steps at a time, each vehicle's passes with one Generator.permuted call
     (the same draws as one permutation call per pass).
+
+    next_inputs serves the batches' features, labels and targets. A
+    whole-shard group's are the same at every step, so they are built once
+    for the data and model they are asked for.
     """
 
     def __init__(self, shard_sizes, batch_size, seed, full_batch=False):
@@ -90,6 +94,7 @@ class BatchSampler:
         shuffled = np.zeros(sizes.size, bool) if full_batch else sizes > batch_size
         self.groups = []   # vehicle ids of each group, ascending
         self._fixed = []   # each whole-shard group's constant (G, n_m) indices
+        self._fixed_inputs = (None, None, [])  # (data, spec, inputs per whole-shard group)
         for n in np.unique(sizes[~shuffled]):
             ids = np.flatnonzero(~shuffled & (sizes == n))
             self.groups.append(ids)
@@ -132,19 +137,51 @@ class BatchSampler:
             self._step += 1
         return batches
 
+    def _gather(self, spec, data, ids, idx):
+        """Features, labels and quadratic targets of batches idx (G, b) of
+        vehicles ids, from data, the shards stacked in id order."""
+        rows = self.offset[ids, None] + idx
+        X, y = data.features.take(rows, axis=0), data.labels[rows]
+        return X, y, quadratic_targets(spec, y)
+
+    def next_inputs(self, spec, data):
+        """Advance every vehicle one step; returns (features (G, b, d),
+        labels (G, b), targets) per group, aligned with self.groups, for
+        data, the shards stacked in id order; targets is
+        models.quadratic_targets of the labels. A whole-shard group whose
+        ids form a run reads a view of data, any other group a gather."""
+        batches = self.next_batches()
+        cached_data, cached_spec, inputs = self._fixed_inputs
+        if cached_data is not data or cached_spec != spec:
+            inputs = []
+            for ids, idx in zip(self.groups, self._fixed):
+                if ids[-1] - ids[0] + 1 == ids.size:
+                    # whole shards of one size, back to back in data
+                    start = self.offset[ids[0]]
+                    rows = slice(start, start + idx.size)
+                    X = np.ascontiguousarray(data.features[rows].reshape(idx.shape + (-1,)))
+                    y = data.labels[rows].reshape(idx.shape)
+                    inputs.append((X, y, quadratic_targets(spec, y)))
+                else:
+                    inputs.append(self._gather(spec, data, ids, idx))
+            self._fixed_inputs = (data, spec, inputs)
+        inputs = list(inputs)
+        if self._gens:
+            inputs.append(self._gather(spec, data, self.groups[-1], batches[-1]))
+        return inputs
+
 
 def fleet_step(spec, W, data, sampler, eta, iteration):
     """One local SGD step of every vehicle, in place. data holds the shards
-    stacked in id order; each sampler group is one gather and one
-    gradient_fleet call. A group whose ids form a run (the whole fleet,
-    when every shard shuffles) updates a slice of W, with no gather and
-    scatter of its rows. A non-finite result names the lowest-id vehicle."""
-    for ids, idx in zip(sampler.groups, sampler.next_batches()):
-        rows = sampler.offset[ids, None] + idx
+    stacked in id order; each sampler group is one gradient_fleet call on
+    the inputs sampler.next_inputs serves. A group whose ids form a run
+    (the whole fleet, when every shard shuffles) updates a slice of W,
+    with no gather and scatter of its rows. A non-finite result names the
+    lowest-id vehicle."""
+    for ids, (X, y, T) in zip(sampler.groups, sampler.next_inputs(spec, data)):
         if ids[-1] - ids[0] + 1 == ids.size:
             ids = slice(ids[0], ids[-1] + 1)
-        W[ids] -= eta * gradient_fleet(spec, W[ids], data.features.take(rows, axis=0),
-                                       data.labels[rows])
+        W[ids] -= eta * gradient_fleet(spec, W[ids], X, y, targets=T)
     finite = np.isfinite(W)
     if not finite.all():
         m = int(np.flatnonzero(~finite.all(axis=1))[0])
@@ -313,14 +350,21 @@ def run(config, shards, spec, association=None, edge_count=1, *,
                            full_batch=config.full_batch)
     fleet = union_of_shards(shards)
 
-    # weights of the association in force; refreshed at every round boundary
+    # weights of the association in force, and B, the weights of u (row 0)
+    # and of every edge's average; refreshed at every round boundary
     A, theta = membership_weights(association[0], sizes, edge_count)
     occupied = np.flatnonzero(theta)
+    B = np.vstack([alpha, A])
 
     record = config.record_virtual
     if record:
-        uX, uy = fleet.features, fleet.labels
+        # the centralized descent runs on the whole union as one fleet row
+        uX, uy = fleet.features[None], fleet.labels[None]
+        uT = quadratic_targets(spec, uy)
         v = w0.copy()
+        # W after each step of a round but the last, vehicle-major, so that
+        # the round's snapshots are measured together at its end
+        snaps = np.empty((M, tau_l - 1, P))
         trace = VirtualTrace(
             eta=config.eta, tau_l=tau_l, tau_e=tau_e, cloud_epochs=K,
             alpha=alpha.copy(), shard_sizes=sizes.copy(),
@@ -340,34 +384,35 @@ def run(config, shards, spec, association=None, edge_count=1, *,
     else:
         trace = None
 
-    def averages():
-        """u (row 0), then every edge's average (an empty edge's is unused)."""
-        return fleet_averages(np.vstack([alpha, A]), W)
+    def measure(Ws, ref=None):
+        """S snapshots of the fleet, Ws (M, S, P), against ref (S, P) (None:
+        against u itself): u (S, P), ||u - ref|| (S,), each ||W[m] - ref||
+        (M, S), every edge's average (N, S, P), and each edge average's
+        distance to ref (N, S; nan for empty edges). The averages of all
+        snapshots are one fleet_averages over their concatenated rows, and
+        the distances one row_norms; both keep every row's bits."""
+        S = Ws.shape[1]
+        avgs = fleet_averages(B, Ws.reshape(M, S * P)).reshape(-1, S, P)
+        diff = np.concatenate([Ws, avgs])
+        diff -= avgs[0] if ref is None else ref
+        dist = row_norms(diff.reshape(-1, P)).reshape(-1, S)
+        edge = np.where(theta[:, None] > 0, dist[M + 1:], np.nan)
+        return avgs[0], dist[M], dist[:M], avgs[1:], edge
 
-    def measure(ref=None):
-        """The fleet against ref (None: against u itself): u, ||u - ref||,
-        each ||W[m] - ref||, every edge's average, and each edge average's
-        distance to ref (nan for empty edges)."""
-        avgs = averages()
-        u = avgs[0]
-        ref = u if ref is None else ref
-        dist = row_norms(np.vstack([W, avgs]) - ref)
-        edge = np.where(theta > 0, dist[M + 1:], np.nan)
-        return u, dist[M], dist[:M], avgs[1:], edge
-
-    def store(tau, look, pre, post):
-        """Store a measurement as the pre-aggregation fields (against
-        vtilde), the post-aggregation fields (against v), or both."""
+    def store(taus, look, pre, post):
+        """Store a measurement of the iterations taus (a slice) as the
+        pre-aggregation fields (against vtilde), the post-aggregation
+        fields (against v), or both."""
         _, gap, vehicle, _, edge = look
         if pre:
-            trace.gap_u_vtilde[tau] = gap
-            trace.vehicle_gap[:, tau] = vehicle
-            trace.edge_gap[:, tau] = edge
+            trace.gap_u_vtilde[taus] = gap
+            trace.vehicle_gap[:, taus] = vehicle
+            trace.edge_gap[:, taus] = edge
         if post:
-            trace.gap_u_v[tau] = gap
+            trace.gap_u_v[taus] = gap
             # cumsum adds strictly in id order, like a running loop from zero
-            trace.s_vehicle[tau] = np.cumsum(alpha * vehicle)[-1]
-            trace.s_edge[tau] = np.cumsum(theta[occupied] * edge[occupied])[-1]
+            trace.s_vehicle[taus] = np.cumsum(alpha[:, None] * vehicle, axis=0)[-1]
+            trace.s_edge[taus] = np.cumsum(theta[occupied, None] * edge[occupied], axis=0)[-1]
 
     metrics = []
     cloud_consistency = []
@@ -377,24 +422,30 @@ def run(config, shards, spec, association=None, edge_count=1, *,
             tau += 1
             fleet_step(spec, W, fleet, sampler, config.eta, tau)
             if record:
-                vtilde = v - config.eta * gradient_xy(spec, v, uX, uy)
+                vtilde = v - config.eta * gradient_fleet(spec, v[None], uX, uy, targets=uT)[0]
                 trace.vtilde[tau] = vtilde
                 if s < tau_l:
-                    # no aggregation: W is unchanged and v = vtilde, so one
-                    # measurement serves as both the pre and the post fields
                     v = vtilde
-                    store(tau, measure(v), pre=True, post=True)
+                    snaps[:, s - 1] = W
+        if record and tau_l > 1:
+            # no aggregation inside a round: W is unchanged and v = vtilde, so
+            # one measurement of each snapshot, under the association it
+            # trained with, serves as both the pre and the post fields
+            taus = slice(tau - tau_l + 1, tau)
+            store(taus, measure(snaps, trace.vtilde[taus]), pre=True, post=True)
         # round boundary: the new association takes effect, then aggregation
         edge_of = association[j]
         A, theta = membership_weights(edge_of, sizes, edge_count)
         occupied = np.flatnonzero(theta)
+        B = np.vstack([alpha, A])
         is_cloud = (j % tau_e == 0)
         if record:
-            look = measure(vtilde)
-            store(tau, look, pre=True, post=False)
-            u_pre, _, _, avgs, _ = look
+            here = slice(tau, tau + 1)
+            look = measure(W[:, None], vtilde)
+            store(here, look, pre=True, post=False)
+            u_pre, avgs = look[0][0], look[3][:, 0]
         else:
-            avgs = averages()
+            avgs = fleet_averages(B, W)
             u_pre, avgs = avgs[0], avgs[1:]
 
         edge_params[occupied] = avgs[occupied]
@@ -411,9 +462,9 @@ def run(config, shards, spec, association=None, edge_count=1, *,
 
         if record:
             # at a cloud instant v synchronizes exactly to u
-            look = measure(None if is_cloud else vtilde)
-            store(tau, look, pre=False, post=True)
-            u_metric = look[0]
+            look = measure(W[:, None], None if is_cloud else vtilde)
+            store(here, look, pre=False, post=True)
+            u_metric = look[0][0]
             v = u_metric if is_cloud else vtilde
             if is_cloud:
                 trace.u_cloud[k] = u_metric

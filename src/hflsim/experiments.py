@@ -260,6 +260,10 @@ def sweep_speed(cfg, speeds, seeds, target_fractions=DEFAULT_TARGET_FRACTIONS,
     if problems:
         raise ConfigError(problems)
     base = build_instance(cfg)
+    if cfg.hfl.record_virtual and not base.spec.is_convex:
+        # each recorded cell estimates divergence constants after training
+        raise ConfigError([f"[hfl] record_virtual = true needs a convex [model] family "
+                           f"for the divergence constants, got {base.spec.family}"])
     # every cell is validated before the ceiling or any cell runs
     cells = []
     for v in speeds:

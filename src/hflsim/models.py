@@ -82,11 +82,27 @@ def _check_dims(spec, w, X):
         raise ValueError(f"feature dim {X.shape[1]} != spec dim {spec.dim}")
 
 
-def _targets(spec, y):
+def _label_index(y, c):
+    """Flat index of entry [..., b, y[..., b]] of a C-contiguous array of
+    shape y.shape + (c,): one index, where fancy indexing over every axis
+    would build one index array per axis."""
+    label = np.arange(0, y.size * c, c).reshape(y.shape)
+    label += y
+    return label
+
+
+def quadratic_targets(spec, y):
+    """What the quadratic family regresses on for labels y (any leading
+    axes): one-hot rows, or the raw labels as a column when
+    class_count == 1. None for the cross-entropy families, which index
+    the labels directly. gradient_fleet and gradient_probes take it as
+    targets, so a caller whose labels do not change builds it once."""
+    if spec.family != QUADRATIC:
+        return None
     if spec.class_count == 1:
-        return y.astype(np.float64)[:, None]
-    T = np.zeros((y.size, spec.class_count))
-    T[np.arange(y.size), y] = 1.0
+        return y.astype(np.float64)[..., None]
+    T = np.zeros(y.shape + (spec.class_count,))
+    T.reshape(-1)[_label_index(y, spec.class_count)] = 1.0
     return T
 
 
@@ -165,7 +181,7 @@ def loss_xy(spec, w, X, y):
     n = X.shape[0]
     reg = 0.5 * spec.l2_reg * float(w @ w)
     if spec.family == QUADRATIC:
-        R = X @ w.reshape(spec.dim, -1) - _targets(spec, y)
+        R = X @ w.reshape(spec.dim, -1) - quadratic_targets(spec, y)
         return 0.5 * float((R * R).sum()) / n + reg
     logits = _logits(spec, w, X)
     zmax = _class_max(logits)
@@ -177,7 +193,7 @@ def gradient_xy(spec, w, X, y):
     _check_dims(spec, w, X)
     n = X.shape[0]
     if spec.family == QUADRATIC:
-        R = X @ w.reshape(spec.dim, -1) - _targets(spec, y)
+        R = X @ w.reshape(spec.dim, -1) - quadratic_targets(spec, y)
         return (X.T @ R).ravel() / n + spec.l2_reg * w
     if spec.family == MULTINOMIAL_LOGISTIC:
         S = _softmax(X @ w.reshape(spec.dim, spec.class_count))
@@ -197,8 +213,9 @@ def gradient_xy(spec, w, X, y):
     return g + spec.l2_reg * w
 
 
-def gradient_fleet(spec, W, X, y):
+def gradient_fleet(spec, W, X, y, *, targets=None):
     """gradient_xy for a whole fleet: W (M, P), X (M, B, d), y (M, B).
+    targets is quadratic_targets(spec, y), built here when not given.
 
     Row m is bitwise gradient_xy(spec, W[m], X[m], y[m]): the same
     operations in the same order on stacked arrays, with batched matmul
@@ -212,16 +229,11 @@ def gradient_fleet(spec, W, X, y):
                          f"do not match P={param_length(spec)}, d={spec.dim}")
     Xt = np.swapaxes(X, 1, 2)
     if spec.family == QUADRATIC:
-        if spec.class_count == 1:
-            T = y.astype(np.float64)[..., None]
-        else:
-            T = np.zeros((M, n, spec.class_count))
-            T[np.arange(M)[:, None], np.arange(n), y] = 1.0
+        T = quadratic_targets(spec, y) if targets is None else targets
         R = X @ W.reshape(M, spec.dim, -1) - T
         return (Xt @ R).reshape(M, -1) / n + spec.l2_reg * W
-    # entry [m, b, y[m, b]] of the contiguous (M, B, c) scores, by one flat index
-    label = np.arange(0, y.size * spec.class_count, spec.class_count).reshape(y.shape)
-    label += y
+    # entry [m, b, y[m, b]] of the contiguous (M, B, c) scores
+    label = _label_index(y, spec.class_count)
     if spec.family == MULTINOMIAL_LOGISTIC:
         S = _softmax(X @ W.reshape(M, spec.dim, spec.class_count))
         S.reshape(-1)[label] -= 1.0
@@ -248,9 +260,10 @@ def gradient_fleet(spec, W, X, y):
     return g
 
 
-def gradient_probes(spec, W, X, y):
+def gradient_probes(spec, W, X, y, *, targets=None):
     """Full-batch gradients of G equal-size datasets at Q probe points:
-    W (Q, P), X (G, n, d), y (G, n) -> (Q, G, P).
+    W (Q, P), X (G, n, d), y (G, n) -> (Q, G, P); targets is
+    quadratic_targets(spec, y), built per call when not given.
 
     Entry [q, g] is bitwise gradient_xy(spec, W[q], X[g], y[g]): one
     gradient_fleet call over the Q*G (probe, dataset) pairs, the probe
@@ -258,11 +271,16 @@ def gradient_probes(spec, W, X, y):
     probe needs no copy).
     """
     Q, G = W.shape[0], X.shape[0]
-    if G == 1:
-        X, y = np.broadcast_to(X, (Q,) + X.shape[1:]), np.broadcast_to(y, (Q,) + y.shape[1:])
-    elif Q > 1:
-        X, y = np.tile(X, (Q, 1, 1)), np.tile(y, (Q, 1))
-    return gradient_fleet(spec, np.repeat(W, G, axis=0), X, y).reshape(Q, G, -1)
+
+    def tiled(a):
+        if a is None:
+            return None
+        if G == 1:
+            return np.broadcast_to(a, (Q,) + a.shape[1:])
+        return np.tile(a, (Q,) + (1,) * (a.ndim - 1)) if Q > 1 else a
+
+    return gradient_fleet(spec, np.repeat(W, G, axis=0), tiled(X), tiled(y),
+                          targets=tiled(targets)).reshape(Q, G, -1)
 
 
 def row_norms(D):
@@ -356,7 +374,7 @@ def solve_optimum(spec, data, grad_tol=1e-8, max_iter=2_000_000):
     X, y = data.features, data.labels
     n = X.shape[0]
     if spec.family == QUADRATIC:
-        T = _targets(spec, y)
+        T = quadratic_targets(spec, y)
         A = (X.T @ X) / n + spec.l2_reg * np.eye(spec.dim)
         B = (X.T @ T) / n
         fallback = False

@@ -332,9 +332,9 @@ class TestDivergencesMatchProbeLoop:
         sizes = []
         real = analysis.gradient_probes
 
-        def spy(spec, W, X, y):
+        def spy(spec, W, X, y, *, targets=None):
             sizes.append(W.shape[0])
-            return real(spec, W, X, y)
+            return real(spec, W, X, y, targets=targets)
 
         monkeypatch.setattr(analysis, "gradient_probes", spy)
         return sizes

@@ -608,6 +608,19 @@ class TestCmdSweep:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_recorded_non_convex_rejected_before_training(self, tmp_path, capsys, monkeypatch):
+        # the divergence constants of a recorded cell need a convex family
+        calls = []
+        monkeypatch.setattr(engine, "run", lambda *a, **k: calls.append(a))
+        text = SWEEP.replace("family = multinomial_logistic", "family = mlp1\nhidden_width = 6")
+        path = write_cfg(tmp_path, text)
+        assert cli.main(["sweep-speed", "--config", path, "--speeds", "0,30",
+                         "--seeds", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "[hfl] record_virtual" in err and "[model] family" in err and "mlp1" in err
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
     def test_non_finite_speed_rejected(self, tmp_path, capsys):
         path = write_cfg(tmp_path, MINI.replace("edges = 1", "edges = 4"))
         assert cli.main(["sweep-speed", "--config", path, "--speeds", "0,nan",
@@ -745,6 +758,33 @@ class TestSpeedLimit:
         with open(tmp_path / "out" / "metrics.csv") as f:
             counts = [r[-1] for r in csv.reader(f)][1:]
         assert len(set(counts)) > 1  # the vehicles really change edges
+
+
+class TestFaultPaths:
+    """The rare exits report what happened and leave no partial file."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_in_a_worker_reads_as_in_process(self, tmp_path, capsys):
+        text = SWEEP.replace("multinomial_logistic", "quadratic").replace("eta = 0.1", "eta = 1e3")
+        path = write_cfg(tmp_path, text)
+        errs = []
+        for n in ("1", "2"):
+            assert cli.main(["sweep-speed", "--config", path, "--speeds", "0,30",
+                             "--seeds", "1", "--parallel", n,
+                             "--out", str(tmp_path / n)]) == 3
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert errs[0].startswith("divergence: non-finite parameters at vehicle ")
+        assert not (tmp_path / "1" / "sweep.csv").exists()
+
+    def test_failed_rename_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        def refuse(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        assert cli.main(["run", "--config", write_cfg(tmp_path, MINI)]) == 4
+        assert "i/o error: [Errno 28] No space left on device" in capsys.readouterr().err
+        assert os.listdir(tmp_path / "out") == []
 
 
 class TestExitCodes:

@@ -396,6 +396,96 @@ class TestRecordingMatchesPerRowLoop:
         assert np.isnan(tr.edge_gap[3, 1:]).all()
 
 
+    @pytest.mark.parametrize("tau_l", [1, 2])
+    def test_short_rounds(self, tau_l):
+        # tau_l = 1 records no in-round snapshot; tau_l = 2 records one per round
+        shards, _ = datasets.shared_input_shards(8, 4, 1, 4, 20, 6, seed=5)
+        spec = models.ModelSpec(models.QUADRATIC, dim=6, class_count=4, l2_reg=0.05)
+        cfg = HflConfig(eta=0.05, tau_l=tau_l, tau_e=3, cloud_epochs=2, seed=1,
+                        record_virtual=True, full_batch=True)
+        assoc = np.random.default_rng(tau_l).integers(0, 3, size=(7, 8))
+        self.check(cfg, shards, spec, assoc, 4)
+
+    def test_recorded_mlp1_minibatch(self):
+        shards = unequal_shards([23, 40, 31])
+        spec = models.ModelSpec(models.MLP1, dim=6, class_count=3, l2_reg=0.01, hidden_width=5)
+        net = mobility.RoadNetwork(side_length=200.0, intersection_zone=10.0)
+        veh = mobility.init_positions(net, 3, speed=60.0, seed=2)
+        cfg = HflConfig(eta=0.1, tau_l=4, tau_e=2, cloud_epochs=3, batch_size=16,
+                        seed=3, record_virtual=True)
+        _, assoc = mobility.schedule(net, veh, cfg.cloud_epochs * cfg.tau_e, p_turn=0.3, seed=2)
+        self.check(cfg, shards, spec, assoc, net.edge_count)
+
+    @pytest.mark.parametrize("spec", [
+        models.ModelSpec(models.QUADRATIC, dim=6, class_count=1, l2_reg=0.05),
+        logistic_spec()], ids=["scalar_regression", "logistic"])
+    def test_single_edge(self, spec):
+        # the static mode: every vehicle on edge 0, which is never empty
+        shards = unequal_shards([12, 20, 9, 19])
+        cfg = HflConfig(eta=0.05, tau_l=3, tau_e=2, cloud_epochs=2, batch_size=10, seed=2,
+                        record_virtual=True)
+        tr = run(cfg, shards, spec).trace
+        want = reference_record(cfg, shards, spec, np.zeros((5, 4), dtype=np.int64), 1)
+        for name, value in want.items():
+            assert getattr(tr, name).tobytes() == value.tobytes(), name
+        assert not np.isnan(tr.edge_gap).any()
+
+
+def gathered_step(spec, W, data, sampler, eta):
+    """fleet_step as a fresh gather of every group's batch at every step."""
+    for ids, idx in zip(sampler.groups, sampler.next_batches()):
+        rows = sampler.offset[ids, None] + idx
+        W[ids] -= eta * models.gradient_fleet(spec, W[ids], data.features.take(rows, axis=0),
+                                              data.labels[rows])
+
+
+class TestCachedInputs:
+    """fleet_step builds a whole-shard group's inputs once per run; every
+    step must equal a fresh gather, bit for bit."""
+
+    SPECS = [models.ModelSpec(models.QUADRATIC, dim=6, class_count=3, l2_reg=0.05),
+             models.ModelSpec(models.QUADRATIC, dim=6, class_count=1, l2_reg=0.05),
+             logistic_spec(),
+             models.ModelSpec(models.MLP1, dim=6, class_count=3, l2_reg=0.01, hidden_width=5)]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.family}-C{s.class_count}")
+    @pytest.mark.parametrize("sizes, batch, full", [
+        ([5, 30, 5, 12], 10, False),     # fixed ids 0 and 2 (a gather), 1 and 3 shuffle
+        ([5, 5, 30, 12], 10, False),     # fixed ids 0 and 1 (a view)
+        ([23, 40, 31, 40], 10, True),    # full batch: a gather and two views
+        ([20, 20, 20], 8, True),         # the whole fleet as one view
+    ])
+    def test_every_step_equals_fresh_gather(self, spec, sizes, batch, full):
+        shards = unequal_shards(sizes)
+        data = datasets.union_of_shards(shards)
+        P = models.param_length(spec)
+        W = models.init_params(spec, 3) + np.linspace(-0.5, 0.5, len(sizes) * P).reshape(-1, P)
+        W_ref = W.copy()
+        sampler, ref = (BatchSampler(sizes, batch, seed=7, full_batch=full) for _ in range(2))
+        for tau in range(1, 13):
+            fleet_step(spec, W, data, sampler, 0.05, tau)
+            gathered_step(spec, W_ref, data, ref, 0.05)
+            assert W.tobytes() == W_ref.tobytes(), tau
+
+    def test_whole_shard_inputs_built_once(self):
+        spec = self.SPECS[0]
+        sizes = [5, 5, 30, 5, 12]
+        data = datasets.union_of_shards(unequal_shards(sizes))
+        s = BatchSampler(sizes, 10, seed=0)
+        assert [g.tolist() for g in s.groups] == [[0, 1, 3], [2, 4]]
+        first, second = s.next_inputs(spec, data), s.next_inputs(spec, data)
+        assert all(a is b for a, b in zip(first[0], second[0]))  # the cached group
+        assert first[1][0] is not second[1][0]                     # the shuffling one
+        run_group = BatchSampler([5, 5, 30], 10, seed=0, full_batch=True)
+        X, y, T = run_group.next_inputs(spec, data)[0]
+        assert np.shares_memory(X, data.features) and np.shares_memory(y, data.labels)
+        assert X.shape == (2, 5, 6) and T.shape == (2, 5, 3)
+        # new data or a new model rebuilds the cache
+        other = datasets.union_of_shards(unequal_shards(sizes))
+        assert s.next_inputs(spec, other)[0][0] is not first[0][0]
+        assert s.next_inputs(self.SPECS[2], other)[0][2] is None
+
+
 class TestDegenerateEquivalence:
     def test_single_vehicle_bit_identical_to_sgd(self):
         shards = make_shards(1)

@@ -229,6 +229,44 @@ class TestGradientFleet:
         for m in range(6):
             assert np.array_equal(got[m], gradient(spec, W[m], ds.subset(rows[m])))
 
+    @pytest.mark.parametrize("spec", [s for s in FLEET_SPECS if s.family == QUADRATIC],
+                             ids=lambda s: f"C{s.class_count}-l2{s.l2_reg}")
+    def test_targets_given_equal_targets_built(self, spec):
+        g = np.random.default_rng(spec.class_count)
+        for M, B in ((1, 1), (4, 7), (32, 40)):
+            W = g.normal(size=(M, param_length(spec)))
+            X = 3.0 * g.normal(size=(M, B, spec.dim))
+            y = g.integers(-3, 4, size=(M, B)) if spec.class_count == 1 else \
+                g.integers(0, spec.class_count, size=(M, B))
+            T = models.quadratic_targets(spec, y)
+            want = np.zeros((M, B, spec.class_count))
+            if spec.class_count == 1:
+                want[..., 0] = y
+            else:
+                want[np.arange(M)[:, None], np.arange(B), y] = 1.0
+            assert T.tobytes() == want.tobytes()
+            assert gradient_fleet(spec, W, X, y, targets=T).tobytes() == \
+                gradient_fleet(spec, W, X, y).tobytes()
+            # the probes tile the targets as they tile the datasets
+            for Q in (1, 3):
+                assert models.gradient_probes(spec, W[:Q], X, y, targets=T).tobytes() == \
+                    models.gradient_probes(spec, W[:Q], X, y).tobytes()
+        assert models.quadratic_targets(SPECS[1], y) is None
+
+    @pytest.mark.parametrize("spec", FLEET_SPECS,
+                             ids=lambda s: f"{s.family}-C{s.class_count}-h{s.hidden_width}")
+    def test_one_row_equals_gradient_xy_at_union_shape(self, spec):
+        # the recorded run's centralized descent: one row over the whole union
+        g = np.random.default_rng(7)
+        for n in (1280, 297):
+            w = init_params(spec, seed=1) + 0.5 * g.normal(size=param_length(spec))
+            X = 3.0 * g.normal(size=(n, spec.dim))
+            y = g.integers(-3, 4, size=n) if spec.class_count == 1 else \
+                g.integers(0, spec.class_count, size=n)
+            T = models.quadratic_targets(spec, y[None])
+            got = gradient_fleet(spec, w[None], X[None], y[None], targets=T)[0]
+            assert got.tobytes() == gradient_xy(spec, w, X, y).tobytes()
+
     def test_shape_mismatch_rejected(self):
         spec = SPECS[0]
         with pytest.raises(ValueError):
