@@ -60,7 +60,9 @@ class HflConfig:
         return self.cloud_epochs * self.tau_l * self.tau_e
 
 
-# Size of each chunk of minibatch indices a BatchSampler draws ahead.
+# Byte budget of the buffers the engine fills ahead of use: each chunk of
+# minibatch indices a BatchSampler draws, and the stacked terms of the
+# in-round snapshots a recording run measures together.
 BATCH_CHUNK_BYTES = 1 << 18
 
 
@@ -80,10 +82,6 @@ class BatchSampler:
     are drawn ahead into one buffer of about BATCH_CHUNK_BYTES, a chunk of
     steps at a time, each vehicle's passes with one Generator.permuted call
     (the same draws as one permutation call per pass).
-
-    next_inputs serves the batches' features, labels and targets. A
-    whole-shard group's are the same at every step, so they are built once
-    for the data and model they are asked for.
     """
 
     def __init__(self, shard_sizes, batch_size, seed, full_batch=False):
@@ -94,7 +92,6 @@ class BatchSampler:
         shuffled = np.zeros(sizes.size, bool) if full_batch else sizes > batch_size
         self.groups = []   # vehicle ids of each group, ascending
         self._fixed = []   # each whole-shard group's constant (G, n_m) indices
-        self._fixed_inputs = (None, None, [])  # (data, spec, inputs per whole-shard group)
         for n in np.unique(sizes[~shuffled]):
             ids = np.flatnonzero(~shuffled & (sizes == n))
             self.groups.append(ids)
@@ -137,48 +134,40 @@ class BatchSampler:
             self._step += 1
         return batches
 
-    def _gather(self, spec, data, ids, idx):
-        """Features, labels and quadratic targets of batches idx (G, b) of
-        vehicles ids, from data, the shards stacked in id order."""
-        rows = self.offset[ids, None] + idx
-        X, y = data.features.take(rows, axis=0), data.labels[rows]
-        return X, y, quadratic_targets(spec, y)
 
-    def next_inputs(self, spec, data):
-        """Advance every vehicle one step; returns (features (G, b, d),
-        labels (G, b), targets) per group, aligned with self.groups, for
-        data, the shards stacked in id order; targets is
-        models.quadratic_targets of the labels. A whole-shard group whose
-        ids form a run reads a view of data, any other group a gather."""
-        batches = self.next_batches()
-        cached_data, cached_spec, inputs = self._fixed_inputs
-        if cached_data is not data or cached_spec != spec:
-            inputs = []
-            for ids, idx in zip(self.groups, self._fixed):
-                if ids[-1] - ids[0] + 1 == ids.size:
-                    # whole shards of one size, back to back in data
-                    start = self.offset[ids[0]]
-                    rows = slice(start, start + idx.size)
-                    X = np.ascontiguousarray(data.features[rows].reshape(idx.shape + (-1,)))
-                    y = data.labels[rows].reshape(idx.shape)
-                    inputs.append((X, y, quadratic_targets(spec, y)))
-                else:
-                    inputs.append(self._gather(spec, data, ids, idx))
-            self._fixed_inputs = (data, spec, inputs)
-        inputs = list(inputs)
-        if self._gens:
-            inputs.append(self._gather(spec, data, self.groups[-1], batches[-1]))
-        return inputs
+def _gather(data, offset, ids, idx):
+    """Features (G, b, d) and labels (G, b) of batches idx (G, b) of
+    vehicles ids, from data, the shards stacked in id order, whose shard
+    m starts at row offset[m]."""
+    rows = offset[ids, None] + idx
+    return data.features.take(rows, axis=0), data.labels[rows]
 
 
-def fleet_step(spec, W, data, sampler, eta, iteration):
+def whole_shard_inputs(spec, data, sampler):
+    """Features, labels and models.quadratic_targets of every whole-shard
+    group of sampler (all its groups but a shuffling one), from data, the
+    shards stacked in id order. Their batches are the same at every step,
+    so a run builds these once and hands them to every fleet_step."""
+    inputs = []
+    for ids, idx in zip(sampler.groups, sampler._fixed):
+        X, y = _gather(data, sampler.offset, ids, idx)
+        inputs.append((X, y, quadratic_targets(spec, y)))
+    return inputs
+
+
+def fleet_step(spec, W, data, sampler, eta, iteration, *, fixed=None):
     """One local SGD step of every vehicle, in place. data holds the shards
-    stacked in id order; each sampler group is one gradient_fleet call on
-    the inputs sampler.next_inputs serves. A group whose ids form a run
-    (the whole fleet, when every shard shuffles) updates a slice of W,
-    with no gather and scatter of its rows. A non-finite result names the
-    lowest-id vehicle."""
-    for ids, (X, y, T) in zip(sampler.groups, sampler.next_inputs(spec, data)):
+    stacked in id order; each sampler group is one gradient_fleet call.
+    fixed is whole_shard_inputs(spec, data, sampler), built here when not
+    given; the shuffling group, if any, is gathered at every step. A group
+    whose ids form a run (the whole fleet, when every shard shuffles)
+    updates a slice of W, with no gather and scatter of its rows. A
+    non-finite result names the lowest-id vehicle."""
+    batches = sampler.next_batches()
+    inputs = list(whole_shard_inputs(spec, data, sampler) if fixed is None else fixed)
+    if len(inputs) < len(batches):
+        inputs.append(_gather(data, sampler.offset, sampler.groups[-1], batches[-1]) + (None,))
+    for ids, (X, y, T) in zip(sampler.groups, inputs):
         if ids[-1] - ids[0] + 1 == ids.size:
             ids = slice(ids[0], ids[-1] + 1)
         W[ids] -= eta * gradient_fleet(spec, W[ids], X, y, targets=T)
@@ -349,6 +338,7 @@ def run(config, shards, spec, association=None, edge_count=1, *,
     sampler = BatchSampler(sizes.astype(int), config.batch_size, config.seed,
                            full_batch=config.full_batch)
     fleet = union_of_shards(shards)
+    fixed = whole_shard_inputs(spec, fleet, sampler)
 
     # weights of the association in force, and B, the weights of u (row 0)
     # and of every edge's average; refreshed at every round boundary
@@ -363,8 +353,11 @@ def run(config, shards, spec, association=None, edge_count=1, *,
         uT = quadratic_targets(spec, uy)
         v = w0.copy()
         # W after each step of a round but the last, vehicle-major, so that
-        # the round's snapshots are measured together at its end
-        snaps = np.empty((M, tau_l - 1, P))
+        # the snapshots are measured a chunk at a time; a chunk's
+        # fleet_averages terms (M, N + 1, chunk * P) stay within
+        # BATCH_CHUNK_BYTES, whatever tau_l is
+        chunk = max(1, min(tau_l - 1, BATCH_CHUNK_BYTES // (8 * B.size * P)))
+        snaps = np.empty((M, chunk, P))
         trace = VirtualTrace(
             eta=config.eta, tau_l=tau_l, tau_e=tau_e, cloud_epochs=K,
             alpha=alpha.copy(), shard_sizes=sizes.copy(),
@@ -420,19 +413,22 @@ def run(config, shards, spec, association=None, edge_count=1, *,
     for j in range(1, rounds + 1):
         for s in range(1, tau_l + 1):
             tau += 1
-            fleet_step(spec, W, fleet, sampler, config.eta, tau)
+            fleet_step(spec, W, fleet, sampler, config.eta, tau, fixed=fixed)
             if record:
                 vtilde = v - config.eta * gradient_fleet(spec, v[None], uX, uy, targets=uT)[0]
                 trace.vtilde[tau] = vtilde
                 if s < tau_l:
                     v = vtilde
-                    snaps[:, s - 1] = W
-        if record and tau_l > 1:
-            # no aggregation inside a round: W is unchanged and v = vtilde, so
-            # one measurement of each snapshot, under the association it
-            # trained with, serves as both the pre and the post fields
-            taus = slice(tau - tau_l + 1, tau)
-            store(taus, measure(snaps, trace.vtilde[taus]), pre=True, post=True)
+                    held = (s - 1) % chunk + 1
+                    snaps[:, held - 1] = W
+                    if held == chunk or s == tau_l - 1:
+                        # no aggregation inside a round: W is unchanged and
+                        # v = vtilde, so one measurement of each snapshot,
+                        # under the association it trained with, serves as
+                        # both the pre and the post fields
+                        taus = slice(tau - held + 1, tau + 1)
+                        store(taus, measure(snaps[:, :held], trace.vtilde[taus]),
+                              pre=True, post=True)
         # round boundary: the new association takes effect, then aggregation
         edge_of = association[j]
         A, theta = membership_weights(edge_of, sizes, edge_count)

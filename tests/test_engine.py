@@ -406,6 +406,19 @@ class TestRecordingMatchesPerRowLoop:
         assoc = np.random.default_rng(tau_l).integers(0, 3, size=(7, 8))
         self.check(cfg, shards, spec, assoc, 4)
 
+    @pytest.mark.parametrize("chunk", [1, 2])
+    def test_snapshots_in_chunks(self, monkeypatch, chunk):
+        # a budget of chunk snapshots' fleet_averages terms splits each
+        # round's five in-round snapshots into several measurements
+        shards, _ = datasets.shared_input_shards(8, 4, 1, 4, 20, 6, seed=5)
+        spec = models.ModelSpec(models.QUADRATIC, dim=6, class_count=4, l2_reg=0.05)
+        edges, P = 4, models.param_length(spec)
+        monkeypatch.setattr(engine, "BATCH_CHUNK_BYTES", 8 * (edges + 1) * 8 * P * chunk)
+        cfg = HflConfig(eta=0.05, tau_l=6, tau_e=2, cloud_epochs=2, seed=1,
+                        record_virtual=True, full_batch=True)
+        assoc = np.random.default_rng(3).integers(0, 3, size=(5, 8))
+        self.check(cfg, shards, spec, assoc, edges)
+
     def test_recorded_mlp1_minibatch(self):
         shards = unequal_shards([23, 40, 31])
         spec = models.ModelSpec(models.MLP1, dim=6, class_count=3, l2_reg=0.01, hidden_width=5)
@@ -440,8 +453,8 @@ def gathered_step(spec, W, data, sampler, eta):
 
 
 class TestCachedInputs:
-    """fleet_step builds a whole-shard group's inputs once per run; every
-    step must equal a fresh gather, bit for bit."""
+    """run builds the whole-shard groups' inputs once and hands them to
+    every fleet_step; every step must equal a fresh gather, bit for bit."""
 
     SPECS = [models.ModelSpec(models.QUADRATIC, dim=6, class_count=3, l2_reg=0.05),
              models.ModelSpec(models.QUADRATIC, dim=6, class_count=1, l2_reg=0.05),
@@ -450,10 +463,10 @@ class TestCachedInputs:
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.family}-C{s.class_count}")
     @pytest.mark.parametrize("sizes, batch, full", [
-        ([5, 30, 5, 12], 10, False),     # fixed ids 0 and 2 (a gather), 1 and 3 shuffle
-        ([5, 5, 30, 12], 10, False),     # fixed ids 0 and 1 (a view)
-        ([23, 40, 31, 40], 10, True),    # full batch: a gather and two views
-        ([20, 20, 20], 8, True),         # the whole fleet as one view
+        ([5, 30, 5, 12], 10, False),     # fixed ids 0 and 2, 1 and 3 shuffle
+        ([5, 5, 30, 12], 10, False),     # fixed ids 0 and 1, a run
+        ([23, 40, 31, 40], 10, True),    # full batch, three groups
+        ([20, 20, 20], 8, True),         # the whole fleet as one group
     ])
     def test_every_step_equals_fresh_gather(self, spec, sizes, batch, full):
         shards = unequal_shards(sizes)
@@ -462,28 +475,29 @@ class TestCachedInputs:
         W = models.init_params(spec, 3) + np.linspace(-0.5, 0.5, len(sizes) * P).reshape(-1, P)
         W_ref = W.copy()
         sampler, ref = (BatchSampler(sizes, batch, seed=7, full_batch=full) for _ in range(2))
+        fixed = engine.whole_shard_inputs(spec, data, sampler)
         for tau in range(1, 13):
-            fleet_step(spec, W, data, sampler, 0.05, tau)
+            fleet_step(spec, W, data, sampler, 0.05, tau, fixed=fixed)
             gathered_step(spec, W_ref, data, ref, 0.05)
             assert W.tobytes() == W_ref.tobytes(), tau
 
-    def test_whole_shard_inputs_built_once(self):
+    def test_whole_shard_inputs(self, monkeypatch):
         spec = self.SPECS[0]
         sizes = [5, 5, 30, 5, 12]
         data = datasets.union_of_shards(unequal_shards(sizes))
         s = BatchSampler(sizes, 10, seed=0)
         assert [g.tolist() for g in s.groups] == [[0, 1, 3], [2, 4]]
-        first, second = s.next_inputs(spec, data), s.next_inputs(spec, data)
-        assert all(a is b for a, b in zip(first[0], second[0]))  # the cached group
-        assert first[1][0] is not second[1][0]                     # the shuffling one
-        run_group = BatchSampler([5, 5, 30], 10, seed=0, full_batch=True)
-        X, y, T = run_group.next_inputs(spec, data)[0]
-        assert np.shares_memory(X, data.features) and np.shares_memory(y, data.labels)
-        assert X.shape == (2, 5, 6) and T.shape == (2, 5, 3)
-        # new data or a new model rebuilds the cache
-        other = datasets.union_of_shards(unequal_shards(sizes))
-        assert s.next_inputs(spec, other)[0][0] is not first[0][0]
-        assert s.next_inputs(self.SPECS[2], other)[0][2] is None
+        fixed = engine.whole_shard_inputs(spec, data, s)
+        assert len(fixed) == 1  # the shuffling group is gathered per step
+        X, y, T = fixed[0]
+        rows = np.array([0, 5, 40])[:, None] + np.arange(5)
+        assert np.array_equal(X, data.features[rows]) and np.array_equal(y, data.labels[rows])
+        assert T.tobytes() == models.quadratic_targets(spec, y).tobytes()
+        assert engine.whole_shard_inputs(self.SPECS[2], data, s)[0][2] is None
+        # given fixed, a step builds no whole-shard inputs of its own
+        monkeypatch.setattr(engine, "whole_shard_inputs", None)
+        W = np.zeros((len(sizes), models.param_length(spec)))
+        fleet_step(spec, W, data, s, 0.05, 1, fixed=fixed)
 
 
 class TestDegenerateEquivalence:
