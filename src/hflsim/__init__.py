@@ -9,5 +9,5 @@ from .datasets import (  # noqa: F401
     train_test_split, union_of_shards,
 )
 from .models import ModelSpec, estimate_constants, gradient, loss, solve_optimum  # noqa: F401
-from .mobility import RoadNetwork, VehicleState, advance, associate, init_positions  # noqa: F401
+from .mobility import RoadNetwork, associate, init_positions  # noqa: F401
 from .engine import HflConfig, run  # noqa: F401

@@ -450,7 +450,6 @@ def choose_epsilon(losses, f_star):
 
 @dataclass
 class MixingReport:
-    brackets: np.ndarray        # j values
     Delta: np.ndarray           # Delta^[j]
     first_quarter_mean: float
     last_quarter_mean: float
@@ -462,7 +461,7 @@ def mobility_mixing_report(estimates):
     J = D.shape[0]
     q = max(1, J // 4)
     return MixingReport(
-        brackets=np.arange(J), Delta=D.copy(),
+        Delta=D.copy(),
         first_quarter_mean=float(D[:q].mean()),
         last_quarter_mean=float(D[J - q:].mean()))
 

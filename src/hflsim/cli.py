@@ -111,10 +111,6 @@ def cmd_sweep_speed(args):
     cfg = _load(args)
     speeds = _parse_list(args.speeds, float, "--speeds")
     seeds = _parse_list(args.seeds, int, "--seeds")
-    if len(speeds) < 1:
-        raise ConfigError(["sweep-speed needs at least one speed"])
-    if len(seeds) < 1:
-        raise ConfigError(["sweep-speed needs at least one seed"])
     out = cfg.output.directory
     manifest_path = os.path.join(out, "sweep_manifest.json")
     done = []

@@ -155,16 +155,16 @@ def whole_shard_inputs(spec, data, sampler):
     return inputs
 
 
-def fleet_step(spec, W, data, sampler, eta, iteration, *, fixed=None):
+def fleet_step(spec, W, data, sampler, eta, iteration, *, fixed):
     """One local SGD step of every vehicle, in place. data holds the shards
     stacked in id order; each sampler group is one gradient_fleet call.
-    fixed is whole_shard_inputs(spec, data, sampler), built here when not
-    given; the shuffling group, if any, is gathered at every step. A group
-    whose ids form a run (the whole fleet, when every shard shuffles)
-    updates a slice of W, with no gather and scatter of its rows. A
-    non-finite result names the lowest-id vehicle."""
+    fixed is whole_shard_inputs(spec, data, sampler), which the caller
+    builds once; the shuffling group, if any, is gathered at every step.
+    A group whose ids form a run (the whole fleet, when every shard
+    shuffles) updates a slice of W, with no gather and scatter of its
+    rows. A non-finite result names the lowest-id vehicle."""
     batches = sampler.next_batches()
-    inputs = list(whole_shard_inputs(spec, data, sampler) if fixed is None else fixed)
+    inputs = list(fixed)
     if len(inputs) < len(batches):
         inputs.append(_gather(data, sampler.offset, sampler.groups[-1], batches[-1]) + (None,))
     for ids, (X, y, T) in zip(sampler.groups, inputs):
@@ -257,12 +257,8 @@ class VirtualTrace:
     local models), matching the recursion the bounds are stated for;
     "post" quantities after aggregation and synchronization.
     """
-    eta: float
     tau_l: int
-    tau_e: int
-    cloud_epochs: int
     alpha: np.ndarray             # (M,) size weights
-    shard_sizes: np.ndarray       # (M,)
     vtilde: np.ndarray            # (T+1, P); row 0 = w0
     gap_u_vtilde: np.ndarray      # (T+1,)  ||u_pre - vtilde||
     gap_u_v: np.ndarray           # (T+1,)  ||u_post - v_post||
@@ -275,7 +271,7 @@ class VirtualTrace:
 
     @property
     def total_iterations(self):
-        return self.cloud_epochs * self.tau_l * self.tau_e
+        return len(self.gap_u_vtilde) - 1
 
 
 @dataclass
@@ -359,8 +355,7 @@ def run(config, shards, spec, association=None, edge_count=1, *,
         chunk = max(1, min(tau_l - 1, BATCH_CHUNK_BYTES // (8 * B.size * P)))
         snaps = np.empty((M, chunk, P))
         trace = VirtualTrace(
-            eta=config.eta, tau_l=tau_l, tau_e=tau_e, cloud_epochs=K,
-            alpha=alpha.copy(), shard_sizes=sizes.copy(),
+            tau_l=tau_l, alpha=alpha.copy(),
             vtilde=np.zeros((T + 1, P)),
             gap_u_vtilde=np.zeros(T + 1),
             gap_u_v=np.zeros(T + 1),

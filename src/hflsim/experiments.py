@@ -90,19 +90,20 @@ def build_instance(cfg):
 def schedule(inst, rounds):
     """Arc positions and edge ids of every vehicle over rounds edge rounds,
     both (rounds+1, M), as mobility.schedule builds them from the road,
-    the placement and the corner turns of inst.cfg; None when edges = 1
-    (every vehicle stays on edge 0)."""
+    the placement and the corner turns of inst.cfg. With edges = 1 there
+    is no road: the positions are None and every edge id is 0."""
     pt, mo = inst.cfg.partition, inst.cfg.mobility
     if mo.edges == 1:
-        return None
-    network = mobility.RoadNetwork(side_length=mo.side_length, edge_count=mo.edges,
+        return None, np.zeros((rounds + 1, pt.vehicles), dtype=np.int64)
+    network = mobility.RoadNetwork(side_length=mo.side_length,
                                    intersection_zone=mo.intersection_zone,
                                    slowdown_factor=mo.slowdown_factor)
     # edge-skewed data pins vehicles to their data's side initially
     assignment = inst.edge_map if (pt.regime == datasets.EDGE_NONIID or pt.shared_input) else None
-    vehicles = mobility.init_positions(network, pt.vehicles, mo.speed, mo.seed,
-                                       edge_assignment=assignment)
-    return mobility.schedule(network, vehicles, rounds, mo.p_turn, inst.cfg.hfl.seed)
+    positions, directions = mobility.init_positions(network, pt.vehicles, mo.seed,
+                                                    edge_assignment=assignment)
+    return mobility.schedule(network, positions, directions, mo.speed, rounds, mo.p_turn,
+                             inst.cfg.hfl.seed)
 
 
 def run_instance(inst, init_params_vec=None, *, association=None, train_loss=True,
@@ -112,8 +113,7 @@ def run_instance(inst, init_params_vec=None, *, association=None, train_loss=Tru
     caller already holds it; None builds it here."""
     rc = replace(inst.cfg.hfl, **config_overrides)
     if association is None:
-        sched = schedule(inst, rc.cloud_epochs * rc.tau_e)
-        association = None if sched is None else sched[1]
+        association = schedule(inst, rc.cloud_epochs * rc.tau_e)[1]
     return engine.run(rc, inst.shards, inst.spec, association, inst.cfg.mobility.edges,
                       eval_data=inst.test, init_params_vec=init_params_vec,
                       train_loss=train_loss)
@@ -139,18 +139,11 @@ def centralized_ceiling(inst):
     return float(best), None
 
 
-def rounds_to_targets(metrics, targets, tau_e):
+def rounds_to_targets(metrics, targets):
     """First cloud epoch whose running max accuracy reaches each target;
     None when never reached."""
-    out = []
-    for t in targets:
-        hit = None
-        for row in metrics:
-            if row.test_accuracy >= t:
-                hit = (row.edge_round + tau_e - 1) // tau_e
-                break
-        out.append(hit)
-    return out
+    return [next((row.cloud_epoch for row in metrics if row.test_accuracy >= t), None)
+            for t in targets]
 
 
 @dataclass
@@ -213,8 +206,7 @@ def _sweep_cell(inst, targets, init_params_vec, association=None):
     best = float(np.max(accs[~np.isnan(accs)])) if np.any(~np.isnan(accs)) else float("nan")
     mo = inst.cfg.mobility
     cell = SweepCell(speed=mo.speed, seed=mo.seed, max_test_accuracy=best,
-                     rounds_to_target=rounds_to_targets(res.metrics, targets,
-                                                        inst.cfg.hfl.tau_e))
+                     rounds_to_target=rounds_to_targets(res.metrics, targets))
     tr = res.trace
     if tr is not None:
         probes = np.vstack([np.zeros(tr.vtilde.shape[1]), tr.vtilde[-1]])
@@ -244,15 +236,16 @@ def sweep_speed(cfg, speeds, seeds, target_fractions=DEFAULT_TARGET_FRACTIONS,
     every cell is. result.cells and on_cell still cover every cell, in
     order, and a DivergenceError stops the sweep at the same cell.
     """
-    if len(speeds) < 1 or len(seeds) < 1:
-        raise ValueError("need at least one speed and one seed")
     if parallel < 1:
         raise ConfigError([f"--parallel must be >= 1, got {parallel}"])
     speeds, seeds = [float(v) for v in speeds], [int(s) for s in seeds]
-    # a repeated speed or seed would rerun a cell and count it twice in the summary
-    problems = [f"{option} lists {v!r} more than once"
-                for option, values in (("--speeds", speeds), ("--seeds", seeds))
-                for v, n in Counter(values).items() if n > 1]
+    problems = []
+    for option, values in (("--speeds", speeds), ("--seeds", seeds)):
+        if not values:
+            problems.append(f"{option} lists no values; the sweep needs at least one")
+        # a repeated value would rerun a cell and count it twice in the summary
+        problems += [f"{option} lists {v!r} more than once"
+                     for v, n in Counter(values).items() if n > 1]
     if cfg.partition.shared_input:
         # every cell would report a NaN accuracy against a NaN ceiling
         problems.append("the speed sweep needs a test split to measure accuracy; "
@@ -271,15 +264,13 @@ def sweep_speed(cfg, speeds, seeds, target_fractions=DEFAULT_TARGET_FRACTIONS,
             mo = replace(cfg.mobility, speed=v, seed=s)
             cells.append(replace(base, cfg=validate(replace(cfg, mobility=mo))))
     # one (association, first cell) per distinct schedule, in order of
-    # first appearance; group[i] is cell i's entry. The association is
-    # None for every cell when edges = 1, and None matches only itself.
+    # first appearance; group[i] is cell i's entry
     rounds = cfg.hfl.cloud_epochs * cfg.hfl.tau_e
     distinct, group = [], []
     for i, inst in enumerate(cells):
-        sched = schedule(inst, rounds)
-        association = None if sched is None else sched[1]
-        g = next((g for g, (a, _) in enumerate(distinct)
-                  if a is association or np.array_equal(a, association)), len(distinct))
+        association = schedule(inst, rounds)[1]
+        g = next((g for g, (a, _) in enumerate(distinct) if np.array_equal(a, association)),
+                 len(distinct))
         if g == len(distinct):
             distinct.append((association, i))
         group.append(g)
@@ -325,8 +316,7 @@ def pretrain_checkpoint(cfg, accuracy_target, max_epochs=200):
     # the cloud model at the end of the first cloud epoch that hits the target
     for row in res.metrics:
         if row.test_accuracy >= accuracy_target:
-            epochs = (row.edge_round + pre.hfl.tau_e - 1) // pre.hfl.tau_e
-            return res.cloud_history[epochs].copy()
+            return res.cloud_history[row.cloud_epoch].copy()
     raise RuntimeError(
         f"pretraining never reached accuracy {accuracy_target:.3f} "
         f"within {max_epochs} cloud epochs")
@@ -404,10 +394,9 @@ def verify_bounds(cfg, delta_scale=1.0):
 def mobility_trace(inst, rounds):
     """Vehicle trajectory rows without training: one row per vehicle per
     1-second edge round, the same schedule a run of that many rounds uses."""
-    sched = schedule(inst, rounds)
-    if sched is None:
+    positions, edge_of = schedule(inst, rounds)
+    if positions is None:
         raise ValueError("mobility trace needs the square topology (edges = 4)")
-    positions, edge_of = sched
     return [(float(j), m, positions[j, m], int(edge_of[j, m]))
             for j in range(rounds + 1) for m in range(positions.shape[1])]
 

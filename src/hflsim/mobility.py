@@ -2,12 +2,13 @@
 
 Vehicles travel along the perimeter of a square whose four sides are each
 covered by one edge server. Within an intersection zone around each
-corner the speed is max_speed * slowdown_factor, elsewhere max_speed, so
+corner a vehicle moves at speed * slowdown_factor, elsewhere at speed, so
 position is a periodic, piecewise-linear function of time that a whole
-schedule evaluates in closed form (see _trajectory).
+schedule evaluates in closed form. Vehicles are plain arrays: arc positions,
+directions (+1 or -1) and speeds, one entry per vehicle in id order.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,13 +18,11 @@ from . import rng
 @dataclass(frozen=True)
 class RoadNetwork:
     side_length: float = 1000.0
-    edge_count: int = 4
     intersection_zone: float = 50.0
     slowdown_factor: float = 0.5
+    edge_count = 4  # one edge server per side: a class constant, not a field
 
     def __post_init__(self):
-        if self.edge_count != 4:
-            raise ValueError("square topology requires exactly 4 edge servers")
         if self.side_length <= 0:
             raise ValueError("side_length must be > 0")
         if not 0.0 <= self.intersection_zone < self.side_length / 2:
@@ -37,27 +36,14 @@ class RoadNetwork:
 
 
 @dataclass
-class VehicleState:
-    id: int
-    arc_position: float  # meters along the perimeter, in [0, 4a)
-    direction: int       # +1 or -1
-    max_speed: float
-
-    def __post_init__(self):
-        if self.direction not in (+1, -1):
-            raise ValueError("direction must be +1 or -1")
-        if not np.isfinite(self.max_speed) or self.max_speed < 0:
-            raise ValueError("max_speed must be finite and >= 0")
-
-
-@dataclass
 class AssociationSnapshot:
     time: float
-    edge_of: np.ndarray  # (M,) edge index per vehicle, ordered by list position
+    edge_of: np.ndarray  # (M,) edge index per vehicle, in id order
 
 
-def init_positions(network, vehicle_count, speed, seed, edge_assignment=None):
-    """Random initial states, deterministic for a given seed.
+def init_positions(network, vehicle_count, seed, edge_assignment=None):
+    """Random arc positions (M,) float64 and directions (M,) int64 of +1 or
+    -1, deterministic for a given seed.
 
     Without edge_assignment, arc positions are uniform over the whole
     perimeter. With it (as produced by an edge-skewed partition), each
@@ -74,9 +60,7 @@ def init_positions(network, vehicle_count, speed, seed, edge_assignment=None):
     else:
         sides = np.array([edge_assignment[m] for m in range(vehicle_count)])
         pos = (sides + u) * a
-    dirs = np.where(g.random(vehicle_count) < 0.5, 1, -1)
-    return [VehicleState(m, float(pos[m]), int(dirs[m]), float(speed))
-            for m in range(vehicle_count)]
+    return pos, np.where(g.random(vehicle_count) < 0.5, 1, -1).astype(np.int64)
 
 
 def _road_table(network):
@@ -122,70 +106,6 @@ def _unit_time(network, knots, tau, corner_tau, pos, direction):
     return u
 
 
-def _trajectory(network, states, dt, steps, p_turn=0.0, turn_rng=None):
-    """Arc positions after 0, 1, ..., steps moves of dt seconds, (steps+1, M),
-    and the directions after the last move.
-
-    Without turns the position is closed form: a vehicle at unit-speed time
-    t0 of its forward frame is at np.interp((t0 + t*v) % lap, tau, knots)
-    after t seconds, so every row comes from one np.interp call. With turns
-    each step moves every vehicle from corner to corner on the same table: a
-    vehicle crosses a corner when it reaches it strictly before the step
-    ends, and then draws once from turn_rng, in step order, then vehicle
-    order, then crossing order.
-    Row 0, and every row of a stopped vehicle (max_speed * slowdown_factor
-    is 0), is the starting position bit for bit.
-    """
-    P = network.perimeter
-    knots, tau, corner_tau = _road_table(network)
-    lap = tau[-1]
-    pos = np.array([s.arc_position for s in states], dtype=float)
-    direction = np.array([s.direction for s in states], dtype=np.int64)
-    speed = np.array([s.max_speed for s in states], dtype=float)
-    moving = speed * network.slowdown_factor != 0.0
-    out = np.empty((steps + 1, pos.size))
-    out[0] = pos
-    if not (p_turn > 0.0 and turn_rng is not None):
-        t = dt * np.arange(1.0, steps + 1.0)[:, None] * speed
-        t += _unit_time(network, knots, tau, corner_tau, pos, direction)
-        out[1:] = _forward(P, np.interp(np.remainder(t, lap, out=t), tau, knots), direction)
-        np.copyto(out[1:], pos, where=~moving)
-        return out, direction
-    direction = direction.copy()
-    corners = corner_tau.tolist()
-    for j in range(1, steps + 1):
-        u = _unit_time(network, knots, tau, corner_tau, pos, direction) % lap
-        left = speed * dt
-        ahead = np.searchsorted(corner_tau, u, side="right")  # next corner, strictly ahead
-        for m in np.flatnonzero(moving & (corner_tau[ahead] - u < left)):
-            um, lm, d, c = float(u[m]), float(left[m]), int(direction[m]), int(ahead[m])
-            while corners[c] - um < lm:
-                lm -= corners[c] - um
-                c %= 4
-                if turn_rng.random() < p_turn:
-                    d, c = -d, -c % 4  # the same corner, seen from the mirror frame
-                um = corners[c]
-                c += 1
-            u[m], left[m], direction[m] = um, lm, d
-        y = _forward(P, np.interp((u + left) % lap, tau, knots), direction)
-        pos = out[j] = np.where(moving, y, pos)
-    return out, direction
-
-
-def advance(network, states, dt, p_turn=0.0, turn_rng=None):
-    """Every vehicle after dt seconds of travel.
-
-    With p_turn > 0 a vehicle reverses direction with that probability at
-    each corner it crosses; turn_rng supplies the randomness (vehicles are
-    processed in list order, so the outcome is deterministic).
-    """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    rows, direction = _trajectory(network, states, dt, 1, p_turn, turn_rng)
-    return [replace(s, arc_position=float(x), direction=int(d))
-            for s, x, d in zip(states, rows[1], direction)]
-
-
 def edge_ids(network, positions):
     """Side index of every arc position (any shape); a corner belongs to the
     lower-indexed adjacent side, and corner 0 to side 0."""
@@ -200,19 +120,61 @@ def associate(network, positions, time=0.0):
     return AssociationSnapshot(time=time, edge_of=edge_ids(network, positions))
 
 
-def schedule(network, states, rounds, p_turn=0.0, seed=0):
+def schedule(network, positions, directions, speed, rounds, p_turn=0.0, seed=0):
     """Arc positions and edge ids over a run, computed before it starts.
 
     Vehicle motion never depends on training, so the whole association
     history is data: row j of both (rounds+1, M) arrays holds the state
-    after j one-second rounds (row 0 is the initial placement). With
-    p_turn > 0 the corner turns draw from the (seed, MOBILITY_TURNS)
-    stream, vehicles in list order at every crossing.
+    after j one-second rounds, from the arc positions and directions of
+    init_positions (row 0). speed (m/s) is a scalar or one per vehicle.
+
+    Without turns the position is closed form: a vehicle at unit-speed time
+    t0 of its forward frame is at np.interp((t0 + j*v) % lap, tau, knots)
+    after j seconds, so every row comes from one np.interp call. With
+    p_turn > 0 each round moves every vehicle from corner to corner on the
+    same table: a vehicle crosses a corner when it reaches it strictly
+    before the round ends, and then reverses with probability p_turn, one
+    draw from the (seed, MOBILITY_TURNS) stream, in round order, then
+    vehicle order, then crossing order. Every row of a stopped vehicle
+    (speed * slowdown_factor is 0) is its start bit for bit.
     """
-    turn_rng = rng.stream(seed, rng.MOBILITY_TURNS) if p_turn > 0 else None
-    positions, _ = _trajectory(network, states, 1.0, rounds, p_turn, turn_rng)
-    edge_of = np.empty(positions.shape, dtype=np.int64)
+    P = network.perimeter
+    knots, tau, corner_tau = _road_table(network)
+    lap = tau[-1]
+    pos = np.array(positions, dtype=float)
+    direction = np.array(directions, dtype=np.int64)
+    speed = np.broadcast_to(np.asarray(speed, dtype=float), pos.shape)
+    if not np.all(np.isfinite(speed) & (speed >= 0.0)):
+        raise ValueError("speed must be finite and >= 0")  # inf would cross corners forever
+    moving = speed * network.slowdown_factor != 0.0
+    out = np.empty((rounds + 1, pos.size))
+    out[0] = pos
+    if p_turn > 0.0:
+        turn_rng = rng.stream(seed, rng.MOBILITY_TURNS)
+        corners = corner_tau.tolist()
+        for j in range(1, rounds + 1):
+            u = _unit_time(network, knots, tau, corner_tau, pos, direction) % lap
+            left = speed.copy()  # unit-speed time still to travel this round
+            ahead = np.searchsorted(corner_tau, u, side="right")  # next corner, strictly ahead
+            for m in np.flatnonzero(moving & (corner_tau[ahead] - u < left)):
+                um, lm, d, c = float(u[m]), float(left[m]), int(direction[m]), int(ahead[m])
+                while corners[c] - um < lm:
+                    lm -= corners[c] - um
+                    c %= 4
+                    if turn_rng.random() < p_turn:
+                        d, c = -d, -c % 4  # the same corner, seen from the mirror frame
+                    um = corners[c]
+                    c += 1
+                u[m], left[m], direction[m] = um, lm, d
+            y = _forward(P, np.interp((u + left) % lap, tau, knots), direction)
+            pos = out[j] = np.where(moving, y, pos)
+    else:
+        t = np.arange(1.0, rounds + 1.0)[:, None] * speed
+        t += _unit_time(network, knots, tau, corner_tau, pos, direction)
+        out[1:] = _forward(P, np.interp(np.remainder(t, lap, out=t), tau, knots), direction)
+        np.copyto(out[1:], pos, where=~moving)
+    edge_of = np.empty(out.shape, dtype=np.int64)
     # one associate call per row: perfbench/tracer.py counts handoffs there
-    for j, row in enumerate(positions):
+    for j, row in enumerate(out):
         edge_of[j] = associate(network, row, float(j)).edge_of
-    return positions, edge_of
+    return out, edge_of

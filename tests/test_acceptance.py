@@ -133,10 +133,10 @@ def test_a2_aggregation_identity_mobile_run():
     spec = models.ModelSpec(models.MULTINOMIAL_LOGISTIC, dim=16, class_count=8,
                             l2_reg=0.01)
     net = mobility.RoadNetwork()
-    veh = mobility.init_positions(net, 32, speed=30.0, seed=3)
+    veh = mobility.init_positions(net, 32, seed=3)
     cfg = engine.HflConfig(eta=0.1, tau_l=6, tau_e=10, cloud_epochs=20,
                            batch_size=20, seed=4)
-    _, assoc = mobility.schedule(net, veh, cfg.cloud_epochs * cfg.tau_e)
+    _, assoc = mobility.schedule(net, *veh, 30.0, cfg.cloud_epochs * cfg.tau_e)
     res = engine.run(cfg, shards, spec, assoc, net.edge_count, eval_data=test)
     worst = max(d for _, d in res.cloud_consistency)
     report("A2", worst <= 1e-12,
@@ -257,9 +257,9 @@ def test_a8_delta_mixing_trend():
     rounds = 100
 
     def mixing(speed):
-        veh = mobility.init_positions(net, 32, speed=speed, seed=11,
+        veh = mobility.init_positions(net, 32, seed=11,
                                       edge_assignment=emap)
-        _, hist = mobility.schedule(net, veh, rounds)
+        _, hist = mobility.schedule(net, *veh, speed, rounds)
         est = analysis.estimate_divergences(spec, shards, hist,
                                             [np.zeros(32)], tau_l=6)
         return analysis.mobility_mixing_report(est)

@@ -477,10 +477,10 @@ def bound_suite_run(speed, K=4, eta=0.05, seed=13):
     shards, emap = datasets.shared_input_shards(32, 4, 1, 4, 40, 8, seed=5)
     spec = models.ModelSpec(models.QUADRATIC, dim=8, class_count=4, l2_reg=0.05)
     net = mobility.RoadNetwork()
-    veh = mobility.init_positions(net, 32, speed=speed, seed=11, edge_assignment=emap)
+    veh = mobility.init_positions(net, 32, seed=11, edge_assignment=emap)
     cfg = engine.HflConfig(eta=eta, tau_l=6, tau_e=10, cloud_epochs=K, seed=seed,
                            record_virtual=True, full_batch=True)
-    _, assoc = mobility.schedule(net, veh, K * cfg.tau_e)
+    _, assoc = mobility.schedule(net, *veh, speed, K * cfg.tau_e)
     res = engine.run(cfg, shards, spec, assoc, net.edge_count)
     union = datasets.union_of_shards(shards)
     opt = models.solve_optimum(spec, union)
@@ -731,9 +731,9 @@ class TestMixingReport:
         shards, emap = datasets.shared_input_shards(32, 4, 1, 4, 40, 8, seed=5)
         spec = models.ModelSpec(models.QUADRATIC, dim=8, class_count=4, l2_reg=0.05)
         net = mobility.RoadNetwork()
-        veh = mobility.init_positions(net, 32, speed=30.0, seed=11,
+        veh = mobility.init_positions(net, 32, seed=11,
                                       edge_assignment=emap)
-        _, hist = mobility.schedule(net, veh, 100)
+        _, hist = mobility.schedule(net, *veh, 30.0, 100)
         est = estimate_divergences(spec, shards, hist, [np.zeros(32)], tau_l=6)
         mix = mobility_mixing_report(est)
         assert mix.last_quarter_mean < mix.first_quarter_mean

@@ -140,6 +140,12 @@ tau_l = 0
             validate(cfg)
         assert f"[{section}] {key} must be finite" in e.value.problems
 
+    def test_negative_speed_rejected(self):
+        cfg = parse_config("[mobility]\nspeed = -1\n")
+        with pytest.raises(ConfigError) as e:
+            validate(cfg)
+        assert "[mobility] speed must be >= 0" in e.value.problems
+
     def test_cross_section_rules(self):
         cfg = parse_config(MINI.format(out="/tmp/x"))
         cfg.partition.regime = "edge_noniid"
@@ -464,7 +470,9 @@ class TestCmdPartitionReport:
 class TestSchedule:
     def test_reads_the_mobility_section(self, tmp_path):
         cfg = config.load_config(write_cfg(tmp_path, MINI.replace("vehicles = 1", "vehicles = 8")))
-        assert experiments.schedule(experiments.build_instance(cfg), 5) is None
+        pos, edge_of = experiments.schedule(experiments.build_instance(cfg), 5)
+        assert pos is None  # one edge: no road, every vehicle on edge 0
+        assert edge_of.dtype == np.int64 and edge_of.tolist() == [[0] * 8] * 6
         cfg.mobility.edges = 4
         base = experiments.build_instance(cfg)
 
@@ -637,6 +645,19 @@ class TestCmdSweep:
         assert "--speeds lists 0.0 more than once" in err
         assert "--seeds lists 1 more than once" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("option", ["--speeds", "--seeds"])
+    def test_empty_list_rejected(self, tmp_path, capsys, option):
+        path = write_cfg(tmp_path, MINI.replace("vehicles = 1", "vehicles = 8"))
+        args = {"--speeds": "0", "--seeds": "1", option: ","}
+        assert cli.main(["sweep-speed", "--config", path, *sum(args.items(), ())]) == 2
+        assert f"{option} lists no values" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_list_is_a_config_error(self, tmp_path):
+        cfg = config.load_config(write_cfg(tmp_path, MINI))
+        with pytest.raises(ConfigError, match="--speeds lists no values"):
+            experiments.sweep_speed(cfg, [], [1])
 
     def test_manifest_written(self, tmp_path):
         text = MINI.replace("vehicles = 1", "vehicles = 8")

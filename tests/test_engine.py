@@ -40,9 +40,10 @@ def blowup_shards(M=4, bad=2, scale=1e20):
     return shards
 
 
-def mobile_run(cfg, shards, spec, net, veh):
-    """run() on the association schedule of the given vehicles."""
-    _, assoc = mobility.schedule(net, veh, cfg.cloud_epochs * cfg.tau_e)
+def mobile_run(cfg, shards, spec, net, start, speed):
+    """run() on the association schedule of vehicles at start, the arc
+    positions and directions, moving at speed."""
+    _, assoc = mobility.schedule(net, *start, speed, cfg.cloud_epochs * cfg.tau_e)
     return run(cfg, shards, spec, assoc, net.edge_count)
 
 
@@ -137,7 +138,9 @@ def step_once(spec, shards, W, eta, batch_size=5, iteration=None):
     """fleet_step on a copy of W, with a fresh sampler over the shards."""
     W = np.array(W, dtype=float)
     sampler = BatchSampler([s.size for s in shards], batch_size, seed=0)
-    fleet_step(spec, W, datasets.union_of_shards(shards), sampler, eta, iteration)
+    fleet = datasets.union_of_shards(shards)
+    fleet_step(spec, W, fleet, sampler, eta, iteration,
+               fixed=engine.whole_shard_inputs(spec, fleet, sampler))
     return W
 
 
@@ -305,6 +308,7 @@ def reference_record(cfg, shards, spec, association, edge_count):
     sampler = BatchSampler(sizes.astype(int), cfg.batch_size, cfg.seed,
                            full_batch=cfg.full_batch)
     fleet = datasets.union_of_shards(shards)
+    fixed = engine.whole_shard_inputs(spec, fleet, sampler)
     out = dict(vtilde=np.zeros((T + 1, P)), gap_u_vtilde=np.zeros(T + 1),
                gap_u_v=np.zeros(T + 1), s_vehicle=np.zeros(T + 1), s_edge=np.zeros(T + 1),
                vehicle_gap=np.zeros((M, T + 1)),
@@ -339,7 +343,7 @@ def reference_record(cfg, shards, spec, association, edge_count):
     for j in range(1, K * tau_e + 1):
         for s in range(1, tau_l + 1):
             tau += 1
-            fleet_step(spec, W, fleet, sampler, cfg.eta, tau)
+            fleet_step(spec, W, fleet, sampler, cfg.eta, tau, fixed=fixed)
             vtilde = v - cfg.eta * models.gradient_xy(spec, v, fleet.features, fleet.labels)
             out["vtilde"][tau] = vtilde
             if s < tau_l:
@@ -377,10 +381,10 @@ class TestRecordingMatchesPerRowLoop:
         # three vehicles on four edges with p_turn = 0.3: an edge is always empty
         shards = unequal_shards([23, 40, 31])
         net = mobility.RoadNetwork(side_length=200.0, intersection_zone=10.0)
-        veh = mobility.init_positions(net, 3, speed=60.0, seed=4)
+        veh = mobility.init_positions(net, 3, seed=4)
         cfg = HflConfig(eta=0.1, tau_l=3, tau_e=2, cloud_epochs=3, batch_size=16,
                         seed=6, record_virtual=True)
-        _, assoc = mobility.schedule(net, veh, cfg.cloud_epochs * cfg.tau_e,
+        _, assoc = mobility.schedule(net, *veh, 60.0, cfg.cloud_epochs * cfg.tau_e,
                                      p_turn=0.3, seed=4)
         assert len({tuple(r) for r in assoc}) > 1
         self.check(cfg, shards, logistic_spec(), assoc, net.edge_count)
@@ -423,10 +427,11 @@ class TestRecordingMatchesPerRowLoop:
         shards = unequal_shards([23, 40, 31])
         spec = models.ModelSpec(models.MLP1, dim=6, class_count=3, l2_reg=0.01, hidden_width=5)
         net = mobility.RoadNetwork(side_length=200.0, intersection_zone=10.0)
-        veh = mobility.init_positions(net, 3, speed=60.0, seed=2)
+        veh = mobility.init_positions(net, 3, seed=2)
         cfg = HflConfig(eta=0.1, tau_l=4, tau_e=2, cloud_epochs=3, batch_size=16,
                         seed=3, record_virtual=True)
-        _, assoc = mobility.schedule(net, veh, cfg.cloud_epochs * cfg.tau_e, p_turn=0.3, seed=2)
+        _, assoc = mobility.schedule(net, *veh, 60.0, cfg.cloud_epochs * cfg.tau_e,
+                                     p_turn=0.3, seed=2)
         self.check(cfg, shards, spec, assoc, net.edge_count)
 
     @pytest.mark.parametrize("spec", [
@@ -559,10 +564,10 @@ class TestRun:
         spec = logistic_spec()
         net = mobility.RoadNetwork(side_length=500.0, intersection_zone=25.0)
         assignment = {m: m % 4 for m in range(M)}
-        veh = mobility.init_positions(net, M, speed=0.0, seed=3,
+        veh = mobility.init_positions(net, M, seed=3,
                                       edge_assignment=assignment)
         cfg = HflConfig(eta=0.1, tau_l=3, tau_e=4, cloud_epochs=2, batch_size=16, seed=5)
-        res = mobile_run(cfg, shards, spec, net, veh)
+        res = mobile_run(cfg, shards, spec, net, veh, 0.0)
         edge_of = [assignment[m] for m in range(M)]
         ref = reference_static_hfl(cfg, shards, spec, edge_of)
         assert np.max(np.abs(ref - res.final_state.cloud_params)) <= 1e-12
@@ -575,9 +580,9 @@ class TestRun:
         shards = make_shards(M)
         spec = logistic_spec()
         net = mobility.RoadNetwork()
-        veh = mobility.init_positions(net, M, speed=30.0, seed=3)
+        veh = mobility.init_positions(net, M, seed=3)
         cfg = HflConfig(eta=0.1, tau_l=2, tau_e=3, cloud_epochs=2, batch_size=16, seed=5)
-        res = mobile_run(cfg, shards, spec, net, veh)
+        res = mobile_run(cfg, shards, spec, net, veh, 30.0)
         st_ = res.final_state
         assert np.max(np.abs(st_.vehicle_params - st_.cloud_params)) == 0.0
         assert np.max(np.abs(st_.edge_params - st_.cloud_params)) == 0.0
@@ -587,9 +592,9 @@ class TestRun:
         shards = make_shards(M)
         spec = logistic_spec()
         net = mobility.RoadNetwork()
-        veh = mobility.init_positions(net, M, speed=30.0, seed=3)
+        veh = mobility.init_positions(net, M, seed=3)
         cfg = HflConfig(eta=0.1, tau_l=2, tau_e=3, cloud_epochs=4, batch_size=16, seed=5)
-        res = mobile_run(cfg, shards, spec, net, veh)
+        res = mobile_run(cfg, shards, spec, net, veh, 30.0)
         assert max(d for _, d in res.cloud_consistency) <= 1e-12
 
     def test_virtual_sync_exact_and_trivial_gap(self):
@@ -625,10 +630,9 @@ class TestRun:
         spec = logistic_spec()
         net = mobility.RoadNetwork(side_length=1000.0)
         # both vehicles on side 0; edges 1..3 stay empty
-        veh = [mobility.VehicleState(0, 100.0, 1, 0.0),
-               mobility.VehicleState(1, 200.0, 1, 0.0)]
+        veh = ([100.0, 200.0], [1, 1])
         cfg = HflConfig(eta=0.1, tau_l=2, tau_e=2, cloud_epochs=2, batch_size=16, seed=1)
-        res = mobile_run(cfg, shards, spec, net, veh)
+        res = mobile_run(cfg, shards, spec, net, veh, 0.0)
         assert res.metrics[-1].membership_counts == (2, 0, 0, 0)
         assert np.all(np.isfinite(res.final_state.cloud_params))
 
@@ -640,10 +644,10 @@ class TestRun:
         M = 3
         shards = make_shards(M)
         net = mobility.RoadNetwork(side_length=200.0, intersection_zone=10.0)
-        veh = mobility.init_positions(net, M, speed=60.0, seed=4)
+        veh = mobility.init_positions(net, M, seed=4)
         cfg = HflConfig(eta=0.1, tau_l=3, tau_e=2, cloud_epochs=3, batch_size=16,
                         seed=6, record_virtual=True)
-        _, assoc = mobility.schedule(net, veh, cfg.cloud_epochs * cfg.tau_e,
+        _, assoc = mobility.schedule(net, *veh, 60.0, cfg.cloud_epochs * cfg.tau_e,
                                      p_turn=0.5, seed=4)
         assert len({tuple(r) for r in assoc}) > 1  # the membership really changes
         tr = run(cfg, shards, logistic_spec(), assoc, net.edge_count).trace
@@ -750,10 +754,11 @@ class TestRun:
         shards = make_shards(6)
         test = datasets.generate_synthetic(3, 6, 20, 3.0, seed=9)
         net = mobility.RoadNetwork(side_length=200.0, intersection_zone=10.0)
-        veh = mobility.init_positions(net, 6, speed=60.0, seed=4)
+        veh = mobility.init_positions(net, 6, seed=4)
         cfg = HflConfig(eta=0.1, tau_l=3, tau_e=2, cloud_epochs=3, batch_size=16, seed=6,
                         record_virtual=record)
-        _, assoc = mobility.schedule(net, veh, cfg.cloud_epochs * cfg.tau_e, p_turn=0.3, seed=4)
+        _, assoc = mobility.schedule(net, *veh, 60.0, cfg.cloud_epochs * cfg.tau_e,
+                                     p_turn=0.3, seed=4)
         on = run(cfg, shards, logistic_spec(), assoc, net.edge_count, eval_data=test)
         off = run(cfg, shards, logistic_spec(), assoc, net.edge_count, eval_data=test,
                   train_loss=False)

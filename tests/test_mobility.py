@@ -4,9 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from hflsim import mobility
 from hflsim.config import MAX_SIDES_PER_ROUND
-from hflsim.mobility import (
-    RoadNetwork, VehicleState, advance, associate, edge_ids, init_positions,
-)
+from hflsim.mobility import RoadNetwork, associate, edge_ids, init_positions, schedule
 from hflsim import rng
 
 
@@ -14,8 +12,10 @@ def net(a=100.0, zone=10.0, slow=0.5):
     return RoadNetwork(side_length=a, intersection_zone=zone, slowdown_factor=slow)
 
 
-def positions_of(states):
-    return np.array([s.arc_position for s in states])
+def one_round(network, pos, direction, v, dt=1.0, **turns):
+    """Arc position of one vehicle after dt seconds at speed v: one round of
+    the schedule at speed v*dt."""
+    return schedule(network, [pos], [direction], v * dt, 1, **turns)[0][1, 0]
 
 
 # --- transcription of the stepping integrator the closed form replaced -----
@@ -73,19 +73,20 @@ def reference_edge(network, pos):
     return int(k)
 
 
-def reference_schedule(network, states, rounds, p_turn=0.0, seed=0):
+def reference_schedule(network, positions, directions, speeds, rounds, p_turn=0.0, seed=0):
     """Rows of positions and edge ids, stepping every vehicle through each
-    one-second round in list order, turns drawn at every corner crossed."""
+    one-second round in id order, turns drawn at every corner crossed."""
     g = rng.stream(seed, rng.MOBILITY_TURNS) if p_turn > 0 else None
     bounds = reference_boundaries(network)
     corners = {0.0, network.side_length, 2 * network.side_length, 3 * network.side_length}
-    pos = [s.arc_position for s in states]
-    dirs = [s.direction for s in states]
+    pos = [float(x) for x in positions]
+    dirs = [int(d) for d in directions]
+    speeds = np.broadcast_to(speeds, len(pos)).tolist()
     rows = [list(pos)]
     for _ in range(rounds):
-        for m, s in enumerate(states):
+        for m, v in enumerate(speeds):
             pos[m], dirs[m] = reference_advance_one(network, bounds, corners, pos[m], dirs[m],
-                                                    s.max_speed, 1.0, p_turn, g)
+                                                    v, 1.0, p_turn, g)
         rows.append(list(pos))
     rows = np.array(rows)
     return rows, np.array([[reference_edge(network, x) for x in row] for row in rows])
@@ -113,22 +114,19 @@ def road_and_fleet(draw):
     slow = draw(st.sampled_from([1.0, 0.5]) | st.floats(0.05, 1.0))
     network = net(a, zone, slow)
     P = network.perimeter
-    states = []
+    fleet = []  # (start, direction, speed) per vehicle
     for m in range(draw(st.integers(1, 5))):
         corner = draw(st.integers(0, 3)) * a
         start = draw(st.sampled_from([corner, (corner - zone) % P, (corner + zone) % P]) |
                      st.floats(0.0, P, exclude_max=True))
         top = MAX_SIDES_PER_ROUND * a
         speed = draw(st.sampled_from([0.0, a / 2, a, top]) | st.floats(0.0, top))
-        states.append(VehicleState(m, start, draw(st.sampled_from([1, -1])), speed))
-    return network, states
+        fleet.append((start, draw(st.sampled_from([1, -1])), speed))
+    positions, directions, speeds = map(np.array, zip(*fleet))
+    return network, positions, directions, speeds
 
 
 class TestRoadNetwork:
-    def test_square_only(self):
-        with pytest.raises(ValueError):
-            RoadNetwork(edge_count=3)
-
     def test_zone_bound(self):
         with pytest.raises(ValueError):
             RoadNetwork(side_length=100.0, intersection_zone=50.0)
@@ -143,99 +141,81 @@ class TestRoadNetwork:
 class TestInitPositions:
     def test_side_midpoints_give_one_per_edge(self):
         n = net(a=1000.0, zone=0.0)
-        states = [VehicleState(i, 1000.0 * i + 500.0, 1, 10.0) for i in range(4)]
-        snap = associate(n, positions_of(states))
+        snap = associate(n, 1000.0 * np.arange(4) + 500.0)
         assert sorted(snap.edge_of.tolist()) == [0, 1, 2, 3]
 
     def test_determinism(self):
         n = net(a=1000.0)
-        a = init_positions(n, 20, speed=5.0, seed=7)
-        b = init_positions(n, 20, speed=5.0, seed=7)
-        assert all(x.arc_position == y.arc_position and x.direction == y.direction
-                   for x, y in zip(a, b))
+        pos, dirs = init_positions(n, 20, seed=7)
+        assert pos.dtype == np.float64 and dirs.dtype == np.int64
+        assert pos.shape == dirs.shape == (20,)
+        assert set(dirs.tolist()) <= {1, -1}
+        again = init_positions(n, 20, seed=7)
+        assert np.array_equal(pos, again[0]) and np.array_equal(dirs, again[1])
 
     def test_uniform_side_counts(self):
         n = net(a=1000.0)
-        states = init_positions(n, 10_000, speed=1.0, seed=3)
-        counts = np.bincount(edge_ids(n, positions_of(states)), minlength=4)
+        pos, _ = init_positions(n, 10_000, seed=3)
+        counts = np.bincount(edge_ids(n, pos), minlength=4)
         assert np.all(np.abs(counts - 2500) <= 0.05 * 2500)
 
     def test_edge_matched_placement(self):
         n = net(a=1000.0)
         assignment = {m: m % 4 for m in range(16)}
-        states = init_positions(n, 16, speed=1.0, seed=4, edge_assignment=assignment)
-        assert edge_ids(n, positions_of(states)).tolist() == [m % 4 for m in range(16)]
+        pos, _ = init_positions(n, 16, seed=4, edge_assignment=assignment)
+        assert edge_ids(n, pos).tolist() == [m % 4 for m in range(16)]
 
 
-class TestVehicleState:
-    @pytest.mark.parametrize("speed", [float("nan"), float("inf"), -1.0])
-    def test_invalid_max_speed(self, speed):
-        # an infinite speed would make advance loop forever
-        with pytest.raises(ValueError, match="max_speed"):
-            VehicleState(0, 0.0, 1, speed)
+class TestOneVehicle:
+    """One vehicle over one round: dt seconds at speed v is one round at
+    speed v*dt, the same product the position is read at."""
 
-
-class TestAdvance:
     def test_zero_speed_fixed(self):
         n = net()
-        s = VehicleState(0, 42.0, -1, 0.0)
-        for dt in (0.5, 1.0, 10.0):
-            [r] = advance(n, [s], dt)
-            assert r.arc_position == 42.0
+        positions, _ = schedule(n, [42.0], [-1], 0.0, 10)
+        assert np.all(positions == 42.0)
 
     def test_wraparound(self):
         n = net(a=100.0, zone=0.0)
-        [r] = advance(n, [VehicleState(0, 390.0, 1, 30.0)], dt=1.0)
-        assert r.arc_position == pytest.approx(20.0, abs=1e-9)
+        assert one_round(n, 390.0, 1, 30.0) == pytest.approx(20.0, abs=1e-9)
 
     def test_corner_zone_strictly_slower(self):
         # 20 m zone straddling the corner takes 20/(v*slow) not 20/v
         n = net(a=100.0, zone=10.0, slow=0.5)
-        start = VehicleState(0, 90.0, 1, 30.0)
-        [at_fast_time] = advance(n, [start], dt=20.0 / 30.0)
-        assert at_fast_time.arc_position < 110.0  # still inside the zone
-        [at_slow_time] = advance(n, [start], dt=20.0 / 15.0)
-        assert at_slow_time.arc_position == pytest.approx(110.0, abs=1e-9)
+        assert one_round(n, 90.0, 1, 30.0, dt=20.0 / 30.0) < 110.0  # still inside the zone
+        assert one_round(n, 90.0, 1, 30.0, dt=20.0 / 15.0) == pytest.approx(110.0, abs=1e-9)
 
     @pytest.mark.parametrize("start,direction", [(50.0, 1), (205.0, -1), (399.0, 1)])
     def test_fine_step_integration_oracle(self, start, direction):
-        # independent oracle: Euler integration at dt = 1e-4
+        # independent oracle: Euler integration at dt = 1e-4 over 3 s
         n = net(a=100.0, zone=10.0, slow=0.5)
-        [exact] = advance(n, [VehicleState(0, start, direction, 30.0)], dt=3.0)
+        exact = schedule(n, [start], [direction], 30.0, 3)[0][3, 0]
         pos = start
         for _ in range(30_000):
             off = pos % 100.0
             sp = 15.0 if min(off, 100.0 - off) < 10.0 else 30.0
             pos = (pos + direction * sp * 1e-4) % 400.0
-        assert exact.arc_position == pytest.approx(pos, abs=0.05)
+        assert exact == pytest.approx(pos, abs=0.05)
 
     @settings(max_examples=40, deadline=None)
     @given(pos=st.floats(0.0, 399.999), direction=st.sampled_from([1, -1]),
            dt=st.floats(0.01, 50.0), speed=st.floats(0.0, 40.0))
     def test_wraparound_closure(self, pos, direction, dt, speed):
         n = net(a=100.0, zone=10.0)
-        [r] = advance(n, [VehicleState(0, pos, direction, speed)], dt)
-        assert 0.0 <= r.arc_position < 400.0
+        assert 0.0 <= one_round(n, pos, direction, speed, dt) < 400.0
 
     def test_subnormal_speed_does_not_divide_by_zero(self):
-        # max_speed * slowdown_factor underflows to 0 for subnormal speeds
+        # speed * slowdown_factor underflows to 0 for subnormal speeds
         n = net(a=100.0, zone=10.0)
-        [r] = advance(n, [VehicleState(0, 0.0, 1, 5e-324)], dt=1.0)
-        assert r.arc_position == 0.0
+        assert one_round(n, 0.0, 1, 5e-324) == 0.0
 
     def test_turn_probability_deterministic(self):
         n = net(a=100.0, zone=0.0)
-        def run():
-            g = rng.stream(5, rng.MOBILITY_TURNS)
-            states = [VehicleState(0, 95.0, 1, 30.0)]
-            out = []
-            for _ in range(20):
-                states = advance(n, states, dt=1.0, p_turn=0.5, turn_rng=g)
-                out.append((states[0].arc_position, states[0].direction))
-            return out
-        assert run() == run()
-        dirs = {d for _, d in run()}
-        assert dirs == {1, -1}  # at p_turn=0.5 some reversal happens
+        turning, _ = schedule(n, [95.0], [1], 30.0, 20, p_turn=0.5, seed=5)
+        assert np.array_equal(turning, schedule(n, [95.0], [1], 30.0, 20, p_turn=0.5, seed=5)[0])
+        # at p_turn=0.5 some reversal happens: a round that ends behind its start
+        step = (np.diff(turning[:, 0]) + 200.0) % 400.0 - 200.0
+        assert (step > 0).any() and (step < 0).any()
 
 
 class TestAssociate:
@@ -276,16 +256,15 @@ class TestAssociate:
 
     def test_partition_property(self):
         n = net(a=1000.0)
-        states = init_positions(n, 50, speed=3.0, seed=9)
-        snap = associate(n, positions_of(states), 2.0)
+        pos, _ = init_positions(n, 50, seed=9)
+        snap = associate(n, pos, 2.0)
         assert snap.time == 2.0
         assert snap.edge_of.shape == (50,)
         assert set(snap.edge_of.tolist()) <= {0, 1, 2, 3}
 
     def test_static_association_constant(self):
         n = net(a=1000.0)
-        states = init_positions(n, 12, speed=0.0, seed=2)
-        positions, edge_of = mobility.schedule(n, states, 5)
+        positions, edge_of = schedule(n, *init_positions(n, 12, seed=2), 0.0, 5)
         assert np.all(positions == positions[0])
         assert np.all(edge_of == edge_of[0])
 
@@ -295,14 +274,14 @@ class TestSchedule:
     @given(case=road_and_fleet(), p_turn=st.sampled_from([0.0, 0.5]),
            seed=st.integers(0, 2 ** 16))
     # on corner 3, direction -1: the mirror P - 3a misses corner 1 by an ulp
-    @example(case=(net(85.66408230352786, 0.0, 1.0),
-                   [VehicleState(0, 3 * 85.66408230352786, -1, 85.66408230352786 / 2)]),
+    @example(case=(net(85.66408230352786, 0.0, 1.0), np.array([3 * 85.66408230352786]),
+                   np.array([-1]), np.array([85.66408230352786 / 2])),
              p_turn=0.5, seed=2)
     def test_matches_stepping_integrator(self, case, p_turn, seed):
-        network, states = case
+        network, *fleet = case
         rounds = 25
-        positions, edge_of = mobility.schedule(network, states, rounds, p_turn, seed)
-        ref_pos, ref_edge = reference_schedule(network, states, rounds, p_turn, seed)
+        positions, edge_of = schedule(network, *fleet, rounds, p_turn, seed)
+        ref_pos, ref_edge = reference_schedule(network, *fleet, rounds, p_turn, seed)
         assert positions.shape == edge_of.shape == ref_pos.shape
         assert edge_of.dtype == np.int64
         assert np.array_equal(positions[0], ref_pos[0])
@@ -328,9 +307,9 @@ class TestSchedule:
     def test_matches_stepping_integrator_on_default_road(self, p_turn):
         # no exact corner arrival here, so every entry is compared
         n = RoadNetwork()
-        start = init_positions(n, 32, speed=30.0, seed=8)
-        positions, edge_of = mobility.schedule(n, start, 200, p_turn, seed=5)
-        ref_pos, ref_edge = reference_schedule(n, start, 200, p_turn, seed=5)
+        start = init_positions(n, 32, seed=8)
+        positions, edge_of = schedule(n, *start, 30.0, 200, p_turn, seed=5)
+        ref_pos, ref_edge = reference_schedule(n, *start, 30.0, 200, p_turn, seed=5)
         assert np.array_equal(edge_of, ref_edge)
         assert circular_gap(n, positions, ref_pos).max() <= TOL
 
@@ -340,84 +319,67 @@ class TestSchedule:
         # and round 2 ends at 200.00000000000026 (side 2); the closed form
         # lands on 200.0, which the tie rule gives to side 1.
         n = net(a=100.0, zone=0.0, slow=1.0)
-        start = [VehicleState(0, 200.0, 1, 1000.0), VehicleState(1, 200.0, -1, 1000.0)]
-        positions, edge_of = mobility.schedule(n, start, 4)
+        start = ([200.0, 200.0], [1, -1], 1000.0)
+        positions, edge_of = schedule(n, *start, 4)
         assert positions.T.tolist() == [[200.0, 0.0, 200.0, 0.0, 200.0]] * 2
         assert edge_of.T.tolist() == [[1, 0, 1, 0, 1]] * 2
-        assert circular_gap(n, positions, reference_schedule(n, start, 4)[0]).max() <= TOL
+        assert circular_gap(n, positions, reference_schedule(n, *start, 4)[0]).max() <= TOL
 
     def test_corner_reached_at_the_round_end_draws_next_round_or_never(self):
         # 2 sides per round from a corner, in exact arithmetic: every round
         # crosses one corner mid-round (one draw) and ends on the next, which
         # the next round leaves without a draw, as in the stepper
         n = net(a=100.0, zone=0.0, slow=1.0)
-        start = [VehicleState(0, 0.0, 1, 200.0), VehicleState(1, 100.0, -1, 200.0)]
-        positions, edge_of = mobility.schedule(n, start, 30, p_turn=0.5, seed=3)
-        ref_pos, ref_edge = reference_schedule(n, start, 30, p_turn=0.5, seed=3)
+        start = ([0.0, 100.0], [1, -1], 200.0)
+        positions, edge_of = schedule(n, *start, 30, p_turn=0.5, seed=3)
+        ref_pos, ref_edge = reference_schedule(n, *start, 30, p_turn=0.5, seed=3)
         assert positions.tolist() == ref_pos.tolist()
         assert np.array_equal(edge_of, ref_edge)
 
-    @pytest.mark.parametrize("p_turn", [0.5])
-    def test_rows_match_stepping_loop(self, p_turn):
-        # with turns the schedule is the event loop of advance, one round
-        # per row; without them it is closed form (see above)
-        n = net(a=100.0, zone=10.0)
-        start = init_positions(n, 12, speed=30.0, seed=8)
-        rounds = 60
-        positions, edge_of = mobility.schedule(n, start, rounds, p_turn, seed=5)
-        assert positions.shape == edge_of.shape == (rounds + 1, 12)
-        assert edge_of.dtype == np.int64
-        g = rng.stream(5, rng.MOBILITY_TURNS)
-        states = start
-        for j in range(rounds + 1):
-            if j:
-                states = advance(n, states, dt=1.0, p_turn=p_turn, turn_rng=g)
-            assert positions[j].tolist() == [s.arc_position for s in states]
-            assert np.array_equal(edge_of[j], edge_ids(n, positions_of(states)))
-
-    def test_advance_is_the_schedule_at_dt(self):
-        n = net(a=100.0, zone=10.0)
-        start = init_positions(n, 12, speed=30.0, seed=8)
-        positions, _ = mobility.schedule(n, start, 3)
-        assert positions_of(advance(n, start, dt=3.0)).tolist() == positions[3].tolist()
+    @pytest.mark.parametrize("speed", [float("nan"), float("inf"), -1.0])
+    def test_invalid_speed(self, speed):
+        # an infinite speed would cross corners forever
+        n = net()
+        with pytest.raises(ValueError, match="speed"):
+            schedule(n, [0.0, 10.0], [1, -1], [10.0, speed], 3, p_turn=0.5)
 
     def test_associate_once_per_row(self, monkeypatch):
         # the association of every row goes through associate, with the
         # row's time
         n = net(a=100.0, zone=10.0)
-        start = init_positions(n, 4, speed=30.0, seed=8)
+        start = init_positions(n, 4, seed=8)
         real, seen = mobility.associate, []
 
-        def spy(network, states, time=0.0):
+        def spy(network, positions, time=0.0):
             seen.append(time)
-            return real(network, states, time)
+            return real(network, positions, time)
 
         monkeypatch.setattr(mobility, "associate", spy)
-        _, edge_of = mobility.schedule(n, start, 6)
+        _, edge_of = schedule(n, *start, 30.0, 6)
         assert seen == [float(j) for j in range(7)]
 
     def test_turns_change_the_schedule(self):
         n = net(a=100.0, zone=10.0)
-        start = init_positions(n, 12, speed=30.0, seed=8)
-        straight = mobility.schedule(n, start, 60)[0]
-        turning = mobility.schedule(n, start, 60, p_turn=0.5, seed=5)[0]
+        start = init_positions(n, 12, seed=8)
+        straight = schedule(n, *start, 30.0, 60)[0]
+        turning = schedule(n, *start, 30.0, 60, p_turn=0.5, seed=5)[0]
         assert not np.array_equal(straight, turning)
 
     def test_zero_rounds_is_initial_placement(self):
         n = net(a=1000.0)
-        start = init_positions(n, 5, speed=10.0, seed=1)
-        positions, edge_of = mobility.schedule(n, start, 0)
-        assert positions.tolist() == [[s.arc_position for s in start]]
-        assert np.array_equal(edge_of[0], edge_ids(n, positions_of(start)))
+        pos, dirs = init_positions(n, 5, seed=1)
+        positions, edge_of = schedule(n, pos, dirs, 10.0, 0)
+        assert positions.tolist() == [pos.tolist()]
+        assert np.array_equal(edge_of[0], edge_ids(n, pos))
 
 
 class TestMixing:
     def test_fraction_outside_initial_side_nondecreasing(self):
         n = net(a=1000.0, zone=50.0)
         assignment = {m: m % 4 for m in range(800)}
-        states = init_positions(n, 800, speed=30.0, seed=6, edge_assignment=assignment)
+        start = init_positions(n, 800, seed=6, edge_assignment=assignment)
         horizon = int(1000.0 / 30.0)
-        _, edge_of = mobility.schedule(n, states, horizon)
+        _, edge_of = schedule(n, *start, 30.0, horizon)
         frac = np.mean(edge_of != edge_of[0], axis=1)
         assert np.all(np.diff(frac) >= -1e-12)
         assert frac[-1] > 0.5  # substantial mixing within one side-crossing time

@@ -48,8 +48,7 @@ class TestWholeRun:
         res = experiments.run_instance(inst)
         M, N = cfg.partition.vehicles, cfg.mobility.edges
         rounds = cfg.hfl.cloud_epochs * cfg.hfl.tau_e
-        sched = experiments.schedule(inst, rounds)
-        association = np.zeros((rounds + 1, M), dtype=np.int64) if sched is None else sched[1]
+        _, association = experiments.schedule(inst, rounds)
         rows = res.metrics_csv_rows()
         assert len(rows) == 1 + rounds
         for j, row in enumerate(rows[1:], start=1):
