@@ -257,7 +257,7 @@ def central_drift_bound(k, estimates, inputs):
     return r_term + mobility_term, r_term, mobility_term
 
 
-def build_drift_report(trace, estimates, inputs, slack=DEFAULT_SLACK):
+def build_drift_report(trace, estimates, inputs):
     """Per-cloud-epoch bound vs the measured central-cloud gap."""
     entries = []
     span = inputs.tau_l * inputs.tau_e
@@ -266,7 +266,7 @@ def build_drift_report(trace, estimates, inputs, slack=DEFAULT_SLACK):
         measured = float(trace.gap_u_vtilde[k * span])
         entries.append(DriftBoundEntry(
             k=k, value=value, r_term=r_term, mobility_term=mob,
-            measured=measured, satisfied=measured <= value + slack))
+            measured=measured, satisfied=measured <= value + DEFAULT_SLACK))
     return DriftBoundReport(entries=entries)
 
 
@@ -289,27 +289,27 @@ def _clock(trace, inputs):
     return tau, tau - ((tau - 1) // span) * span
 
 
-def _violations(measured, bound, slack, label):
-    """One Violation per entry with measured > bound + slack, in row-major
-    order: iteration first, then vehicle or edge id. A NaN entry never
-    fires. label(*index) gives the entry's check name and location."""
+def _violations(measured, bound, label):
+    """One Violation per entry with measured > bound + DEFAULT_SLACK, in
+    row-major order: iteration first, then vehicle or edge id. A NaN entry
+    never fires. label(*index) gives the entry's check name and location."""
     out = []
-    for i in map(tuple, np.argwhere(measured > bound + slack)):
+    for i in map(tuple, np.argwhere(measured > bound + DEFAULT_SLACK)):
         check, where = label(*i)
         out.append(Violation(check, where, float(measured[i]), float(bound[i])))
     return out
 
 
-def check_vehicle_drift(trace, estimates, inputs, slack=DEFAULT_SLACK):
+def check_vehicle_drift(trace, estimates, inputs):
     """Vehicle drift vs its bound, for every vehicle and iteration."""
     tau, tau0 = _clock(trace, inputs)
     bound = vehicle_drift_bound(tau0[:, None], estimates.delta_m, inputs.eta, inputs.beta)
     return _violations(
-        trace.vehicle_gap[:, 1:].T, bound, slack,
+        trace.vehicle_gap[:, 1:].T, bound,
         lambda t, m: ("vehicle_drift", {"m": int(m), "tau": int(tau[t]), "tau0": int(tau0[t])}))
 
 
-def check_edge_drift(trace, estimates, inputs, slack=DEFAULT_SLACK):
+def check_edge_drift(trace, estimates, inputs):
     """Edge drift vs its bound; empty edges (NaN) never fire."""
     tau, tau0 = _clock(trace, inputs)
     bracket = tau // estimates.tau_l
@@ -318,11 +318,11 @@ def check_edge_drift(trace, estimates, inputs, slack=DEFAULT_SLACK):
     # the estimates stop at the highest edge the association history
     # names; an edge past it never held a vehicle, so its gaps are all NaN
     return _violations(
-        trace.edge_gap[:bound.shape[1], 1:].T, bound, slack,
+        trace.edge_gap[:bound.shape[1], 1:].T, bound,
         lambda t, n: ("edge_drift", {"n": int(n), "tau": int(tau[t]), "tau0": int(tau0[t])}))
 
 
-def check_recursion(trace, inputs, slack=DEFAULT_SLACK):
+def check_recursion(trace, inputs):
     """Three-case recursion on ||u - vtilde||, one inequality per iteration."""
     tau, _ = _clock(trace, inputs)
     prev = tau - 1
@@ -331,13 +331,13 @@ def check_recursion(trace, inputs, slack=DEFAULT_SLACK):
     s = np.where(edge, trace.s_edge[prev], trace.s_vehicle[prev])
     rhs = np.where(cloud, 0.0, trace.gap_u_v[prev] + inputs.eta * inputs.beta * s)
     case = np.where(cloud, "cloud", np.where(edge, "edge", "local"))
-    return _violations(trace.gap_u_vtilde[1:], rhs, slack,
+    return _violations(trace.gap_u_vtilde[1:], rhs,
                        lambda t: (f"recursion[{case[t]}]", {"tau": int(tau[t])}))
 
 
-def check_central_drift(trace, estimates, inputs, slack=DEFAULT_SLACK):
+def check_central_drift(trace, estimates, inputs):
     out = []
-    report = build_drift_report(trace, estimates, inputs, slack)
+    report = build_drift_report(trace, estimates, inputs)
     for e in report.entries:
         if not e.satisfied:
             out.append(Violation("central_drift", {"k": e.k}, e.measured, e.value))
@@ -450,18 +450,16 @@ def choose_epsilon(losses, f_star):
 
 @dataclass
 class MixingReport:
-    Delta: np.ndarray           # Delta^[j]
     first_quarter_mean: float
     last_quarter_mean: float
 
 
 def mobility_mixing_report(estimates):
-    """Trajectory of the edge divergence Delta^[j] and quarter means."""
+    """Quarter means of the edge divergence trajectory Delta^[j]."""
     D = estimates.Delta_bracket
     J = D.shape[0]
     q = max(1, J // 4)
     return MixingReport(
-        Delta=D.copy(),
         first_quarter_mean=float(D[:q].mean()),
         last_quarter_mean=float(D[J - q:].mean()))
 

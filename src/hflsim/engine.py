@@ -219,6 +219,8 @@ def cloud_aggregate(edge_params, theta):
 
 @dataclass
 class FleetState:
+    """The models after iteration tau: run's loop state, and what a
+    checkpoint holds."""
     tau: int
     vehicle_params: np.ndarray  # (M, P)
     edge_params: np.ndarray     # (N, P)
@@ -258,7 +260,6 @@ class VirtualTrace:
     "post" quantities after aggregation and synchronization.
     """
     tau_l: int
-    alpha: np.ndarray             # (M,) size weights
     vtilde: np.ndarray            # (T+1, P); row 0 = w0
     gap_u_vtilde: np.ndarray      # (T+1,)  ||u_pre - vtilde||
     gap_u_v: np.ndarray           # (T+1,)  ||u_post - v_post||
@@ -296,6 +297,10 @@ def run(config, shards, spec, association=None, edge_count=1, *,
     stays on edge 0 (used for the single-edge equivalence checks).
     Each local iteration is one fleet_step over all vehicles; the training
     loss and the centralized descent use the shards stacked in id order.
+    The loop's state is one FleetState, updated in place and returned as
+    final_state. Every round boundary takes two fleet_averages, before and
+    after the aggregation, and the recording measures those same averages,
+    so config.record_virtual changes no training bit.
     Returns metrics, the final fleet state, per-epoch cloud/vehicle-average
     consistency, the cloud model after every cloud aggregation, and the
     virtual trace when config.record_virtual is set. With train_loss=False
@@ -326,9 +331,9 @@ def run(config, shards, spec, association=None, edge_count=1, *,
     if w0.shape != (P,):
         raise ValueError("init params have wrong length")
 
-    W = np.tile(w0, (M, 1))
-    edge_params = np.tile(w0, (edge_count, 1))
-    cloud = w0.copy()
+    state = FleetState(tau=0, vehicle_params=np.tile(w0, (M, 1)),
+                       edge_params=np.tile(w0, (edge_count, 1)), cloud_params=w0.copy())
+    W, edge_params = state.vehicle_params, state.edge_params  # updated in place
     cloud_history = np.empty((K + 1, P))
     cloud_history[0] = w0
     sampler = BatchSampler(sizes.astype(int), config.batch_size, config.seed,
@@ -355,7 +360,7 @@ def run(config, shards, spec, association=None, edge_count=1, *,
         chunk = max(1, min(tau_l - 1, BATCH_CHUNK_BYTES // (8 * B.size * P)))
         snaps = np.empty((M, chunk, P))
         trace = VirtualTrace(
-            tau_l=tau_l, alpha=alpha.copy(),
+            tau_l=tau_l,
             vtilde=np.zeros((T + 1, P)),
             gap_u_vtilde=np.zeros(T + 1),
             gap_u_v=np.zeros(T + 1),
@@ -372,26 +377,19 @@ def run(config, shards, spec, association=None, edge_count=1, *,
     else:
         trace = None
 
-    def measure(Ws, ref=None):
-        """S snapshots of the fleet, Ws (M, S, P), against ref (S, P) (None:
-        against u itself): u (S, P), ||u - ref|| (S,), each ||W[m] - ref||
-        (M, S), every edge's average (N, S, P), and each edge average's
-        distance to ref (N, S; nan for empty edges). The averages of all
-        snapshots are one fleet_averages over their concatenated rows, and
-        the distances one row_norms; both keep every row's bits."""
-        S = Ws.shape[1]
-        avgs = fleet_averages(B, Ws.reshape(M, S * P)).reshape(-1, S, P)
+    def store(taus, Ws, avgs, ref, pre, post):
+        """Record S snapshots of the fleet, Ws (M, S, P), for the iterations
+        taus (a slice): the distances of u, of each W[m] and of every edge's
+        average to ref (S, P), taking u and the edge averages from avgs
+        (N + 1, S, P), the snapshots' fleet_averages under B. They fill the
+        pre-aggregation fields (ref is vtilde), the post-aggregation fields
+        (ref is v), or both. The distances are one row_norms, which keeps
+        every row's bits; an empty edge's is nan."""
         diff = np.concatenate([Ws, avgs])
-        diff -= avgs[0] if ref is None else ref
-        dist = row_norms(diff.reshape(-1, P)).reshape(-1, S)
+        diff -= ref
+        dist = row_norms(diff.reshape(-1, P)).reshape(diff.shape[:2])
+        gap, vehicle = dist[M], dist[:M]
         edge = np.where(theta[:, None] > 0, dist[M + 1:], np.nan)
-        return avgs[0], dist[M], dist[:M], avgs[1:], edge
-
-    def store(taus, look, pre, post):
-        """Store a measurement of the iterations taus (a slice) as the
-        pre-aggregation fields (against vtilde), the post-aggregation
-        fields (against v), or both."""
-        _, gap, vehicle, _, edge = look
         if pre:
             trace.gap_u_vtilde[taus] = gap
             trace.vehicle_gap[:, taus] = vehicle
@@ -404,14 +402,13 @@ def run(config, shards, spec, association=None, edge_count=1, *,
 
     metrics = []
     cloud_consistency = []
-    tau = 0
     for j in range(1, rounds + 1):
         for s in range(1, tau_l + 1):
-            tau += 1
-            fleet_step(spec, W, fleet, sampler, config.eta, tau, fixed=fixed)
+            state.tau += 1
+            fleet_step(spec, W, fleet, sampler, config.eta, state.tau, fixed=fixed)
             if record:
                 vtilde = v - config.eta * gradient_fleet(spec, v[None], uX, uy, targets=uT)[0]
-                trace.vtilde[tau] = vtilde
+                trace.vtilde[state.tau] = vtilde
                 if s < tau_l:
                     v = vtilde
                     held = (s - 1) % chunk + 1
@@ -420,59 +417,54 @@ def run(config, shards, spec, association=None, edge_count=1, *,
                         # no aggregation inside a round: W is unchanged and
                         # v = vtilde, so one measurement of each snapshot,
                         # under the association it trained with, serves as
-                        # both the pre and the post fields
-                        taus = slice(tau - held + 1, tau + 1)
-                        store(taus, measure(snaps[:, :held], trace.vtilde[taus]),
-                              pre=True, post=True)
+                        # both the pre and the post fields; the averages of
+                        # all snapshots are one fleet_averages over their
+                        # concatenated rows, which keeps every row's bits
+                        taus = slice(state.tau - held + 1, state.tau + 1)
+                        Ws = snaps[:, :held]
+                        avgs = fleet_averages(B, Ws.reshape(M, held * P)).reshape(-1, held, P)
+                        store(taus, Ws, avgs, trace.vtilde[taus], pre=True, post=True)
         # round boundary: the new association takes effect, then aggregation
         edge_of = association[j]
         A, theta = membership_weights(edge_of, sizes, edge_count)
         occupied = np.flatnonzero(theta)
         B = np.vstack([alpha, A])
         is_cloud = (j % tau_e == 0)
+        here = slice(state.tau, state.tau + 1)
+        avgs = fleet_averages(B, W)  # u_pre, then every edge's average
         if record:
-            here = slice(tau, tau + 1)
-            look = measure(W[:, None], vtilde)
-            store(here, look, pre=True, post=False)
-            u_pre, avgs = look[0][0], look[3][:, 0]
-        else:
-            avgs = fleet_averages(B, W)
-            u_pre, avgs = avgs[0], avgs[1:]
+            store(here, W[:, None], avgs[:, None], vtilde, pre=True, post=False)
 
-        edge_params[occupied] = avgs[occupied]
+        edge_params[occupied] = avgs[1:][occupied]
         # an empty edge keeps its previous model and gets theta = 0
         W[:] = edge_params[edge_of]
 
         if is_cloud:
-            cloud = cloud_aggregate(edge_params, theta)
+            cloud = state.cloud_params = cloud_aggregate(edge_params, theta)
             edge_params[:] = cloud
             W[:] = cloud
             k = j // tau_e
             cloud_history[k] = cloud
-            cloud_consistency.append((k, float(np.max(np.abs(cloud - u_pre)))))
+            cloud_consistency.append((k, float(np.max(np.abs(cloud - avgs[0])))))
 
+        avgs = fleet_averages(B, W)
+        u = avgs[0]
         if record:
             # at a cloud instant v synchronizes exactly to u
-            look = measure(W[:, None], None if is_cloud else vtilde)
-            store(here, look, pre=False, post=True)
-            u_metric = look[0][0]
-            v = u_metric if is_cloud else vtilde
+            v = u if is_cloud else vtilde
+            store(here, W[:, None], avgs[:, None], v, pre=False, post=True)
             if is_cloud:
-                trace.u_cloud[k] = u_metric
-        else:
-            u_metric = fleet_averages(alpha[None], W)[0]
+                trace.u_cloud[k] = u
 
-        round_loss = loss(spec, u_metric, fleet) if train_loss else float("nan")
-        test_acc = accuracy(spec, u_metric, eval_data) if eval_data is not None else float("nan")
-        gap = trace.gap_u_vtilde[tau] if record else float("nan")
+        round_loss = loss(spec, u, fleet) if train_loss else float("nan")
+        test_acc = accuracy(spec, u, eval_data) if eval_data is not None else float("nan")
+        gap = trace.gap_u_vtilde[state.tau] if record else float("nan")
         metrics.append(MetricsRow(
-            cloud_epoch=(j + tau_e - 1) // tau_e, edge_round=j, iteration=tau,
+            cloud_epoch=(j + tau_e - 1) // tau_e, edge_round=j, iteration=state.tau,
             train_loss=round_loss, test_accuracy=test_acc, u_vtilde_gap=float(gap),
             membership_counts=tuple(int(c) for c in np.bincount(edge_of, minlength=edge_count))))
 
-    final = FleetState(tau=tau, vehicle_params=W.copy(),
-                       edge_params=edge_params.copy(), cloud_params=cloud.copy())
-    return RunResult(metrics=metrics, final_state=final, trace=trace,
+    return RunResult(metrics=metrics, final_state=state, trace=trace,
                      cloud_consistency=cloud_consistency, cloud_history=cloud_history)
 
 

@@ -331,7 +331,6 @@ class BoundSuite:
     drift_report: object
     gap_report: object
     violations: list
-    mixing: object
 
     @property
     def ok(self):
@@ -386,9 +385,8 @@ def verify_bounds(cfg, delta_scale=1.0):
     if gap.applicable and gap.measured_gap > gap.bound + analysis.DEFAULT_SLACK:
         violations.append(analysis.Violation("gap_bound", {"T": tr.total_iterations},
                                              gap.measured_gap, gap.bound))
-    mixing = analysis.mobility_mixing_report(est)
     return BoundSuite(inputs=inputs, estimates=est, drift_report=drift_report,
-                      gap_report=gap, violations=violations, mixing=mixing)
+                      gap_report=gap, violations=violations)
 
 
 def mobility_trace(inst, rounds):

@@ -798,6 +798,32 @@ class TestFaultPaths:
         assert errs[0].startswith("divergence: non-finite parameters at vehicle ")
         assert not (tmp_path / "1" / "sweep.csv").exists()
 
+    def test_interrupted_sweep_lists_completed_cells(self, tmp_path, capsys, monkeypatch):
+        # the speed-0 cells share one schedule and the speed-30 cells each
+        # have their own; training the second schedule diverges, and the
+        # manifest written after every cell still parses and lists only the
+        # two speed-0 cells before it
+        real, trained = experiments._sweep_cell, []
+
+        def second_diverges(*args):
+            trained.append(args)
+            if len(trained) == 2:
+                raise engine.DivergenceError("non-finite parameters at vehicle 0 iteration 1")
+            return real(*args)
+
+        monkeypatch.setattr(experiments, "_sweep_cell", second_diverges)
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep-speed", "--config", write_cfg(tmp_path, SWEEP_NONIID),
+                         "--speeds", "0,30", "--seeds", "1,2", "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "divergence: non-finite parameters at vehicle 0 iteration 1")
+        assert len(trained) == 2
+        with open(out / "sweep_manifest.json") as f:
+            manifest = json.load(f)
+        assert list(manifest) == ["completed"]
+        assert [(c["speed"], c["seed"]) for c in manifest["completed"]] == [(0.0, 1), (0.0, 2)]
+        assert not (out / "sweep.csv").exists()
+
     def test_failed_rename_leaves_no_file(self, tmp_path, capsys, monkeypatch):
         def refuse(src, dst):
             raise OSError(28, "No space left on device")

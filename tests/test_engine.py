@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -661,7 +662,7 @@ class TestRun:
             assert tr.gap_u_v[tau] == tr.gap_u_vtilde[tau]
             s1 = 0.0
             for m in range(M):
-                s1 += tr.alpha[m] * tr.vehicle_gap[m, tau]
+                s1 += sizes[m] / sizes.sum() * tr.vehicle_gap[m, tau]
             assert tr.s_vehicle[tau] == s1
             s2 = 0.0
             for n in range(net.edge_count):
@@ -750,7 +751,8 @@ class TestRun:
 
     @pytest.mark.parametrize("record", [False, True])
     def test_train_loss_off_changes_nothing_else(self, record):
-        # skipping the full-union loss leaves every other output bit alone
+        # skipping the full-union loss leaves every other output bit alone,
+        # and so does flipping the recording, apart from the u - vtilde gap
         shards = make_shards(6)
         test = datasets.generate_synthetic(3, 6, 20, 3.0, seed=9)
         net = mobility.RoadNetwork(side_length=200.0, intersection_zone=10.0)
@@ -762,20 +764,29 @@ class TestRun:
         on = run(cfg, shards, logistic_spec(), assoc, net.edge_count, eval_data=test)
         off = run(cfg, shards, logistic_spec(), assoc, net.edge_count, eval_data=test,
                   train_loss=False)
+        flipped = run(replace(cfg, record_virtual=not record), shards, logistic_spec(),
+                      assoc, net.edge_count, eval_data=test)
         assert all(np.isfinite(r.train_loss) for r in on.metrics)
         assert all(np.isnan(r.train_loss) for r in off.metrics)
-        column = engine.METRICS_HEADER.index("train_loss")
 
-        def other_fields(res):
-            return [[f for i, f in enumerate(r.csv_fields()) if i != column] for r in res.metrics]
+        def assert_same_but(a, b, name):
+            column = engine.METRICS_HEADER.index(name)
 
-        assert other_fields(on) == other_fields(off)
-        for name in ("tau", "vehicle_params", "edge_params", "cloud_params"):
-            assert (np.asarray(getattr(on.final_state, name)).tobytes()
-                    == np.asarray(getattr(off.final_state, name)).tobytes()), name
-        assert on.cloud_history.tobytes() == off.cloud_history.tobytes()
-        assert on.cloud_consistency == off.cloud_consistency
-        assert (on.trace is None) == (off.trace is None) == (not record)
+            def other_fields(res):
+                return [[f for i, f in enumerate(r.csv_fields()) if i != column]
+                        for r in res.metrics]
+
+            assert other_fields(a) == other_fields(b)
+            for field in ("tau", "vehicle_params", "edge_params", "cloud_params"):
+                assert (np.asarray(getattr(a.final_state, field)).tobytes()
+                        == np.asarray(getattr(b.final_state, field)).tobytes()), field
+            assert a.cloud_history.tobytes() == b.cloud_history.tobytes()
+            assert a.cloud_consistency == b.cloud_consistency
+
+        assert_same_but(on, off, "train_loss")
+        assert_same_but(on, flipped, "u_vtilde_gap")
+        assert (on.trace is None) == (off.trace is None) == (flipped.trace is not None)
+        assert (on.trace is None) == (not record)
         if record:
             for name, value in vars(on.trace).items():
                 assert (np.asarray(value).tobytes()
