@@ -229,14 +229,6 @@ class DriftBoundReport:
     def total(self):
         return sum(e.value for e in self.entries)
 
-    def csv_rows(self):
-        head = ["k", "U_k", "r_term", "mobility_term", "measured_gap_u_vtilde", "satisfied"]
-        rows = [head]
-        for e in self.entries:
-            rows.append([str(e.k), repr(e.value), repr(e.r_term), repr(e.mobility_term),
-                         repr(e.measured), str(e.satisfied).lower()])
-        return rows
-
 
 def central_drift_bound(k, estimates, inputs):
     """Central-cloud drift bound for the window starting at k*tau_l*tau_e.
@@ -355,17 +347,6 @@ class GapBoundReport:
     per_epoch: list       # dicts with the per-k condition values
     degenerate: bool = False
     note: str = ""
-
-    def to_json_dict(self, inputs, estimates):
-        return {
-            "beta": inputs.beta, "rho": inputs.rho, "delta": estimates.delta,
-            "epsilon": self.epsilon, "phi": self.phi,
-            "bound": None if not self.applicable else self.bound,
-            "measured_final_gap": self.measured_gap,
-            "applicable": self.applicable,
-            "conditions": [{"name": k, "holds": v} for k, v in self.conditions.items()],
-            "note": self.note,
-        }
 
 
 def epoch_losses(spec, union, trace, span, cloud_epochs):

@@ -11,10 +11,14 @@ family passed to verify-bounds), 3 training divergence, 4 I/O error,
 
 import argparse
 import csv
+import io
+import json
 import os
 import sys
 import tempfile
 from contextlib import contextmanager
+
+import numpy as np
 
 from . import analysis, datasets, experiments
 from .config import ConfigError, load_config, serialize_config, validate
@@ -54,13 +58,30 @@ def atomic_write_text(path, text):
         f.write(text)
 
 
+def _cell(v):
+    """The one cell rule of every CSV file: a float (numpy scalars
+    included) as its repr, which reads back exact; NaN and None as an
+    empty cell; a bool as true/false; anything else as str."""
+    if v is None:
+        return ""
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (float, np.floating)):
+        return "" if v != v else repr(float(v))
+    return str(v)
+
+
 def atomic_write_csv(path, rows):
-    import io
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    for row in rows:
-        w.writerow(row)
+    csv.writer(buf, lineterminator="\n").writerows(map(_cell, row) for row in rows)
     atomic_write_text(path, buf.getvalue())
+
+
+def to_json(obj):
+    """Strict JSON: a non-finite float is written as null, via a round trip
+    that parses NaN/Infinity to None and reads every finite float back exact."""
+    tree = json.loads(json.dumps(obj), parse_constant=lambda token: None)
+    return json.dumps(tree, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _load(args):
@@ -84,13 +105,16 @@ def cmd_run(args):
         if row.edge_round % cfg.hfl.tau_e == 0:
             acc = "" if row.test_accuracy != row.test_accuracy else f" acc={row.test_accuracy:.4f}"
             print(f"cloud epoch {row.cloud_epoch}: loss={row.train_loss:.6f}{acc}")
-    atomic_write_csv(os.path.join(out, "metrics.csv"), res.metrics_csv_rows())
-    if res.trace is not None:
+    rows = [["cloud_epoch", "edge_round", "iteration", "train_loss", "test_accuracy",
+             "u_vtilde_gap", "edge_membership_counts"]]
+    rows += [[r.cloud_epoch, r.edge_round, r.iteration, r.train_loss, r.test_accuracy,
+              r.u_vtilde_gap, ";".join(map(str, r.membership_counts))] for r in res.metrics]
+    atomic_write_csv(os.path.join(out, "metrics.csv"), rows)
+    tr = res.trace
+    if tr is not None:
         rows = [["iteration", "gap_u_vtilde", "gap_u_v", "s_vehicle", "s_edge"]]
-        tr = res.trace
-        for t in range(tr.total_iterations + 1):
-            rows.append([str(t), repr(float(tr.gap_u_vtilde[t])), repr(float(tr.gap_u_v[t])),
-                         repr(float(tr.s_vehicle[t])), repr(float(tr.s_edge[t]))])
+        rows += zip(range(tr.total_iterations + 1), tr.gap_u_vtilde, tr.gap_u_v,
+                    tr.s_vehicle, tr.s_edge)
         atomic_write_csv(os.path.join(out, "virtual_trace.csv"), rows)
     # the hash names the experiment, not where its files were written
     cfg_hash = config_hash(serialize_config(cfg, exclude=("output",)))
@@ -118,18 +142,27 @@ def cmd_sweep_speed(args):
     def on_cell(cell):
         done.append({"speed": cell.speed, "seed": cell.seed,
                      "max_test_accuracy": cell.max_test_accuracy})
-        atomic_write_text(manifest_path, experiments.to_json({"completed": done}))
+        atomic_write_text(manifest_path, to_json({"completed": done}))
         print(f"speed={cell.speed:g} seed={cell.seed}: "
               f"max_acc={cell.max_test_accuracy:.4f}")
 
     result = experiments.sweep_speed(cfg, speeds, seeds, parallel=args.parallel,
                                      on_cell=on_cell)
-    atomic_write_csv(os.path.join(out, "sweep.csv"), result.csv_rows())
-    atomic_write_csv(os.path.join(out, "sweep_summary.csv"), result.summary_rows())
+    rows = [["speed", "seed", "max_test_accuracy",
+             *(f"rounds_to_{f:g}x" for f in result.target_fractions),
+             "delta_first_quarter_mean", "delta_last_quarter_mean"]]
+    rows += [[c.speed, c.seed, c.max_test_accuracy, *c.rounds_to_target,
+              c.delta_first_quarter, c.delta_last_quarter] for c in result.cells]
+    atomic_write_csv(os.path.join(out, "sweep.csv"), rows)
+    rows = [["speed", "mean_max_accuracy", "std_max_accuracy"]]
+    rows += [[v, result.mean_max_accuracy(v),
+              float(np.std([c.max_test_accuracy for c in result.cells if c.speed == v]))]
+             for v in result.speeds]
+    atomic_write_csv(os.path.join(out, "sweep_summary.csv"), rows)
     meta = {"ceiling": result.ceiling, "targets": result.targets,
             "target_fractions": result.target_fractions,
             "completed": done}
-    atomic_write_text(manifest_path, experiments.to_json(meta))
+    atomic_write_text(manifest_path, to_json(meta))
     return EXIT_OK
 
 
@@ -137,14 +170,24 @@ def cmd_verify_bounds(args):
     cfg = _load(args)
     suite = experiments.verify_bounds(cfg, delta_scale=args.debug_scale_delta)
     out = cfg.output.directory
-    atomic_write_csv(os.path.join(out, "bound_report.csv"), suite.drift_report.csv_rows())
-    atomic_write_text(os.path.join(out, "bound_summary.json"), experiments.to_json(
-        suite.gap_report.to_json_dict(suite.inputs, suite.estimates)))
+    rows = [["k", "U_k", "r_term", "mobility_term", "measured_gap_u_vtilde", "satisfied"]]
+    rows += [[e.k, e.value, e.r_term, e.mobility_term, e.measured, e.satisfied]
+             for e in suite.drift_report.entries]
+    atomic_write_csv(os.path.join(out, "bound_report.csv"), rows)
+    gr = suite.gap_report
+    atomic_write_text(os.path.join(out, "bound_summary.json"), to_json({
+        "beta": suite.inputs.beta, "rho": suite.inputs.rho, "delta": suite.estimates.delta,
+        "epsilon": gr.epsilon, "phi": gr.phi,
+        "bound": gr.bound if gr.applicable else None,
+        "measured_final_gap": gr.measured_gap,
+        "applicable": gr.applicable,
+        "conditions": [{"name": k, "holds": v} for k, v in gr.conditions.items()],
+        "note": gr.note,
+    }))
     ident = analysis.convex_combination_residuals(suite.estimates)
     print(f"beta={suite.inputs.beta:.6g} rho={suite.inputs.rho:.6g} "
           f"delta={suite.estimates.delta:.6g} epsilon={suite.inputs.epsilon:.6g}")
     print(f"convex-combination residual: {ident:.3g}")
-    gr = suite.gap_report
     if gr.applicable:
         print(f"gap bound {gr.bound:.6g}, measured {gr.measured_gap:.6g}")
     else:
@@ -164,16 +207,15 @@ def cmd_partition_report(args):
     out = cfg.output.directory
     inst = experiments.build_instance(cfg)
     rows = [["vehicle_id", "edge_id", "shard_size", "label_histogram"]]
-    rows += [list(map(str, r)) for r in
-             datasets.partition_report_rows(inst.shards, inst.edge_map)]
+    rows += [[s.owner, inst.edge_map[s.owner], s.size,
+              ";".join(map(str, s.data.label_histogram()))] for s in inst.shards]
     atomic_write_csv(os.path.join(out, "partition.csv"), rows)
     if cfg.mobility.edges == 4:
         rounds = args.rounds if args.rounds is not None else \
             cfg.hfl.cloud_epochs * cfg.hfl.tau_e
-        trace = [["time_s", "vehicle_id", "arc_position_m", "edge_id"]]
-        trace += [[repr(float(t)), str(m), repr(float(p)), str(e)]
-                  for t, m, p, e in experiments.mobility_trace(inst, rounds)]
-        atomic_write_csv(os.path.join(out, "mobility_trace.csv"), trace)
+        rows = [["time_s", "vehicle_id", "arc_position_m", "edge_id"]]
+        rows += experiments.mobility_trace(inst, rounds)
+        atomic_write_csv(os.path.join(out, "mobility_trace.csv"), rows)
     return EXIT_OK
 
 

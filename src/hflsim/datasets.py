@@ -347,12 +347,3 @@ def save_csv(dataset, path):
         w = csv.writer(f)
         for x, y in zip(dataset.features, dataset.labels):
             w.writerow([repr(float(v)) for v in x] + [int(y)])
-
-
-def partition_report_rows(shards, edge_map):
-    """Rows of vehicle_id, edge_id, shard_size, label_histogram."""
-    rows = []
-    for s in shards:
-        hist = ";".join(str(int(c)) for c in s.data.label_histogram())
-        rows.append((s.owner, edge_map[s.owner], s.size, hist))
-    return rows

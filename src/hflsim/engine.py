@@ -237,18 +237,6 @@ class MetricsRow:
     u_vtilde_gap: float        # nan when virtual recording is off
     membership_counts: tuple
 
-    def csv_fields(self):
-        def num(x):
-            return "" if np.isnan(x) else repr(float(x))
-        return [str(self.cloud_epoch), str(self.edge_round), str(self.iteration),
-                repr(float(self.train_loss)), num(self.test_accuracy),
-                num(self.u_vtilde_gap),
-                ";".join(str(int(c)) for c in self.membership_counts)]
-
-
-METRICS_HEADER = ["cloud_epoch", "edge_round", "iteration", "train_loss",
-                  "test_accuracy", "u_vtilde_gap", "edge_membership_counts"]
-
 
 @dataclass
 class VirtualTrace:
@@ -282,9 +270,6 @@ class RunResult:
     trace: VirtualTrace = None
     cloud_consistency: list = field(default_factory=list)  # (k, max |w - u_pre|) per epoch
     cloud_history: np.ndarray = None  # (K+1, P) cloud model after epoch k; row 0 = w0
-
-    def metrics_csv_rows(self):
-        return [METRICS_HEADER] + [r.csv_fields() for r in self.metrics]
 
 
 def run(config, shards, spec, association=None, edge_count=1, *,

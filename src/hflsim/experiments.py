@@ -4,8 +4,6 @@ tests drive it directly."""
 
 import copy
 import functools
-import json
-import math
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -173,27 +171,6 @@ class SweepResult:
 
     def mean_max_accuracy(self, speed):
         return float(np.mean([c.max_test_accuracy for c in self.cells if c.speed == speed]))
-
-    def csv_rows(self):
-        head = ["speed", "seed", "max_test_accuracy"]
-        head += [f"rounds_to_{f:g}x" for f in self.target_fractions]
-        head += ["delta_first_quarter_mean", "delta_last_quarter_mean"]
-        rows = [head]
-        for c in self.cells:
-            r = [repr(float(c.speed)), str(c.seed), repr(c.max_test_accuracy)]
-            r += ["" if v is None else str(v) for v in c.rounds_to_target]
-            r += ["" if math.isnan(c.delta_first_quarter) else repr(c.delta_first_quarter),
-                  "" if math.isnan(c.delta_last_quarter) else repr(c.delta_last_quarter)]
-            rows.append(r)
-        return rows
-
-    def summary_rows(self):
-        rows = [["speed", "mean_max_accuracy", "std_max_accuracy"]]
-        for v in self.speeds:
-            accs = [c.max_test_accuracy for c in self.cells if c.speed == v]
-            rows.append([repr(float(v)), repr(float(np.mean(accs))),
-                         repr(float(np.std(accs)))])
-        return rows
 
 
 DEFAULT_TARGET_FRACTIONS = (0.65, 0.70, 0.75)
@@ -397,10 +374,3 @@ def mobility_trace(inst, rounds):
         raise ValueError("mobility trace needs the square topology (edges = 4)")
     return [(float(j), m, positions[j, m], int(edge_of[j, m]))
             for j in range(rounds + 1) for m in range(positions.shape[1])]
-
-
-def to_json(obj):
-    """Strict JSON: a non-finite float is written as null, via a round trip
-    that parses NaN/Infinity to None and reads every finite float back exact."""
-    tree = json.loads(json.dumps(obj), parse_constant=lambda token: None)
-    return json.dumps(tree, indent=2, sort_keys=True, allow_nan=False)

@@ -385,9 +385,9 @@ def strict_json(path):
 class TestStrictJson:
     def test_non_finite_floats_become_null(self):
         obj = {"a": [float("nan"), 0.1, (float("-inf"), 2)], "b": {"c": np.float64("inf")}}
-        assert json.loads(experiments.to_json(obj)) == {"a": [None, 0.1, [None, 2]],
-                                                         "b": {"c": None}}
-        assert experiments.to_json([0.1 + 0.2]) == json.dumps([0.1 + 0.2], indent=2)
+        assert json.loads(cli.to_json(obj)) == {"a": [None, 0.1, [None, 2]],
+                                                 "b": {"c": None}}
+        assert cli.to_json([0.1 + 0.2]) == json.dumps([0.1 + 0.2], indent=2)
 
     def test_sweep_without_test_split(self, tmp_path, capsys):
         # shared inputs leave no test split, so no accuracy to sweep: a
@@ -495,6 +495,43 @@ SWEEP = (MINI.replace("vehicles = 1", "vehicles = 8").replace("edges = 1", "edge
 
 # the same fleet with each class on one edge's vehicles
 SWEEP_NONIID = SWEEP.replace("regime = iid", "regime = edge_noniid\nclasses_per_unit = 1")
+
+
+class TestCsvCells:
+    """Every CSV file is written through cli._cell, whose floats read back exact."""
+
+    @pytest.mark.parametrize("value, cell", [
+        (0.1 + 0.2, "0.30000000000000004"), (np.float64(0.1), "0.1"),
+        (np.float64(-1e-300), "-1e-300"), (float("inf"), "inf"),
+        (float("nan"), ""), (np.float64("nan"), ""), (None, ""),
+        (True, "true"), (False, "false"), (np.bool_(True), "true"), (np.bool_(False), "false"),
+        (np.int64(7), "7"), (3, "3"), ("1;0;2", "1;0;2"),
+    ])
+    def test_cell_rule(self, value, cell):
+        assert cli._cell(value) == cell
+
+    def test_recorded_run_reads_back_exact(self, tmp_path):
+        path = write_cfg(tmp_path, SWEEP)
+        assert cli.main(["run", "--config", path]) == 0
+        res = experiments.run_instance(experiments.build_instance(validate(config.load_config(path))))
+
+        def read(name):
+            with open(tmp_path / "out" / name, newline="") as f:
+                return list(csv.reader(f))[1:]
+
+        rows = read("metrics.csv")
+        assert len(rows) == len(res.metrics)
+        for row, r in zip(rows, res.metrics):
+            assert [int(c) for c in row[:3]] == [r.cloud_epoch, r.edge_round, r.iteration]
+            assert (np.array([float(c) for c in row[3:6]]).tobytes()
+                    == np.array([r.train_loss, r.test_accuracy, r.u_vtilde_gap]).tobytes())
+            assert tuple(int(c) for c in row[6].split(";")) == r.membership_counts
+        tr = res.trace
+        rows = read("virtual_trace.csv")
+        assert [int(row[0]) for row in rows] == list(range(tr.total_iterations + 1))
+        assert (np.array([[float(c) for c in row[1:]] for row in rows]).tobytes()
+                == np.column_stack([tr.gap_u_vtilde, tr.gap_u_v, tr.s_vehicle,
+                                    tr.s_edge]).tobytes())
 
 
 class TestCmdSweep:

@@ -1,8 +1,7 @@
 """Properties of whole runs over small random configurations."""
 
 import copy
-import csv
-import json
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -49,10 +48,9 @@ class TestWholeRun:
         M, N = cfg.partition.vehicles, cfg.mobility.edges
         rounds = cfg.hfl.cloud_epochs * cfg.hfl.tau_e
         _, association = experiments.schedule(inst, rounds)
-        rows = res.metrics_csv_rows()
-        assert len(rows) == 1 + rounds
-        for j, row in enumerate(rows[1:], start=1):
-            counts = [int(c) for c in row[-1].split(";")]
+        assert len(res.metrics) == rounds
+        for j, row in enumerate(res.metrics, start=1):
+            counts = list(row.membership_counts)
             assert len(counts) == N and sum(counts) == M
             assert counts == np.bincount(association[j], minlength=N).tolist()
         # the aggregation weights of every round: the edges' shares of the
@@ -129,12 +127,11 @@ class TestSweepDeduplication:
         cfg, speeds, seeds, parallel = sweep
         res = experiments.sweep_speed(cfg, speeds, seeds, parallel=parallel)
         ref = reference_sweep(cfg, speeds, seeds)
-        assert (res.ceiling, res.targets) == (ref.ceiling, ref.targets)
-        assert res.csv_rows() == ref.csv_rows()
-        assert res.summary_rows() == ref.summary_rows()
+        assert (res.ceiling, res.targets, res.speeds) == (ref.ceiling, ref.targets, ref.speeds)
+        np.testing.assert_equal([astuple(c) for c in res.cells], [astuple(c) for c in ref.cells])
 
     @pytest.mark.parametrize("parallel", [1, 2])
-    def test_files_equal_per_cell_loop(self, tmp_path, parallel):
+    def test_files_equal_per_cell_loop(self, tmp_path, monkeypatch, parallel):
         # edge-skewed placement: the two speed-0 cells share one schedule
         cfg = config.ExperimentConfig()
         cfg.dataset.classes, cfg.dataset.dim, cfg.dataset.samples_per_class = 4, 8, 50
@@ -152,21 +149,23 @@ class TestSweepDeduplication:
         res = experiments.sweep_speed(cfg, speeds, seeds, parallel=parallel,
                                       on_cell=reported.append)
         assert res.cells == reported == ref.cells
-        assert res.csv_rows() == ref.csv_rows()
-        assert res.summary_rows() == ref.summary_rows()
+        np.testing.assert_equal([astuple(c) for c in res.cells], [astuple(c) for c in ref.cells])
 
         path = tmp_path / "exp.cfg"
         path.write_text(config.serialize_config(cfg))
-        assert cli.main(["sweep-speed", "--config", str(path), "--speeds", "0,30",
-                         "--seeds", "1,2", "--parallel", str(parallel)]) == 0
-        out = tmp_path / "out"
-        for name, rows in (("sweep.csv", ref.csv_rows()),
-                           ("sweep_summary.csv", ref.summary_rows())):
-            with open(out / name, newline="") as f:
-                assert list(csv.reader(f)) == rows
-        done = [{"speed": c.speed, "seed": c.seed, "max_test_accuracy": c.max_test_accuracy}
-                for c in ref.cells]
-        assert json.loads((out / "sweep_manifest.json").read_text()) == json.loads(
-            experiments.to_json({"ceiling": ref.ceiling, "targets": ref.targets,
-                                 "target_fractions": ref.target_fractions,
-                                 "completed": done}))
+        argv = ["sweep-speed", "--config", str(path), "--speeds", "0,30", "--seeds", "1,2",
+                "--parallel", str(parallel)]
+        assert cli.main(argv) == 0
+
+        # the reference's files: the same command, with the per-cell loop's
+        # result in place of the sweep
+        def replay(*args, on_cell, **kwargs):
+            for c in ref.cells:
+                on_cell(c)
+            return ref
+
+        monkeypatch.setattr(experiments, "sweep_speed", replay)
+        assert cli.main(argv + ["--out", str(tmp_path / "ref")]) == 0
+        for name in ("sweep.csv", "sweep_summary.csv", "sweep_manifest.json"):
+            assert ((tmp_path / "out" / name).read_bytes()
+                    == (tmp_path / "ref" / name).read_bytes()), name
