@@ -125,10 +125,9 @@ def parse_config(text):
             problems.append(f"unknown section [{section}]")
             continue
         target = getattr(cfg, section)
-        known = {f.name: f.type for f in fields(target)}
         types = {f.name: type(getattr(target, f.name)) for f in fields(target)}
         for key, raw in cp.items(section):
-            if key not in known:
+            if key not in types:
                 problems.append(f"[{section}] unknown key {key!r}")
                 continue
             try:

@@ -21,7 +21,6 @@ class Instance:
     so instances that differ only in [mobility] share their data."""
     cfg: object
     spec: object
-    train: object
     test: object
     shards: list
     edge_map: dict
@@ -64,7 +63,7 @@ def build_instance(cfg):
         shards, edge_map = datasets.shared_input_shards(
             pt.vehicles, mo.edges, pt.classes_per_unit, cfg.dataset.classes,
             pt.shared_samples_per_shard, cfg.dataset.dim, pt.seed)
-        train = test = None
+        test = None
     else:
         train, test = build_dataset(cfg)
         pspec = datasets.PartitionSpec(
@@ -81,8 +80,8 @@ def build_instance(cfg):
         spec = models.ModelSpec(family=md.family, dim=union.dim,
                                 class_count=union.class_count,
                                 l2_reg=md.l2_reg, hidden_width=md.hidden_width)
-    return Instance(cfg=cfg, spec=spec, train=train, test=test, shards=shards,
-                    edge_map=edge_map, union=union)
+    return Instance(cfg=cfg, spec=spec, test=test, shards=shards, edge_map=edge_map,
+                    union=union)
 
 
 def schedule(inst, rounds):
@@ -308,10 +307,6 @@ class BoundSuite:
     drift_report: object
     gap_report: object
     violations: list
-
-    @property
-    def ok(self):
-        return not self.violations
 
 
 def verify_bounds(cfg, delta_scale=1.0):
