@@ -334,7 +334,7 @@ def verify_bounds(cfg, delta_scale=1.0):
         est.Delta_n_bracket = np.where(occupied, est.Delta_n_bracket * delta_scale, np.nan)
         est.Delta_bracket = est.Delta_bracket * delta_scale
 
-    beta = models.estimate_constants(inst.spec, inst.union).beta
+    beta = models.estimate_constants(inst.spec, inst.union)
     # rho over the vtilde rows, which lead the probes
     rho = max(est.grad_norm[:len(tr.vtilde)].tolist())
     losses = analysis.epoch_losses(inst.spec, inst.union, tr, cfg.hfl.tau_l * cfg.hfl.tau_e,

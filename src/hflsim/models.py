@@ -21,16 +21,9 @@ MULTINOMIAL_LOGISTIC = "multinomial_logistic"
 MLP1 = "mlp1"
 FAMILIES = (QUADRATIC, MULTINOMIAL_LOGISTIC, MLP1)
 
-POWER_ITERATION_TOL = 1e-8
-POWER_ITERATION_MAX = 10_000
-
 
 class UnsupportedModelError(ValueError):
     """Operation requires a convex family."""
-
-
-class PowerIterationError(RuntimeError):
-    """Eigenvalue iteration failed to converge; never silently ignored."""
 
 
 @dataclass(frozen=True)
@@ -311,47 +304,20 @@ def accuracy(spec, w, data):
     return float(np.mean(predict(spec, w, data) == data.labels))
 
 
-@dataclass
-class SmoothnessEstimate:
-    beta: float
-    method: str  # "power_iteration" | "analytic"
-
-
-def _lambda_max(A):
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration."""
-    g = rng.stream(0, rng.POWER_ITERATION)  # fixed start vector, deterministic
-    v = g.normal(size=A.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(POWER_ITERATION_MAX):
-        Av = A @ v
-        norm = np.linalg.norm(Av)
-        if norm == 0.0:
-            return 0.0
-        v = Av / norm
-        lam_new = float(v @ (A @ v))
-        if abs(lam_new - lam) <= POWER_ITERATION_TOL * max(abs(lam_new), 1e-300):
-            return lam_new
-        lam = lam_new
-    raise PowerIterationError(
-        f"no convergence after {POWER_ITERATION_MAX} iterations (last {lam})")
-
-
 def estimate_constants(spec, data):
-    """Smoothness bound beta of the full loss over `data`.
+    """Smoothness constant beta of the full loss over `data`, as a float.
 
-    quadratic -> top eigenvalue of X'X/n plus l2_reg (power iteration);
-    logistic -> the softmax-Hessian bound 0.5*lmax(X'X)/n plus l2_reg.
-    The region Lipschitz constant rho is a supremum of gradient norms over
-    probe points; analysis.estimate_divergences measures it (grad_norm).
+    With lmax the largest eigenvalue of X'X/n, taken exactly by
+    np.linalg.eigvalsh: quadratic -> lmax plus l2_reg; logistic -> the
+    softmax-Hessian bound 0.5*lmax plus l2_reg. The region Lipschitz
+    constant rho is a supremum of gradient norms over probe points;
+    analysis.estimate_divergences measures it (grad_norm).
     """
     if not spec.is_convex:
         raise UnsupportedModelError(f"{spec.family} has no certified constants")
     X = data.features
-    lam = _lambda_max((X.T @ X) / X.shape[0])
-    if spec.family == QUADRATIC:
-        return SmoothnessEstimate(beta=lam + spec.l2_reg, method="power_iteration")
-    return SmoothnessEstimate(beta=0.5 * lam + spec.l2_reg, method="analytic")
+    lam = float(np.linalg.eigvalsh((X.T @ X) / X.shape[0])[-1])
+    return (lam if spec.family == QUADRATIC else 0.5 * lam) + spec.l2_reg
 
 
 @dataclass
@@ -385,7 +351,7 @@ def solve_optimum(spec, data, grad_tol=1e-8, max_iter=2_000_000):
             W = np.linalg.solve(A, B)
         w = W.ravel()
         return Optimum(w, loss(spec, w, data), fallback)
-    step = 1.0 / estimate_constants(spec, data).beta
+    step = 1.0 / estimate_constants(spec, data)
     w = np.zeros(param_length(spec))
     for _ in range(max_iter):
         g = gradient(spec, w, data)

@@ -15,7 +15,6 @@ MOBILITY_INIT = 4
 MOBILITY_TURNS = 5
 SHARED_INPUT = 6
 MODEL_INIT = 7
-POWER_ITERATION = 8
 BATCH_BASE = 1000  # per-vehicle batch streams use BATCH_BASE + vehicle id
 
 _MASK = (1 << 64) - 1

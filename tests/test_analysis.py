@@ -487,7 +487,7 @@ def bound_suite_run(speed, K=4, eta=0.05, seed=13):
     tr = res.trace
     probes = np.vstack([tr.vtilde, np.zeros(tr.vtilde.shape[1]), opt.w])
     est = estimate_divergences(spec, shards, tr.association_history, probes, tau_l=tr.tau_l)
-    beta = models.estimate_constants(spec, union).beta
+    beta = models.estimate_constants(spec, union)
     rho = max(est.grad_norm[:len(tr.vtilde)].tolist())
     eps = choose_epsilon(analysis.epoch_losses(spec, union, tr, 60, K), opt.value)
     inputs = BoundInputs(beta=beta, rho=rho, eta=eta, tau_l=6, tau_e=10,
@@ -685,7 +685,7 @@ class TestGapBound:
         est = estimate_divergences(spec, shards, tr.association_history, probes,
                                    tau_l=tr.tau_l)
         assert est.delta <= 1e-12
-        beta = models.estimate_constants(spec, union).beta
+        beta = models.estimate_constants(spec, union)
         rho = max(est.grad_norm[:len(tr.vtilde)].tolist())
         losses = analysis.epoch_losses(spec, union, tr, 4, 3)
         eps = choose_epsilon(losses, opt.value)

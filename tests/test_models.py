@@ -278,34 +278,31 @@ class TestConstants:
     def test_identity_features_beta_is_one(self):
         ds = datasets.LabeledDataset(np.array([[1.0]]), np.array([2]), class_count=1)
         spec = ModelSpec(QUADRATIC, dim=1, class_count=1, l2_reg=0.0)
-        est = estimate_constants(spec, ds)
-        assert est.beta == pytest.approx(1.0, abs=1e-8)
-        assert est.method == "power_iteration"
+        assert estimate_constants(spec, ds) == pytest.approx(1.0, abs=1e-8)
 
-    def test_power_iteration_matches_eigvalsh(self):
+    def test_beta_matches_top_singular_value(self):
+        # an oracle independent of the eigendecomposition: lmax(X'X/n) = s_max(X)^2/n
         ds = small_dataset(C=3, d=8, n_per=50, seed=8)
         spec = ModelSpec(QUADRATIC, dim=8, class_count=3, l2_reg=0.0)
-        est = estimate_constants(spec, ds)
-        A = ds.features.T @ ds.features / ds.n_samples
-        lam = np.linalg.eigvalsh(A)[-1]
-        assert est.beta == pytest.approx(lam, rel=1e-7)
+        lam = np.linalg.svd(ds.features, compute_uv=False)[0] ** 2 / ds.n_samples
+        assert estimate_constants(spec, ds) == pytest.approx(lam, rel=1e-12)
 
     def test_l2_shifts_beta_exactly(self):
         ds = small_dataset()
-        b0 = estimate_constants(ModelSpec(QUADRATIC, dim=6, class_count=4), ds).beta
-        b1 = estimate_constants(ModelSpec(QUADRATIC, dim=6, class_count=4, l2_reg=0.7), ds).beta
+        b0 = estimate_constants(ModelSpec(QUADRATIC, dim=6, class_count=4), ds)
+        b1 = estimate_constants(ModelSpec(QUADRATIC, dim=6, class_count=4, l2_reg=0.7), ds)
         assert b1 - b0 == pytest.approx(0.7, abs=1e-12)
 
     @pytest.mark.parametrize("spec", SPECS[:2], ids=lambda s: s.family)
     def test_beta_bounds_gradient_lipschitz(self, spec):
         ds = small_dataset()
-        est = estimate_constants(spec, ds)
+        beta = estimate_constants(spec, ds)
         g = np.random.default_rng(12)
         for _ in range(100):
             w1 = 0.5 * g.normal(size=param_length(spec))
             w2 = 0.5 * g.normal(size=param_length(spec))
             lhs = np.linalg.norm(gradient(spec, w1, ds) - gradient(spec, w2, ds))
-            assert lhs <= est.beta * np.linalg.norm(w1 - w2) * (1 + 1e-9)
+            assert lhs <= beta * np.linalg.norm(w1 - w2) * (1 + 1e-9)
 
     @pytest.mark.parametrize("spec", SPECS[:2], ids=lambda s: s.family)
     def test_convexity_witness(self, spec):
