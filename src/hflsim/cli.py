@@ -156,7 +156,7 @@ def cmd_sweep_speed(args):
     atomic_write_csv(os.path.join(out, "sweep.csv"), rows)
     rows = [["speed", "mean_max_accuracy", "std_max_accuracy"]]
     rows += [[v, result.mean_max_accuracy(v),
-              float(np.std([c.max_test_accuracy for c in result.cells if c.speed == v]))]
+              np.std([c.max_test_accuracy for c in result.cells if c.speed == v])]
              for v in result.speeds]
     atomic_write_csv(os.path.join(out, "sweep_summary.csv"), rows)
     meta = {"ceiling": result.ceiling, "targets": result.targets,

@@ -513,7 +513,8 @@ class TestCsvCells:
     def test_recorded_run_reads_back_exact(self, tmp_path):
         path = write_cfg(tmp_path, SWEEP)
         assert cli.main(["run", "--config", path]) == 0
-        res = experiments.run_instance(experiments.build_instance(validate(config.load_config(path))))
+        cfg = validate(config.load_config(path))
+        res = experiments.run_instance(experiments.build_instance(cfg))
 
         def read(name):
             with open(tmp_path / "out" / name, newline="") as f:

@@ -149,7 +149,6 @@ class TestSweepDeduplication:
         res = experiments.sweep_speed(cfg, speeds, seeds, parallel=parallel,
                                       on_cell=reported.append)
         assert res.cells == reported == ref.cells
-        np.testing.assert_equal([astuple(c) for c in res.cells], [astuple(c) for c in ref.cells])
 
         path = tmp_path / "exp.cfg"
         path.write_text(config.serialize_config(cfg))
