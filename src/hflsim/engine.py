@@ -92,7 +92,7 @@ class BatchSampler:
         shuffled = np.zeros(sizes.size, bool) if full_batch else sizes > batch_size
         self.groups = []   # vehicle ids of each group, ascending
         self._fixed = []   # each whole-shard group's constant (G, n_m) indices
-        for n in np.unique(sizes[~shuffled]):
+        for n in sorted(set(sizes[~shuffled].tolist())):
             ids = np.flatnonzero(~shuffled & (sizes == n))
             self.groups.append(ids)
             self._fixed.append(np.broadcast_to(np.arange(n), (ids.size, n)))

@@ -116,6 +116,18 @@ def run_instance(inst, init_params_vec=None, *, association=None, train_loss=Tru
                       train_loss=train_loss)
 
 
+def _optimum_problems(cfg):
+    """Why the convex optimum of cfg's loss may not exist. A logistic loss
+    without l2 has no minimizer on separable data, where solve_optimum's
+    descent would run to its step cap; the rule rejects every such config
+    up front, separable or not."""
+    md = cfg.model
+    if md.family == models.MULTINOMIAL_LOGISTIC and md.l2_reg == 0:
+        return [f"[model] l2_reg = 0 leaves the {md.family} loss without a minimizer on "
+                "separable data; the optimum needs l2_reg > 0"]
+    return []
+
+
 # --- accuracy targets and sweep machinery ---------------------------------
 
 def centralized_ceiling(inst):
@@ -226,6 +238,7 @@ def sweep_speed(cfg, speeds, seeds, target_fractions=DEFAULT_TARGET_FRACTIONS,
         # every cell would report a NaN accuracy against a NaN ceiling
         problems.append("the speed sweep needs a test split to measure accuracy; "
                         "[partition] shared_input = true leaves none")
+    problems += _optimum_problems(cfg)  # the convex ceiling is the optimum's accuracy
     if problems:
         raise ConfigError(problems)
     base = build_instance(cfg)
@@ -316,6 +329,8 @@ def verify_bounds(cfg, delta_scale=1.0):
     inst = build_instance(cfg)
     if not inst.spec.is_convex:
         raise models.UnsupportedModelError("bound verification needs a convex family")
+    if _optimum_problems(cfg):
+        raise ConfigError(_optimum_problems(cfg))
     res = run_instance(inst, record_virtual=True, full_batch=True, train_loss=False)
     tr = res.trace
 

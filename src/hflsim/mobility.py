@@ -76,7 +76,8 @@ def _road_table(network):
     a, z, P = network.side_length, network.intersection_zone, network.perimeter
     corners = np.arange(5) * a
     pts = np.concatenate([corners, corners - z, corners + z])
-    knots = np.unique(pts[(pts >= 0.0) & (pts <= P)])
+    pts = np.sort(pts[(pts >= 0.0) & (pts <= P)])
+    knots = pts[np.concatenate([[True], pts[1:] != pts[:-1]])]
     gaps = np.diff(knots)
     offset = (knots[:-1] + gaps / 2.0) % a  # midpoint of each gap, past its corner
     slow = np.minimum(offset, a - offset) < z

@@ -220,17 +220,9 @@ def gradient_fleet(spec, W, X, y, *, targets=None):
     if W.shape != (M, param_length(spec)) or X.shape != (M, n, spec.dim):
         raise ValueError(f"fleet shapes W {W.shape}, X {X.shape}, y {y.shape} "
                          f"do not match P={param_length(spec)}, d={spec.dim}")
-    Xt = np.swapaxes(X, 1, 2)
-    if spec.family == QUADRATIC:
-        T = quadratic_targets(spec, y) if targets is None else targets
-        R = X @ W.reshape(M, spec.dim, -1) - T
-        return (Xt @ R).reshape(M, -1) / n + spec.l2_reg * W
-    # entry [m, b, y[m, b]] of the contiguous (M, B, c) scores
-    label = _label_index(y, spec.class_count)
-    if spec.family == MULTINOMIAL_LOGISTIC:
-        S = _softmax(X @ W.reshape(M, spec.dim, spec.class_count))
-        S.reshape(-1)[label] -= 1.0
-        return (Xt @ S).reshape(M, -1) / n + spec.l2_reg * W
+    if spec.is_convex:
+        return _convex_gradients(spec, W.reshape(M, spec.dim, -1), X, y,
+                                 targets).reshape(M, -1)
     W1, b1, W2, b2 = _mlp_unpack(spec, W)
     Z = X @ W1
     Z += b1
@@ -238,7 +230,7 @@ def gradient_fleet(spec, W, X, y, *, targets=None):
     S = Z @ W2
     S += b2
     S = _softmax(S)
-    S.reshape(-1)[label] -= 1.0
+    S.reshape(-1)[_label_index(y, spec.class_count)] -= 1.0
     S /= n
     g = np.empty(W.shape)
     gW1, gb1, gW2, gb2 = _mlp_unpack(spec, g)  # views of g's rows
@@ -247,33 +239,55 @@ def gradient_fleet(spec, W, X, y, *, targets=None):
     dZ = S @ np.swapaxes(W2, 1, 2)
     Z *= Z
     dZ *= np.subtract(1.0, Z, out=Z)
-    np.matmul(Xt, dZ, out=gW1)
+    np.matmul(np.swapaxes(X, 1, 2), dZ, out=gW1)
     gb1[:, 0] = _batch_sum(dZ)
     g += spec.l2_reg * W
     return g
 
 
-def gradient_probes(spec, W, X, y, *, targets=None):
-    """Full-batch gradients of G equal-size datasets at Q probe points:
-    W (Q, P), X (G, n, d), y (G, n) -> (Q, G, P); targets is
-    quadratic_targets(spec, y), built per call when not given.
+def _convex_gradients(spec, Wm, X, y, targets, out=None, residual=None):
+    """Gradients of a convex family at the weight matrices Wm (..., d, c)
+    over the datasets X (..., n, d), y (..., n), their leading axes
+    broadcast; targets is quadratic_targets(spec, y) or None. Each
+    (weights, dataset) pair gets gradient_xy's operations: an (n, d) @ (d, c)
+    product, the residual or softmax scores, and X' @ R, divided by n plus
+    the l2 term. The scores are written to residual and the gradients,
+    (..., d, c), to out, when given."""
+    n = X.shape[-2]
+    R = np.matmul(X, Wm, out=residual)
+    if spec.family == QUADRATIC:
+        R -= quadratic_targets(spec, y) if targets is None else targets
+    else:
+        _softmax(R)
+        # entry [..., b, y[..., b]] of the contiguous (..., n, c) scores
+        R.reshape(-1)[_label_index(np.broadcast_to(y, R.shape[:-1]), spec.class_count)] -= 1.0
+    g = np.matmul(np.swapaxes(X, -1, -2), R, out=out)
+    g /= n
+    g += spec.l2_reg * Wm
+    return g
 
-    Entry [q, g] is bitwise gradient_xy(spec, W[q], X[g], y[g]): one
-    gradient_fleet call over the Q*G (probe, dataset) pairs, the probe
-    rows repeated and the datasets tiled (a single dataset or a single
-    probe needs no copy).
+
+def gradient_probes(spec, W, X, y, *, targets=None, out=None, residual=None):
+    """Full-batch gradients of G equal-size datasets at Q probe points, for
+    the convex families: W (Q, P), X (G, n, d), y (G, n) -> (Q, G, P).
+    targets is quadratic_targets(spec, y), built per call when not given.
+    out (Q, G, P), whose rows are contiguous, receives the gradients, and
+    residual (Q, G, n, c) the scores, so a caller can reuse both.
+
+    Entry [q, g] is bitwise gradient_xy(spec, W[q], X[g], y[g]): the probe
+    weights, as (Q, 1, d, c), broadcast against the datasets, so each
+    (probe, dataset) product is the one gradient_xy makes and nothing is
+    copied.
     """
+    if not spec.is_convex:
+        raise UnsupportedModelError(f"{spec.family} has no probe gradients")
     Q, G = W.shape[0], X.shape[0]
-
-    def tiled(a):
-        if a is None:
-            return None
-        if G == 1:
-            return np.broadcast_to(a, (Q,) + a.shape[1:])
-        return np.tile(a, (Q,) + (1,) * (a.ndim - 1)) if Q > 1 else a
-
-    return gradient_fleet(spec, np.repeat(W, G, axis=0), tiled(X), tiled(y),
-                          targets=tiled(targets)).reshape(Q, G, -1)
+    if out is not None and out.strides[-1] != out.itemsize:
+        raise ValueError("out needs contiguous rows")
+    g = _convex_gradients(spec, W.reshape(Q, 1, spec.dim, -1), X, y, targets,
+                          out=None if out is None else out.reshape(Q, G, spec.dim, -1),
+                          residual=residual)
+    return g.reshape(Q, G, -1) if out is None else out
 
 
 def row_norms(D):

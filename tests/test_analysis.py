@@ -332,9 +332,9 @@ class TestDivergencesMatchProbeLoop:
         sizes = []
         real = analysis.gradient_probes
 
-        def spy(spec, W, X, y, *, targets=None):
+        def spy(spec, W, X, y, **buffers):
             sizes.append(W.shape[0])
-            return real(spec, W, X, y, targets=targets)
+            return real(spec, W, X, y, **buffers)
 
         monkeypatch.setattr(analysis, "gradient_probes", spy)
         return sizes
@@ -390,11 +390,14 @@ class TestDivergencesMatchProbeLoop:
         shards, spec = local_noniid_unequal(), DIVERGENCE_CASES["logistic_local_noniid_unequal"][1]
         hist = self.history(len(shards), 11, 4, seed=2)
         probes = np.random.default_rng(3).normal(size=(7, models.param_length(spec)))
-        # per probe the largest block is the edge product of the distinct
-        # rows, (R*4, P), or the stacked shard features; budget three probes
-        rows = sum(s.size for s in shards)
-        per_probe = 8 * max(rows * (spec.dim + spec.class_count),
-                            len(np.unique(hist, axis=0)) * 4 * models.param_length(spec))
+        # a probe takes its scores on every shard, (sum n, C), its shard
+        # gradients, (M, P), and one edge gradient per distinct edge member
+        # set, (U, P); budget three probes
+        sizes = np.array([s.size for s in shards], dtype=np.float64)
+        A, _ = engine.membership_weights(hist, sizes, 4)
+        U = len(np.unique(A.reshape(-1, len(shards)), axis=0))
+        per_probe = 8 * (int(sizes.sum()) * spec.class_count
+                         + (len(shards) + U) * models.param_length(spec))
         monkeypatch.setattr(analysis, "CHUNK_BYTES", 3 * per_probe)
         chunks = self.spy_chunks(monkeypatch)
         self.check(spec, shards, hist, probes)
@@ -471,6 +474,34 @@ class TestRhoFromDivergenceGradients:
         # the shard-weighted gradient is the union's up to rounding
         union = max(np.linalg.norm(models.gradient(inst.spec, w, inst.union)) for w in tr.vtilde)
         assert rho == pytest.approx(union, rel=1e-12)
+
+
+class TestRhoOverVtildeRows:
+    def test_largest_norm_off_the_vtilde_rows(self, monkeypatch):
+        # the run starts halfway to the optimum, where the quadratic's
+        # gradient is half the origin's, and descends from there: every
+        # vtilde row's norm is below the origin probe's
+        cfg = config.parse_config(RHO_CONFIG.format(family="quadratic", shared="true"))
+        inst = experiments.build_instance(cfg)
+        w0 = 0.5 * models.solve_optimum(inst.spec, inst.union).w
+        monkeypatch.setattr(engine, "init_params", lambda spec, seed: w0.copy())
+        calls = []
+        real = analysis.estimate_divergences
+
+        def spy(spec, shards, hist, probes, tau_l=1):
+            calls.append((probes, real(spec, shards, hist, probes, tau_l=tau_l)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(analysis, "estimate_divergences", spy)
+        rho = experiments.verify_bounds(cfg).inputs.rho
+        (probes, est), = calls
+        V = cfg.hfl.cloud_epochs * cfg.hfl.tau_e * cfg.hfl.tau_l + 1  # the vtilde rows lead
+        assert np.array_equal(probes[-2], np.zeros(probes.shape[1]))  # the origin
+        assert int(np.argmax(est.grad_norm)) == len(probes) - 2
+        assert rho == max(est.grad_norm[:V].tolist()) < est.grad_norm[-2]
+        vtilde_norms = [np.linalg.norm(models.gradient(inst.spec, w, inst.union))
+                        for w in probes[:V]]
+        assert rho == pytest.approx(max(vtilde_norms), rel=1e-12)
 
 
 def bound_suite_run(speed, K=4, eta=0.05, seed=13):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -654,6 +655,25 @@ class TestCmdSweep:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_commands_never_import_numpy_ma(self, tmp_path):
+        # a bare np.unique asks np.ma.is_masked, which imports numpy.ma
+        # (about 13 ms and 1 MB) in whatever command calls it first
+        mobile = write_cfg(tmp_path, MOBILE, "mobile.cfg")
+        bounds = write_cfg(tmp_path, BOUNDS, "bounds.cfg")
+        commands = [["run", "--config", mobile, "--out", str(tmp_path / "run")],
+                    ["verify-bounds", "--config", bounds, "--out", str(tmp_path / "verify")],
+                    ["sweep-speed", "--config", mobile, "--speeds", "0,30", "--seeds", "1",
+                     "--out", str(tmp_path / "sweep")]]
+        code = ("import json, sys; from hflsim import cli; "
+                "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]; "
+                "print(json.dumps([codes, 'numpy.ma' in sys.modules]))")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0, 0], False]
+
     def test_recorded_non_convex_rejected_before_training(self, tmp_path, capsys, monkeypatch):
         # the divergence constants of a recorded cell need a convex family
         calls = []
@@ -924,6 +944,22 @@ class TestExitCodes:
                                                                         "l2_reg = 0.0")
         assert cli.main(["verify-bounds", "--config", write_cfg(tmp_path, text)]) == 2
         assert "[dataset] beta and rho must be > 0, got beta=0.0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["verify-bounds"],
+                                         ["sweep-speed", "--speeds", "0", "--seeds", "1"]])
+    def test_logistic_without_l2_has_no_optimum(self, tmp_path, capsys, monkeypatch, command):
+        # separable 2-class data: without l2 the logistic loss has no
+        # minimizer, and the optimum's descent would run to its step cap
+        text = MINI.replace("classes = 4", "classes = 2").replace("dim = 8", "dim = 2")
+        text = text.replace("samples_per_class = 50", "samples_per_class = 20")
+        path = write_cfg(tmp_path, text.replace("l2_reg = 0.01", "l2_reg = 0.0"))
+        trained = []
+        monkeypatch.setattr(engine, "run", lambda *a, **k: trained.append(a))
+        t0 = time.perf_counter()
+        assert cli.main([command[0], "--config", path, *command[1:]]) == 2
+        assert time.perf_counter() - t0 < 1.0 and not trained
+        assert "[model] l2_reg = 0 leaves the multinomial_logistic loss without a minimizer" \
+            in capsys.readouterr().err
 
     def test_negative_seed_and_rounds(self, tmp_path, capsys):
         path = write_cfg(tmp_path, MOBILE)

@@ -274,6 +274,44 @@ class TestGradientFleet:
                            np.zeros((3, 4, spec.dim)), np.zeros((3, 4), dtype=int))
 
 
+PROBE_SPECS = [s for s in FLEET_SPECS if s.is_convex]
+
+
+class TestGradientProbes:
+    """The divergence probes' gradients: every (probe, dataset) entry is
+    the reference gradient_xy, bit for bit."""
+
+    @pytest.mark.parametrize("spec", PROBE_SPECS,
+                             ids=lambda s: f"{s.family}-C{s.class_count}-l2{s.l2_reg}")
+    @pytest.mark.parametrize("Q", [1, 3, 16])
+    @pytest.mark.parametrize("G", [1, 5])
+    def test_entries_equal_gradient_xy_bitwise(self, spec, Q, G):
+        g = np.random.default_rng(100 * Q + G)
+        n = 37
+        W = g.normal(size=(Q, param_length(spec)))
+        X = 3.0 * g.normal(size=(G, n, spec.dim))
+        y = g.integers(-3, 4, size=(G, n)) if spec.class_count == 1 else \
+            g.integers(0, spec.class_count, size=(G, n))
+        want = np.array([[gradient_xy(spec, W[q], X[i], y[i]) for i in range(G)]
+                         for q in range(Q)])
+        T = models.quadratic_targets(spec, y)
+        assert models.gradient_probes(spec, W, X, y).tobytes() == want.tobytes()
+        assert models.gradient_probes(spec, W, X, y, targets=T).tobytes() == want.tobytes()
+        # into reused buffers, the gradients into rows of a wider array
+        out = np.full((Q, G + 2, param_length(spec)), np.nan)
+        residual = np.empty((Q, G, n, spec.class_count))
+        got = models.gradient_probes(spec, W, X, y, targets=T, out=out[:, 1:G + 1],
+                                     residual=residual)
+        assert got.base is out and out[:, 1:G + 1].tobytes() == want.tobytes()
+        assert np.isnan(out[:, [0, -1]]).all()
+
+    def test_non_convex_rejected(self):
+        spec = SPECS[2]
+        with pytest.raises(UnsupportedModelError):
+            models.gradient_probes(spec, np.zeros((1, param_length(spec))),
+                                   np.zeros((1, 4, spec.dim)), np.zeros((1, 4), dtype=int))
+
+
 class TestConstants:
     def test_identity_features_beta_is_one(self):
         ds = datasets.LabeledDataset(np.array([[1.0]]), np.array([2]), class_count=1)
