@@ -329,8 +329,8 @@ def verify_bounds(cfg, delta_scale=1.0):
     inst = build_instance(cfg)
     if not inst.spec.is_convex:
         raise models.UnsupportedModelError("bound verification needs a convex family")
-    if _optimum_problems(cfg):
-        raise ConfigError(_optimum_problems(cfg))
+    if problems := _optimum_problems(cfg):
+        raise ConfigError(problems)
     res = run_instance(inst, record_virtual=True, full_batch=True, train_loss=False)
     tr = res.trace
 
