@@ -52,14 +52,13 @@ def estimate_divergences(spec, shards, association_history, probes, tau_l=1):
     tau // tau_l for the edge-drift check. grad_norm[q] = ||grad F(probe q)||,
     whose maximum over a probe subset is the region Lipschitz constant rho.
 
-    Delta_n depends on a bracket only through its association row, and on
-    an edge only through its member set, so each probe's edge gradients
-    are one (U, M) @ (M, P) product over the U distinct member sets,
-    expanded to the (row, edge) pairs and then the brackets afterwards.
-    Probes are taken in chunks (CHUNK_BYTES), and every value is bitwise
-    the one a loop over single probes gives: each group of equal-size
-    shards is one gradient_probes call, and the edge product has the same
-    shape whatever the chunk size.
+    Delta_n depends on a bracket only through its association row, so the
+    edge gradients are computed once per distinct row and expanded to the
+    brackets afterwards. Probes are taken in chunks (CHUNK_BYTES), and
+    every value is bitwise the one a loop over single probes gives: each
+    group of equal-size shards is one gradient_probes call, and each
+    probe's edge gradients are the same (R*N, M) @ (M, P) product over
+    the R distinct rows, whatever the chunk size.
     """
     if not spec.is_convex:
         raise UnsupportedModelError("divergence constants require a convex family")
@@ -78,33 +77,24 @@ def estimate_divergences(spec, shards, association_history, probes, tau_l=1):
     A_rows, theta_rows = membership_weights(rows, sizes, N)
     A, theta = A_rows[inv], theta_rows[inv]
     occupied = theta > 0
-    # one product row per edge member set: B[member[i]] is E[i]. BLAS rounds
-    # a row by its place in the product, and the sets keep their order of
-    # first appearance, which leaves a row's bits as the (row, edge) product
-    # gives them more often than np.unique's sorted order (see README)
-    E = A_rows.reshape(-1, M)
-    _, first, member = np.unique(E, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    B = E[first[order]]
-    member = np.argsort(order)[member.reshape(-1)]
+    B = A_rows.reshape(-1, M)  # one row per (distinct row, edge)
     P, C = probes.shape[1], spec.class_count
-    # a probe's share of the buffers: its scores on every shard, its shard
-    # gradients and its edge gradients. They are allocated once: a fresh
-    # array at every chunk would be mapped and unmapped each time, at the
-    # cost of a page fault per page
-    chunk = max(1, CHUNK_BYTES // (8 * (int(sizes.sum()) * C + (M + len(B)) * P)))
+    by_size = [np.flatnonzero(sizes == n) for n in sorted(set(sizes.tolist()))]
+    group_rows = max(len(ids) * shards[ids[0]].size for ids in by_size)
+    # a probe's share of the buffers: its scores on the largest group of
+    # equal-size shards, its gradients in the groups' buffers and in G, and
+    # its edge gradients. They are allocated once: a fresh array at every
+    # chunk would be mapped and unmapped each time, at the cost of a page
+    # fault per page
+    chunk = max(1, CHUNK_BYTES // (8 * (group_rows * C + (2 * M + len(B)) * P)))
     G = np.empty((chunk, M, P))
     ge_out = np.empty((chunk, len(B), P))
+    scores = np.empty(chunk * group_rows * C)
     groups = []  # (shard ids, features, labels, targets, gradient buffer) per shard size
-    for n in sorted(set(sizes.tolist())):
-        ids = np.flatnonzero(sizes == n)
+    for ids in by_size:
         y = np.stack([shards[m].data.labels for m in ids])
-        # a run of ids writes straight into G; any other group is copied there
-        run = ids[-1] - ids[0] + 1 == len(ids)
         groups.append((ids, np.stack([shards[m].data.features for m in ids]), y,
-                       quadratic_targets(spec, y),
-                       G[:, ids[0]:ids[-1] + 1] if run else np.empty((chunk, len(ids), P))))
-    scores = np.empty(chunk * max(y.size for _, _, y, _, _ in groups) * C)
+                       quadratic_targets(spec, y), np.empty((chunk, len(ids), P))))
 
     # running maxima of the squared norms. np.linalg.norm(x, axis=2) is
     # sqrt(add.reduce(x * x, axis=2)), and sqrt is correctly rounded and
@@ -117,9 +107,7 @@ def estimate_divergences(spec, shards, association_history, probes, tau_l=1):
         q = len(w)
         for ids, X, y, T, out in groups:
             R = scores[:q * y.size * C].reshape((q,) + y.shape + (C,))
-            gradient_probes(spec, w, X, y, targets=T, out=out[:q], residual=R)
-            if out.base is not G:
-                G[:q, ids] = out[:q]
+            G[:q, ids] = gradient_probes(spec, w, X, y, targets=T, out=out[:q], residual=R)
         Gq = G[:q]
         gF = alpha @ Gq  # (q, P)
         grad_norm[i:i + q] = row_norms(gF)
@@ -128,9 +116,8 @@ def estimate_divergences(spec, shards, association_history, probes, tau_l=1):
             D -= gF[:, None]
             D *= D
             np.maximum(sq, D.sum(axis=2).max(axis=0), out=sq)
-    delta_m = np.sqrt(delta_sq)
-    Delta_u = np.sqrt(Delta_sq)[member].reshape(-1, N)
-    Delta_n = np.where(occupied, Delta_u[inv], np.nan)
+    delta_m, Delta_u = np.sqrt(delta_sq), np.sqrt(Delta_sq)
+    Delta_n = np.where(occupied, Delta_u.reshape(-1, N)[inv], np.nan)
     delta_n = np.where(occupied, A @ delta_m, np.nan)
     Delta = np.nansum(np.where(occupied, theta * Delta_n, 0.0), axis=1)
     return DivergenceEstimates(

@@ -272,7 +272,8 @@ def gradient_probes(spec, W, X, y, *, targets=None, out=None, residual=None):
     the convex families: W (Q, P), X (G, n, d), y (G, n) -> (Q, G, P).
     targets is quadratic_targets(spec, y), built per call when not given.
     out (Q, G, P), whose rows are contiguous, receives the gradients, and
-    residual (Q, G, n, c) the scores, so a caller can reuse both.
+    residual (Q, G, n, c), C-contiguous, the scores, so a caller can reuse
+    both.
 
     Entry [q, g] is bitwise gradient_xy(spec, W[q], X[g], y[g]): the probe
     weights, as (Q, 1, d, c), broadcast against the datasets, so each
@@ -284,6 +285,9 @@ def gradient_probes(spec, W, X, y, *, targets=None, out=None, residual=None):
     Q, G = W.shape[0], X.shape[0]
     if out is not None and out.strides[-1] != out.itemsize:
         raise ValueError("out needs contiguous rows")
+    # the softmax and the label entries are taken in place on a flat view
+    if residual is not None and not residual.flags.c_contiguous:
+        raise ValueError("residual must be C-contiguous")
     g = _convex_gradients(spec, W.reshape(Q, 1, spec.dim, -1), X, y, targets,
                           out=None if out is None else out.reshape(Q, G, spec.dim, -1),
                           residual=residual)

@@ -390,19 +390,25 @@ class TestDivergencesMatchProbeLoop:
         shards, spec = local_noniid_unequal(), DIVERGENCE_CASES["logistic_local_noniid_unequal"][1]
         hist = self.history(len(shards), 11, 4, seed=2)
         probes = np.random.default_rng(3).normal(size=(7, models.param_length(spec)))
-        # a probe takes its scores on every shard, (sum n, C), its shard
-        # gradients, (M, P), and one edge gradient per distinct edge member
-        # set, (U, P); budget three probes
-        sizes = np.array([s.size for s in shards], dtype=np.float64)
-        A, _ = engine.membership_weights(hist, sizes, 4)
-        U = len(np.unique(A.reshape(-1, len(shards)), axis=0))
-        per_probe = 8 * (int(sizes.sum()) * spec.class_count
-                         + (len(shards) + U) * models.param_length(spec))
+        # a probe takes its scores on the largest group of equal-size shards,
+        # (G*n, C), its shard gradients twice, in the group buffers and in
+        # the (M, P) block, and the edge gradients of the distinct rows,
+        # (R*4, P); budget three probes
+        sizes = np.array([s.size for s in shards])
+        group_rows = max(n * np.count_nonzero(sizes == n) for n in sizes)
+        per_probe = 8 * (int(group_rows) * spec.class_count
+                         + (2 * len(shards) + len(np.unique(hist, axis=0)) * 4)
+                         * models.param_length(spec))
         monkeypatch.setattr(analysis, "CHUNK_BYTES", 3 * per_probe)
         chunks = self.spy_chunks(monkeypatch)
         self.check(spec, shards, hist, probes)
         # one call per shard size and chunk: 3 + 3 + 1 probes
         assert sorted(set(chunks)) == [1, 3] and sum(chunks) == 7 * len({s.size for s in shards})
+        # a byte less holds two probes a chunk: 2 + 2 + 2 + 1
+        monkeypatch.setattr(analysis, "CHUNK_BYTES", 3 * per_probe - 1)
+        chunks.clear()
+        self.check(spec, shards, hist, probes)
+        assert sorted(set(chunks)) == [1, 2] and sum(chunks) == 7 * len({s.size for s in shards})
 
     def test_single_probe(self):
         make, spec = DIVERGENCE_CASES["quadratic_scalar_regression"]

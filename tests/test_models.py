@@ -305,6 +305,17 @@ class TestGradientProbes:
         assert got.base is out and out[:, 1:G + 1].tobytes() == want.tobytes()
         assert np.isnan(out[:, [0, -1]]).all()
 
+    @pytest.mark.parametrize("spec", PROBE_SPECS,
+                             ids=lambda s: f"{s.family}-C{s.class_count}-l2{s.l2_reg}")
+    def test_strided_residual_rejected(self, spec):
+        # a strided score buffer would take the softmax and the label
+        # entries on a copy, leaving raw products behind
+        W = np.ones((2, param_length(spec)))
+        X, y = np.ones((3, 5, spec.dim)), np.zeros((3, 5), dtype=int)
+        residual = np.empty((2, 3, 5, spec.class_count + 1))[..., :spec.class_count]
+        with pytest.raises(ValueError, match="residual"):
+            models.gradient_probes(spec, W, X, y, residual=residual)
+
     def test_non_convex_rejected(self):
         spec = SPECS[2]
         with pytest.raises(UnsupportedModelError):
