@@ -1,0 +1,126 @@
+#!/usr/bin/env python3
+"""Mutation smoke test: each entry plants one small fault in a temporary
+copy of the repository and runs the test that must catch it.
+
+    python3 scripts/mutation_smoke.py
+
+An entry names a file, an exact old text, its replacement and the pytest
+node expected to fail. The old text must occur exactly once in the file.
+Each mutant copy runs `pytest -x -q <node>` with its own src/ first on
+PYTHONPATH; an unmutated copy first runs every node once, which must pass.
+The exit code is 0 only when every mutation is caught (its test fails); it
+is 1 when an old text is missing or repeated, when a node fails unmutated,
+when a mutation survives (its test passes), or when pytest cannot run the
+node.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
+
+
+@dataclass(frozen=True)
+class Mutation:
+    path: str
+    old: str
+    new: str
+    node: str
+
+
+ANALYSIS, EXPERIMENTS = "src/hflsim/analysis.py", "src/hflsim/experiments.py"
+TEST_ANALYSIS = "tests/test_analysis.py"
+
+MUTATIONS = [
+    # the edge-drift bracket off by one
+    Mutation(ANALYSIS, "    bracket = tau // estimates.tau_l\n",
+             "    bracket = (tau + 1) // estimates.tau_l\n",
+             TEST_ANALYSIS + "::TestCheckersMatchScalarLoops::test_scaled_estimates"),
+    # (j + 1) weights in the central drift bound's mobility term
+    Mutation(ANALYSIS, "mix = float(np.sum(js * estimates.Delta_bracket[idx]))",
+             "mix = float(np.sum((js + 1) * estimates.Delta_bracket[idx]))",
+             TEST_ANALYSIS + "::TestComputeUk::test_rational_term_by_term_oracle"),
+    # a corner given to the higher-indexed side
+    Mutation("src/hflsim/mobility.py", "return np.floor(pos / a).astype(np.int64) - on_corner",
+             "return np.floor(pos / a).astype(np.int64)",
+             "tests/test_mobility.py::TestAssociate::test_corner_tie_breaks_low"),
+    # the recursion's edge case reading the vehicle sum
+    Mutation(ANALYSIS, "s = np.where(edge, trace.s_edge[prev], trace.s_vehicle[prev])",
+             "s = np.where(edge, trace.s_vehicle[prev], trace.s_vehicle[prev])",
+             TEST_ANALYSIS + "::TestCheckersMatchScalarLoops::test_bumped_recursion_cases"),
+    # a slack that forgives violations of 1e-8
+    Mutation(ANALYSIS, "DEFAULT_SLACK = 1e-9\n", "DEFAULT_SLACK = 1e-6\n",
+             TEST_ANALYSIS + "::TestPlantedViolations"),
+    # phi with beta*eta/4
+    Mutation(ANALYSIS, "phi = min((1.0 - inputs.beta * inputs.eta / 2.0)",
+             "phi = min((1.0 - inputs.beta * inputs.eta / 4.0)",
+             TEST_ANALYSIS + "::TestGapBoundOracle::test_hand_made_trace"),
+    # rho over every probe instead of the vtilde rows
+    Mutation(EXPERIMENTS, "rho = max(est.grad_norm[:len(tr.vtilde)].tolist())",
+             "rho = max(est.grad_norm.tolist())",
+             TEST_ANALYSIS + "::TestRhoOverVtildeRows"),
+    # pretraining that returns at the round that hits the target
+    Mutation(EXPERIMENTS, "if hit and len(res.metrics) % pre.hfl.tau_e == 0:", "if hit:",
+             "tests/test_config_cli.py::TestPretrain::test_target_first_hit_mid_epoch"),
+]
+
+
+def _read(root, path):
+    with open(os.path.join(root, path), encoding="utf-8") as f:
+        return f.read()
+
+
+def text_problems(root=ROOT):
+    """One message per entry whose old text does not occur exactly once."""
+    out = []
+    for i, m in enumerate(MUTATIONS):
+        n = _read(root, m.path).count(m.old)
+        if n != 1:
+            out.append(f"entry {i}: {m.old!r} occurs {n} times in {m.path}")
+    return out
+
+
+def run_copy(nodes, mutation=None):
+    """Run the pytest nodes in a temporary copy of the repository, with
+    mutation applied if given; returns pytest's exit code (1: a node
+    failed, so a mutation was caught)."""
+    with tempfile.TemporaryDirectory() as workdir:
+        copy = os.path.join(workdir, "repo")
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+            ".git", ".bench_build", "__pycache__", ".pytest_cache", ".hypothesis"))
+        if mutation is not None:
+            text = _read(copy, mutation.path)
+            with open(os.path.join(copy, mutation.path), "w", encoding="utf-8") as f:
+                f.write(text.replace(mutation.old, mutation.new))
+        env = dict(os.environ, PYTHONPATH=os.path.join(copy, "src"))
+        return subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p",
+                               "no:cacheprovider", *nodes],
+                              cwd=copy, env=env, capture_output=True).returncode
+
+
+def main():
+    problems = text_problems()
+    for p in problems:
+        print(f"BAD TEXT {p}")
+    if problems:
+        return 1
+    rc = run_copy(sorted({m.node for m in MUTATIONS}))
+    if rc != 0:
+        print(f"the nodes fail without a mutation (pytest exit {rc})")
+        return 1
+    failed = 0
+    for m in MUTATIONS:
+        rc = run_copy([m.node], m)
+        verdict = {0: "SURVIVED", 1: "caught"}.get(rc, f"ERROR (pytest exit {rc})")
+        failed += rc != 1
+        print(f"{verdict}: {m.path}: {m.old.strip()!r} -> {m.new.strip()!r} [{m.node}]")
+    print(f"{len(MUTATIONS) - failed} of {len(MUTATIONS)} mutations caught")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -269,12 +269,11 @@ class RunResult:
     final_state: FleetState
     trace: VirtualTrace = None
     cloud_consistency: list = field(default_factory=list)  # (k, max |w - u_pre|) per epoch
-    cloud_history: np.ndarray = None  # (K+1, P) cloud model after epoch k; row 0 = w0
 
 
-def run(config, shards, spec, association=None, edge_count=1, *,
-        eval_data=None, init_params_vec=None, train_loss=True):
-    """Execute the full hierarchical schedule.
+def edge_rounds(config, shards, spec, association=None, edge_count=1, *,
+                eval_data=None, init_params_vec=None, train_loss=True):
+    """Execute the full hierarchical schedule, one edge round per step.
 
     association is the (K*tau_e + 1, M) schedule of edge ids, row j in
     force from the end of edge round j (row 0 from the start); see
@@ -282,15 +281,17 @@ def run(config, shards, spec, association=None, edge_count=1, *,
     stays on edge 0 (used for the single-edge equivalence checks).
     Each local iteration is one fleet_step over all vehicles; the training
     loss and the centralized descent use the shards stacked in id order.
-    The loop's state is one FleetState, updated in place and returned as
-    final_state. Every round boundary takes two fleet_averages, before and
-    after the aggregation, and the recording measures those same averages,
-    so config.record_virtual changes no training bit.
-    Returns metrics, the final fleet state, per-epoch cloud/vehicle-average
-    consistency, the cloud model after every cloud aggregation, and the
-    virtual trace when config.record_virtual is set. With train_loss=False
-    the metrics rows carry a nan training loss, and the full-union loss is
-    not evaluated; nothing else changes.
+    Every round boundary takes two fleet_averages, before and after the
+    aggregation, and the recording measures those same averages, so
+    config.record_virtual changes no training bit.
+    After every edge round yields one RunResult, updated in place: the
+    metrics rows (the last is this round's), the loop's state as
+    final_state, per-epoch cloud/vehicle-average consistency, and the
+    virtual trace, filled up to this round, when config.record_virtual is
+    set. An empty edge takes its zero average, so a state yielded
+    mid-epoch holds zeros for empty edges. With train_loss=False the
+    metrics rows carry a nan training loss, and the full-union loss is not
+    evaluated; nothing else changes.
     """
     M = len(shards)
     if M < 1:
@@ -319,8 +320,6 @@ def run(config, shards, spec, association=None, edge_count=1, *,
     state = FleetState(tau=0, vehicle_params=np.tile(w0, (M, 1)),
                        edge_params=np.tile(w0, (edge_count, 1)), cloud_params=w0.copy())
     W, edge_params = state.vehicle_params, state.edge_params  # updated in place
-    cloud_history = np.empty((K + 1, P))
-    cloud_history[0] = w0
     sampler = BatchSampler(sizes.astype(int), config.batch_size, config.seed,
                            full_batch=config.full_batch)
     fleet = union_of_shards(shards)
@@ -329,7 +328,6 @@ def run(config, shards, spec, association=None, edge_count=1, *,
     # weights of the association in force, and B, the weights of u (row 0)
     # and of every edge's average; refreshed at every round boundary
     A, theta = membership_weights(association[0], sizes, edge_count)
-    occupied = np.flatnonzero(theta)
     B = np.vstack([alpha, A])
 
     record = config.record_virtual
@@ -383,10 +381,9 @@ def run(config, shards, spec, association=None, edge_count=1, *,
             trace.gap_u_v[taus] = gap
             # cumsum adds strictly in id order, like a running loop from zero
             trace.s_vehicle[taus] = np.cumsum(alpha[:, None] * vehicle, axis=0)[-1]
-            trace.s_edge[taus] = np.cumsum(theta[occupied, None] * edge[occupied], axis=0)[-1]
+            trace.s_edge[taus] = np.cumsum(theta[theta > 0, None] * edge[theta > 0], axis=0)[-1]
 
-    metrics = []
-    cloud_consistency = []
+    result = RunResult(metrics=[], final_state=state, trace=trace)
     for j in range(1, rounds + 1):
         for s in range(1, tau_l + 1):
             state.tau += 1
@@ -412,7 +409,6 @@ def run(config, shards, spec, association=None, edge_count=1, *,
         # round boundary: the new association takes effect, then aggregation
         edge_of = association[j]
         A, theta = membership_weights(edge_of, sizes, edge_count)
-        occupied = np.flatnonzero(theta)
         B = np.vstack([alpha, A])
         is_cloud = (j % tau_e == 0)
         here = slice(state.tau, state.tau + 1)
@@ -420,8 +416,7 @@ def run(config, shards, spec, association=None, edge_count=1, *,
         if record:
             store(here, W[:, None], avgs[:, None], vtilde, pre=True, post=False)
 
-        edge_params[occupied] = avgs[1:][occupied]
-        # an empty edge keeps its previous model and gets theta = 0
+        edge_params[:] = avgs[1:]
         W[:] = edge_params[edge_of]
 
         if is_cloud:
@@ -429,8 +424,7 @@ def run(config, shards, spec, association=None, edge_count=1, *,
             edge_params[:] = cloud
             W[:] = cloud
             k = j // tau_e
-            cloud_history[k] = cloud
-            cloud_consistency.append((k, float(np.max(np.abs(cloud - avgs[0])))))
+            result.cloud_consistency.append((k, float(np.max(np.abs(cloud - avgs[0])))))
 
         avgs = fleet_averages(B, W)
         u = avgs[0]
@@ -444,13 +438,19 @@ def run(config, shards, spec, association=None, edge_count=1, *,
         round_loss = loss(spec, u, fleet) if train_loss else float("nan")
         test_acc = accuracy(spec, u, eval_data) if eval_data is not None else float("nan")
         gap = trace.gap_u_vtilde[state.tau] if record else float("nan")
-        metrics.append(MetricsRow(
+        result.metrics.append(MetricsRow(
             cloud_epoch=(j + tau_e - 1) // tau_e, edge_round=j, iteration=state.tau,
             train_loss=round_loss, test_accuracy=test_acc, u_vtilde_gap=float(gap),
             membership_counts=tuple(int(c) for c in np.bincount(edge_of, minlength=edge_count))))
+        yield result
 
-    return RunResult(metrics=metrics, final_state=state, trace=trace,
-                     cloud_consistency=cloud_consistency, cloud_history=cloud_history)
+
+def run(config, shards, spec, association=None, edge_count=1, *,
+        eval_data=None, init_params_vec=None, train_loss=True):
+    """edge_rounds run to the end: the RunResult after the last round."""
+    *_, last = edge_rounds(config, shards, spec, association, edge_count, eval_data=eval_data,
+                           init_params_vec=init_params_vec, train_loss=train_loss)
+    return last
 
 
 def config_hash(text):
@@ -472,13 +472,20 @@ def write_checkpoint(path, state, cfg_hash):
             write_param_vector(f, row)
 
 
+def _read_exactly(f, size, what):
+    raw = f.read(size)
+    if len(raw) != size:
+        raise IOError(f"truncated checkpoint: {what} needs {size} bytes, got {len(raw)}")
+    return raw
+
+
 def read_checkpoint(path):
     with open(path, "rb") as f:
         if f.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
             raise IOError("not a checkpoint file")
-        (hlen,) = struct.unpack("<B", f.read(1))
-        cfg_hash = f.read(hlen).hex()
-        tau, M, N = struct.unpack("<QQQ", f.read(24))
+        (hlen,) = struct.unpack("<B", _read_exactly(f, 1, "the hash length"))
+        cfg_hash = _read_exactly(f, hlen, "the config hash").hex()
+        tau, M, N = struct.unpack("<QQQ", _read_exactly(f, 24, "the tau, M, N fields"))
         cloud = read_param_vector(f)
         edges = np.stack([read_param_vector(f) for _ in range(N)])
         vparams = np.stack([read_param_vector(f) for _ in range(M)])

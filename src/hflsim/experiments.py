@@ -300,12 +300,17 @@ def pretrain_checkpoint(cfg, accuracy_target, max_epochs=200):
     pre.partition.shared_input = False
     pre.mobility.speed = 0.0
     pre.hfl.record_virtual = False
+    pre.hfl.cloud_epochs = max_epochs
     inst = build_instance(pre)
-    res = run_instance(inst, cloud_epochs=max_epochs, train_loss=False)
+    _, association = schedule(inst, max_epochs * pre.hfl.tau_e)
+    rounds = engine.edge_rounds(pre.hfl, inst.shards, inst.spec, association, pre.mobility.edges,
+                                eval_data=inst.test, train_loss=False)
     # the cloud model at the end of the first cloud epoch that hits the target
-    for row in res.metrics:
-        if row.test_accuracy >= accuracy_target:
-            return res.cloud_history[row.cloud_epoch].copy()
+    hit = False
+    for res in rounds:
+        hit = hit or res.metrics[-1].test_accuracy >= accuracy_target
+        if hit and len(res.metrics) % pre.hfl.tau_e == 0:
+            return res.final_state.cloud_params.copy()
     raise RuntimeError(
         f"pretraining never reached accuracy {accuracy_target:.3f} "
         f"within {max_epochs} cloud epochs")

@@ -1,5 +1,7 @@
 import copy
+from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -756,6 +758,105 @@ class TestGapBound:
         gr = check_gap_bound(tr, inputs, uk, gap_losses(spec, union, tr, inputs))
         assert not gr.conditions["uk_upper_bounds_gap"]
         assert not gr.applicable
+
+
+class TestGapBoundOracle:
+    def test_hand_made_trace(self):
+        # K = 2 epochs of span 2: the epochs start at vtilde rows 0 and 2,
+        # at distances 5 and 2 from w* = 0, so phi is set by the first
+        eta, beta, rho, eps, T = 0.5, 1.0, 0.1, 1.0, 4
+        inputs = BoundInputs(beta=beta, rho=rho, eta=eta, tau_l=1, tau_e=2, cloud_epochs=2,
+                             epsilon=eps, w_star=np.zeros(2), f_star=0.0)
+        trace = SimpleNamespace(vtilde=np.array([[3.0, 4.0], [2.0, 3.0], [0.0, 2.0],
+                                                 [0.0, 1.5], [0.0, 1.0]]))
+        uk = [0.01, 0.02]
+        report = analysis.DriftBoundReport([
+            analysis.DriftBoundEntry(k=k, value=u, r_term=u, mobility_term=0.0,
+                                     measured=0.0, satisfied=True)
+            for k, u in enumerate(uk, 1)])
+        losses = [(2.0, 1.8), (1.6, 1.5)]
+        gr = check_gap_bound(trace, inputs, report, losses)
+        phi = min((1 - beta * eta / 2) / d ** 2 for d in (5.0, 2.0))
+        denom = T * eta * phi - rho * sum(uk) / eps ** 2
+        assert gr.applicable and all(gr.conditions.values())
+        assert gr.phi == pytest.approx(phi, rel=1e-12)
+        assert 1.0 / gr.bound == pytest.approx(denom, rel=1e-12)
+        assert gr.bound == pytest.approx(1.0 / denom, rel=1e-12)
+        assert gr.measured_gap == 1.5
+
+
+class TestPlantedViolations:
+    """Each check reports a violation of 1e-8, ten times DEFAULT_SLACK,
+    planted at one entry of a run whose checks all pass, and nothing else;
+    one of 1e-10, within the slack, is not reported."""
+
+    @pytest.fixture(scope="class")
+    def suite(self):
+        spec, union, tr, est, inputs = bound_suite_run(speed=30.0, K=2)
+        assert check_vehicle_drift(tr, est, inputs) == []
+        assert check_edge_drift(tr, est, inputs) == []
+        assert check_recursion(tr, inputs) == []
+        assert check_central_drift(tr, est, inputs)[0] == []
+        return tr, est, inputs
+
+    PLANTS = pytest.mark.parametrize("excess, reported", [(1e-8, True), (1e-10, False)])
+
+    @PLANTS
+    def test_vehicle_drift(self, suite, excess, reported):
+        tr, est, inputs = suite
+        tr = copy.deepcopy(tr)
+        m, tau = 5, 9  # tau0 = 9, inside the first cloud epoch
+        tr.vehicle_gap[m, tau] = excess + vehicle_drift_bound(
+            tau, est.delta_m[m], inputs.eta, inputs.beta)
+        got = [(v.where["m"], v.where["tau"]) for v in check_vehicle_drift(tr, est, inputs)]
+        assert got == [(m, tau)] * reported
+
+    @PLANTS
+    def test_edge_drift(self, suite, excess, reported):
+        tr, est, inputs = suite
+        tr = copy.deepcopy(tr)
+        tau = 9
+        bracket = tau // est.tau_l
+        n = int(np.flatnonzero(~np.isnan(tr.edge_gap[:, tau])
+                               & ~np.isnan(est.delta_n_bracket[bracket]))[0])
+        tr.edge_gap[n, tau] = excess + edge_drift_bound(
+            tau, est.delta_n_bracket[bracket, n], est.Delta_n_bracket[bracket, n],
+            inputs.eta, inputs.beta)
+        got = [(v.where["n"], v.where["tau"]) for v in check_edge_drift(tr, est, inputs)]
+        assert got == [(n, tau)] * reported
+
+    @PLANTS
+    def test_recursion(self, suite, excess, reported):
+        tr, _, inputs = suite
+        tr = copy.deepcopy(tr)
+        tau = 3  # tau - 1 = 2 is a local step
+        rhs = tr.gap_u_v[tau - 1] + inputs.eta * inputs.beta * tr.s_vehicle[tau - 1]
+        tr.gap_u_vtilde[tau] = rhs + excess
+        got = [(v.check, v.where["tau"]) for v in check_recursion(tr, inputs)]
+        assert got == [("recursion[local]", tau)] * reported
+
+    @PLANTS
+    def test_central_drift(self, suite, excess, reported):
+        tr, est, inputs = suite
+        tr = copy.deepcopy(tr)
+        uk, _, _ = central_drift_bound(1, est, inputs)  # the window of epoch 2
+        tr.gap_u_vtilde[2 * inputs.tau_l * inputs.tau_e] = uk + excess
+        got, _ = check_central_drift(tr, est, inputs)
+        assert [v.where for v in got] == [{"k": 2}] * reported
+
+    @PLANTS
+    def test_gap_bound(self, excess, reported, monkeypatch):
+        # verify_bounds compares the gap with the bound; the report it
+        # compares is planted
+        real = analysis.check_gap_bound
+
+        def planted(*args):
+            return replace(real(*args), applicable=True, bound=1.0, measured_gap=1.0 + excess)
+
+        monkeypatch.setattr(analysis, "check_gap_bound", planted)
+        cfg = config.parse_config(RHO_CONFIG.format(family="quadratic", shared="true"))
+        got = [v for v in experiments.verify_bounds(cfg).violations if v.check == "gap_bound"]
+        assert [(v.measured, v.bound) for v in got] == [(1.0 + excess, 1.0)] * reported
 
 
 class TestMixingReport:

@@ -755,17 +755,21 @@ MLP_MOBILE = (MINI.replace("vehicles = 1", "vehicles = 4")
 
 
 class TestPretrain:
-    def test_cloud_history_rows_are_shorter_runs(self, tmp_path):
+    def test_cloud_rounds_are_shorter_runs(self, tmp_path):
+        # early stop relies on this: the cloud model edge_rounds holds after
+        # epoch k of a K-epoch run is the final cloud model of a k-epoch run
         cfg = config.load_config(write_cfg(tmp_path, MLP_MOBILE))
         inst = experiments.build_instance(cfg)
-        res = experiments.run_instance(inst)
-        K = cfg.hfl.cloud_epochs
-        assert res.cloud_history.shape == (K + 1, models.param_length(inst.spec))
-        assert np.array_equal(res.cloud_history[0], models.init_params(inst.spec, cfg.hfl.seed))
-        assert np.array_equal(res.cloud_history[K], res.final_state.cloud_params)
+        K, tau_e = cfg.hfl.cloud_epochs, cfg.hfl.tau_e
+        _, association = experiments.schedule(inst, K * tau_e)
+        rounds = engine.edge_rounds(cfg.hfl, inst.shards, inst.spec, association,
+                                    cfg.mobility.edges, eval_data=inst.test)
+        clouds = [res.final_state.cloud_params.copy() for res in rounds
+                  if res.metrics[-1].edge_round % tau_e == 0]
+        assert len(clouds) == K
         for k in range(1, K + 1):
             short = experiments.run_instance(inst, cloud_epochs=k)
-            assert np.array_equal(res.cloud_history[k], short.final_state.cloud_params)
+            assert clouds[k - 1].tobytes() == short.final_state.cloud_params.tobytes()
 
     def test_pretrain_equals_rerun_to_first_epoch_at_target(self, tmp_path):
         cfg = config.load_config(write_cfg(tmp_path, MLP_MOBILE))
@@ -782,6 +786,26 @@ class TestPretrain:
         want = experiments.run_instance(inst, cloud_epochs=epochs).final_state.cloud_params
         got = experiments.pretrain_checkpoint(cfg, target, max_epochs=6)
         assert np.array_equal(got, want)
+
+    def test_target_first_hit_mid_epoch(self, tmp_path):
+        # the first row at the target is an edge round inside epoch k > 1;
+        # the model returned is the cloud model at the end of epoch k, not
+        # the one in force at that round (epoch k - 1's)
+        cfg = config.load_config(write_cfg(tmp_path, MLP_MOBILE))
+        pre = copy.deepcopy(cfg)
+        pre.partition.regime = datasets.IID
+        pre.mobility.speed = 0.0
+        inst = experiments.build_instance(pre)
+        tau_e = cfg.hfl.tau_e
+        rows = experiments.run_instance(inst, cloud_epochs=6).metrics
+        first = next(r for i, r in enumerate(rows)
+                     if r.edge_round > tau_e and r.edge_round % tau_e != 0
+                     and all(q.test_accuracy < r.test_accuracy for q in rows[:i]))
+        before, want = (experiments.run_instance(inst, cloud_epochs=k).final_state.cloud_params
+                        for k in (first.cloud_epoch - 1, first.cloud_epoch))
+        assert not np.array_equal(before, want)
+        got = experiments.pretrain_checkpoint(cfg, first.test_accuracy, max_epochs=6)
+        assert got.tobytes() == want.tobytes()
 
     def test_pretrain_unreachable_target(self, tmp_path):
         cfg = config.load_config(write_cfg(tmp_path, MLP_MOBILE))

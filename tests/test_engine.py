@@ -778,7 +778,6 @@ class TestRun:
             for field in ("tau", "vehicle_params", "edge_params", "cloud_params"):
                 assert (np.asarray(getattr(a.final_state, field)).tobytes()
                         == np.asarray(getattr(b.final_state, field)).tobytes()), field
-            assert a.cloud_history.tobytes() == b.cloud_history.tobytes()
             assert a.cloud_consistency == b.cloud_consistency
 
         assert_same_but(on, off, "train_loss")
@@ -819,4 +818,19 @@ class TestCheckpoint:
         p = tmp_path / "bad.bin"
         p.write_bytes(b"not a checkpoint")
         with pytest.raises(IOError):
+            read_checkpoint(p)
+
+    @pytest.mark.parametrize("cut, what", [
+        (0, "hash length"),           # the file stops right after the magic
+        (1 + 10, "config hash"),      # inside the 32-byte hash
+        (1 + 32 + 5, "tau, M, N"),    # inside the three 8-byte fields
+    ])
+    def test_truncated_header_is_an_ioerror(self, tmp_path, cut, what):
+        state = engine.FleetState(tau=3, vehicle_params=np.zeros((2, 4)),
+                                  edge_params=np.zeros((1, 4)), cloud_params=np.zeros(4))
+        whole = tmp_path / "state.bin"
+        write_checkpoint(whole, state, config_hash("text"))
+        p = tmp_path / "cut.bin"
+        p.write_bytes(whole.read_bytes()[:len(engine.CHECKPOINT_MAGIC) + cut])
+        with pytest.raises(IOError, match=f"truncated checkpoint: the {what}"):
             read_checkpoint(p)

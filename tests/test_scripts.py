@@ -1,7 +1,9 @@
 """Smoke tests of the experiment scripts: each runs as a program, exits 0
-and writes its outputs where --out points."""
+and writes its outputs where --out points. The mutation script is only
+checked for stale entries; CI runs it."""
 
 import csv
+import importlib.util
 import os
 import subprocess
 import sys
@@ -46,3 +48,14 @@ def test_speed_sweep(tmp_path):
         assert [r[:2] for r in list(csv.reader(f))[1:]] == [["0.0", "1"], ["30.0", "1"]]
     for name in ("sweep_summary.csv", "sweep_manifest.json"):
         assert (tmp_path / "s" / name).exists()
+
+
+def test_mutation_smoke_texts_occur_once():
+    # the mutation runs themselves are a CI job of their own; here only
+    # every entry's old text is checked, which is cheap
+    spec = importlib.util.spec_from_file_location(
+        "mutation_smoke", os.path.join(SCRIPTS, "mutation_smoke.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert len(module.MUTATIONS) >= 8
+    assert module.text_problems() == []
