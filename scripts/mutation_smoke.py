@@ -33,13 +33,19 @@ class Mutation:
 
 
 ANALYSIS, EXPERIMENTS = "src/hflsim/analysis.py", "src/hflsim/experiments.py"
-TEST_ANALYSIS = "tests/test_analysis.py"
+ENGINE = "src/hflsim/engine.py"
+TEST_ANALYSIS, TEST_ENGINE = "tests/test_analysis.py", "tests/test_engine.py"
 
 MUTATIONS = [
-    # the edge-drift bracket off by one
-    Mutation(ANALYSIS, "    bracket = tau // estimates.tau_l\n",
-             "    bracket = (tau + 1) // estimates.tau_l\n",
+    # the edge-drift bracket off by one, ahead
+    Mutation(ANALYSIS, "    bracket = tau // inputs.tau_l\n",
+             "    bracket = (tau + 1) // inputs.tau_l\n",
              TEST_ANALYSIS + "::TestCheckersMatchScalarLoops::test_scaled_estimates"),
+    # the edge-drift bracket one behind at tau = j*tau_l, where the
+    # association changes
+    Mutation(ANALYSIS, "    bracket = tau // inputs.tau_l\n",
+             "    bracket = (tau - 1) // inputs.tau_l\n",
+             TEST_ANALYSIS + "::TestPlantedViolations::test_edge_drift_at_a_membership_change"),
     # (j + 1) weights in the central drift bound's mobility term
     Mutation(ANALYSIS, "mix = float(np.sum(js * estimates.Delta_bracket[idx]))",
              "mix = float(np.sum((js + 1) * estimates.Delta_bracket[idx]))",
@@ -66,6 +72,18 @@ MUTATIONS = [
     # pretraining that returns at the round that hits the target
     Mutation(EXPERIMENTS, "if hit and len(res.metrics) % pre.hfl.tau_e == 0:", "if hit:",
              "tests/test_config_cli.py::TestPretrain::test_target_first_hit_mid_epoch"),
+    # the fleet's weighted sum taken over the vehicles in reverse id order
+    Mutation(ENGINE, "else terms.sum(axis=0)", "else terms[::-1].sum(axis=0)",
+             TEST_ENGINE + "::TestBatchedMeasurement::test_fleet_averages_match_weighted_sum"),
+    # row norms that round apart from np.linalg.norm of one row
+    Mutation("src/hflsim/models.py",
+             "return np.sqrt(D[:, None, :] @ D[:, :, None]).reshape(-1)",
+             "return np.linalg.norm(D, axis=1)",
+             TEST_ENGINE + "::TestBatchedMeasurement::test_row_norms_match_linalg_norm"),
+    # one permutation reused for every pass of a chunk
+    Mutation(ENGINE, "perms = g.permuted(np.tile(np.arange(n), (passes, 1)), axis=1)",
+             "perms = np.tile(g.permutation(n), (passes, 1))",
+             TEST_ENGINE + "::TestBatchSampler::test_chunks_match_per_step_stream"),
 ]
 
 

@@ -9,7 +9,7 @@ trajectory plus the origin and the optimum), so every constant is a
 region-restricted estimate, not a global bound.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,7 +31,6 @@ class DivergenceEstimates:
     Bracket index j refers to the association snapshot in force at local
     iteration j*tau_l (j = 0 is the initial association).
     """
-    tau_l: int
     delta_m: np.ndarray          # (M,)
     delta: float                 # sum_m alpha_m delta_m
     alpha: np.ndarray            # (M,)
@@ -40,16 +39,24 @@ class DivergenceEstimates:
     Delta_bracket: np.ndarray    # (J+1,)  sum_n theta_n Delta_n
     theta_bracket: np.ndarray    # (J+1, N)
     grad_norm: np.ndarray        # (Q,)    ||grad F|| at each probe
-    probe_count: int
+
+    def scaled(self, s):
+        """The estimates with every divergence scaled by s; an empty
+        edge's NaN stays NaN. The scale is verify-bounds' test hook, under
+        which a scale below 1 must make the checks report violations."""
+        delta_m = self.delta_m * s
+        return replace(self, delta_m=delta_m, delta=float(self.alpha @ delta_m),
+                       delta_n_bracket=self.delta_n_bracket * s,
+                       Delta_n_bracket=self.Delta_n_bracket * s,
+                       Delta_bracket=self.Delta_bracket * s)
 
 
-def estimate_divergences(spec, shards, association_history, probes, tau_l=1):
+def estimate_divergences(spec, shards, association_history, probes):
     """Definition-style divergence constants, maximized over the probes.
 
     delta_m = max_w ||grad f_m(w) - grad F(w)||; Delta_n at bracket j uses
     the weighted edge objective over the snapshot at j. Full-batch
-    gradients throughout. tau_l maps local iteration tau onto bracket
-    tau // tau_l for the edge-drift check. grad_norm[q] = ||grad F(probe q)||,
+    gradients throughout. grad_norm[q] = ||grad F(probe q)||,
     whose maximum over a probe subset is the region Lipschitz constant rho.
 
     Delta_n depends on a bracket only through its association row, so the
@@ -121,10 +128,9 @@ def estimate_divergences(spec, shards, association_history, probes, tau_l=1):
     delta_n = np.where(occupied, A @ delta_m, np.nan)
     Delta = np.nansum(np.where(occupied, theta * Delta_n, 0.0), axis=1)
     return DivergenceEstimates(
-        tau_l=tau_l,
         delta_m=delta_m, delta=float(alpha @ delta_m), alpha=alpha,
         delta_n_bracket=delta_n, Delta_n_bracket=Delta_n,
-        Delta_bracket=Delta, theta_bracket=theta, grad_norm=grad_norm, probe_count=len(probes))
+        Delta_bracket=Delta, theta_bracket=theta, grad_norm=grad_norm)
 
 
 def shared_input_delta_m(shards):
@@ -263,7 +269,7 @@ def build_drift_report(trace, estimates, inputs):
         measured = float(trace.gap_u_vtilde[k * span])
         entries.append(DriftBoundEntry(
             k=k, value=value, r_term=r_term, mobility_term=mob,
-            measured=measured, satisfied=measured <= value + DEFAULT_SLACK))
+            measured=measured, satisfied=not _exceeds(measured, value)))
     return DriftBoundReport(entries=entries)
 
 
@@ -286,12 +292,19 @@ def _clock(trace, inputs):
     return tau, tau - ((tau - 1) // span) * span
 
 
-def _violations(measured, bound, label):
-    """One Violation per entry with measured > bound + DEFAULT_SLACK, in
-    row-major order: iteration first, then vehicle or edge id. A NaN entry
-    never fires. label(*index) gives the entry's check name and location."""
+def _exceeds(measured, bound):
+    """The one comparison of a measurement with its bound; NaN never exceeds."""
+    return measured > bound + DEFAULT_SLACK
+
+
+def violations(measured, bound, label):
+    """One Violation per entry with measured > bound + slack, in row-major
+    order: iteration first, then vehicle or edge id. A NaN entry never
+    fires, and a scalar is one entry with an empty index. label(*index)
+    gives the entry's check name and location."""
+    measured, bound = np.asarray(measured), np.asarray(bound)
     out = []
-    for i in map(tuple, np.argwhere(measured > bound + DEFAULT_SLACK)):
+    for i in map(tuple, np.argwhere(_exceeds(measured, bound))):
         check, where = label(*i)
         out.append(Violation(check, where, float(measured[i]), float(bound[i])))
     return out
@@ -301,7 +314,7 @@ def check_vehicle_drift(trace, estimates, inputs):
     """Vehicle drift vs its bound, for every vehicle and iteration."""
     tau, tau0 = _clock(trace, inputs)
     bound = vehicle_drift_bound(tau0[:, None], estimates.delta_m, inputs.eta, inputs.beta)
-    return _violations(
+    return violations(
         trace.vehicle_gap[:, 1:].T, bound,
         lambda t, m: ("vehicle_drift", {"m": int(m), "tau": int(tau[t]), "tau0": int(tau0[t])}))
 
@@ -309,12 +322,12 @@ def check_vehicle_drift(trace, estimates, inputs):
 def check_edge_drift(trace, estimates, inputs):
     """Edge drift vs its bound; empty edges (NaN) never fire."""
     tau, tau0 = _clock(trace, inputs)
-    bracket = tau // estimates.tau_l
+    bracket = tau // inputs.tau_l
     bound = edge_drift_bound(tau0[:, None], estimates.delta_n_bracket[bracket],
                              estimates.Delta_n_bracket[bracket], inputs.eta, inputs.beta)
     # the estimates stop at the highest edge the association history
     # names; an edge past it never held a vehicle, so its gaps are all NaN
-    return _violations(
+    return violations(
         trace.edge_gap[:bound.shape[1], 1:].T, bound,
         lambda t, n: ("edge_drift", {"n": int(n), "tau": int(tau[t]), "tau0": int(tau0[t])}))
 
@@ -328,17 +341,16 @@ def check_recursion(trace, inputs):
     s = np.where(edge, trace.s_edge[prev], trace.s_vehicle[prev])
     rhs = np.where(cloud, 0.0, trace.gap_u_v[prev] + inputs.eta * inputs.beta * s)
     case = np.where(cloud, "cloud", np.where(edge, "edge", "local"))
-    return _violations(trace.gap_u_vtilde[1:], rhs,
-                       lambda t: (f"recursion[{case[t]}]", {"tau": int(tau[t])}))
+    return violations(trace.gap_u_vtilde[1:], rhs,
+                      lambda t: (f"recursion[{case[t]}]", {"tau": int(tau[t])}))
 
 
 def check_central_drift(trace, estimates, inputs):
-    out = []
+    """Central drift vs U_k per cloud epoch, and the report they come from."""
     report = build_drift_report(trace, estimates, inputs)
-    for e in report.entries:
-        if not e.satisfied:
-            out.append(Violation("central_drift", {"k": e.k}, e.measured, e.value))
-    return out, report
+    measured, bound = np.array([(e.measured, e.value) for e in report.entries]).T
+    return violations(measured, bound,
+                      lambda i: ("central_drift", {"k": report.entries[i].k})), report
 
 
 @dataclass
@@ -390,31 +402,18 @@ def check_gap_bound(trace, inputs, drift_report, losses):
             degenerate=True, note="bound degenerate, training already optimal")
     phi = min((1.0 - inputs.beta * inputs.eta / 2.0) / d ** 2 for d in dists)
 
-    cond1 = inputs.eta_feasible
-    per_epoch = []
-    cond2 = cond3 = cond4 = cond4_strict = premise = True
-    for k, (f_vt, f_w) in enumerate(losses, 1):
-        entry = drift_report.entries[k - 1]
-        uk = entry.value
-        c2 = inputs.eta * phi - inputs.rho * uk / (span * eps ** 2) > 0.0
-        cp = entry.satisfied
-        c3 = f_vt - inputs.f_star >= eps
-        c4 = f_w >= eps
-        c4s = f_w - inputs.f_star >= eps
-        per_epoch.append({"k": k, "U_k": uk, "cond2": c2, "cond3": c3,
-                          "cond4": c4, "cond4_strict": c4s, "uk_premise": cp,
-                          "F_vtilde": f_vt, "F_w": f_w})
-        cond2 &= c2
-        cond3 &= c3
-        cond4 &= c4
-        cond4_strict &= c4s
-        premise &= cp
-
-    conditions = {"eta_le_inv_beta": cond1, "positive_margin": cond2,
-                  "vtilde_gap_ge_eps": cond3, "w_loss_ge_eps": cond4,
-                  "w_gap_ge_eps_strict": cond4_strict,
-                  "uk_upper_bounds_gap": premise}
-    applicable = cond1 and cond2 and cond3 and cond4 and premise
+    per_epoch = [{"k": k, "U_k": e.value,
+                  "cond2": inputs.eta * phi - inputs.rho * e.value / (span * eps ** 2) > 0.0,
+                  "cond3": f_vt - inputs.f_star >= eps, "cond4": f_w >= eps,
+                  "cond4_strict": f_w - inputs.f_star >= eps, "uk_premise": e.satisfied,
+                  "F_vtilde": f_vt, "F_w": f_w}
+                 for k, ((f_vt, f_w), e) in enumerate(zip(losses, drift_report.entries), 1)]
+    conditions = {"eta_le_inv_beta": inputs.eta_feasible}
+    for name, key in (("positive_margin", "cond2"), ("vtilde_gap_ge_eps", "cond3"),
+                      ("w_loss_ge_eps", "cond4"), ("w_gap_ge_eps_strict", "cond4_strict"),
+                      ("uk_upper_bounds_gap", "uk_premise")):
+        conditions[name] = all(e[key] for e in per_epoch)
+    applicable = all(v for name, v in conditions.items() if name != "w_gap_ge_eps_strict")
     denom = T * inputs.eta * phi - inputs.rho * drift_report.total / eps ** 2
     bound = 1.0 / denom if (applicable and denom > 0.0) else float("nan")
     if applicable and denom <= 0.0:

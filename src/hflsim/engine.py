@@ -247,7 +247,6 @@ class VirtualTrace:
     local models), matching the recursion the bounds are stated for;
     "post" quantities after aggregation and synchronization.
     """
-    tau_l: int
     vtilde: np.ndarray            # (T+1, P); row 0 = w0
     gap_u_vtilde: np.ndarray      # (T+1,)  ||u_pre - vtilde||
     gap_u_v: np.ndarray           # (T+1,)  ||u_post - v_post||
@@ -343,7 +342,6 @@ def edge_rounds(config, shards, spec, association=None, edge_count=1, *,
         chunk = max(1, min(tau_l - 1, BATCH_CHUNK_BYTES // (8 * B.size * P)))
         snaps = np.empty((M, chunk, P))
         trace = VirtualTrace(
-            tau_l=tau_l,
             vtilde=np.zeros((T + 1, P)),
             gap_u_vtilde=np.zeros(T + 1),
             gap_u_v=np.zeros(T + 1),
@@ -486,8 +484,13 @@ def read_checkpoint(path):
         (hlen,) = struct.unpack("<B", _read_exactly(f, 1, "the hash length"))
         cfg_hash = _read_exactly(f, hlen, "the config hash").hex()
         tau, M, N = struct.unpack("<QQQ", _read_exactly(f, 24, "the tau, M, N fields"))
+        if M == 0 or N == 0:
+            raise IOError(f"malformed checkpoint: M = {M} vehicles, N = {N} edges")
         cloud = read_param_vector(f)
-        edges = np.stack([read_param_vector(f) for _ in range(N)])
-        vparams = np.stack([read_param_vector(f) for _ in range(M)])
-        return FleetState(tau=tau, vehicle_params=vparams,
-                          edge_params=edges, cloud_params=cloud), cfg_hash
+        edges = [read_param_vector(f) for _ in range(N)]
+        vparams = [read_param_vector(f) for _ in range(M)]
+        if any(len(w) != len(cloud) for w in edges + vparams):
+            raise IOError(f"malformed checkpoint: an edge or vehicle vector's length "
+                          f"differs from the cloud vector's {len(cloud)}")
+        return FleetState(tau=tau, vehicle_params=np.stack(vparams),
+                          edge_params=np.stack(edges), cloud_params=cloud), cfg_hash

@@ -199,7 +199,7 @@ def _sweep_cell(inst, targets, init_params_vec, association=None):
     if tr is not None:
         probes = np.vstack([np.zeros(tr.vtilde.shape[1]), tr.vtilde[-1]])
         est = analysis.estimate_divergences(inst.spec, inst.shards, tr.association_history,
-                                            probes, tau_l=tr.tau_l)
+                                            probes)
         mix = analysis.mobility_mixing_report(est)
         cell.delta_first_quarter = mix.first_quarter_mean
         cell.delta_last_quarter = mix.last_quarter_mean
@@ -329,8 +329,12 @@ class BoundSuite:
 
 def verify_bounds(cfg, delta_scale=1.0):
     """Full-batch convex run, divergence estimation and every inequality
-    check (slack analysis.DEFAULT_SLACK). delta_scale is a test hook:
-    scaling the estimated delta_m down must make the checker report violations."""
+    check, each through analysis.violations. delta_scale in [0, 1] is a
+    test hook: scaling the estimated divergences down must make the
+    checker report violations."""
+    if not 0.0 <= delta_scale <= 1.0:  # NaN fails too
+        raise ConfigError([f"--debug-scale-delta must be a finite value in [0, 1], "
+                           f"got {delta_scale!r}"])
     inst = build_instance(cfg)
     if not inst.spec.is_convex:
         raise models.UnsupportedModelError("bound verification needs a convex family")
@@ -345,14 +349,7 @@ def verify_bounds(cfg, delta_scale=1.0):
     # optimum; this is exactly where the recursion evaluates gradients
     probes = np.vstack([tr.vtilde, tr.u_cloud, np.zeros(tr.vtilde.shape[1]), opt.w])
     est = analysis.estimate_divergences(inst.spec, inst.shards, tr.association_history,
-                                        probes, tau_l=tr.tau_l)
-    if delta_scale != 1.0:
-        est.delta_m = est.delta_m * delta_scale
-        est.delta = float(est.alpha @ est.delta_m)
-        occupied = ~np.isnan(est.delta_n_bracket)
-        est.delta_n_bracket = np.where(occupied, est.delta_n_bracket * delta_scale, np.nan)
-        est.Delta_n_bracket = np.where(occupied, est.Delta_n_bracket * delta_scale, np.nan)
-        est.Delta_bracket = est.Delta_bracket * delta_scale
+                                        probes).scaled(delta_scale)
 
     beta = models.estimate_constants(inst.spec, inst.union)
     # rho over the vtilde rows, which lead the probes
@@ -367,16 +364,14 @@ def verify_bounds(cfg, delta_scale=1.0):
             tau_e=cfg.hfl.tau_e, cloud_epochs=cfg.hfl.cloud_epochs,
             epsilon=max(eps, 1e-12), w_star=opt.w, f_star=opt.value)
 
-    violations = []
-    violations += analysis.check_vehicle_drift(tr, est, inputs)
-    violations += analysis.check_edge_drift(tr, est, inputs)
-    violations += analysis.check_recursion(tr, inputs)
-    vt, drift_report = analysis.check_central_drift(tr, est, inputs)
-    violations += vt
+    central, drift_report = analysis.check_central_drift(tr, est, inputs)
+    violations = (analysis.check_vehicle_drift(tr, est, inputs)
+                  + analysis.check_edge_drift(tr, est, inputs)
+                  + analysis.check_recursion(tr, inputs) + central)
     gap = analysis.check_gap_bound(tr, inputs, drift_report, losses)
-    if gap.applicable and gap.measured_gap > gap.bound + analysis.DEFAULT_SLACK:
-        violations.append(analysis.Violation("gap_bound", {"T": tr.total_iterations},
-                                             gap.measured_gap, gap.bound))
+    if gap.applicable:
+        violations += analysis.violations(gap.measured_gap, gap.bound,
+                                          lambda: ("gap_bound", {"T": tr.total_iterations}))
     return BoundSuite(inputs=inputs, estimates=est, drift_report=drift_report,
                       gap_report=gap, violations=violations)
 

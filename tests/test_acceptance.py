@@ -260,8 +260,7 @@ def test_a8_delta_mixing_trend():
         veh = mobility.init_positions(net, 32, seed=11,
                                       edge_assignment=emap)
         _, hist = mobility.schedule(net, *veh, speed, rounds)
-        est = analysis.estimate_divergences(spec, shards, hist,
-                                            [np.zeros(32)], tau_l=6)
+        est = analysis.estimate_divergences(spec, shards, hist, [np.zeros(32)])
         return analysis.mobility_mixing_report(est)
 
     moving = mixing(30.0)

@@ -56,34 +56,34 @@ def make_inputs(eta=0.1, beta=1.0, tau_l=6, tau_e=10, K=3, eps=1.0):
                        cloud_epochs=K, epsilon=eps, w_star=np.zeros(2), f_star=0.0)
 
 
-def const_estimates(delta, Delta, tau_l, brackets, N=1):
+def const_estimates(delta, Delta, brackets, N=1):
     est = analysis.DivergenceEstimates(
-        tau_l=tau_l, delta_m=np.array([delta]), delta=delta, alpha=np.array([1.0]),
+        delta_m=np.array([delta]), delta=delta, alpha=np.array([1.0]),
         delta_n_bracket=np.full((brackets, N), delta),
         Delta_n_bracket=np.full((brackets, N), Delta),
         Delta_bracket=np.full(brackets, Delta),
-        theta_bracket=np.full((brackets, N), 1.0), grad_norm=np.ones(1), probe_count=1)
+        theta_bracket=np.full((brackets, N), 1.0), grad_norm=np.ones(1))
     return est
 
 
 class TestComputeUk:
     def test_delta_equals_Delta_reduces_to_r(self):
         inputs = make_inputs(eta=0.05, beta=2.0)
-        est = const_estimates(delta=0.7, Delta=0.7, tau_l=6, brackets=40)
+        est = const_estimates(delta=0.7, Delta=0.7, brackets=40)
         value, r_term, mob = central_drift_bound(0, est, inputs)
         assert mob == pytest.approx(0.0, abs=1e-12)
         assert value == pytest.approx(drift_polynomial(60, 0.05, 0.7, 2.0), rel=1e-12)
 
     def test_zero_Delta_substitution(self):
         inputs = make_inputs(eta=0.05, beta=2.0)
-        est = const_estimates(delta=0.7, Delta=0.0, tau_l=6, brackets=40)
+        est = const_estimates(delta=0.7, Delta=0.0, brackets=40)
         value, r_term, mob = central_drift_bound(0, est, inputs)
         want = drift_polynomial(60, 0.05, 0.7, 2.0) - 0.5 * 0.05 * 6 * 10 * 9 * 0.7
         assert value == pytest.approx(want, rel=1e-12)
 
     def test_tau_e_one_empty_sum(self):
         inputs = make_inputs(eta=0.05, beta=2.0, tau_l=6, tau_e=1)
-        est = const_estimates(delta=0.7, Delta=0.3, tau_l=6, brackets=5)
+        est = const_estimates(delta=0.7, Delta=0.3, brackets=5)
         value, r_term, mob = central_drift_bound(2, est, inputs)
         assert mob == 0.0
         assert value == pytest.approx(drift_polynomial(6, 0.05, 0.7, 2.0), rel=1e-12)
@@ -96,7 +96,7 @@ class TestComputeUk:
         g = np.random.default_rng(seed)
         Delta = g.uniform(0.0, delta if delta > 0 else 1.0, size=20)
         inputs = make_inputs(eta=eta, beta=beta, tau_l=tau_l, tau_e=tau_e)
-        est = const_estimates(delta=delta, Delta=0.0, tau_l=tau_l, brackets=20)
+        est = const_estimates(delta=delta, Delta=0.0, brackets=20)
         est.Delta_bracket = Delta
         value, _, _ = central_drift_bound(k, est, inputs)
         want = drift_fraction(k, tau_l, tau_e, eta, delta, beta, Delta)
@@ -104,10 +104,10 @@ class TestComputeUk:
 
     def test_monotone_in_each_Delta(self):
         inputs = make_inputs(eta=0.05, beta=2.0)
-        est = const_estimates(delta=0.7, Delta=0.3, tau_l=6, brackets=40)
+        est = const_estimates(delta=0.7, Delta=0.3, brackets=40)
         base, _, _ = central_drift_bound(0, est, inputs)
         for j in range(1, inputs.tau_e):
-            bumped = const_estimates(delta=0.7, Delta=0.3, tau_l=6, brackets=40)
+            bumped = const_estimates(delta=0.7, Delta=0.3, brackets=40)
             bumped.Delta_bracket = bumped.Delta_bracket.copy()
             bumped.Delta_bracket[j] += 0.1
             up, _, _ = central_drift_bound(0, bumped, inputs)
@@ -115,7 +115,7 @@ class TestComputeUk:
 
     def test_missing_brackets_raise(self):
         inputs = make_inputs()
-        est = const_estimates(delta=0.7, Delta=0.3, tau_l=6, brackets=5)
+        est = const_estimates(delta=0.7, Delta=0.3, brackets=5)
         with pytest.raises(ValueError):
             central_drift_bound(3, est, inputs)
 
@@ -174,7 +174,7 @@ class TestEstimateDivergences:
         spec = models.ModelSpec(models.MULTINOMIAL_LOGISTIC, dim=5, class_count=3)
         hist = np.zeros((1, 4), dtype=np.int64)
         probes = [np.zeros(models.param_length(spec)), np.ones(models.param_length(spec))]
-        est = estimate_divergences(spec, shards, hist, probes, tau_l=6)
+        est = estimate_divergences(spec, shards, hist, probes)
         assert np.max(est.delta_m) <= 1e-12
         assert est.delta <= 1e-12
         assert np.nanmax(est.Delta_bracket) <= 1e-12
@@ -185,7 +185,7 @@ class TestEstimateDivergences:
         hist = np.array([[emap[m] for m in range(8)]])
         g = np.random.default_rng(0)
         probes = [g.normal(size=24) for _ in range(3)]
-        est = estimate_divergences(spec, shards, hist, probes, tau_l=6)
+        est = estimate_divergences(spec, shards, hist, probes)
         exact = shared_input_delta_m(shards)
         assert np.max(np.abs(est.delta_m - exact)) <= 1e-10
 
@@ -200,8 +200,8 @@ class TestEstimateDivergences:
             classes_per_unit=1, seed=22))
         hist_i = np.array([[em_i[m] for m in range(32)]])
         hist_e = np.array([[em_e[m] for m in range(32)]])
-        est_i = estimate_divergences(spec, sh_i, hist_i, probes, tau_l=6)
-        est_e = estimate_divergences(spec, sh_e, hist_e, probes, tau_l=6)
+        est_i = estimate_divergences(spec, sh_i, hist_i, probes)
+        est_e = estimate_divergences(spec, sh_e, hist_e, probes)
         assert est_i.delta_m.max() < est_e.delta_m.max()
         # the edge-level divergence collapses for iid partitions
         assert est_i.Delta_bracket[0] < 0.05 * est_e.Delta_bracket[0]
@@ -211,14 +211,14 @@ class TestEstimateDivergences:
         spec = models.ModelSpec(models.QUADRATIC, dim=6, class_count=4, l2_reg=0.1)
         hist = np.array([[emap[m] for m in range(8)], [(emap[m] + 1) % 4 for m in range(8)]])
         probes = [np.zeros(24), np.ones(24)]
-        est = estimate_divergences(spec, shards, hist, probes, tau_l=6)
+        est = estimate_divergences(spec, shards, hist, probes)
         assert convex_combination_residuals(est) <= 1e-12
 
     def test_aggregates_are_convex_combinations(self):
         shards, emap = datasets.shared_input_shards(8, 4, 2, 4, 30, 6, seed=5)
         spec = models.ModelSpec(models.QUADRATIC, dim=6, class_count=4, l2_reg=0.1)
         hist = np.array([[emap[m] for m in range(8)]])
-        est = estimate_divergences(spec, shards, hist, [np.zeros(24)], tau_l=6)
+        est = estimate_divergences(spec, shards, hist, [np.zeros(24)])
         assert est.delta <= est.delta_m.max() + 1e-12
         valid = ~np.isnan(est.delta_n_bracket)
         assert np.all(est.delta_n_bracket[valid] <= est.delta_m.max() + 1e-12)
@@ -342,10 +342,9 @@ class TestDivergencesMatchProbeLoop:
         return sizes
 
     def check(self, spec, shards, hist, probes):
-        est = estimate_divergences(spec, shards, hist, probes, tau_l=3)
+        est = estimate_divergences(spec, shards, hist, probes)
         for name, want in loop_divergences(spec, shards, hist, probes).items():
             assert_same_bits(getattr(est, name), want)
-        assert est.probe_count == np.atleast_2d(probes).shape[0]
         return est
 
     @settings(max_examples=60, deadline=None)
@@ -496,8 +495,8 @@ class TestRhoOverVtildeRows:
         calls = []
         real = analysis.estimate_divergences
 
-        def spy(spec, shards, hist, probes, tau_l=1):
-            calls.append((probes, real(spec, shards, hist, probes, tau_l=tau_l)))
+        def spy(spec, shards, hist, probes):
+            calls.append((probes, real(spec, shards, hist, probes)))
             return calls[-1][1]
 
         monkeypatch.setattr(analysis, "estimate_divergences", spy)
@@ -525,7 +524,7 @@ def bound_suite_run(speed, K=4, eta=0.05, seed=13):
     opt = models.solve_optimum(spec, union)
     tr = res.trace
     probes = np.vstack([tr.vtilde, np.zeros(tr.vtilde.shape[1]), opt.w])
-    est = estimate_divergences(spec, shards, tr.association_history, probes, tau_l=tr.tau_l)
+    est = estimate_divergences(spec, shards, tr.association_history, probes)
     beta = models.estimate_constants(spec, union)
     rho = max(est.grad_norm[:len(tr.vtilde)].tolist())
     eps = choose_epsilon(analysis.epoch_losses(spec, union, tr, 60, K), opt.value)
@@ -587,8 +586,8 @@ def loop_edge_drift(trace, est, inputs, slack=analysis.DEFAULT_SLACK):
             measured = trace.edge_gap[n, tau]
             if np.isnan(measured):
                 continue
-            dn = float(est.delta_n_bracket[tau // est.tau_l, n])
-            Dn = float(est.Delta_n_bracket[tau // est.tau_l, n])
+            dn = float(est.delta_n_bracket[tau // inputs.tau_l, n])
+            Dn = float(est.Delta_n_bracket[tau // inputs.tau_l, n])
             if np.isnan(dn):
                 continue
             bound = edge_drift_bound(tau0, dn, Dn, inputs.eta, inputs.beta)
@@ -675,8 +674,7 @@ class TestCheckersMatchScalarLoops:
                                record_virtual=True, full_batch=True)
         assoc = np.array([[m % 3 for m in range(8)]] * 5)
         tr = engine.run(cfg, shards, spec, assoc, 4).trace
-        est = estimate_divergences(spec, shards, tr.association_history, tr.vtilde,
-                                   tau_l=tr.tau_l)
+        est = estimate_divergences(spec, shards, tr.association_history, tr.vtilde)
         assert (tr.edge_gap.shape[0], est.delta_n_bracket.shape[1]) == (4, 3)
         est.delta_n_bracket = est.delta_n_bracket * 0.5
         est.Delta_n_bracket = est.Delta_n_bracket * 0.5
@@ -721,8 +719,7 @@ class TestGapBound:
         union = datasets.union_of_shards(shards)
         opt = models.solve_optimum(spec, union)
         probes = np.vstack([tr.vtilde, np.zeros(tr.vtilde.shape[1]), opt.w])
-        est = estimate_divergences(spec, shards, tr.association_history, probes,
-                                   tau_l=tr.tau_l)
+        est = estimate_divergences(spec, shards, tr.association_history, probes)
         assert est.delta <= 1e-12
         beta = models.estimate_constants(spec, union)
         rho = max(est.grad_norm[:len(tr.vtilde)].tolist())
@@ -816,7 +813,7 @@ class TestPlantedViolations:
         tr, est, inputs = suite
         tr = copy.deepcopy(tr)
         tau = 9
-        bracket = tau // est.tau_l
+        bracket = tau // inputs.tau_l
         n = int(np.flatnonzero(~np.isnan(tr.edge_gap[:, tau])
                                & ~np.isnan(est.delta_n_bracket[bracket]))[0])
         tr.edge_gap[n, tau] = excess + edge_drift_bound(
@@ -824,6 +821,28 @@ class TestPlantedViolations:
             inputs.eta, inputs.beta)
         got = [(v.where["n"], v.where["tau"]) for v in check_edge_drift(tr, est, inputs)]
         assert got == [(n, tau)] * reported
+
+    def test_edge_drift_at_a_membership_change(self, suite):
+        # at tau = j*tau_l the edge bound reads bracket j, the association
+        # that round boundary puts in force, not bracket j - 1; a gap
+        # planted between the two bounds must be reported there
+        tr, est, inputs = suite
+        tr = copy.deepcopy(tr)
+        span = inputs.tau_l * inputs.tau_e
+
+        def bounds(j, bracket):
+            """Every edge's bound at tau = j*tau_l under the given bracket."""
+            tau = j * inputs.tau_l
+            tau0 = tau - ((tau - 1) // span) * span
+            return edge_drift_bound(tau0, est.delta_n_bracket[bracket],
+                                    est.Delta_n_bracket[bracket], inputs.eta, inputs.beta)
+
+        j, n = next((j, n) for j in range(1, tr.total_iterations // inputs.tau_l + 1)
+                    for n in np.flatnonzero(bounds(j, j) + 1e-6 < bounds(j, j - 1)))
+        tau = j * inputs.tau_l
+        tr.edge_gap[n, tau] = (bounds(j, j)[n] + bounds(j, j - 1)[n]) / 2
+        got = [(v.where["n"], v.where["tau"]) for v in check_edge_drift(tr, est, inputs)]
+        assert got == [(n, tau)]
 
     @PLANTS
     def test_recursion(self, suite, excess, reported):
@@ -861,7 +880,7 @@ class TestPlantedViolations:
 
 class TestMixingReport:
     def test_static_membership_constant(self):
-        est = const_estimates(delta=1.0, Delta=0.4, tau_l=6, brackets=40)
+        est = const_estimates(delta=1.0, Delta=0.4, brackets=40)
         mix = mobility_mixing_report(est)
         assert mix.first_quarter_mean == pytest.approx(mix.last_quarter_mean, rel=1e-12)
 
@@ -872,6 +891,6 @@ class TestMixingReport:
         veh = mobility.init_positions(net, 32, seed=11,
                                       edge_assignment=emap)
         _, hist = mobility.schedule(net, *veh, 30.0, 100)
-        est = estimate_divergences(spec, shards, hist, [np.zeros(32)], tau_l=6)
+        est = estimate_divergences(spec, shards, hist, [np.zeros(32)])
         mix = mobility_mixing_report(est)
         assert mix.last_quarter_mean < mix.first_quarter_mean

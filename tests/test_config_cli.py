@@ -339,6 +339,21 @@ class TestCmdVerifyBounds:
                        "--debug-scale-delta", "0.5"])
         assert rc == 5
 
+    @pytest.mark.parametrize("scale", ["nan", "inf", "1e308", "-0.5", "1.5"])
+    def test_scale_outside_unit_interval_exit_2(self, tmp_path, capsys, monkeypatch, scale):
+        # rejected before the data is built, so before any training
+        monkeypatch.setattr(experiments, "build_instance",
+                            lambda cfg: pytest.fail("the instance was built"))
+        path = write_cfg(tmp_path, BOUNDS)
+        rc = cli.main(["verify-bounds", "--config", path, "--debug-scale-delta", scale])
+        assert rc == 2
+        assert "--debug-scale-delta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale, rc", [("0", 5), ("1", 0)])
+    def test_scale_at_the_interval_ends(self, tmp_path, scale, rc):
+        path = write_cfg(tmp_path, BOUNDS)
+        assert cli.main(["verify-bounds", "--config", path, "--debug-scale-delta", scale]) == rc
+
     def test_each_epoch_loss_once(self, tmp_path, monkeypatch):
         # F(vtilde) and F(u) at each of the 3 cloud instants, each computed
         # once and read by both choose_epsilon and check_gap_bound; without

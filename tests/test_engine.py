@@ -834,3 +834,15 @@ class TestCheckpoint:
         p.write_bytes(whole.read_bytes()[:len(engine.CHECKPOINT_MAGIC) + cut])
         with pytest.raises(IOError, match=f"truncated checkpoint: the {what}"):
             read_checkpoint(p)
+
+    @pytest.mark.parametrize("M, N, edge_len, vehicle_len", [
+        (0, 1, 4, 4), (2, 0, 4, 4), (0, 0, 4, 4),  # no vehicles or no edges
+        (2, 1, 5, 4), (2, 1, 4, 3),                 # a vector longer or shorter than the cloud's
+    ])
+    def test_malformed_is_an_ioerror(self, tmp_path, M, N, edge_len, vehicle_len):
+        state = engine.FleetState(tau=3, vehicle_params=np.zeros((M, vehicle_len)),
+                                  edge_params=np.zeros((N, edge_len)), cloud_params=np.zeros(4))
+        p = tmp_path / "state.bin"
+        write_checkpoint(p, state, config_hash("text"))
+        with pytest.raises(IOError, match="malformed checkpoint"):
+            read_checkpoint(p)
