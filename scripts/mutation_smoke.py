@@ -33,7 +33,7 @@ class Mutation:
 
 
 ANALYSIS, EXPERIMENTS = "src/hflsim/analysis.py", "src/hflsim/experiments.py"
-ENGINE = "src/hflsim/engine.py"
+ENGINE, MODELS = "src/hflsim/engine.py", "src/hflsim/models.py"
 TEST_ANALYSIS, TEST_ENGINE = "tests/test_analysis.py", "tests/test_engine.py"
 
 MUTATIONS = [
@@ -76,14 +76,21 @@ MUTATIONS = [
     Mutation(ENGINE, "else terms.sum(axis=0)", "else terms[::-1].sum(axis=0)",
              TEST_ENGINE + "::TestBatchedMeasurement::test_fleet_averages_match_weighted_sum"),
     # row norms that round apart from np.linalg.norm of one row
-    Mutation("src/hflsim/models.py",
-             "return np.sqrt(D[:, None, :] @ D[:, :, None]).reshape(-1)",
+    Mutation(MODELS, "return np.sqrt(D[:, None, :] @ D[:, :, None]).reshape(-1)",
              "return np.linalg.norm(D, axis=1)",
              TEST_ENGINE + "::TestBatchedMeasurement::test_row_norms_match_linalg_norm"),
     # one permutation reused for every pass of a chunk
     Mutation(ENGINE, "perms = g.permuted(np.tile(np.arange(n), (passes, 1)), axis=1)",
              "perms = np.tile(g.permutation(n), (passes, 1))",
              TEST_ENGINE + "::TestBatchSampler::test_chunks_match_per_step_stream"),
+    # a workspace's label offsets taken from the first step's labels only
+    Mutation(MODELS, "return np.add(self._base, y, out=self._label)",
+             "return self._label if self._label.any() else np.add(self._base, y, out=self._label)",
+             TEST_ENGINE + "::TestFleetStepMatchesGradientXy::test_steps_equal_gradient_xy_loop"),
+    # the batch-major copy behind a bias sum made at the first step only
+    Mutation(MODELS, "np.copyto(major, A.swapaxes(0, 1))",
+             "major.any() or np.copyto(major, A.swapaxes(0, 1))",
+             "tests/test_models.py::TestGradientWorkspace::test_reused_over_steps_equals_gradient_xy"),
 ]
 
 

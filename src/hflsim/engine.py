@@ -20,7 +20,7 @@ import numpy as np
 
 from . import rng
 from .datasets import union_of_shards
-from .models import (accuracy, gradient_fleet, init_params, loss, param_length,
+from .models import (GradientWorkspace, accuracy, init_params, loss, param_length,
                      quadratic_targets, row_norms, write_param_vector, read_param_vector)
 
 CHECKPOINT_MAGIC = b"HFLCKPT1"
@@ -135,46 +135,64 @@ class BatchSampler:
         return batches
 
 
-def _gather(data, offset, ids, idx):
-    """Features (G, b, d) and labels (G, b) of batches idx (G, b) of
-    vehicles ids, from data, the shards stacked in id order, whose shard
-    m starts at row offset[m]."""
-    rows = offset[ids, None] + idx
-    return data.features.take(rows, axis=0), data.labels[rows]
+class FleetStep:
+    """One local SGD step of every vehicle, in place, built once per run.
 
+    W (M, P) is the fleet's parameters and data the shards stacked in id
+    order. Each sampler group gets one models.GradientWorkspace and its
+    inputs. A group of whole shards has the same batch at every step, so
+    its features, labels and quadratic targets are gathered once; the
+    shuffling group, if any, is gathered into the same buffers at every
+    step. A group whose ids form a run (the whole fleet, when every shard
+    shuffles) works on a slice of W; any other group's rows are copied
+    into its workspace's weight buffer and written back after the update.
+    """
 
-def whole_shard_inputs(spec, data, sampler):
-    """Features, labels and models.quadratic_targets of every whole-shard
-    group of sampler (all its groups but a shuffling one), from data, the
-    shards stacked in id order. Their batches are the same at every step,
-    so a run builds these once and hands them to every fleet_step."""
-    inputs = []
-    for ids, idx in zip(sampler.groups, sampler._fixed):
-        X, y = _gather(data, sampler.offset, ids, idx)
-        inputs.append((X, y, quadratic_targets(spec, y)))
-    return inputs
+    def __init__(self, spec, W, data, sampler):
+        self.W, self.data, self.sampler = W, data, sampler
+        self._finite = np.empty(W.shape, dtype=bool)
+        self._shuffled = None
+        self._groups = []  # (ids, or None for a run; workspace; X; y; targets)
+        for i, ids in enumerate(sampler.groups):
+            run = ids[-1] - ids[0] + 1 == ids.size
+            Wg = W[ids[0]:ids[-1] + 1] if run else np.empty((ids.size, W.shape[1]))
+            if i < len(sampler._fixed):
+                rows = sampler.offset[ids, None] + sampler._fixed[i]
+                X, y = data.features.take(rows, axis=0), data.labels[rows]
+                T = quadratic_targets(spec, y)
+            else:
+                shape = (ids.size, sampler.batch_size)
+                X, y, T = np.empty(shape + (spec.dim,)), np.empty(shape, np.int64), None
+                # each vehicle's first row in data, and the step's rows
+                self._shuffled = (sampler.offset[ids, None], np.empty(shape, np.int64))
+            self._groups.append((None if run else ids, GradientWorkspace(spec, Wg, y.shape[1]),
+                                 X, y, T))
 
-
-def fleet_step(spec, W, data, sampler, eta, iteration, *, fixed):
-    """One local SGD step of every vehicle, in place. data holds the shards
-    stacked in id order; each sampler group is one gradient_fleet call.
-    fixed is whole_shard_inputs(spec, data, sampler), which the caller
-    builds once; the shuffling group, if any, is gathered at every step.
-    A group whose ids form a run (the whole fleet, when every shard
-    shuffles) updates a slice of W, with no gather and scatter of its
-    rows. A non-finite result names the lowest-id vehicle."""
-    batches = sampler.next_batches()
-    inputs = list(fixed)
-    if len(inputs) < len(batches):
-        inputs.append(_gather(data, sampler.offset, sampler.groups[-1], batches[-1]) + (None,))
-    for ids, (X, y, T) in zip(sampler.groups, inputs):
-        if ids[-1] - ids[0] + 1 == ids.size:
-            ids = slice(ids[0], ids[-1] + 1)
-        W[ids] -= eta * gradient_fleet(spec, W[ids], X, y, targets=T)
-    finite = np.isfinite(W)
-    if not finite.all():
-        m = int(np.flatnonzero(~finite.all(axis=1))[0])
-        raise DivergenceError(f"non-finite parameters at vehicle {m} iteration {iteration}")
+    def step(self, eta, iteration):
+        """Advance every vehicle one step. A non-finite result names the
+        lowest-id vehicle."""
+        W = self.W
+        batches = self.sampler.next_batches()
+        # every index is in range by construction; take's default mode
+        # would copy its output through a temporary
+        if self._shuffled is not None:
+            first, rows = self._shuffled
+            _, _, X, y, _ = self._groups[-1]
+            np.add(first, batches[-1], out=rows)
+            self.data.features.take(rows, axis=0, out=X, mode="clip")
+            self.data.labels.take(rows, out=y, mode="clip")
+        for ids, ws, X, y, T in self._groups:
+            if ids is not None:
+                W.take(ids, axis=0, out=ws.W, mode="clip")
+            g = ws.gradient(X, y, T)
+            g *= eta
+            ws.W -= g
+            if ids is not None:
+                W[ids] = ws.W
+        finite = np.isfinite(W, out=self._finite)
+        if not finite.all():
+            m = int(np.flatnonzero(~finite.all(axis=1))[0])
+            raise DivergenceError(f"non-finite parameters at vehicle {m} iteration {iteration}")
 
 
 def membership_weights(edge_of, sizes, edge_count):
@@ -278,7 +296,7 @@ def edge_rounds(config, shards, spec, association=None, edge_count=1, *,
     force from the end of edge round j (row 0 from the start); see
     mobility.schedule. None selects the static mode where every vehicle
     stays on edge 0 (used for the single-edge equivalence checks).
-    Each local iteration is one fleet_step over all vehicles; the training
+    Each local iteration is one FleetStep.step over all vehicles; the training
     loss and the centralized descent use the shards stacked in id order.
     Every round boundary takes two fleet_averages, before and after the
     aggregation, and the recording measures those same averages, so
@@ -322,7 +340,7 @@ def edge_rounds(config, shards, spec, association=None, edge_count=1, *,
     sampler = BatchSampler(sizes.astype(int), config.batch_size, config.seed,
                            full_batch=config.full_batch)
     fleet = union_of_shards(shards)
-    fixed = whole_shard_inputs(spec, fleet, sampler)
+    local = FleetStep(spec, W, fleet, sampler)
 
     # weights of the association in force, and B, the weights of u (row 0)
     # and of every edge's average; refreshed at every round boundary
@@ -334,7 +352,8 @@ def edge_rounds(config, shards, spec, association=None, edge_count=1, *,
         # the centralized descent runs on the whole union as one fleet row
         uX, uy = fleet.features[None], fleet.labels[None]
         uT = quadratic_targets(spec, uy)
-        v = w0.copy()
+        v = w0.copy()  # updated in place, as vtilde after every step
+        descent = GradientWorkspace(spec, v[None], fleet.n_samples)
         # W after each step of a round but the last, vehicle-major, so that
         # the snapshots are measured a chunk at a time; a chunk's
         # fleet_averages terms (M, N + 1, chunk * P) stay within
@@ -385,12 +404,13 @@ def edge_rounds(config, shards, spec, association=None, edge_count=1, *,
     for j in range(1, rounds + 1):
         for s in range(1, tau_l + 1):
             state.tau += 1
-            fleet_step(spec, W, fleet, sampler, config.eta, state.tau, fixed=fixed)
+            local.step(config.eta, state.tau)
             if record:
-                vtilde = v - config.eta * gradient_fleet(spec, v[None], uX, uy, targets=uT)[0]
-                trace.vtilde[state.tau] = vtilde
+                g = descent.gradient(uX, uy, uT)
+                g *= config.eta
+                v -= g[0]
+                trace.vtilde[state.tau] = v
                 if s < tau_l:
-                    v = vtilde
                     held = (s - 1) % chunk + 1
                     snaps[:, held - 1] = W
                     if held == chunk or s == tau_l - 1:
@@ -412,7 +432,7 @@ def edge_rounds(config, shards, spec, association=None, edge_count=1, *,
         here = slice(state.tau, state.tau + 1)
         avgs = fleet_averages(B, W)  # u_pre, then every edge's average
         if record:
-            store(here, W[:, None], avgs[:, None], vtilde, pre=True, post=False)
+            store(here, W[:, None], avgs[:, None], v, pre=True, post=False)  # v is vtilde
 
         edge_params[:] = avgs[1:]
         W[:] = edge_params[edge_of]
@@ -428,7 +448,8 @@ def edge_rounds(config, shards, spec, association=None, edge_count=1, *,
         u = avgs[0]
         if record:
             # at a cloud instant v synchronizes exactly to u
-            v = u if is_cloud else vtilde
+            if is_cloud:
+                v[:] = u
             store(here, W[:, None], avgs[:, None], v, pre=False, post=True)
             if is_cloud:
                 trace.u_cloud[k] = u

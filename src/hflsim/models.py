@@ -108,47 +108,54 @@ def quadratic_targets(spec, y):
 # sum is pairwise (and past 8 its max can settle a tie of -0.0 and +0.0
 # the other way), so from 8 up the helpers call numpy.
 
-def _class_max(Z):
-    """Z.max(axis=-1) bit for bit (signed zeros included)."""
+def _class_max(Z, out=None):
+    """Z.max(axis=-1) bit for bit (signed zeros included), into out when
+    given."""
     c = Z.shape[-1]
     if c >= 8:
-        return Z.max(axis=-1)
-    m = Z[..., 0].copy()
+        return Z.max(axis=-1, out=out)
+    m = np.empty(Z.shape[:-1]) if out is None else out
+    m[...] = Z[..., 0]
     for j in range(1, c):
         np.maximum(m, Z[..., j], out=m)
     return m
 
 
-def _class_sum(Z):
-    """Z.sum(axis=-1) bit for bit."""
+def _class_sum(Z, out=None):
+    """Z.sum(axis=-1) bit for bit, into out when given."""
     c = Z.shape[-1]
     if c >= 8:
-        return Z.sum(axis=-1)
-    s = Z[..., 0] + 0.0
+        return Z.sum(axis=-1, out=out)
+    s = np.add(Z[..., 0], 0.0, out=out)
     for j in range(1, c):
         s += Z[..., j]
     return s
 
 
-def _batch_sum(A):
-    """A.sum(axis=1) of a fleet array A (M, B, k), bit for bit: for k > 1
-    numpy adds the B rows of each vehicle in order, and so does a sum over
-    the leading axis of a batch-major copy, one elementwise pass per batch
-    row. A (B, 1) column is contiguous, and numpy sums it pairwise, as
-    gradient_xy does; that case keeps numpy's reduce."""
+def _batch_sum(A, major=None, out=None):
+    """A.sum(axis=1) of a fleet array A (M, B, k), bit for bit, into out
+    (M, k) when given: for k > 1 numpy adds the B rows of each vehicle in
+    order, and so does a sum over the leading axis of a batch-major copy,
+    one elementwise pass per batch row; major (B, M, k) holds that copy
+    when given. A (B, 1) column is contiguous, and numpy sums it pairwise,
+    as gradient_xy does; that case keeps numpy's reduce."""
     if A.shape[2] == 1:
-        return A.sum(axis=1)
-    return np.ascontiguousarray(np.swapaxes(A, 0, 1)).sum(axis=0)
+        return A.sum(axis=1, out=out)
+    if major is None:
+        major = np.empty((A.shape[1], A.shape[0], A.shape[2]))
+    np.copyto(major, A.swapaxes(0, 1))
+    return major.sum(axis=0, out=out)
 
 
-def _softmax(logits):
+def _softmax(logits, rows=None):
     """Row softmax over the last axis (class scores), any leading axes;
     in place when logits is C-contiguous, as the fresh products the
-    callers pass are."""
+    callers pass are. rows, one entry per row, holds the row maxima and
+    then the row sums when given."""
     Z = logits.reshape(-1, logits.shape[-1])  # the rows on one axis
-    Z -= _class_max(Z)[:, None]
+    Z -= _class_max(Z, rows)[:, None]
     np.exp(Z, out=Z)
-    Z /= _class_sum(Z)[:, None]
+    Z /= _class_sum(Z, rows)[:, None]
     return Z.reshape(logits.shape)
 
 
@@ -206,6 +213,83 @@ def gradient_xy(spec, w, X, y):
     return g + spec.l2_reg * w
 
 
+class GradientWorkspace:
+    """gradient_fleet on buffers that outlive a call: the gradients of the
+    weight rows W (M, P), C-contiguous, over batches of n rows, for a
+    caller that takes many steps on the same W and updates it in place.
+
+    The workspace keeps views of W's blocks (W1, b1, W2, b2 for mlp1, the
+    (M, d, c) matrices otherwise) and every intermediate: the hidden
+    activations Z, the scores S, dZ, the batch-major copies and sums of
+    the bias gradients, the softmax's row reductions, the l2 product and
+    the label offsets. gradient() writes into them with the operations
+    gradient_fleet always made, in the same order, and returns g, the
+    same (M, P) array at every call.
+    """
+
+    def __init__(self, spec, W, n):
+        M, P = W.shape
+        if P != param_length(spec) or not W.flags.c_contiguous:
+            raise ValueError(f"W {W.shape} must be C-contiguous with P={param_length(spec)}")
+        d, c, h = spec.dim, spec.class_count, spec.hidden_width
+        self.spec, self.W, self.n = spec, W, n
+        self.g = np.empty((M, P))
+        self._S = np.empty((M, n, c))
+        self._rows = None  # the softmax's row maxima, then its row sums
+        if spec.family != QUADRATIC:
+            # flat index of entry [m, b, 0] of an (M, n, c) array; adding a
+            # batch's labels gives _label_index(y, c)
+            self._base = np.arange(0, M * n * c, c).reshape(M, n)
+            self._label = np.zeros((M, n), dtype=np.int64)
+            self._rows = np.empty(M * n)
+        if spec.is_convex:
+            self._Wm, self._gm = W.reshape(M, d, c), self.g.reshape(M, d, c)
+            self._reg = np.empty((M, d, c))
+        else:
+            self._W1, self._b1, self._W2, self._b2 = _mlp_unpack(spec, W)
+            self._W2T = np.swapaxes(self._W2, 1, 2)
+            self._gW1, self._gb1, self._gW2, self._gb2 = _mlp_unpack(spec, self.g)
+            self._reg = np.empty((M, P))
+            self._Z, self._dZ = np.empty((M, n, h)), np.empty((M, n, h))
+            self._ZT = np.swapaxes(self._Z, 1, 2)
+            # (batch-major copy, sum) of S and of dZ for _batch_sum
+            self._S_sum = (np.zeros((n, M, c)), np.empty((M, c)))
+            self._dZ_sum = (np.zeros((n, M, h)), np.empty((M, h)))
+
+    def _labels(self, y):
+        """_label_index(y, c) of this call's labels, in a reused buffer."""
+        return np.add(self._base, y, out=self._label)
+
+    def gradient(self, X, y, targets=None):
+        """Gradients at the current W over X (M, n, d), y (M, n): row m is
+        bitwise gradient_xy(spec, W[m], X[m], y[m]). targets is
+        quadratic_targets(spec, y), built per call when not given.
+        Returns g, which the next call overwrites."""
+        spec = self.spec
+        if spec.is_convex:
+            label = self._labels(y) if spec.family == MULTINOMIAL_LOGISTIC else None
+            _convex_gradients(spec, self._Wm, X, y, targets, out=self._gm, residual=self._S,
+                              label=label, rows=self._rows, reg=self._reg)
+            return self.g
+        Z = np.matmul(X, self._W1, out=self._Z)
+        Z += self._b1
+        np.tanh(Z, out=Z)
+        S = np.matmul(Z, self._W2, out=self._S)
+        S += self._b2
+        _softmax(S, self._rows)
+        S.reshape(-1)[self._labels(y)] -= 1.0
+        S /= self.n
+        np.matmul(self._ZT, S, out=self._gW2)
+        self._gb2[:, 0] = _batch_sum(S, *self._S_sum)
+        dZ = np.matmul(S, self._W2T, out=self._dZ)
+        Z *= Z
+        dZ *= np.subtract(1.0, Z, out=Z)
+        np.matmul(X.swapaxes(1, 2), dZ, out=self._gW1)
+        self._gb1[:, 0] = _batch_sum(dZ, *self._dZ_sum)
+        self.g += np.multiply(spec.l2_reg, self.W, out=self._reg)
+        return self.g
+
+
 def gradient_fleet(spec, W, X, y, *, targets=None):
     """gradient_xy for a whole fleet: W (M, P), X (M, B, d), y (M, B).
     targets is quadratic_targets(spec, y), built here when not given.
@@ -214,56 +298,41 @@ def gradient_fleet(spec, W, X, y, *, targets=None):
     operations in the same order on stacked arrays, with batched matmul
     (numpy runs one product per vehicle, as in the 2-D code), some of
     them in place, and every reduction adding the terms the 2-D code adds
-    in its order (_class_max, _class_sum, _batch_sum).
+    in its order (_class_max, _class_sum, _batch_sum). This is one call
+    of a fresh GradientWorkspace; a caller that steps many times keeps
+    one.
     """
     M, n = y.shape
     if W.shape != (M, param_length(spec)) or X.shape != (M, n, spec.dim):
         raise ValueError(f"fleet shapes W {W.shape}, X {X.shape}, y {y.shape} "
                          f"do not match P={param_length(spec)}, d={spec.dim}")
-    if spec.is_convex:
-        return _convex_gradients(spec, W.reshape(M, spec.dim, -1), X, y,
-                                 targets).reshape(M, -1)
-    W1, b1, W2, b2 = _mlp_unpack(spec, W)
-    Z = X @ W1
-    Z += b1
-    np.tanh(Z, out=Z)
-    S = Z @ W2
-    S += b2
-    S = _softmax(S)
-    S.reshape(-1)[_label_index(y, spec.class_count)] -= 1.0
-    S /= n
-    g = np.empty(W.shape)
-    gW1, gb1, gW2, gb2 = _mlp_unpack(spec, g)  # views of g's rows
-    np.matmul(np.swapaxes(Z, 1, 2), S, out=gW2)
-    gb2[:, 0] = _batch_sum(S)
-    dZ = S @ np.swapaxes(W2, 1, 2)
-    Z *= Z
-    dZ *= np.subtract(1.0, Z, out=Z)
-    np.matmul(np.swapaxes(X, 1, 2), dZ, out=gW1)
-    gb1[:, 0] = _batch_sum(dZ)
-    g += spec.l2_reg * W
-    return g
+    return GradientWorkspace(spec, np.ascontiguousarray(W), n).gradient(X, y, targets)
 
 
-def _convex_gradients(spec, Wm, X, y, targets, out=None, residual=None):
+def _convex_gradients(spec, Wm, X, y, targets, out=None, residual=None, *, label=None,
+                      rows=None, reg=None):
     """Gradients of a convex family at the weight matrices Wm (..., d, c)
     over the datasets X (..., n, d), y (..., n), their leading axes
     broadcast; targets is quadratic_targets(spec, y) or None. Each
     (weights, dataset) pair gets gradient_xy's operations: an (n, d) @ (d, c)
     product, the residual or softmax scores, and X' @ R, divided by n plus
     the l2 term. The scores are written to residual and the gradients,
-    (..., d, c), to out, when given."""
+    (..., d, c), to out, when given. A caller that keeps buffers passes
+    label, the flat index of every label entry of the scores, rows, one
+    entry per score row, and reg, shaped like Wm, for the l2 product."""
     n = X.shape[-2]
     R = np.matmul(X, Wm, out=residual)
     if spec.family == QUADRATIC:
         R -= quadratic_targets(spec, y) if targets is None else targets
     else:
-        _softmax(R)
-        # entry [..., b, y[..., b]] of the contiguous (..., n, c) scores
-        R.reshape(-1)[_label_index(np.broadcast_to(y, R.shape[:-1]), spec.class_count)] -= 1.0
+        _softmax(R, rows)
+        if label is None:
+            # entry [..., b, y[..., b]] of the contiguous (..., n, c) scores
+            label = _label_index(np.broadcast_to(y, R.shape[:-1]), spec.class_count)
+        R.reshape(-1)[label] -= 1.0
     g = np.matmul(np.swapaxes(X, -1, -2), R, out=out)
     g /= n
-    g += spec.l2_reg * Wm
+    g += np.multiply(spec.l2_reg, Wm, out=reg)
     return g
 
 

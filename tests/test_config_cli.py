@@ -839,6 +839,20 @@ def hflsim_process(args, timeout=60):
                           capture_output=True, text=True, timeout=timeout)
 
 
+class TestEntryPoint:
+    def test_main_freezes_then_runs_the_cli(self, monkeypatch):
+        # python -m hflsim and the hflsim script share hflsim.__main__.main
+        import gc
+        import hflsim.__main__ as entry
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(cli, "main", lambda: calls.append("cli") or 7)
+        assert entry.main() == 7
+        assert calls == ["freeze", "cli"]
+        with open(os.path.join(SRC, os.pardir, "pyproject.toml")) as f:
+            assert 'hflsim = "hflsim.__main__:main"' in f.read()
+
+
 MOBILE = MINI.replace("vehicles = 1", "vehicles = 4").replace("edges = 1", "edges = 4")
 
 

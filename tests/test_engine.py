@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 from hflsim import datasets, engine, mobility, models, rng
 from hflsim.engine import (
     BatchSampler, DivergenceError, HflConfig, InternalInvariantError,
-    cloud_aggregate, config_hash, fleet_step, membership_weights,
+    FleetStep, cloud_aggregate, config_hash, membership_weights,
     read_checkpoint, run, write_checkpoint,
 )
+from test_models import FLEET_SPECS
 
 
 def logistic_spec(d=6, C=3, l2=0.01):
@@ -136,12 +137,10 @@ class TestBatchSampler:
 
 
 def step_once(spec, shards, W, eta, batch_size=5, iteration=None):
-    """fleet_step on a copy of W, with a fresh sampler over the shards."""
+    """One FleetStep on a copy of W, with a fresh sampler over the shards."""
     W = np.array(W, dtype=float)
     sampler = BatchSampler([s.size for s in shards], batch_size, seed=0)
-    fleet = datasets.union_of_shards(shards)
-    fleet_step(spec, W, fleet, sampler, eta, iteration,
-               fixed=engine.whole_shard_inputs(spec, fleet, sampler))
+    FleetStep(spec, W, datasets.union_of_shards(shards), sampler).step(eta, iteration)
     return W
 
 
@@ -309,7 +308,7 @@ def reference_record(cfg, shards, spec, association, edge_count):
     sampler = BatchSampler(sizes.astype(int), cfg.batch_size, cfg.seed,
                            full_batch=cfg.full_batch)
     fleet = datasets.union_of_shards(shards)
-    fixed = engine.whole_shard_inputs(spec, fleet, sampler)
+    local = FleetStep(spec, W, fleet, sampler)
     out = dict(vtilde=np.zeros((T + 1, P)), gap_u_vtilde=np.zeros(T + 1),
                gap_u_v=np.zeros(T + 1), s_vehicle=np.zeros(T + 1), s_edge=np.zeros(T + 1),
                vehicle_gap=np.zeros((M, T + 1)),
@@ -344,7 +343,7 @@ def reference_record(cfg, shards, spec, association, edge_count):
     for j in range(1, K * tau_e + 1):
         for s in range(1, tau_l + 1):
             tau += 1
-            fleet_step(spec, W, fleet, sampler, cfg.eta, tau, fixed=fixed)
+            local.step(cfg.eta, tau)
             vtilde = v - cfg.eta * models.gradient_xy(spec, v, fleet.features, fleet.labels)
             out["vtilde"][tau] = vtilde
             if s < tau_l:
@@ -451,7 +450,7 @@ class TestRecordingMatchesPerRowLoop:
 
 
 def gathered_step(spec, W, data, sampler, eta):
-    """fleet_step as a fresh gather of every group's batch at every step."""
+    """FleetStep.step as a fresh gather of every group's batch at every step."""
     for ids, idx in zip(sampler.groups, sampler.next_batches()):
         rows = sampler.offset[ids, None] + idx
         W[ids] -= eta * models.gradient_fleet(spec, W[ids], data.features.take(rows, axis=0),
@@ -459,8 +458,9 @@ def gathered_step(spec, W, data, sampler, eta):
 
 
 class TestCachedInputs:
-    """run builds the whole-shard groups' inputs once and hands them to
-    every fleet_step; every step must equal a fresh gather, bit for bit."""
+    """A FleetStep gathers the whole-shard groups' inputs once and the
+    shuffling group's into the same buffers at every step; every step must
+    equal a fresh gather, bit for bit."""
 
     SPECS = [models.ModelSpec(models.QUADRATIC, dim=6, class_count=3, l2_reg=0.05),
              models.ModelSpec(models.QUADRATIC, dim=6, class_count=1, l2_reg=0.05),
@@ -481,9 +481,9 @@ class TestCachedInputs:
         W = models.init_params(spec, 3) + np.linspace(-0.5, 0.5, len(sizes) * P).reshape(-1, P)
         W_ref = W.copy()
         sampler, ref = (BatchSampler(sizes, batch, seed=7, full_batch=full) for _ in range(2))
-        fixed = engine.whole_shard_inputs(spec, data, sampler)
+        local = FleetStep(spec, W, data, sampler)
         for tau in range(1, 13):
-            fleet_step(spec, W, data, sampler, 0.05, tau, fixed=fixed)
+            local.step(0.05, tau)
             gathered_step(spec, W_ref, data, ref, 0.05)
             assert W.tobytes() == W_ref.tobytes(), tau
 
@@ -493,17 +493,76 @@ class TestCachedInputs:
         data = datasets.union_of_shards(unequal_shards(sizes))
         s = BatchSampler(sizes, 10, seed=0)
         assert [g.tolist() for g in s.groups] == [[0, 1, 3], [2, 4]]
-        fixed = engine.whole_shard_inputs(spec, data, s)
+        W = np.zeros((len(sizes), models.param_length(spec)))
+        local = FleetStep(spec, W, data, s)
+        fixed = [group[2:] for group in local._groups[:-1]]
         assert len(fixed) == 1  # the shuffling group is gathered per step
         X, y, T = fixed[0]
         rows = np.array([0, 5, 40])[:, None] + np.arange(5)
         assert np.array_equal(X, data.features[rows]) and np.array_equal(y, data.labels[rows])
         assert T.tobytes() == models.quadratic_targets(spec, y).tobytes()
-        assert engine.whole_shard_inputs(self.SPECS[2], data, s)[0][2] is None
-        # given fixed, a step builds no whole-shard inputs of its own
-        monkeypatch.setattr(engine, "whole_shard_inputs", None)
-        W = np.zeros((len(sizes), models.param_length(spec)))
-        fleet_step(spec, W, data, s, 0.05, 1, fixed=fixed)
+        assert FleetStep(self.SPECS[2], W, data, s)._groups[0][4] is None
+        # once built, a step builds no whole-shard inputs of its own
+        monkeypatch.setattr(engine, "quadratic_targets", None)
+        local.step(0.05, 1)
+
+
+def xy_step(spec, W, data, sampler, eta):
+    """One local step as a loop over the vehicles with gradient_xy."""
+    for ids, idx in zip(sampler.groups, sampler.next_batches()):
+        for m, rows in zip(ids, sampler.offset[ids, None] + idx):
+            W[m] -= eta * models.gradient_xy(spec, W[m], data.features[rows], data.labels[rows])
+
+
+class TestFleetStepMatchesGradientXy:
+    """One FleetStep serves a whole run; every step, across the sampler's
+    chunks, must equal the per-vehicle gradient_xy loop bit for bit."""
+
+    @pytest.mark.parametrize("spec", FLEET_SPECS,
+                             ids=lambda s: f"{s.family}-C{s.class_count}-h{s.hidden_width}")
+    @pytest.mark.parametrize("sizes, batch, full", [
+        ([5, 30, 5, 12], 10, False),     # fixed ids 0 and 2, shuffling 1 and 3: no runs
+        ([30, 30, 5], 10, False),        # the shuffling group a run
+        ([23, 40, 31, 40], 10, True),    # full batch, three groups
+    ])
+    def test_steps_equal_gradient_xy_loop(self, monkeypatch, spec, sizes, batch, full):
+        # a chunk of 7 steps, so 64 steps draw ten chunks
+        shuffled = 0 if full else sum(n > batch for n in sizes)
+        monkeypatch.setattr(engine, "BATCH_CHUNK_BYTES", 7 * shuffled * batch * 8)
+        # every shard mixes the classes, so the labels change from step to step
+        C = min(3, max(2, spec.class_count))
+        ds = datasets.generate_synthetic(C, 6, 80, 3.0, seed=1)
+        data = ds.subset(np.random.default_rng(4).permutation(ds.n_samples)[:sum(sizes)])
+        P = models.param_length(spec)
+        W = models.init_params(spec, 3) + np.linspace(-0.5, 0.5, len(sizes) * P).reshape(-1, P)
+        W_ref = W.copy()
+        sampler, ref = (BatchSampler(sizes, batch, seed=7, full_batch=full) for _ in range(2))
+        local = FleetStep(spec, W, data, sampler)
+        for tau in range(1, 65):
+            local.step(0.05, tau)
+            xy_step(spec, W_ref, data, ref, 0.05)
+            assert W.tobytes() == W_ref.tobytes(), tau
+
+    @pytest.mark.parametrize("spec, full, batch", [
+        (models.ModelSpec(models.QUADRATIC, dim=6, class_count=4, l2_reg=0.05), True, 20),
+        (models.ModelSpec(models.QUADRATIC, dim=6, class_count=1, l2_reg=0.0), False, 8),
+        (models.ModelSpec(models.MLP1, dim=6, class_count=3, l2_reg=0.01, hidden_width=5),
+         False, 8)], ids=["quadratic-full", "scalar-minibatch", "mlp1-minibatch"])
+    def test_recorded_vtilde_equals_gradient_xy_descent(self, spec, full, batch):
+        # vtilde takes one gradient_xy step on the union from v, and v is
+        # vtilde, except at a cloud instant, where it is the cloud model
+        shards = unequal_shards([23, 40, 31, 12])
+        cfg = HflConfig(eta=0.05, tau_l=4, tau_e=4, cloud_epochs=4, batch_size=batch, seed=2,
+                        record_virtual=True, full_batch=full)
+        assoc = np.random.default_rng(1).integers(0, 2, size=(17, 4))
+        tr = run(cfg, shards, spec, assoc, 2).trace
+        union = datasets.union_of_shards(shards)
+        v = tr.vtilde[0]
+        for tau in range(1, cfg.total_iterations + 1):
+            v = v - cfg.eta * models.gradient_xy(spec, v, union.features, union.labels)
+            assert tr.vtilde[tau].tobytes() == v.tobytes(), tau
+            if tau % (cfg.tau_l * cfg.tau_e) == 0:
+                v = tr.u_cloud[tau // (cfg.tau_l * cfg.tau_e)]
 
 
 class TestDegenerateEquivalence:

@@ -274,6 +274,64 @@ class TestGradientFleet:
                            np.zeros((3, 4, spec.dim)), np.zeros((3, 4), dtype=int))
 
 
+def fleet_labels(g, spec, shape):
+    """Labels of a fleet batch: raw targets for scalar regression."""
+    if spec.class_count == 1:
+        return g.integers(-3, 4, size=shape)
+    return g.integers(0, spec.class_count, size=shape)
+
+
+class TestGradientWorkspace:
+    """One workspace serves every step of a run: each call must equal
+    gradient_xy on every row, bitwise, whatever earlier calls left in its
+    buffers, with W updated in place between calls."""
+
+    @pytest.mark.parametrize("spec", FLEET_SPECS,
+                             ids=lambda s: f"{s.family}-C{s.class_count}-h{s.hidden_width}")
+    @pytest.mark.parametrize("M, n", [(5, 7), (1, 20), (3, 1)])
+    def test_reused_over_steps_equals_gradient_xy(self, spec, M, n):
+        g = np.random.default_rng(100 * M + n)
+        W = init_params(spec, seed=2) + 0.5 * g.normal(size=(M, param_length(spec)))
+        ws = models.GradientWorkspace(spec, W, n)
+        for step in range(64):
+            X = 3.0 * g.normal(size=(M, n, spec.dim))
+            y = fleet_labels(g, spec, (M, n))
+            # quadratic targets given on odd steps, built in the workspace on even ones
+            T = models.quadratic_targets(spec, y) if step % 2 else None
+            want = np.stack([gradient_xy(spec, W[m], X[m], y[m]) for m in range(M)])
+            got = ws.gradient(X, y, T)
+            assert got is ws.g and got.tobytes() == want.tobytes(), step
+            W -= 0.05 * got
+
+    @pytest.mark.parametrize("spec", [s for s in FLEET_SPECS if s.l2_reg == 0.0],
+                             ids=lambda s: f"{s.family}-C{s.class_count}-h{s.hidden_width}")
+    def test_l2_zero_with_signed_zeros(self, spec):
+        # l2_reg * W is -0.0 where W is negative or -0.0 and +0.0 elsewhere,
+        # and gradient_xy adds it even when l2_reg is 0: a convex gradient
+        # entry that underflows to -0.0 (the smallest subnormal feature,
+        # divided by n) becomes +0.0 where W is positive, so skipping the
+        # term would flip it
+        g = np.random.default_rng(5)
+        M, n, P = 4, 6, param_length(spec)
+        W = g.normal(size=(M, P))
+        W[:, ::3] = -0.0
+        W[:, 1::5] = 0.0
+        ws = models.GradientWorkspace(spec, W, n)
+        for step in range(4):
+            X = g.normal(size=(M, n, spec.dim))
+            X[:, :, 0] = np.nextafter(0.0, 1.0)
+            X[:, :, 1] = -0.0
+            y = fleet_labels(g, spec, (M, n))
+            want = np.stack([gradient_xy(spec, W[m], X[m], y[m]) for m in range(M)])
+            assert ws.gradient(X, y).tobytes() == want.tobytes(), step
+
+    def test_needs_contiguous_weights(self):
+        spec = SPECS[2]
+        W = np.zeros((4, 2 * param_length(spec)))[:, ::2]
+        with pytest.raises(ValueError, match="C-contiguous"):
+            models.GradientWorkspace(spec, W, 3)
+
+
 PROBE_SPECS = [s for s in FLEET_SPECS if s.is_convex]
 
 
