@@ -7,6 +7,7 @@ Partitions are exact: the multiset of samples across shards equals the
 """
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -327,6 +328,8 @@ def load_csv(path):
                 feats = [float(v) for v in row[:-1]]
             except ValueError:
                 raise CsvFormatError(f"row {i}: non-numeric feature") from None
+            if not all(map(math.isfinite, feats)):
+                raise CsvFormatError(f"row {i}: non-finite feature")
             try:
                 label = int(row[-1])
             except ValueError:

@@ -67,104 +67,96 @@ BATCH_CHUNK_BYTES = 1 << 18
 
 
 class BatchSampler:
-    """Minibatch index streams for the whole fleet.
+    """Minibatch rows of the vehicles whose shards outgrow a batch.
 
-    Vehicle m samples without replacement within a pass: a permutation of
-    its shard, drawn from its own stream (seed, BATCH_BASE + m), is
-    consumed in batch_size chunks, the incomplete tail is dropped, and the
-    next pass reshuffles. A vehicle whose shard is no larger than
-    batch_size, and every vehicle in full-batch mode, uses its whole shard
-    in order at every step. Vehicles are grouped once, by batch length
-    (min(batch_size, n_m), or n_m in full-batch mode) and by whether they
-    shuffle, so unequal shards need neither padding nor a mask.
+    Each vehicle with n_m > batch_size (ids, ascending) samples without
+    replacement within a pass: a permutation of its shard, from its own
+    stream (seed, BATCH_BASE + m), is consumed in batch_size chunks, the
+    incomplete tail is dropped, and the next pass reshuffles. Rows are
+    numbered in the shards stacked in id order: vehicle m permutes
+    first_m + arange(n_m), and Generator.permuted shuffles positions, not
+    values, so the draws are those of the shard-local indices.
 
-    The streams never depend on training, so the shuffling vehicles' batches
-    are drawn ahead into one buffer of about BATCH_CHUNK_BYTES, a chunk of
-    steps at a time, each vehicle's passes with one Generator.permuted call
-    (the same draws as one permutation call per pass).
+    The streams never depend on training, so they are drawn ahead into
+    one buffer of about BATCH_CHUNK_BYTES, a chunk of steps at a time,
+    each vehicle's passes with one Generator.permuted call (the same draws
+    as one permutation call per pass).
     """
 
-    def __init__(self, shard_sizes, batch_size, seed, full_batch=False):
+    def __init__(self, shard_sizes, batch_size, seed):
         sizes = np.asarray(shard_sizes, dtype=np.int64)
         self.batch_size = batch_size
-        # first row of each shard when the shards are stacked in id order
-        self.offset = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-        shuffled = np.zeros(sizes.size, bool) if full_batch else sizes > batch_size
-        self.groups = []   # vehicle ids of each group, ascending
-        self._fixed = []   # each whole-shard group's constant (G, n_m) indices
-        for n in sorted(set(sizes[~shuffled].tolist())):
-            ids = np.flatnonzero(~shuffled & (sizes == n))
-            self.groups.append(ids)
-            self._fixed.append(np.broadcast_to(np.arange(n), (ids.size, n)))
-        ids = np.flatnonzero(shuffled)
-        self._gens = [rng.stream(seed, rng.BATCH_BASE + int(m)) for m in ids]
-        if ids.size:
-            self.groups.append(ids)
-            self._n = sizes[ids].tolist()
-            steps = max(1, BATCH_CHUNK_BYTES // (ids.size * batch_size * 8))
-            self._chunk = np.empty((steps, ids.size, batch_size), dtype=np.int64)
-            self._step = steps  # the chunk is used up: draw one at the first step
-            # batches drawn past the end of the last chunk, per vehicle
-            self._spare = [np.empty((0, batch_size), dtype=np.int64)] * ids.size
+        self.ids = np.flatnonzero(sizes > batch_size)
+        first = np.cumsum(sizes) - sizes
+        self._rows = [first[m] + np.arange(sizes[m]) for m in self.ids]
+        self._gens = [rng.stream(seed, rng.BATCH_BASE + int(m)) for m in self.ids]
+        steps = max(1, BATCH_CHUNK_BYTES // (max(1, self.ids.size) * batch_size * 8))
+        self._chunk = np.empty((steps, self.ids.size, batch_size), dtype=np.int64)
+        self._step = steps  # the chunk is used up: draw one at the first step
+        # batches drawn past the end of the last chunk, per vehicle
+        self._spare = [np.empty((0, batch_size), dtype=np.int64)] * self.ids.size
 
     def _draw_chunk(self):
-        """Fill the chunk with the next steps of every shuffling vehicle: its
-        spare batches, then as many whole passes as the chunk still needs."""
+        """Fill the chunk with the next steps of every vehicle: its spare
+        batches, then as many whole passes as the chunk still needs."""
         b, steps = self.batch_size, len(self._chunk)
-        for i, (g, n) in enumerate(zip(self._gens, self._n)):
+        for i, (g, rows) in enumerate(zip(self._gens, self._rows)):
             spare = self._spare[i]
-            per_pass = n // b
+            per_pass = rows.size // b
             passes = max(0, -(-(steps - len(spare)) // per_pass))
-            perms = g.permuted(np.tile(np.arange(n), (passes, 1)), axis=1)
+            perms = g.permuted(np.tile(rows, (passes, 1)), axis=1)
             batches = np.concatenate([spare, perms[:, :per_pass * b].reshape(-1, b)])
             self._chunk[:, i] = batches[:steps]
             self._spare[i] = batches[steps:].copy()  # a view would keep all of batches
         self._step = 0
 
-    def next_batches(self):
-        """Advance every vehicle one step; returns one (G, b) array of
-        shard-local indices per group, aligned with self.groups. The
-        shuffling group's array is a view of the chunk, which the step that
-        draws the next chunk overwrites."""
-        batches = list(self._fixed)
-        if self._gens:
-            if self._step == len(self._chunk):
-                self._draw_chunk()
-            batches.append(self._chunk[self._step])
-            self._step += 1
-        return batches
+    def next_rows(self):
+        """Advance every vehicle one step; returns the (len(ids), batch_size)
+        stacked rows of their batches, a view of the chunk, which the step
+        that draws the next chunk overwrites."""
+        if self._step == len(self._chunk):
+            self._draw_chunk()
+        self._step += 1
+        return self._chunk[self._step - 1]
 
 
 class FleetStep:
     """One local SGD step of every vehicle, in place, built once per run.
 
-    W (M, P) is the fleet's parameters and data the shards stacked in id
-    order. Each sampler group gets one models.GradientWorkspace and its
-    inputs. A group of whole shards has the same batch at every step, so
-    its features, labels and quadratic targets are gathered once; the
-    shuffling group, if any, is gathered into the same buffers at every
-    step. A group whose ids form a run (the whole fleet, when every shard
-    shuffles) works on a slice of W; any other group's rows are copied
-    into its workspace's weight buffer and written back after the update.
+    W (M, P) is the fleet's parameters, data the shards stacked in id
+    order and shard_sizes their lengths. The sampler's vehicles are one
+    group, gathered into the same buffers at every step; every other
+    vehicle (all of them without a sampler, or with one that has no ids)
+    uses its whole shard, and those are grouped by shard size, so unequal
+    shards need neither padding nor a mask, and each group's features,
+    labels and quadratic targets are gathered once. Each group gets one
+    models.GradientWorkspace. A group whose ids form a run (the whole
+    fleet, when every shard shuffles) works on a slice of W; any other
+    group's rows are copied into its workspace's weight buffer and
+    written back after the update.
     """
 
-    def __init__(self, spec, W, data, sampler):
+    def __init__(self, spec, W, data, shard_sizes, sampler=None):
+        sizes = np.asarray(shard_sizes, dtype=np.int64)
+        first = np.cumsum(sizes) - sizes
+        sampler = sampler if sampler is not None and sampler.ids.size else None
         self.W, self.data, self.sampler = W, data, sampler
         self._finite = np.empty(W.shape, dtype=bool)
-        self._shuffled = None
+        whole = np.ones(sizes.size, bool)
+        if sampler is not None:
+            whole[sampler.ids] = False
+        groups = [np.flatnonzero(whole & (sizes == n)) for n in sorted(set(sizes[whole].tolist()))]
         self._groups = []  # (ids, or None for a run; workspace; X; y; targets)
-        for i, ids in enumerate(sampler.groups):
+        for ids in groups + ([] if sampler is None else [sampler.ids]):
             run = ids[-1] - ids[0] + 1 == ids.size
             Wg = W[ids[0]:ids[-1] + 1] if run else np.empty((ids.size, W.shape[1]))
-            if i < len(sampler._fixed):
-                rows = sampler.offset[ids, None] + sampler._fixed[i]
+            if whole[ids[0]]:
+                rows = first[ids, None] + np.arange(sizes[ids[0]])
                 X, y = data.features.take(rows, axis=0), data.labels[rows]
                 T = quadratic_targets(spec, y)
             else:
                 shape = (ids.size, sampler.batch_size)
                 X, y, T = np.empty(shape + (spec.dim,)), np.empty(shape, np.int64), None
-                # each vehicle's first row in data, and the step's rows
-                self._shuffled = (sampler.offset[ids, None], np.empty(shape, np.int64))
             self._groups.append((None if run else ids, GradientWorkspace(spec, Wg, y.shape[1]),
                                  X, y, T))
 
@@ -172,13 +164,11 @@ class FleetStep:
         """Advance every vehicle one step. A non-finite result names the
         lowest-id vehicle."""
         W = self.W
-        batches = self.sampler.next_batches()
-        # every index is in range by construction; take's default mode
-        # would copy its output through a temporary
-        if self._shuffled is not None:
-            first, rows = self._shuffled
+        if self.sampler is not None:
+            rows = self.sampler.next_rows()
             _, _, X, y, _ = self._groups[-1]
-            np.add(first, batches[-1], out=rows)
+            # every row is in range by construction; take's default mode
+            # would copy its output through a temporary
             self.data.features.take(rows, axis=0, out=X, mode="clip")
             self.data.labels.take(rows, out=y, mode="clip")
         for ids, ws, X, y, T in self._groups:
@@ -337,10 +327,10 @@ def edge_rounds(config, shards, spec, association=None, edge_count=1, *,
     state = FleetState(tau=0, vehicle_params=np.tile(w0, (M, 1)),
                        edge_params=np.tile(w0, (edge_count, 1)), cloud_params=w0.copy())
     W, edge_params = state.vehicle_params, state.edge_params  # updated in place
-    sampler = BatchSampler(sizes.astype(int), config.batch_size, config.seed,
-                           full_batch=config.full_batch)
+    counts = sizes.astype(int)
+    sampler = None if config.full_batch else BatchSampler(counts, config.batch_size, config.seed)
     fleet = union_of_shards(shards)
-    local = FleetStep(spec, W, fleet, sampler)
+    local = FleetStep(spec, W, fleet, counts, sampler)
 
     # weights of the association in force, and B, the weights of u (row 0)
     # and of every edge's average; refreshed at every round boundary

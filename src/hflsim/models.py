@@ -88,8 +88,9 @@ def quadratic_targets(spec, y):
     """What the quadratic family regresses on for labels y (any leading
     axes): one-hot rows, or the raw labels as a column when
     class_count == 1. None for the cross-entropy families, which index
-    the labels directly. gradient_fleet and gradient_probes take it as
-    targets, so a caller whose labels do not change builds it once."""
+    the labels directly. GradientWorkspace.gradient and gradient_probes
+    take it as targets, so a caller whose labels do not change builds it
+    once."""
     if spec.family != QUADRATIC:
         return None
     if spec.class_count == 1:
@@ -214,17 +215,21 @@ def gradient_xy(spec, w, X, y):
 
 
 class GradientWorkspace:
-    """gradient_fleet on buffers that outlive a call: the gradients of the
-    weight rows W (M, P), C-contiguous, over batches of n rows, for a
-    caller that takes many steps on the same W and updates it in place.
+    """gradient_xy for a whole fleet, on buffers that outlive a call: the
+    gradients of the weight rows W (M, P), C-contiguous, over batches of
+    n rows, for a caller that takes many steps on the same W and updates
+    it in place.
 
     The workspace keeps views of W's blocks (W1, b1, W2, b2 for mlp1, the
     (M, d, c) matrices otherwise) and every intermediate: the hidden
     activations Z, the scores S, dZ, the batch-major copies and sums of
     the bias gradients, the softmax's row reductions, the l2 product and
-    the label offsets. gradient() writes into them with the operations
-    gradient_fleet always made, in the same order, and returns g, the
-    same (M, P) array at every call.
+    the label offsets. gradient() writes into them with gradient_xy's
+    operations in its order on the stacked arrays, with batched matmul
+    (numpy runs one product per vehicle, as in the 2-D code) and every
+    reduction adding the terms the 2-D code adds in its order
+    (_class_max, _class_sum, _batch_sum), and returns g, the same (M, P)
+    array at every call.
     """
 
     def __init__(self, spec, W, n):
@@ -288,25 +293,6 @@ class GradientWorkspace:
         self._gb1[:, 0] = _batch_sum(dZ, *self._dZ_sum)
         self.g += np.multiply(spec.l2_reg, self.W, out=self._reg)
         return self.g
-
-
-def gradient_fleet(spec, W, X, y, *, targets=None):
-    """gradient_xy for a whole fleet: W (M, P), X (M, B, d), y (M, B).
-    targets is quadratic_targets(spec, y), built here when not given.
-
-    Row m is bitwise gradient_xy(spec, W[m], X[m], y[m]): the same
-    operations in the same order on stacked arrays, with batched matmul
-    (numpy runs one product per vehicle, as in the 2-D code), some of
-    them in place, and every reduction adding the terms the 2-D code adds
-    in its order (_class_max, _class_sum, _batch_sum). This is one call
-    of a fresh GradientWorkspace; a caller that steps many times keeps
-    one.
-    """
-    M, n = y.shape
-    if W.shape != (M, param_length(spec)) or X.shape != (M, n, spec.dim):
-        raise ValueError(f"fleet shapes W {W.shape}, X {X.shape}, y {y.shape} "
-                         f"do not match P={param_length(spec)}, d={spec.dim}")
-    return GradientWorkspace(spec, np.ascontiguousarray(W), n).gradient(X, y, targets)
 
 
 def _convex_gradients(spec, Wm, X, y, targets, out=None, residual=None, *, label=None,
@@ -461,7 +447,10 @@ def read_param_vector(fh):
     if len(raw) != 8:
         raise IOError("truncated parameter vector header")
     (size,) = struct.unpack("<Q", raw)
-    buf = fh.read(8 * size)
-    if len(buf) != 8 * size:
-        raise IOError("truncated parameter vector payload")
-    return np.frombuffer(buf, dtype="<f8").astype(np.float64)
+    # a corrupt length is compared with the bytes left, never allocated
+    here = fh.tell()
+    left = fh.seek(0, 2) - here
+    fh.seek(here)
+    if 8 * size > left:
+        raise IOError(f"truncated parameter vector payload: {size} values, {left} bytes left")
+    return np.frombuffer(fh.read(8 * size), dtype="<f8").astype(np.float64)

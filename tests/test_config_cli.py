@@ -282,10 +282,10 @@ class TestCmdRun:
             cli.main(["run", "--config", path])
 
 
-def csv_config(tmp_path, classes):
+def csv_config(tmp_path, classes, per_class=20):
     # a CSV dataset with edge-skewed data and [dataset] classes left at its
     # default of 8, which does not describe the file
-    datasets.save_csv(datasets.generate_synthetic(classes, 3, 20, 3.0, 1),
+    datasets.save_csv(datasets.generate_synthetic(classes, 3, per_class, 3.0, 1),
                       tmp_path / "d.csv")
     return write_cfg(tmp_path, f"""
 [dataset]
@@ -317,6 +317,20 @@ class TestCsvClassCoverage:
     def test_eight_class_csv_rejected_by_the_partition(self, tmp_path, capsys):
         assert cli.main(["run", "--config", csv_config(tmp_path, 8)]) == 2
         assert "edge_noniid needs l*N >= C (1*4 < 8)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_feature_rejected(self, tmp_path, capsys, bad):
+        # 200 rows, 4 classes, one feature of row 7 not finite: a
+        # configuration error, not a training divergence
+        path = csv_config(tmp_path, 4, per_class=50)
+        lines = (tmp_path / "d.csv").read_text().splitlines()
+        cells = lines[6].split(",")
+        cells[1] = bad
+        lines[6] = ",".join(cells)
+        (tmp_path / "d.csv").write_text("\n".join(lines) + "\n")
+        assert cli.main(["run", "--config", path]) == 2
+        assert "row 7: non-finite feature" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestCmdVerifyBounds:

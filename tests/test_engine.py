@@ -25,10 +25,13 @@ def make_shards(M, C=3, d=6, n_per=60, seed=1, pseed=2):
 
 
 def unequal_shards(sizes, C=3, d=6):
-    """Consecutive slices of one synthetic dataset, of the given sizes."""
+    """Consecutive slices, of the given sizes, of one fixed permutation of
+    a class-sorted synthetic dataset's rows, so that every shard mixes
+    the classes."""
     ds = datasets.generate_synthetic(C, d, 60, 3.0, seed=1)
+    order = np.random.default_rng(0).permutation(ds.n_samples)
     cuts = np.cumsum([0] + list(sizes))
-    return [datasets.Shard(m, ds.subset(np.arange(cuts[m], cuts[m + 1])))
+    return [datasets.Shard(m, ds.subset(order[cuts[m]:cuts[m + 1]]))
             for m in range(len(sizes))]
 
 
@@ -64,13 +67,24 @@ def reference_batches(size, batch_size, seed, m, full_batch=False):
             yield perm[k * batch_size:(k + 1) * batch_size]
 
 
-def draws_by_vehicle(sampler):
-    """One fleet step of the sampler as {vehicle: its batch indices}."""
-    out = {}
-    for ids, idx in zip(sampler.groups, sampler.next_batches()):
-        assert idx.shape[0] == ids.size
-        out.update({int(m): row for m, row in zip(ids, idx)})
-    return out
+def draws_by_vehicle(sampler, sizes):
+    """One step of the sampler as {vehicle: its shard-local batch indices}."""
+    first = np.cumsum(sizes) - np.asarray(sizes)
+    rows = sampler.next_rows()
+    assert rows.shape == (sampler.ids.size, sampler.batch_size)
+    return {int(m): row - first[m] for m, row in zip(sampler.ids, rows)}
+
+
+def check_transcription(sizes, batch, steps):
+    """steps steps of a sampler, every shuffling vehicle's batch equal to
+    its reference_batches stream."""
+    s = BatchSampler(sizes, batch, seed=11)
+    assert s.ids.tolist() == [m for m, n in enumerate(sizes) if n > batch]
+    refs = {m: reference_batches(sizes[m], batch, 11, m) for m in s.ids.tolist()}
+    for _ in range(steps):
+        got = draws_by_vehicle(s, sizes)
+        for m, ref in refs.items():
+            assert np.array_equal(got[m], next(ref))
 
 
 class TestBatchSampler:
@@ -78,69 +92,66 @@ class TestBatchSampler:
         a = BatchSampler([50, 70], 16, seed=9)
         b = BatchSampler([50, 70], 16, seed=9)
         for _ in range(10):
-            da, db = draws_by_vehicle(a), draws_by_vehicle(b)
+            da, db = draws_by_vehicle(a, [50, 70]), draws_by_vehicle(b, [50, 70])
             assert np.array_equal(da[0], db[0])
             assert np.array_equal(da[1], db[1])
 
     def test_without_replacement_within_pass(self):
         s = BatchSampler([50], 16, seed=3)
-        seen = np.concatenate([draws_by_vehicle(s)[0] for _ in range(3)])  # one full pass
+        seen = np.concatenate([draws_by_vehicle(s, [50])[0] for _ in range(3)])  # one pass
         assert len(np.unique(seen)) == len(seen)
         assert np.all(seen < 50)
 
-    def test_full_batch_mode(self):
-        s = BatchSampler([13], 5, seed=1, full_batch=True)
-        assert np.array_equal(draws_by_vehicle(s)[0], np.arange(13))
+    def test_full_batch_mode(self, monkeypatch):
+        # full batch: edge_rounds builds no sampler, and every vehicle's
+        # whole shard, in order, is its batch at every step
+        monkeypatch.setattr(engine, "BatchSampler", None)
+        shards = unequal_shards([13, 20, 13])
+        cfg = HflConfig(eta=0.1, tau_l=2, tau_e=2, cloud_epochs=2, batch_size=5, seed=1,
+                        full_batch=True)
+        res = run(cfg, shards, logistic_spec())
+        ref = reference_static_hfl(cfg, shards, logistic_spec(), [0, 0, 0])
+        assert np.array_equal(ref, res.final_state.cloud_params)
 
     def test_batch_larger_than_shard(self):
-        s = BatchSampler([7], 20, seed=1)
-        assert np.array_equal(draws_by_vehicle(s)[0], np.arange(7))
+        # no shard outgrows the batch: the sampler has no vehicle, and a
+        # FleetStep given it uses every whole shard
+        sizes = [7, 12]
+        s = BatchSampler(sizes, 20, seed=1)
+        assert s.ids.size == 0 and s.next_rows().shape == (0, 20)
+        data = datasets.union_of_shards(unequal_shards(sizes))
+        local = FleetStep(logistic_spec(), np.zeros((2, 18)), data, sizes, s)
+        assert local.sampler is None
+        assert [X.shape for _, _, X, _, _ in local._groups] == [(1, 7, 6), (1, 12, 6)]
 
-    @pytest.mark.parametrize("sizes, batch, full", [
-        ([50, 70, 16, 7, 33, 48, 61], 16, False),   # unequal; n < B, n == B, n > B, B | n
-        ([5, 9, 12], 20, False),                    # B >= every shard
-        ([23, 40, 57, 40], 16, True),               # full batch, unequal
+    @pytest.mark.parametrize("sizes, batch", [
+        ([50, 70, 16, 7, 33, 48, 61], 16),   # unequal; n < B, n == B, n > B, B | n
+        ([5, 9, 12], 20),                    # B >= every shard
+        ([23, 40, 57, 40], 16),              # every shard shuffles
     ])
-    def test_matches_per_vehicle_transcription(self, sizes, batch, full):
-        s = BatchSampler(sizes, batch, seed=11, full_batch=full)
-        ids = np.sort(np.concatenate(s.groups))
-        assert np.array_equal(ids, np.arange(len(sizes)))  # each vehicle in one group
-        refs = [reference_batches(n, batch, 11, m, full) for m, n in enumerate(sizes)]
-        for _ in range(30):  # several passes of the smallest shuffled shard
-            got = draws_by_vehicle(s)
-            for m, ref in enumerate(refs):
-                assert np.array_equal(got[m], next(ref))
+    def test_matches_per_vehicle_transcription(self, sizes, batch):
+        check_transcription(sizes, batch, 30)  # several passes of the smallest shard
 
-    @pytest.mark.parametrize("sizes, batch, full, chunk_steps", [
+    @pytest.mark.parametrize("sizes, batch, chunk_steps", [
         # n = B+1, n % B != 0, n < B, B | n
-        *[([21, 37, 50, 101, 16, 7, 40, 21], 20, False, c) for c in (1, 3, 64, None)],
-        ([23, 40, 57, 40], 16, True, None),             # full batch, unequal
+        *[([21, 37, 50, 101, 16, 7, 40, 21], 20, c) for c in (1, 3, 64, None)],
+        ([23, 40, 57, 40], 16, None),                   # every shard shuffles
     ])
-    def test_chunks_match_per_step_stream(self, monkeypatch, sizes, batch, full, chunk_steps):
+    def test_chunks_match_per_step_stream(self, monkeypatch, sizes, batch, chunk_steps):
         # chunk_steps sets BATCH_CHUNK_BYTES to that many steps of the
-        # shuffling group (None: the default); 1200 steps cross many chunks
-        shuffled = sum(n > batch for n in sizes) if not full else 0
+        # shuffling vehicles (None: the default); 1200 steps cross many chunks
         if chunk_steps is not None:
+            shuffled = sum(n > batch for n in sizes)
             monkeypatch.setattr(engine, "BATCH_CHUNK_BYTES", chunk_steps * shuffled * batch * 8)
-        s = BatchSampler(sizes, batch, seed=11, full_batch=full)
-        refs = [reference_batches(n, batch, 11, m, full) for m, n in enumerate(sizes)]
-        for _ in range(1200):
-            got = draws_by_vehicle(s)
-            for m, ref in enumerate(refs):
-                assert np.array_equal(got[m], next(ref))
-
-    def test_groups_by_batch_length(self):
-        s = BatchSampler([5, 30, 5, 12, 30], 12, seed=0)
-        assert [g.tolist() for g in s.groups] == [[0, 2], [3], [1, 4]]
-        assert [b.shape for b in s.next_batches()] == [(2, 5), (1, 12), (2, 12)]
-        assert s.offset.tolist() == [0, 5, 35, 40, 52]
+        check_transcription(sizes, batch, 1200)
 
 
 def step_once(spec, shards, W, eta, batch_size=5, iteration=None):
     """One FleetStep on a copy of W, with a fresh sampler over the shards."""
     W = np.array(W, dtype=float)
-    sampler = BatchSampler([s.size for s in shards], batch_size, seed=0)
-    FleetStep(spec, W, datasets.union_of_shards(shards), sampler).step(eta, iteration)
+    sizes = [s.size for s in shards]
+    sampler = BatchSampler(sizes, batch_size, seed=0)
+    FleetStep(spec, W, datasets.union_of_shards(shards), sizes, sampler).step(eta, iteration)
     return W
 
 
@@ -305,10 +316,10 @@ def reference_record(cfg, shards, spec, association, edge_count):
     alpha = sizes / sizes.sum()
     w0 = models.init_params(spec, cfg.seed)
     W, edge_params, v = np.tile(w0, (M, 1)), np.tile(w0, (edge_count, 1)), w0.copy()
-    sampler = BatchSampler(sizes.astype(int), cfg.batch_size, cfg.seed,
-                           full_batch=cfg.full_batch)
+    counts = sizes.astype(int)
+    sampler = None if cfg.full_batch else BatchSampler(counts, cfg.batch_size, cfg.seed)
     fleet = datasets.union_of_shards(shards)
-    local = FleetStep(spec, W, fleet, sampler)
+    local = FleetStep(spec, W, fleet, counts, sampler)
     out = dict(vtilde=np.zeros((T + 1, P)), gap_u_vtilde=np.zeros(T + 1),
                gap_u_v=np.zeros(T + 1), s_vehicle=np.zeros(T + 1), s_edge=np.zeros(T + 1),
                vehicle_gap=np.zeros((M, T + 1)),
@@ -449,12 +460,36 @@ class TestRecordingMatchesPerRowLoop:
         assert not np.isnan(tr.edge_gap).any()
 
 
-def gathered_step(spec, W, data, sampler, eta):
-    """FleetStep.step as a fresh gather of every group's batch at every step."""
-    for ids, idx in zip(sampler.groups, sampler.next_batches()):
-        rows = sampler.offset[ids, None] + idx
-        W[ids] -= eta * models.gradient_fleet(spec, W[ids], data.features.take(rows, axis=0),
-                                              data.labels[rows])
+def reference_rows(sizes, batch, seed, full):
+    """Every vehicle's reference_batches stream, as rows of the shards
+    stacked in id order."""
+    first = np.cumsum(sizes) - np.asarray(sizes)
+    refs = [reference_batches(n, batch, seed, m, full) for m, n in enumerate(sizes)]
+    while True:
+        yield [first[m] + next(ref) for m, ref in enumerate(refs)]
+
+
+def gathered_step(spec, W, data, rows, eta):
+    """FleetStep.step as a fresh gather at every step: the vehicles with
+    batches of one length, each batch the next of rows, take one fresh
+    GradientWorkspace."""
+    batches = next(rows)
+    for n in sorted({b.size for b in batches}):
+        ids = [m for m, b in enumerate(batches) if b.size == n]
+        idx = np.stack([batches[m] for m in ids])
+        ws = models.GradientWorkspace(spec, W[ids], n)
+        W[ids] -= eta * ws.gradient(data.features[idx], data.labels[idx])
+
+
+def group_ids(local):
+    """Each FleetStep group's vehicle ids; a run's from its slice of W."""
+    out = []
+    for ids, ws, *_ in local._groups:
+        if ids is None:
+            first = (ws.W.ctypes.data - local.W.ctypes.data) // local.W.strides[0]
+            ids = np.arange(first, first + len(ws.W))
+        out.append(ids.tolist())
+    return out
 
 
 class TestCachedInputs:
@@ -480,38 +515,53 @@ class TestCachedInputs:
         P = models.param_length(spec)
         W = models.init_params(spec, 3) + np.linspace(-0.5, 0.5, len(sizes) * P).reshape(-1, P)
         W_ref = W.copy()
-        sampler, ref = (BatchSampler(sizes, batch, seed=7, full_batch=full) for _ in range(2))
-        local = FleetStep(spec, W, data, sampler)
+        sampler = None if full else BatchSampler(sizes, batch, seed=7)
+        local = FleetStep(spec, W, data, sizes, sampler)
+        rows = reference_rows(sizes, batch, 7, full)
         for tau in range(1, 13):
             local.step(0.05, tau)
-            gathered_step(spec, W_ref, data, ref, 0.05)
+            gathered_step(spec, W_ref, data, rows, 0.05)
             assert W.tobytes() == W_ref.tobytes(), tau
+
+    def test_groups_by_shard_size(self):
+        # the whole shards by size, ascending, then the shuffling vehicles
+        sizes = [5, 30, 5, 12, 30]
+        data = datasets.union_of_shards(unequal_shards(sizes))
+        W = np.zeros((len(sizes), models.param_length(self.SPECS[2])))
+        local = FleetStep(self.SPECS[2], W, data, sizes, BatchSampler(sizes, 12, seed=0))
+        assert group_ids(local) == [[0, 2], [3], [1, 4]]
+        assert [y.shape for *_, y, _ in local._groups] == [(2, 5), (1, 12), (2, 12)]
+        assert [ids is None for ids, *_ in local._groups] == [False, True, False]
+        # without a sampler every vehicle uses its whole shard
+        local = FleetStep(self.SPECS[2], W, data, sizes)
+        assert group_ids(local) == [[0, 2], [3], [1, 4]]
+        assert [y.shape for *_, y, _ in local._groups] == [(2, 5), (1, 12), (2, 30)]
 
     def test_whole_shard_inputs(self, monkeypatch):
         spec = self.SPECS[0]
         sizes = [5, 5, 30, 5, 12]
         data = datasets.union_of_shards(unequal_shards(sizes))
         s = BatchSampler(sizes, 10, seed=0)
-        assert [g.tolist() for g in s.groups] == [[0, 1, 3], [2, 4]]
+        assert s.ids.tolist() == [2, 4]
         W = np.zeros((len(sizes), models.param_length(spec)))
-        local = FleetStep(spec, W, data, s)
+        local = FleetStep(spec, W, data, sizes, s)
         fixed = [group[2:] for group in local._groups[:-1]]
         assert len(fixed) == 1  # the shuffling group is gathered per step
         X, y, T = fixed[0]
         rows = np.array([0, 5, 40])[:, None] + np.arange(5)
         assert np.array_equal(X, data.features[rows]) and np.array_equal(y, data.labels[rows])
         assert T.tobytes() == models.quadratic_targets(spec, y).tobytes()
-        assert FleetStep(self.SPECS[2], W, data, s)._groups[0][4] is None
+        assert FleetStep(self.SPECS[2], W, data, sizes, s)._groups[0][4] is None
         # once built, a step builds no whole-shard inputs of its own
         monkeypatch.setattr(engine, "quadratic_targets", None)
         local.step(0.05, 1)
 
 
-def xy_step(spec, W, data, sampler, eta):
-    """One local step as a loop over the vehicles with gradient_xy."""
-    for ids, idx in zip(sampler.groups, sampler.next_batches()):
-        for m, rows in zip(ids, sampler.offset[ids, None] + idx):
-            W[m] -= eta * models.gradient_xy(spec, W[m], data.features[rows], data.labels[rows])
+def xy_step(spec, W, data, rows, eta):
+    """One local step as a loop over the vehicles with gradient_xy, each
+    batch the next of rows."""
+    for m, idx in enumerate(next(rows)):
+        W[m] -= eta * models.gradient_xy(spec, W[m], data.features[idx], data.labels[idx])
 
 
 class TestFleetStepMatchesGradientXy:
@@ -536,11 +586,12 @@ class TestFleetStepMatchesGradientXy:
         P = models.param_length(spec)
         W = models.init_params(spec, 3) + np.linspace(-0.5, 0.5, len(sizes) * P).reshape(-1, P)
         W_ref = W.copy()
-        sampler, ref = (BatchSampler(sizes, batch, seed=7, full_batch=full) for _ in range(2))
-        local = FleetStep(spec, W, data, sampler)
+        sampler = None if full else BatchSampler(sizes, batch, seed=7)
+        local = FleetStep(spec, W, data, sizes, sampler)
+        rows = reference_rows(sizes, batch, 7, full)
         for tau in range(1, 65):
             local.step(0.05, tau)
-            xy_step(spec, W_ref, data, ref, 0.05)
+            xy_step(spec, W_ref, data, rows, 0.05)
             assert W.tobytes() == W_ref.tobytes(), tau
 
     @pytest.mark.parametrize("spec, full, batch", [
@@ -892,6 +943,22 @@ class TestCheckpoint:
         p = tmp_path / "cut.bin"
         p.write_bytes(whole.read_bytes()[:len(engine.CHECKPOINT_MAGIC) + cut])
         with pytest.raises(IOError, match=f"truncated checkpoint: the {what}"):
+            read_checkpoint(p)
+
+    @pytest.mark.parametrize("claimed", [2 ** 62, 2 ** 40])
+    def test_corrupt_vector_length_is_an_ioerror(self, tmp_path, claimed):
+        # the cloud vector's length header claims far more than the file
+        # holds; without the check 2**62 overflows and 2**40 asks for 8 TiB
+        state = engine.FleetState(tau=3, vehicle_params=np.zeros((2, 4)),
+                                  edge_params=np.zeros((1, 4)), cloud_params=np.zeros(4))
+        p = tmp_path / "state.bin"
+        write_checkpoint(p, state, config_hash("text"))
+        raw = bytearray(p.read_bytes())
+        at = len(engine.CHECKPOINT_MAGIC) + 1 + 32 + 24
+        assert raw[at:at + 8] == (4).to_bytes(8, "little")
+        raw[at:at + 8] = claimed.to_bytes(8, "little")
+        p.write_bytes(bytes(raw))
+        with pytest.raises(IOError, match=f"{claimed} values, 152 bytes left"):
             read_checkpoint(p)
 
     @pytest.mark.parametrize("M, N, edge_len, vehicle_len", [

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hflsim import datasets, models
 from hflsim.models import (
     MLP1, MULTINOMIAL_LOGISTIC, QUADRATIC,
-    ModelSpec, UnsupportedModelError, estimate_constants, gradient, gradient_fleet,
+    ModelSpec, UnsupportedModelError, estimate_constants, gradient,
     gradient_xy, init_params, loss, param_length, read_param_vector, solve_optimum,
     write_param_vector,
 )
@@ -198,8 +198,9 @@ def test_loss_xy_equals_numpy_reductions(family, c):
 
 
 class TestGradientFleet:
-    """gradient_fleet is the fast path of the local step; gradient_xy on
-    each vehicle in turn is its reference, and they must agree bitwise."""
+    """A fresh GradientWorkspace is the fast path of the local step;
+    gradient_xy on each vehicle in turn is its reference, and they must
+    agree bitwise."""
 
     @pytest.mark.parametrize("spec", FLEET_SPECS,
                              ids=lambda s: f"{s.family}-C{s.class_count}-h{s.hidden_width}")
@@ -214,7 +215,7 @@ class TestGradientFleet:
             else:
                 y = g.integers(0, spec.class_count, size=(M, B))
             want = np.stack([gradient_xy(spec, W[m], X[m], y[m]) for m in range(M)])
-            got = gradient_fleet(spec, W, X, y)
+            got = models.GradientWorkspace(spec, W, B).gradient(X, y)
             assert got.shape == (M, param_length(spec))
             assert np.array_equal(got, want)
 
@@ -225,7 +226,7 @@ class TestGradientFleet:
         g = np.random.default_rng(4)
         rows = g.integers(0, ds.n_samples, size=(6, 20))
         W = init_params(spec, seed=1) + 0.1 * g.normal(size=(6, param_length(spec)))
-        got = gradient_fleet(spec, W, ds.features[rows], ds.labels[rows])
+        got = models.GradientWorkspace(spec, W, 20).gradient(ds.features[rows], ds.labels[rows])
         for m in range(6):
             assert np.array_equal(got[m], gradient(spec, W[m], ds.subset(rows[m])))
 
@@ -245,8 +246,8 @@ class TestGradientFleet:
             else:
                 want[np.arange(M)[:, None], np.arange(B), y] = 1.0
             assert T.tobytes() == want.tobytes()
-            assert gradient_fleet(spec, W, X, y, targets=T).tobytes() == \
-                gradient_fleet(spec, W, X, y).tobytes()
+            assert models.GradientWorkspace(spec, W, B).gradient(X, y, T).tobytes() == \
+                models.GradientWorkspace(spec, W, B).gradient(X, y).tobytes()
             # the probes tile the targets as they tile the datasets
             for Q in (1, 3):
                 assert models.gradient_probes(spec, W[:Q], X, y, targets=T).tobytes() == \
@@ -264,14 +265,8 @@ class TestGradientFleet:
             y = g.integers(-3, 4, size=n) if spec.class_count == 1 else \
                 g.integers(0, spec.class_count, size=n)
             T = models.quadratic_targets(spec, y[None])
-            got = gradient_fleet(spec, w[None], X[None], y[None], targets=T)[0]
+            got = models.GradientWorkspace(spec, w[None], n).gradient(X[None], y[None], T)[0]
             assert got.tobytes() == gradient_xy(spec, w, X, y).tobytes()
-
-    def test_shape_mismatch_rejected(self):
-        spec = SPECS[0]
-        with pytest.raises(ValueError):
-            gradient_fleet(spec, np.zeros((2, param_length(spec))),
-                           np.zeros((3, 4, spec.dim)), np.zeros((3, 4), dtype=int))
 
 
 def fleet_labels(g, spec, shape):
