@@ -99,6 +99,17 @@ MUTATIONS = [
     # fill a chunk
     Mutation(ENGINE, "if held == chunk or s == tau_l - 1:", "if held == chunk:",
              TEST_ENGINE + "::TestRecordingMatchesPerRowLoop::test_snapshots_in_chunks"),
+    # the shared-input class coverage left to the construction, which
+    # reports it as an edge_noniid error
+    Mutation("src/hflsim/config.py",
+             "        if pt.shared_input:\n"
+             "            p.append(f\"[partition] shared_input needs classes_per_unit*edges >= "
+             "classes \"\n"
+             "                     f\"({l}*{N} < {C}); allow_partial_class_coverage does not "
+             "apply to it\")\n"
+             "        elif pt.regime",
+             "        if pt.regime",
+             "tests/test_config_cli.py::TestExitCodes::test_shared_input_covers_every_class"),
 ]
 
 

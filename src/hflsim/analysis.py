@@ -37,7 +37,6 @@ class DivergenceEstimates:
     delta_n_bracket: np.ndarray  # (J+1, N); nan for empty edges
     Delta_n_bracket: np.ndarray  # (J+1, N); nan for empty edges
     Delta_bracket: np.ndarray    # (J+1,)  sum_n theta_n Delta_n
-    theta_bracket: np.ndarray    # (J+1, N)
     grad_norm: np.ndarray        # (Q,)    ||grad F|| at each probe
 
     def scaled(self, s):
@@ -130,7 +129,7 @@ def estimate_divergences(spec, shards, association_history, probes):
     return DivergenceEstimates(
         delta_m=delta_m, delta=float(alpha @ delta_m), alpha=alpha,
         delta_n_bracket=delta_n, Delta_n_bracket=Delta_n,
-        Delta_bracket=Delta, theta_bracket=theta, grad_norm=grad_norm)
+        Delta_bracket=Delta, grad_norm=grad_norm)
 
 
 def shared_input_delta_m(shards):
@@ -447,12 +446,3 @@ def mobility_mixing_report(estimates):
     return MixingReport(
         first_quarter_mean=float(D[:q].mean()),
         last_quarter_mean=float(D[J - q:].mean()))
-
-
-def convex_combination_residuals(estimates):
-    """Recompute delta and Delta^[j] from their definitions; max residual."""
-    r1 = abs(float(estimates.alpha @ estimates.delta_m) - estimates.delta)
-    th = estimates.theta_bracket
-    Dn = np.where(np.isnan(estimates.Delta_n_bracket), 0.0, estimates.Delta_n_bracket)
-    r2 = float(np.max(np.abs((th * Dn).sum(axis=1) - estimates.Delta_bracket)))
-    return max(r1, r2)

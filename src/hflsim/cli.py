@@ -20,7 +20,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from . import analysis, datasets, experiments
+from . import datasets, experiments
 from .config import ConfigError, load_config, serialize_config, validate
 from .engine import DivergenceError, config_hash, write_checkpoint
 from .models import UnsupportedModelError
@@ -184,10 +184,8 @@ def cmd_verify_bounds(args):
         "conditions": [{"name": k, "holds": v} for k, v in gr.conditions.items()],
         "note": gr.note,
     }))
-    ident = analysis.convex_combination_residuals(suite.estimates)
     print(f"beta={suite.inputs.beta:.6g} rho={suite.inputs.rho:.6g} "
           f"delta={suite.estimates.delta:.6g} epsilon={suite.inputs.epsilon:.6g}")
-    print(f"convex-combination residual: {ident:.3g}")
     if gr.applicable:
         print(f"gap bound {gr.bound:.6g}, measured {gr.measured_gap:.6g}")
     else:

@@ -87,14 +87,7 @@ class ExperimentConfig:
     output: OutputSection = field(default_factory=OutputSection)
 
 
-_SECTIONS = {
-    "dataset": DatasetSection,
-    "partition": PartitionSection,
-    "mobility": MobilitySection,
-    "hfl": HflConfig,
-    "model": ModelSection,
-    "output": OutputSection,
-}
+_SECTIONS = tuple(f.name for f in fields(ExperimentConfig))
 
 
 def _parse_value(typ, raw, where):
@@ -148,12 +141,12 @@ def serialize_config(cfg, exclude=()):
     """Canonical text form; parse(serialize(c)) == c. Sections named in
     exclude are left out."""
     out = io.StringIO()
-    for section, cls in _SECTIONS.items():
+    for section in _SECTIONS:
         if section in exclude:
             continue
         out.write(f"[{section}]\n")
         target = getattr(cfg, section)
-        for f in fields(cls):
+        for f in fields(target):
             v = getattr(target, f.name)
             if isinstance(v, bool):
                 v = "true" if v else "false"
@@ -211,10 +204,15 @@ def validate(cfg):
     if classes_known and pt.regime == datasets.LOCAL_NONIID and l * M < C:
         p.append(f"[partition] local_noniid needs classes_per_unit*vehicles >= classes "
                  f"({l}*{M} < {C})")
-    if pt.regime == datasets.EDGE_NONIID or pt.shared_input:
-        if M % max(N, 1) != 0:
-            p.append(f"[partition] vehicles must be divisible by edges ({M} % {N})")
-        if classes_known and l * N < C and not pt.allow_partial_class_coverage:
+    if (pt.regime == datasets.EDGE_NONIID or pt.shared_input) and M % max(N, 1) != 0:
+        p.append(f"[partition] vehicles must be divisible by edges ({M} % {N})")
+    if classes_known and l * N < C:
+        # the shared-input construction gives every class to some edge,
+        # whatever the regime; the partial-coverage flag is edge_noniid's
+        if pt.shared_input:
+            p.append(f"[partition] shared_input needs classes_per_unit*edges >= classes "
+                     f"({l}*{N} < {C}); allow_partial_class_coverage does not apply to it")
+        elif pt.regime == datasets.EDGE_NONIID and not pt.allow_partial_class_coverage:
             p.append(f"[partition] edge_noniid needs classes_per_unit*edges >= classes "
                      f"({l}*{N} < {C}); set allow_partial_class_coverage to override")
     if classes_known and pt.regime != datasets.IID and l > C:

@@ -342,11 +342,3 @@ def load_csv(path):
         raise CsvFormatError("empty file")
     labels = np.array(labels, dtype=np.int64)
     return LabeledDataset(np.array(rows), labels, int(labels.max()) + 1)
-
-
-def save_csv(dataset, path):
-    """Write a dataset in the load_csv format (floats round-trip exactly)."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f)
-        for x, y in zip(dataset.features, dataset.labels):
-            w.writerow([repr(float(v)) for v in x] + [int(y)])

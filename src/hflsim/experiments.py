@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import analysis, datasets, engine, mobility, models
+from . import datasets, engine, mobility, models
 from .config import ConfigError, validate
 
 
@@ -197,6 +197,7 @@ def _sweep_cell(inst, targets, init_params_vec, association=None):
                      rounds_to_target=rounds_to_targets(res.metrics, targets))
     tr = res.trace
     if tr is not None:
+        from . import analysis  # only a recorded cell estimates divergences
         probes = np.vstack([np.zeros(tr.vtilde.shape[1]), tr.vtilde[-1]])
         est = analysis.estimate_divergences(inst.spec, inst.shards, tr.association_history,
                                             probes)
@@ -335,6 +336,8 @@ def verify_bounds(cfg, delta_scale=1.0):
     if not 0.0 <= delta_scale <= 1.0:  # NaN fails too
         raise ConfigError([f"--debug-scale-delta must be a finite value in [0, 1], "
                            f"got {delta_scale!r}"])
+    # imported here: only the checks and a recorded sweep cell use the analysis
+    from . import analysis
     inst = build_instance(cfg)
     if not inst.spec.is_convex:
         raise models.UnsupportedModelError("bound verification needs a convex family")

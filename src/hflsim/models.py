@@ -362,11 +362,6 @@ def loss(spec, w, data):
     return loss_xy(spec, w, data.features, data.labels)
 
 
-def gradient(spec, w, data):
-    """Exact gradient of loss() restricted to `data`."""
-    return gradient_xy(spec, w, data.features, data.labels)
-
-
 def predict(spec, w, data):
     if spec.class_count == 1:
         raise UnsupportedModelError("prediction undefined for scalar regression")
@@ -427,7 +422,7 @@ def solve_optimum(spec, data, grad_tol=1e-8, max_iter=2_000_000):
     step = 1.0 / estimate_constants(spec, data)
     w = np.zeros(param_length(spec))
     for _ in range(max_iter):
-        g = gradient(spec, w, data)
+        g = gradient_xy(spec, w, X, y)
         if np.linalg.norm(g) <= grad_tol:
             return Optimum(w, loss(spec, w, data))
         w = w - step * g

@@ -11,7 +11,7 @@ from hflsim import analysis, config, datasets, engine, experiments, mobility, mo
 from hflsim.analysis import (
     BoundInputs, build_drift_report, central_drift_bound, check_central_drift,
     check_edge_drift, check_gap_bound, check_recursion, check_vehicle_drift,
-    choose_epsilon, convex_combination_residuals, drift_polynomial,
+    choose_epsilon, drift_polynomial,
     edge_drift_bound, estimate_divergences,
     mobility_mixing_report, shared_input_delta_m, vehicle_drift_bound,
 )
@@ -61,8 +61,7 @@ def const_estimates(delta, Delta, brackets, N=1):
         delta_m=np.array([delta]), delta=delta, alpha=np.array([1.0]),
         delta_n_bracket=np.full((brackets, N), delta),
         Delta_n_bracket=np.full((brackets, N), Delta),
-        Delta_bracket=np.full(brackets, Delta),
-        theta_bracket=np.full((brackets, N), 1.0), grad_norm=np.ones(1))
+        Delta_bracket=np.full(brackets, Delta), grad_norm=np.ones(1))
     return est
 
 
@@ -212,7 +211,12 @@ class TestEstimateDivergences:
         hist = np.array([[emap[m] for m in range(8)], [(emap[m] + 1) % 4 for m in range(8)]])
         probes = [np.zeros(24), np.ones(24)]
         est = estimate_divergences(spec, shards, hist, probes)
-        assert convex_combination_residuals(est) <= 1e-12
+        # delta and Delta^[j] are the alpha- and theta-weighted sums of their parts
+        assert abs(float(est.alpha @ est.delta_m) - est.delta) <= 1e-12
+        sizes = np.array([s.size for s in shards], dtype=np.float64)
+        theta = engine.membership_weights(hist, sizes, 4)[1]
+        Delta = (theta * np.nan_to_num(est.Delta_n_bracket)).sum(axis=1)
+        assert np.max(np.abs(Delta - est.Delta_bracket)) <= 1e-12
 
     def test_aggregates_are_convex_combinations(self):
         shards, emap = datasets.shared_input_shards(8, 4, 2, 4, 30, 6, seed=5)
@@ -251,7 +255,7 @@ def loop_divergences(spec, shards, hist, probes):
     Delta_u = np.zeros((rows.shape[0], N))
     grad_norm = []
     for w in probes:
-        G = np.stack([models.gradient(spec, w, s.data) for s in shards])
+        G = np.stack([models.gradient_xy(spec, w, s.data.features, s.data.labels) for s in shards])
         gF = alpha @ G
         grad_norm.append(np.linalg.norm(gF))
         delta_m = np.maximum(delta_m, np.linalg.norm(G - gF, axis=1))
@@ -262,7 +266,7 @@ def loop_divergences(spec, shards, hist, probes):
                 delta_n_bracket=np.where(occupied, A @ delta_m, np.nan),
                 Delta_n_bracket=Delta_n,
                 Delta_bracket=np.nansum(np.where(occupied, theta * Delta_n, 0.0), axis=1),
-                theta_bracket=theta, grad_norm=np.array(grad_norm))
+                grad_norm=np.array(grad_norm))
 
 
 def bracket_product_Delta_n(spec, shards, hist, probes):
@@ -276,7 +280,7 @@ def bracket_product_Delta_n(spec, shards, hist, probes):
     A, theta = engine.membership_weights(hist, sizes, N)
     Delta_n = np.zeros((hist.shape[0], N))
     for w in probes:
-        G = np.stack([models.gradient(spec, w, s.data) for s in shards])
+        G = np.stack([models.gradient_xy(spec, w, s.data.features, s.data.labels) for s in shards])
         ge = A.reshape(-1, M) @ G
         Delta_n = np.maximum(Delta_n, np.linalg.norm(ge - alpha @ G, axis=1).reshape(-1, N))
     return np.where(theta > 0, Delta_n, np.nan)
@@ -363,17 +367,17 @@ class TestDivergencesMatchProbeLoop:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(analysis, "CHUNK_BYTES", chunk_bytes)
             est = self.check(spec, shards, hist, probes)
-        # theta and delta_n are elementwise in the bracket's row, so the
-        # full history gives the same bits
+        # delta_n is elementwise in the bracket's row, so the full history
+        # gives the same bits
         sizes = np.array([s.size for s in shards], dtype=np.float64)
         A, theta = engine.membership_weights(hist, sizes, int(hist.max()) + 1)
-        assert_same_bits(est.theta_bracket, theta)
         assert_same_bits(est.delta_n_bracket, np.where(theta > 0, A @ est.delta_m, np.nan))
         # one product row per bracket agrees to rounding, relative to the
         # gradient scale (a Delta_n can be a rounding residue near 0)
         old = bracket_product_Delta_n(spec, shards, hist, probes)
         assert_same_bits(np.isnan(est.Delta_n_bracket), np.isnan(old))
-        scale = max(np.linalg.norm(models.gradient(spec, w, s.data)) for w in probes for s in shards)
+        scale = max(np.linalg.norm(models.gradient_xy(spec, w, s.data.features, s.data.labels))
+                    for w in probes for s in shards)
         err = np.abs(np.nan_to_num(est.Delta_n_bracket) - np.nan_to_num(old))
         assert np.all(err <= 1e-12 * np.fmax(old, scale))
 
@@ -479,7 +483,8 @@ class TestRhoFromDivergenceGradients:
                                  tr.vtilde)["grad_norm"]
         assert type(rho) is float and rho == max(norms.tolist())
         # the shard-weighted gradient is the union's up to rounding
-        union = max(np.linalg.norm(models.gradient(inst.spec, w, inst.union)) for w in tr.vtilde)
+        X, y = inst.union.features, inst.union.labels
+        union = max(np.linalg.norm(models.gradient_xy(inst.spec, w, X, y)) for w in tr.vtilde)
         assert rho == pytest.approx(union, rel=1e-12)
 
 
@@ -506,8 +511,8 @@ class TestRhoOverVtildeRows:
         assert np.array_equal(probes[-2], np.zeros(probes.shape[1]))  # the origin
         assert int(np.argmax(est.grad_norm)) == len(probes) - 2
         assert rho == max(est.grad_norm[:V].tolist()) < est.grad_norm[-2]
-        vtilde_norms = [np.linalg.norm(models.gradient(inst.spec, w, inst.union))
-                        for w in probes[:V]]
+        X, y = inst.union.features, inst.union.labels
+        vtilde_norms = [np.linalg.norm(models.gradient_xy(inst.spec, w, X, y)) for w in probes[:V]]
         assert rho == pytest.approx(max(vtilde_norms), rel=1e-12)
 
 

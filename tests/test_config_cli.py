@@ -3,6 +3,7 @@ import copy
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -14,6 +15,7 @@ import pytest
 from hflsim import analysis, cli, config, datasets, engine, experiments, mobility, models
 from hflsim.config import ConfigError, ExperimentConfig, parse_config, serialize_config, validate
 from hflsim.engine import InternalInvariantError, read_checkpoint
+from test_datasets import write_csv
 
 
 MINI = """
@@ -285,8 +287,7 @@ class TestCmdRun:
 def csv_config(tmp_path, classes, per_class=20):
     # a CSV dataset with edge-skewed data and [dataset] classes left at its
     # default of 8, which does not describe the file
-    datasets.save_csv(datasets.generate_synthetic(classes, 3, per_class, 3.0, 1),
-                      tmp_path / "d.csv")
+    write_csv(datasets.generate_synthetic(classes, 3, per_class, 3.0, 1), tmp_path / "d.csv")
     return write_cfg(tmp_path, f"""
 [dataset]
 kind = csv
@@ -352,6 +353,26 @@ class TestCmdVerifyBounds:
         rc = cli.main(["verify-bounds", "--config", path,
                        "--debug-scale-delta", "0.5"])
         assert rc == 5
+
+    def test_stdout_lines(self, tmp_path, capsys):
+        # every line verify-bounds prints, the values read from its summary
+        path = write_cfg(tmp_path, BOUNDS)
+        for scale, rc in (("1", 0), ("0.5", 5)):
+            assert cli.main(["verify-bounds", "--config", path, "--debug-scale-delta", scale]) == rc
+            s = json.loads((tmp_path / "out" / "bound_summary.json").read_text())
+            failed = ", ".join(c["name"] for c in s["conditions"] if not c["holds"])
+            assert not s["applicable"] and failed == "positive_margin"
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[:2] == [
+                f"beta={s['beta']:.6g} rho={s['rho']:.6g} delta={s['delta']:.6g} "
+                f"epsilon={s['epsilon']:.6g}",
+                f"gap bound not applicable ({failed}); measured {s['measured_final_gap']:.6g}"]
+            assert len(lines) == 3
+            if rc == 0:
+                assert lines[2] == "all bound inequalities hold"
+            else:
+                assert re.fullmatch(r"[1-9]\d* bound violations; first: \w+ violated at .+",
+                                    lines[2])
 
     @pytest.mark.parametrize("scale", ["nan", "inf", "1e308", "-0.5", "1.5"])
     def test_scale_outside_unit_interval_exit_2(self, tmp_path, capsys, monkeypatch, scale):
@@ -673,10 +694,11 @@ class TestCmdSweep:
         assert calls.count(1) == 1 and len(calls) == trained + 1
 
     def test_lazy_pool_import(self):
-        # only a parallel sweep needs the process pool and what it imports
+        # only a parallel sweep needs the process pool and what it imports,
+        # and only verify-bounds and a recorded sweep cell need the analysis
         code = ("import sys, hflsim.cli; "
-                "print([m for m in ('multiprocessing', 'concurrent.futures.process') "
-                "if m in sys.modules])")
+                "print([m for m in ('multiprocessing', 'concurrent.futures.process', "
+                "'hflsim.analysis') if m in sys.modules])")
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -970,6 +992,20 @@ class TestExitCodes:
         assert cli.main(["sweep-speed", "--config", path, *sum(args.items(), ())]) == 2
         assert f"{option} expects comma-separated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "verify-bounds", "partition-report"])
+    def test_shared_input_covers_every_class(self, tmp_path, capsys, command):
+        # the shared-input construction gives every class to an edge, whatever
+        # the regime, so the partial-coverage flag cannot excuse 2 classes on 1 edge
+        text = BOUNDS.replace("regime = edge_noniid",
+                              "regime = iid\nallow_partial_class_coverage = true")
+        text = text.replace("classes_per_unit = 1", "classes_per_unit = 2")
+        text = text.replace("edges = 4", "edges = 1")
+        assert cli.main([command, "--config", write_cfg(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        assert "[partition] shared_input needs classes_per_unit*edges >= classes (2*1 < 4)" in err
+        assert "edge_noniid" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_degenerate_cluster_means(self, tmp_path, capsys, monkeypatch):
         # a stream whose cluster means all coincide, as an unlucky seed would draw
         real = datasets.rng.stream
@@ -996,16 +1032,16 @@ class TestExitCodes:
 
     def test_one_class_csv_needs_quadratic(self, tmp_path, capsys):
         ds = datasets.generate_synthetic(2, 3, 20, 3.0, 1)
-        datasets.save_csv(datasets.LabeledDataset(ds.features, np.zeros(40, int), 1),
-                          tmp_path / "d.csv")
+        write_csv(datasets.LabeledDataset(ds.features, np.zeros(40, int), 1),
+                  tmp_path / "d.csv")
         path = write_cfg(tmp_path, MINI.replace(
             "kind = synthetic", f"kind = csv\ncsv_path = {tmp_path / 'd.csv'}"))
         assert cli.main(["run", "--config", path]) == 2
         assert "[model] class_count == 1 is only meaningful for quadratic" in capsys.readouterr().err
 
     def test_featureless_data_cannot_verify(self, tmp_path, capsys):
-        datasets.save_csv(datasets.LabeledDataset(np.zeros((40, 3)), np.arange(40) % 2, 2),
-                          tmp_path / "d.csv")
+        write_csv(datasets.LabeledDataset(np.zeros((40, 3)), np.arange(40) % 2, 2),
+                  tmp_path / "d.csv")
         text = MINI.replace("kind = synthetic", f"kind = csv\ncsv_path = {tmp_path / 'd.csv'}")
         text = text.replace("multinomial_logistic", "quadratic").replace("l2_reg = 0.01",
                                                                         "l2_reg = 0.0")

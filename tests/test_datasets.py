@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,9 +8,17 @@ from hflsim import datasets, models
 from hflsim.datasets import (
     EDGE_NONIID, IID, LOCAL_NONIID,
     CsvFormatError, InfeasiblePartitionError, LabeledDataset, PartitionSpec,
-    generate_synthetic, load_csv, partition, save_csv, shared_input_shards,
+    generate_synthetic, load_csv, partition, shared_input_shards,
     train_test_split, union_of_shards,
 )
+
+
+def write_csv(dataset, path):
+    """Write a dataset in the load_csv format (floats round-trip exactly)."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        w = csv.writer(f)
+        for x, y in zip(dataset.features, dataset.labels):
+            w.writerow([repr(float(v)) for v in x] + [int(y)])
 
 
 def multiset_equal(a, b):
@@ -218,7 +228,7 @@ class TestCsv:
     def test_round_trip(self, tmp_path):
         ds = generate_synthetic(3, 5, 20, 2.0, seed=4)
         p = tmp_path / "d.csv"
-        save_csv(ds, p)
+        write_csv(ds, p)
         back = load_csv(p)
         assert np.array_equal(ds.features, back.features)
         assert np.array_equal(ds.labels, back.labels)

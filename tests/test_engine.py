@@ -537,7 +537,7 @@ class TestCachedInputs:
         assert group_ids(local) == [[0, 2], [3], [1, 4]]
         assert [y.shape for *_, y, _ in local._groups] == [(2, 5), (1, 12), (2, 30)]
 
-    def test_whole_shard_inputs(self, monkeypatch):
+    def test_fixed_group_inputs_built_once(self, monkeypatch):
         spec = self.SPECS[0]
         sizes = [5, 5, 30, 5, 12]
         data = datasets.union_of_shards(unequal_shards(sizes))

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from hflsim import datasets, models
 from hflsim.models import (
     MLP1, MULTINOMIAL_LOGISTIC, QUADRATIC,
-    ModelSpec, UnsupportedModelError, estimate_constants, gradient,
-    gradient_xy, init_params, loss, param_length, read_param_vector, solve_optimum,
+    ModelSpec, UnsupportedModelError, estimate_constants, gradient_xy,
+    init_params, loss, param_length, read_param_vector, solve_optimum,
     write_param_vector,
 )
 
@@ -41,7 +41,7 @@ class TestLoss:
         R = ds.features @ W - T
         expected = 0.5 * np.sum(R * R) / ds.n_samples
         assert loss(spec, w, ds) == pytest.approx(expected, abs=1e-12)
-        assert np.linalg.norm(gradient(spec, w, ds)) <= 1e-10
+        assert np.linalg.norm(gradient_xy(spec, w, ds.features, ds.labels)) <= 1e-10
 
     def test_logistic_at_zero_is_log_c(self):
         ds = small_dataset(C=5)
@@ -75,7 +75,7 @@ class TestGradient:
             w = init_params(spec, seed=trial) + 0.3 * g.normal(size=param_length(spec))
             i = int(g.integers(0, ds.n_samples))
             sample = ds.subset(np.array([i]))
-            anal = gradient(spec, w, sample)
+            anal = gradient_xy(spec, w, sample.features, sample.labels)
             eps = 1e-5
             for j in g.choice(param_length(spec), size=5, replace=False):
                 wp, wm = w.copy(), w.copy()
@@ -94,7 +94,7 @@ class TestGradient:
             d /= np.linalg.norm(d)
             eps = 1e-5
             num = (loss(spec, w + eps * d, ds) - loss(spec, w - eps * d, ds)) / (2 * eps)
-            anal = float(gradient(spec, w, ds) @ d)
+            anal = float(gradient_xy(spec, w, ds.features, ds.labels) @ d)
             assert num == pytest.approx(anal, rel=1e-4, abs=1e-8)
 
     def test_union_batch_is_weighted_average(self):
@@ -103,16 +103,16 @@ class TestGradient:
         w = rand_params(spec, seed=9, scale=0.5)
         a = ds.subset(np.arange(0, 40))
         b = ds.subset(np.arange(40, ds.n_samples))
-        g_union = gradient(spec, w, ds)
-        g_avg = (a.n_samples * gradient(spec, w, a)
-                 + b.n_samples * gradient(spec, w, b)) / ds.n_samples
+        g_union = gradient_xy(spec, w, ds.features, ds.labels)
+        g_avg = (a.n_samples * gradient_xy(spec, w, a.features, a.labels)
+                 + b.n_samples * gradient_xy(spec, w, b.features, b.labels)) / ds.n_samples
         assert np.max(np.abs(g_union - g_avg)) <= 1e-12
 
     def test_quadratic_zero_at_closed_form_optimum(self):
         ds = small_dataset()
         spec = ModelSpec(QUADRATIC, dim=6, class_count=4, l2_reg=0.3)
         opt = solve_optimum(spec, ds)
-        assert np.linalg.norm(gradient(spec, opt.w, ds)) <= 1e-10
+        assert np.linalg.norm(gradient_xy(spec, opt.w, ds.features, ds.labels)) <= 1e-10
 
 
 FLEET_SPECS = SPECS + [
@@ -197,7 +197,7 @@ def test_loss_xy_equals_numpy_reductions(family, c):
             assert models.loss_xy(spec, w, X, y).hex() == parent_loss_xy(spec, w, X, y).hex()
 
 
-class TestGradientFleet:
+class TestWorkspaceMatchesGradientXy:
     """A fresh GradientWorkspace is the fast path of the local step;
     gradient_xy on each vehicle in turn is its reference, and they must
     agree bitwise."""
@@ -228,7 +228,8 @@ class TestGradientFleet:
         W = init_params(spec, seed=1) + 0.1 * g.normal(size=(6, param_length(spec)))
         got = models.GradientWorkspace(spec, W, 20).gradient(ds.features[rows], ds.labels[rows])
         for m in range(6):
-            assert np.array_equal(got[m], gradient(spec, W[m], ds.subset(rows[m])))
+            want = gradient_xy(spec, W[m], ds.features[rows[m]], ds.labels[rows[m]])
+            assert np.array_equal(got[m], want)
 
     @pytest.mark.parametrize("spec", [s for s in FLEET_SPECS if s.family == QUADRATIC],
                              ids=lambda s: f"C{s.class_count}-l2{s.l2_reg}")
@@ -399,11 +400,12 @@ class TestConstants:
     def test_beta_bounds_gradient_lipschitz(self, spec):
         ds = small_dataset()
         beta = estimate_constants(spec, ds)
+        X, y = ds.features, ds.labels
         g = np.random.default_rng(12)
         for _ in range(100):
             w1 = 0.5 * g.normal(size=param_length(spec))
             w2 = 0.5 * g.normal(size=param_length(spec))
-            lhs = np.linalg.norm(gradient(spec, w1, ds) - gradient(spec, w2, ds))
+            lhs = np.linalg.norm(gradient_xy(spec, w1, X, y) - gradient_xy(spec, w2, X, y))
             assert lhs <= beta * np.linalg.norm(w1 - w2) * (1 + 1e-9)
 
     @pytest.mark.parametrize("spec", SPECS[:2], ids=lambda s: s.family)
@@ -437,7 +439,7 @@ class TestSolveOptimum:
         ds = small_dataset()
         for spec in SPECS[:2]:
             opt = solve_optimum(spec, ds)
-            assert np.linalg.norm(gradient(spec, opt.w, ds)) <= 1e-8
+            assert np.linalg.norm(gradient_xy(spec, opt.w, ds.features, ds.labels)) <= 1e-8
 
     def test_logistic_beats_uniform_on_separable_data(self):
         feats = np.vstack([np.full((20, 2), -2.0), np.full((20, 2), 2.0)])
@@ -465,9 +467,10 @@ class TestHypothesisProperties:
         w = 0.4 * g.normal(size=param_length(spec))
         cut = int(g.integers(1, ds.n_samples - 1))
         a, b = ds.subset(np.arange(cut)), ds.subset(np.arange(cut, ds.n_samples))
-        combined = (cut * gradient(spec, w, a)
-                    + (ds.n_samples - cut) * gradient(spec, w, b)) / ds.n_samples
-        assert np.allclose(combined, gradient(spec, w, ds), atol=1e-12)
+        combined = (cut * gradient_xy(spec, w, a.features, a.labels)
+                    + (ds.n_samples - cut) * gradient_xy(spec, w, b.features, b.labels)
+                    ) / ds.n_samples
+        assert np.allclose(combined, gradient_xy(spec, w, ds.features, ds.labels), atol=1e-12)
 
 
 class TestWireFormat:
