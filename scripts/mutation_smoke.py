@@ -110,6 +110,12 @@ MUTATIONS = [
              "        elif pt.regime",
              "        if pt.regime",
              "tests/test_config_cli.py::TestExitCodes::test_shared_input_covers_every_class"),
+    # a seed of 2**64 or more left to rng.stream, which raises mid-setup
+    Mutation("src/hflsim/config.py",
+             "            if f.name == \"seed\" and v >= rng.SEED_LIMIT:\n"
+             "                p.append(f\"[{section}] seed must be < 2**64\")\n",
+             "",
+             "tests/test_config_cli.py::TestExitCodes::test_seed_of_64_bits_or_more"),
 ]
 
 

@@ -11,7 +11,7 @@ import io
 import math
 from dataclasses import dataclass, field, fields
 
-from . import datasets, models
+from . import datasets, models, rng
 from .engine import HflConfig
 
 
@@ -162,8 +162,8 @@ def validate(cfg):
     p = []
     d, pt, mo, h, md = cfg.dataset, cfg.partition, cfg.mobility, cfg.hfl, cfg.model
     # NaN fails every range check below silently, and an infinite speed
-    # never finishes a mobility step; a seed keys a random stream, which
-    # takes no negative key
+    # never finishes a mobility step; a seed keys a random stream, whose
+    # key is one 64-bit word
     for section in _SECTIONS:
         target = getattr(cfg, section)
         for f in fields(target):
@@ -172,6 +172,8 @@ def validate(cfg):
                 p.append(f"[{section}] {f.name} must be finite")
             if f.name == "seed" and v < 0:
                 p.append(f"[{section}] seed must be >= 0")
+            if f.name == "seed" and v >= rng.SEED_LIMIT:
+                p.append(f"[{section}] seed must be < 2**64")
 
     if d.kind not in ("synthetic", "csv"):
         p.append(f"[dataset] kind must be synthetic or csv, got {d.kind!r}")

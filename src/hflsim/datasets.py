@@ -41,12 +41,10 @@ class LabeledDataset:
             raise ValueError("features must be a nonempty (n, d) matrix")
         if self.labels.shape != (self.features.shape[0],):
             raise ValueError("labels must be a vector matching the sample count")
-        if self.class_count < 1:
-            raise ValueError("class_count must be >= 1")
-        # class_count == 1 marks scalar regression: labels are raw targets.
-        if self.class_count >= 2:
-            if self.labels.min() < 0 or self.labels.max() >= self.class_count:
-                raise ValueError("labels must lie in [0, class_count)")
+        if self.class_count < 2:
+            raise ValueError("class_count must be >= 2")
+        if self.labels.min() < 0 or self.labels.max() >= self.class_count:
+            raise ValueError("labels must lie in [0, class_count)")
 
     @property
     def n_samples(self):
@@ -341,4 +339,7 @@ def load_csv(path):
     if not rows:
         raise CsvFormatError("empty file")
     labels = np.array(labels, dtype=np.int64)
+    # a label is a class id, so one class means every label is 0
+    if not labels.any():
+        raise CsvFormatError("every label is 0, one class; classes must be >= 2")
     return LabeledDataset(np.array(rows), labels, int(labels.max()) + 1)

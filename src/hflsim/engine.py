@@ -434,7 +434,9 @@ def edge_rounds(config, shards, spec, association=None, edge_count=1, *,
             k = j // tau_e
             result.cloud_consistency.append((k, float(np.max(np.abs(cloud - avgs[0])))))
 
-        avgs = fleet_averages(B, W)
+        # only the recording reads the edge averages; each row is summed on
+        # its own, so B[:1] gives u bit for bit
+        avgs = fleet_averages(B if record else B[:1], W)
         u = avgs[0]
         if record:
             # at a cloud instant v synchronizes exactly to u

@@ -343,7 +343,9 @@ def verify_bounds(cfg, delta_scale=1.0):
         raise models.UnsupportedModelError("bound verification needs a convex family")
     if problems := _optimum_problems(cfg):
         raise ConfigError(problems)
-    res = run_instance(inst, record_virtual=True, full_batch=True, train_loss=False)
+    # no bound reads a test accuracy, so the run takes no eval split
+    res = run_instance(replace(inst, test=None), record_virtual=True, full_batch=True,
+                       train_loss=False)
     tr = res.trace
 
     opt = models.solve_optimum(inst.spec, inst.union)

@@ -1,8 +1,7 @@
 """Loss functions, gradients and analytic constants for the learning tasks.
 
-Three families: "quadratic" (least squares on one-hot labels, or raw
-targets when class_count == 1), "multinomial_logistic" (softmax
-cross-entropy) and "mlp1" (one tanh hidden layer; accepted by the
+Three families: "quadratic" (least squares on one-hot labels),
+"multinomial_logistic" (softmax cross-entropy) and "mlp1" (one tanh hidden layer; accepted by the
 training engine but rejected by everything bound-related).
 
 All losses are sample means plus (l2_reg/2)*||w||^2; the smoothness and
@@ -37,15 +36,12 @@ class ModelSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.dim < 1 or self.class_count < 1:
-            raise ValueError("dim and class_count must be >= 1")
+        if self.dim < 1 or self.class_count < 2:
+            raise ValueError("dim must be >= 1 and class_count >= 2")
         if self.l2_reg < 0:
             raise ValueError("l2_reg must be >= 0")
         if self.family == MLP1 and self.hidden_width < 1:
             raise ValueError("mlp1 needs hidden_width >= 1")
-        # class_count == 1 selects scalar regression, quadratic-only
-        if self.class_count == 1 and self.family != QUADRATIC:
-            raise ValueError("class_count == 1 is only meaningful for quadratic")
 
     @property
     def is_convex(self):
@@ -86,15 +82,12 @@ def _label_index(y, c):
 
 def quadratic_targets(spec, y):
     """What the quadratic family regresses on for labels y (any leading
-    axes): one-hot rows, or the raw labels as a column when
-    class_count == 1. None for the cross-entropy families, which index
+    axes): one-hot rows. None for the cross-entropy families, which index
     the labels directly. GradientWorkspace.gradient and gradient_probes
     take it as targets, so a caller whose labels do not change builds it
     once."""
     if spec.family != QUADRATIC:
         return None
-    if spec.class_count == 1:
-        return y.astype(np.float64)[..., None]
     T = np.zeros(y.shape + (spec.class_count,))
     T.reshape(-1)[_label_index(y, spec.class_count)] = 1.0
     return T
@@ -363,8 +356,6 @@ def loss(spec, w, data):
 
 
 def predict(spec, w, data):
-    if spec.class_count == 1:
-        raise UnsupportedModelError("prediction undefined for scalar regression")
     return np.argmax(_logits(spec, w, data.features), axis=1)
 
 

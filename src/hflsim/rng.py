@@ -17,12 +17,12 @@ SHARED_INPUT = 6
 MODEL_INIT = 7
 BATCH_BASE = 1000  # per-vehicle batch streams use BATCH_BASE + vehicle id
 
-_MASK = (1 << 64) - 1
+SEED_LIMIT = 1 << 64  # Philox keys take 64-bit words
 
 
 def stream(seed, tag):
-    """Independent Generator for (seed, tag)."""
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
-    key = np.array([seed & _MASK, tag & _MASK], dtype=np.uint64)
+    """Independent Generator for (seed, tag); seed in [0, 2**64)."""
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    key = np.array([seed, tag], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

@@ -301,20 +301,20 @@ def local_noniid_unequal():
             for s in shards]
 
 
-def scalar_regression_shards():
-    """class_count == 1: the labels are raw regression targets."""
+def two_class_shards():
+    """Two classes, drawn independently of the features."""
     g = np.random.default_rng(8)
     return [datasets.Shard(m, datasets.LabeledDataset(
-        g.normal(size=(n, 5)), g.integers(-3, 4, size=n), 1)) for m, n in enumerate((12, 9, 12, 7))]
+        g.normal(size=(n, 5)), g.integers(0, 2, size=n), 2)) for m, n in enumerate((12, 9, 12, 7))]
 
 
 DIVERGENCE_CASES = {
     "quadratic_shared_input": (
         lambda: datasets.shared_input_shards(8, 4, 1, 4, 20, 6, seed=5)[0],
         models.ModelSpec(models.QUADRATIC, dim=6, class_count=4, l2_reg=0.05)),
-    "quadratic_scalar_regression": (
-        scalar_regression_shards,
-        models.ModelSpec(models.QUADRATIC, dim=5, class_count=1, l2_reg=0.0)),
+    "quadratic_two_classes": (
+        two_class_shards,
+        models.ModelSpec(models.QUADRATIC, dim=5, class_count=2, l2_reg=0.0)),
     "logistic_local_noniid_unequal": (
         local_noniid_unequal,
         models.ModelSpec(models.MULTINOMIAL_LOGISTIC, dim=6, class_count=4, l2_reg=0.01)),
@@ -416,7 +416,7 @@ class TestDivergencesMatchProbeLoop:
         assert sorted(set(chunks)) == [1, 2] and sum(chunks) == 7 * len({s.size for s in shards})
 
     def test_single_probe(self):
-        make, spec = DIVERGENCE_CASES["quadratic_scalar_regression"]
+        make, spec = DIVERGENCE_CASES["quadratic_two_classes"]
         shards = make()
         self.check(spec, shards, self.history(len(shards), 5, 2, seed=4),
                    np.ones(models.param_length(spec)))

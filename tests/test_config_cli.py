@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hflsim import analysis, cli, config, datasets, engine, experiments, mobility, models
+from hflsim import analysis, cli, config, datasets, engine, experiments, mobility, models, rng
 from hflsim.config import ConfigError, ExperimentConfig, parse_config, serialize_config, validate
 from hflsim.engine import InternalInvariantError, read_checkpoint
 from test_datasets import write_csv
@@ -347,6 +347,18 @@ class TestCmdVerifyBounds:
         summary = json.loads((out / "bound_summary.json").read_text())
         assert {"beta", "rho", "delta", "epsilon", "phi", "bound",
                 "measured_final_gap", "conditions"} <= set(summary)
+
+    def test_no_test_accuracy_computed(self, tmp_path, monkeypatch):
+        # no bound reads one; a plain run on the same config computes one
+        # per edge round
+        calls = []
+        real = engine.accuracy
+        monkeypatch.setattr(engine, "accuracy", lambda *a: calls.append(a) or real(*a))
+        path = write_cfg(tmp_path, MOBILE)
+        assert cli.main(["verify-bounds", "--config", path]) == 0
+        assert calls == []
+        assert cli.main(["run", "--config", path]) == 0
+        assert len(calls) == 2 * 10
 
     def test_corrupted_delta_exit_5(self, tmp_path):
         path = write_cfg(tmp_path, BOUNDS)
@@ -1030,14 +1042,24 @@ class TestExitCodes:
         assert cli.main(["run", "--config", path]) == 2
         assert "iid needs at least vehicle_count = 32 samples, have 16" in capsys.readouterr().err
 
-    def test_one_class_csv_needs_quadratic(self, tmp_path, capsys):
+    @pytest.mark.parametrize("family", ["multinomial_logistic", "quadratic"])
+    @pytest.mark.parametrize("command", [["run"], ["verify-bounds"], ["partition-report"],
+                                         ["sweep-speed", "--speeds", "0", "--seeds", "1"]],
+                             ids=lambda command: command[0])
+    def test_one_class_csv_rejected_before_training(self, tmp_path, capsys, monkeypatch,
+                                                    command, family):
+        # a label is a class id, so one class means every label is 0 and
+        # leaves no family anything to learn: exit 2 before any training
         ds = datasets.generate_synthetic(2, 3, 20, 3.0, 1)
-        write_csv(datasets.LabeledDataset(ds.features, np.zeros(40, int), 1),
+        write_csv(datasets.LabeledDataset(ds.features, np.zeros(40, int), 2),
                   tmp_path / "d.csv")
-        path = write_cfg(tmp_path, MINI.replace(
-            "kind = synthetic", f"kind = csv\ncsv_path = {tmp_path / 'd.csv'}"))
-        assert cli.main(["run", "--config", path]) == 2
-        assert "[model] class_count == 1 is only meaningful for quadratic" in capsys.readouterr().err
+        text = MINI.replace("kind = synthetic", f"kind = csv\ncsv_path = {tmp_path / 'd.csv'}")
+        path = write_cfg(tmp_path, text.replace("multinomial_logistic", family))
+        trained = []
+        monkeypatch.setattr(engine, "run", lambda *a, **k: trained.append(a))
+        assert cli.main([command[0], "--config", path, *command[1:]]) == 2
+        assert "every label is 0, one class; classes must be >= 2" in capsys.readouterr().err
+        assert not trained and not (tmp_path / "out").exists()
 
     def test_featureless_data_cannot_verify(self, tmp_path, capsys):
         write_csv(datasets.LabeledDataset(np.zeros((40, 3)), np.arange(40) % 2, 2),
@@ -1073,6 +1095,29 @@ class TestExitCodes:
         assert "[mobility] seed must be >= 0" in capsys.readouterr().err
         assert cli.main(["partition-report", "--config", path, "--rounds", "-1"]) == 2
         assert "--rounds must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["--seed", "file"])
+    def test_seed_of_64_bits_or_more(self, tmp_path, capsys, where):
+        # a Philox key is one 64-bit word, where 2**64 + 1 would run as seed 1
+        big = str(2**64 + 1)
+        if where == "--seed":
+            path, extra = write_cfg(tmp_path, MINI), ["--seed", big]
+            sections = ["[dataset]", "[partition]", "[mobility]", "[hfl]"]
+        else:
+            path, extra = write_cfg(tmp_path, MINI.replace("seed = 2", f"seed = {big}")), []
+            sections = ["[partition]"]
+        assert cli.main(["run", "--config", path, *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.count("seed must be") == len(sections)
+        for section in sections:
+            assert f"{section} seed must be < 2**64" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_largest_seed_keys_a_stream(self):
+        validate(parse_config(MINI.format(out="o").replace("seed = 2", f"seed = {2**64 - 1}")))
+        rng.stream(2**64 - 1, rng.PARTITION)
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            rng.stream(2**64, rng.PARTITION)
 
     def test_internal_value_error_is_not_exit_2(self, tmp_path, monkeypatch):
         # engine.run's init-length check guards against a caller's bug

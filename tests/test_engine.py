@@ -157,12 +157,12 @@ def step_once(spec, shards, W, eta, batch_size=5, iteration=None):
 
 class TestLocalUpdate:
     def test_one_dim_hand_step(self):
-        # loss 0.5*(w-2)^2 at w=0, eta=0.1 -> w' = 0.2
+        # loss 0.5*||w - e_2||^2 at w=0, eta=0.1 -> w' = 0.1*e_2
         shard = datasets.Shard(0, datasets.LabeledDataset(
-            np.array([[1.0]]), np.array([2]), class_count=1))
-        spec = models.ModelSpec(models.QUADRATIC, dim=1, class_count=1)
-        w = step_once(spec, [shard], np.zeros((1, 1)), eta=0.1)
-        assert w[0] == pytest.approx([0.2], abs=1e-15)
+            np.array([[1.0]]), np.array([2]), class_count=3))
+        spec = models.ModelSpec(models.QUADRATIC, dim=1, class_count=3)
+        w = step_once(spec, [shard], np.zeros((1, 3)), eta=0.1)
+        assert w[0] == pytest.approx([0.0, 0.0, 0.1], abs=1e-15)
 
     def test_fixed_point_at_shard_optimum(self):
         shards = make_shards(1)
@@ -295,6 +295,17 @@ class TestBatchedMeasurement:
                 got = engine.fleet_averages(B, rows)
                 want = np.stack([weighted_sum(b, rows) for b in B])
                 assert got.tobytes() == want.tobytes()
+
+    def test_first_row_alone_equals_the_full_call(self):
+        # a run without recording averages only u, B's first row
+        g = np.random.default_rng(12)
+        for _ in range(1800):
+            M, K, P = int(g.integers(1, 33)), int(g.integers(1, 6)), int(g.choice([1, 2, 148]))
+            W = g.normal(size=(M, P)) * 10.0 ** g.integers(-8, 8, size=(M, 1))
+            W[g.random((M, P)) < 0.2] = -0.0
+            B = g.random((K, M)) * (g.random((K, M)) < 0.5)
+            got = engine.fleet_averages(B[:1], W)
+            assert got.tobytes() == engine.fleet_averages(B, W)[:1].tobytes()
 
     def test_row_norms_match_linalg_norm(self):
         g = np.random.default_rng(5)
@@ -446,8 +457,8 @@ class TestRecordingMatchesPerRowLoop:
         self.check(cfg, shards, spec, assoc, net.edge_count)
 
     @pytest.mark.parametrize("spec", [
-        models.ModelSpec(models.QUADRATIC, dim=6, class_count=1, l2_reg=0.05),
-        logistic_spec()], ids=["scalar_regression", "logistic"])
+        models.ModelSpec(models.QUADRATIC, dim=6, class_count=3, l2_reg=0.05),
+        logistic_spec()], ids=["quadratic", "logistic"])
     def test_single_edge(self, spec):
         # the static mode: every vehicle on edge 0, which is never empty
         shards = unequal_shards([12, 20, 9, 19])
@@ -498,7 +509,6 @@ class TestCachedInputs:
     equal a fresh gather, bit for bit."""
 
     SPECS = [models.ModelSpec(models.QUADRATIC, dim=6, class_count=3, l2_reg=0.05),
-             models.ModelSpec(models.QUADRATIC, dim=6, class_count=1, l2_reg=0.05),
              logistic_spec(),
              models.ModelSpec(models.MLP1, dim=6, class_count=3, l2_reg=0.01, hidden_width=5)]
 
@@ -527,13 +537,13 @@ class TestCachedInputs:
         # the whole shards by size, ascending, then the shuffling vehicles
         sizes = [5, 30, 5, 12, 30]
         data = datasets.union_of_shards(unequal_shards(sizes))
-        W = np.zeros((len(sizes), models.param_length(self.SPECS[2])))
-        local = FleetStep(self.SPECS[2], W, data, sizes, BatchSampler(sizes, 12, seed=0))
+        W = np.zeros((len(sizes), models.param_length(self.SPECS[1])))
+        local = FleetStep(self.SPECS[1], W, data, sizes, BatchSampler(sizes, 12, seed=0))
         assert group_ids(local) == [[0, 2], [3], [1, 4]]
         assert [y.shape for *_, y, _ in local._groups] == [(2, 5), (1, 12), (2, 12)]
         assert [ids is None for ids, *_ in local._groups] == [False, True, False]
         # without a sampler every vehicle uses its whole shard
-        local = FleetStep(self.SPECS[2], W, data, sizes)
+        local = FleetStep(self.SPECS[1], W, data, sizes)
         assert group_ids(local) == [[0, 2], [3], [1, 4]]
         assert [y.shape for *_, y, _ in local._groups] == [(2, 5), (1, 12), (2, 30)]
 
@@ -551,7 +561,7 @@ class TestCachedInputs:
         rows = np.array([0, 5, 40])[:, None] + np.arange(5)
         assert np.array_equal(X, data.features[rows]) and np.array_equal(y, data.labels[rows])
         assert T.tobytes() == models.quadratic_targets(spec, y).tobytes()
-        assert FleetStep(self.SPECS[2], W, data, sizes, s)._groups[0][4] is None
+        assert FleetStep(self.SPECS[1], W, data, sizes, s)._groups[0][4] is None
         # once built, a step builds no whole-shard inputs of its own
         monkeypatch.setattr(engine, "quadratic_targets", None)
         local.step(0.05, 1)
@@ -596,9 +606,9 @@ class TestFleetStepMatchesGradientXy:
 
     @pytest.mark.parametrize("spec, full, batch", [
         (models.ModelSpec(models.QUADRATIC, dim=6, class_count=4, l2_reg=0.05), True, 20),
-        (models.ModelSpec(models.QUADRATIC, dim=6, class_count=1, l2_reg=0.0), False, 8),
+        (models.ModelSpec(models.QUADRATIC, dim=6, class_count=3, l2_reg=0.0), False, 8),
         (models.ModelSpec(models.MLP1, dim=6, class_count=3, l2_reg=0.01, hidden_width=5),
-         False, 8)], ids=["quadratic-full", "scalar-minibatch", "mlp1-minibatch"])
+         False, 8)], ids=["quadratic-full", "quadratic-minibatch", "mlp1-minibatch"])
     def test_recorded_vtilde_equals_gradient_xy_descent(self, spec, full, batch):
         # vtilde takes one gradient_xy step on the union from v, and v is
         # vtilde, except at a cloud instant, where it is the cloud model

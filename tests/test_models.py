@@ -64,6 +64,13 @@ class TestLoss:
         with pytest.raises(ValueError):
             loss(spec, np.zeros(5), ds)
 
+    def test_one_class_rejected(self):
+        # a label is a class id: one class leaves nothing to learn
+        with pytest.raises(ValueError, match="class_count >= 2"):
+            ModelSpec(QUADRATIC, dim=6, class_count=1)
+        with pytest.raises(ValueError, match="class_count must be >= 2"):
+            datasets.LabeledDataset(np.ones((3, 2)), np.zeros(3, dtype=int), class_count=1)
+
 
 class TestGradient:
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.family)
@@ -116,7 +123,7 @@ class TestGradient:
 
 
 FLEET_SPECS = SPECS + [
-    ModelSpec(QUADRATIC, dim=6, class_count=1, l2_reg=0.2),        # scalar regression
+    ModelSpec(QUADRATIC, dim=6, class_count=2, l2_reg=0.2),        # two classes
     ModelSpec(QUADRATIC, dim=6, class_count=4),
     ModelSpec(MLP1, dim=6, class_count=2, hidden_width=1),          # single hidden unit
     # from 8 classes up numpy sums the class axis pairwise
@@ -210,10 +217,7 @@ class TestWorkspaceMatchesGradientXy:
         for _ in range(3):
             W = init_params(spec, seed=M) + 0.5 * g.normal(size=(M, param_length(spec)))
             X = 3.0 * g.normal(size=(M, B, spec.dim))
-            if spec.class_count == 1:
-                y = g.integers(-3, 4, size=(M, B))
-            else:
-                y = g.integers(0, spec.class_count, size=(M, B))
+            y = g.integers(0, spec.class_count, size=(M, B))
             want = np.stack([gradient_xy(spec, W[m], X[m], y[m]) for m in range(M)])
             got = models.GradientWorkspace(spec, W, B).gradient(X, y)
             assert got.shape == (M, param_length(spec))
@@ -238,14 +242,10 @@ class TestWorkspaceMatchesGradientXy:
         for M, B in ((1, 1), (4, 7), (32, 40)):
             W = g.normal(size=(M, param_length(spec)))
             X = 3.0 * g.normal(size=(M, B, spec.dim))
-            y = g.integers(-3, 4, size=(M, B)) if spec.class_count == 1 else \
-                g.integers(0, spec.class_count, size=(M, B))
+            y = g.integers(0, spec.class_count, size=(M, B))
             T = models.quadratic_targets(spec, y)
             want = np.zeros((M, B, spec.class_count))
-            if spec.class_count == 1:
-                want[..., 0] = y
-            else:
-                want[np.arange(M)[:, None], np.arange(B), y] = 1.0
+            want[np.arange(M)[:, None], np.arange(B), y] = 1.0
             assert T.tobytes() == want.tobytes()
             assert models.GradientWorkspace(spec, W, B).gradient(X, y, T).tobytes() == \
                 models.GradientWorkspace(spec, W, B).gradient(X, y).tobytes()
@@ -263,18 +263,10 @@ class TestWorkspaceMatchesGradientXy:
         for n in (1280, 297):
             w = init_params(spec, seed=1) + 0.5 * g.normal(size=param_length(spec))
             X = 3.0 * g.normal(size=(n, spec.dim))
-            y = g.integers(-3, 4, size=n) if spec.class_count == 1 else \
-                g.integers(0, spec.class_count, size=n)
+            y = g.integers(0, spec.class_count, size=n)
             T = models.quadratic_targets(spec, y[None])
             got = models.GradientWorkspace(spec, w[None], n).gradient(X[None], y[None], T)[0]
             assert got.tobytes() == gradient_xy(spec, w, X, y).tobytes()
-
-
-def fleet_labels(g, spec, shape):
-    """Labels of a fleet batch: raw targets for scalar regression."""
-    if spec.class_count == 1:
-        return g.integers(-3, 4, size=shape)
-    return g.integers(0, spec.class_count, size=shape)
 
 
 class TestGradientWorkspace:
@@ -291,7 +283,7 @@ class TestGradientWorkspace:
         ws = models.GradientWorkspace(spec, W, n)
         for step in range(64):
             X = 3.0 * g.normal(size=(M, n, spec.dim))
-            y = fleet_labels(g, spec, (M, n))
+            y = g.integers(0, spec.class_count, size=(M, n))
             # quadratic targets given on odd steps, built in the workspace on even ones
             T = models.quadratic_targets(spec, y) if step % 2 else None
             want = np.stack([gradient_xy(spec, W[m], X[m], y[m]) for m in range(M)])
@@ -317,7 +309,7 @@ class TestGradientWorkspace:
             X = g.normal(size=(M, n, spec.dim))
             X[:, :, 0] = np.nextafter(0.0, 1.0)
             X[:, :, 1] = -0.0
-            y = fleet_labels(g, spec, (M, n))
+            y = g.integers(0, spec.class_count, size=(M, n))
             want = np.stack([gradient_xy(spec, W[m], X[m], y[m]) for m in range(M)])
             assert ws.gradient(X, y).tobytes() == want.tobytes(), step
 
@@ -344,8 +336,7 @@ class TestGradientProbes:
         n = 37
         W = g.normal(size=(Q, param_length(spec)))
         X = 3.0 * g.normal(size=(G, n, spec.dim))
-        y = g.integers(-3, 4, size=(G, n)) if spec.class_count == 1 else \
-            g.integers(0, spec.class_count, size=(G, n))
+        y = g.integers(0, spec.class_count, size=(G, n))
         want = np.array([[gradient_xy(spec, W[q], X[i], y[i]) for i in range(G)]
                          for q in range(Q)])
         T = models.quadratic_targets(spec, y)
@@ -379,8 +370,8 @@ class TestGradientProbes:
 
 class TestConstants:
     def test_identity_features_beta_is_one(self):
-        ds = datasets.LabeledDataset(np.array([[1.0]]), np.array([2]), class_count=1)
-        spec = ModelSpec(QUADRATIC, dim=1, class_count=1, l2_reg=0.0)
+        ds = datasets.LabeledDataset(np.array([[1.0]]), np.array([2]), class_count=3)
+        spec = ModelSpec(QUADRATIC, dim=1, class_count=3, l2_reg=0.0)
         assert estimate_constants(spec, ds) == pytest.approx(1.0, abs=1e-8)
 
     def test_beta_matches_top_singular_value(self):
@@ -429,10 +420,11 @@ class TestConstants:
 
 class TestSolveOptimum:
     def test_one_dimensional_interpolation(self):
-        ds = datasets.LabeledDataset(np.array([[1.0]]), np.array([2]), class_count=1)
-        spec = ModelSpec(QUADRATIC, dim=1, class_count=1, l2_reg=0.0)
+        # one sample of class 2 with feature 1: the optimum is its one-hot row
+        ds = datasets.LabeledDataset(np.array([[1.0]]), np.array([2]), class_count=3)
+        spec = ModelSpec(QUADRATIC, dim=1, class_count=3, l2_reg=0.0)
         opt = solve_optimum(spec, ds)
-        assert opt.w == pytest.approx([2.0])
+        assert opt.w == pytest.approx([0.0, 0.0, 1.0])
         assert opt.value == pytest.approx(0.0, abs=1e-15)
 
     def test_gradient_residual_contract(self):

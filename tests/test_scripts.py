@@ -1,6 +1,7 @@
 """Smoke tests of the experiment scripts: each runs as a program, exits 0
 and writes its outputs where --out points. The mutation script is only
-checked for stale entries; CI runs it."""
+checked for stale entries, and the output-equality script through its
+runner on one small case; CI runs both in full."""
 
 import csv
 import importlib.util
@@ -11,6 +12,23 @@ import sys
 import pytest
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "scripts")
+
+
+TINY = """
+[dataset]
+classes = 3
+dim = 4
+samples_per_class = 20
+[partition]
+vehicles = 4
+[mobility]
+side_length = 200.0
+[hfl]
+tau_l = 2
+tau_e = 2
+cloud_epochs = 2
+batch_size = 5
+"""
 
 
 def script(name, *args, cwd):
@@ -50,12 +68,51 @@ def test_speed_sweep(tmp_path):
         assert (tmp_path / "s" / name).exists()
 
 
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(SCRIPTS, name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_mutation_smoke_texts_occur_once():
     # the mutation runs themselves are a CI job of their own; here only
     # every entry's old text is checked, which is cheap
-    spec = importlib.util.spec_from_file_location(
-        "mutation_smoke", os.path.join(SCRIPTS, "mutation_smoke.py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = load("mutation_smoke")
     assert len(module.MUTATIONS) >= 8
     assert module.text_problems() == []
+
+
+def test_same_outputs_runner(tmp_path):
+    # one small case under two variants: equal, until one byte of one
+    # side's output is flipped
+    same = load("same_outputs")
+    case = same.Case("tiny", ("run",), TINY, 3, same.RUN.outputs)
+    config = same.write_configs([case], tmp_path)[TINY]
+    src = os.path.join(SCRIPTS, os.pardir, "src")
+    first = same.run(case, config, tmp_path / "first", src)
+    other = same.run(case, config, tmp_path / "threads", src, same.VARIANTS["threads"])
+    assert first["exit"] == b"0" and first["metrics.csv"]
+    assert same.differences(first, other) == []
+    flipped = bytearray(other["checkpoint.bin"])
+    flipped[-1] ^= 1
+    assert same.differences(first, {**other, "checkpoint.bin": bytes(flipped)}) \
+        == ["checkpoint.bin"]
+
+
+def test_same_outputs_missing_file_fails(monkeypatch, capsys):
+    # a listed file that no run writes is a failure, though every run
+    # agrees that it is absent
+    same = load("same_outputs")
+    for outputs, code in ((same.RUN.outputs, 0), (("metrics.csv", "never.csv"), 1)):
+        case = same.Case("tiny", ("run",), TINY, 3, outputs, variants=("repeat",))
+        monkeypatch.setattr(same, "CASES", [case])
+        assert same.main([]) == code
+    out = capsys.readouterr().out
+    assert "same tiny [repeat]" in out and "BAD tiny: exit 0, expected 0; no never.csv" in out
+
+
+def test_same_outputs_cases_are_well_formed():
+    same = load("same_outputs")
+    assert len({c.name for c in same.CASES}) == len(same.CASES)
+    assert all(c.variants and set(c.variants) <= set(same.VARIANTS) for c in same.CASES)
