@@ -87,10 +87,15 @@ MUTATIONS = [
     Mutation(MODELS, "return np.add(self._base, y, out=self._label)",
              "return self._label if self._label.any() else np.add(self._base, y, out=self._label)",
              TEST_ENGINE + "::TestFleetStepMatchesGradientXy::test_steps_equal_gradient_xy_loop"),
-    # the batch-major copy behind a bias sum made at the first step only
-    Mutation(MODELS, "np.copyto(major, A.swapaxes(0, 1))",
-             "major.any() or np.copyto(major, A.swapaxes(0, 1))",
-             "tests/test_models.py::TestGradientWorkspace::test_reused_over_steps_equals_gradient_xy"),
+    # the workspace's ones column of the activations left as tanh(1)
+    Mutation(MODELS, "        Z1[..., -1] = 1.0  # the ones column",
+             "        pass  # the ones column",
+             "tests/test_models.py::TestWorkspaceMatchesGradientXy"
+             "::test_rows_equal_looped_gradient_xy_bitwise"),
+    # an mlp1 layer's bias met by a zeros column; the loss shares the
+    # fault, so only the unfolded layer algebra tells it apart
+    Mutation(MODELS, "np.ones(X.shape[:-1] + (1,))", "np.zeros(X.shape[:-1] + (1,))",
+             "tests/test_models.py::test_folded_mlp1_equals_unfolded_layers"),
     # a short class axis summed from its last term down
     Mutation(MODELS, "    s = np.add(Z[..., 0], 0.0, out=out)\n    for j in range(1, c):\n",
              "    s = np.add(Z[..., c - 1], 0.0, out=out)\n    for j in range(c - 2, -1, -1):\n",

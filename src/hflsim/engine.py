@@ -20,7 +20,7 @@ import numpy as np
 
 from . import rng
 from .datasets import union_of_shards
-from .models import (GradientWorkspace, accuracy, init_params, loss, param_length,
+from .models import (GradientWorkspace, accuracy, init_params, loss, model_inputs, param_length,
                      quadratic_targets, row_norms, write_param_vector, read_param_vector)
 
 CHECKPOINT_MAGIC = b"HFLCKPT1"
@@ -123,24 +123,25 @@ class BatchSampler:
 class FleetStep:
     """One local SGD step of every vehicle, in place, built once per run.
 
-    W (M, P) is the fleet's parameters, data the shards stacked in id
-    order and shard_sizes their lengths. The sampler's vehicles are one
-    group, gathered into the same buffers at every step; every other
-    vehicle (all of them without a sampler, or with one that has no ids)
-    uses its whole shard, and those are grouped by shard size, so unequal
-    shards need neither padding nor a mask, and each group's features,
-    labels and quadratic targets are gathered once. Each group gets one
-    models.GradientWorkspace. A group whose ids form a run (the whole
-    fleet, when every shard shuffles) works on a slice of W; any other
-    group's rows are copied into its workspace's weight buffer and
-    written back after the update.
+    W (M, P) is the fleet's parameters, X and y the model-input rows
+    (models.model_inputs) and labels of the shards stacked in id order,
+    and shard_sizes their lengths. The sampler's vehicles are one group,
+    gathered into the same buffers at every step; every other vehicle (all
+    of them without a sampler, or with one that has no ids) uses its whole
+    shard, and those are grouped by shard size, so unequal shards need
+    neither padding nor a mask, and each group's inputs, labels and
+    quadratic targets are gathered once. Each group gets one
+    models.GradientWorkspace. A group whose ids form a run (the whole fleet,
+    when every shard shuffles) works on a slice of W; any other group's
+    rows are copied into its workspace's weight buffer and written back
+    after the update.
     """
 
-    def __init__(self, spec, W, data, shard_sizes, sampler=None):
+    def __init__(self, spec, W, X, y, shard_sizes, sampler=None):
         sizes = np.asarray(shard_sizes, dtype=np.int64)
         first = np.cumsum(sizes) - sizes
         sampler = sampler if sampler is not None and sampler.ids.size else None
-        self.W, self.data, self.sampler = W, data, sampler
+        self.W, self.X, self.y, self.sampler = W, X, y, sampler
         self._finite = np.empty(W.shape, dtype=bool)
         whole = np.ones(sizes.size, bool)
         if sampler is not None:
@@ -152,13 +153,13 @@ class FleetStep:
             Wg = W[ids[0]:ids[-1] + 1] if run else np.empty((ids.size, W.shape[1]))
             if whole[ids[0]]:
                 rows = first[ids, None] + np.arange(sizes[ids[0]])
-                X, y = data.features.take(rows, axis=0), data.labels[rows]
-                T = quadratic_targets(spec, y)
+                Xg, yg = X.take(rows, axis=0), y[rows]
+                T = quadratic_targets(spec, yg)
             else:
                 shape = (ids.size, sampler.batch_size)
-                X, y, T = np.empty(shape + (spec.dim,)), np.empty(shape, np.int64), None
-            self._groups.append((None if run else ids, GradientWorkspace(spec, Wg, y.shape[1]),
-                                 X, y, T))
+                Xg, yg, T = np.empty(shape + X.shape[1:]), np.empty(shape, np.int64), None
+            self._groups.append((None if run else ids, GradientWorkspace(spec, Wg, yg.shape[1]),
+                                 Xg, yg, T))
 
     def step(self, eta, iteration):
         """Advance every vehicle one step. A non-finite result names the
@@ -169,8 +170,8 @@ class FleetStep:
             _, _, X, y, _ = self._groups[-1]
             # every row is in range by construction; take's default mode
             # would copy its output through a temporary
-            self.data.features.take(rows, axis=0, out=X, mode="clip")
-            self.data.labels.take(rows, out=y, mode="clip")
+            self.X.take(rows, axis=0, out=X, mode="clip")
+            self.y.take(rows, out=y, mode="clip")
         for ids, ws, X, y, T in self._groups:
             if ids is not None:
                 W.take(ids, axis=0, out=ws.W, mode="clip")
@@ -330,7 +331,8 @@ def edge_rounds(config, shards, spec, association=None, edge_count=1, *,
     counts = sizes.astype(int)
     sampler = None if config.full_batch else BatchSampler(counts, config.batch_size, config.seed)
     fleet = union_of_shards(shards)
-    local = FleetStep(spec, W, fleet, counts, sampler)
+    X = model_inputs(spec, fleet.features)
+    local = FleetStep(spec, W, X, fleet.labels, counts, sampler)
 
     # weights of the association in force, and B, the weights of u (row 0)
     # and of every edge's average; refreshed at every round boundary
@@ -340,7 +342,7 @@ def edge_rounds(config, shards, spec, association=None, edge_count=1, *,
     record = config.record_virtual
     if record:
         # the centralized descent runs on the whole union as one fleet row
-        uX, uy = fleet.features[None], fleet.labels[None]
+        uX, uy = X[None], fleet.labels[None]
         uT = quadratic_targets(spec, uy)
         v = w0.copy()  # updated in place, as vtilde after every step
         descent = GradientWorkspace(spec, v[None], fleet.n_samples)

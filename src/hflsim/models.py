@@ -6,6 +6,12 @@ training engine but rejected by everything bound-related).
 
 All losses are sample means plus (l2_reg/2)*||w||^2; the smoothness and
 Lipschitz constants follow that normalization.
+
+Parameter layout: a convex row is the (d, c) weight matrix, row-major; an
+mlp1 row is the blocks [W1; b1] (d+1, h) and [W2; b2] (h+1, c), row-major,
+each bias the last row. model_inputs gives each mlp1 layer's inputs (the
+features, the hidden activations) a trailing ones column, so every bias
+joins its layer's product.
 """
 
 import struct
@@ -51,7 +57,7 @@ class ModelSpec:
 def param_length(spec):
     d, c, h = spec.dim, spec.class_count, spec.hidden_width
     if spec.family == MLP1:
-        return d * h + h + h * c + c
+        return (d + 1) * h + (h + 1) * c
     return d * c
 
 
@@ -94,8 +100,8 @@ def quadratic_targets(spec, y):
 
 
 # Reductions over a short axis. numpy's reduce runs one inner loop per
-# output element, so over the class axis (a few entries per row) or the
-# batch axis of a fleet array it costs far more than an elementwise pass.
+# output element, so over the class axis (a few entries per row) it costs
+# far more than an elementwise pass.
 # These helpers add (or compare) the same entries in numpy's own order at
 # elementwise speed, so every result keeps its bits. Below 8 terms numpy
 # folds a contiguous axis in index order, a sum from +0.0. From 8 up its
@@ -126,21 +132,6 @@ def _class_sum(Z, out=None):
     return s
 
 
-def _batch_sum(A, major=None, out=None):
-    """A.sum(axis=1) of a fleet array A (M, B, k), bit for bit, into out
-    (M, k) when given: for k > 1 numpy adds the B rows of each vehicle in
-    order, and so does a sum over the leading axis of a batch-major copy,
-    one elementwise pass per batch row; major (B, M, k) holds that copy
-    when given. A (B, 1) column is contiguous, and numpy sums it pairwise,
-    as gradient_xy does; that case keeps numpy's reduce."""
-    if A.shape[2] == 1:
-        return A.sum(axis=1, out=out)
-    if major is None:
-        major = np.empty((A.shape[1], A.shape[0], A.shape[2]))
-    np.copyto(major, A.swapaxes(0, 1))
-    return major.sum(axis=0, out=out)
-
-
 def _softmax(logits, rows=None):
     """Row softmax over the last axis (class scores), any leading axes;
     in place when logits is C-contiguous, as the fresh products the
@@ -153,20 +144,27 @@ def _softmax(logits, rows=None):
     return Z.reshape(logits.shape)
 
 
+def model_inputs(spec, X):
+    """The rows a layer multiplies by its weights: X itself for the convex
+    families, and for mlp1 X (any leading axes) with a trailing ones column."""
+    if spec.family != MLP1:
+        return X
+    return np.concatenate([X, np.ones(X.shape[:-1] + (1,))], axis=-1)
+
+
 def _mlp_unpack(spec, w):
-    """Views W1 (d, h), b1 (1, h), W2 (h, c), b2 (1, c) of an mlp1 parameter
-    vector; leading axes of w (one row per vehicle) stay in front."""
+    """Views of the blocks [W1; b1] (d+1, h) and [W2; b2] (h+1, c) of an
+    mlp1 parameter vector; leading axes of w (one row per vehicle) stay in
+    front."""
     d, c, h = spec.dim, spec.class_count, spec.hidden_width
-    i, j, k = d * h, d * h + h, d * h + h + h * c
-    lead = w.shape[:-1]
-    return (w[..., :i].reshape(lead + (d, h)), w[..., i:j].reshape(lead + (1, h)),
-            w[..., j:k].reshape(lead + (h, c)), w[..., k:].reshape(lead + (1, c)))
+    i, lead = (d + 1) * h, w.shape[:-1]
+    return w[..., :i].reshape(lead + (d + 1, h)), w[..., i:].reshape(lead + (h + 1, c))
 
 
 def _logits(spec, w, X):
     if spec.family == MLP1:
-        W1, b1, W2, b2 = _mlp_unpack(spec, w)
-        return np.tanh(X @ W1 + b1) @ W2 + b2
+        B1, B2 = _mlp_unpack(spec, w)
+        return model_inputs(spec, np.tanh(model_inputs(spec, X) @ B1)) @ B2
     return X @ w.reshape(spec.dim, spec.class_count)
 
 
@@ -193,18 +191,17 @@ def gradient_xy(spec, w, X, y):
         S = _softmax(X @ w.reshape(spec.dim, spec.class_count))
         S[np.arange(n), y] -= 1.0
         return (X.T @ S).ravel() / n + spec.l2_reg * w
-    W1, b1, W2, b2 = _mlp_unpack(spec, w)
-    Z = np.tanh(X @ W1 + b1)
-    S = _softmax(Z @ W2 + b2)
+    B1, B2 = _mlp_unpack(spec, w)
+    X1 = model_inputs(spec, X)
+    Z1 = model_inputs(spec, np.tanh(X1 @ B1))
+    S = _softmax(Z1 @ B2)
     S[np.arange(n), y] -= 1.0
     S /= n
-    gW2 = Z.T @ S
-    gb2 = S.sum(axis=0)
-    dZ = (S @ W2.T) * (1.0 - Z * Z)
-    gW1 = X.T @ dZ
-    gb1 = dZ.sum(axis=0)
-    g = np.concatenate([gW1.ravel(), gb1, gW2.ravel(), gb2])
-    return g + spec.l2_reg * w
+    gB2 = Z1.T @ S
+    Z = Z1[:, :-1]
+    dZ = (S @ B2[:-1].T) * (1.0 - Z * Z)
+    gB1 = X1.T @ dZ
+    return np.concatenate([gB1.ravel(), gB2.ravel()]) + spec.l2_reg * w
 
 
 class GradientWorkspace:
@@ -213,16 +210,16 @@ class GradientWorkspace:
     n rows, for a caller that takes many steps on the same W and updates
     it in place.
 
-    The workspace keeps views of W's blocks (W1, b1, W2, b2 for mlp1, the
-    (M, d, c) matrices otherwise) and every intermediate: the hidden
-    activations Z, the scores S, dZ, the batch-major copies and sums of
-    the bias gradients, the softmax's row reductions, the l2 product and
-    the label offsets. gradient() writes into them with gradient_xy's
-    operations in its order on the stacked arrays, with batched matmul
-    (numpy runs one product per vehicle, as in the 2-D code) and every
-    reduction adding the terms the 2-D code adds in its order
-    (_class_max, _class_sum, _batch_sum), and returns g, the same (M, P)
-    array at every call.
+    The workspace keeps views of W's blocks ([W1; b1] and [W2; b2] for
+    mlp1, the (M, d, c) matrices otherwise) and of g's, and every
+    intermediate: for mlp1 the hidden activations Z1, with their ones
+    column, and dZ, the scores S, the softmax's row reductions, the l2
+    product and the label offsets. gradient() writes into them with
+    gradient_xy's operations in its order on the stacked arrays, with
+    batched matmul (numpy runs one product per vehicle, as in the 2-D
+    code) and every reduction adding the terms the 2-D code adds in its
+    order (_class_max, _class_sum), and returns g, the same (M, P) array
+    at every call.
     """
 
     def __init__(self, spec, W, n):
@@ -244,23 +241,24 @@ class GradientWorkspace:
             self._Wm, self._gm = W.reshape(M, d, c), self.g.reshape(M, d, c)
             self._reg = np.empty((M, d, c))
         else:
-            self._W1, self._b1, self._W2, self._b2 = _mlp_unpack(spec, W)
-            self._W2T = np.swapaxes(self._W2, 1, 2)
-            self._gW1, self._gb1, self._gW2, self._gb2 = _mlp_unpack(spec, self.g)
+            self._B1, self._B2 = _mlp_unpack(spec, W)
+            self._W2T = np.swapaxes(self._B2[:, :h], 1, 2)
+            self._gB1, self._gB2 = _mlp_unpack(spec, self.g)
             self._reg = np.empty((M, P))
-            self._Z, self._dZ = np.empty((M, n, h)), np.empty((M, n, h))
-            self._ZT = np.swapaxes(self._Z, 1, 2)
-            # (batch-major copy, sum) of S and of dZ for _batch_sum
-            self._S_sum = (np.zeros((n, M, c)), np.empty((M, c)))
-            self._dZ_sum = (np.zeros((n, M, h)), np.empty((M, h)))
+            # the product fills Z1's first h columns, and its last is the ones
+            # column; tanh over the whole buffer is faster than over the view
+            self._Z1, self._dZ = np.ones((M, n, h + 1)), np.empty((M, n, h))
+            self._Z, self._Z1T = self._Z1[..., :h], np.swapaxes(self._Z1, 1, 2)
 
     def _labels(self, y):
         """_label_index(y, c) of this call's labels, in a reused buffer."""
         return np.add(self._base, y, out=self._label)
 
     def gradient(self, X, y, targets=None):
-        """Gradients at the current W over X (M, n, d), y (M, n): row m is
-        bitwise gradient_xy(spec, W[m], X[m], y[m]). targets is
+        """Gradients at the current W over the model-input rows X (M, n, .)
+        of the batches, model_inputs(spec, Xraw) with Xraw (M, n, d), and
+        their labels y (M, n): row m is bitwise
+        gradient_xy(spec, W[m], Xraw[m], y[m]). targets is
         quadratic_targets(spec, y), built per call when not given.
         Returns g, which the next call overwrites."""
         spec = self.spec
@@ -269,21 +267,20 @@ class GradientWorkspace:
             _convex_gradients(spec, self._Wm, X, y, targets, out=self._gm, residual=self._S,
                               label=label, rows=self._rows, reg=self._reg)
             return self.g
-        Z = np.matmul(X, self._W1, out=self._Z)
-        Z += self._b1
-        np.tanh(Z, out=Z)
-        S = np.matmul(Z, self._W2, out=self._S)
-        S += self._b2
+        Z1 = self._Z1
+        np.matmul(X, self._B1, out=self._Z)
+        np.tanh(Z1, out=Z1)
+        Z1[..., -1] = 1.0  # the ones column, after tanh and the derivative below
+        S = np.matmul(Z1, self._B2, out=self._S)
         _softmax(S, self._rows)
         S.reshape(-1)[self._labels(y)] -= 1.0
         S /= self.n
-        np.matmul(self._ZT, S, out=self._gW2)
-        self._gb2[:, 0] = _batch_sum(S, *self._S_sum)
+        np.matmul(self._Z1T, S, out=self._gB2)
         dZ = np.matmul(S, self._W2T, out=self._dZ)
-        Z *= Z
-        dZ *= np.subtract(1.0, Z, out=Z)
-        np.matmul(X.swapaxes(1, 2), dZ, out=self._gW1)
-        self._gb1[:, 0] = _batch_sum(dZ, *self._dZ_sum)
+        Z1 *= Z1
+        np.subtract(1.0, Z1, out=Z1)
+        dZ *= self._Z
+        np.matmul(X.swapaxes(1, 2), dZ, out=self._gB1)
         self.g += np.multiply(spec.l2_reg, self.W, out=self._reg)
         return self.g
 

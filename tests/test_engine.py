@@ -120,7 +120,8 @@ class TestBatchSampler:
         s = BatchSampler(sizes, 20, seed=1)
         assert s.ids.size == 0 and s.next_rows().shape == (0, 20)
         data = datasets.union_of_shards(unequal_shards(sizes))
-        local = FleetStep(logistic_spec(), np.zeros((2, 18)), data, sizes, s)
+        local = FleetStep(logistic_spec(), np.zeros((2, 18)), data.features, data.labels, sizes,
+                          s)
         assert local.sampler is None
         assert [X.shape for _, _, X, _, _ in local._groups] == [(1, 7, 6), (1, 12, 6)]
 
@@ -151,7 +152,9 @@ def step_once(spec, shards, W, eta, batch_size=5, iteration=None):
     W = np.array(W, dtype=float)
     sizes = [s.size for s in shards]
     sampler = BatchSampler(sizes, batch_size, seed=0)
-    FleetStep(spec, W, datasets.union_of_shards(shards), sizes, sampler).step(eta, iteration)
+    data = datasets.union_of_shards(shards)
+    FleetStep(spec, W, models.model_inputs(spec, data.features), data.labels, sizes,
+              sampler).step(eta, iteration)
     return W
 
 
@@ -330,7 +333,8 @@ def reference_record(cfg, shards, spec, association, edge_count):
     counts = sizes.astype(int)
     sampler = None if cfg.full_batch else BatchSampler(counts, cfg.batch_size, cfg.seed)
     fleet = datasets.union_of_shards(shards)
-    local = FleetStep(spec, W, fleet, counts, sampler)
+    local = FleetStep(spec, W, models.model_inputs(spec, fleet.features), fleet.labels, counts,
+                      sampler)
     out = dict(vtilde=np.zeros((T + 1, P)), gap_u_vtilde=np.zeros(T + 1),
                gap_u_v=np.zeros(T + 1), s_vehicle=np.zeros(T + 1), s_edge=np.zeros(T + 1),
                vehicle_gap=np.zeros((M, T + 1)),
@@ -489,7 +493,8 @@ def gathered_step(spec, W, data, rows, eta):
         ids = [m for m, b in enumerate(batches) if b.size == n]
         idx = np.stack([batches[m] for m in ids])
         ws = models.GradientWorkspace(spec, W[ids], n)
-        W[ids] -= eta * ws.gradient(data.features[idx], data.labels[idx])
+        X = models.model_inputs(spec, data.features[idx])
+        W[ids] -= eta * ws.gradient(X, data.labels[idx])
 
 
 def group_ids(local):
@@ -526,7 +531,8 @@ class TestCachedInputs:
         W = models.init_params(spec, 3) + np.linspace(-0.5, 0.5, len(sizes) * P).reshape(-1, P)
         W_ref = W.copy()
         sampler = None if full else BatchSampler(sizes, batch, seed=7)
-        local = FleetStep(spec, W, data, sizes, sampler)
+        local = FleetStep(spec, W, models.model_inputs(spec, data.features), data.labels, sizes,
+                          sampler)
         rows = reference_rows(sizes, batch, 7, full)
         for tau in range(1, 13):
             local.step(0.05, tau)
@@ -538,12 +544,13 @@ class TestCachedInputs:
         sizes = [5, 30, 5, 12, 30]
         data = datasets.union_of_shards(unequal_shards(sizes))
         W = np.zeros((len(sizes), models.param_length(self.SPECS[1])))
-        local = FleetStep(self.SPECS[1], W, data, sizes, BatchSampler(sizes, 12, seed=0))
+        local = FleetStep(self.SPECS[1], W, data.features, data.labels, sizes,
+                          BatchSampler(sizes, 12, seed=0))
         assert group_ids(local) == [[0, 2], [3], [1, 4]]
         assert [y.shape for *_, y, _ in local._groups] == [(2, 5), (1, 12), (2, 12)]
         assert [ids is None for ids, *_ in local._groups] == [False, True, False]
         # without a sampler every vehicle uses its whole shard
-        local = FleetStep(self.SPECS[1], W, data, sizes)
+        local = FleetStep(self.SPECS[1], W, data.features, data.labels, sizes)
         assert group_ids(local) == [[0, 2], [3], [1, 4]]
         assert [y.shape for *_, y, _ in local._groups] == [(2, 5), (1, 12), (2, 30)]
 
@@ -554,14 +561,15 @@ class TestCachedInputs:
         s = BatchSampler(sizes, 10, seed=0)
         assert s.ids.tolist() == [2, 4]
         W = np.zeros((len(sizes), models.param_length(spec)))
-        local = FleetStep(spec, W, data, sizes, s)
+        local = FleetStep(spec, W, data.features, data.labels, sizes, s)
         fixed = [group[2:] for group in local._groups[:-1]]
         assert len(fixed) == 1  # the shuffling group is gathered per step
         X, y, T = fixed[0]
         rows = np.array([0, 5, 40])[:, None] + np.arange(5)
         assert np.array_equal(X, data.features[rows]) and np.array_equal(y, data.labels[rows])
         assert T.tobytes() == models.quadratic_targets(spec, y).tobytes()
-        assert FleetStep(self.SPECS[1], W, data, sizes, s)._groups[0][4] is None
+        assert FleetStep(self.SPECS[1], W, data.features, data.labels, sizes,
+                         s)._groups[0][4] is None
         # once built, a step builds no whole-shard inputs of its own
         monkeypatch.setattr(engine, "quadratic_targets", None)
         local.step(0.05, 1)
@@ -597,7 +605,8 @@ class TestFleetStepMatchesGradientXy:
         W = models.init_params(spec, 3) + np.linspace(-0.5, 0.5, len(sizes) * P).reshape(-1, P)
         W_ref = W.copy()
         sampler = None if full else BatchSampler(sizes, batch, seed=7)
-        local = FleetStep(spec, W, data, sizes, sampler)
+        local = FleetStep(spec, W, models.model_inputs(spec, data.features), data.labels, sizes,
+                          sampler)
         rows = reference_rows(sizes, batch, 7, full)
         for tau in range(1, 65):
             local.step(0.05, tau)

@@ -122,6 +122,44 @@ class TestGradient:
         assert np.linalg.norm(gradient_xy(spec, opt.w, ds.features, ds.labels)) <= 1e-10
 
 
+def unfolded_mlp1(spec, w, X, y):
+    """mlp1's loss and gradient in the unfolded layer algebra: the biases
+    added after the products, and their gradients the batch sums of S and
+    dZ."""
+    d, c, h, n = spec.dim, spec.class_count, spec.hidden_width, X.shape[0]
+    W1, b1 = w[:d * h].reshape(d, h), w[d * h:(d + 1) * h]
+    W2, b2 = w[(d + 1) * h:-c].reshape(h, c), w[-c:]
+    Z = np.tanh(X @ W1 + b1)
+    logits = Z @ W2 + b2
+    zmax = logits.max(axis=1)
+    lse = zmax + np.log(np.exp(logits - zmax[:, None]).sum(axis=1))
+    loss = (lse - logits[np.arange(n), y]).mean() + 0.5 * spec.l2_reg * (w @ w)
+    S = np.exp(logits - lse[:, None])
+    S[np.arange(n), y] -= 1.0
+    S /= n
+    dZ = (S @ W2.T) * (1.0 - Z * Z)
+    g = np.concatenate([(X.T @ dZ).ravel(), dZ.sum(axis=0), (Z.T @ S).ravel(), S.sum(axis=0)])
+    return loss, g + spec.l2_reg * w
+
+
+@pytest.mark.parametrize("h", [1, 5, 16])
+@pytest.mark.parametrize("c", [2, 4, 10])
+def test_folded_mlp1_equals_unfolded_layers(h, c):
+    # the fold adds each bias inside its layer's product, so it agrees with
+    # the unfolded algebra to rounding, not bit for bit
+    spec = ModelSpec(MLP1, dim=6, class_count=c, l2_reg=0.01, hidden_width=h)
+    g = np.random.default_rng(10 * h + c)
+    for n in (1, 7, 40):
+        for _ in range(5):
+            w = 0.5 * g.normal(size=param_length(spec))
+            X = 3.0 * g.normal(size=(n, spec.dim))
+            y = g.integers(0, c, size=n)
+            want_loss, want_g = unfolded_mlp1(spec, w, X, y)
+            np.testing.assert_allclose(models.loss_xy(spec, w, X, y), want_loss,
+                                       rtol=1e-13, atol=1e-15)
+            np.testing.assert_allclose(gradient_xy(spec, w, X, y), want_g, rtol=1e-13, atol=1e-15)
+
+
 FLEET_SPECS = SPECS + [
     ModelSpec(QUADRATIC, dim=6, class_count=2, l2_reg=0.2),        # two classes
     ModelSpec(QUADRATIC, dim=6, class_count=4),
@@ -130,7 +168,7 @@ FLEET_SPECS = SPECS + [
     ModelSpec(MULTINOMIAL_LOGISTIC, dim=6, class_count=8, l2_reg=0.05),
     ModelSpec(MULTINOMIAL_LOGISTIC, dim=6, class_count=10),
     ModelSpec(MLP1, dim=6, class_count=10, l2_reg=0.01, hidden_width=16),
-    ModelSpec(MLP1, dim=6, class_count=4, hidden_width=1),          # a pairwise batch sum
+    ModelSpec(MLP1, dim=6, class_count=4, hidden_width=1),          # one-column products
 ]
 
 
@@ -148,8 +186,8 @@ def short_axis_values(g, shape):
 
 
 class TestShortAxisReductions:
-    """The class-axis and batch-axis helpers reproduce numpy's reductions
-    bit for bit, in whichever order numpy adds at each length."""
+    """The class-axis helpers reproduce numpy's reductions bit for bit, in
+    whichever order numpy adds at each length."""
 
     @pytest.mark.parametrize("lead", [(50,), (6, 9), (1, 1)])
     @pytest.mark.parametrize("c", range(1, 13))
@@ -164,25 +202,16 @@ class TestShortAxisReductions:
             E = np.exp(g.normal(size=lead + (c,)) * 20.0 - 30.0)
             assert models._class_sum(E).tobytes() == E.sum(axis=-1).tobytes()
 
-    @pytest.mark.parametrize("M, B, k", [(1, 1, 1), (1, 20, 1), (5, 20, 1), (5, 20, 4),
-                                         (1, 20, 16), (32, 20, 16), (3, 33, 2)])
-    def test_batch_sum_equals_numpy(self, M, B, k):
-        g = np.random.default_rng(M * B * k)
-        for A in (g.normal(size=(M, B, k)), np.full((M, B, k), -0.0),
-                  short_axis_values(g, (M, B, k))):
-            with np.errstate(over="ignore", invalid="ignore"):
-                got = models._batch_sum(A)
-                assert got.tobytes() == A.sum(axis=1).tobytes()
-                assert got.tobytes() == np.stack([a.sum(axis=0) for a in A]).tobytes()
-
 
 def parent_loss_xy(spec, w, X, y):
     """loss_xy of the cross-entropy families, written with numpy's own
-    reductions: the reference for the helpers' order."""
+    reductions: the reference for the helpers' order, not for the layer
+    formula, so the mlp1 logits are the folded blocks' products."""
     n = X.shape[0]
     if spec.family == MLP1:
-        W1, b1, W2, b2 = models._mlp_unpack(spec, w)
-        logits = np.tanh(X @ W1 + b1) @ W2 + b2
+        B1, B2 = models._mlp_unpack(spec, w)
+        Z = np.tanh(np.column_stack([X, np.ones(n)]) @ B1)
+        logits = np.column_stack([Z, np.ones(n)]) @ B2
     else:
         logits = X @ w.reshape(spec.dim, spec.class_count)
     zmax = logits.max(axis=1)
@@ -219,7 +248,7 @@ class TestWorkspaceMatchesGradientXy:
             X = 3.0 * g.normal(size=(M, B, spec.dim))
             y = g.integers(0, spec.class_count, size=(M, B))
             want = np.stack([gradient_xy(spec, W[m], X[m], y[m]) for m in range(M)])
-            got = models.GradientWorkspace(spec, W, B).gradient(X, y)
+            got = models.GradientWorkspace(spec, W, B).gradient(models.model_inputs(spec, X), y)
             assert got.shape == (M, param_length(spec))
             assert np.array_equal(got, want)
 
@@ -230,7 +259,8 @@ class TestWorkspaceMatchesGradientXy:
         g = np.random.default_rng(4)
         rows = g.integers(0, ds.n_samples, size=(6, 20))
         W = init_params(spec, seed=1) + 0.1 * g.normal(size=(6, param_length(spec)))
-        got = models.GradientWorkspace(spec, W, 20).gradient(ds.features[rows], ds.labels[rows])
+        X = models.model_inputs(spec, ds.features)
+        got = models.GradientWorkspace(spec, W, 20).gradient(X[rows], ds.labels[rows])
         for m in range(6):
             want = gradient_xy(spec, W[m], ds.features[rows[m]], ds.labels[rows[m]])
             assert np.array_equal(got[m], want)
@@ -265,7 +295,8 @@ class TestWorkspaceMatchesGradientXy:
             X = 3.0 * g.normal(size=(n, spec.dim))
             y = g.integers(0, spec.class_count, size=n)
             T = models.quadratic_targets(spec, y[None])
-            got = models.GradientWorkspace(spec, w[None], n).gradient(X[None], y[None], T)[0]
+            X1 = models.model_inputs(spec, X)[None]
+            got = models.GradientWorkspace(spec, w[None], n).gradient(X1, y[None], T)[0]
             assert got.tobytes() == gradient_xy(spec, w, X, y).tobytes()
 
 
@@ -287,7 +318,7 @@ class TestGradientWorkspace:
             # quadratic targets given on odd steps, built in the workspace on even ones
             T = models.quadratic_targets(spec, y) if step % 2 else None
             want = np.stack([gradient_xy(spec, W[m], X[m], y[m]) for m in range(M)])
-            got = ws.gradient(X, y, T)
+            got = ws.gradient(models.model_inputs(spec, X), y, T)
             assert got is ws.g and got.tobytes() == want.tobytes(), step
             W -= 0.05 * got
 
@@ -311,7 +342,7 @@ class TestGradientWorkspace:
             X[:, :, 1] = -0.0
             y = g.integers(0, spec.class_count, size=(M, n))
             want = np.stack([gradient_xy(spec, W[m], X[m], y[m]) for m in range(M)])
-            assert ws.gradient(X, y).tobytes() == want.tobytes(), step
+            assert ws.gradient(models.model_inputs(spec, X), y).tobytes() == want.tobytes(), step
 
     def test_needs_contiguous_weights(self):
         spec = SPECS[2]
