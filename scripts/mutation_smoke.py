@@ -47,9 +47,21 @@ MUTATIONS = [
              "    bracket = (tau - 1) // inputs.tau_l\n",
              TEST_ANALYSIS + "::TestPlantedViolations::test_edge_drift_at_a_membership_change"),
     # (j + 1) weights in the central drift bound's mobility term
-    Mutation(ANALYSIS, "mix = float(np.sum(js * estimates.Delta_bracket[idx]))",
-             "mix = float(np.sum((js + 1) * estimates.Delta_bracket[idx]))",
+    Mutation(ANALYSIS, "mix = (js * estimates.Delta_bracket[idx]).sum(axis=-1)",
+             "mix = ((js + 1) * estimates.Delta_bracket[idx]).sum(axis=-1)",
              TEST_ANALYSIS + "::TestComputeUk::test_rational_term_by_term_oracle"),
+    # each epoch's U_k compared with the gap at the epoch's start, not its end
+    Mutation(ANALYSIS, "measured=trace.gap_u_vtilde[span::span][:K]",
+             "measured=trace.gap_u_vtilde[::span][:K]",
+             TEST_ANALYSIS + "::TestDriftReport::test_epochs_equal_per_window_bounds"),
+    # a gate that holds when it holds in any epoch
+    Mutation(ANALYSIS, '"vtilde_gap_ge_eps": bool(np.all(',
+             '"vtilde_gap_ge_eps": bool(np.any(',
+             TEST_ANALYSIS + "::TestGapBoundOracle::test_one_gate_fails"),
+    # central-drift violations labelled with the 0-based epoch
+    Mutation(ANALYSIS, '("central_drift", {"k": int(i) + 1})',
+             '("central_drift", {"k": int(i)})',
+             TEST_ANALYSIS + "::TestPlantedViolations::test_central_drift"),
     # a corner given to the higher-indexed side
     Mutation("src/hflsim/mobility.py", "return np.floor(pos / a).astype(np.int64) - on_corner",
              "return np.floor(pos / a).astype(np.int64)",

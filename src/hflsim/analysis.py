@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .engine import membership_weights
-from .models import (UnsupportedModelError, gradient_probes, loss, quadratic_targets,
-                     row_norms)
+from .models import (QUADRATIC, ModelSpec, UnsupportedModelError, gradient_probes, loss,
+                     quadratic_targets, row_norms)
 
 DEFAULT_SLACK = 1e-9
 
@@ -139,16 +139,13 @@ def shared_input_delta_m(shards):
     X'(Ybar - Y_m)/n for every w, so the constant is closed-form.
     """
     X = shards[0].data.features
-    n = X.shape[0]
-    C = shards[0].data.class_count
-    onehots = []
+    n, d = X.shape
     for s in shards:
         if s.data.features.shape != X.shape or not np.array_equal(s.data.features, X):
             raise ValueError("shards do not share a feature matrix")
-        T = np.zeros((n, C))
-        T[np.arange(n), s.data.labels] = 1.0
-        onehots.append(T)
-    Ybar = np.mean(onehots, axis=0)
+    spec = ModelSpec(QUADRATIC, dim=d, class_count=shards[0].data.class_count)
+    onehots = quadratic_targets(spec, np.stack([s.data.labels for s in shards]))
+    Ybar = onehots.mean(axis=0)
     return np.array([np.linalg.norm(X.T @ (Ybar - Ym)) / n for Ym in onehots])
 
 
@@ -222,54 +219,51 @@ class BoundInputs:
 
 
 @dataclass
-class DriftBoundEntry:
-    k: int                 # cloud epoch, 1-based
-    value: float           # U_k
-    r_term: float
-    mobility_term: float
-    measured: float        # ||u - vtilde|| at the epoch's cloud instant
-    satisfied: bool
-
-
-@dataclass
 class DriftBoundReport:
-    entries: list
+    """U_k against the measured central-cloud gap, entry k-1 for cloud
+    epoch k = 1..K."""
+    value: np.ndarray          # (K,) U_k
+    r_term: float              # shared by every epoch
+    mobility_term: np.ndarray  # (K,)
+    measured: np.ndarray       # (K,) ||u - vtilde|| at the epoch's cloud instant
+
+    @property
+    def satisfied(self):
+        return ~_exceeds(self.measured, self.value)
 
     @property
     def total(self):
-        return sum(e.value for e in self.entries)
+        # left to right: from 8 terms up np.sum adds pairwise
+        return sum(self.value.tolist())
 
 
 def central_drift_bound(k, estimates, inputs):
     """Central-cloud drift bound for the window starting at k*tau_l*tau_e.
 
-    k is 0-based here: the returned value bounds ||u - vtilde|| at
-    iteration (k+1)*tau_l*tau_e, and consumes the bracket divergences
-    Delta^[k*tau_e + j] for j = 1..tau_e-1.
+    k is 0-based here, an integer or an integer array: the returned value
+    bounds ||u - vtilde|| at iteration (k+1)*tau_l*tau_e, and consumes the
+    bracket divergences Delta^[k*tau_e + j] for j = 1..tau_e-1. Returns
+    (U, r_term, mobility_term); U and mobility_term take k's shape, and
+    r_term is the same for every window.
     """
     tau_l, tau_e, eta = inputs.tau_l, inputs.tau_e, inputs.eta
     delta = estimates.delta
     r_term = drift_polynomial(tau_l * tau_e, eta, delta, inputs.beta)
     js = np.arange(1, tau_e)
-    idx = k * tau_e + js
+    idx = np.asarray(k)[..., None] * tau_e + js
     if idx.size and idx.max() >= estimates.Delta_bracket.shape[0]:
         raise ValueError(f"missing Delta bracket entries for window {k}")
-    mix = float(np.sum(js * estimates.Delta_bracket[idx])) if idx.size else 0.0
+    mix = (js * estimates.Delta_bracket[idx]).sum(axis=-1)
     mobility_term = -eta * tau_l * (0.5 * tau_e * (tau_e - 1) * delta - mix)
     return r_term + mobility_term, r_term, mobility_term
 
 
 def build_drift_report(trace, estimates, inputs):
-    """Per-cloud-epoch bound vs the measured central-cloud gap."""
-    entries = []
-    span = inputs.tau_l * inputs.tau_e
-    for k in range(1, inputs.cloud_epochs + 1):
-        value, r_term, mob = central_drift_bound(k - 1, estimates, inputs)
-        measured = float(trace.gap_u_vtilde[k * span])
-        entries.append(DriftBoundEntry(
-            k=k, value=value, r_term=r_term, mobility_term=mob,
-            measured=measured, satisfied=not _exceeds(measured, value)))
-    return DriftBoundReport(entries=entries)
+    """Every cloud epoch's bound vs the measured central-cloud gap."""
+    span, K = inputs.tau_l * inputs.tau_e, inputs.cloud_epochs
+    value, r_term, mob = central_drift_bound(np.arange(K), estimates, inputs)
+    return DriftBoundReport(value=value, r_term=r_term, mobility_term=mob,
+                            measured=trace.gap_u_vtilde[span::span][:K])
 
 
 @dataclass
@@ -347,9 +341,8 @@ def check_recursion(trace, inputs):
 def check_central_drift(trace, estimates, inputs):
     """Central drift vs U_k per cloud epoch, and the report they come from."""
     report = build_drift_report(trace, estimates, inputs)
-    measured, bound = np.array([(e.measured, e.value) for e in report.entries]).T
-    return violations(measured, bound,
-                      lambda i: ("central_drift", {"k": report.entries[i].k})), report
+    return violations(report.measured, report.value,
+                      lambda i: ("central_drift", {"k": int(i) + 1})), report
 
 
 @dataclass
@@ -360,16 +353,16 @@ class GapBoundReport:
     phi: float
     epsilon: float
     conditions: dict      # name -> bool (over all epochs)
-    per_epoch: list       # dicts with the per-k condition values
     degenerate: bool = False
     note: str = ""
 
 
 def epoch_losses(spec, union, trace, span, cloud_epochs):
-    """(F(vtilde), F(u)) at each cloud instant k*span, k = 1..K: the losses
-    that choose_epsilon and check_gap_bound read."""
-    return [(loss(spec, trace.vtilde[k * span], union), loss(spec, trace.u_cloud[k], union))
-            for k in range(1, cloud_epochs + 1)]
+    """(K, 2): F(vtilde) and F(u) at each cloud instant k*span, k = 1..K,
+    the losses that choose_epsilon and check_gap_bound read."""
+    return np.array([(loss(spec, trace.vtilde[k * span], union),
+                      loss(spec, trace.u_cloud[k], union))
+                     for k in range(1, cloud_epochs + 1)])
 
 
 def check_gap_bound(trace, inputs, drift_report, losses):
@@ -380,46 +373,47 @@ def check_gap_bound(trace, inputs, drift_report, losses):
     U_k actually upper-bounds the measured central-cloud gap (with
     small-eta iid-like runs the drift formula can go negative, in which
     case no valid U_k exists and the bound is inapplicable), read from the
-    entries' `satisfied`. The fourth gate is evaluated twice: on the raw
-    loss, F(w) >= epsilon, and in a strict centered mode, F(w) - F* >=
-    epsilon. Both are reported; applicability follows the raw form.
-    losses are epoch_losses(...).
+    report's `satisfied`. Each per-epoch gate holds when it holds in every
+    epoch. The fourth gate is evaluated twice: on the raw loss,
+    F(w) >= epsilon, and in a strict centered mode, F(w) - F* >= epsilon.
+    Both are reported; applicability follows the raw form. losses are
+    epoch_losses(...).
     """
     span = inputs.tau_l * inputs.tau_e
     K = inputs.cloud_epochs
     T = K * span
     eps = inputs.epsilon
-    measured = float(losses[K - 1][1] - inputs.f_star)
+    f_vt, f_w = np.asarray(losses).T
+    measured = float(f_w[K - 1] - inputs.f_star)
 
-    dists = [float(np.linalg.norm(trace.vtilde[(k - 1) * span] - inputs.w_star))
-             for k in range(1, K + 1)]
-    if min(dists) == 0.0:
+    # the distance to w* at each epoch's start
+    dists = row_norms(trace.vtilde[:T:span] - inputs.w_star)
+    if dists.min() == 0.0:
         return GapBoundReport(
             applicable=False, bound=float("nan"),
             measured_gap=measured,
-            phi=float("inf"), epsilon=eps, conditions={}, per_epoch=[],
+            phi=float("inf"), epsilon=eps, conditions={},
             degenerate=True, note="bound degenerate, training already optimal")
-    phi = min((1.0 - inputs.beta * inputs.eta / 2.0) / d ** 2 for d in dists)
+    # d ** 2 of a Python float is C pow(), which rounds apart from numpy's
+    # d * d for about one d in a thousand
+    phi = min((1.0 - inputs.beta * inputs.eta / 2.0) / d ** 2 for d in dists.tolist())
 
-    per_epoch = [{"k": k, "U_k": e.value,
-                  "cond2": inputs.eta * phi - inputs.rho * e.value / (span * eps ** 2) > 0.0,
-                  "cond3": f_vt - inputs.f_star >= eps, "cond4": f_w >= eps,
-                  "cond4_strict": f_w - inputs.f_star >= eps, "uk_premise": e.satisfied,
-                  "F_vtilde": f_vt, "F_w": f_w}
-                 for k, ((f_vt, f_w), e) in enumerate(zip(losses, drift_report.entries), 1)]
-    conditions = {"eta_le_inv_beta": inputs.eta_feasible}
-    for name, key in (("positive_margin", "cond2"), ("vtilde_gap_ge_eps", "cond3"),
-                      ("w_loss_ge_eps", "cond4"), ("w_gap_ge_eps_strict", "cond4_strict"),
-                      ("uk_upper_bounds_gap", "uk_premise")):
-        conditions[name] = all(e[key] for e in per_epoch)
+    conditions = {
+        "eta_le_inv_beta": inputs.eta_feasible,
+        "positive_margin": bool(np.all(
+            inputs.eta * phi - inputs.rho * drift_report.value / (span * eps ** 2) > 0.0)),
+        "vtilde_gap_ge_eps": bool(np.all(f_vt - inputs.f_star >= eps)),
+        "w_loss_ge_eps": bool(np.all(f_w >= eps)),
+        "w_gap_ge_eps_strict": bool(np.all(f_w - inputs.f_star >= eps)),
+        "uk_upper_bounds_gap": bool(np.all(drift_report.satisfied)),
+    }
     applicable = all(v for name, v in conditions.items() if name != "w_gap_ge_eps_strict")
     denom = T * inputs.eta * phi - inputs.rho * drift_report.total / eps ** 2
     bound = 1.0 / denom if (applicable and denom > 0.0) else float("nan")
     if applicable and denom <= 0.0:
         applicable = False
     return GapBoundReport(applicable=applicable, bound=bound, measured_gap=measured,
-                          phi=phi, epsilon=eps, conditions=conditions,
-                          per_epoch=per_epoch)
+                          phi=phi, epsilon=eps, conditions=conditions)
 
 
 def choose_epsilon(losses, f_star):
@@ -429,7 +423,8 @@ def choose_epsilon(losses, f_star):
     epoch_losses(...); nonpositive means no feasible epsilon exists for
     this run.
     """
-    return float(min(v for f_vt, f_w in losses for v in (f_vt - f_star, f_w)))
+    f_vt, f_w = losses.T
+    return float(min((f_vt - f_star).min(), f_w.min()))
 
 
 @dataclass

@@ -170,9 +170,10 @@ def cmd_verify_bounds(args):
     cfg = _load(args)
     suite = experiments.verify_bounds(cfg, delta_scale=args.debug_scale_delta)
     out = cfg.output.directory
+    dr = suite.drift_report
     rows = [["k", "U_k", "r_term", "mobility_term", "measured_gap_u_vtilde", "satisfied"]]
-    rows += [[e.k, e.value, e.r_term, e.mobility_term, e.measured, e.satisfied]
-             for e in suite.drift_report.entries]
+    rows += [[k, u, dr.r_term, mob, measured, ok] for k, (u, mob, measured, ok) in enumerate(
+        zip(dr.value, dr.mobility_term, dr.measured, dr.satisfied), 1)]
     atomic_write_csv(os.path.join(out, "bound_report.csv"), rows)
     gr = suite.gap_report
     atomic_write_text(os.path.join(out, "bound_summary.json"), to_json({
@@ -271,6 +272,3 @@ def main(argv=None):
         print(f"i/o error: {e}", file=sys.stderr)
         return EXIT_IO
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -74,8 +74,7 @@ def build_instance(cfg):
             shards, edge_map = datasets.partition(train, pspec)
     union = datasets.union_of_shards(shards)
 
-    # a CSV's class count is only known here; one class is scalar
-    # regression, which only the quadratic family takes
+    # a CSV's class count is only known here
     with _config_fault("model"):
         spec = models.ModelSpec(family=md.family, dim=union.dim,
                                 class_count=union.class_count,

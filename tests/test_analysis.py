@@ -547,7 +547,7 @@ class TestInequalitySuite:
         assert check_recursion(tr, inputs) == []
         viols, report = check_central_drift(tr, est, inputs)
         assert viols == []
-        assert all(e.satisfied for e in report.entries)
+        assert report.satisfied.all()
 
     def test_corrupted_delta_detected(self):
         spec, union, tr, est, inputs = bound_suite_run(speed=0.0, K=2)
@@ -564,6 +564,24 @@ class TestInequalitySuite:
         span = inputs.tau_l * inputs.tau_e
         for k in range(inputs.cloud_epochs):
             assert tr.gap_u_vtilde[k * span + 1] <= 1e-9
+
+
+class TestDriftReport:
+    def test_epochs_equal_per_window_bounds(self):
+        # K = 8: from 8 terms up np.sum adds pairwise, and on this run its
+        # total differs from the left-to-right one in the last bit
+        spec, union, tr, est, inputs = bound_suite_run(speed=30.0, K=8)
+        report = build_drift_report(tr, est, inputs)
+        K, span = inputs.cloud_epochs, inputs.tau_l * inputs.tau_e
+        windows = [central_drift_bound(k, est, inputs) for k in range(K)]
+        assert report.value.tolist() == [float(u) for u, _, _ in windows]
+        assert report.mobility_term.tolist() == [float(m) for _, _, m in windows]
+        assert all(r == report.r_term for _, r, _ in windows)
+        assert report.measured.tolist() == [tr.gap_u_vtilde[k * span] for k in range(1, K + 1)]
+        total = 0
+        for u, _, _ in windows:
+            total += u
+        assert report.total == total
 
 
 def loop_vehicle_drift(trace, est, inputs, slack=analysis.DEFAULT_SLACK):
@@ -754,9 +772,7 @@ class TestGapBound:
     def test_uk_premise_gate(self):
         spec, union, tr, est, inputs = bound_suite_run(speed=0.0, K=2)
         uk = build_drift_report(tr, est, inputs)
-        for e in uk.entries:
-            e.value = -1.0  # unsatisfiable premise
-            e.satisfied = False
+        uk.value = np.full(inputs.cloud_epochs, -1.0)  # unsatisfiable premise
         gr = check_gap_bound(tr, inputs, uk, gap_losses(spec, union, tr, inputs))
         assert not gr.conditions["uk_upper_bounds_gap"]
         assert not gr.applicable
@@ -772,10 +788,8 @@ class TestGapBoundOracle:
         trace = SimpleNamespace(vtilde=np.array([[3.0, 4.0], [2.0, 3.0], [0.0, 2.0],
                                                  [0.0, 1.5], [0.0, 1.0]]))
         uk = [0.01, 0.02]
-        report = analysis.DriftBoundReport([
-            analysis.DriftBoundEntry(k=k, value=u, r_term=u, mobility_term=0.0,
-                                     measured=0.0, satisfied=True)
-            for k, u in enumerate(uk, 1)])
+        report = analysis.DriftBoundReport(value=np.array(uk), r_term=0.0,
+                                           mobility_term=np.zeros(2), measured=np.zeros(2))
         losses = [(2.0, 1.8), (1.6, 1.5)]
         gr = check_gap_bound(trace, inputs, report, losses)
         phi = min((1 - beta * eta / 2) / d ** 2 for d in (5.0, 2.0))
@@ -785,6 +799,34 @@ class TestGapBoundOracle:
         assert 1.0 / gr.bound == pytest.approx(denom, rel=1e-12)
         assert gr.bound == pytest.approx(1.0 / denom, rel=1e-12)
         assert gr.measured_gap == 1.5
+
+    # each gate's fault, in one epoch: (gate, F*, array, column, value)
+    FAULTS = [("positive_margin", 0.25, "value", None, 0.5),
+              ("vtilde_gap_ge_eps", 0.25, "losses", 0, 1.1),
+              ("w_loss_ge_eps", -0.25, "losses", 1, 0.9),
+              ("w_gap_ge_eps_strict", 0.25, "losses", 1, 1.1),
+              ("uk_upper_bounds_gap", 0.25, "measured", None, 0.05)]
+
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("gate, f_star, array, column, fault", FAULTS)
+    def test_one_gate_fails(self, gate, f_star, array, column, fault, k):
+        # the hand-made trace with every gate holding, then one gate's
+        # fault in epoch k + 1; F* > 0 tells the strict gate from the raw
+        # one, and F* < 0 the raw gate from the strict one
+        inputs = BoundInputs(beta=1.0, rho=0.1, eta=0.5, tau_l=1, tau_e=2, cloud_epochs=2,
+                             epsilon=1.0, w_star=np.zeros(2), f_star=f_star)
+        trace = SimpleNamespace(vtilde=np.array([[3.0, 4.0], [2.0, 3.0], [0.0, 2.0],
+                                                 [0.0, 1.5], [0.0, 1.0]]))
+        arrays = {"value": np.array([0.01, 0.02]), "measured": np.zeros(2),
+                  "losses": np.array([(2.0, 1.8), (1.6, 1.5)])}
+        arrays[array][(k,) if column is None else (k, column)] = fault
+        report = analysis.DriftBoundReport(value=arrays["value"], r_term=0.0,
+                                           mobility_term=np.zeros(2),
+                                           measured=arrays["measured"])
+        gr = check_gap_bound(trace, inputs, report, arrays["losses"])
+        assert [name for name, holds in gr.conditions.items() if not holds] == [gate]
+        # the strict gate is reported only
+        assert gr.applicable == (gate == "w_gap_ge_eps_strict")
 
 
 class TestPlantedViolations:
