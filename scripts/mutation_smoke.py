@@ -74,9 +74,17 @@ MUTATIONS = [
     Mutation(ANALYSIS, "DEFAULT_SLACK = 1e-9\n", "DEFAULT_SLACK = 1e-6\n",
              TEST_ANALYSIS + "::TestPlantedViolations"),
     # phi with beta*eta/4
-    Mutation(ANALYSIS, "phi = min((1.0 - inputs.beta * inputs.eta / 2.0)",
-             "phi = min((1.0 - inputs.beta * inputs.eta / 4.0)",
+    Mutation(ANALYSIS, "phi = float(((1.0 - inputs.beta * inputs.eta / 2.0)",
+             "phi = float(((1.0 - inputs.beta * inputs.eta / 4.0)",
              TEST_ANALYSIS + "::TestGapBoundOracle::test_hand_made_trace"),
+    # the vehicle bound with the edge correction of a zero Delta
+    Mutation(ANALYSIS, "drift_bound(tau0[:, None], estimates.delta_m, estimates.delta_m,",
+             "drift_bound(tau0[:, None], estimates.delta_m, 0.0,",
+             TEST_ANALYSIS + "::TestCheckersMatchScalarLoops::test_scaled_estimates"),
+    # r_term without its -T*eta*delta
+    Mutation(ANALYSIS, "r_term = drift_bound(tau_l * tau_e, delta, 0.0,",
+             "r_term = drift_bound(tau_l * tau_e, delta, delta,",
+             TEST_ANALYSIS + "::TestComputeUk::test_rational_term_by_term_oracle"),
     # rho over every probe instead of the vtilde rows
     Mutation(EXPERIMENTS, "rho = max(est.grad_norm[:len(tr.vtilde)].tolist())",
              "rho = max(est.grad_norm.tolist())",
@@ -91,6 +99,10 @@ MUTATIONS = [
     Mutation(MODELS, "return np.sqrt(D[:, None, :] @ D[:, :, None]).reshape(-1)",
              "return np.linalg.norm(D, axis=1)",
              TEST_ENGINE + "::TestBatchedMeasurement::test_row_norms_match_linalg_norm"),
+    # a round's training loss taken over the eval split
+    Mutation(ENGINE, "round_loss = loss(spec, u, X, fleet.labels)",
+             "round_loss = loss(spec, u, eX, eval_data.labels)",
+             TEST_ENGINE + "::TestRun::test_metric_rows_read_union_and_eval_rows"),
     # one permutation reused for every pass of a chunk
     Mutation(ENGINE, "perms = g.permuted(np.tile(rows, (passes, 1)), axis=1)",
              "perms = np.tile(g.permutation(rows), (passes, 1))",

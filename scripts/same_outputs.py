@@ -89,6 +89,11 @@ family = multinomial_logistic
 l2_reg = 0.05
 """
 
+# No perfbench sweep is convex or recorded: the ceiling is the optimum's
+# accuracy, and every distinct cell estimates divergence constants.
+LOGISTIC_SWEEP = (LOGISTIC.replace("[dataset]\n", "[dataset]\nseparation = 1.0\n")
+                  .replace("[hfl]\n", "[hfl]\nrecord_virtual = true\n"))
+
 # No perfbench config mixes shuffling and whole-shard vehicles: the shards
 # hold 13 and 12 rows in turn under batch 12, so the step runs both kinds
 # of group, and neither group's ids are a run, so both take the copy path.
@@ -167,6 +172,8 @@ CASES = [
     Case("sweep-7", SWEEP.command, SWEEP.name, 7, SWEEP.outputs, variants=("parallel",)),
     Case("sweep-train-1", SWEEP.command, RUN.name, 1, SWEEP.outputs, variants=("parallel",)),
     Case("sweep-train-7", SWEEP.command, RUN.name, 7, SWEEP.outputs, variants=("parallel",)),
+    Case("sweep-logistic-1", SWEEP.command, LOGISTIC_SWEEP, 1, SWEEP.outputs,
+         variants=("parallel",)),
     Case("partition-train-1", PARTITION, RUN.name, 1, PARTITION_FILES, variants=("repeat",)),
     Case("partition-train-7", PARTITION, RUN.name, 7, PARTITION_FILES, variants=("repeat",)),
     Case("partition-sweep-1", PARTITION, SWEEP.name, 1, PARTITION_FILES, variants=("repeat",)),

@@ -169,30 +169,18 @@ def _powi(base, n):
     return float(result) if result.ndim == 0 else result
 
 
-def drift_polynomial(tau, eta, delta, beta):
-    """delta/beta * ((1+eta*beta)^tau - 1) - tau*eta*delta."""
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
-    if beta <= 0:
-        raise ValueError("beta must be > 0")
-    return delta / beta * (_powi(1.0 + eta * beta, tau) - 1.0) - tau * eta * delta
-
-
-def vehicle_drift_bound(tau0, delta_m, eta, beta):
-    """Drift of one vehicle from the centralized trajectory, tau0 steps
-    after the last cloud synchronization. Broadcasts over arrays."""
-    if not np.all(0 < np.asarray(tau0)):
-        raise ValueError("tau0 must be positive")
-    return delta_m / beta * (_powi(1.0 + eta * beta, tau0) - 1.0)
-
-
-def edge_drift_bound(tau0, delta_n, Delta_n, eta, beta):
-    """Drift of one edge's virtual average from the centralized trajectory.
+def drift_bound(tau0, delta, Delta, eta, beta):
+    """delta/beta*((1+eta*beta)^tau0 - 1) - eta*tau0*(delta - Delta): the
+    drift from the centralized trajectory tau0 >= 1 steps after the last
+    cloud synchronization. Delta = delta gives a vehicle's bound, an edge's
+    divergence Delta_n an edge's, and Delta = 0 the central r_term.
     Broadcasts over arrays."""
     if not np.all(0 < np.asarray(tau0)):
         raise ValueError("tau0 must be positive")
-    return (delta_n / beta * (_powi(1.0 + eta * beta, tau0) - 1.0)
-            - eta * tau0 * (delta_n - Delta_n))
+    if beta <= 0:
+        raise ValueError("beta must be > 0")
+    return (delta / beta * (_powi(1.0 + eta * beta, tau0) - 1.0)
+            - eta * tau0 * (delta - Delta))
 
 
 @dataclass
@@ -248,7 +236,7 @@ def central_drift_bound(k, estimates, inputs):
     """
     tau_l, tau_e, eta = inputs.tau_l, inputs.tau_e, inputs.eta
     delta = estimates.delta
-    r_term = drift_polynomial(tau_l * tau_e, eta, delta, inputs.beta)
+    r_term = drift_bound(tau_l * tau_e, delta, 0.0, eta, inputs.beta)
     js = np.arange(1, tau_e)
     idx = np.asarray(k)[..., None] * tau_e + js
     if idx.size and idx.max() >= estimates.Delta_bracket.shape[0]:
@@ -306,7 +294,8 @@ def violations(measured, bound, label):
 def check_vehicle_drift(trace, estimates, inputs):
     """Vehicle drift vs its bound, for every vehicle and iteration."""
     tau, tau0 = _clock(trace, inputs)
-    bound = vehicle_drift_bound(tau0[:, None], estimates.delta_m, inputs.eta, inputs.beta)
+    bound = drift_bound(tau0[:, None], estimates.delta_m, estimates.delta_m, inputs.eta,
+                        inputs.beta)
     return violations(
         trace.vehicle_gap[:, 1:].T, bound,
         lambda t, m: ("vehicle_drift", {"m": int(m), "tau": int(tau[t]), "tau0": int(tau0[t])}))
@@ -316,8 +305,8 @@ def check_edge_drift(trace, estimates, inputs):
     """Edge drift vs its bound; empty edges (NaN) never fire."""
     tau, tau0 = _clock(trace, inputs)
     bracket = tau // inputs.tau_l
-    bound = edge_drift_bound(tau0[:, None], estimates.delta_n_bracket[bracket],
-                             estimates.Delta_n_bracket[bracket], inputs.eta, inputs.beta)
+    bound = drift_bound(tau0[:, None], estimates.delta_n_bracket[bracket],
+                        estimates.Delta_n_bracket[bracket], inputs.eta, inputs.beta)
     # the estimates stop at the highest edge the association history
     # names; an edge past it never held a vehicle, so its gaps are all NaN
     return violations(
@@ -360,8 +349,9 @@ class GapBoundReport:
 def epoch_losses(spec, union, trace, span, cloud_epochs):
     """(K, 2): F(vtilde) and F(u) at each cloud instant k*span, k = 1..K,
     the losses that choose_epsilon and check_gap_bound read."""
-    return np.array([(loss(spec, trace.vtilde[k * span], union),
-                      loss(spec, trace.u_cloud[k], union))
+    X, y = union.features, union.labels  # a convex family's model inputs
+    return np.array([(loss(spec, trace.vtilde[k * span], X, y),
+                      loss(spec, trace.u_cloud[k], X, y))
                      for k in range(1, cloud_epochs + 1)])
 
 
@@ -394,9 +384,7 @@ def check_gap_bound(trace, inputs, drift_report, losses):
             measured_gap=measured,
             phi=float("inf"), epsilon=eps, conditions={},
             degenerate=True, note="bound degenerate, training already optimal")
-    # d ** 2 of a Python float is C pow(), which rounds apart from numpy's
-    # d * d for about one d in a thousand
-    phi = min((1.0 - inputs.beta * inputs.eta / 2.0) / d ** 2 for d in dists.tolist())
+    phi = float(((1.0 - inputs.beta * inputs.eta / 2.0) / (dists * dists)).min())
 
     conditions = {
         "eta_le_inv_beta": inputs.eta_feasible,

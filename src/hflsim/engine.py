@@ -287,8 +287,10 @@ def edge_rounds(config, shards, spec, association=None, edge_count=1, *,
     force from the end of edge round j (row 0 from the start); see
     mobility.schedule. None selects the static mode where every vehicle
     stays on edge 0 (used for the single-edge equivalence checks).
-    Each local iteration is one FleetStep.step over all vehicles; the training
-    loss and the centralized descent use the shards stacked in id order.
+    Each local iteration is one FleetStep.step over all vehicles; the step,
+    the training loss and the centralized descent read the model-input rows
+    of the shards stacked in id order, and the accuracy those of eval_data,
+    each built once per run.
     Every round boundary takes two fleet_averages, before and after the
     aggregation, and the recording measures those same averages, so
     config.record_virtual changes no training bit.
@@ -332,6 +334,7 @@ def edge_rounds(config, shards, spec, association=None, edge_count=1, *,
     sampler = None if config.full_batch else BatchSampler(counts, config.batch_size, config.seed)
     fleet = union_of_shards(shards)
     X = model_inputs(spec, fleet.features)
+    eX = None if eval_data is None else model_inputs(spec, eval_data.features)
     local = FleetStep(spec, W, X, fleet.labels, counts, sampler)
 
     # weights of the association in force, and B, the weights of u (row 0)
@@ -448,8 +451,8 @@ def edge_rounds(config, shards, spec, association=None, edge_count=1, *,
             if is_cloud:
                 trace.u_cloud[k] = u
 
-        round_loss = loss(spec, u, fleet) if train_loss else float("nan")
-        test_acc = accuracy(spec, u, eval_data) if eval_data is not None else float("nan")
+        round_loss = loss(spec, u, X, fleet.labels) if train_loss else float("nan")
+        test_acc = float("nan") if eX is None else accuracy(spec, u, eX, eval_data.labels)
         gap = trace.gap_u_vtilde[state.tau] if record else float("nan")
         result.metrics.append(MetricsRow(
             cloud_epoch=(j + tau_e - 1) // tau_e, edge_round=j, iteration=state.tau,

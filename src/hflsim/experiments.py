@@ -139,7 +139,7 @@ def centralized_ceiling(inst):
     iteration budget as the federated run)."""
     if inst.spec.is_convex:
         opt = models.solve_optimum(inst.spec, inst.union)
-        return models.accuracy(inst.spec, opt.w, inst.test), opt
+        return models.accuracy(inst.spec, opt.w, inst.test.features, inst.test.labels), opt
     rc = replace(inst.cfg.hfl, record_virtual=False, full_batch=False)
     res = engine.run(rc, [datasets.Shard(0, inst.union)], inst.spec, eval_data=inst.test,
                      train_loss=False)

@@ -70,11 +70,11 @@ def init_params(spec, seed=0):
     return 0.1 * g.normal(size=p)
 
 
-def _check_dims(spec, w, X):
+def _check_dims(spec, w, X, width):
     if w.shape != (param_length(spec),):
         raise ValueError(f"parameter length {w.shape} != {param_length(spec)}")
-    if X.shape[1] != spec.dim:
-        raise ValueError(f"feature dim {X.shape[1]} != spec dim {spec.dim}")
+    if X.shape[1] != width:
+        raise ValueError(f"input width {X.shape[1]} != {width}")
 
 
 def _label_index(y, c):
@@ -162,27 +162,37 @@ def _mlp_unpack(spec, w):
 
 
 def _logits(spec, w, X):
+    """Class scores of the model-input rows X (model_inputs of the
+    features)."""
+    _check_dims(spec, w, X, spec.dim + (spec.family == MLP1))  # mlp1's ones column
     if spec.family == MLP1:
         B1, B2 = _mlp_unpack(spec, w)
-        return model_inputs(spec, np.tanh(model_inputs(spec, X) @ B1)) @ B2
+        return model_inputs(spec, np.tanh(X @ B1)) @ B2
     return X @ w.reshape(spec.dim, spec.class_count)
 
 
-def loss_xy(spec, w, X, y):
-    _check_dims(spec, w, X)
+def loss(spec, w, X, y):
+    """Mean per-sample loss over the model-input rows X and their labels
+    y, plus the l2 term."""
     n = X.shape[0]
+    logits = _logits(spec, w, X)
     reg = 0.5 * spec.l2_reg * float(w @ w)
     if spec.family == QUADRATIC:
-        R = X @ w.reshape(spec.dim, -1) - quadratic_targets(spec, y)
+        R = logits - quadratic_targets(spec, y)
         return 0.5 * float((R * R).sum()) / n + reg
-    logits = _logits(spec, w, X)
     zmax = _class_max(logits)
     lse = zmax + np.log(_class_sum(np.exp(logits - zmax[:, None])))
     return float((lse - logits[np.arange(n), y]).mean()) + reg
 
 
+def accuracy(spec, w, X, y):
+    """Share of the model-input rows X whose highest class score is their
+    label y."""
+    return float(np.mean(np.argmax(_logits(spec, w, X), axis=1) == y))
+
+
 def gradient_xy(spec, w, X, y):
-    _check_dims(spec, w, X)
+    _check_dims(spec, w, X, spec.dim)
     n = X.shape[0]
     if spec.family == QUADRATIC:
         R = X @ w.reshape(spec.dim, -1) - quadratic_targets(spec, y)
@@ -347,19 +357,6 @@ def row_norms(D):
     return np.sqrt(D[:, None, :] @ D[:, :, None]).reshape(-1)
 
 
-def loss(spec, w, data):
-    """Mean per-sample loss over `data` plus the l2 term."""
-    return loss_xy(spec, w, data.features, data.labels)
-
-
-def predict(spec, w, data):
-    return np.argmax(_logits(spec, w, data.features), axis=1)
-
-
-def accuracy(spec, w, data):
-    return float(np.mean(predict(spec, w, data) == data.labels))
-
-
 def estimate_constants(spec, data):
     """Smoothness constant beta of the full loss over `data`, as a float.
 
@@ -406,13 +403,13 @@ def solve_optimum(spec, data, grad_tol=1e-8, max_iter=2_000_000):
         else:
             W = np.linalg.solve(A, B)
         w = W.ravel()
-        return Optimum(w, loss(spec, w, data), fallback)
+        return Optimum(w, loss(spec, w, X, y), fallback)
     step = 1.0 / estimate_constants(spec, data)
     w = np.zeros(param_length(spec))
     for _ in range(max_iter):
         g = gradient_xy(spec, w, X, y)
         if np.linalg.norm(g) <= grad_tol:
-            return Optimum(w, loss(spec, w, data))
+            return Optimum(w, loss(spec, w, X, y))
         w = w - step * g
     raise RuntimeError(f"descent did not reach grad_tol={grad_tol} in {max_iter} steps")
 

@@ -11,9 +11,8 @@ from hflsim import analysis, config, datasets, engine, experiments, mobility, mo
 from hflsim.analysis import (
     BoundInputs, build_drift_report, central_drift_bound, check_central_drift,
     check_edge_drift, check_gap_bound, check_recursion, check_vehicle_drift,
-    choose_epsilon, drift_polynomial,
-    edge_drift_bound, estimate_divergences,
-    mobility_mixing_report, shared_input_delta_m, vehicle_drift_bound,
+    choose_epsilon, drift_bound, estimate_divergences,
+    mobility_mixing_report, shared_input_delta_m,
 )
 
 
@@ -32,21 +31,25 @@ def drift_fraction(k, tau_l, tau_e, eta, delta, beta, Delta):
 
 
 class TestDriftPolynomial:
-    def test_zero_steps(self):
-        assert drift_polynomial(0, 0.1, 2.0, 1.5) == 0.0
+    """drift_bound with Delta = 0, the central bound's r_term."""
+
+    def test_zero_steps_rejected(self):
+        # the central window always spans tau_l*tau_e >= 1 steps
+        with pytest.raises(ValueError):
+            drift_bound(0, 2.0, 0.0, 0.1, 1.5)
 
     def test_one_step_cancels(self):
-        assert drift_polynomial(1, 0.1, 2.0, 1.5) == pytest.approx(0.0, abs=1e-15)
+        assert drift_bound(1, 2.0, 0.0, 0.1, 1.5) == pytest.approx(0.0, abs=1e-15)
 
     def test_hand_value(self):
         # (1/1)*((1.1)^2 - 1) - 2*0.1*1 = 0.01
-        assert drift_polynomial(2, 0.1, 1.0, 1.0) == pytest.approx(0.01, abs=1e-12)
+        assert drift_bound(2, 1.0, 0.0, 0.1, 1.0) == pytest.approx(0.01, abs=1e-12)
 
     @settings(max_examples=50, deadline=None)
-    @given(tau=st.integers(0, 40), eta=st.floats(1e-4, 0.5),
+    @given(tau=st.integers(1, 40), eta=st.floats(1e-4, 0.5),
            delta=st.floats(0.0, 5.0), beta=st.floats(0.1, 4.0))
     def test_matches_rational_oracle(self, tau, eta, delta, beta):
-        got = drift_polynomial(tau, eta, delta, beta)
+        got = drift_bound(tau, delta, 0.0, eta, beta)
         want = poly_fraction(tau, eta, delta, beta)
         assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
 
@@ -71,13 +74,13 @@ class TestComputeUk:
         est = const_estimates(delta=0.7, Delta=0.7, brackets=40)
         value, r_term, mob = central_drift_bound(0, est, inputs)
         assert mob == pytest.approx(0.0, abs=1e-12)
-        assert value == pytest.approx(drift_polynomial(60, 0.05, 0.7, 2.0), rel=1e-12)
+        assert value == pytest.approx(drift_bound(60, 0.7, 0.0, 0.05, 2.0), rel=1e-12)
 
     def test_zero_Delta_substitution(self):
         inputs = make_inputs(eta=0.05, beta=2.0)
         est = const_estimates(delta=0.7, Delta=0.0, brackets=40)
         value, r_term, mob = central_drift_bound(0, est, inputs)
-        want = drift_polynomial(60, 0.05, 0.7, 2.0) - 0.5 * 0.05 * 6 * 10 * 9 * 0.7
+        want = drift_bound(60, 0.7, 0.0, 0.05, 2.0) - 0.5 * 0.05 * 6 * 10 * 9 * 0.7
         assert value == pytest.approx(want, rel=1e-12)
 
     def test_tau_e_one_empty_sum(self):
@@ -85,7 +88,7 @@ class TestComputeUk:
         est = const_estimates(delta=0.7, Delta=0.3, brackets=5)
         value, r_term, mob = central_drift_bound(2, est, inputs)
         assert mob == 0.0
-        assert value == pytest.approx(drift_polynomial(6, 0.05, 0.7, 2.0), rel=1e-12)
+        assert value == pytest.approx(drift_bound(6, 0.7, 0.0, 0.05, 2.0), rel=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(k=st.integers(0, 2), eta=st.floats(0.01, 0.2), delta=st.floats(0.0, 2.0),
@@ -122,16 +125,17 @@ class TestComputeUk:
 class TestDriftBounds:
     def test_zero_divergence_zero_bound(self):
         for tau0 in (1, 5, 60):
-            assert vehicle_drift_bound(tau0, 0.0, 0.1, 1.0) == 0.0
+            assert drift_bound(tau0, 0.0, 0.0, 0.1, 1.0) == 0.0
 
     def test_edge_bound_reduces_to_vehicle_form(self):
-        b3 = edge_drift_bound(7, 0.5, 0.5, 0.1, 2.0)
-        b2 = vehicle_drift_bound(7, 0.5, 0.1, 2.0)
-        assert b3 == pytest.approx(b2, rel=1e-12)
+        # Delta_n = delta_n leaves the vehicle form, bit for bit
+        b3 = drift_bound(7, 0.5, 0.5, 0.1, 2.0)
+        b2 = 0.5 / 2.0 * (analysis._powi(1.0 + 0.1 * 2.0, 7) - 1.0)
+        assert b3 == b2
 
     def test_hand_value(self):
         # 2/1 * ((1.1)^2 - 1) = 0.42
-        assert vehicle_drift_bound(2, 2.0, 0.1, 1.0) == pytest.approx(0.42, abs=1e-12)
+        assert drift_bound(2, 2.0, 2.0, 0.1, 1.0) == pytest.approx(0.42, abs=1e-12)
 
     def test_arrays_match_scalar_calls_bitwise(self):
         g = np.random.default_rng(3)
@@ -139,19 +143,19 @@ class TestDriftBounds:
         dm = g.uniform(0.0, 3.0, size=5)
         Dn = g.uniform(0.0, 3.0, size=5)
         eta, beta = 0.07, 1.9
-        got_v = vehicle_drift_bound(tau0, dm, eta, beta)
-        got_e = edge_drift_bound(tau0, dm, Dn, eta, beta)
+        got_v = drift_bound(tau0, dm, dm, eta, beta)
+        got_e = drift_bound(tau0, dm, Dn, eta, beta)
         got_p = analysis._powi(1.0 + eta * beta, tau0[:, 0])
         for i in range(tau0.shape[0]):
             t = int(tau0[i, 0])
             assert got_p[i] == analysis._powi(1.0 + eta * beta, t)
             for m in range(dm.size):
-                assert got_v[i, m] == vehicle_drift_bound(t, float(dm[m]), eta, beta)
-                assert got_e[i, m] == edge_drift_bound(t, float(dm[m]), float(Dn[m]), eta, beta)
+                assert got_v[i, m] == drift_bound(t, float(dm[m]), float(dm[m]), eta, beta)
+                assert got_e[i, m] == drift_bound(t, float(dm[m]), float(Dn[m]), eta, beta)
 
     def test_scalar_in_float_out(self):
         assert type(analysis._powi(1.1, 3)) is float
-        assert type(vehicle_drift_bound(3, 0.5, 0.1, 1.0)) is float
+        assert type(drift_bound(3, 0.5, 0.5, 0.1, 1.0)) is float
 
     def test_powi_overflow_saturates(self):
         big = analysis._powi(10.0, np.array([2, 400]))
@@ -159,9 +163,9 @@ class TestDriftBounds:
 
     def test_nonpositive_tau0_rejected(self):
         with pytest.raises(ValueError):
-            vehicle_drift_bound(0, 1.0, 0.1, 1.0)
+            drift_bound(0, 1.0, 1.0, 0.1, 1.0)
         with pytest.raises(ValueError):
-            edge_drift_bound(np.array([3, 0]), 1.0, 0.5, 0.1, 1.0)
+            drift_bound(np.array([3, 0]), 1.0, 0.5, 0.1, 1.0)
         with pytest.raises(ValueError):
             analysis._powi(1.1, np.array([2, -1]))
 
@@ -591,7 +595,8 @@ def loop_vehicle_drift(trace, est, inputs, slack=analysis.DEFAULT_SLACK):
     for tau in range(1, trace.total_iterations + 1):
         tau0 = tau - ((tau - 1) // span) * span
         for m in range(trace.vehicle_gap.shape[0]):
-            bound = vehicle_drift_bound(tau0, est.delta_m[m], inputs.eta, inputs.beta)
+            dm, eta, beta = est.delta_m[m], inputs.eta, inputs.beta
+            bound = dm / beta * (analysis._powi(1 + eta * beta, tau0) - 1.0)
             measured = float(trace.vehicle_gap[m, tau])
             if measured > bound + slack:
                 out.append(("vehicle_drift", {"m": m, "tau": tau, "tau0": tau0},
@@ -613,7 +618,7 @@ def loop_edge_drift(trace, est, inputs, slack=analysis.DEFAULT_SLACK):
             Dn = float(est.Delta_n_bracket[tau // inputs.tau_l, n])
             if np.isnan(dn):
                 continue
-            bound = edge_drift_bound(tau0, dn, Dn, inputs.eta, inputs.beta)
+            bound = drift_bound(tau0, dn, Dn, inputs.eta, inputs.beta)
             if measured > bound + slack:
                 out.append(("edge_drift", {"n": n, "tau": tau, "tau0": tau0},
                             float(measured), bound))
@@ -850,8 +855,8 @@ class TestPlantedViolations:
         tr, est, inputs = suite
         tr = copy.deepcopy(tr)
         m, tau = 5, 9  # tau0 = 9, inside the first cloud epoch
-        tr.vehicle_gap[m, tau] = excess + vehicle_drift_bound(
-            tau, est.delta_m[m], inputs.eta, inputs.beta)
+        tr.vehicle_gap[m, tau] = excess + drift_bound(
+            tau, est.delta_m[m], est.delta_m[m], inputs.eta, inputs.beta)
         got = [(v.where["m"], v.where["tau"]) for v in check_vehicle_drift(tr, est, inputs)]
         assert got == [(m, tau)] * reported
 
@@ -863,7 +868,7 @@ class TestPlantedViolations:
         bracket = tau // inputs.tau_l
         n = int(np.flatnonzero(~np.isnan(tr.edge_gap[:, tau])
                                & ~np.isnan(est.delta_n_bracket[bracket]))[0])
-        tr.edge_gap[n, tau] = excess + edge_drift_bound(
+        tr.edge_gap[n, tau] = excess + drift_bound(
             tau, est.delta_n_bracket[bracket, n], est.Delta_n_bracket[bracket, n],
             inputs.eta, inputs.beta)
         got = [(v.where["n"], v.where["tau"]) for v in check_edge_drift(tr, est, inputs)]
@@ -881,8 +886,8 @@ class TestPlantedViolations:
             """Every edge's bound at tau = j*tau_l under the given bracket."""
             tau = j * inputs.tau_l
             tau0 = tau - ((tau - 1) // span) * span
-            return edge_drift_bound(tau0, est.delta_n_bracket[bracket],
-                                    est.Delta_n_bracket[bracket], inputs.eta, inputs.beta)
+            return drift_bound(tau0, est.delta_n_bracket[bracket],
+                               est.Delta_n_bracket[bracket], inputs.eta, inputs.beta)
 
         j, n = next((j, n) for j in range(1, tr.total_iterations // inputs.tau_l + 1)
                     for n in np.flatnonzero(bounds(j, j) + 1e-6 < bounds(j, j - 1)))

@@ -463,7 +463,7 @@ class TestStrictJson:
         # the start (the origin) posing as the optimum makes phi infinite
         def at_origin(spec, data):
             w = np.zeros(models.param_length(spec))
-            return models.Optimum(w, models.loss(spec, w, data))
+            return models.Optimum(w, models.loss(spec, w, data.features, data.labels))
 
         monkeypatch.setattr(models, "solve_optimum", at_origin)
         assert cli.main(["verify-bounds", "--config", write_cfg(tmp_path, BOUNDS)]) in (0, 5)

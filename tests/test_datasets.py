@@ -65,7 +65,7 @@ class TestGenerateSynthetic:
         spec = models.ModelSpec(models.MULTINOMIAL_LOGISTIC, dim=16, class_count=8,
                                 l2_reg=1e-3)
         opt = models.solve_optimum(spec, ds, grad_tol=1e-6)
-        assert models.accuracy(spec, opt.w, ds) >= 0.90
+        assert models.accuracy(spec, opt.w, ds.features, ds.labels) >= 0.90
 
     def test_clusters_per_class(self):
         ds = generate_synthetic(4, 8, 500, 4.0, seed=1, clusters_per_class=2)

@@ -926,6 +926,46 @@ class TestRun:
         res = run(cfg, shards, spec, init_params_vec=w0)
         assert np.max(np.abs(res.final_state.cloud_params - w0)) < 1e-6
 
+    MLP = models.ModelSpec(models.MLP1, dim=6, class_count=3, l2_reg=0.01, hidden_width=4)
+
+    @pytest.mark.parametrize("spec", [logistic_spec(), MLP], ids=lambda s: s.family)
+    def test_metric_rows_read_union_and_eval_rows(self, spec):
+        # every round's loss is over the training union and its accuracy
+        # over the eval split, both at that round's u
+        shards = make_shards(4)
+        test = datasets.generate_synthetic(3, 6, 20, 3.0, seed=9)
+        union = datasets.union_of_shards(shards)
+        alpha = np.array([s.size for s in shards], dtype=np.float64) / union.n_samples
+        cfg = HflConfig(eta=0.1, tau_l=2, tau_e=2, cloud_epochs=2, batch_size=16, seed=6)
+        for res in engine.edge_rounds(cfg, shards, spec, eval_data=test):
+            u = engine.fleet_averages(alpha[None], res.final_state.vehicle_params)[0]
+            row = res.metrics[-1]
+            assert row.train_loss == models.loss(
+                spec, u, models.model_inputs(spec, union.features), union.labels)
+            assert row.test_accuracy == models.accuracy(
+                spec, u, models.model_inputs(spec, test.features), test.labels)
+
+    @pytest.mark.parametrize("spec", [logistic_spec(), MLP], ids=lambda s: s.family)
+    def test_model_inputs_built_once_per_split(self, spec, monkeypatch):
+        # the model-input rows of the training union and of the eval split
+        # are built once per run, not again for every round's loss and
+        # accuracy; mlp1's hidden activations (width 4) are not counted
+        shards = make_shards(4)
+        test = datasets.generate_synthetic(3, 6, 20, 3.0, seed=9)
+        real, rows = models.model_inputs, []
+
+        def counted(spec, X):
+            if X.shape[-1] == spec.dim:
+                rows.append(X.shape[0])
+            return real(spec, X)
+
+        monkeypatch.setattr(models, "model_inputs", counted)
+        monkeypatch.setattr(engine, "model_inputs", counted)
+        cfg = HflConfig(eta=0.1, tau_l=2, tau_e=2, cloud_epochs=2, batch_size=16, seed=6)
+        res = run(cfg, shards, spec, eval_data=test)
+        assert len(res.metrics) == 4
+        assert rows == [sum(s.size for s in shards), test.n_samples]
+
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):

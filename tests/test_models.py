@@ -8,9 +8,14 @@ from hflsim import datasets, models
 from hflsim.models import (
     MLP1, MULTINOMIAL_LOGISTIC, QUADRATIC,
     ModelSpec, UnsupportedModelError, estimate_constants, gradient_xy,
-    init_params, loss, param_length, read_param_vector, solve_optimum,
+    init_params, param_length, read_param_vector, solve_optimum,
     write_param_vector,
 )
+
+
+def loss(spec, w, ds):
+    """models.loss over a dataset's model-input rows."""
+    return models.loss(spec, w, models.model_inputs(spec, ds.features), ds.labels)
 
 
 def small_dataset(C=4, d=6, n_per=30, seed=3):
@@ -63,6 +68,10 @@ class TestLoss:
         spec = ModelSpec(QUADRATIC, dim=6, class_count=4)
         with pytest.raises(ValueError):
             loss(spec, np.zeros(5), ds)
+        # loss takes model-input rows: an mlp1 row has a ones column
+        mlp = ModelSpec(MLP1, dim=6, class_count=4, hidden_width=5)
+        with pytest.raises(ValueError, match="input width 6 != 7"):
+            models.loss(mlp, np.zeros(param_length(mlp)), ds.features, ds.labels)
 
     def test_one_class_rejected(self):
         # a label is a class id: one class leaves nothing to learn
@@ -155,8 +164,8 @@ def test_folded_mlp1_equals_unfolded_layers(h, c):
             X = 3.0 * g.normal(size=(n, spec.dim))
             y = g.integers(0, c, size=n)
             want_loss, want_g = unfolded_mlp1(spec, w, X, y)
-            np.testing.assert_allclose(models.loss_xy(spec, w, X, y), want_loss,
-                                       rtol=1e-13, atol=1e-15)
+            np.testing.assert_allclose(models.loss(spec, w, models.model_inputs(spec, X), y),
+                                       want_loss, rtol=1e-13, atol=1e-15)
             np.testing.assert_allclose(gradient_xy(spec, w, X, y), want_g, rtol=1e-13, atol=1e-15)
 
 
@@ -203,8 +212,8 @@ class TestShortAxisReductions:
             assert models._class_sum(E).tobytes() == E.sum(axis=-1).tobytes()
 
 
-def parent_loss_xy(spec, w, X, y):
-    """loss_xy of the cross-entropy families, written with numpy's own
+def numpy_loss(spec, w, X, y):
+    """models.loss of the cross-entropy families, written with numpy's own
     reductions: the reference for the helpers' order, not for the layer
     formula, so the mlp1 logits are the folded blocks' products."""
     n = X.shape[0]
@@ -221,7 +230,7 @@ def parent_loss_xy(spec, w, X, y):
 
 @pytest.mark.parametrize("c", [2, 4, 7, 8, 10])
 @pytest.mark.parametrize("family", [MULTINOMIAL_LOGISTIC, MLP1])
-def test_loss_xy_equals_numpy_reductions(family, c):
+def test_loss_equals_numpy_reductions(family, c):
     spec = ModelSpec(family, dim=5, class_count=c, l2_reg=0.03,
                      hidden_width=7 if family == MLP1 else 0)
     g = np.random.default_rng(c)
@@ -230,7 +239,8 @@ def test_loss_xy_equals_numpy_reductions(family, c):
             w = 2.0 * g.normal(size=param_length(spec))
             X = 3.0 * g.normal(size=(n, spec.dim))
             y = g.integers(0, c, size=n)
-            assert models.loss_xy(spec, w, X, y).hex() == parent_loss_xy(spec, w, X, y).hex()
+            got = models.loss(spec, w, models.model_inputs(spec, X), y)
+            assert got.hex() == numpy_loss(spec, w, X, y).hex()
 
 
 class TestWorkspaceMatchesGradientXy:
