@@ -100,9 +100,13 @@ MUTATIONS = [
              "return np.linalg.norm(D, axis=1)",
              TEST_ENGINE + "::TestBatchedMeasurement::test_row_norms_match_linalg_norm"),
     # a round's training loss taken over the eval split
-    Mutation(ENGINE, "round_loss = loss(spec, u, X, fleet.labels)",
-             "round_loss = loss(spec, u, eX, eval_data.labels)",
+    Mutation(ENGINE, "round_loss = union_eval.loss(u)", "round_loss = split_eval.loss(u)",
              TEST_ENGINE + "::TestRun::test_metric_rows_read_union_and_eval_rows"),
+    # the terms of a call taken as many rows as the reused buffer holds,
+    # not as B has
+    Mutation(ENGINE, "    K = B.shape[0]\n",
+             "    K = B.shape[0] if terms is None else len(terms) // (M * P)\n",
+             TEST_ENGINE + "::TestBatchedMeasurement::test_fleet_averages_edge_shapes"),
     # one permutation reused for every pass of a chunk
     Mutation(ENGINE, "perms = g.permuted(np.tile(rows, (passes, 1)), axis=1)",
              "perms = np.tile(g.permutation(rows), (passes, 1))",
@@ -111,11 +115,13 @@ MUTATIONS = [
     Mutation(MODELS, "return np.add(self._base, y, out=self._label)",
              "return self._label if self._label.any() else np.add(self._base, y, out=self._label)",
              TEST_ENGINE + "::TestFleetStepMatchesGradientXy::test_steps_equal_gradient_xy_loop"),
-    # the workspace's ones column of the activations left as tanh(1)
-    Mutation(MODELS, "        Z1[..., -1] = 1.0  # the ones column",
-             "        pass  # the ones column",
+    # the ones column of the activations left as tanh(1), which the step's
+    # gradient and the evaluation's loss and accuracy each catch
+    Mutation(MODELS, "    Z1[..., -1] = 1.0  # the ones column", "    pass  # the ones column",
              "tests/test_models.py::TestWorkspaceMatchesGradientXy"
              "::test_rows_equal_looped_gradient_xy_bitwise"),
+    Mutation(MODELS, "    Z1[..., -1] = 1.0  # the ones column", "    pass  # the ones column",
+             "tests/test_models.py::test_loss_equals_numpy_reductions"),
     # an mlp1 layer's bias met by a zeros column; the loss shares the
     # fault, so only the unfolded layer algebra tells it apart
     Mutation(MODELS, "np.ones(X.shape[:-1] + (1,))", "np.zeros(X.shape[:-1] + (1,))",

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import rng
 from .datasets import union_of_shards
-from .models import (GradientWorkspace, accuracy, init_params, loss, model_inputs, param_length,
+from .models import (EvalWorkspace, GradientWorkspace, init_params, model_inputs, param_length,
                      quadratic_targets, row_norms, write_param_vector, read_param_vector)
 
 CHECKPOINT_MAGIC = b"HFLCKPT1"
@@ -203,7 +203,7 @@ def membership_weights(edge_of, sizes, edge_count):
     return A, totals / sizes.sum()
 
 
-def fleet_averages(B, W):
+def fleet_averages(B, W, terms=None):
     """sum_m B[i, m] * W[m] for every row i of B (K, M): a sum from +0.0
     over the vehicles in id order, so every aggregate is bit-reproducible.
     numpy sums the vehicle-major terms over the leading axis in that
@@ -212,9 +212,18 @@ def fleet_averages(B, W):
     accumulated. While W is finite this equals a loop that skips the zero
     weights: a zero weight adds a signed zero, which can leave -0.0 where
     the loop gives +0.0, and the final + 0.0 turns it back. (A zero
-    weight times inf is NaN, where the loop skips the row.)"""
-    terms = np.multiply(B.T[:, :, None], W[:, None, :], order="C")  # (M, K, P)
-    total = np.cumsum(terms, axis=0)[-1] if terms[0].size == 1 else terms.sum(axis=0)
+    weight times inf is NaN, where the loop skips the row.)
+
+    The terms are one einsum, written into terms, a flat buffer of at
+    least B.size * P entries, when given, so a caller that averages at
+    every round builds it once (numpy's multiply would give its broadcast
+    factor a temporary buffer at every call). einsum writes a -0.0 product
+    as +0.0, which changes only the sign of a zero sum."""
+    M, P = W.shape
+    K = B.shape[0]
+    out = np.empty((M, K, P)) if terms is None else terms[:M * K * P].reshape(M, K, P)
+    terms = np.einsum("km,mp->mkp", B, W, out=out)  # vehicle-major
+    total = np.cumsum(terms, axis=0)[-1] if K * P == 1 else terms.sum(axis=0)
     return total + 0.0
 
 
@@ -290,10 +299,12 @@ def edge_rounds(config, shards, spec, association=None, edge_count=1, *,
     Each local iteration is one FleetStep.step over all vehicles; the step,
     the training loss and the centralized descent read the model-input rows
     of the shards stacked in id order, and the accuracy those of eval_data,
-    each built once per run.
+    each built once per run. The loss and the accuracy of every round's u
+    are one models.EvalWorkspace per split, built once per run.
     Every round boundary takes two fleet_averages, before and after the
-    aggregation, and the recording measures those same averages, so
-    config.record_virtual changes no training bit.
+    aggregation, into one terms buffer built once per run, and the
+    recording measures those same averages, so config.record_virtual
+    changes no training bit.
     After every edge round yields one RunResult, updated in place: the
     metrics rows (the last is this round's), the loop's state as
     final_state, per-epoch cloud/vehicle-average consistency, and the
@@ -334,8 +345,10 @@ def edge_rounds(config, shards, spec, association=None, edge_count=1, *,
     sampler = None if config.full_batch else BatchSampler(counts, config.batch_size, config.seed)
     fleet = union_of_shards(shards)
     X = model_inputs(spec, fleet.features)
-    eX = None if eval_data is None else model_inputs(spec, eval_data.features)
     local = FleetStep(spec, W, X, fleet.labels, counts, sampler)
+    union_eval = EvalWorkspace(spec, X, fleet.labels) if train_loss else None
+    split_eval = None if eval_data is None else EvalWorkspace(
+        spec, model_inputs(spec, eval_data.features), eval_data.labels)
 
     # weights of the association in force, and B, the weights of u (row 0)
     # and of every edge's average; refreshed at every round boundary
@@ -343,6 +356,7 @@ def edge_rounds(config, shards, spec, association=None, edge_count=1, *,
     B = np.vstack([alpha, A])
 
     record = config.record_virtual
+    chunk = 1
     if record:
         # the centralized descent runs on the whole union as one fleet row
         uX, uy = X[None], fleet.labels[None]
@@ -371,6 +385,9 @@ def edge_rounds(config, shards, spec, association=None, edge_count=1, *,
         trace.u_cloud[0] = w0
     else:
         trace = None
+    # the terms of every fleet_averages call: the round boundary's
+    # (M, N + 1, P), or a chunk of the recording's snapshots
+    terms = np.empty(B.size * chunk * P)
 
     def store(taus, Ws, avgs, ref, pre, post):
         """Record S snapshots of the fleet, Ws (M, S, P), for the iterations
@@ -417,7 +434,8 @@ def edge_rounds(config, shards, spec, association=None, edge_count=1, *,
                         # concatenated rows, which keeps every row's bits
                         taus = slice(state.tau - held + 1, state.tau + 1)
                         Ws = snaps[:, :held]
-                        avgs = fleet_averages(B, Ws.reshape(M, held * P)).reshape(-1, held, P)
+                        avgs = fleet_averages(B, Ws.reshape(M, held * P), terms)
+                        avgs = avgs.reshape(-1, held, P)
                         store(taus, Ws, avgs, trace.vtilde[taus], pre=True, post=True)
         # round boundary: the new association takes effect, then aggregation
         edge_of = association[j]
@@ -425,12 +443,14 @@ def edge_rounds(config, shards, spec, association=None, edge_count=1, *,
         B = np.vstack([alpha, A])
         is_cloud = (j % tau_e == 0)
         here = slice(state.tau, state.tau + 1)
-        avgs = fleet_averages(B, W)  # u_pre, then every edge's average
+        avgs = fleet_averages(B, W, terms)  # u_pre, then every edge's average
         if record:
             store(here, W[:, None], avgs[:, None], v, pre=True, post=False)  # v is vtilde
 
         edge_params[:] = avgs[1:]
-        W[:] = edge_params[edge_of]
+        # every edge id is in range; take's default mode would copy its
+        # output through a temporary
+        edge_params.take(edge_of, axis=0, out=W, mode="clip")
 
         if is_cloud:
             cloud = state.cloud_params = cloud_aggregate(edge_params, theta)
@@ -441,7 +461,7 @@ def edge_rounds(config, shards, spec, association=None, edge_count=1, *,
 
         # only the recording reads the edge averages; each row is summed on
         # its own, so B[:1] gives u bit for bit
-        avgs = fleet_averages(B if record else B[:1], W)
+        avgs = fleet_averages(B if record else B[:1], W, terms)
         u = avgs[0]
         if record:
             # at a cloud instant v synchronizes exactly to u
@@ -451,8 +471,8 @@ def edge_rounds(config, shards, spec, association=None, edge_count=1, *,
             if is_cloud:
                 trace.u_cloud[k] = u
 
-        round_loss = loss(spec, u, X, fleet.labels) if train_loss else float("nan")
-        test_acc = float("nan") if eX is None else accuracy(spec, u, eX, eval_data.labels)
+        round_loss = union_eval.loss(u) if train_loss else float("nan")
+        test_acc = float("nan") if split_eval is None else split_eval.accuracy(u)
         gap = trace.gap_u_vtilde[state.tau] if record else float("nan")
         result.metrics.append(MetricsRow(
             cloud_epoch=(j + tau_e - 1) // tau_e, edge_round=j, iteration=state.tau,

@@ -161,34 +161,98 @@ def _mlp_unpack(spec, w):
     return w[..., :i].reshape(lead + (d + 1, h)), w[..., i:].reshape(lead + (h + 1, c))
 
 
-def _logits(spec, w, X):
-    """Class scores of the model-input rows X (model_inputs of the
-    features)."""
-    _check_dims(spec, w, X, spec.dim + (spec.family == MLP1))  # mlp1's ones column
-    if spec.family == MLP1:
-        B1, B2 = _mlp_unpack(spec, w)
-        return model_inputs(spec, np.tanh(X @ B1)) @ B2
-    return X @ w.reshape(spec.dim, spec.class_count)
-
-
 def loss(spec, w, X, y):
     """Mean per-sample loss over the model-input rows X and their labels
-    y, plus the l2 term."""
-    n = X.shape[0]
-    logits = _logits(spec, w, X)
-    reg = 0.5 * spec.l2_reg * float(w @ w)
-    if spec.family == QUADRATIC:
-        R = logits - quadratic_targets(spec, y)
-        return 0.5 * float((R * R).sum()) / n + reg
-    zmax = _class_max(logits)
-    lse = zmax + np.log(_class_sum(np.exp(logits - zmax[:, None])))
-    return float((lse - logits[np.arange(n), y]).mean()) + reg
+    y, plus the l2 term: EvalWorkspace.loss for a single evaluation."""
+    return EvalWorkspace(spec, X, y).loss(w)
 
 
 def accuracy(spec, w, X, y):
     """Share of the model-input rows X whose highest class score is their
-    label y."""
-    return float(np.mean(np.argmax(_logits(spec, w, X), axis=1) == y))
+    label y: EvalWorkspace.accuracy for a single evaluation."""
+    return EvalWorkspace(spec, X, y).accuracy(w)
+
+
+def _mlp_scores(X, B1, B2, Z1, out):
+    """mlp1 class scores of the model-input rows X (..., n, d + 1) into out
+    (..., n, c), leaving the hidden activations and their ones column in
+    Z1 (..., n, h + 1), C-contiguous. The product fills Z1's first h
+    columns; tanh over the whole buffer is faster than over the view and
+    keeps a fresh product's bits, and the last column is set back to ones
+    after it (a gradient's derivative pass overwrites it too)."""
+    np.matmul(X, B1, out=Z1[..., :-1])
+    np.tanh(Z1, out=Z1)
+    Z1[..., -1] = 1.0  # the ones column
+    return np.matmul(Z1, B2, out=out)
+
+
+class EvalWorkspace:
+    """The loss and the accuracy at any parameter vector over fixed
+    model-input rows X (n, .) and their labels y (n,), on buffers built
+    once, for a caller that evaluates many vectors on the same rows (a
+    run's training union and eval split at every edge round).
+
+    The workspace holds the class scores, their residuals or
+    exponentials, two row buffers, the argmax and hit rows, the quadratic
+    targets or the flat label index, and for mlp1 the hidden activations
+    with their ones column. Every result equals the one the 2-D numpy
+    formula gives on fresh arrays, bit for bit: the same products, the
+    reductions in numpy's order (_class_max, _class_sum), and mlp1's
+    forward pass in _mlp_scores, which GradientWorkspace shares.
+    """
+
+    def __init__(self, spec, X, y):
+        n, c, h = X.shape[0], spec.class_count, spec.hidden_width
+        y = np.asarray(y)
+        if y.shape != (n,):
+            raise ValueError(f"labels {y.shape} do not match {n} rows")
+        if n and (y.min() < 0 or y.max() >= c):
+            raise ValueError(f"labels outside [0, {c})")
+        self.spec, self.X, self.y, self.n = spec, X, y, n
+        self._width = spec.dim + (spec.family == MLP1)  # mlp1's ones column
+        self._scores, self._work = np.empty((n, c)), np.empty((n, c))
+        self._rows, self._lse = np.empty(n), np.empty(n)
+        self._best, self._hit = np.empty(n, dtype=np.intp), np.empty(n, dtype=bool)
+        self._targets = quadratic_targets(spec, y)
+        self._label = None if self._targets is not None else _label_index(y, c)
+        if spec.family == MLP1:
+            self._Z1 = np.ones((n, h + 1))
+
+    def _class_scores(self, w):
+        spec = self.spec
+        _check_dims(spec, w, self.X, self._width)
+        if spec.family != MLP1:
+            return np.matmul(self.X, w.reshape(spec.dim, spec.class_count), out=self._scores)
+        return _mlp_scores(self.X, *_mlp_unpack(spec, w), self._Z1, self._scores)
+
+    def loss(self, w):
+        """Mean per-sample loss at w plus the l2 term."""
+        S = self._class_scores(w)
+        reg = 0.5 * self.spec.l2_reg * float(w @ w)
+        if self._targets is not None:
+            R = np.subtract(S, self._targets, out=self._work)
+            R *= R
+            return 0.5 * float(R.sum()) / self.n + reg
+        zmax = _class_max(S, self._rows)
+        # the row maxima spread over the rows first: numpy would give the
+        # broadcast operand a temporary buffer of its own
+        E = self._work
+        np.copyto(E, zmax[:, None])
+        np.subtract(S, E, out=E)
+        np.exp(E, out=E)
+        lse = _class_sum(E, self._lse)
+        np.log(lse, out=lse)
+        lse += zmax
+        # each label's score, into zmax's spent buffer; every label was
+        # checked in range, and take's default mode would copy through a
+        # temporary
+        lse -= S.reshape(-1).take(self._label, out=self._rows, mode="clip")
+        return float(lse.mean()) + reg
+
+    def accuracy(self, w):
+        """Share of the rows whose highest class score at w is their label."""
+        best = np.argmax(self._class_scores(w), axis=1, out=self._best)
+        return np.count_nonzero(np.equal(best, self.y, out=self._hit)) / self.n
 
 
 def gradient_xy(spec, w, X, y):
@@ -255,8 +319,6 @@ class GradientWorkspace:
             self._W2T = np.swapaxes(self._B2[:, :h], 1, 2)
             self._gB1, self._gB2 = _mlp_unpack(spec, self.g)
             self._reg = np.empty((M, P))
-            # the product fills Z1's first h columns, and its last is the ones
-            # column; tanh over the whole buffer is faster than over the view
             self._Z1, self._dZ = np.ones((M, n, h + 1)), np.empty((M, n, h))
             self._Z, self._Z1T = self._Z1[..., :h], np.swapaxes(self._Z1, 1, 2)
 
@@ -278,10 +340,7 @@ class GradientWorkspace:
                               label=label, rows=self._rows, reg=self._reg)
             return self.g
         Z1 = self._Z1
-        np.matmul(X, self._B1, out=self._Z)
-        np.tanh(Z1, out=Z1)
-        Z1[..., -1] = 1.0  # the ones column, after tanh and the derivative below
-        S = np.matmul(Z1, self._B2, out=self._S)
+        S = _mlp_scores(X, self._B1, self._B2, Z1, self._S)
         _softmax(S, self._rows)
         S.reshape(-1)[self._labels(y)] -= 1.0
         S /= self.n

@@ -352,8 +352,9 @@ class TestCmdVerifyBounds:
         # no bound reads one; a plain run on the same config computes one
         # per edge round
         calls = []
-        real = engine.accuracy
-        monkeypatch.setattr(engine, "accuracy", lambda *a: calls.append(a) or real(*a))
+        real = models.EvalWorkspace.accuracy
+        monkeypatch.setattr(models.EvalWorkspace, "accuracy",
+                            lambda *a: calls.append(a) or real(*a))
         path = write_cfg(tmp_path, MOBILE)
         assert cli.main(["verify-bounds", "--config", path]) == 0
         assert calls == []

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 from dataclasses import astuple, fields, replace
 
 import numpy as np
@@ -289,15 +290,20 @@ class TestBatchedMeasurement:
                                          (20, 1, 6), (33, 2, 212)])
     def test_fleet_averages_edge_shapes(self, M, K, P):
         # P == 1 with K == 1 is one contiguous column of terms, which numpy
-        # alone would add pairwise; the loop adds them in order
+        # alone would add pairwise; the loop adds them in order. A terms
+        # buffer reused by every call, larger than any needs and holding
+        # the call before's entries, gives the same bytes
         g = np.random.default_rng(M * 100 + K * 10 + P)
         W = g.normal(size=(M, P)) * 10.0 ** g.integers(-8, 8, size=(M, 1))
         cases = [g.random((K, M)), np.zeros((K, M)), g.random((K, M)) * (g.random((K, M)) < 0.5)]
+        terms = np.full(M * (K + 2) * P, np.nan)
         for B in cases:
             for rows in (W, -np.abs(W), np.full((M, P), -0.0)):
-                got = engine.fleet_averages(B, rows)
                 want = np.stack([weighted_sum(b, rows) for b in B])
-                assert got.tobytes() == want.tobytes()
+                assert engine.fleet_averages(B, rows).tobytes() == want.tobytes()
+                for Bk in (B, B[:1]):
+                    got = engine.fleet_averages(Bk, rows, terms)
+                    assert got.tobytes() == want[:len(Bk)].tobytes()
 
     def test_first_row_alone_equals_the_full_call(self):
         # a run without recording averages only u, B's first row
@@ -965,6 +971,35 @@ class TestRun:
         res = run(cfg, shards, spec, eval_data=test)
         assert len(res.metrics) == 4
         assert rows == [sum(s.size for s in shards), test.n_samples]
+
+
+def test_round_boundary_reuses_its_buffers():
+    # the train workload's shapes: a 1,600-row union on 32 vehicles and a
+    # 400-row eval split, mlp1 with 16 hidden units, 4 edges, batches of
+    # 20, no recording. The loss, the accuracy and the fleet averages of
+    # every round run on buffers built once per run, so after the first
+    # round no round's allocations peak near the union's size (the (1600,
+    # 17) activations alone are 212 KiB; fresh arrays took 432 KiB a round)
+    full = datasets.generate_synthetic(4, 8, 500, 4.0, seed=1)
+    train, test = datasets.train_test_split(full, 0.2, 1)
+    shards, _ = datasets.partition(train, datasets.PartitionSpec(
+        datasets.EDGE_NONIID, vehicle_count=32, edge_count=4, classes_per_unit=1, seed=1))
+    spec = models.ModelSpec(models.MLP1, dim=8, class_count=4, hidden_width=16)
+    cfg = HflConfig(eta=0.1, tau_l=6, tau_e=10, cloud_epochs=2, batch_size=20, seed=4)
+    assoc = np.random.default_rng(0).integers(0, 4, size=(cfg.cloud_epochs * cfg.tau_e + 1, 32))
+    assert datasets.union_of_shards(shards).n_samples == 1600
+    peaks = []
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in engine.edge_rounds(cfg, shards, spec, assoc, 4, eval_data=test):
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 20
+    assert max(peaks[1:]) < 192 * 1024, [p // 1024 for p in peaks]
 
 
 class TestCheckpoint:

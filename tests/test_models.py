@@ -72,6 +72,8 @@ class TestLoss:
         mlp = ModelSpec(MLP1, dim=6, class_count=4, hidden_width=5)
         with pytest.raises(ValueError, match="input width 6 != 7"):
             models.loss(mlp, np.zeros(param_length(mlp)), ds.features, ds.labels)
+        with pytest.raises(ValueError, match="labels outside"):
+            models.EvalWorkspace(spec, ds.features, ds.labels + 1)
 
     def test_one_class_rejected(self):
         # a label is a class id: one class leaves nothing to learn
@@ -212,35 +214,55 @@ class TestShortAxisReductions:
             assert models._class_sum(E).tobytes() == E.sum(axis=-1).tobytes()
 
 
-def numpy_loss(spec, w, X, y):
-    """models.loss of the cross-entropy families, written with numpy's own
-    reductions: the reference for the helpers' order, not for the layer
-    formula, so the mlp1 logits are the folded blocks' products."""
+def numpy_logits(spec, w, X):
+    """Class scores of the feature rows X on fresh arrays; the mlp1 logits
+    are the folded blocks' products."""
     n = X.shape[0]
     if spec.family == MLP1:
         B1, B2 = models._mlp_unpack(spec, w)
         Z = np.tanh(np.column_stack([X, np.ones(n)]) @ B1)
-        logits = np.column_stack([Z, np.ones(n)]) @ B2
-    else:
-        logits = X @ w.reshape(spec.dim, spec.class_count)
+        return np.column_stack([Z, np.ones(n)]) @ B2
+    return X @ w.reshape(spec.dim, spec.class_count)
+
+
+def numpy_loss(spec, w, X, y):
+    """models.loss written with numpy's own reductions on fresh arrays: the
+    reference for the helpers' order and for the workspace's reused
+    buffers, not for the layer formula."""
+    n = X.shape[0]
+    logits = numpy_logits(spec, w, X)
+    reg = 0.5 * spec.l2_reg * float(w @ w)
+    if spec.family == QUADRATIC:
+        T = np.eye(spec.class_count)[y]
+        return float(0.5 * ((logits - T) ** 2).sum() / n) + reg
     zmax = logits.max(axis=1)
     lse = zmax + np.log(np.exp(logits - zmax[:, None]).sum(axis=1))
-    return float((lse - logits[np.arange(n), y]).mean()) + 0.5 * spec.l2_reg * float(w @ w)
+    return float((lse - logits[np.arange(n), y]).mean()) + reg
 
 
 @pytest.mark.parametrize("c", [2, 4, 7, 8, 10])
-@pytest.mark.parametrize("family", [MULTINOMIAL_LOGISTIC, MLP1])
+@pytest.mark.parametrize("family", models.FAMILIES)
 def test_loss_equals_numpy_reductions(family, c):
+    # one EvalWorkspace takes five parameter vectors in turn, so a buffer
+    # left stale by the call before, or a ones column not restored after
+    # tanh, shows; models.loss and models.accuracy build one per call
     spec = ModelSpec(family, dim=5, class_count=c, l2_reg=0.03,
                      hidden_width=7 if family == MLP1 else 0)
     g = np.random.default_rng(c)
     for n in (1, 9, 40):
+        X = 3.0 * g.normal(size=(n, spec.dim))
+        y = g.integers(0, c, size=n)
+        X1 = models.model_inputs(spec, X)
+        ws = models.EvalWorkspace(spec, X1, y)
         for _ in range(5):
             w = 2.0 * g.normal(size=param_length(spec))
-            X = 3.0 * g.normal(size=(n, spec.dim))
-            y = g.integers(0, c, size=n)
-            got = models.loss(spec, w, models.model_inputs(spec, X), y)
-            assert got.hex() == numpy_loss(spec, w, X, y).hex()
+            want_loss = numpy_loss(spec, w, X, y)
+            want_acc = float(np.mean(np.argmax(numpy_logits(spec, w, X), 1) == y))
+            for got_loss, got_acc in ((ws.loss(w), ws.accuracy(w)),
+                                      (models.loss(spec, w, X1, y),
+                                       models.accuracy(spec, w, X1, y))):
+                assert got_loss.hex() == want_loss.hex()
+                assert got_acc.hex() == want_acc.hex()
 
 
 class TestWorkspaceMatchesGradientXy:
