@@ -151,6 +151,24 @@ MUTATIONS = [
              "                p.append(f\"[{section}] seed must be < 2**64\")\n",
              "",
              "tests/test_config_cli.py::TestExitCodes::test_seed_of_64_bits_or_more"),
+    # a config file that is not UTF-8 left to the decoder's traceback
+    Mutation("src/hflsim/config.py",
+             "    try:\n"
+             "        text = raw.decode(\"utf-8\")\n"
+             "    except UnicodeDecodeError as e:\n"
+             "        line = raw.count(b\"\\n\", 0, e.start) + 1\n"
+             "        raise ConfigError([f\"line {line}: not UTF-8 text\"]) from None\n",
+             "    text = raw.decode(\"utf-8\")\n",
+             "tests/test_config_cli.py::TestExitCodes::test_file_not_utf8[config]"),
+    # and a CSV dataset that is not UTF-8
+    Mutation("src/hflsim/datasets.py",
+             "    try:\n"
+             "        text = raw.decode(\"utf-8\")\n"
+             "    except UnicodeDecodeError as e:\n"
+             "        row = raw.count(b\"\\n\", 0, e.start) + 1\n"
+             "        raise CsvFormatError(f\"row {row}: not UTF-8 text\") from None\n",
+             "    text = raw.decode(\"utf-8\")\n",
+             "tests/test_config_cli.py::TestExitCodes::test_file_not_utf8[csv]"),
 ]
 
 

@@ -6,14 +6,15 @@ under each of its VARIANTS, and with --base, the same bytes as commit REV.
     python3 scripts/same_outputs.py --base REV
 
 A case is one command: its config (a perfbench workload's, written as
-perfbench writes it, or inline text), seed, flags, expected exit code and
-output files. Where perfbench runs the command, the flags and the output
-files are the workload's. Each case first runs as `python -m hflsim` under one
-OpenBLAS thread; each of its variants changes one thing in that run, and
-everything the run leaves must be byte-identical to the first: the exit
-code, stdout and every output file. The variants are two OpenBLAS
-threads, the installed `hflsim` script (not run when no `hflsim` is on
-PATH), `--parallel 2` for a sweep, and a plain repeat.
+perfbench writes it, or config text, read from a file in configs/), seed,
+flags, expected exit code and output files. Where perfbench runs the
+command, the flags and the output files are the workload's. Each case
+first runs as `python -m hflsim` under one OpenBLAS thread; each of its
+variants changes one thing in that run, and everything the run leaves
+must be byte-identical to the first: the exit code, stdout and every
+output file. The variants are two OpenBLAS threads, the installed
+`hflsim` script (not run when no `hflsim` is on PATH), `--parallel 2` for
+a sweep, and a plain repeat.
 
 With --base, the src/ of commit REV is unpacked from `git archive` into a
 temporary directory (nothing is added to the repository or its worktree
@@ -67,27 +68,7 @@ PARTITION_FILES = ("partition.csv", "mobility_trace.csv")
 
 # No perfbench workload verifies a logistic model: the probes' broadcast
 # softmax path on a small mobile config with two shard sizes.
-LOGISTIC = """
-[dataset]
-classes = 4
-dim = 6
-samples_per_class = 30
-[partition]
-regime = iid
-vehicles = 7
-[mobility]
-edges = 4
-speed = 30.0
-p_turn = 0.3
-[hfl]
-eta = 0.05
-tau_l = 3
-tau_e = 4
-cloud_epochs = 3
-[model]
-family = multinomial_logistic
-l2_reg = 0.05
-"""
+LOGISTIC = (ROOT / "configs/logistic.cfg").read_text()
 
 # No perfbench sweep is convex or recorded: the ceiling is the optimum's
 # accuracy, and every distinct cell estimates divergence constants.
@@ -97,29 +78,11 @@ LOGISTIC_SWEEP = (LOGISTIC.replace("[dataset]\n", "[dataset]\nseparation = 1.0\n
 # No perfbench config mixes shuffling and whole-shard vehicles: the shards
 # hold 13 and 12 rows in turn under batch 12, so the step runs both kinds
 # of group, and neither group's ids are a run, so both take the copy path.
-INTERLEAVED = """
-[dataset]
-classes = 4
-dim = 6
-samples_per_class = 31
-[partition]
-regime = edge_noniid
-vehicles = 8
-[mobility]
-edges = 4
-speed = 30.0
-side_length = 200.0
-[hfl]
-eta = 0.05
-tau_l = 3
-tau_e = 4
-cloud_epochs = 3
-batch_size = 12
-[model]
-family = mlp1
-l2_reg = 0.01
-hidden_width = 5
-"""
+INTERLEAVED = (ROOT / "configs/interleaved.cfg").read_text()
+
+# On perfbench's verify config epsilon clamps to 1e-12 and the gap bound
+# never applies; here all of its conditions hold (the acceptance suite's A4).
+GAP_BOUND = (ROOT / "configs/gap_bound.cfg").read_text()
 
 
 @dataclass(frozen=True)
@@ -166,6 +129,7 @@ CASES = [
     Case("verify-nan", [*VERIFY.command, *NAN_SCALE], VERIFY.name, 1, exit=2,
          variants=("repeat",)),
     Case("verify-logistic-1", VERIFY.command, LOGISTIC, 1, VERIFY.outputs),
+    Case("verify-gap-1", VERIFY.command, GAP_BOUND, 1, VERIFY.outputs),
     # the sweep config has a duplicate pair (speed 0 under edge_noniid), so
     # the pool's one-run-per-schedule grouping meets the serial loop
     Case("sweep-1", SWEEP.command, SWEEP.name, 1, SWEEP.outputs, variants=("parallel",)),

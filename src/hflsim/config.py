@@ -133,8 +133,15 @@ def parse_config(text):
 
 
 def load_config(path):
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_config(f.read())
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = raw.count(b"\n", 0, e.start) + 1
+        raise ConfigError([f"line {line}: not UTF-8 text"]) from None
+    # newline=None: universal newlines, as a text-mode read gives them
+    return parse_config(io.StringIO(text, newline=None).read())
 
 
 def serialize_config(cfg, exclude=()):

@@ -7,6 +7,7 @@ Partitions are exact: the multiset of samples across shards equals the
 """
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -309,10 +310,17 @@ def shared_input_shards(vehicle_count, edge_count, classes_per_edge, class_count
 
 def load_csv(path):
     """Read a dataset: one sample per row, last column an integer label."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        row = raw.count(b"\n", 0, e.start) + 1
+        raise CsvFormatError(f"row {row}: not UTF-8 text") from None
     rows = []
     labels = []
     width = None
-    with open(path, "r", encoding="utf-8", newline="") as f:
+    with io.StringIO(text, newline="") as f:
         for i, row in enumerate(csv.reader(f), start=1):
             if not row:
                 raise CsvFormatError(f"row {i}: empty row")

@@ -1086,6 +1086,20 @@ class TestExitCodes:
         assert "[model] l2_reg = 0 leaves the multinomial_logistic loss without a minimizer" \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("file, where", [("exp.cfg", "line 3"), ("d.csv", "row 150")],
+                             ids=["config", "csv"])
+    def test_file_not_utf8(self, tmp_path, capsys, file, where):
+        # one 0xff byte on the third line of the config, or in row 150 of
+        # its CSV dataset, past the first 8 KiB: exit 2 naming where, not a
+        # traceback
+        path = csv_config(tmp_path, 4, per_class=50)
+        lines = (tmp_path / file).read_bytes().split(b"\n")
+        lines[int(where.split()[1]) - 1] += b"\xff"
+        (tmp_path / file).write_bytes(b"\n".join(lines))
+        assert cli.main(["run", "--config", path]) == 2
+        assert f"{where}: not UTF-8 text" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_negative_seed_and_rounds(self, tmp_path, capsys):
         path = write_cfg(tmp_path, MOBILE)
         assert cli.main(["run", "--config", path, "--seed", "-1"]) == 2

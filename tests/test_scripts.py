@@ -1,17 +1,21 @@
-"""Smoke tests of the experiment scripts: each runs as a program, exits 0
-and writes its outputs where --out points. The mutation script is only
-checked for stale entries, and the output-equality script through its
-runner on one small case; CI runs both in full."""
+"""The config catalog and the scripts. Every catalog file runs, at two
+cloud epochs, the command its first line gives. The mutation script is
+only checked for stale entries, and the output-equality script through
+its runner on one small case; CI runs both in full."""
 
 import csv
 import importlib.util
 import os
-import subprocess
-import sys
+import shlex
+from glob import glob
 
 import pytest
 
-SCRIPTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "scripts")
+from hflsim import cli, config
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+SCRIPTS = os.path.join(ROOT, "scripts")
+CATALOG = sorted(glob(os.path.join(ROOT, "configs", "*.cfg")))
 
 
 TINY = """
@@ -31,41 +35,44 @@ batch_size = 5
 """
 
 
-def script(name, *args, cwd):
-    # the scripts put src/ on sys.path themselves
-    return subprocess.run([sys.executable, os.path.join(SCRIPTS, name), *args], cwd=cwd,
-                          capture_output=True, text=True, timeout=300)
+def rows(path):
+    with open(path) as f:
+        return list(csv.reader(f))
 
 
-def test_bound_check_demo(tmp_path):
-    proc = script("bound_check_demo.py", "--epochs", "2", "--out", str(tmp_path / "b"),
-                  cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.count("all bound inequalities hold") == 2
-    for speed in ("v0", "v30"):
-        with open(tmp_path / "b" / speed / "bound_report.csv") as f:
-            assert len(list(csv.reader(f))) == 1 + 2
-        assert (tmp_path / "b" / speed / "bound_summary.json").exists()
-
-
-def test_full_scale_run(tmp_path):
-    proc = script("full_scale_run.py", "--epochs", "2", "--out", str(tmp_path / "f"),
-                  cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    with open(tmp_path / "f" / "metrics.csv") as f:
-        assert len(list(csv.reader(f))) == 1 + 2 * 10
-    assert (tmp_path / "f" / "checkpoint.bin").exists()
-
-
-@pytest.mark.slow
-def test_speed_sweep(tmp_path):
-    proc = script("speed_sweep.py", "--speeds", "0,30", "--seeds", "1",
-                  "--out", str(tmp_path / "s"), cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    with open(tmp_path / "s" / "sweep.csv") as f:
-        assert [r[:2] for r in list(csv.reader(f))[1:]] == [["0.0", "1"], ["30.0", "1"]]
-    for name in ("sweep_summary.csv", "sweep_manifest.json"):
-        assert (tmp_path / "s" / name).exists()
+@pytest.mark.parametrize("path", CATALOG, ids=os.path.basename)
+def test_catalog_file_runs_its_command(path, tmp_path, capsys):
+    # the first line is the command README lists; here it runs on the file
+    # with cloud_epochs cut to 2 and --out in tmp_path
+    with open(path) as f:
+        command = f.readline().removeprefix("# ").strip()
+    with open(os.path.join(ROOT, "README.md")) as f:
+        assert command in f.read()
+    name, *argv = shlex.split(command)
+    assert name == "hflsim"
+    at = argv.index("--config") + 1
+    assert argv[at] == "configs/" + os.path.basename(path)
+    cfg = config.load_config(path)
+    config.validate(cfg)
+    K = cfg.hfl.cloud_epochs = min(cfg.hfl.cloud_epochs, 2)
+    argv[at] = str(tmp_path / "small.cfg")
+    (tmp_path / "small.cfg").write_text(config.serialize_config(cfg))
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    if argv[0] == "run":
+        assert len(rows(out / "metrics.csv")) == 1 + K * cfg.hfl.tau_e
+        assert (out / "checkpoint.bin").exists()
+    elif argv[0] == "verify-bounds":
+        assert capsys.readouterr().out.count("all bound inequalities hold") == 1
+        assert len(rows(out / "bound_report.csv")) == 1 + K
+        assert (out / "bound_summary.json").exists()
+    else:
+        assert argv[0] == "sweep-speed"
+        speeds, seeds = (argv[argv.index(o) + 1].split(",") for o in ("--speeds", "--seeds"))
+        assert [r[:2] for r in rows(out / "sweep.csv")[1:]] \
+            == [[str(float(v)), s] for v in speeds for s in seeds]
+        for name in ("sweep_summary.csv", "sweep_manifest.json"):
+            assert (out / name).exists()
 
 
 def load(name):
@@ -89,7 +96,7 @@ def test_same_outputs_runner(tmp_path):
     same = load("same_outputs")
     case = same.Case("tiny", ("run",), TINY, 3, same.RUN.outputs)
     config = same.write_configs([case], tmp_path)[TINY]
-    src = os.path.join(SCRIPTS, os.pardir, "src")
+    src = os.path.join(ROOT, "src")
     first = same.run(case, config, tmp_path / "first", src)
     other = same.run(case, config, tmp_path / "threads", src, same.VARIANTS["threads"])
     assert first["exit"] == b"0" and first["metrics.csv"]
