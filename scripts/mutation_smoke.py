@@ -169,6 +169,17 @@ MUTATIONS = [
              "        raise CsvFormatError(f\"row {row}: not UTF-8 text\") from None\n",
              "    text = raw.decode(\"utf-8\")\n",
              "tests/test_config_cli.py::TestExitCodes::test_file_not_utf8[csv]"),
+    # partition.csv's edge ids read from the association after the first
+    # round, not the one a run starts from
+    Mutation("src/hflsim/cli.py", "edge_of = experiments.schedule(inst, 0)[1][0]",
+             "edge_of = experiments.schedule(inst, 1)[1][1]",
+             "tests/test_config_cli.py::TestCmdPartitionReport"
+             "::test_trace_is_the_run_association"),
+    # edge-skewed vehicles numbered round-robin over the edges
+    Mutation("src/hflsim/datasets.py",
+             "return np.arange(vehicle_count) // (vehicle_count // edge_count)",
+             "return np.arange(vehicle_count) % edge_count",
+             "tests/test_datasets.py::TestPartition::test_edge_noniid_class_locality"),
 ]
 
 

@@ -142,6 +142,9 @@ CASES = [
     Case("partition-train-7", PARTITION, RUN.name, 7, PARTITION_FILES, variants=("repeat",)),
     Case("partition-sweep-1", PARTITION, SWEEP.name, 1, PARTITION_FILES, variants=("repeat",)),
     Case("partition-sweep-7", PARTITION, SWEEP.name, 7, PARTITION_FILES, variants=("repeat",)),
+    # uniform placement of an iid fleet that does not divide over the
+    # edges, with corner turns: partition.csv's edge ids are the time-0 row
+    Case("partition-logistic-1", PARTITION, LOGISTIC, 1, PARTITION_FILES, variants=("repeat",)),
     Case("run-interleaved-1", RUN.command, INTERLEAVED, 1, RUN.outputs),
     Case("run-interleaved-7", RUN.command, INTERLEAVED, 7, RUN.outputs),
 ]

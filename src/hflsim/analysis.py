@@ -98,8 +98,8 @@ def estimate_divergences(spec, shards, association_history, probes):
     scores = np.empty(chunk * group_rows * C)
     groups = []  # (shard ids, features, labels, targets, gradient buffer) per shard size
     for ids in by_size:
-        y = np.stack([shards[m].data.labels for m in ids])
-        groups.append((ids, np.stack([shards[m].data.features for m in ids]), y,
+        y = np.stack([shards[m].labels for m in ids])
+        groups.append((ids, np.stack([shards[m].features for m in ids]), y,
                        quadratic_targets(spec, y), np.empty((chunk, len(ids), P))))
 
     # running maxima of the squared norms. np.linalg.norm(x, axis=2) is
@@ -138,13 +138,13 @@ def shared_input_delta_m(shards):
     With a common feature matrix the gap grad f_m - grad F equals
     X'(Ybar - Y_m)/n for every w, so the constant is closed-form.
     """
-    X = shards[0].data.features
+    X = shards[0].features
     n, d = X.shape
     for s in shards:
-        if s.data.features.shape != X.shape or not np.array_equal(s.data.features, X):
+        if s.features.shape != X.shape or not np.array_equal(s.features, X):
             raise ValueError("shards do not share a feature matrix")
-    spec = ModelSpec(QUADRATIC, dim=d, class_count=shards[0].data.class_count)
-    onehots = quadratic_targets(spec, np.stack([s.data.labels for s in shards]))
+    spec = ModelSpec(QUADRATIC, dim=d, class_count=shards[0].class_count)
+    onehots = quadratic_targets(spec, np.stack([s.labels for s in shards]))
     Ybar = onehots.mean(axis=0)
     return np.array([np.linalg.norm(X.T @ (Ybar - Ym)) / n for Ym in onehots])
 

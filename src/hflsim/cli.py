@@ -205,9 +205,11 @@ def cmd_partition_report(args):
         raise ConfigError([f"--rounds must be >= 0, got {args.rounds}"])
     out = cfg.output.directory
     inst = experiments.build_instance(cfg)
+    # edge_id is the association at time 0, the one a run starts from
+    edge_of = experiments.schedule(inst, 0)[1][0]
     rows = [["vehicle_id", "edge_id", "shard_size", "label_histogram"]]
-    rows += [[s.owner, inst.edge_map[s.owner], s.size,
-              ";".join(map(str, s.data.label_histogram()))] for s in inst.shards]
+    rows += [[m, edge_of[m], s.size, ";".join(map(str, s.label_histogram()))]
+             for m, s in enumerate(inst.shards)]
     atomic_write_csv(os.path.join(out, "partition.csv"), rows)
     if cfg.mobility.edges == 4:
         rounds = args.rounds if args.rounds is not None else \

@@ -1,9 +1,11 @@
 """Labeled datasets and their split into per-vehicle shards.
 
-Three partition regimes are supported: uniform (iid), label-skewed per
-vehicle (local_noniid) and label-skewed per edge region (edge_noniid).
-Partitions are exact: the multiset of samples across shards equals the
-(possibly truncated) parent dataset.
+A shard list is a list of LabeledDataset indexed by vehicle id: a
+vehicle's id is its place in the list. Three partition regimes are
+supported: uniform (iid), label-skewed per vehicle (local_noniid) and
+label-skewed per edge region (edge_noniid). Partitions are exact: the
+multiset of samples across shards equals the (possibly truncated) parent
+dataset.
 """
 
 import csv
@@ -48,7 +50,7 @@ class LabeledDataset:
             raise ValueError("labels must lie in [0, class_count)")
 
     @property
-    def n_samples(self):
+    def size(self):
         return self.features.shape[0]
 
     @property
@@ -60,16 +62,6 @@ class LabeledDataset:
 
     def label_histogram(self):
         return np.bincount(self.labels, minlength=self.class_count)
-
-
-@dataclass
-class Shard:
-    owner: int
-    data: LabeledDataset
-
-    @property
-    def size(self):
-        return self.data.n_samples
 
 
 @dataclass
@@ -168,7 +160,7 @@ def _truncate_for_blocks(dataset, block_count):
     Removed samples are the last-listed samples of the largest class
     (lowest class id on ties), so truncation is deterministic.
     """
-    n = dataset.n_samples
+    n = dataset.size
     drop = n % block_count
     if drop == 0:
         return dataset
@@ -183,10 +175,11 @@ def _truncate_for_blocks(dataset, block_count):
     return dataset.subset(np.flatnonzero(keep))
 
 
-def _default_edge_map(M, N):
-    if M % N == 0:
-        return {m: m // (M // N) for m in range(M)}
-    return {m: m % N for m in range(M)}
+def home_edges(vehicle_count, edge_count):
+    """The edge whose data each vehicle of an edge-skewed partition holds,
+    (M,) int64: vehicle m holds edge m // (M // N)'s, so each edge's
+    vehicles are a run of consecutive ids. M must be a multiple of N."""
+    return np.arange(vehicle_count) // (vehicle_count // edge_count)
 
 
 def _edge_class_sets(C, N, l, allow_partial):
@@ -202,7 +195,7 @@ def _edge_class_sets(C, N, l, allow_partial):
 
 
 def partition(dataset, spec):
-    """Split a dataset into vehicle shards plus an initial vehicle->edge map.
+    """Split a dataset into vehicle_count shards, indexed by vehicle id.
 
     iid: seeded uniform split into vehicle_count parts (sizes differ by at
     most one). local_noniid: label-sorted data cut into vehicle_count*l
@@ -210,20 +203,19 @@ def partition(dataset, spec):
     of identical size; the dataset is first truncated to a multiple of
     vehicle_count*l. edge_noniid: classes are assigned to edges round-robin
     (l per edge), each class pool is split evenly over the edges owning it,
-    and each edge pool is shuffled and split over its vehicles.
+    and each edge pool is shuffled and split over the vehicles that
+    home_edges gives that edge.
     """
     M, N, l = spec.vehicle_count, spec.edge_count, spec.classes_per_unit
     C = dataset.class_count
     g = rng.stream(spec.seed, rng.PARTITION)
 
     if spec.regime == IID:
-        if dataset.n_samples < M:
+        if dataset.size < M:
             raise InfeasiblePartitionError(
-                f"iid needs at least vehicle_count = {M} samples, have {dataset.n_samples}")
-        perm = g.permutation(dataset.n_samples)
-        chunks = np.array_split(perm, M)
-        shards = [Shard(m, dataset.subset(np.sort(chunks[m]))) for m in range(M)]
-        return shards, _default_edge_map(M, N)
+                f"iid needs at least vehicle_count = {M} samples, have {dataset.size}")
+        perm = g.permutation(dataset.size)
+        return [dataset.subset(np.sort(chunk)) for chunk in np.array_split(perm, M)]
 
     if spec.regime == LOCAL_NONIID:
         if l * M < C:
@@ -231,16 +223,12 @@ def partition(dataset, spec):
                 f"local_noniid needs l*M >= C ({l}*{M} < {C})")
         if l > C:
             raise InfeasiblePartitionError(f"classes_per_unit={l} exceeds class_count={C}")
-        if dataset.n_samples < M * l:
+        if dataset.size < M * l:
             raise InfeasiblePartitionError(
-                f"need at least vehicle_count*l = {M * l} samples, have {dataset.n_samples}")
+                f"need at least vehicle_count*l = {M * l} samples, have {dataset.size}")
         data = _truncate_for_blocks(dataset, M * l)
-        order = _sorted_by_label(data)
-        blocks = order.reshape(M * l, -1)
-        shard_idx = [np.sort(np.concatenate([blocks[b] for b in range(m, M * l, M)]))
-                     for m in range(M)]
-        shards = [Shard(m, data.subset(idx)) for m, idx in enumerate(shard_idx)]
-        return shards, _default_edge_map(M, N)
+        blocks = _sorted_by_label(data).reshape(M * l, -1)
+        return [data.subset(np.sort(blocks[m::M].ravel())) for m in range(M)]
 
     # edge_noniid
     if M % N != 0:
@@ -248,7 +236,6 @@ def partition(dataset, spec):
             f"edge_noniid needs vehicle_count divisible by edge_count ({M} % {N} != 0)")
     class_sets = _edge_class_sets(C, N, l, spec.allow_partial_class_coverage)
     owners = {c: [n for n in range(N) if c in class_sets[n]] for c in range(C)}
-    per_vehicle = M // N
     edge_pools = [[] for _ in range(N)]
     for c in range(C):
         idx = np.flatnonzero(dataset.labels == c)
@@ -257,37 +244,36 @@ def partition(dataset, spec):
         parts = np.array_split(idx, len(owners[c]))
         for n, part in zip(owners[c], parts):
             edge_pools[n].append(part)
-    edge_map = {}
+    home = home_edges(M, N)
     shards = [None] * M
     for n in range(N):
         pool = np.concatenate(edge_pools[n]) if edge_pools[n] else np.array([], dtype=np.int64)
-        if pool.size < per_vehicle:
+        vehicles = np.flatnonzero(home == n)
+        if pool.size < vehicles.size:
             raise InfeasiblePartitionError(f"edge {n} pool too small to cover its vehicles")
         pool = pool[g.permutation(pool.size)]
-        parts = np.array_split(pool, per_vehicle)
-        for i, part in enumerate(parts):
-            m = n * per_vehicle + i
-            shards[m] = Shard(m, dataset.subset(np.sort(part)))
-            edge_map[m] = n
-    return shards, edge_map
+        for m, part in zip(vehicles, np.array_split(pool, vehicles.size)):
+            shards[m] = dataset.subset(np.sort(part))
+    return shards
 
 
 def union_of_shards(shards):
-    """Concatenate shards in owner order into one dataset."""
-    feats = np.concatenate([s.data.features for s in shards])
-    labels = np.concatenate([s.data.labels for s in shards])
-    return LabeledDataset(feats, labels, shards[0].data.class_count)
+    """Concatenate shards in vehicle id order into one dataset."""
+    feats = np.concatenate([s.features for s in shards])
+    labels = np.concatenate([s.labels for s in shards])
+    return LabeledDataset(feats, labels, shards[0].class_count)
 
 
 def shared_input_shards(vehicle_count, edge_count, classes_per_edge, class_count,
                         samples_per_shard, dim, seed):
-    """Shards that share one feature matrix but differ in labels.
+    """Shards, indexed by vehicle id, that share one feature matrix but
+    differ in labels.
 
     All shards reference the same X, and vehicle m's labels are drawn from
-    its edge's class set, so for the quadratic loss the gap between a
-    shard's gradient and the global gradient is constant in the model
-    parameters. That makes the per-vehicle gradient-divergence constants
-    exact closed-form quantities instead of probe estimates
+    the class set of its edge under home_edges, so for the quadratic loss
+    the gap between a shard's gradient and the global gradient is constant
+    in the model parameters. That makes the per-vehicle gradient-divergence
+    constants exact closed-form quantities instead of probe estimates
     (analysis.shared_input_delta_m).
     """
     M, N, l, C = vehicle_count, edge_count, classes_per_edge, class_count
@@ -296,16 +282,12 @@ def shared_input_shards(vehicle_count, edge_count, classes_per_edge, class_count
     class_sets = _edge_class_sets(C, N, l, allow_partial=False)
     g = rng.stream(seed, rng.SHARED_INPUT)
     X = g.normal(size=(samples_per_shard, dim))
-    per_vehicle = M // N
     shards = []
-    edge_map = {}
-    for m in range(M):
-        n = m // per_vehicle
+    for n in home_edges(M, N):
         classes = np.array(class_sets[n], dtype=np.int64)
         labels = classes[g.integers(0, len(classes), size=samples_per_shard)]
-        shards.append(Shard(m, LabeledDataset(X.copy(), labels, C)))
-        edge_map[m] = n
-    return shards, edge_map
+        shards.append(LabeledDataset(X.copy(), labels, C))
+    return shards
 
 
 def load_csv(path):

@@ -193,7 +193,7 @@ def membership_weights(edge_of, sizes, edge_count):
     members of edge n and 0 elsewhere, and theta (N,), each edge's share
     of all data. Empty edges get a zero row and theta 0. Leading axes of
     edge_of (one association row per bracket, say) carry through to A
-    and theta. Shard sizes are integer-valued, so every total is exact.
+    and theta. The shard sizes are integer-valued, so every total is exact.
     """
     onehot = np.asarray(edge_of)[..., None, :] == np.arange(edge_count)[:, None]
     S = onehot * sizes                    # (..., N, M) member sizes
@@ -362,7 +362,7 @@ def edge_rounds(config, shards, spec, association=None, edge_count=1, *,
         uX, uy = X[None], fleet.labels[None]
         uT = quadratic_targets(spec, uy)
         v = w0.copy()  # updated in place, as vtilde after every step
-        descent = GradientWorkspace(spec, v[None], fleet.n_samples)
+        descent = GradientWorkspace(spec, v[None], fleet.size)
         # W after each step of a round but the last, vehicle-major, so that
         # the snapshots are measured a chunk at a time; a chunk's
         # fleet_averages terms (M, N + 1, chunk * P) stay within

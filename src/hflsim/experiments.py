@@ -16,14 +16,15 @@ from .config import ConfigError, validate
 
 @dataclass
 class Instance:
-    """The data of an experiment, resolved from an ExperimentConfig. The
-    association is not part of it: schedule builds that from cfg.mobility,
-    so instances that differ only in [mobility] share their data."""
+    """The data of an experiment, resolved from an ExperimentConfig:
+    shards is a list of LabeledDataset indexed by vehicle id, and union
+    their concatenation. The association is not part of it: schedule
+    builds that from cfg.mobility, so instances that differ only in
+    [mobility] share their data."""
     cfg: object
     spec: object
     test: object
     shards: list
-    edge_map: dict
     union: object
 
 
@@ -60,7 +61,7 @@ def build_instance(cfg):
     pt, mo, md = cfg.partition, cfg.mobility, cfg.model
 
     if pt.shared_input:
-        shards, edge_map = datasets.shared_input_shards(
+        shards = datasets.shared_input_shards(
             pt.vehicles, mo.edges, pt.classes_per_unit, cfg.dataset.classes,
             pt.shared_samples_per_shard, cfg.dataset.dim, pt.seed)
         test = None
@@ -71,7 +72,7 @@ def build_instance(cfg):
             classes_per_unit=pt.classes_per_unit, seed=pt.seed,
             allow_partial_class_coverage=pt.allow_partial_class_coverage)
         with _config_fault("partition"):
-            shards, edge_map = datasets.partition(train, pspec)
+            shards = datasets.partition(train, pspec)
     union = datasets.union_of_shards(shards)
 
     # a CSV's class count is only known here
@@ -79,8 +80,7 @@ def build_instance(cfg):
         spec = models.ModelSpec(family=md.family, dim=union.dim,
                                 class_count=union.class_count,
                                 l2_reg=md.l2_reg, hidden_width=md.hidden_width)
-    return Instance(cfg=cfg, spec=spec, test=test, shards=shards, edge_map=edge_map,
-                    union=union)
+    return Instance(cfg=cfg, spec=spec, test=test, shards=shards, union=union)
 
 
 def schedule(inst, rounds):
@@ -94,10 +94,10 @@ def schedule(inst, rounds):
     network = mobility.RoadNetwork(side_length=mo.side_length,
                                    intersection_zone=mo.intersection_zone,
                                    slowdown_factor=mo.slowdown_factor)
-    # edge-skewed data pins vehicles to their data's side initially
-    assignment = inst.edge_map if (pt.regime == datasets.EDGE_NONIID or pt.shared_input) else None
-    positions, directions = mobility.init_positions(network, pt.vehicles, mo.seed,
-                                                    edge_assignment=assignment)
+    # edge-skewed data pins every vehicle to its data's side initially
+    pinned = pt.regime == datasets.EDGE_NONIID or pt.shared_input
+    sides = datasets.home_edges(pt.vehicles, mo.edges) if pinned else None
+    positions, directions = mobility.init_positions(network, pt.vehicles, mo.seed, sides)
     return mobility.schedule(network, positions, directions, mo.speed, rounds, mo.p_turn,
                              inst.cfg.hfl.seed)
 
@@ -141,7 +141,7 @@ def centralized_ceiling(inst):
         opt = models.solve_optimum(inst.spec, inst.union)
         return models.accuracy(inst.spec, opt.w, inst.test.features, inst.test.labels), opt
     rc = replace(inst.cfg.hfl, record_virtual=False, full_batch=False)
-    res = engine.run(rc, [datasets.Shard(0, inst.union)], inst.spec, eval_data=inst.test,
+    res = engine.run(rc, [inst.union], inst.spec, eval_data=inst.test,
                      train_loss=False)
     best = max(r.test_accuracy for r in res.metrics)
     return float(best), None

@@ -41,25 +41,24 @@ class AssociationSnapshot:
     edge_of: np.ndarray  # (M,) edge index per vehicle, in id order
 
 
-def init_positions(network, vehicle_count, seed, edge_assignment=None):
+def init_positions(network, vehicle_count, seed, sides=None):
     """Random arc positions (M,) float64 and directions (M,) int64 of +1 or
     -1, deterministic for a given seed.
 
-    Without edge_assignment, arc positions are uniform over the whole
-    perimeter. With it (as produced by an edge-skewed partition), each
-    vehicle is placed uniformly within its assigned edge's side so the
-    initial association matches the data assignment.
+    Without sides, arc positions are uniform over the whole perimeter.
+    With sides, an (M,) int array of side indices (datasets.home_edges for
+    an edge-skewed partition), vehicle m is placed uniformly within side
+    sides[m], so the initial association is sides.
     """
     if vehicle_count < 1:
         raise ValueError("vehicle_count must be >= 1")
     g = rng.stream(seed, rng.MOBILITY_INIT)
     a = network.side_length
     u = g.random(vehicle_count)
-    if edge_assignment is None:
+    if sides is None:
         pos = u * network.perimeter
     else:
-        sides = np.array([edge_assignment[m] for m in range(vehicle_count)])
-        pos = (sides + u) * a
+        pos = (np.asarray(sides) + u) * a
     return pos, np.where(g.random(vehicle_count) < 0.5, 1, -1).astype(np.int64)
 
 

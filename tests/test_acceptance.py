@@ -104,11 +104,10 @@ def test_a1_degenerate_equivalence_bit_identical():
     ds = datasets.generate_synthetic(4, 8, 100, 3.0, seed=2)
     spec = models.ModelSpec(models.MULTINOMIAL_LOGISTIC, dim=8, class_count=4,
                             l2_reg=0.01)
-    shard = datasets.Shard(0, ds)
     cfg = engine.HflConfig(eta=0.1, tau_l=5, tau_e=10, cloud_epochs=20,
                            batch_size=20, seed=9)
     assert cfg.total_iterations == 1000
-    res = engine.run(cfg, [shard], spec)
+    res = engine.run(cfg, [ds], spec)
 
     # plain SGD over vehicle 0's batch stream: a fresh permutation per pass
     # of 400 samples, consumed in 20 chunks of 20
@@ -116,7 +115,7 @@ def test_a1_degenerate_equivalence_bit_identical():
     w = np.zeros(models.param_length(spec))
     for t in range(1000):
         if t % 20 == 0:
-            perm = stream.permutation(ds.n_samples)
+            perm = stream.permutation(ds.size)
         idx = perm[(t % 20) * 20:(t % 20 + 1) * 20]
         w = w - 0.1 * models.gradient_xy(spec, w, ds.features[idx], ds.labels[idx])
     identical = np.array_equal(w, res.final_state.cloud_params)
@@ -128,7 +127,7 @@ def test_a2_aggregation_identity_mobile_run():
     """Cloud model vs direct size-weighted vehicle average, 20 mobile epochs."""
     ds = datasets.generate_synthetic(8, 16, 500, 4.0, seed=1)
     train, test = datasets.train_test_split(ds, 0.2, seed=1)
-    shards, emap = datasets.partition(train, datasets.PartitionSpec(
+    shards = datasets.partition(train, datasets.PartitionSpec(
         datasets.IID, vehicle_count=32, edge_count=4, seed=2))
     spec = models.ModelSpec(models.MULTINOMIAL_LOGISTIC, dim=16, class_count=8,
                             l2_reg=0.01)
@@ -251,14 +250,13 @@ def test_a7_convergence_speed_ordering():
 
 def test_a8_delta_mixing_trend():
     """Delta^[j] decreases with mobility and is flat without it."""
-    shards, emap = datasets.shared_input_shards(32, 4, 1, 4, 40, 8, seed=5)
+    shards = datasets.shared_input_shards(32, 4, 1, 4, 40, 8, seed=5)
     spec = models.ModelSpec(models.QUADRATIC, dim=8, class_count=4, l2_reg=0.05)
     net = mobility.RoadNetwork()
     rounds = 100
 
     def mixing(speed):
-        veh = mobility.init_positions(net, 32, seed=11,
-                                      edge_assignment=emap)
+        veh = mobility.init_positions(net, 32, seed=11, sides=datasets.home_edges(32, 4))
         _, hist = mobility.schedule(net, *veh, speed, rounds)
         est = analysis.estimate_divergences(spec, shards, hist, [np.zeros(32)])
         return analysis.mobility_mixing_report(est)

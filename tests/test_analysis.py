@@ -173,7 +173,7 @@ class TestDriftBounds:
 class TestEstimateDivergences:
     def test_identical_shards_zero(self):
         base = datasets.generate_synthetic(3, 5, 40, 3.0, seed=4)
-        shards = [datasets.Shard(m, base) for m in range(4)]
+        shards = [base] * 4
         spec = models.ModelSpec(models.MULTINOMIAL_LOGISTIC, dim=5, class_count=3)
         hist = np.zeros((1, 4), dtype=np.int64)
         probes = [np.zeros(models.param_length(spec)), np.ones(models.param_length(spec))]
@@ -183,9 +183,9 @@ class TestEstimateDivergences:
         assert np.nanmax(est.Delta_bracket) <= 1e-12
 
     def test_shared_input_closed_form(self):
-        shards, emap = datasets.shared_input_shards(8, 4, 1, 4, 30, 6, seed=2)
+        shards = datasets.shared_input_shards(8, 4, 1, 4, 30, 6, seed=2)
         spec = models.ModelSpec(models.QUADRATIC, dim=6, class_count=4, l2_reg=0.1)
-        hist = np.array([[emap[m] for m in range(8)]])
+        hist = datasets.home_edges(8, 4)[None]
         g = np.random.default_rng(0)
         probes = [g.normal(size=24) for _ in range(3)]
         est = estimate_divergences(spec, shards, hist, probes)
@@ -196,23 +196,23 @@ class TestEstimateDivergences:
         ds = datasets.generate_synthetic(4, 6, 800, 3.0, seed=21)
         spec = models.ModelSpec(models.QUADRATIC, dim=6, class_count=4, l2_reg=0.05)
         probes = [np.zeros(24)]
-        sh_i, em_i = datasets.partition(ds, datasets.PartitionSpec(
+        sh_i = datasets.partition(ds, datasets.PartitionSpec(
             datasets.IID, vehicle_count=32, edge_count=4, seed=22))
-        sh_e, em_e = datasets.partition(ds, datasets.PartitionSpec(
+        sh_e = datasets.partition(ds, datasets.PartitionSpec(
             datasets.EDGE_NONIID, vehicle_count=32, edge_count=4,
             classes_per_unit=1, seed=22))
-        hist_i = np.array([[em_i[m] for m in range(32)]])
-        hist_e = np.array([[em_e[m] for m in range(32)]])
-        est_i = estimate_divergences(spec, sh_i, hist_i, probes)
-        est_e = estimate_divergences(spec, sh_e, hist_e, probes)
+        hist = datasets.home_edges(32, 4)[None]
+        est_i = estimate_divergences(spec, sh_i, hist, probes)
+        est_e = estimate_divergences(spec, sh_e, hist, probes)
         assert est_i.delta_m.max() < est_e.delta_m.max()
         # the edge-level divergence collapses for iid partitions
         assert est_i.Delta_bracket[0] < 0.05 * est_e.Delta_bracket[0]
 
     def test_convex_combination_identities(self):
-        shards, emap = datasets.shared_input_shards(8, 4, 2, 4, 30, 6, seed=5)
+        shards = datasets.shared_input_shards(8, 4, 2, 4, 30, 6, seed=5)
         spec = models.ModelSpec(models.QUADRATIC, dim=6, class_count=4, l2_reg=0.1)
-        hist = np.array([[emap[m] for m in range(8)], [(emap[m] + 1) % 4 for m in range(8)]])
+        home = datasets.home_edges(8, 4)
+        hist = np.array([home, (home + 1) % 4])
         probes = [np.zeros(24), np.ones(24)]
         est = estimate_divergences(spec, shards, hist, probes)
         # delta and Delta^[j] are the alpha- and theta-weighted sums of their parts
@@ -223,9 +223,9 @@ class TestEstimateDivergences:
         assert np.max(np.abs(Delta - est.Delta_bracket)) <= 1e-12
 
     def test_aggregates_are_convex_combinations(self):
-        shards, emap = datasets.shared_input_shards(8, 4, 2, 4, 30, 6, seed=5)
+        shards = datasets.shared_input_shards(8, 4, 2, 4, 30, 6, seed=5)
         spec = models.ModelSpec(models.QUADRATIC, dim=6, class_count=4, l2_reg=0.1)
-        hist = np.array([[emap[m] for m in range(8)]])
+        hist = datasets.home_edges(8, 4)[None]
         est = estimate_divergences(spec, shards, hist, [np.zeros(24)])
         assert est.delta <= est.delta_m.max() + 1e-12
         valid = ~np.isnan(est.delta_n_bracket)
@@ -235,7 +235,7 @@ class TestEstimateDivergences:
         spec = models.ModelSpec(models.MLP1, dim=4, class_count=3, hidden_width=4)
         base = datasets.generate_synthetic(3, 4, 10, 3.0, seed=4)
         with pytest.raises(models.UnsupportedModelError):
-            estimate_divergences(spec, [datasets.Shard(0, base)],
+            estimate_divergences(spec, [base],
                                  np.zeros((1, 1), dtype=int), [np.zeros(1)])
 
 
@@ -259,7 +259,7 @@ def loop_divergences(spec, shards, hist, probes):
     Delta_u = np.zeros((rows.shape[0], N))
     grad_norm = []
     for w in probes:
-        G = np.stack([models.gradient_xy(spec, w, s.data.features, s.data.labels) for s in shards])
+        G = np.stack([models.gradient_xy(spec, w, s.features, s.labels) for s in shards])
         gF = alpha @ G
         grad_norm.append(np.linalg.norm(gF))
         delta_m = np.maximum(delta_m, np.linalg.norm(G - gF, axis=1))
@@ -284,7 +284,7 @@ def bracket_product_Delta_n(spec, shards, hist, probes):
     A, theta = engine.membership_weights(hist, sizes, N)
     Delta_n = np.zeros((hist.shape[0], N))
     for w in probes:
-        G = np.stack([models.gradient_xy(spec, w, s.data.features, s.data.labels) for s in shards])
+        G = np.stack([models.gradient_xy(spec, w, s.features, s.labels) for s in shards])
         ge = A.reshape(-1, M) @ G
         Delta_n = np.maximum(Delta_n, np.linalg.norm(ge - alpha @ G, axis=1).reshape(-1, N))
     return np.where(theta > 0, Delta_n, np.nan)
@@ -299,22 +299,21 @@ def assert_same_bits(a, b):
 def local_noniid_unequal():
     """Label-skewed shards of three sizes, two of them shared by two shards."""
     ds = datasets.generate_synthetic(4, 6, 60, 3.0, seed=21)
-    shards, _ = datasets.partition(ds, datasets.PartitionSpec(
+    shards = datasets.partition(ds, datasets.PartitionSpec(
         datasets.LOCAL_NONIID, vehicle_count=5, edge_count=4, classes_per_unit=1, seed=3))
-    return [datasets.Shard(s.owner, s.data.subset(np.arange(s.size - 3 * (s.owner % 3))))
-            for s in shards]
+    return [s.subset(np.arange(s.size - 3 * (m % 3))) for m, s in enumerate(shards)]
 
 
 def two_class_shards():
     """Two classes, drawn independently of the features."""
     g = np.random.default_rng(8)
-    return [datasets.Shard(m, datasets.LabeledDataset(
-        g.normal(size=(n, 5)), g.integers(0, 2, size=n), 2)) for m, n in enumerate((12, 9, 12, 7))]
+    return [datasets.LabeledDataset(g.normal(size=(n, 5)), g.integers(0, 2, size=n), 2)
+            for n in (12, 9, 12, 7)]
 
 
 DIVERGENCE_CASES = {
     "quadratic_shared_input": (
-        lambda: datasets.shared_input_shards(8, 4, 1, 4, 20, 6, seed=5)[0],
+        lambda: datasets.shared_input_shards(8, 4, 1, 4, 20, 6, seed=5),
         models.ModelSpec(models.QUADRATIC, dim=6, class_count=4, l2_reg=0.05)),
     "quadratic_two_classes": (
         two_class_shards,
@@ -380,7 +379,7 @@ class TestDivergencesMatchProbeLoop:
         # gradient scale (a Delta_n can be a rounding residue near 0)
         old = bracket_product_Delta_n(spec, shards, hist, probes)
         assert_same_bits(np.isnan(est.Delta_n_bracket), np.isnan(old))
-        scale = max(np.linalg.norm(models.gradient_xy(spec, w, s.data.features, s.data.labels))
+        scale = max(np.linalg.norm(models.gradient_xy(spec, w, s.features, s.labels))
                     for w in probes for s in shards)
         err = np.abs(np.nan_to_num(est.Delta_n_bracket) - np.nan_to_num(old))
         assert np.all(err <= 1e-12 * np.fmax(old, scale))
@@ -439,7 +438,7 @@ class TestDivergencesMatchProbeLoop:
         # the verify-bounds shape: a mobile run's history and trajectory probes
         spec, union, tr, est, inputs = bound_suite_run(speed=30.0, K=2)
         probes = np.vstack([tr.vtilde, np.zeros(tr.vtilde.shape[1])])
-        shards, _ = datasets.shared_input_shards(32, 4, 1, 4, 40, 8, seed=5)
+        shards = datasets.shared_input_shards(32, 4, 1, 4, 40, 8, seed=5)
         assert len(np.unique(tr.association_history, axis=0)) < len(tr.association_history)
         self.check(spec, shards, tr.association_history, probes)
 
@@ -521,10 +520,10 @@ class TestRhoOverVtildeRows:
 
 
 def bound_suite_run(speed, K=4, eta=0.05, seed=13):
-    shards, emap = datasets.shared_input_shards(32, 4, 1, 4, 40, 8, seed=5)
+    shards = datasets.shared_input_shards(32, 4, 1, 4, 40, 8, seed=5)
     spec = models.ModelSpec(models.QUADRATIC, dim=8, class_count=4, l2_reg=0.05)
     net = mobility.RoadNetwork()
-    veh = mobility.init_positions(net, 32, seed=11, edge_assignment=emap)
+    veh = mobility.init_positions(net, 32, seed=11, sides=datasets.home_edges(32, 4))
     cfg = engine.HflConfig(eta=eta, tau_l=6, tau_e=10, cloud_epochs=K, seed=seed,
                            record_virtual=True, full_batch=True)
     _, assoc = mobility.schedule(net, *veh, speed, K * cfg.tau_e)
@@ -696,7 +695,7 @@ class TestCheckersMatchScalarLoops:
     def test_never_occupied_last_edge(self):
         # the estimates have a column per edge up to the highest one the
         # history names; the trace has one per edge of the topology
-        shards, _ = datasets.shared_input_shards(8, 4, 1, 4, 20, 6, seed=5)
+        shards = datasets.shared_input_shards(8, 4, 1, 4, 20, 6, seed=5)
         spec = models.ModelSpec(models.QUADRATIC, dim=6, class_count=4, l2_reg=0.05)
         cfg = engine.HflConfig(eta=0.05, tau_l=2, tau_e=2, cloud_epochs=2, seed=1,
                                record_virtual=True, full_batch=True)
@@ -737,7 +736,7 @@ class TestGapBound:
 
     def test_homogeneous_reduces_to_descent_bound(self):
         base = datasets.generate_synthetic(3, 5, 40, 3.0, seed=4)
-        shards = [datasets.Shard(m, base) for m in range(4)]
+        shards = [base] * 4
         spec = models.ModelSpec(models.MULTINOMIAL_LOGISTIC, dim=5, class_count=3,
                                 l2_reg=0.1)
         cfg = engine.HflConfig(eta=0.2, tau_l=2, tau_e=2, cloud_epochs=3, seed=3,
@@ -937,11 +936,10 @@ class TestMixingReport:
         assert mix.first_quarter_mean == pytest.approx(mix.last_quarter_mean, rel=1e-12)
 
     def test_mixing_decreases_delta_trajectory(self):
-        shards, emap = datasets.shared_input_shards(32, 4, 1, 4, 40, 8, seed=5)
+        shards = datasets.shared_input_shards(32, 4, 1, 4, 40, 8, seed=5)
         spec = models.ModelSpec(models.QUADRATIC, dim=8, class_count=4, l2_reg=0.05)
         net = mobility.RoadNetwork()
-        veh = mobility.init_positions(net, 32, seed=11,
-                                      edge_assignment=emap)
+        veh = mobility.init_positions(net, 32, seed=11, sides=datasets.home_edges(32, 4))
         _, hist = mobility.schedule(net, *veh, 30.0, 100)
         est = estimate_divergences(spec, shards, hist, [np.zeros(32)])
         mix = mobility_mixing_report(est)

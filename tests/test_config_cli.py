@@ -251,9 +251,8 @@ class TestCmdRun:
 
         def scaled(*args, **kwargs):
             inst = real(*args, **kwargs)
-            d = inst.shards[2].data
-            inst.shards[2] = datasets.Shard(2, datasets.LabeledDataset(
-                d.features * 1e20, d.labels, d.class_count))
+            d = inst.shards[2]
+            inst.shards[2] = datasets.LabeledDataset(d.features * 1e20, d.labels, d.class_count)
             inst.union = datasets.union_of_shards(inst.shards)
             return inst
 
@@ -514,20 +513,43 @@ class TestCmdPartitionReport:
                 moved = min(abs(p1 - p0), perimeter - abs(p1 - p0))
                 assert moved <= 30.0 * (t1 - t0) + 1e-9
 
-    def test_trace_is_the_run_association(self, tmp_path):
+    @pytest.mark.parametrize("text", [
+        # 7 vehicles on 4 edges, placed uniformly
+        BOUNDS.replace("shared_input = true", "shared_input = false")
+        .replace("regime = edge_noniid", "regime = iid").replace("vehicles = 32", "vehicles = 7"),
+        BOUNDS.replace("shared_input = true", "shared_input = false")
+        .replace("regime = edge_noniid", "regime = local_noniid"),
+        BOUNDS,
+    ], ids=["iid-7", "local_noniid", "edge_noniid"])
+    def test_trace_is_the_run_association(self, tmp_path, text):
         # the report's edge ids are the association a run of the same
-        # length consumes, corner turns included
-        text = BOUNDS.replace("speed = 0.0", "speed = 30.0\np_turn = 0.3")
-        path = write_cfg(tmp_path, text)
+        # length consumes, corner turns included, and partition.csv's are
+        # its time-0 row, the one the run starts from
+        path = write_cfg(tmp_path, text.replace("speed = 0.0", "speed = 30.0\np_turn = 0.3"))
         assert cli.main(["partition-report", "--config", path]) == 0
-        with open(tmp_path / "out" / "mobility_trace.csv") as f:
-            edges = [int(r[3]) for r in list(csv.reader(f))[1:]]
+
+        def read(name):
+            with open(tmp_path / "out" / name) as f:
+                return list(csv.reader(f))[1:]
+
+        trace, rows = read("mobility_trace.csv"), read("partition.csv")
         cfg = config.load_config(path)
+        M = cfg.partition.vehicles
         res = experiments.run_instance(experiments.build_instance(cfg), record_virtual=True)
         hist = res.trace.association_history
-        assert hist.shape == (cfg.hfl.cloud_epochs * cfg.hfl.tau_e + 1, 32)
-        assert edges == hist.ravel().tolist()
+        assert hist.shape == (cfg.hfl.cloud_epochs * cfg.hfl.tau_e + 1, M)
+        assert [int(r[3]) for r in trace] == hist.ravel().tolist()
         assert len(np.unique(hist, axis=0)) > 1
+        assert [int(r[0]) for r in rows] == list(range(M))
+        assert [r[1] for r in rows] == [r[3] for r in trace if float(r[0]) == 0.0]
+
+    def test_one_edge_ids_are_zero(self, tmp_path):
+        path = write_cfg(tmp_path, MINI.replace("vehicles = 1", "vehicles = 7"))
+        assert cli.main(["partition-report", "--config", path]) == 0
+        with open(tmp_path / "out" / "partition.csv") as f:
+            rows = list(csv.reader(f))[1:]
+        assert [r[:2] for r in rows] == [[str(m), "0"] for m in range(7)]
+        assert not (tmp_path / "out" / "mobility_trace.csv").exists()
 
 
 class TestSchedule:
@@ -550,6 +572,20 @@ class TestSchedule:
         assert np.array_equal(ref[0], moved[0]) and not np.array_equal(ref[1], moved[1])
         assert not np.array_equal(ref[0], positions(speed=30.0, seed=4)[0])
         assert not np.array_equal(ref, positions(speed=30.0, seed=3, side_length=500.0))
+
+    @pytest.mark.parametrize("text", [
+        MINI.replace("vehicles = 1", "vehicles = 8").replace("edges = 1", "edges = 4")
+        .replace("regime = iid", "regime = edge_noniid\nclasses_per_unit = 1"),
+        BOUNDS,
+    ], ids=["edge_noniid", "shared_input"])
+    def test_pinned_regimes_start_on_their_home_edges(self, tmp_path, text):
+        # edge-skewed data places vehicle m on the side of the edge whose
+        # data it holds
+        cfg = config.load_config(write_cfg(tmp_path, text.replace("speed = 0.0", "speed = 30.0")))
+        _, edge_of = experiments.schedule(experiments.build_instance(cfg), 3)
+        M = cfg.partition.vehicles
+        assert edge_of[0].tolist() == datasets.home_edges(M, 4).tolist()
+        assert len(np.unique(edge_of, axis=0)) > 1
 
 
 # 8 vehicles on the square road, with the divergence columns filled in

@@ -34,7 +34,7 @@ def multiset_equal(a, b):
 class TestGenerateSynthetic:
     def test_shapes_and_labels(self):
         ds = generate_synthetic(8, 16, 500, 4.0, seed=1)
-        assert ds.n_samples == 4000 and ds.dim == 16 and ds.class_count == 8
+        assert ds.size == 4000 and ds.dim == 16 and ds.class_count == 8
         assert np.array_equal(np.sort(np.unique(ds.labels)), np.arange(8))
         assert np.all(ds.label_histogram() == 500)
 
@@ -69,7 +69,7 @@ class TestGenerateSynthetic:
 
     def test_clusters_per_class(self):
         ds = generate_synthetic(4, 8, 500, 4.0, seed=1, clusters_per_class=2)
-        assert ds.n_samples == 2000 and ds.class_count == 4
+        assert ds.size == 2000 and ds.class_count == 4
         assert np.all(ds.label_histogram() == 500)
 
     @pytest.mark.parametrize("kwargs", [
@@ -89,36 +89,39 @@ class TestPartition:
         ds = generate_synthetic(8, 16, 500, 4.0, seed=1)
         spec = PartitionSpec(EDGE_NONIID, vehicle_count=32, edge_count=4,
                              classes_per_unit=2, seed=3)
-        shards, emap = partition(ds, spec)
+        shards = partition(ds, spec)
         per_edge = {}
-        for s in shards:
-            per_edge.setdefault(emap[s.owner], set()).update(s.data.labels.tolist())
+        for m, s in enumerate(shards):
+            # vehicle m holds edge m // (M // N)'s data, classes 2n and 2n + 1
+            n = m // 8
+            assert set(s.labels.tolist()) <= {2 * n, 2 * n + 1}
+            per_edge.setdefault(n, set()).update(s.labels.tolist())
         assert all(len(labs) == 2 for labs in per_edge.values())
         covered = set().union(*per_edge.values())
         assert covered == set(range(8))
 
     def test_iid_single_vehicle_degenerate(self):
         ds = generate_synthetic(4, 4, 25, 2.0, seed=2)
-        shards, _ = partition(ds, PartitionSpec(IID, vehicle_count=1, edge_count=1, seed=0))
+        shards = partition(ds, PartitionSpec(IID, vehicle_count=1, edge_count=1, seed=0))
         assert len(shards) == 1
-        assert multiset_equal(shards[0].data, ds)
+        assert multiset_equal(shards[0], ds)
 
     def test_local_noniid_40000_sample_recount(self):
         # 40000/32 = 1250 samples per shard, one label each at l=1
         ds = generate_synthetic(8, 4, 5000, 3.0, seed=5)
         spec = PartitionSpec(LOCAL_NONIID, vehicle_count=32, edge_count=4,
                              classes_per_unit=1, seed=6)
-        shards, _ = partition(ds, spec)
+        shards = partition(ds, spec)
         assert all(s.size == 1250 for s in shards)
-        assert all(len(np.unique(s.data.labels)) == 1 for s in shards)
+        assert all(len(np.unique(s.labels)) == 1 for s in shards)
 
     def test_iid_statistical_balance(self):
         ds = generate_synthetic(4, 4, 2000, 3.0, seed=7)
-        shards, _ = partition(ds, PartitionSpec(IID, vehicle_count=8, edge_count=4, seed=8))
-        global_frac = ds.label_histogram() / ds.n_samples
+        shards = partition(ds, PartitionSpec(IID, vehicle_count=8, edge_count=4, seed=8))
+        global_frac = ds.label_histogram() / ds.size
         for s in shards:
             assert s.size >= 500
-            frac = s.data.label_histogram() / s.size
+            frac = s.label_histogram() / s.size
             assert np.max(np.abs(frac - global_frac)) <= 0.05
 
     @settings(max_examples=25, deadline=None)
@@ -129,19 +132,21 @@ class TestPartition:
         spec = PartitionSpec(regime, vehicle_count=8, edge_count=4,
                              classes_per_unit=1 if regime == EDGE_NONIID else 2,
                              seed=seed)
-        shards, emap = partition(ds, spec)
+        shards = partition(ds, spec)
         assert len(shards) == 8
-        assert sorted(emap) == list(range(8))
         assert multiset_equal(union_of_shards(shards), ds)
+        if regime == EDGE_NONIID:
+            # one class per edge: vehicle m holds edge m // 2's, class m // 2
+            assert [set(s.labels.tolist()) for s in shards] == [{m // 2} for m in range(8)]
 
     def test_determinism(self):
         ds = generate_synthetic(4, 4, 100, 3.0, seed=1)
         spec = PartitionSpec(EDGE_NONIID, vehicle_count=8, edge_count=4,
                              classes_per_unit=1, seed=9)
-        a, _ = partition(ds, spec)
-        b, _ = partition(ds, spec)
+        a = partition(ds, spec)
+        b = partition(ds, spec)
         for x, y in zip(a, b):
-            assert np.array_equal(x.data.features, y.data.features)
+            assert np.array_equal(x.features, y.features)
 
     def test_local_truncation_drops_from_largest_class(self):
         # 10 + 7 samples, 4 vehicles, l=1: blocks of (17 - 17 % 4)/4
@@ -150,7 +155,7 @@ class TestPartition:
         ds = LabeledDataset(feats, labels, 2)
         spec = PartitionSpec(LOCAL_NONIID, vehicle_count=4, edge_count=1,
                              classes_per_unit=1, seed=0)
-        shards, _ = partition(ds, spec)
+        shards = partition(ds, spec)
         total = sum(s.size for s in shards)
         assert total == 16
         kept = union_of_shards(shards)
@@ -174,19 +179,21 @@ class TestPartition:
         spec = PartitionSpec(EDGE_NONIID, vehicle_count=8, edge_count=4,
                              classes_per_unit=1, seed=0,
                              allow_partial_class_coverage=True)
-        shards, emap = partition(ds, spec)
+        shards = partition(ds, spec)
         labels = set(union_of_shards(shards).labels.tolist())
         assert labels == {0, 1, 2, 3}  # surplus classes dropped
+        # edge n keeps class n, and vehicle m holds edge m // 2's data
+        assert [set(s.labels.tolist()) for s in shards] == [{m // 2} for m in range(8)]
 
 
 class TestSharedInput:
     def test_structure(self):
-        shards, emap = shared_input_shards(8, 4, 1, 4, 10, 3, seed=2)
-        X = shards[0].data.features
-        assert all(np.array_equal(s.data.features, X) for s in shards)
+        shards = shared_input_shards(8, 4, 1, 4, 10, 3, seed=2)
+        X = shards[0].features
+        assert all(np.array_equal(s.features, X) for s in shards)
         for m, s in enumerate(shards):
-            edge = emap[m]
-            assert set(s.data.labels.tolist()) <= {edge}
+            # vehicle m draws its labels from edge m // 2's one class
+            assert set(s.labels.tolist()) <= {m // 2}
 
     def test_vehicle_count_must_divide(self):
         with pytest.raises(ValueError):
@@ -198,7 +205,7 @@ class TestCsv:
         p = tmp_path / "d.csv"
         p.write_text("1.0,2.0,0\n0.5,0.1,1\n2.2,3.3,0\n")
         ds = load_csv(p)
-        assert ds.n_samples == 3 and ds.dim == 2 and ds.class_count == 2
+        assert ds.size == 3 and ds.dim == 2 and ds.class_count == 2
         assert np.allclose(ds.features[2], [2.2, 3.3])
 
     def test_negative_label_names_row(self, tmp_path):
@@ -238,7 +245,7 @@ class TestTrainTestSplit:
     def test_split_sizes_and_balance(self):
         ds = generate_synthetic(4, 4, 100, 3.0, seed=1)
         train, test = train_test_split(ds, 0.2, seed=2)
-        assert train.n_samples == 320 and test.n_samples == 80
+        assert train.size == 320 and test.size == 80
         assert np.all(train.label_histogram() == 80)
         assert np.all(test.label_histogram() == 20)
 

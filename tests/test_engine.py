@@ -22,7 +22,7 @@ def logistic_spec(d=6, C=3, l2=0.01):
 def make_shards(M, C=3, d=6, n_per=60, seed=1, pseed=2):
     ds = datasets.generate_synthetic(C, d, n_per, 3.0, seed=seed)
     spec = datasets.PartitionSpec(datasets.IID, vehicle_count=M, edge_count=4, seed=pseed)
-    return datasets.partition(ds, spec)[0]
+    return datasets.partition(ds, spec)
 
 
 def unequal_shards(sizes, C=3, d=6):
@@ -30,19 +30,17 @@ def unequal_shards(sizes, C=3, d=6):
     a class-sorted synthetic dataset's rows, so that every shard mixes
     the classes."""
     ds = datasets.generate_synthetic(C, d, 60, 3.0, seed=1)
-    order = np.random.default_rng(0).permutation(ds.n_samples)
+    order = np.random.default_rng(0).permutation(ds.size)
     cuts = np.cumsum([0] + list(sizes))
-    return [datasets.Shard(m, ds.subset(order[cuts[m]:cuts[m + 1]]))
-            for m in range(len(sizes))]
+    return [ds.subset(order[cuts[m]:cuts[m + 1]]) for m in range(len(sizes))]
 
 
 def blowup_shards(M=4, bad=2, scale=1e20):
     """make_shards(M) with vehicle `bad`'s features scaled up, so that a
     quadratic SGD step on that vehicle alone grows until it overflows."""
     shards = make_shards(M)
-    d = shards[bad].data
-    shards[bad] = datasets.Shard(bad, datasets.LabeledDataset(
-        d.features * scale, d.labels, d.class_count))
+    d = shards[bad]
+    shards[bad] = datasets.LabeledDataset(d.features * scale, d.labels, d.class_count)
     return shards
 
 
@@ -162,8 +160,7 @@ def step_once(spec, shards, W, eta, batch_size=5, iteration=None):
 class TestLocalUpdate:
     def test_one_dim_hand_step(self):
         # loss 0.5*||w - e_2||^2 at w=0, eta=0.1 -> w' = 0.1*e_2
-        shard = datasets.Shard(0, datasets.LabeledDataset(
-            np.array([[1.0]]), np.array([2]), class_count=3))
+        shard = datasets.LabeledDataset(np.array([[1.0]]), np.array([2]), class_count=3)
         spec = models.ModelSpec(models.QUADRATIC, dim=1, class_count=3)
         w = step_once(spec, [shard], np.zeros((1, 3)), eta=0.1)
         assert w[0] == pytest.approx([0.0, 0.0, 0.1], abs=1e-15)
@@ -171,7 +168,7 @@ class TestLocalUpdate:
     def test_fixed_point_at_shard_optimum(self):
         shards = make_shards(1)
         spec = logistic_spec()
-        opt = models.solve_optimum(spec, shards[0].data)
+        opt = models.solve_optimum(spec, shards[0])
         w = step_once(spec, shards, opt.w[None, :], eta=0.1, batch_size=shards[0].size)
         assert np.max(np.abs(w[0] - opt.w)) <= 1e-8
 
@@ -185,8 +182,8 @@ class TestLocalUpdate:
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_named(self):
         # only vehicle 2 overflows; the error names it, not a later vehicle
-        shards = [datasets.Shard(m, datasets.LabeledDataset(
-            np.array([[1e200 if m in (2, 3) else 1.0]]), np.array([1]), class_count=2))
+        shards = [datasets.LabeledDataset(
+            np.array([[1e200 if m in (2, 3) else 1.0]]), np.array([1]), class_count=2)
             for m in range(4)]
         spec = models.ModelSpec(models.QUADRATIC, dim=1, class_count=2)
         with pytest.raises(DivergenceError, match="vehicle 2 iteration 17"):
@@ -422,7 +419,7 @@ class TestRecordingMatchesPerRowLoop:
         self.check(cfg, shards, logistic_spec(), assoc, net.edge_count)
 
     def test_quadratic_full_batch_never_occupied_edge(self):
-        shards, _ = datasets.shared_input_shards(8, 4, 1, 4, 20, 6, seed=5)
+        shards = datasets.shared_input_shards(8, 4, 1, 4, 20, 6, seed=5)
         spec = models.ModelSpec(models.QUADRATIC, dim=6, class_count=4, l2_reg=0.05)
         cfg = HflConfig(eta=0.05, tau_l=2, tau_e=3, cloud_epochs=2, seed=1,
                         record_virtual=True, full_batch=True)
@@ -435,7 +432,7 @@ class TestRecordingMatchesPerRowLoop:
     @pytest.mark.parametrize("tau_l", [1, 2])
     def test_short_rounds(self, tau_l):
         # tau_l = 1 records no in-round snapshot; tau_l = 2 records one per round
-        shards, _ = datasets.shared_input_shards(8, 4, 1, 4, 20, 6, seed=5)
+        shards = datasets.shared_input_shards(8, 4, 1, 4, 20, 6, seed=5)
         spec = models.ModelSpec(models.QUADRATIC, dim=6, class_count=4, l2_reg=0.05)
         cfg = HflConfig(eta=0.05, tau_l=tau_l, tau_e=3, cloud_epochs=2, seed=1,
                         record_virtual=True, full_batch=True)
@@ -446,7 +443,7 @@ class TestRecordingMatchesPerRowLoop:
     def test_snapshots_in_chunks(self, monkeypatch, chunk):
         # a budget of chunk snapshots' fleet_averages terms splits each
         # round's five in-round snapshots into several measurements
-        shards, _ = datasets.shared_input_shards(8, 4, 1, 4, 20, 6, seed=5)
+        shards = datasets.shared_input_shards(8, 4, 1, 4, 20, 6, seed=5)
         spec = models.ModelSpec(models.QUADRATIC, dim=6, class_count=4, l2_reg=0.05)
         edges, P = 4, models.param_length(spec)
         monkeypatch.setattr(engine, "BATCH_CHUNK_BYTES", 8 * (edges + 1) * 8 * P * chunk)
@@ -606,7 +603,7 @@ class TestFleetStepMatchesGradientXy:
         # every shard mixes the classes, so the labels change from step to step
         C = min(3, max(2, spec.class_count))
         ds = datasets.generate_synthetic(C, 6, 80, 3.0, seed=1)
-        data = ds.subset(np.random.default_rng(4).permutation(ds.n_samples)[:sum(sizes)])
+        data = ds.subset(np.random.default_rng(4).permutation(ds.size)[:sum(sizes)])
         P = models.param_length(spec)
         W = models.init_params(spec, 3) + np.linspace(-0.5, 0.5, len(sizes) * P).reshape(-1, P)
         W_ref = W.copy()
@@ -650,7 +647,7 @@ class TestDegenerateEquivalence:
 
         batches = reference_batches(shards[0].size, 16, 9, 0)
         w = np.zeros(models.param_length(spec))
-        X, y = shards[0].data.features, shards[0].data.labels
+        X, y = shards[0].features, shards[0].labels
         for _ in range(cfg.total_iterations):
             idx = next(batches)
             w = w - cfg.eta * models.gradient_xy(spec, w, X[idx], y[idx])
@@ -672,8 +669,8 @@ def reference_static_hfl(cfg, shards, spec, edge_of):
             tau += 1
             for m in range(M):
                 idx = next(batches[m])
-                X = shards[m].data.features[idx]
-                y = shards[m].data.labels[idx]
+                X = shards[m].features[idx]
+                y = shards[m].labels[idx]
                 W[m] = W[m] - cfg.eta * models.gradient_xy(spec, W[m], X, y)
         for n in set(edge_of):
             members = [m for m in range(M) if edge_of[m] == n]
@@ -699,12 +696,10 @@ class TestRun:
         shards = make_shards(M)
         spec = logistic_spec()
         net = mobility.RoadNetwork(side_length=500.0, intersection_zone=25.0)
-        assignment = {m: m % 4 for m in range(M)}
-        veh = mobility.init_positions(net, M, seed=3,
-                                      edge_assignment=assignment)
+        edge_of = [m % 4 for m in range(M)]
+        veh = mobility.init_positions(net, M, seed=3, sides=np.array(edge_of))
         cfg = HflConfig(eta=0.1, tau_l=3, tau_e=4, cloud_epochs=2, batch_size=16, seed=5)
         res = mobile_run(cfg, shards, spec, net, veh, 0.0)
-        edge_of = [assignment[m] for m in range(M)]
         ref = reference_static_hfl(cfg, shards, spec, edge_of)
         assert np.max(np.abs(ref - res.final_state.cloud_params)) <= 1e-12
         # association never changes at v=0
@@ -736,7 +731,7 @@ class TestRun:
     def test_virtual_sync_exact_and_trivial_gap(self):
         # identical shards + full batch + every-step sync: u == v throughout
         base = datasets.generate_synthetic(3, 5, 40, 3.0, seed=4)
-        shards = [datasets.Shard(m, base) for m in range(4)]
+        shards = [base] * 4
         spec = logistic_spec(d=5, C=3)
         cfg = HflConfig(eta=0.1, tau_l=1, tau_e=1, cloud_epochs=12, batch_size=8,
                         seed=2, record_virtual=True, full_batch=True)
@@ -834,7 +829,7 @@ class TestRun:
         # no aggregation happens before then, so no other vehicle is touched
         w = np.zeros(models.param_length(spec))
         batches = reference_batches(shards[2].size, 16, 1, 2)
-        X, y = shards[2].data.features, shards[2].data.labels
+        X, y = shards[2].features, shards[2].labels
         for t in range(1, cfg.tau_l + 1):
             idx = next(batches)
             w = w - cfg.eta * models.gradient_xy(spec, w, X[idx], y[idx])
@@ -941,7 +936,7 @@ class TestRun:
         shards = make_shards(4)
         test = datasets.generate_synthetic(3, 6, 20, 3.0, seed=9)
         union = datasets.union_of_shards(shards)
-        alpha = np.array([s.size for s in shards], dtype=np.float64) / union.n_samples
+        alpha = np.array([s.size for s in shards], dtype=np.float64) / union.size
         cfg = HflConfig(eta=0.1, tau_l=2, tau_e=2, cloud_epochs=2, batch_size=16, seed=6)
         for res in engine.edge_rounds(cfg, shards, spec, eval_data=test):
             u = engine.fleet_averages(alpha[None], res.final_state.vehicle_params)[0]
@@ -970,7 +965,7 @@ class TestRun:
         cfg = HflConfig(eta=0.1, tau_l=2, tau_e=2, cloud_epochs=2, batch_size=16, seed=6)
         res = run(cfg, shards, spec, eval_data=test)
         assert len(res.metrics) == 4
-        assert rows == [sum(s.size for s in shards), test.n_samples]
+        assert rows == [sum(s.size for s in shards), test.size]
 
 
 def test_round_boundary_reuses_its_buffers():
@@ -982,12 +977,12 @@ def test_round_boundary_reuses_its_buffers():
     # 17) activations alone are 212 KiB; fresh arrays took 432 KiB a round)
     full = datasets.generate_synthetic(4, 8, 500, 4.0, seed=1)
     train, test = datasets.train_test_split(full, 0.2, 1)
-    shards, _ = datasets.partition(train, datasets.PartitionSpec(
+    shards = datasets.partition(train, datasets.PartitionSpec(
         datasets.EDGE_NONIID, vehicle_count=32, edge_count=4, classes_per_unit=1, seed=1))
     spec = models.ModelSpec(models.MLP1, dim=8, class_count=4, hidden_width=16)
     cfg = HflConfig(eta=0.1, tau_l=6, tau_e=10, cloud_epochs=2, batch_size=20, seed=4)
     assoc = np.random.default_rng(0).integers(0, 4, size=(cfg.cloud_epochs * cfg.tau_e + 1, 32))
-    assert datasets.union_of_shards(shards).n_samples == 1600
+    assert datasets.union_of_shards(shards).size == 1600
     peaks = []
     tracemalloc.start()
     try:

@@ -161,8 +161,7 @@ class TestInitPositions:
 
     def test_edge_matched_placement(self):
         n = net(a=1000.0)
-        assignment = {m: m % 4 for m in range(16)}
-        pos, _ = init_positions(n, 16, seed=4, edge_assignment=assignment)
+        pos, _ = init_positions(n, 16, seed=4, sides=np.arange(16) % 4)
         assert edge_ids(n, pos).tolist() == [m % 4 for m in range(16)]
 
 
@@ -376,8 +375,7 @@ class TestSchedule:
 class TestMixing:
     def test_fraction_outside_initial_side_nondecreasing(self):
         n = net(a=1000.0, zone=50.0)
-        assignment = {m: m % 4 for m in range(800)}
-        start = init_positions(n, 800, seed=6, edge_assignment=assignment)
+        start = init_positions(n, 800, seed=6, sides=np.arange(800) % 4)
         horizon = int(1000.0 / 30.0)
         _, edge_of = schedule(n, *start, 30.0, horizon)
         frac = np.mean(edge_of != edge_of[0], axis=1)

@@ -39,12 +39,12 @@ class TestLoss:
         # independent oracle: minimum found by numpy lstsq directly
         ds = small_dataset()
         spec = ModelSpec(QUADRATIC, dim=6, class_count=4, l2_reg=0.0)
-        T = np.zeros((ds.n_samples, 4))
-        T[np.arange(ds.n_samples), ds.labels] = 1.0
+        T = np.zeros((ds.size, 4))
+        T[np.arange(ds.size), ds.labels] = 1.0
         W, _, _, _ = np.linalg.lstsq(ds.features, T, rcond=None)
         w = W.ravel()
         R = ds.features @ W - T
-        expected = 0.5 * np.sum(R * R) / ds.n_samples
+        expected = 0.5 * np.sum(R * R) / ds.size
         assert loss(spec, w, ds) == pytest.approx(expected, abs=1e-12)
         assert np.linalg.norm(gradient_xy(spec, w, ds.features, ds.labels)) <= 1e-10
 
@@ -91,7 +91,7 @@ class TestGradient:
         g = np.random.default_rng(5)
         for trial in range(20):
             w = init_params(spec, seed=trial) + 0.3 * g.normal(size=param_length(spec))
-            i = int(g.integers(0, ds.n_samples))
+            i = int(g.integers(0, ds.size))
             sample = ds.subset(np.array([i]))
             anal = gradient_xy(spec, w, sample.features, sample.labels)
             eps = 1e-5
@@ -120,10 +120,10 @@ class TestGradient:
         spec = ModelSpec(MULTINOMIAL_LOGISTIC, dim=6, class_count=4, l2_reg=0.07)
         w = rand_params(spec, seed=9, scale=0.5)
         a = ds.subset(np.arange(0, 40))
-        b = ds.subset(np.arange(40, ds.n_samples))
+        b = ds.subset(np.arange(40, ds.size))
         g_union = gradient_xy(spec, w, ds.features, ds.labels)
-        g_avg = (a.n_samples * gradient_xy(spec, w, a.features, a.labels)
-                 + b.n_samples * gradient_xy(spec, w, b.features, b.labels)) / ds.n_samples
+        g_avg = (a.size * gradient_xy(spec, w, a.features, a.labels)
+                 + b.size * gradient_xy(spec, w, b.features, b.labels)) / ds.size
         assert np.max(np.abs(g_union - g_avg)) <= 1e-12
 
     def test_quadratic_zero_at_closed_form_optimum(self):
@@ -289,7 +289,7 @@ class TestWorkspaceMatchesGradientXy:
         ds = small_dataset()
         spec = SPECS[2]
         g = np.random.default_rng(4)
-        rows = g.integers(0, ds.n_samples, size=(6, 20))
+        rows = g.integers(0, ds.size, size=(6, 20))
         W = init_params(spec, seed=1) + 0.1 * g.normal(size=(6, param_length(spec)))
         X = models.model_inputs(spec, ds.features)
         got = models.GradientWorkspace(spec, W, 20).gradient(X[rows], ds.labels[rows])
@@ -441,7 +441,7 @@ class TestConstants:
         # an oracle independent of the eigendecomposition: lmax(X'X/n) = s_max(X)^2/n
         ds = small_dataset(C=3, d=8, n_per=50, seed=8)
         spec = ModelSpec(QUADRATIC, dim=8, class_count=3, l2_reg=0.0)
-        lam = np.linalg.svd(ds.features, compute_uv=False)[0] ** 2 / ds.n_samples
+        lam = np.linalg.svd(ds.features, compute_uv=False)[0] ** 2 / ds.size
         assert estimate_constants(spec, ds) == pytest.approx(lam, rel=1e-12)
 
     def test_l2_shifts_beta_exactly(self):
@@ -520,11 +520,11 @@ class TestHypothesisProperties:
         spec = ModelSpec(QUADRATIC, dim=6, class_count=4, l2_reg=lam)
         g = np.random.default_rng(seed)
         w = 0.4 * g.normal(size=param_length(spec))
-        cut = int(g.integers(1, ds.n_samples - 1))
-        a, b = ds.subset(np.arange(cut)), ds.subset(np.arange(cut, ds.n_samples))
+        cut = int(g.integers(1, ds.size - 1))
+        a, b = ds.subset(np.arange(cut)), ds.subset(np.arange(cut, ds.size))
         combined = (cut * gradient_xy(spec, w, a.features, a.labels)
-                    + (ds.n_samples - cut) * gradient_xy(spec, w, b.features, b.labels)
-                    ) / ds.n_samples
+                    + (ds.size - cut) * gradient_xy(spec, w, b.features, b.labels)
+                    ) / ds.size
         assert np.allclose(combined, gradient_xy(spec, w, ds.features, ds.labels), atol=1e-12)
 
 
