@@ -134,17 +134,28 @@ MUTATIONS = [
     # fill a chunk
     Mutation(ENGINE, "if held == chunk or s == tau_l - 1:", "if held == chunk:",
              TEST_ENGINE + "::TestRecordingMatchesPerRowLoop::test_snapshots_in_chunks"),
-    # the shared-input class coverage left to the construction, which
-    # reports it as an edge_noniid error
-    Mutation("src/hflsim/config.py",
-             "        if pt.shared_input:\n"
-             "            p.append(f\"[partition] shared_input needs classes_per_unit*edges >= "
-             "classes \"\n"
+    # the shared-input class coverage left to edge_noniid's rule, which the
+    # partial-coverage flag excuses, so the construction drops the surplus
+    # classes
+    Mutation("src/hflsim/datasets.py",
+             "        if shared_input:\n"
+             "            p.append(f\"shared_input needs classes_per_unit*edges >= classes \"\n"
              "                     f\"({l}*{N} < {C}); allow_partial_class_coverage does not "
              "apply to it\")\n"
-             "        elif pt.regime",
-             "        if pt.regime",
+             "        elif regime",
+             "        if regime",
              "tests/test_config_cli.py::TestExitCodes::test_shared_input_covers_every_class"),
+    # the edge-skewed partition's vehicles left unchecked against the edges
+    Mutation("src/hflsim/datasets.py",
+             "    if N is not None and (regime == EDGE_NONIID or shared_input) "
+             "and M % max(N, 1) != 0:\n"
+             "        p.append(f\"vehicles must be divisible by edges ({M} % {N})\")\n",
+             "",
+             "tests/test_config_cli.py::TestCsvClassCoverage"
+             "::test_eight_class_csv_rejected_by_the_partition"),
+    # [hfl]'s rules no longer collected by validate
+    Mutation("src/hflsim/config.py", '    p += [f"[hfl] {m}" for m in h.problems()]\n', "",
+             "tests/test_config_cli.py::TestConfigFormat::test_all_violations_reported_at_once"),
     # a seed of 2**64 or more left to rng.stream, which raises mid-setup
     Mutation("src/hflsim/config.py",
              "            if f.name == \"seed\" and v >= rng.SEED_LIMIT:\n"

@@ -1,9 +1,9 @@
 """Experiment configuration: flat sectioned key=value files.
 
-The grammar is INI as understood by configparser: [section] headers,
-key = value lines, '#' comments. Every key has a default, unknown keys
-are rejected, and validation reports every violation at once so a bad
-file fails with the complete list.
+The grammar is INI as understood by configparser, without interpolation
+('%' is plain text): [section] headers, key = value lines, '#' comments.
+Every key has a default, unknown keys are rejected, and validation
+reports every violation at once so a bad file fails with the complete list.
 """
 
 import configparser
@@ -11,7 +11,7 @@ import io
 import math
 from dataclasses import dataclass, field, fields
 
-from . import datasets, models, rng
+from . import datasets, mobility, models, rng
 from .engine import HflConfig
 
 
@@ -106,7 +106,7 @@ def _parse_value(typ, raw, where):
 
 
 def parse_config(text):
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
         cp.read_string(text)
     except configparser.Error as e:
@@ -165,12 +165,13 @@ def serialize_config(cfg, exclude=()):
 
 
 def validate(cfg):
-    """Collect every violation; raise ConfigError listing all of them."""
+    """Collect every violation; raise ConfigError listing all of them. Each
+    rule on a value is stated by the code that uses it and listed here as
+    "[section] message"; this function states only the rules no owner has."""
     p = []
     d, pt, mo, h, md = cfg.dataset, cfg.partition, cfg.mobility, cfg.hfl, cfg.model
-    # NaN fails every range check below silently, and an infinite speed
-    # never finishes a mobility step; a seed keys a random stream, whose
-    # key is one 64-bit word
+    # NaN fails every range check silently, and an infinite speed never ends
+    # a mobility step; a seed keys a random stream, whose key is one 64-bit word
     for section in _SECTIONS:
         target = getattr(cfg, section)
         for f in fields(target):
@@ -185,47 +186,18 @@ def validate(cfg):
     if d.kind not in ("synthetic", "csv"):
         p.append(f"[dataset] kind must be synthetic or csv, got {d.kind!r}")
     if d.kind == "synthetic":
-        if d.classes < 2:
-            p.append("[dataset] classes must be >= 2")
-        if d.dim < 2:
-            p.append("[dataset] dim must be >= 2")
-        if d.samples_per_class < 1:
-            p.append("[dataset] samples_per_class must be >= 1")
-        if d.separation <= 0:
-            p.append("[dataset] separation must be > 0")
-        if d.clusters_per_class < 1:
-            p.append("[dataset] clusters_per_class must be >= 1")
+        p += [f"[dataset] {m}" for m in datasets.synthetic_problems(
+            d.classes, d.dim, d.samples_per_class, d.separation, d.clusters_per_class)]
     if d.kind == "csv" and not d.csv_path:
         p.append("[dataset] csv_path required when kind = csv")
-    if not 0.0 < d.test_fraction < 1.0:
-        p.append("[dataset] test_fraction must be in (0, 1)")
+    p += [f"[dataset] {m}" for m in datasets.split_problems(d.test_fraction)]
 
-    if pt.regime not in datasets.REGIMES:
-        p.append(f"[partition] regime must be one of {datasets.REGIMES}")
-    if pt.vehicles < 1:
-        p.append("[partition] vehicles must be >= 1")
-    if pt.classes_per_unit < 1:
-        p.append("[partition] classes_per_unit must be >= 1")
-    C, M, N, l = d.classes, pt.vehicles, mo.edges, pt.classes_per_unit
-    # a CSV's class count is known once the file is loaded; datasets.partition
-    # checks coverage against it then
-    classes_known = d.kind != "csv" or pt.shared_input
-    if classes_known and pt.regime == datasets.LOCAL_NONIID and l * M < C:
-        p.append(f"[partition] local_noniid needs classes_per_unit*vehicles >= classes "
-                 f"({l}*{M} < {C})")
-    if (pt.regime == datasets.EDGE_NONIID or pt.shared_input) and M % max(N, 1) != 0:
-        p.append(f"[partition] vehicles must be divisible by edges ({M} % {N})")
-    if classes_known and l * N < C:
-        # the shared-input construction gives every class to some edge,
-        # whatever the regime; the partial-coverage flag is edge_noniid's
-        if pt.shared_input:
-            p.append(f"[partition] shared_input needs classes_per_unit*edges >= classes "
-                     f"({l}*{N} < {C}); allow_partial_class_coverage does not apply to it")
-        elif pt.regime == datasets.EDGE_NONIID and not pt.allow_partial_class_coverage:
-            p.append(f"[partition] edge_noniid needs classes_per_unit*edges >= classes "
-                     f"({l}*{N} < {C}); set allow_partial_class_coverage to override")
-    if classes_known and pt.regime != datasets.IID and l > C:
-        p.append(f"[partition] classes_per_unit exceeds classes ({l} > {C})")
+    # a CSV's class count is known once the file is loaded; the shared-input
+    # construction ignores the file and uses [dataset] classes
+    classes = None if d.kind == "csv" and not pt.shared_input else d.classes
+    p += [f"[partition] {m}" for m in datasets.partition_problems(
+        pt.regime, pt.vehicles, mo.edges, pt.classes_per_unit,
+        pt.allow_partial_class_coverage, classes, pt.shared_input)]
     if pt.shared_input and md.family != models.QUADRATIC:
         p.append("[partition] shared_input requires the quadratic family")
     if pt.shared_input and pt.shared_samples_per_shard < 1:
@@ -233,34 +205,16 @@ def validate(cfg):
 
     if mo.edges not in (1, 4):
         p.append("[mobility] edges must be 4 (square topology) or 1 (static degenerate)")
-    if mo.side_length <= 0:
-        p.append("[mobility] side_length must be > 0")
-    if not 0.0 <= mo.intersection_zone < mo.side_length / 2:
-        p.append("[mobility] intersection_zone must be in [0, side_length/2)")
-    if not 0.0 < mo.slowdown_factor <= 1.0:
-        p.append("[mobility] slowdown_factor must be in (0, 1]")
-    if mo.speed < 0:
-        p.append("[mobility] speed must be >= 0")
+    p += [f"[mobility] {m}" for m in mobility.road_problems(
+        mo.side_length, mo.intersection_zone, mo.slowdown_factor)]
     if mo.side_length > 0 and mo.speed > MAX_SIDES_PER_ROUND * mo.side_length:
         p.append(f"[mobility] speed must be at most {MAX_SIDES_PER_ROUND} sides per "
                  f"one-second round ({MAX_SIDES_PER_ROUND} * side_length = "
                  f"{MAX_SIDES_PER_ROUND * mo.side_length:g} m/s), got {mo.speed!r}")
-    if not 0.0 <= mo.p_turn <= 1.0:
-        p.append("[mobility] p_turn must be in [0, 1]")
+    p += [f"[mobility] {m}" for m in mobility.motion_problems(mo.speed, mo.p_turn)]
 
-    if h.eta <= 0:
-        p.append("[hfl] eta must be > 0")
-    if h.tau_l < 1 or h.tau_e < 1 or h.cloud_epochs < 1:
-        p.append("[hfl] tau_l, tau_e and cloud_epochs must be >= 1")
-    if h.batch_size < 1:
-        p.append("[hfl] batch_size must be >= 1")
-
-    if md.family not in models.FAMILIES:
-        p.append(f"[model] family must be one of {models.FAMILIES}")
-    if md.l2_reg < 0:
-        p.append("[model] l2_reg must be >= 0")
-    if md.family == models.MLP1 and md.hidden_width < 1:
-        p.append("[model] mlp1 needs hidden_width >= 1")
+    p += [f"[hfl] {m}" for m in h.problems()]
+    p += [f"[model] {m}" for m in models.spec_problems(md.family, md.l2_reg, md.hidden_width)]
 
     if not cfg.output.directory:
         p.append("[output] directory must be set")

@@ -74,12 +74,57 @@ class PartitionSpec:
     allow_partial_class_coverage: bool = False
 
     def __post_init__(self):
-        if self.regime not in REGIMES:
-            raise ValueError(f"unknown regime {self.regime!r}")
-        if self.vehicle_count < 1 or self.edge_count < 1:
-            raise ValueError("vehicle_count and edge_count must be >= 1")
-        if self.regime != IID and self.classes_per_unit < 1:
-            raise ValueError("classes_per_unit must be >= 1")
+        if self.edge_count < 1:
+            raise ValueError("edge_count must be >= 1")
+        # the fit to the edges and the classes is partition's to raise
+        if p := partition_problems(self.regime, self.vehicle_count, None, self.classes_per_unit):
+            raise ValueError(p[0])
+
+
+def partition_problems(regime, vehicle_count, edge_count, classes_per_unit,
+                       allow_partial_class_coverage=False, class_count=None, shared_input=False):
+    """Every rule a partition's values break: on the spec alone (regime,
+    vehicles, classes_per_unit), then whether the regime, or shared input
+    (which ignores it), fits the edges and covers the classes. A count that
+    is None, such as a CSV's classes before loading, skips the rules on it."""
+    M, N, l, C = vehicle_count, edge_count, classes_per_unit, class_count
+    p = [m for broken, m in (
+        (regime not in REGIMES, f"regime must be one of {REGIMES}"),
+        (M < 1, "vehicles must be >= 1"),
+        (l < 1, "classes_per_unit must be >= 1")) if broken]
+    # edge-skewed vehicles split evenly over the edges (home_edges)
+    if N is not None and (regime == EDGE_NONIID or shared_input) and M % max(N, 1) != 0:
+        p.append(f"vehicles must be divisible by edges ({M} % {N})")
+    if N is None or C is None:
+        return p
+    if regime == LOCAL_NONIID and not shared_input and l * M < C:
+        p.append(f"local_noniid needs classes_per_unit*vehicles >= classes ({l}*{M} < {C})")
+    if l * N < C:
+        # the shared-input construction gives every class to some edge,
+        # whatever the regime; the partial-coverage flag is edge_noniid's
+        if shared_input:
+            p.append(f"shared_input needs classes_per_unit*edges >= classes "
+                     f"({l}*{N} < {C}); allow_partial_class_coverage does not apply to it")
+        elif regime == EDGE_NONIID and not allow_partial_class_coverage:
+            p.append(f"edge_noniid needs classes_per_unit*edges >= classes "
+                     f"({l}*{N} < {C}); set allow_partial_class_coverage to override")
+    if (regime != IID or shared_input) and l > C:
+        p.append(f"classes_per_unit exceeds classes ({l} > {C})")
+    return p
+
+
+def synthetic_problems(classes, dim, samples_per_class, separation, clusters_per_class):
+    """Every rule generate_synthetic's values break."""
+    return [m for broken, m in (
+        (classes < 2, "classes must be >= 2"), (dim < 2, "dim must be >= 2"),
+        (samples_per_class < 1, "samples_per_class must be >= 1"),
+        (separation <= 0, "separation must be > 0"),
+        (clusters_per_class < 1, "clusters_per_class must be >= 1")) if broken]
+
+
+def split_problems(test_fraction):
+    """The rule train_test_split's test_fraction breaks, if any."""
+    return [] if 0.0 < test_fraction < 1.0 else ["test_fraction must be in (0, 1)"]
 
 
 def generate_synthetic(class_count, dim, samples_per_class, separation, seed,
@@ -96,16 +141,9 @@ def generate_synthetic(class_count, dim, samples_per_class, separation, seed,
     per class, split as evenly as possible over its clusters. Samples
     are ordered class-major.
     """
-    if class_count < 2:
-        raise ValueError("class_count must be >= 2")
-    if dim < 2:
-        raise ValueError("dim must be >= 2")
-    if samples_per_class < 1:
-        raise ValueError("samples_per_class must be >= 1")
-    if separation <= 0:
-        raise ValueError("separation must be > 0")
-    if clusters_per_class < 1:
-        raise ValueError("clusters_per_class must be >= 1")
+    if p := synthetic_problems(class_count, dim, samples_per_class, separation,
+                               clusters_per_class):
+        raise ValueError(p[0])
     g = rng.stream(seed, rng.SYNTHETIC_DATA)
     n_clusters = class_count * clusters_per_class
     means = g.normal(size=(n_clusters, dim))
@@ -132,8 +170,8 @@ def generate_synthetic(class_count, dim, samples_per_class, separation, seed,
 
 def train_test_split(dataset, test_fraction, seed):
     """Per-class seeded split; keeps a balanced dataset balanced."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must be in (0, 1)")
+    if p := split_problems(test_fraction):
+        raise ValueError(p[0])
     g = rng.stream(seed, rng.TRAIN_TEST_SPLIT)
     train_idx, test_idx = [], []
     for c in range(dataset.class_count):
@@ -182,13 +220,8 @@ def home_edges(vehicle_count, edge_count):
     return np.arange(vehicle_count) // (vehicle_count // edge_count)
 
 
-def _edge_class_sets(C, N, l, allow_partial):
-    if l > C:
-        raise InfeasiblePartitionError(f"classes_per_unit={l} exceeds class_count={C}")
-    if l * N < C and not allow_partial:
-        raise InfeasiblePartitionError(
-            f"edge_noniid needs l*N >= C ({l}*{N} < {C}); "
-            "set allow_partial_class_coverage to drop the surplus classes")
+def _edge_class_sets(C, N, l):
+    """l classes per edge, round-robin; with l*N < C some go to no edge."""
     if l * N < C:
         return [tuple(n * l + j for j in range(l)) for n in range(N)]
     return [tuple((n * l + j) % C for j in range(l)) for n in range(N)]
@@ -208,6 +241,8 @@ def partition(dataset, spec):
     """
     M, N, l = spec.vehicle_count, spec.edge_count, spec.classes_per_unit
     C = dataset.class_count
+    if p := partition_problems(spec.regime, M, N, l, spec.allow_partial_class_coverage, C):
+        raise InfeasiblePartitionError(p[0])
     g = rng.stream(spec.seed, rng.PARTITION)
 
     if spec.regime == IID:
@@ -218,11 +253,6 @@ def partition(dataset, spec):
         return [dataset.subset(np.sort(chunk)) for chunk in np.array_split(perm, M)]
 
     if spec.regime == LOCAL_NONIID:
-        if l * M < C:
-            raise InfeasiblePartitionError(
-                f"local_noniid needs l*M >= C ({l}*{M} < {C})")
-        if l > C:
-            raise InfeasiblePartitionError(f"classes_per_unit={l} exceeds class_count={C}")
         if dataset.size < M * l:
             raise InfeasiblePartitionError(
                 f"need at least vehicle_count*l = {M * l} samples, have {dataset.size}")
@@ -231,10 +261,7 @@ def partition(dataset, spec):
         return [data.subset(np.sort(blocks[m::M].ravel())) for m in range(M)]
 
     # edge_noniid
-    if M % N != 0:
-        raise InfeasiblePartitionError(
-            f"edge_noniid needs vehicle_count divisible by edge_count ({M} % {N} != 0)")
-    class_sets = _edge_class_sets(C, N, l, spec.allow_partial_class_coverage)
+    class_sets = _edge_class_sets(C, N, l)
     owners = {c: [n for n in range(N) if c in class_sets[n]] for c in range(C)}
     edge_pools = [[] for _ in range(N)]
     for c in range(C):
@@ -277,9 +304,10 @@ def shared_input_shards(vehicle_count, edge_count, classes_per_edge, class_count
     (analysis.shared_input_delta_m).
     """
     M, N, l, C = vehicle_count, edge_count, classes_per_edge, class_count
-    if M % N != 0:
-        raise ValueError("vehicle_count must be divisible by edge_count")
-    class_sets = _edge_class_sets(C, N, l, allow_partial=False)
+    # the regime is ignored under shared input: any one will do
+    if p := partition_problems(IID, M, N, l, class_count=C, shared_input=True):
+        raise InfeasiblePartitionError(p[0])
+    class_sets = _edge_class_sets(C, N, l)
     g = rng.stream(seed, rng.SHARED_INPUT)
     X = g.normal(size=(samples_per_shard, dim))
     shards = []

@@ -48,12 +48,16 @@ class HflConfig:
     full_batch: bool = False
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError("eta must be > 0")
-        if self.tau_l < 1 or self.tau_e < 1 or self.cloud_epochs < 1:
-            raise ValueError("tau_l, tau_e and cloud_epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        if p := self.problems():
+            raise ValueError(p[0])
+
+    def problems(self):
+        """Every rule the schedule's values break."""
+        return [m for broken, m in (
+            (self.eta <= 0, "eta must be > 0"),
+            (self.tau_l < 1 or self.tau_e < 1 or self.cloud_epochs < 1,
+             "tau_l, tau_e and cloud_epochs must be >= 1"),
+            (self.batch_size < 1, "batch_size must be >= 1")) if broken]
 
     @property
     def total_iterations(self):

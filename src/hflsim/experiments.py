@@ -71,15 +71,12 @@ def build_instance(cfg):
             regime=pt.regime, vehicle_count=pt.vehicles, edge_count=mo.edges,
             classes_per_unit=pt.classes_per_unit, seed=pt.seed,
             allow_partial_class_coverage=pt.allow_partial_class_coverage)
-        with _config_fault("partition"):
-            shards = datasets.partition(train, pspec)
+        shards = datasets.partition(train, pspec)
     union = datasets.union_of_shards(shards)
 
     # a CSV's class count is only known here
-    with _config_fault("model"):
-        spec = models.ModelSpec(family=md.family, dim=union.dim,
-                                class_count=union.class_count,
-                                l2_reg=md.l2_reg, hidden_width=md.hidden_width)
+    spec = models.ModelSpec(family=md.family, dim=union.dim, class_count=union.class_count,
+                            l2_reg=md.l2_reg, hidden_width=md.hidden_width)
     return Instance(cfg=cfg, spec=spec, test=test, shards=shards, union=union)
 
 

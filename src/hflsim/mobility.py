@@ -23,16 +23,28 @@ class RoadNetwork:
     edge_count = 4  # one edge server per side: a class constant, not a field
 
     def __post_init__(self):
-        if self.side_length <= 0:
-            raise ValueError("side_length must be > 0")
-        if not 0.0 <= self.intersection_zone < self.side_length / 2:
-            raise ValueError("intersection_zone must be in [0, side_length/2)")
-        if not 0.0 < self.slowdown_factor <= 1.0:
-            raise ValueError("slowdown_factor must be in (0, 1]")
+        if p := road_problems(self.side_length, self.intersection_zone, self.slowdown_factor):
+            raise ValueError(p[0])
 
     @property
     def perimeter(self):
         return 4.0 * self.side_length
+
+
+def road_problems(side_length, intersection_zone, slowdown_factor):
+    """Every rule the road's values break."""
+    return [m for broken, m in (
+        (side_length <= 0, "side_length must be > 0"),
+        (not 0.0 <= intersection_zone < side_length / 2,
+         "intersection_zone must be in [0, side_length/2)"),
+        (not 0.0 < slowdown_factor <= 1.0, "slowdown_factor must be in (0, 1]")) if broken]
+
+
+def motion_problems(speed, p_turn):
+    """Every rule schedule's speed (scalar or per vehicle) and p_turn break."""
+    return [m for broken, m in (
+        (np.any(np.asarray(speed) < 0.0), "speed must be >= 0"),
+        (not 0.0 <= p_turn <= 1.0, "p_turn must be in [0, 1]")) if broken]
 
 
 @dataclass
@@ -50,8 +62,6 @@ def init_positions(network, vehicle_count, seed, sides=None):
     an edge-skewed partition), vehicle m is placed uniformly within side
     sides[m], so the initial association is sides.
     """
-    if vehicle_count < 1:
-        raise ValueError("vehicle_count must be >= 1")
     g = rng.stream(seed, rng.MOBILITY_INIT)
     a = network.side_length
     u = g.random(vehicle_count)
@@ -144,8 +154,10 @@ def schedule(network, positions, directions, speed, rounds, p_turn=0.0, seed=0):
     pos = np.array(positions, dtype=float)
     direction = np.array(directions, dtype=np.int64)
     speed = np.broadcast_to(np.asarray(speed, dtype=float), pos.shape)
-    if not np.all(np.isfinite(speed) & (speed >= 0.0)):
-        raise ValueError("speed must be finite and >= 0")  # inf would cross corners forever
+    if not np.all(np.isfinite(speed)):
+        raise ValueError("speed must be finite")  # inf would cross corners forever
+    if p := motion_problems(speed, p_turn):
+        raise ValueError(p[0])
     moving = speed * network.slowdown_factor != 0.0
     out = np.empty((rounds + 1, pos.size))
     out[0] = pos

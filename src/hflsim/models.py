@@ -40,18 +40,22 @@ class ModelSpec:
     hidden_width: int = 0
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
         if self.dim < 1 or self.class_count < 2:
             raise ValueError("dim must be >= 1 and class_count >= 2")
-        if self.l2_reg < 0:
-            raise ValueError("l2_reg must be >= 0")
-        if self.family == MLP1 and self.hidden_width < 1:
-            raise ValueError("mlp1 needs hidden_width >= 1")
+        if p := spec_problems(self.family, self.l2_reg, self.hidden_width):
+            raise ValueError(p[0])
 
     @property
     def is_convex(self):
         return self.family in (QUADRATIC, MULTINOMIAL_LOGISTIC)
+
+
+def spec_problems(family, l2_reg, hidden_width):
+    """Every rule a model's family, l2_reg and hidden_width break."""
+    return [m for broken, m in (
+        (family not in FAMILIES, f"family must be one of {FAMILIES}"),
+        (l2_reg < 0, "l2_reg must be >= 0"),
+        (family == MLP1 and hidden_width < 1, "mlp1 needs hidden_width >= 1")) if broken]
 
 
 def param_length(spec):

@@ -1,6 +1,7 @@
 import concurrent.futures
 import copy
 import csv
+import functools
 import json
 import os
 import re
@@ -11,6 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hflsim import analysis, cli, config, datasets, engine, experiments, mobility, models, rng
 from hflsim.config import ConfigError, ExperimentConfig, parse_config, serialize_config, validate
@@ -157,6 +159,144 @@ tau_l = 0
         with pytest.raises(ConfigError, match="divisible"):
             validate(cfg)
 
+    def test_shared_input_classes_per_unit_exceeds_classes(self):
+        # the shared-input construction gives each edge classes_per_unit
+        # classes whatever the regime, so iid does not excuse 5 of 4
+        text = BOUNDS.format(out="o").replace("regime = edge_noniid", "regime = iid")
+        cfg = parse_config(text.replace("classes_per_unit = 1", "classes_per_unit = 5"))
+        with pytest.raises(ConfigError) as e:
+            validate(cfg)
+        assert e.value.problems == ["[partition] classes_per_unit exceeds classes (5 > 4)"]
+
+    @pytest.mark.parametrize("value", ["out/50%", "%%", "%(x)s"])
+    def test_values_read_literally(self, value):
+        # no interpolation: "%" is an ordinary character
+        cfg = ExperimentConfig()
+        cfg.dataset.csv_path = cfg.output.directory = value
+        assert parse_config(serialize_config(cfg)) == cfg
+
+
+@functools.cache
+def _labeled(classes, per_class):
+    return datasets.generate_synthetic(classes, 2, per_class, 3.0, 1)
+
+
+def _dataset_owners(cfg):
+    d = cfg.dataset
+    synthetic = (d.classes, d.dim, d.samples_per_class, d.separation, d.clusters_per_class)
+    return [(datasets.synthetic_problems(*synthetic),
+             lambda: datasets.generate_synthetic(*synthetic[:4], 1, synthetic[4])),
+            # 10 samples per class: every fraction drawn leaves both sides nonempty
+            (datasets.split_problems(d.test_fraction),
+             lambda: datasets.train_test_split(_labeled(2, 10), d.test_fraction, 1))]
+
+
+def _partition_owners(cfg):
+    d, pt, N = cfg.dataset, cfg.partition, cfg.mobility.edges
+    known = d.kind == "synthetic" or pt.shared_input
+
+    def build():
+        spec = datasets.PartitionSpec(pt.regime, pt.vehicles, N, pt.classes_per_unit,
+                                      allow_partial_class_coverage=pt.allow_partial_class_coverage)
+        if pt.shared_input:
+            shards = datasets.shared_input_shards(pt.vehicles, N, pt.classes_per_unit,
+                                                  d.classes, 5, 2, 1)
+        else:
+            shards = datasets.partition(_labeled(d.classes, 30), spec)
+        # a partition the rules let through is whole
+        assert len(shards) == pt.vehicles
+        assert all(isinstance(s, datasets.LabeledDataset) for s in shards)
+
+    # a CSV's class count is unknown to validate, so its partition may still fail
+    return [(datasets.partition_problems(pt.regime, pt.vehicles, N, pt.classes_per_unit,
+                                         pt.allow_partial_class_coverage,
+                                         d.classes if known else None, pt.shared_input),
+             build if known else None)]
+
+
+def _mobility_owners(cfg):
+    mo = cfg.mobility
+    road = (mo.side_length, mo.intersection_zone, mo.slowdown_factor)
+    return [(mobility.road_problems(*road), lambda: mobility.RoadNetwork(*road)),
+            (mobility.motion_problems(mo.speed, mo.p_turn),
+             lambda: mobility.schedule(mobility.RoadNetwork(), [0.0, 1500.0], [1, -1],
+                                       mo.speed, 2, mo.p_turn))]
+
+
+def _hfl_owners(cfg):
+    return [(cfg.hfl.problems(), lambda: replace(cfg.hfl))]
+
+
+def _model_owners(cfg):
+    md = cfg.model
+    return [(models.spec_problems(md.family, md.l2_reg, md.hidden_width),
+             lambda: models.ModelSpec(md.family, 2, 2, md.l2_reg, md.hidden_width))]
+
+
+# per section: the values drawn, each a boundary or out of range or not,
+# as "section.key" -> candidates, and the section's owners of rules
+OWNERS = {
+    "dataset": ({"dataset.classes": [-1, 1, 2, 3], "dataset.dim": [1, 2, 3],
+                 "dataset.samples_per_class": [0, 1, 7],
+                 "dataset.separation": [-1.0, 0.0, 5e-324, 2.0],
+                 "dataset.clusters_per_class": [0, 1, 2],
+                 "dataset.test_fraction": [-0.5, 0.0, 0.1, 0.5, 0.9, 1.0, 1.5]},
+                _dataset_owners),
+    "partition": ({"dataset.kind": ["synthetic", "csv"], "dataset.classes": [2, 3, 4],
+                   "partition.regime": [*datasets.REGIMES, "bogus"],
+                   "partition.vehicles": [-1, 0, 1, 2, 4, 6, 8],
+                   "partition.classes_per_unit": [-1, 0, 1, 2, 3, 5],
+                   "partition.allow_partial_class_coverage": [False, True],
+                   "partition.shared_input": [False, True], "mobility.edges": [1, 2, 4]},
+                  _partition_owners),
+    "mobility": ({"mobility.side_length": [-1.0, 0.0, 10.0, 1000.0],
+                  "mobility.intersection_zone": [-1.0, 0.0, 4.9, 5.0, 499.0, 500.0],
+                  "mobility.slowdown_factor": [-0.5, 0.0, 0.5, 1.0, 1.5],
+                  "mobility.speed": [-1.0, -0.0, 0.0, 30.0],
+                  "mobility.p_turn": [-0.1, 0.0, 0.5, 1.0, 1.5]},
+                 _mobility_owners),
+    "hfl": ({"hfl.eta": [-1.0, 0.0, 5e-324, 0.1], "hfl.tau_l": [-1, 0, 1, 3],
+             "hfl.tau_e": [0, 1, 2], "hfl.cloud_epochs": [0, 1, 2],
+             "hfl.batch_size": [0, 1, 20]},
+            _hfl_owners),
+    "model": ({"model.family": [*models.FAMILIES, "linear"],
+               "model.l2_reg": [-0.01, -0.0, 0.0, 0.01], "model.hidden_width": [-1, 0, 1, 8]},
+              _model_owners),
+}
+
+
+class TestOwnersAgree:
+    @pytest.mark.parametrize("section", list(OWNERS))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_validate_lists_each_owners_rules(self, section, data):
+        # validate's [section] lines are its owners' lists in order, and an
+        # owner raises exactly when its list is nonempty
+        draws, owners = OWNERS[section]
+        values = data.draw(st.fixed_dictionaries({k: st.sampled_from(v)
+                                                  for k, v in draws.items()}))
+        cfg = ExperimentConfig()
+        cfg.model.family = models.QUADRATIC  # what shared input needs
+        for where, v in values.items():
+            setattr(getattr(cfg, where.split(".")[0]), where.split(".")[1], v)
+        try:
+            validate(cfg)
+            problems = []
+        except ConfigError as e:
+            problems = e.problems
+        lists = owners(cfg)
+        assert [m for m in problems if m.startswith(f"[{section}] ")] == \
+            [f"[{section}] {m}" for rules, _ in lists for m in rules]
+        for rules, call in lists:
+            if call is None:
+                continue
+            try:
+                call()
+                raised = False
+            except ValueError:
+                raised = True
+            assert raised == bool(rules), rules
+
 
 class TestCmdRun:
     def test_smoke_and_outputs(self, tmp_path, capsys):
@@ -228,6 +368,12 @@ class TestCmdRun:
         assert hashes["eta"] != hashes["a"] and hashes["seed"] != hashes["a"]
         cfg = config.load_config(path)
         assert hashes["a"] == engine.config_hash(serialize_config(cfg, exclude=("output",)))
+
+    def test_percent_in_the_output_directory(self, tmp_path):
+        p = tmp_path / "exp.cfg"
+        p.write_text(MINI.format(out=tmp_path / "out_50%"))
+        assert cli.main(["run", "--config", str(p)]) == 0
+        assert (tmp_path / "out_50%" / "metrics.csv").exists()
 
     def test_invalid_config_exit_2(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -314,9 +460,29 @@ class TestCsvClassCoverage:
     def test_four_class_csv_runs(self, tmp_path):
         assert cli.main(["run", "--config", csv_config(tmp_path, 4)]) == 0
 
-    def test_eight_class_csv_rejected_by_the_partition(self, tmp_path, capsys):
-        assert cli.main(["run", "--config", csv_config(tmp_path, 8)]) == 2
-        assert "edge_noniid needs l*N >= C (1*4 < 8)" in capsys.readouterr().err
+    @pytest.mark.parametrize("kind", ["synthetic", "csv"])
+    @pytest.mark.parametrize("regime, vehicles, rule", [
+        ("edge_noniid", 4, "edge_noniid needs classes_per_unit*edges >= classes (1*4 < 8); "
+                           "set allow_partial_class_coverage to override"),
+        ("local_noniid", 4, "local_noniid needs classes_per_unit*vehicles >= classes "
+                            "(1*4 < 8)"),
+        ("edge_noniid", 6, "vehicles must be divisible by edges (6 % 4)")],
+        ids=["edge-coverage", "local-coverage", "divisible"])
+    def test_eight_class_csv_rejected_by_the_partition(self, tmp_path, capsys, kind, regime,
+                                                      vehicles, rule):
+        # 8 classes, one per vehicle or edge: validate rejects a synthetic
+        # config, the partition a CSV one once its class count is known,
+        # with the same rule text
+        path = csv_config(tmp_path, 8)
+        text = open(path).read().replace("regime = edge_noniid", f"regime = {regime}")
+        text = text.replace("vehicles = 4", f"vehicles = {vehicles}")
+        if kind == "synthetic":
+            text = text.replace("kind = csv", "kind = synthetic\nclasses = 8\ndim = 3")
+        open(path, "w").write(text)
+        assert cli.main(["run", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert f"[partition] {rule}\n" in err or err == f"error: {rule}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_feature_rejected(self, tmp_path, capsys, bad):

@@ -174,6 +174,12 @@ class TestPartition:
             partition(ds, PartitionSpec(EDGE_NONIID, vehicle_count=6, edge_count=4,
                                         classes_per_unit=2, seed=0))
 
+    def test_classes_per_unit_checked_for_every_regime(self):
+        # iid ignores classes_per_unit, but a config file cannot set it to
+        # 0, and neither can the spec
+        with pytest.raises(ValueError, match="classes_per_unit must be >= 1"):
+            PartitionSpec(IID, vehicle_count=4, edge_count=4, classes_per_unit=0)
+
     def test_partial_class_coverage_flag(self):
         ds = generate_synthetic(8, 4, 16, 3.0, seed=0)
         spec = PartitionSpec(EDGE_NONIID, vehicle_count=8, edge_count=4,

@@ -342,6 +342,12 @@ class TestSchedule:
         with pytest.raises(ValueError, match="speed"):
             schedule(n, [0.0, 10.0], [1, -1], [10.0, speed], 3, p_turn=0.5)
 
+    @pytest.mark.parametrize("p_turn", [-0.1, 1.5, float("nan")])
+    def test_invalid_p_turn(self, p_turn):
+        # a probability outside [0, 1] is rejected here as in a config file
+        with pytest.raises(ValueError, match=r"p_turn must be in \[0, 1\]"):
+            schedule(net(), [0.0, 10.0], [1, -1], 10.0, 3, p_turn=p_turn)
+
     def test_associate_once_per_row(self, monkeypatch):
         # the association of every row goes through associate, with the
         # row's time
