@@ -147,8 +147,7 @@ MUTATIONS = [
              "tests/test_config_cli.py::TestExitCodes::test_shared_input_covers_every_class"),
     # the edge-skewed partition's vehicles left unchecked against the edges
     Mutation("src/hflsim/datasets.py",
-             "    if N is not None and (regime == EDGE_NONIID or shared_input) "
-             "and M % max(N, 1) != 0:\n"
+             "    if N >= 1 and edge_skewed(regime, shared_input) and M % N != 0:\n"
              "        p.append(f\"vehicles must be divisible by edges ({M} % {N})\")\n",
              "",
              "tests/test_config_cli.py::TestCsvClassCoverage"
@@ -182,8 +181,8 @@ MUTATIONS = [
              "tests/test_config_cli.py::TestExitCodes::test_file_not_utf8[csv]"),
     # partition.csv's edge ids read from the association after the first
     # round, not the one a run starts from
-    Mutation("src/hflsim/cli.py", "edge_of = experiments.schedule(inst, 0)[1][0]",
-             "edge_of = experiments.schedule(inst, 1)[1][1]",
+    Mutation("src/hflsim/cli.py", "rows += [[m, edge_of[0, m], s.size,",
+             "rows += [[m, edge_of[1, m], s.size,",
              "tests/test_config_cli.py::TestCmdPartitionReport"
              "::test_trace_is_the_run_association"),
     # edge-skewed vehicles numbered round-robin over the edges
@@ -191,6 +190,17 @@ MUTATIONS = [
              "return np.arange(vehicle_count) // (vehicle_count // edge_count)",
              "return np.arange(vehicle_count) % edge_count",
              "tests/test_datasets.py::TestPartition::test_edge_noniid_class_locality"),
+    # shared input under another regime no longer edge-skewed, so its
+    # vehicles start anywhere on the road
+    Mutation("src/hflsim/datasets.py", "return regime == EDGE_NONIID or shared_input",
+             "return regime == EDGE_NONIID",
+             "tests/test_config_cli.py::TestSchedule"
+             "::test_pinned_regimes_start_on_their_home_edges"),
+    # a shared-input CSV config's classes and dim left unchecked until the
+    # construction builds its data
+    Mutation("src/hflsim/config.py", "    elif pt.shared_input:", "    elif False:",
+             "tests/test_config_cli.py::TestExitCodes"
+             "::test_shared_input_reads_classes_and_dim_whatever_the_kind"),
 ]
 
 

@@ -75,6 +75,10 @@ LOGISTIC = (ROOT / "configs/logistic.cfg").read_text()
 LOGISTIC_SWEEP = (LOGISTIC.replace("[dataset]\n", "[dataset]\nseparation = 1.0\n")
                   .replace("[hfl]\n", "[hfl]\nrecord_virtual = true\n"))
 
+# The same config with no road: one edge, so partition-report writes no
+# mobility trace and every edge id is 0.
+LOGISTIC_STATIC = LOGISTIC.replace("edges = 4", "edges = 1")
+
 # No perfbench config mixes shuffling and whole-shard vehicles: the shards
 # hold 13 and 12 rows in turn under batch 12, so the step runs both kinds
 # of group, and neither group's ids are a run, so both take the copy path.
@@ -145,6 +149,10 @@ CASES = [
     # uniform placement of an iid fleet that does not divide over the
     # edges, with corner turns: partition.csv's edge ids are the time-0 row
     Case("partition-logistic-1", PARTITION, LOGISTIC, 1, PARTITION_FILES, variants=("repeat",)),
+    # the shared-input layout, each vehicle pinned to its edge's side
+    Case("partition-verify-1", PARTITION, VERIFY.name, 1, PARTITION_FILES, variants=("repeat",)),
+    Case("partition-static-1", PARTITION, LOGISTIC_STATIC, 1, PARTITION_FILES[:1],
+         variants=("repeat",)),
     Case("run-interleaved-1", RUN.command, INTERLEAVED, 1, RUN.outputs),
     Case("run-interleaved-7", RUN.command, INTERLEAVED, 7, RUN.outputs),
 ]

@@ -204,18 +204,20 @@ def cmd_partition_report(args):
     if args.rounds is not None and args.rounds < 0:
         raise ConfigError([f"--rounds must be >= 0, got {args.rounds}"])
     out = cfg.output.directory
+    rounds = args.rounds if args.rounds is not None else cfg.hfl.cloud_epochs * cfg.hfl.tau_e
     inst = experiments.build_instance(cfg)
-    # edge_id is the association at time 0, the one a run starts from
-    edge_of = experiments.schedule(inst, 0)[1][0]
+    # the schedule a run of that many rounds uses; edge_id is its time-0
+    # row, the association the run starts from
+    positions, edge_of = experiments.schedule(inst, rounds)
     rows = [["vehicle_id", "edge_id", "shard_size", "label_histogram"]]
-    rows += [[m, edge_of[m], s.size, ";".join(map(str, s.label_histogram()))]
+    rows += [[m, edge_of[0, m], s.size, ";".join(map(str, s.label_histogram()))]
              for m, s in enumerate(inst.shards)]
     atomic_write_csv(os.path.join(out, "partition.csv"), rows)
-    if cfg.mobility.edges == 4:
-        rounds = args.rounds if args.rounds is not None else \
-            cfg.hfl.cloud_epochs * cfg.hfl.tau_e
+    if positions is not None:
+        # one row per vehicle per 1-second edge round
         rows = [["time_s", "vehicle_id", "arc_position_m", "edge_id"]]
-        rows += experiments.mobility_trace(inst, rounds)
+        rows += [(float(j), m, positions[j, m], int(edge_of[j, m]))
+                 for j in range(rounds + 1) for m in range(len(inst.shards))]
         atomic_write_csv(os.path.join(out, "mobility_trace.csv"), rows)
     return EXIT_OK
 

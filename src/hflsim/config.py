@@ -188,6 +188,8 @@ def validate(cfg):
     if d.kind == "synthetic":
         p += [f"[dataset] {m}" for m in datasets.synthetic_problems(
             d.classes, d.dim, d.samples_per_class, d.separation, d.clusters_per_class)]
+    elif pt.shared_input:  # the construction reads classes and dim whatever the kind
+        p += [f"[dataset] {m}" for m in datasets.shape_problems(d.classes, d.dim)]
     if d.kind == "csv" and not d.csv_path:
         p.append("[dataset] csv_path required when kind = csv")
     p += [f"[dataset] {m}" for m in datasets.split_problems(d.test_fraction)]

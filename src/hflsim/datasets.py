@@ -64,38 +64,22 @@ class LabeledDataset:
         return np.bincount(self.labels, minlength=self.class_count)
 
 
-@dataclass
-class PartitionSpec:
-    regime: str
-    vehicle_count: int
-    edge_count: int
-    classes_per_unit: int = 1  # l; ignored for iid
-    seed: int = 0
-    allow_partial_class_coverage: bool = False
-
-    def __post_init__(self):
-        if self.edge_count < 1:
-            raise ValueError("edge_count must be >= 1")
-        # the fit to the edges and the classes is partition's to raise
-        if p := partition_problems(self.regime, self.vehicle_count, None, self.classes_per_unit):
-            raise ValueError(p[0])
-
-
 def partition_problems(regime, vehicle_count, edge_count, classes_per_unit,
                        allow_partial_class_coverage=False, class_count=None, shared_input=False):
-    """Every rule a partition's values break: on the spec alone (regime,
-    vehicles, classes_per_unit), then whether the regime, or shared input
-    (which ignores it), fits the edges and covers the classes. A count that
-    is None, such as a CSV's classes before loading, skips the rules on it."""
+    """Every rule a partition's values break: on the counts alone (regime,
+    vehicles, edges, classes_per_unit), then whether the regime, or shared
+    input (which ignores it), fits the edges and covers the classes. A
+    class_count of None, a CSV's before loading, skips the rules on it."""
     M, N, l, C = vehicle_count, edge_count, classes_per_unit, class_count
     p = [m for broken, m in (
         (regime not in REGIMES, f"regime must be one of {REGIMES}"),
         (M < 1, "vehicles must be >= 1"),
+        (N < 1, "edges must be >= 1"),
         (l < 1, "classes_per_unit must be >= 1")) if broken]
     # edge-skewed vehicles split evenly over the edges (home_edges)
-    if N is not None and (regime == EDGE_NONIID or shared_input) and M % max(N, 1) != 0:
+    if N >= 1 and edge_skewed(regime, shared_input) and M % N != 0:
         p.append(f"vehicles must be divisible by edges ({M} % {N})")
-    if N is None or C is None:
+    if C is None:
         return p
     if regime == LOCAL_NONIID and not shared_input and l * M < C:
         p.append(f"local_noniid needs classes_per_unit*vehicles >= classes ({l}*{M} < {C})")
@@ -113,10 +97,16 @@ def partition_problems(regime, vehicle_count, edge_count, classes_per_unit,
     return p
 
 
+def shape_problems(classes, dim):
+    """Every rule a generated dataset's class count and dimension break:
+    generate_synthetic's and shared_input_shards' values."""
+    return [m for broken, m in (
+        (classes < 2, "classes must be >= 2"), (dim < 2, "dim must be >= 2")) if broken]
+
+
 def synthetic_problems(classes, dim, samples_per_class, separation, clusters_per_class):
     """Every rule generate_synthetic's values break."""
-    return [m for broken, m in (
-        (classes < 2, "classes must be >= 2"), (dim < 2, "dim must be >= 2"),
+    return shape_problems(classes, dim) + [m for broken, m in (
         (samples_per_class < 1, "samples_per_class must be >= 1"),
         (separation <= 0, "separation must be > 0"),
         (clusters_per_class < 1, "clusters_per_class must be >= 1")) if broken]
@@ -220,6 +210,13 @@ def home_edges(vehicle_count, edge_count):
     return np.arange(vehicle_count) // (vehicle_count // edge_count)
 
 
+def edge_skewed(regime, shared_input):
+    """Whether a partition gives each edge's data to its home_edges
+    vehicles, which then start on that edge's side: edge_noniid, and shared
+    input whatever the regime."""
+    return regime == EDGE_NONIID or shared_input
+
+
 def _edge_class_sets(C, N, l):
     """l classes per edge, round-robin; with l*N < C some go to no edge."""
     if l * N < C:
@@ -227,7 +224,8 @@ def _edge_class_sets(C, N, l):
     return [tuple((n * l + j) % C for j in range(l)) for n in range(N)]
 
 
-def partition(dataset, spec):
+def partition(dataset, regime, vehicle_count, edge_count, classes_per_unit=1, seed=0,
+              allow_partial_class_coverage=False):
     """Split a dataset into vehicle_count shards, indexed by vehicle id.
 
     iid: seeded uniform split into vehicle_count parts (sizes differ by at
@@ -237,22 +235,22 @@ def partition(dataset, spec):
     vehicle_count*l. edge_noniid: classes are assigned to edges round-robin
     (l per edge), each class pool is split evenly over the edges owning it,
     and each edge pool is shuffled and split over the vehicles that
-    home_edges gives that edge.
+    home_edges gives that edge. classes_per_unit (l) is ignored for iid.
     """
-    M, N, l = spec.vehicle_count, spec.edge_count, spec.classes_per_unit
+    M, N, l = vehicle_count, edge_count, classes_per_unit
     C = dataset.class_count
-    if p := partition_problems(spec.regime, M, N, l, spec.allow_partial_class_coverage, C):
+    if p := partition_problems(regime, M, N, l, allow_partial_class_coverage, C):
         raise InfeasiblePartitionError(p[0])
-    g = rng.stream(spec.seed, rng.PARTITION)
+    g = rng.stream(seed, rng.PARTITION)
 
-    if spec.regime == IID:
+    if regime == IID:
         if dataset.size < M:
             raise InfeasiblePartitionError(
                 f"iid needs at least vehicle_count = {M} samples, have {dataset.size}")
         perm = g.permutation(dataset.size)
         return [dataset.subset(np.sort(chunk)) for chunk in np.array_split(perm, M)]
 
-    if spec.regime == LOCAL_NONIID:
+    if regime == LOCAL_NONIID:
         if dataset.size < M * l:
             raise InfeasiblePartitionError(
                 f"need at least vehicle_count*l = {M * l} samples, have {dataset.size}")
@@ -293,17 +291,19 @@ def union_of_shards(shards):
 
 def shared_input_shards(vehicle_count, edge_count, classes_per_edge, class_count,
                         samples_per_shard, dim, seed):
-    """Shards, indexed by vehicle id, that share one feature matrix but
-    differ in labels.
+    """Shards, indexed by vehicle id, with equal features but different
+    labels.
 
-    All shards reference the same X, and vehicle m's labels are drawn from
-    the class set of its edge under home_edges, so for the quadratic loss
-    the gap between a shard's gradient and the global gradient is constant
-    in the model parameters. That makes the per-vehicle gradient-divergence
-    constants exact closed-form quantities instead of probe estimates
-    (analysis.shared_input_delta_m).
+    Every shard holds its own copy of one drawn X, and vehicle m's labels
+    are drawn from the class set of its edge under home_edges, so for the
+    quadratic loss the gap between a shard's gradient and the global
+    gradient is constant in the model parameters. That makes the
+    per-vehicle gradient-divergence constants exact closed-form quantities
+    instead of probe estimates (analysis.shared_input_delta_m).
     """
     M, N, l, C = vehicle_count, edge_count, classes_per_edge, class_count
+    if p := shape_problems(C, dim):
+        raise ValueError(p[0])
     # the regime is ignored under shared input: any one will do
     if p := partition_problems(IID, M, N, l, class_count=C, shared_input=True):
         raise InfeasiblePartitionError(p[0])

@@ -67,11 +67,9 @@ def build_instance(cfg):
         test = None
     else:
         train, test = build_dataset(cfg)
-        pspec = datasets.PartitionSpec(
-            regime=pt.regime, vehicle_count=pt.vehicles, edge_count=mo.edges,
-            classes_per_unit=pt.classes_per_unit, seed=pt.seed,
-            allow_partial_class_coverage=pt.allow_partial_class_coverage)
-        shards = datasets.partition(train, pspec)
+        shards = datasets.partition(train, pt.regime, pt.vehicles, mo.edges,
+                                    pt.classes_per_unit, pt.seed,
+                                    pt.allow_partial_class_coverage)
     union = datasets.union_of_shards(shards)
 
     # a CSV's class count is only known here
@@ -92,7 +90,7 @@ def schedule(inst, rounds):
                                    intersection_zone=mo.intersection_zone,
                                    slowdown_factor=mo.slowdown_factor)
     # edge-skewed data pins every vehicle to its data's side initially
-    pinned = pt.regime == datasets.EDGE_NONIID or pt.shared_input
+    pinned = datasets.edge_skewed(pt.regime, pt.shared_input)
     sides = datasets.home_edges(pt.vehicles, mo.edges) if pinned else None
     positions, directions = mobility.init_positions(network, pt.vehicles, mo.seed, sides)
     return mobility.schedule(network, positions, directions, mo.speed, rounds, mo.p_turn,
@@ -110,18 +108,6 @@ def run_instance(inst, init_params_vec=None, *, association=None, train_loss=Tru
     return engine.run(rc, inst.shards, inst.spec, association, inst.cfg.mobility.edges,
                       eval_data=inst.test, init_params_vec=init_params_vec,
                       train_loss=train_loss)
-
-
-def _optimum_problems(cfg):
-    """Why the convex optimum of cfg's loss may not exist. A logistic loss
-    without l2 has no minimizer on separable data, where solve_optimum's
-    descent would run to its step cap; the rule rejects every such config
-    up front, separable or not."""
-    md = cfg.model
-    if md.family == models.MULTINOMIAL_LOGISTIC and md.l2_reg == 0:
-        return [f"[model] l2_reg = 0 leaves the {md.family} loss without a minimizer on "
-                "separable data; the optimum needs l2_reg > 0"]
-    return []
 
 
 # --- accuracy targets and sweep machinery ---------------------------------
@@ -235,7 +221,8 @@ def sweep_speed(cfg, speeds, seeds, target_fractions=DEFAULT_TARGET_FRACTIONS,
         # every cell would report a NaN accuracy against a NaN ceiling
         problems.append("the speed sweep needs a test split to measure accuracy; "
                         "[partition] shared_input = true leaves none")
-    problems += _optimum_problems(cfg)  # the convex ceiling is the optimum's accuracy
+    problems += [f"[model] {m}"  # the convex ceiling is the optimum's accuracy
+                 for m in models.optimum_problems(cfg.model.family, cfg.model.l2_reg)]
     if problems:
         raise ConfigError(problems)
     base = build_instance(cfg)
@@ -337,8 +324,8 @@ def verify_bounds(cfg, delta_scale=1.0):
     inst = build_instance(cfg)
     if not inst.spec.is_convex:
         raise models.UnsupportedModelError("bound verification needs a convex family")
-    if problems := _optimum_problems(cfg):
-        raise ConfigError(problems)
+    if problems := models.optimum_problems(cfg.model.family, cfg.model.l2_reg):
+        raise ConfigError([f"[model] {m}" for m in problems])
     # no bound reads a test accuracy, so the run takes no eval split
     res = run_instance(replace(inst, test=None), record_virtual=True, full_batch=True,
                        train_loss=False)
@@ -375,13 +362,3 @@ def verify_bounds(cfg, delta_scale=1.0):
                                           lambda: ("gap_bound", {"T": tr.total_iterations}))
     return BoundSuite(inputs=inputs, estimates=est, drift_report=drift_report,
                       gap_report=gap, violations=violations)
-
-
-def mobility_trace(inst, rounds):
-    """Vehicle trajectory rows without training: one row per vehicle per
-    1-second edge round, the same schedule a run of that many rounds uses."""
-    positions, edge_of = schedule(inst, rounds)
-    if positions is None:
-        raise ValueError("mobility trace needs the square topology (edges = 4)")
-    return [(float(j), m, positions[j, m], int(edge_of[j, m]))
-            for j in range(rounds + 1) for m in range(positions.shape[1])]

@@ -443,6 +443,17 @@ class Optimum:
     min_norm_fallback: bool = False
 
 
+def optimum_problems(family, l2_reg):
+    """Why solve_optimum's loss may have no minimizer. A logistic loss
+    without l2 has none on separable data, where the descent would run to
+    its step cap; the rule rejects every such input up front, separable or
+    not."""
+    if family == MULTINOMIAL_LOGISTIC and l2_reg == 0:
+        return [f"l2_reg = 0 leaves the {family} loss without a minimizer on "
+                "separable data; the optimum needs l2_reg > 0"]
+    return []
+
+
 def solve_optimum(spec, data, grad_tol=1e-8, max_iter=2_000_000):
     """Minimizer of the full loss for the convex families.
 
@@ -453,6 +464,8 @@ def solve_optimum(spec, data, grad_tol=1e-8, max_iter=2_000_000):
     """
     if not spec.is_convex:
         raise UnsupportedModelError(f"{spec.family} is not convex")
+    if p := optimum_problems(spec.family, spec.l2_reg):
+        raise ValueError(p[0])
     X, y = data.features, data.labels
     n = X.shape[0]
     if spec.family == QUADRATIC:

@@ -127,8 +127,8 @@ def test_a2_aggregation_identity_mobile_run():
     """Cloud model vs direct size-weighted vehicle average, 20 mobile epochs."""
     ds = datasets.generate_synthetic(8, 16, 500, 4.0, seed=1)
     train, test = datasets.train_test_split(ds, 0.2, seed=1)
-    shards = datasets.partition(train, datasets.PartitionSpec(
-        datasets.IID, vehicle_count=32, edge_count=4, seed=2))
+    shards = datasets.partition(
+        train, datasets.IID, vehicle_count=32, edge_count=4, seed=2)
     spec = models.ModelSpec(models.MULTINOMIAL_LOGISTIC, dim=16, class_count=8,
                             l2_reg=0.01)
     net = mobility.RoadNetwork()

@@ -196,11 +196,11 @@ class TestEstimateDivergences:
         ds = datasets.generate_synthetic(4, 6, 800, 3.0, seed=21)
         spec = models.ModelSpec(models.QUADRATIC, dim=6, class_count=4, l2_reg=0.05)
         probes = [np.zeros(24)]
-        sh_i = datasets.partition(ds, datasets.PartitionSpec(
-            datasets.IID, vehicle_count=32, edge_count=4, seed=22))
-        sh_e = datasets.partition(ds, datasets.PartitionSpec(
-            datasets.EDGE_NONIID, vehicle_count=32, edge_count=4,
-            classes_per_unit=1, seed=22))
+        sh_i = datasets.partition(
+            ds, datasets.IID, vehicle_count=32, edge_count=4, seed=22)
+        sh_e = datasets.partition(
+            ds, datasets.EDGE_NONIID, vehicle_count=32, edge_count=4,
+            classes_per_unit=1, seed=22)
         hist = datasets.home_edges(32, 4)[None]
         est_i = estimate_divergences(spec, sh_i, hist, probes)
         est_e = estimate_divergences(spec, sh_e, hist, probes)
@@ -299,8 +299,8 @@ def assert_same_bits(a, b):
 def local_noniid_unequal():
     """Label-skewed shards of three sizes, two of them shared by two shards."""
     ds = datasets.generate_synthetic(4, 6, 60, 3.0, seed=21)
-    shards = datasets.partition(ds, datasets.PartitionSpec(
-        datasets.LOCAL_NONIID, vehicle_count=5, edge_count=4, classes_per_unit=1, seed=3))
+    shards = datasets.partition(
+        ds, datasets.LOCAL_NONIID, vehicle_count=5, edge_count=4, classes_per_unit=1, seed=3)
     return [s.subset(np.arange(s.size - 3 * (m % 3))) for m, s in enumerate(shards)]
 
 

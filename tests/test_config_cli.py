@@ -196,22 +196,26 @@ def _partition_owners(cfg):
     known = d.kind == "synthetic" or pt.shared_input
 
     def build():
-        spec = datasets.PartitionSpec(pt.regime, pt.vehicles, N, pt.classes_per_unit,
-                                      allow_partial_class_coverage=pt.allow_partial_class_coverage)
         if pt.shared_input:
             shards = datasets.shared_input_shards(pt.vehicles, N, pt.classes_per_unit,
                                                   d.classes, 5, 2, 1)
         else:
-            shards = datasets.partition(_labeled(d.classes, 30), spec)
+            shards = datasets.partition(
+                _labeled(d.classes, 30), pt.regime, pt.vehicles, N, pt.classes_per_unit,
+                allow_partial_class_coverage=pt.allow_partial_class_coverage)
         # a partition the rules let through is whole
         assert len(shards) == pt.vehicles
         assert all(isinstance(s, datasets.LabeledDataset) for s in shards)
 
     # a CSV's class count is unknown to validate, so its partition may still fail
-    return [(datasets.partition_problems(pt.regime, pt.vehicles, N, pt.classes_per_unit,
-                                         pt.allow_partial_class_coverage,
-                                         d.classes if known else None, pt.shared_input),
-             build if known else None)]
+    rules = datasets.partition_problems(pt.regime, pt.vehicles, N, pt.classes_per_unit,
+                                        pt.allow_partial_class_coverage,
+                                        d.classes if known else None, pt.shared_input)
+    if pt.shared_input:
+        # the construction takes no regime, so validate alone checks it
+        regime = [m for m in rules if m.startswith("regime ")]  # the list's first rule
+        return [(regime, None), (rules[len(regime):], build)]
+    return [(rules, build if known else None)]
 
 
 def _mobility_owners(cfg):
@@ -685,8 +689,9 @@ class TestCmdPartitionReport:
         .replace("regime = edge_noniid", "regime = iid").replace("vehicles = 32", "vehicles = 7"),
         BOUNDS.replace("shared_input = true", "shared_input = false")
         .replace("regime = edge_noniid", "regime = local_noniid"),
+        BOUNDS.replace("shared_input = true", "shared_input = false"),
         BOUNDS,
-    ], ids=["iid-7", "local_noniid", "edge_noniid"])
+    ], ids=["iid-7", "local_noniid", "edge_noniid", "shared_input"])
     def test_trace_is_the_run_association(self, tmp_path, text):
         # the report's edge ids are the association a run of the same
         # length consumes, corner turns included, and partition.csv's are
@@ -743,10 +748,11 @@ class TestSchedule:
         MINI.replace("vehicles = 1", "vehicles = 8").replace("edges = 1", "edges = 4")
         .replace("regime = iid", "regime = edge_noniid\nclasses_per_unit = 1"),
         BOUNDS,
-    ], ids=["edge_noniid", "shared_input"])
+        BOUNDS.replace("regime = edge_noniid", "regime = iid"),
+    ], ids=["edge_noniid", "shared_input", "shared_input-iid"])
     def test_pinned_regimes_start_on_their_home_edges(self, tmp_path, text):
         # edge-skewed data places vehicle m on the side of the edge whose
-        # data it holds
+        # data it holds; shared input is edge-skewed whatever the regime
         cfg = config.load_config(write_cfg(tmp_path, text.replace("speed = 0.0", "speed = 30.0")))
         _, edge_of = experiments.schedule(experiments.build_instance(cfg), 3)
         M = cfg.partition.vehicles
@@ -1219,6 +1225,26 @@ class TestExitCodes:
         assert "[partition] shared_input needs classes_per_unit*edges >= classes (2*1 < 4)" in err
         assert "edge_noniid" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("old, new, line", [
+        ("dim = 8", "dim = 0", "[dataset] dim must be >= 2"),
+        ("classes = 4", "classes = 1", "[dataset] classes must be >= 2"),
+    ], ids=["dim", "classes"])
+    def test_shared_input_reads_classes_and_dim_whatever_the_kind(
+            self, tmp_path, capsys, monkeypatch, old, new, line):
+        # the construction ignores the CSV file and builds classes x dim
+        # data from [dataset], so a CSV config gets the synthetic rules on
+        # both, with the same text, before any data is built
+        built = []
+        monkeypatch.setattr(datasets, "shared_input_shards", lambda *a: built.append(a))
+        text = BOUNDS.replace(old, new)
+        errs = []
+        for kind in ("kind = synthetic", "kind = csv\ncsv_path = unread.csv"):
+            path = write_cfg(tmp_path, text.replace("[dataset]\n", f"[dataset]\n{kind}\n"))
+            assert cli.main(["run", "--config", path]) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1] == f"invalid configuration:\n  - {line}\n"
+        assert not built
 
     def test_degenerate_cluster_means(self, tmp_path, capsys, monkeypatch):
         # a stream whose cluster means all coincide, as an unlucky seed would draw

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hflsim import datasets, models
 from hflsim.datasets import (
     EDGE_NONIID, IID, LOCAL_NONIID,
-    CsvFormatError, InfeasiblePartitionError, LabeledDataset, PartitionSpec,
+    CsvFormatError, InfeasiblePartitionError, LabeledDataset,
     generate_synthetic, load_csv, partition, shared_input_shards,
     train_test_split, union_of_shards,
 )
@@ -87,9 +87,8 @@ class TestGenerateSynthetic:
 class TestPartition:
     def test_edge_noniid_class_locality(self):
         ds = generate_synthetic(8, 16, 500, 4.0, seed=1)
-        spec = PartitionSpec(EDGE_NONIID, vehicle_count=32, edge_count=4,
-                             classes_per_unit=2, seed=3)
-        shards = partition(ds, spec)
+        shards = partition(ds, EDGE_NONIID, vehicle_count=32, edge_count=4,
+                           classes_per_unit=2, seed=3)
         per_edge = {}
         for m, s in enumerate(shards):
             # vehicle m holds edge m // (M // N)'s data, classes 2n and 2n + 1
@@ -102,22 +101,21 @@ class TestPartition:
 
     def test_iid_single_vehicle_degenerate(self):
         ds = generate_synthetic(4, 4, 25, 2.0, seed=2)
-        shards = partition(ds, PartitionSpec(IID, vehicle_count=1, edge_count=1, seed=0))
+        shards = partition(ds, IID, vehicle_count=1, edge_count=1, seed=0)
         assert len(shards) == 1
         assert multiset_equal(shards[0], ds)
 
     def test_local_noniid_40000_sample_recount(self):
         # 40000/32 = 1250 samples per shard, one label each at l=1
         ds = generate_synthetic(8, 4, 5000, 3.0, seed=5)
-        spec = PartitionSpec(LOCAL_NONIID, vehicle_count=32, edge_count=4,
-                             classes_per_unit=1, seed=6)
-        shards = partition(ds, spec)
+        shards = partition(ds, LOCAL_NONIID, vehicle_count=32, edge_count=4,
+                           classes_per_unit=1, seed=6)
         assert all(s.size == 1250 for s in shards)
         assert all(len(np.unique(s.labels)) == 1 for s in shards)
 
     def test_iid_statistical_balance(self):
         ds = generate_synthetic(4, 4, 2000, 3.0, seed=7)
-        shards = partition(ds, PartitionSpec(IID, vehicle_count=8, edge_count=4, seed=8))
+        shards = partition(ds, IID, vehicle_count=8, edge_count=4, seed=8)
         global_frac = ds.label_histogram() / ds.size
         for s in shards:
             assert s.size >= 500
@@ -129,10 +127,9 @@ class TestPartition:
            seed=st.integers(0, 1000))
     def test_partition_is_exact(self, regime, seed):
         ds = generate_synthetic(4, 3, 64, 3.0, seed=11)
-        spec = PartitionSpec(regime, vehicle_count=8, edge_count=4,
-                             classes_per_unit=1 if regime == EDGE_NONIID else 2,
-                             seed=seed)
-        shards = partition(ds, spec)
+        shards = partition(ds, regime, vehicle_count=8, edge_count=4,
+                           classes_per_unit=1 if regime == EDGE_NONIID else 2,
+                           seed=seed)
         assert len(shards) == 8
         assert multiset_equal(union_of_shards(shards), ds)
         if regime == EDGE_NONIID:
@@ -141,10 +138,10 @@ class TestPartition:
 
     def test_determinism(self):
         ds = generate_synthetic(4, 4, 100, 3.0, seed=1)
-        spec = PartitionSpec(EDGE_NONIID, vehicle_count=8, edge_count=4,
-                             classes_per_unit=1, seed=9)
-        a = partition(ds, spec)
-        b = partition(ds, spec)
+        spec = dict(regime=EDGE_NONIID, vehicle_count=8, edge_count=4,
+                    classes_per_unit=1, seed=9)
+        a = partition(ds, **spec)
+        b = partition(ds, **spec)
         for x, y in zip(a, b):
             assert np.array_equal(x.features, y.features)
 
@@ -153,9 +150,8 @@ class TestPartition:
         feats = np.arange(34, dtype=float).reshape(17, 2)
         labels = np.array([0] * 10 + [1] * 7)
         ds = LabeledDataset(feats, labels, 2)
-        spec = PartitionSpec(LOCAL_NONIID, vehicle_count=4, edge_count=1,
-                             classes_per_unit=1, seed=0)
-        shards = partition(ds, spec)
+        shards = partition(ds, LOCAL_NONIID, vehicle_count=4, edge_count=1,
+                           classes_per_unit=1, seed=0)
         total = sum(s.size for s in shards)
         assert total == 16
         kept = union_of_shards(shards)
@@ -165,27 +161,32 @@ class TestPartition:
     def test_infeasible_errors(self):
         ds = generate_synthetic(8, 4, 16, 3.0, seed=0)
         with pytest.raises(InfeasiblePartitionError):
-            partition(ds, PartitionSpec(EDGE_NONIID, vehicle_count=8, edge_count=4,
-                                        classes_per_unit=1, seed=0))
+            partition(ds, EDGE_NONIID, vehicle_count=8, edge_count=4,
+                      classes_per_unit=1, seed=0)
         with pytest.raises(InfeasiblePartitionError):
-            partition(ds, PartitionSpec(LOCAL_NONIID, vehicle_count=4, edge_count=4,
-                                        classes_per_unit=1, seed=0))
+            partition(ds, LOCAL_NONIID, vehicle_count=4, edge_count=4,
+                      classes_per_unit=1, seed=0)
         with pytest.raises(InfeasiblePartitionError):
-            partition(ds, PartitionSpec(EDGE_NONIID, vehicle_count=6, edge_count=4,
-                                        classes_per_unit=2, seed=0))
+            partition(ds, EDGE_NONIID, vehicle_count=6, edge_count=4,
+                      classes_per_unit=2, seed=0)
 
     def test_classes_per_unit_checked_for_every_regime(self):
         # iid ignores classes_per_unit, but a config file cannot set it to
-        # 0, and neither can the spec
+        # 0, and neither can partition's caller
+        ds = generate_synthetic(4, 4, 4, 3.0, seed=0)
         with pytest.raises(ValueError, match="classes_per_unit must be >= 1"):
-            PartitionSpec(IID, vehicle_count=4, edge_count=4, classes_per_unit=0)
+            partition(ds, IID, vehicle_count=4, edge_count=4, classes_per_unit=0)
+
+    def test_edges_checked_for_every_regime(self):
+        ds = generate_synthetic(4, 4, 4, 3.0, seed=0)
+        with pytest.raises(InfeasiblePartitionError, match="edges must be >= 1"):
+            partition(ds, IID, vehicle_count=4, edge_count=0)
 
     def test_partial_class_coverage_flag(self):
         ds = generate_synthetic(8, 4, 16, 3.0, seed=0)
-        spec = PartitionSpec(EDGE_NONIID, vehicle_count=8, edge_count=4,
-                             classes_per_unit=1, seed=0,
-                             allow_partial_class_coverage=True)
-        shards = partition(ds, spec)
+        shards = partition(ds, EDGE_NONIID, vehicle_count=8, edge_count=4,
+                           classes_per_unit=1, seed=0,
+                           allow_partial_class_coverage=True)
         labels = set(union_of_shards(shards).labels.tolist())
         assert labels == {0, 1, 2, 3}  # surplus classes dropped
         # edge n keeps class n, and vehicle m holds edge m // 2's data
@@ -204,6 +205,15 @@ class TestSharedInput:
     def test_vehicle_count_must_divide(self):
         with pytest.raises(ValueError):
             shared_input_shards(6, 4, 1, 4, 10, 3, seed=2)
+
+    @pytest.mark.parametrize("classes, dim, rule", [(1, 3, "classes must be >= 2"),
+                                                    (4, 1, "dim must be >= 2")])
+    def test_generated_shape_rules(self, classes, dim, rule):
+        # the rules generate_synthetic has on the same two values
+        with pytest.raises(ValueError, match=rule):
+            shared_input_shards(8, 4, 1, classes, 10, dim, seed=2)
+        with pytest.raises(ValueError, match=rule):
+            generate_synthetic(classes, dim, 10, 3.0, seed=2)
 
 
 class TestCsv:

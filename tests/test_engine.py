@@ -21,8 +21,7 @@ def logistic_spec(d=6, C=3, l2=0.01):
 
 def make_shards(M, C=3, d=6, n_per=60, seed=1, pseed=2):
     ds = datasets.generate_synthetic(C, d, n_per, 3.0, seed=seed)
-    spec = datasets.PartitionSpec(datasets.IID, vehicle_count=M, edge_count=4, seed=pseed)
-    return datasets.partition(ds, spec)
+    return datasets.partition(ds, datasets.IID, vehicle_count=M, edge_count=4, seed=pseed)
 
 
 def unequal_shards(sizes, C=3, d=6):
@@ -977,8 +976,8 @@ def test_round_boundary_reuses_its_buffers():
     # 17) activations alone are 212 KiB; fresh arrays took 432 KiB a round)
     full = datasets.generate_synthetic(4, 8, 500, 4.0, seed=1)
     train, test = datasets.train_test_split(full, 0.2, 1)
-    shards = datasets.partition(train, datasets.PartitionSpec(
-        datasets.EDGE_NONIID, vehicle_count=32, edge_count=4, classes_per_unit=1, seed=1))
+    shards = datasets.partition(
+        train, datasets.EDGE_NONIID, vehicle_count=32, edge_count=4, classes_per_unit=1, seed=1)
     spec = models.ModelSpec(models.MLP1, dim=8, class_count=4, hidden_width=16)
     cfg = HflConfig(eta=0.1, tau_l=6, tau_e=10, cloud_epochs=2, batch_size=20, seed=4)
     assoc = np.random.default_rng(0).integers(0, 4, size=(cfg.cloud_epochs * cfg.tau_e + 1, 32))

@@ -1,4 +1,5 @@
 import io
+import time
 
 import numpy as np
 import pytest
@@ -503,6 +504,18 @@ class TestSolveOptimum:
         spec = ModelSpec(MULTINOMIAL_LOGISTIC, dim=2, class_count=2, l2_reg=0.1)
         opt = solve_optimum(spec, ds)
         assert opt.value < np.log(2)
+
+    def test_logistic_without_l2_raises_before_any_step(self):
+        # separable data leaves the logistic loss without a minimizer, where
+        # the descent would run to its step cap
+        ds = datasets.generate_synthetic(2, 2, 50, 8.0, seed=1)
+        spec = ModelSpec(MULTINOMIAL_LOGISTIC, dim=2, class_count=2, l2_reg=0.0)
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="^l2_reg = 0 leaves the multinomial_logistic "
+                                             "loss without a minimizer on separable data; "
+                                             "the optimum needs l2_reg > 0$"):
+            solve_optimum(spec, ds)
+        assert time.perf_counter() - t0 < 1.0
 
     def test_singular_min_norm_flagged(self):
         feats = np.array([[1.0, 0.0], [2.0, 0.0]])  # rank 1
