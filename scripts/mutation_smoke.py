@@ -111,10 +111,14 @@ MUTATIONS = [
     Mutation(ENGINE, "perms = g.permuted(np.tile(rows, (passes, 1)), axis=1)",
              "perms = np.tile(g.permutation(rows), (passes, 1))",
              TEST_ENGINE + "::TestBatchSampler::test_chunks_match_per_step_stream"),
-    # a workspace's label offsets taken from the first step's labels only
-    Mutation(MODELS, "return np.add(self._base, y, out=self._label)",
-             "return self._label if self._label.any() else np.add(self._base, y, out=self._label)",
+    # the shuffling group's targets taken at the first step only
+    Mutation(ENGINE, 'self.T.take(rows, axis=0, out=T, mode="clip")',
+             'T.any() or self.T.take(rows, axis=0, out=T, mode="clip")',
              TEST_ENGINE + "::TestFleetStepMatchesGradientXy::test_steps_equal_gradient_xy_loop"),
+    # the softmax families' targets never subtracted from the softmax
+    Mutation(MODELS, "        _softmax(R, rows, spread)\n    R -= T\n",
+             "        _softmax(R, rows, spread)\n    else:\n        R -= T\n",
+             "tests/test_models.py::TestGradientProbes::test_entries_equal_gradient_xy_bitwise"),
     # the ones column of the activations left as tanh(1), which the step's
     # gradient and the evaluation's loss and accuracy each catch
     Mutation(MODELS, "    Z1[..., -1] = 1.0  # the ones column", "    pass  # the ones column",

@@ -75,6 +75,12 @@ LOGISTIC = (ROOT / "configs/logistic.cfg").read_text()
 LOGISTIC_SWEEP = (LOGISTIC.replace("[dataset]\n", "[dataset]\nseparation = 1.0\n")
                   .replace("[hfl]\n", "[hfl]\nrecord_virtual = true\n"))
 
+# No other case runs a convex family's shuffling group: batches of 5 from
+# shards of 13 and 14 rows, under both convex families.
+LOGISTIC_MINIBATCH = LOGISTIC.replace("[hfl]\n", "[hfl]\nbatch_size = 5\n")
+QUADRATIC_MINIBATCH = LOGISTIC_MINIBATCH.replace("family = multinomial_logistic",
+                                                 "family = quadratic")
+
 # The same config with no road: one edge, so partition-report writes no
 # mobility trace and every edge id is 0.
 LOGISTIC_STATIC = LOGISTIC.replace("edges = 4", "edges = 1")
@@ -155,6 +161,8 @@ CASES = [
          variants=("repeat",)),
     Case("run-interleaved-1", RUN.command, INTERLEAVED, 1, RUN.outputs),
     Case("run-interleaved-7", RUN.command, INTERLEAVED, 7, RUN.outputs),
+    Case("run-logistic-minibatch-1", RUN.command, LOGISTIC_MINIBATCH, 1, RUN.outputs),
+    Case("run-quadratic-minibatch-1", RUN.command, QUADRATIC_MINIBATCH, 1, RUN.outputs),
 ]
 
 

@@ -14,8 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .engine import membership_weights
-from .models import (QUADRATIC, ModelSpec, UnsupportedModelError, gradient_probes, loss,
-                     quadratic_targets, row_norms)
+from .models import UnsupportedModelError, gradient_probes, loss, one_hot, row_norms
 
 DEFAULT_SLACK = 1e-9
 
@@ -96,11 +95,11 @@ def estimate_divergences(spec, shards, association_history, probes):
     G = np.empty((chunk, M, P))
     ge_out = np.empty((chunk, len(B), P))
     scores = np.empty(chunk * group_rows * C)
-    groups = []  # (shard ids, features, labels, targets, gradient buffer) per shard size
+    groups = []  # (shard ids, features, one-hot targets, gradient buffer) per shard size
     for ids in by_size:
-        y = np.stack([shards[m].labels for m in ids])
-        groups.append((ids, np.stack([shards[m].features for m in ids]), y,
-                       quadratic_targets(spec, y), np.empty((chunk, len(ids), P))))
+        groups.append((ids, np.stack([shards[m].features for m in ids]),
+                       one_hot(np.stack([shards[m].labels for m in ids]), C),
+                       np.empty((chunk, len(ids), P))))
 
     # running maxima of the squared norms. np.linalg.norm(x, axis=2) is
     # sqrt(add.reduce(x * x, axis=2)), and sqrt is correctly rounded and
@@ -111,9 +110,9 @@ def estimate_divergences(spec, shards, association_history, probes):
     for i in range(0, probes.shape[0], chunk):
         w = probes[i:i + chunk]
         q = len(w)
-        for ids, X, y, T, out in groups:
-            R = scores[:q * y.size * C].reshape((q,) + y.shape + (C,))
-            G[:q, ids] = gradient_probes(spec, w, X, y, targets=T, out=out[:q], residual=R)
+        for ids, X, T, out in groups:
+            R = scores[:q * T.size].reshape((q,) + T.shape)
+            G[:q, ids] = gradient_probes(spec, w, X, T, out=out[:q], residual=R)
         Gq = G[:q]
         gF = alpha @ Gq  # (q, P)
         grad_norm[i:i + q] = row_norms(gF)
@@ -139,12 +138,11 @@ def shared_input_delta_m(shards):
     X'(Ybar - Y_m)/n for every w, so the constant is closed-form.
     """
     X = shards[0].features
-    n, d = X.shape
+    n = X.shape[0]
     for s in shards:
         if s.features.shape != X.shape or not np.array_equal(s.features, X):
             raise ValueError("shards do not share a feature matrix")
-    spec = ModelSpec(QUADRATIC, dim=d, class_count=shards[0].class_count)
-    onehots = quadratic_targets(spec, np.stack([s.labels for s in shards]))
+    onehots = one_hot(np.stack([s.labels for s in shards]), shards[0].class_count)
     Ybar = onehots.mean(axis=0)
     return np.array([np.linalg.norm(X.T @ (Ybar - Ym)) / n for Ym in onehots])
 

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import rng
 from .datasets import union_of_shards
-from .models import (EvalWorkspace, GradientWorkspace, init_params, model_inputs, param_length,
-                     quadratic_targets, row_norms, write_param_vector, read_param_vector)
+from .models import (EvalWorkspace, GradientWorkspace, init_params, model_inputs, one_hot,
+                     param_length, row_norms, write_param_vector, read_param_vector)
 
 CHECKPOINT_MAGIC = b"HFLCKPT1"
 
@@ -133,8 +133,9 @@ class FleetStep:
     gathered into the same buffers at every step; every other vehicle (all
     of them without a sampler, or with one that has no ids) uses its whole
     shard, and those are grouped by shard size, so unequal shards need
-    neither padding nor a mask, and each group's inputs, labels and
-    quadratic targets are gathered once. Each group gets one
+    neither padding nor a mask, and each group's inputs and one-hot
+    targets are gathered once, the targets from the union's, built once
+    here. Each group gets one
     models.GradientWorkspace. A group whose ids form a run (the whole fleet,
     when every shard shuffles) works on a slice of W; any other group's
     rows are copied into its workspace's weight buffer and written back
@@ -145,25 +146,25 @@ class FleetStep:
         sizes = np.asarray(shard_sizes, dtype=np.int64)
         first = np.cumsum(sizes) - sizes
         sampler = sampler if sampler is not None and sampler.ids.size else None
-        self.W, self.X, self.y, self.sampler = W, X, y, sampler
+        self.W, self.X, self.sampler = W, X, sampler
+        self.T = one_hot(y, spec.class_count)
         self._finite = np.empty(W.shape, dtype=bool)
         whole = np.ones(sizes.size, bool)
         if sampler is not None:
             whole[sampler.ids] = False
         groups = [np.flatnonzero(whole & (sizes == n)) for n in sorted(set(sizes[whole].tolist()))]
-        self._groups = []  # (ids, or None for a run; workspace; X; y; targets)
+        self._groups = []  # (ids, or None for a run; workspace; X; targets)
         for ids in groups + ([] if sampler is None else [sampler.ids]):
             run = ids[-1] - ids[0] + 1 == ids.size
             Wg = W[ids[0]:ids[-1] + 1] if run else np.empty((ids.size, W.shape[1]))
             if whole[ids[0]]:
                 rows = first[ids, None] + np.arange(sizes[ids[0]])
-                Xg, yg = X.take(rows, axis=0), y[rows]
-                T = quadratic_targets(spec, yg)
+                Xg, Tg = X.take(rows, axis=0), self.T.take(rows, axis=0)
             else:
                 shape = (ids.size, sampler.batch_size)
-                Xg, yg, T = np.empty(shape + X.shape[1:]), np.empty(shape, np.int64), None
-            self._groups.append((None if run else ids, GradientWorkspace(spec, Wg, yg.shape[1]),
-                                 Xg, yg, T))
+                Xg, Tg = np.empty(shape + X.shape[1:]), np.zeros(shape + self.T.shape[1:])
+            self._groups.append((None if run else ids, GradientWorkspace(spec, Wg, Tg.shape[1]),
+                                 Xg, Tg))
 
     def step(self, eta, iteration):
         """Advance every vehicle one step. A non-finite result names the
@@ -171,15 +172,15 @@ class FleetStep:
         W = self.W
         if self.sampler is not None:
             rows = self.sampler.next_rows()
-            _, _, X, y, _ = self._groups[-1]
+            _, _, X, T = self._groups[-1]
             # every row is in range by construction; take's default mode
             # would copy its output through a temporary
             self.X.take(rows, axis=0, out=X, mode="clip")
-            self.y.take(rows, out=y, mode="clip")
-        for ids, ws, X, y, T in self._groups:
+            self.T.take(rows, axis=0, out=T, mode="clip")
+        for ids, ws, X, T in self._groups:
             if ids is not None:
                 W.take(ids, axis=0, out=ws.W, mode="clip")
-            g = ws.gradient(X, y, T)
+            g = ws.gradient(X, T)
             g *= eta
             ws.W -= g
             if ids is not None:
@@ -362,9 +363,9 @@ def edge_rounds(config, shards, spec, association=None, edge_count=1, *,
     record = config.record_virtual
     chunk = 1
     if record:
-        # the centralized descent runs on the whole union as one fleet row
-        uX, uy = X[None], fleet.labels[None]
-        uT = quadratic_targets(spec, uy)
+        # the centralized descent runs on the whole union as one fleet row,
+        # on the step's one-hot targets
+        uX, uT = X[None], local.T[None]
         v = w0.copy()  # updated in place, as vtilde after every step
         descent = GradientWorkspace(spec, v[None], fleet.size)
         # W after each step of a round but the last, vehicle-major, so that
@@ -422,7 +423,7 @@ def edge_rounds(config, shards, spec, association=None, edge_count=1, *,
             state.tau += 1
             local.step(config.eta, state.tau)
             if record:
-                g = descent.gradient(uX, uy, uT)
+                g = descent.gradient(uX, uT)
                 g *= config.eta
                 v -= g[0]
                 trace.vtilde[state.tau] = v

@@ -90,16 +90,14 @@ def _label_index(y, c):
     return label
 
 
-def quadratic_targets(spec, y):
-    """What the quadratic family regresses on for labels y (any leading
-    axes): one-hot rows. None for the cross-entropy families, which index
-    the labels directly. GradientWorkspace.gradient and gradient_probes
-    take it as targets, so a caller whose labels do not change builds it
-    once."""
-    if spec.family != QUADRATIC:
-        return None
-    T = np.zeros(y.shape + (spec.class_count,))
-    T.reshape(-1)[_label_index(y, spec.class_count)] = 1.0
+def one_hot(y, class_count):
+    """The one-hot rows of the labels y (any leading axes), shape
+    y.shape + (class_count,): the targets every gradient but gradient_xy
+    takes. The quadratic family regresses on them, and the cross-entropy
+    families subtract them from the softmax, so a caller whose labels do
+    not change builds them once."""
+    T = np.zeros(y.shape + (class_count,))
+    T.reshape(-1)[_label_index(y, class_count)] = 1.0
     return T
 
 
@@ -136,15 +134,20 @@ def _class_sum(Z, out=None):
     return s
 
 
-def _softmax(logits, rows=None):
+def _softmax(logits, rows=None, spread=None):
     """Row softmax over the last axis (class scores), any leading axes;
     in place when logits is C-contiguous, as the fresh products the
     callers pass are. rows, one entry per row, holds the row maxima and
-    then the row sums when given."""
+    then the row sums when given, and spread, shaped like logits, each
+    spread over its row: numpy would give a broadcast operand a temporary
+    buffer of its own."""
     Z = logits.reshape(-1, logits.shape[-1])  # the rows on one axis
-    Z -= _class_max(Z, rows)[:, None]
+    E = np.empty_like(Z) if spread is None else spread.reshape(Z.shape)
+    np.copyto(E, _class_max(Z, rows)[:, None])
+    Z -= E
     np.exp(Z, out=Z)
-    Z /= _class_sum(Z, rows)[:, None]
+    np.copyto(E, _class_sum(Z, rows)[:, None])
+    Z /= E
     return Z.reshape(logits.shape)
 
 
@@ -183,7 +186,7 @@ def _mlp_scores(X, B1, B2, Z1, out):
     Z1 (..., n, h + 1), C-contiguous. The product fills Z1's first h
     columns; tanh over the whole buffer is faster than over the view and
     keeps a fresh product's bits, and the last column is set back to ones
-    after it (a gradient's derivative pass overwrites it too)."""
+    after it."""
     np.matmul(X, B1, out=Z1[..., :-1])
     np.tanh(Z1, out=Z1)
     Z1[..., -1] = 1.0  # the ones column
@@ -217,7 +220,7 @@ class EvalWorkspace:
         self._scores, self._work = np.empty((n, c)), np.empty((n, c))
         self._rows, self._lse = np.empty(n), np.empty(n)
         self._best, self._hit = np.empty(n, dtype=np.intp), np.empty(n, dtype=bool)
-        self._targets = quadratic_targets(spec, y)
+        self._targets = one_hot(y, c) if spec.family == QUADRATIC else None
         self._label = None if self._targets is not None else _label_index(y, c)
         if spec.family == MLP1:
             self._Z1 = np.ones((n, h + 1))
@@ -263,7 +266,7 @@ def gradient_xy(spec, w, X, y):
     _check_dims(spec, w, X, spec.dim)
     n = X.shape[0]
     if spec.family == QUADRATIC:
-        R = X @ w.reshape(spec.dim, -1) - quadratic_targets(spec, y)
+        R = X @ w.reshape(spec.dim, -1) - np.eye(spec.class_count)[y]
         return (X.T @ R).ravel() / n + spec.l2_reg * w
     if spec.family == MULTINOMIAL_LOGISTIC:
         S = _softmax(X @ w.reshape(spec.dim, spec.class_count))
@@ -291,13 +294,14 @@ class GradientWorkspace:
     The workspace keeps views of W's blocks ([W1; b1] and [W2; b2] for
     mlp1, the (M, d, c) matrices otherwise) and of g's, and every
     intermediate: for mlp1 the hidden activations Z1, with their ones
-    column, and dZ, the scores S, the softmax's row reductions, the l2
-    product and the label offsets. gradient() writes into them with
-    gradient_xy's operations in its order on the stacked arrays, with
-    batched matmul (numpy runs one product per vehicle, as in the 2-D
-    code) and every reduction adding the terms the 2-D code adds in its
-    order (_class_max, _class_sum), and returns g, the same (M, P) array
-    at every call.
+    column, tanh's derivative D and dZ, the scores S, the softmax's row
+    reductions and their spread over the rows, and the l2 product.
+    gradient() writes into them with gradient_xy's operations in its
+    order on the stacked arrays, with batched matmul (numpy runs one
+    product per vehicle, as in the 2-D code) and every reduction adding
+    the terms the 2-D code adds in its order (_class_max, _class_sum),
+    and returns g, the same (M, P) array at every call. A call allocates
+    nothing.
     """
 
     def __init__(self, spec, W, n):
@@ -308,13 +312,8 @@ class GradientWorkspace:
         self.spec, self.W, self.n = spec, W, n
         self.g = np.empty((M, P))
         self._S = np.empty((M, n, c))
-        self._rows = None  # the softmax's row maxima, then its row sums
-        if spec.family != QUADRATIC:
-            # flat index of entry [m, b, 0] of an (M, n, c) array; adding a
-            # batch's labels gives _label_index(y, c)
-            self._base = np.arange(0, M * n * c, c).reshape(M, n)
-            self._label = np.zeros((M, n), dtype=np.int64)
-            self._rows = np.empty(M * n)
+        # the softmax's row maxima, then its row sums, alone and spread
+        self._rows, self._spread = np.empty(M * n), np.empty((M, n, c))
         if spec.is_convex:
             self._Wm, self._gm = W.reshape(M, d, c), self.g.reshape(M, d, c)
             self._reg = np.empty((M, d, c))
@@ -323,90 +322,86 @@ class GradientWorkspace:
             self._W2T = np.swapaxes(self._B2[:, :h], 1, 2)
             self._gB1, self._gB2 = _mlp_unpack(spec, self.g)
             self._reg = np.empty((M, P))
-            self._Z1, self._dZ = np.ones((M, n, h + 1)), np.empty((M, n, h))
+            self._Z1 = np.ones((M, n, h + 1))
             self._Z, self._Z1T = self._Z1[..., :h], np.swapaxes(self._Z1, 1, 2)
+            self._D, self._dZ = np.empty((M, n, h)), np.empty((M, n, h))
 
-    def _labels(self, y):
-        """_label_index(y, c) of this call's labels, in a reused buffer."""
-        return np.add(self._base, y, out=self._label)
-
-    def gradient(self, X, y, targets=None):
+    def gradient(self, X, T):
         """Gradients at the current W over the model-input rows X (M, n, .)
         of the batches, model_inputs(spec, Xraw) with Xraw (M, n, d), and
-        their labels y (M, n): row m is bitwise
-        gradient_xy(spec, W[m], Xraw[m], y[m]). targets is
-        quadratic_targets(spec, y), built per call when not given.
+        their one-hot targets T (M, n, c), one_hot(y, c) of their labels
+        y (M, n): row m is bitwise gradient_xy(spec, W[m], Xraw[m], y[m]).
         Returns g, which the next call overwrites."""
         spec = self.spec
         if spec.is_convex:
-            label = self._labels(y) if spec.family == MULTINOMIAL_LOGISTIC else None
-            _convex_gradients(spec, self._Wm, X, y, targets, out=self._gm, residual=self._S,
-                              label=label, rows=self._rows, reg=self._reg)
+            _convex_gradients(spec, self._Wm, X, T, out=self._gm, residual=self._S,
+                              rows=self._rows, spread=self._spread, reg=self._reg)
             return self.g
         Z1 = self._Z1
         S = _mlp_scores(X, self._B1, self._B2, Z1, self._S)
-        _softmax(S, self._rows)
-        S.reshape(-1)[self._labels(y)] -= 1.0
+        _softmax(S, self._rows, self._spread)
+        S -= T
         S /= self.n
         np.matmul(self._Z1T, S, out=self._gB2)
         dZ = np.matmul(S, self._W2T, out=self._dZ)
-        Z1 *= Z1
-        np.subtract(1.0, Z1, out=Z1)
-        dZ *= self._Z
+        # tanh's derivative on a contiguous copy of the activations: a
+        # ufunc would give Z1's first h columns, a strided view, a
+        # temporary buffer, and a strided dZ would change the bits of the
+        # last product at h = 1
+        D = self._D
+        np.copyto(D, self._Z)
+        D *= D
+        np.subtract(1.0, D, out=D)
+        dZ *= D
         np.matmul(X.swapaxes(1, 2), dZ, out=self._gB1)
         self.g += np.multiply(spec.l2_reg, self.W, out=self._reg)
         return self.g
 
 
-def _convex_gradients(spec, Wm, X, y, targets, out=None, residual=None, *, label=None,
-                      rows=None, reg=None):
+def _convex_gradients(spec, Wm, X, T, out=None, residual=None, *, rows=None, spread=None,
+                      reg=None):
     """Gradients of a convex family at the weight matrices Wm (..., d, c)
-    over the datasets X (..., n, d), y (..., n), their leading axes
-    broadcast; targets is quadratic_targets(spec, y) or None. Each
-    (weights, dataset) pair gets gradient_xy's operations: an (n, d) @ (d, c)
-    product, the residual or softmax scores, and X' @ R, divided by n plus
-    the l2 term. The scores are written to residual and the gradients,
-    (..., d, c), to out, when given. A caller that keeps buffers passes
-    label, the flat index of every label entry of the scores, rows, one
-    entry per score row, and reg, shaped like Wm, for the l2 product."""
+    over the datasets X (..., n, d) and their one-hot targets T
+    (..., n, c), their leading axes broadcast. Each (weights, dataset)
+    pair gets gradient_xy's operations: an (n, d) @ (d, c) product, the
+    softmax for the cross-entropy family, minus the targets, and X' @ R,
+    divided by n plus the l2 term. Subtracting a target's exact 0.0 keeps
+    every bit, and 1.0 is what gradient_xy subtracts at a label. The
+    residual is written to residual and the gradients, (..., d, c), to
+    out, when given. A caller that keeps buffers passes rows and spread
+    for the softmax, and reg, shaped like Wm, for the l2 product."""
     n = X.shape[-2]
     R = np.matmul(X, Wm, out=residual)
-    if spec.family == QUADRATIC:
-        R -= quadratic_targets(spec, y) if targets is None else targets
-    else:
-        _softmax(R, rows)
-        if label is None:
-            # entry [..., b, y[..., b]] of the contiguous (..., n, c) scores
-            label = _label_index(np.broadcast_to(y, R.shape[:-1]), spec.class_count)
-        R.reshape(-1)[label] -= 1.0
+    if spec.family != QUADRATIC:
+        _softmax(R, rows, spread)
+    R -= T
     g = np.matmul(np.swapaxes(X, -1, -2), R, out=out)
     g /= n
     g += np.multiply(spec.l2_reg, Wm, out=reg)
     return g
 
 
-def gradient_probes(spec, W, X, y, *, targets=None, out=None, residual=None):
+def gradient_probes(spec, W, X, T, *, out=None, residual=None):
     """Full-batch gradients of G equal-size datasets at Q probe points, for
-    the convex families: W (Q, P), X (G, n, d), y (G, n) -> (Q, G, P).
-    targets is quadratic_targets(spec, y), built per call when not given.
-    out (Q, G, P), whose rows are contiguous, receives the gradients, and
-    residual (Q, G, n, c), C-contiguous, the scores, so a caller can reuse
-    both.
+    the convex families: W (Q, P), X (G, n, d) and the datasets' one-hot
+    targets T (G, n, c) -> (Q, G, P). out (Q, G, P), whose rows are
+    contiguous, receives the gradients, and residual (Q, G, n, c),
+    C-contiguous, the residuals, so a caller can reuse both.
 
-    Entry [q, g] is bitwise gradient_xy(spec, W[q], X[g], y[g]): the probe
-    weights, as (Q, 1, d, c), broadcast against the datasets, so each
-    (probe, dataset) product is the one gradient_xy makes and nothing is
-    copied.
+    Entry [q, g] is bitwise gradient_xy(spec, W[q], X[g], y[g]) for the
+    labels y behind T: the probe weights, as (Q, 1, d, c), broadcast
+    against the datasets, so each (probe, dataset) product is the one
+    gradient_xy makes and nothing is copied.
     """
     if not spec.is_convex:
         raise UnsupportedModelError(f"{spec.family} has no probe gradients")
     Q, G = W.shape[0], X.shape[0]
     if out is not None and out.strides[-1] != out.itemsize:
         raise ValueError("out needs contiguous rows")
-    # the softmax and the label entries are taken in place on a flat view
+    # the softmax is taken in place on a flat view
     if residual is not None and not residual.flags.c_contiguous:
         raise ValueError("residual must be C-contiguous")
-    g = _convex_gradients(spec, W.reshape(Q, 1, spec.dim, -1), X, y, targets,
+    g = _convex_gradients(spec, W.reshape(Q, 1, spec.dim, -1), X, T,
                           out=None if out is None else out.reshape(Q, G, spec.dim, -1),
                           residual=residual)
     return g.reshape(Q, G, -1) if out is None else out
@@ -469,7 +464,7 @@ def solve_optimum(spec, data, grad_tol=1e-8, max_iter=2_000_000):
     X, y = data.features, data.labels
     n = X.shape[0]
     if spec.family == QUADRATIC:
-        T = quadratic_targets(spec, y)
+        T = one_hot(y, spec.class_count)
         A = (X.T @ X) / n + spec.l2_reg * np.eye(spec.dim)
         B = (X.T @ T) / n
         fallback = False

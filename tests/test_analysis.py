@@ -341,9 +341,9 @@ class TestDivergencesMatchProbeLoop:
         sizes = []
         real = analysis.gradient_probes
 
-        def spy(spec, W, X, y, **buffers):
+        def spy(spec, W, X, T, **buffers):
             sizes.append(W.shape[0])
-            return real(spec, W, X, y, **buffers)
+            return real(spec, W, X, T, **buffers)
 
         monkeypatch.setattr(analysis, "gradient_probes", spy)
         return sizes

@@ -121,7 +121,7 @@ class TestBatchSampler:
         local = FleetStep(logistic_spec(), np.zeros((2, 18)), data.features, data.labels, sizes,
                           s)
         assert local.sampler is None
-        assert [X.shape for _, _, X, _, _ in local._groups] == [(1, 7, 6), (1, 12, 6)]
+        assert [X.shape for _, _, X, _ in local._groups] == [(1, 7, 6), (1, 12, 6)]
 
     @pytest.mark.parametrize("sizes, batch", [
         ([50, 70, 16, 7, 33, 48, 61], 16),   # unequal; n < B, n == B, n > B, B | n
@@ -496,7 +496,7 @@ def gathered_step(spec, W, data, rows, eta):
         idx = np.stack([batches[m] for m in ids])
         ws = models.GradientWorkspace(spec, W[ids], n)
         X = models.model_inputs(spec, data.features[idx])
-        W[ids] -= eta * ws.gradient(X, data.labels[idx])
+        W[ids] -= eta * ws.gradient(X, models.one_hot(data.labels[idx], spec.class_count))
 
 
 def group_ids(local):
@@ -549,12 +549,12 @@ class TestCachedInputs:
         local = FleetStep(self.SPECS[1], W, data.features, data.labels, sizes,
                           BatchSampler(sizes, 12, seed=0))
         assert group_ids(local) == [[0, 2], [3], [1, 4]]
-        assert [y.shape for *_, y, _ in local._groups] == [(2, 5), (1, 12), (2, 12)]
+        assert [T.shape for *_, T in local._groups] == [(2, 5, 3), (1, 12, 3), (2, 12, 3)]
         assert [ids is None for ids, *_ in local._groups] == [False, True, False]
         # without a sampler every vehicle uses its whole shard
         local = FleetStep(self.SPECS[1], W, data.features, data.labels, sizes)
         assert group_ids(local) == [[0, 2], [3], [1, 4]]
-        assert [y.shape for *_, y, _ in local._groups] == [(2, 5), (1, 12), (2, 30)]
+        assert [T.shape for *_, T in local._groups] == [(2, 5, 3), (1, 12, 3), (2, 30, 3)]
 
     def test_fixed_group_inputs_built_once(self, monkeypatch):
         spec = self.SPECS[0]
@@ -566,14 +566,12 @@ class TestCachedInputs:
         local = FleetStep(spec, W, data.features, data.labels, sizes, s)
         fixed = [group[2:] for group in local._groups[:-1]]
         assert len(fixed) == 1  # the shuffling group is gathered per step
-        X, y, T = fixed[0]
+        X, T = fixed[0]
         rows = np.array([0, 5, 40])[:, None] + np.arange(5)
-        assert np.array_equal(X, data.features[rows]) and np.array_equal(y, data.labels[rows])
-        assert T.tobytes() == models.quadratic_targets(spec, y).tobytes()
-        assert FleetStep(self.SPECS[1], W, data.features, data.labels, sizes,
-                         s)._groups[0][4] is None
+        assert np.array_equal(X, data.features[rows])
+        assert T.tobytes() == models.one_hot(data.labels[rows], spec.class_count).tobytes()
         # once built, a step builds no whole-shard inputs of its own
-        monkeypatch.setattr(engine, "quadratic_targets", None)
+        monkeypatch.setattr(engine, "one_hot", None)
         local.step(0.05, 1)
 
 
@@ -994,6 +992,31 @@ def test_round_boundary_reuses_its_buffers():
         tracemalloc.stop()
     assert len(peaks) == 20
     assert max(peaks[1:]) < 192 * 1024, [p // 1024 for p in peaks]
+
+
+@pytest.mark.parametrize("family", models.FAMILIES)
+def test_local_step_allocates_nothing(family):
+    # the train workload's step: 32 vehicles of 50 rows, batches of 20 from
+    # a sampler, d = 8, c = 4, mlp1 with 16 hidden units. Once the first
+    # step has drawn the sampler's chunk, a step builds no targets, no
+    # broadcast softmax operand and no temporary for a strided product
+    # (one of these alone is over 20 KiB at these shapes)
+    spec = models.ModelSpec(family, dim=8, class_count=4,
+                            hidden_width=16 if family == models.MLP1 else 0)
+    data = datasets.generate_synthetic(4, 8, 400, 4.0, seed=1)
+    sizes = [50] * 32
+    W = np.tile(models.init_params(spec, 1), (32, 1))
+    local = FleetStep(spec, W, models.model_inputs(spec, data.features), data.labels, sizes,
+                      BatchSampler(sizes, 20, seed=1))
+    local.step(0.05, 1)
+    tracemalloc.start()
+    try:
+        for tau in range(2, 8):
+            local.step(0.05, tau)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2048, peak
 
 
 class TestCheckpoint:

@@ -266,6 +266,19 @@ def test_loss_equals_numpy_reductions(family, c):
                 assert got_acc.hex() == want_acc.hex()
 
 
+@pytest.mark.parametrize("c", [2, 4])
+def test_one_hot_rows(c):
+    # the targets every fast gradient takes: 1.0 at each label, 0.0
+    # elsewhere, over any leading axes
+    g = np.random.default_rng(c)
+    for M, B in ((1, 1), (4, 7), (32, 40)):
+        y = g.integers(0, c, size=(M, B))
+        want = np.zeros((M, B, c))
+        want[np.arange(M)[:, None], np.arange(B), y] = 1.0
+        assert models.one_hot(y, c).tobytes() == want.tobytes()
+        assert models.one_hot(y[0], c).tobytes() == want[0].tobytes()
+
+
 class TestWorkspaceMatchesGradientXy:
     """A fresh GradientWorkspace is the fast path of the local step;
     gradient_xy on each vehicle in turn is its reference, and they must
@@ -276,12 +289,15 @@ class TestWorkspaceMatchesGradientXy:
     @pytest.mark.parametrize("M, B", [(1, 1), (1, 20), (5, 1), (4, 7), (32, 20), (3, 33)])
     def test_rows_equal_looped_gradient_xy_bitwise(self, spec, M, B):
         g = np.random.default_rng(1000 * M + B)
-        for _ in range(3):
-            W = init_params(spec, seed=M) + 0.5 * g.normal(size=(M, param_length(spec)))
+        # the last weights saturate the softmax: its entries are exactly
+        # 0.0 or 1.0, and the targets subtract 0.0 or 1.0 from them
+        for scale in (0.5, 0.5, 0.5, 300.0):
+            W = init_params(spec, seed=M) + scale * g.normal(size=(M, param_length(spec)))
             X = 3.0 * g.normal(size=(M, B, spec.dim))
             y = g.integers(0, spec.class_count, size=(M, B))
             want = np.stack([gradient_xy(spec, W[m], X[m], y[m]) for m in range(M)])
-            got = models.GradientWorkspace(spec, W, B).gradient(models.model_inputs(spec, X), y)
+            got = models.GradientWorkspace(spec, W, B).gradient(
+                models.model_inputs(spec, X), models.one_hot(y, spec.class_count))
             assert got.shape == (M, param_length(spec))
             assert np.array_equal(got, want)
 
@@ -293,30 +309,11 @@ class TestWorkspaceMatchesGradientXy:
         rows = g.integers(0, ds.size, size=(6, 20))
         W = init_params(spec, seed=1) + 0.1 * g.normal(size=(6, param_length(spec)))
         X = models.model_inputs(spec, ds.features)
-        got = models.GradientWorkspace(spec, W, 20).gradient(X[rows], ds.labels[rows])
+        T = models.one_hot(ds.labels[rows], spec.class_count)
+        got = models.GradientWorkspace(spec, W, 20).gradient(X[rows], T)
         for m in range(6):
             want = gradient_xy(spec, W[m], ds.features[rows[m]], ds.labels[rows[m]])
             assert np.array_equal(got[m], want)
-
-    @pytest.mark.parametrize("spec", [s for s in FLEET_SPECS if s.family == QUADRATIC],
-                             ids=lambda s: f"C{s.class_count}-l2{s.l2_reg}")
-    def test_targets_given_equal_targets_built(self, spec):
-        g = np.random.default_rng(spec.class_count)
-        for M, B in ((1, 1), (4, 7), (32, 40)):
-            W = g.normal(size=(M, param_length(spec)))
-            X = 3.0 * g.normal(size=(M, B, spec.dim))
-            y = g.integers(0, spec.class_count, size=(M, B))
-            T = models.quadratic_targets(spec, y)
-            want = np.zeros((M, B, spec.class_count))
-            want[np.arange(M)[:, None], np.arange(B), y] = 1.0
-            assert T.tobytes() == want.tobytes()
-            assert models.GradientWorkspace(spec, W, B).gradient(X, y, T).tobytes() == \
-                models.GradientWorkspace(spec, W, B).gradient(X, y).tobytes()
-            # the probes tile the targets as they tile the datasets
-            for Q in (1, 3):
-                assert models.gradient_probes(spec, W[:Q], X, y, targets=T).tobytes() == \
-                    models.gradient_probes(spec, W[:Q], X, y).tobytes()
-        assert models.quadratic_targets(SPECS[1], y) is None
 
     @pytest.mark.parametrize("spec", FLEET_SPECS,
                              ids=lambda s: f"{s.family}-C{s.class_count}-h{s.hidden_width}")
@@ -327,9 +324,9 @@ class TestWorkspaceMatchesGradientXy:
             w = init_params(spec, seed=1) + 0.5 * g.normal(size=param_length(spec))
             X = 3.0 * g.normal(size=(n, spec.dim))
             y = g.integers(0, spec.class_count, size=n)
-            T = models.quadratic_targets(spec, y[None])
+            T = models.one_hot(y[None], spec.class_count)
             X1 = models.model_inputs(spec, X)[None]
-            got = models.GradientWorkspace(spec, w[None], n).gradient(X1, y[None], T)[0]
+            got = models.GradientWorkspace(spec, w[None], n).gradient(X1, T)[0]
             assert got.tobytes() == gradient_xy(spec, w, X, y).tobytes()
 
 
@@ -348,10 +345,8 @@ class TestGradientWorkspace:
         for step in range(64):
             X = 3.0 * g.normal(size=(M, n, spec.dim))
             y = g.integers(0, spec.class_count, size=(M, n))
-            # quadratic targets given on odd steps, built in the workspace on even ones
-            T = models.quadratic_targets(spec, y) if step % 2 else None
             want = np.stack([gradient_xy(spec, W[m], X[m], y[m]) for m in range(M)])
-            got = ws.gradient(models.model_inputs(spec, X), y, T)
+            got = ws.gradient(models.model_inputs(spec, X), models.one_hot(y, spec.class_count))
             assert got is ws.g and got.tobytes() == want.tobytes(), step
             W -= 0.05 * got
 
@@ -375,7 +370,8 @@ class TestGradientWorkspace:
             X[:, :, 1] = -0.0
             y = g.integers(0, spec.class_count, size=(M, n))
             want = np.stack([gradient_xy(spec, W[m], X[m], y[m]) for m in range(M)])
-            assert ws.gradient(models.model_inputs(spec, X), y).tobytes() == want.tobytes(), step
+            got = ws.gradient(models.model_inputs(spec, X), models.one_hot(y, spec.class_count))
+            assert got.tobytes() == want.tobytes(), step
 
     def test_needs_contiguous_weights(self):
         spec = SPECS[2]
@@ -403,33 +399,32 @@ class TestGradientProbes:
         y = g.integers(0, spec.class_count, size=(G, n))
         want = np.array([[gradient_xy(spec, W[q], X[i], y[i]) for i in range(G)]
                          for q in range(Q)])
-        T = models.quadratic_targets(spec, y)
-        assert models.gradient_probes(spec, W, X, y).tobytes() == want.tobytes()
-        assert models.gradient_probes(spec, W, X, y, targets=T).tobytes() == want.tobytes()
+        T = models.one_hot(y, spec.class_count)
+        assert models.gradient_probes(spec, W, X, T).tobytes() == want.tobytes()
         # into reused buffers, the gradients into rows of a wider array
         out = np.full((Q, G + 2, param_length(spec)), np.nan)
         residual = np.empty((Q, G, n, spec.class_count))
-        got = models.gradient_probes(spec, W, X, y, targets=T, out=out[:, 1:G + 1],
-                                     residual=residual)
+        got = models.gradient_probes(spec, W, X, T, out=out[:, 1:G + 1], residual=residual)
         assert got.base is out and out[:, 1:G + 1].tobytes() == want.tobytes()
         assert np.isnan(out[:, [0, -1]]).all()
 
     @pytest.mark.parametrize("spec", PROBE_SPECS,
                              ids=lambda s: f"{s.family}-C{s.class_count}-l2{s.l2_reg}")
     def test_strided_residual_rejected(self, spec):
-        # a strided score buffer would take the softmax and the label
-        # entries on a copy, leaving raw products behind
+        # a strided score buffer would take the softmax on a copy, leaving
+        # raw products behind
         W = np.ones((2, param_length(spec)))
-        X, y = np.ones((3, 5, spec.dim)), np.zeros((3, 5), dtype=int)
+        X, T = np.ones((3, 5, spec.dim)), np.zeros((3, 5, spec.class_count))
         residual = np.empty((2, 3, 5, spec.class_count + 1))[..., :spec.class_count]
         with pytest.raises(ValueError, match="residual"):
-            models.gradient_probes(spec, W, X, y, residual=residual)
+            models.gradient_probes(spec, W, X, T, residual=residual)
 
     def test_non_convex_rejected(self):
         spec = SPECS[2]
         with pytest.raises(UnsupportedModelError):
             models.gradient_probes(spec, np.zeros((1, param_length(spec))),
-                                   np.zeros((1, 4, spec.dim)), np.zeros((1, 4), dtype=int))
+                                   np.zeros((1, 4, spec.dim)),
+                                   np.zeros((1, 4, spec.class_count)))
 
 
 class TestConstants:
