@@ -136,8 +136,20 @@ MUTATIONS = [
              "tests/test_models.py::TestShortAxisReductions::test_class_max_and_sum_equal_numpy"),
     # a round's last in-round snapshots never measured when they do not
     # fill a chunk
-    Mutation(ENGINE, "if held == chunk or s == tau_l - 1:", "if held == chunk:",
+    Mutation(ENGINE, "if held == self.chunk or s == self.tau_l - 1:", "if held == self.chunk:",
              TEST_ENGINE + "::TestRecordingMatchesPerRowLoop::test_snapshots_in_chunks"),
+    # v left at vtilde at a cloud instant, not synchronized to u
+    Mutation(ENGINE, "self.v[:] = self.trace.u_cloud[cloud_epoch] = avgs[0]",
+             "self.trace.u_cloud[cloud_epoch] = avgs[0]",
+             TEST_ENGINE + "::TestRecordingMatchesPerRowLoop"
+             "::test_logistic_minibatch_turning_vehicles"),
+    # the pre-aggregation distances masked by the empty edges of the
+    # association the round trained with, not of the one taking effect
+    Mutation(ENGINE, "            state.tau, W, avgs, theta)\n",
+             "            state.tau, W, avgs, membership_weights(association[j - 1], sizes,"
+             " edge_count)[1])\n",
+             TEST_ENGINE + "::TestRecordingMatchesPerRowLoop"
+             "::test_logistic_minibatch_turning_vehicles"),
     # the shared-input class coverage left to edge_noniid's rule, which the
     # partial-coverage flag excuses, so the construction drops the surplus
     # classes

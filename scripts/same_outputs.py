@@ -81,6 +81,15 @@ LOGISTIC_MINIBATCH = LOGISTIC.replace("[hfl]\n", "[hfl]\nbatch_size = 5\n")
 QUADRATIC_MINIBATCH = LOGISTIC_MINIBATCH.replace("family = multinomial_logistic",
                                                  "family = quadratic")
 
+# No other case records a minibatch run: the recording beside a shuffling
+# group, on a road with p_turn = 0.3.
+RECORDED_MINIBATCH = LOGISTIC_MINIBATCH.replace("[hfl]\n", "[hfl]\nrecord_virtual = true\n")
+
+# No other case splits a round's snapshots: at dim 16, P = 64 and a chunk
+# holds 3 of the 5 in-round snapshots, so every round is measured as 3 + 2.
+VERIFY_WIDE = VERIFY.template.replace("dim = 8", "dim = 16").format(
+    epochs=VERIFY.epochs, out="out")
+
 # The same config with no road: one edge, so partition-report writes no
 # mobility trace and every edge id is 0.
 LOGISTIC_STATIC = LOGISTIC.replace("edges = 4", "edges = 1")
@@ -163,6 +172,9 @@ CASES = [
     Case("run-interleaved-7", RUN.command, INTERLEAVED, 7, RUN.outputs),
     Case("run-logistic-minibatch-1", RUN.command, LOGISTIC_MINIBATCH, 1, RUN.outputs),
     Case("run-quadratic-minibatch-1", RUN.command, QUADRATIC_MINIBATCH, 1, RUN.outputs),
+    Case("run-recorded-minibatch-1", RUN.command, RECORDED_MINIBATCH, 1,
+         RUN.outputs + ("virtual_trace.csv",)),
+    Case("run-verify-wide-1", RUN.command, VERIFY_WIDE, 1, RUN.outputs + ("virtual_trace.csv",)),
 ]
 
 

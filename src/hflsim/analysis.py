@@ -387,14 +387,14 @@ def check_gap_bound(trace, inputs, drift_report, losses):
     conditions = {
         "eta_le_inv_beta": inputs.eta_feasible,
         "positive_margin": bool(np.all(
-            inputs.eta * phi - inputs.rho * drift_report.value / (span * eps ** 2) > 0.0)),
+            inputs.eta * phi - inputs.rho * drift_report.value / (span * (eps * eps)) > 0.0)),
         "vtilde_gap_ge_eps": bool(np.all(f_vt - inputs.f_star >= eps)),
         "w_loss_ge_eps": bool(np.all(f_w >= eps)),
         "w_gap_ge_eps_strict": bool(np.all(f_w - inputs.f_star >= eps)),
         "uk_upper_bounds_gap": bool(np.all(drift_report.satisfied)),
     }
     applicable = all(v for name, v in conditions.items() if name != "w_gap_ge_eps_strict")
-    denom = T * inputs.eta * phi - inputs.rho * drift_report.total / eps ** 2
+    denom = T * inputs.eta * phi - inputs.rho * drift_report.total / (eps * eps)
     bound = 1.0 / denom if (applicable and denom > 0.0) else float("nan")
     if applicable and denom <= 0.0:
         applicable = False

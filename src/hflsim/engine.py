@@ -6,7 +6,7 @@ edge aggregates its members; every tau_e-th edge round is followed by a
 cloud aggregation. Aggregation weights are data-size proportional and
 always use the association in force at the aggregation instant.
 
-When record_virtual is on, the run also materializes the virtual
+When record_virtual is on, a Recording also materializes the virtual
 trajectories used by the analysis module: u (size-weighted average of all
 vehicle models at every iteration), the centralized descent v, and its
 pre-synchronization value vtilde.
@@ -293,6 +293,90 @@ class RunResult:
     cloud_consistency: list = field(default_factory=list)  # (k, max |w - u_pre|) per epoch
 
 
+class Recording:
+    """The virtual trajectories of one run, in trace. Each call takes the B
+    and theta of the association in force, and terms, the run's one
+    fleet_averages buffer, of at least B.size * chunk * P entries."""
+
+    def __init__(self, config, spec, w0, X, T, alpha, edge_count, association):
+        M, P, K, n = len(alpha), len(w0), config.cloud_epochs, config.total_iterations + 1
+        self.eta, self.tau_l, self.alpha = config.eta, config.tau_l, alpha
+        # v, one fleet row on the union, is vtilde after every step
+        self._X, self._T, self.v = X[None], T[None], w0.copy()
+        self._descent = GradientWorkspace(spec, self.v[None], len(X))
+        # snapshots of W, measured a chunk at a time, whose fleet_averages
+        # terms (M, N + 1, chunk * P) stay within BATCH_CHUNK_BYTES
+        self.chunk = max(1, min(self.tau_l - 1,
+                                BATCH_CHUNK_BYTES // (8 * M * (edge_count + 1) * P)))
+        self._snaps = np.empty((M, self.chunk, P))
+        self.trace = VirtualTrace(
+            vtilde=np.zeros((n, P)), gap_u_vtilde=np.zeros(n), gap_u_v=np.zeros(n),
+            s_vehicle=np.zeros(n), s_edge=np.zeros(n), vehicle_gap=np.zeros((M, n)),
+            edge_gap=np.full((edge_count, n), np.nan), u_cloud=np.zeros((K + 1, P)),
+            association_history=association)
+        self.trace.vtilde[0] = self.trace.u_cloud[0] = w0
+        self.trace.edge_gap[:, 0] = 0.0
+
+    def step(self, tau, W, B, theta, terms):
+        """After local step tau: one step of v, and W kept as a snapshot
+        at every step of a round but the last."""
+        g = self._descent.gradient(self._X, self._T)
+        g *= self.eta
+        self.v -= g[0]
+        self.trace.vtilde[tau] = self.v
+        s = (tau - 1) % self.tau_l + 1  # the step's place in its round
+        if s < self.tau_l:
+            held = (s - 1) % self.chunk + 1
+            self._snaps[:, held - 1] = W
+            if held == self.chunk or s == self.tau_l - 1:
+                # no aggregation inside a round: v = vtilde, and one
+                # measurement serves the pre and the post fields, one
+                # fleet_averages over the snapshots' rows keeping their bits
+                taus = slice(tau - held + 1, tau + 1)
+                Ws = self._snaps[:, :held]
+                avgs = fleet_averages(B, Ws.reshape(len(W), -1), terms)
+                self._store(taus, Ws, avgs, self.trace.vtilde[taus], theta, pre=True, post=True)
+
+    def before_aggregation(self, tau, W, avgs, theta):
+        """The pre fields at tau from avgs, the fleet_averages of W under
+        the new association; returns ||u_pre - vtilde||."""
+        self._store(slice(tau, tau + 1), W[:, None], avgs, self.v, theta,
+                    pre=True, post=False)  # v is vtilde
+        return float(self.trace.gap_u_vtilde[tau])
+
+    def after_aggregation(self, tau, W, avgs, theta, cloud_epoch):
+        """The post fields at tau from avgs, the fleet_averages of the
+        aggregated W; returns u. At the end of cloud epoch k (cloud_epoch,
+        else None) v synchronizes exactly to u, which is u_cloud[k]."""
+        if cloud_epoch is not None:
+            self.v[:] = self.trace.u_cloud[cloud_epoch] = avgs[0]
+        self._store(slice(tau, tau + 1), W[:, None], avgs, self.v, theta,
+                    pre=False, post=True)
+        return avgs[0]
+
+    def _store(self, taus, Ws, avgs, ref, theta, pre, post):
+        """Record the snapshots Ws (M, S, P) of the iterations taus (a
+        slice): the distances of u, of each W[m] and of every edge's average,
+        from avgs (N + 1, S * P), to ref (S, P), vtilde for the pre fields
+        and v for the post ones, as one row_norms; an empty edge's is nan."""
+        M, S, P = Ws.shape
+        tr, alpha = self.trace, self.alpha
+        diff = np.concatenate([Ws, avgs.reshape(-1, S, P)])
+        diff -= ref
+        dist = row_norms(diff.reshape(-1, P)).reshape(diff.shape[:2])
+        gap, vehicle = dist[M], dist[:M]
+        edge = np.where(theta[:, None] > 0, dist[M + 1:], np.nan)
+        if pre:
+            tr.gap_u_vtilde[taus] = gap
+            tr.vehicle_gap[:, taus] = vehicle
+            tr.edge_gap[:, taus] = edge
+        if post:
+            tr.gap_u_v[taus] = gap
+            # cumsum adds strictly in id order, like a running loop from zero
+            tr.s_vehicle[taus] = np.cumsum(alpha[:, None] * vehicle, axis=0)[-1]
+            tr.s_edge[taus] = np.cumsum(theta[theta > 0, None] * edge[theta > 0], axis=0)[-1]
+
+
 def edge_rounds(config, shards, spec, association=None, edge_count=1, *,
                 eval_data=None, init_params_vec=None, train_loss=True):
     """Execute the full hierarchical schedule, one edge round per step.
@@ -301,29 +385,26 @@ def edge_rounds(config, shards, spec, association=None, edge_count=1, *,
     force from the end of edge round j (row 0 from the start); see
     mobility.schedule. None selects the static mode where every vehicle
     stays on edge 0 (used for the single-edge equivalence checks).
-    Each local iteration is one FleetStep.step over all vehicles; the step,
-    the training loss and the centralized descent read the model-input rows
-    of the shards stacked in id order, and the accuracy those of eval_data,
-    each built once per run. The loss and the accuracy of every round's u
-    are one models.EvalWorkspace per split, built once per run.
-    Every round boundary takes two fleet_averages, before and after the
-    aggregation, into one terms buffer built once per run, and the
-    recording measures those same averages, so config.record_virtual
-    changes no training bit.
+    Each local iteration is one FleetStep.step over all vehicles. The step,
+    the training loss and a Recording read the model-input rows of the
+    shards stacked in id order, and the accuracy those of eval_data, each
+    built once per run, as are the loss's and the accuracy's
+    models.EvalWorkspace. Every round boundary takes two fleet_averages,
+    before and after the aggregation, into one terms buffer built once per
+    run, and the Recording (built when config.record_virtual is set)
+    measures those same averages, so it changes no training bit.
     After every edge round yields one RunResult, updated in place: the
     metrics rows (the last is this round's), the loop's state as
     final_state, per-epoch cloud/vehicle-average consistency, and the
-    virtual trace, filled up to this round, when config.record_virtual is
-    set. An empty edge takes its zero average, so a state yielded
-    mid-epoch holds zeros for empty edges. With train_loss=False the
-    metrics rows carry a nan training loss, and the full-union loss is not
-    evaluated; nothing else changes.
+    Recording's VirtualTrace, filled up to this round. An empty edge takes
+    its zero average, so a state yielded mid-epoch holds zeros for empty
+    edges. With train_loss=False the metrics rows carry a nan training
+    loss, and the full-union loss is not evaluated; nothing else changes.
     """
     M = len(shards)
     if M < 1:
         raise ValueError("need at least one shard")
     K, tau_l, tau_e = config.cloud_epochs, config.tau_l, config.tau_e
-    T = config.total_iterations
     rounds = K * tau_e
     if association is None:
         association = np.zeros((rounds + 1, M), dtype=np.int64)
@@ -360,128 +441,47 @@ def edge_rounds(config, shards, spec, association=None, edge_count=1, *,
     A, theta = membership_weights(association[0], sizes, edge_count)
     B = np.vstack([alpha, A])
 
-    record = config.record_virtual
-    chunk = 1
-    if record:
-        # the centralized descent runs on the whole union as one fleet row,
-        # on the step's one-hot targets
-        uX, uT = X[None], local.T[None]
-        v = w0.copy()  # updated in place, as vtilde after every step
-        descent = GradientWorkspace(spec, v[None], fleet.size)
-        # W after each step of a round but the last, vehicle-major, so that
-        # the snapshots are measured a chunk at a time; a chunk's
-        # fleet_averages terms (M, N + 1, chunk * P) stay within
-        # BATCH_CHUNK_BYTES, whatever tau_l is
-        chunk = max(1, min(tau_l - 1, BATCH_CHUNK_BYTES // (8 * B.size * P)))
-        snaps = np.empty((M, chunk, P))
-        trace = VirtualTrace(
-            vtilde=np.zeros((T + 1, P)),
-            gap_u_vtilde=np.zeros(T + 1),
-            gap_u_v=np.zeros(T + 1),
-            s_vehicle=np.zeros(T + 1),
-            s_edge=np.zeros(T + 1),
-            vehicle_gap=np.zeros((M, T + 1)),
-            edge_gap=np.full((edge_count, T + 1), np.nan),
-            u_cloud=np.zeros((K + 1, P)),
-            association_history=association,
-        )
-        trace.vtilde[0] = w0
-        trace.edge_gap[:, 0] = 0.0
-        trace.u_cloud[0] = w0
-    else:
-        trace = None
-    # the terms of every fleet_averages call: the round boundary's
-    # (M, N + 1, P), or a chunk of the recording's snapshots
-    terms = np.empty(B.size * chunk * P)
+    recording = Recording(config, spec, w0, X, local.T, alpha, edge_count,
+                          association) if config.record_virtual else None
+    # every fleet_averages call's terms: a round boundary's, or a recorded chunk's
+    terms = np.empty(B.size * P * (1 if recording is None else recording.chunk))
 
-    def store(taus, Ws, avgs, ref, pre, post):
-        """Record S snapshots of the fleet, Ws (M, S, P), for the iterations
-        taus (a slice): the distances of u, of each W[m] and of every edge's
-        average to ref (S, P), taking u and the edge averages from avgs
-        (N + 1, S, P), the snapshots' fleet_averages under B. They fill the
-        pre-aggregation fields (ref is vtilde), the post-aggregation fields
-        (ref is v), or both. The distances are one row_norms, which keeps
-        every row's bits; an empty edge's is nan."""
-        diff = np.concatenate([Ws, avgs])
-        diff -= ref
-        dist = row_norms(diff.reshape(-1, P)).reshape(diff.shape[:2])
-        gap, vehicle = dist[M], dist[:M]
-        edge = np.where(theta[:, None] > 0, dist[M + 1:], np.nan)
-        if pre:
-            trace.gap_u_vtilde[taus] = gap
-            trace.vehicle_gap[:, taus] = vehicle
-            trace.edge_gap[:, taus] = edge
-        if post:
-            trace.gap_u_v[taus] = gap
-            # cumsum adds strictly in id order, like a running loop from zero
-            trace.s_vehicle[taus] = np.cumsum(alpha[:, None] * vehicle, axis=0)[-1]
-            trace.s_edge[taus] = np.cumsum(theta[theta > 0, None] * edge[theta > 0], axis=0)[-1]
-
-    result = RunResult(metrics=[], final_state=state, trace=trace)
+    result = RunResult([], state, None if recording is None else recording.trace)
     for j in range(1, rounds + 1):
-        for s in range(1, tau_l + 1):
+        for _ in range(tau_l):
             state.tau += 1
             local.step(config.eta, state.tau)
-            if record:
-                g = descent.gradient(uX, uT)
-                g *= config.eta
-                v -= g[0]
-                trace.vtilde[state.tau] = v
-                if s < tau_l:
-                    held = (s - 1) % chunk + 1
-                    snaps[:, held - 1] = W
-                    if held == chunk or s == tau_l - 1:
-                        # no aggregation inside a round: W is unchanged and
-                        # v = vtilde, so one measurement of each snapshot,
-                        # under the association it trained with, serves as
-                        # both the pre and the post fields; the averages of
-                        # all snapshots are one fleet_averages over their
-                        # concatenated rows, which keeps every row's bits
-                        taus = slice(state.tau - held + 1, state.tau + 1)
-                        Ws = snaps[:, :held]
-                        avgs = fleet_averages(B, Ws.reshape(M, held * P), terms)
-                        avgs = avgs.reshape(-1, held, P)
-                        store(taus, Ws, avgs, trace.vtilde[taus], pre=True, post=True)
+            if recording is not None:
+                recording.step(state.tau, W, B, theta, terms)
         # round boundary: the new association takes effect, then aggregation
         edge_of = association[j]
         A, theta = membership_weights(edge_of, sizes, edge_count)
         B = np.vstack([alpha, A])
-        is_cloud = (j % tau_e == 0)
-        here = slice(state.tau, state.tau + 1)
         avgs = fleet_averages(B, W, terms)  # u_pre, then every edge's average
-        if record:
-            store(here, W[:, None], avgs[:, None], v, pre=True, post=False)  # v is vtilde
+        gap = float("nan") if recording is None else recording.before_aggregation(
+            state.tau, W, avgs, theta)
 
         edge_params[:] = avgs[1:]
         # every edge id is in range; take's default mode would copy its
         # output through a temporary
         edge_params.take(edge_of, axis=0, out=W, mode="clip")
 
-        if is_cloud:
+        k = j // tau_e if j % tau_e == 0 else None  # the cloud epoch a cloud round ends
+        if k is not None:
             cloud = state.cloud_params = cloud_aggregate(edge_params, theta)
-            edge_params[:] = cloud
-            W[:] = cloud
-            k = j // tau_e
+            edge_params[:] = W[:] = cloud
             result.cloud_consistency.append((k, float(np.max(np.abs(cloud - avgs[0])))))
 
         # only the recording reads the edge averages; each row is summed on
         # its own, so B[:1] gives u bit for bit
-        avgs = fleet_averages(B if record else B[:1], W, terms)
-        u = avgs[0]
-        if record:
-            # at a cloud instant v synchronizes exactly to u
-            if is_cloud:
-                v[:] = u
-            store(here, W[:, None], avgs[:, None], v, pre=False, post=True)
-            if is_cloud:
-                trace.u_cloud[k] = u
+        u = (fleet_averages(B[:1], W, terms)[0] if recording is None else
+             recording.after_aggregation(state.tau, W, fleet_averages(B, W, terms), theta, k))
 
         round_loss = union_eval.loss(u) if train_loss else float("nan")
         test_acc = float("nan") if split_eval is None else split_eval.accuracy(u)
-        gap = trace.gap_u_vtilde[state.tau] if record else float("nan")
         result.metrics.append(MetricsRow(
             cloud_epoch=(j + tau_e - 1) // tau_e, edge_round=j, iteration=state.tau,
-            train_loss=round_loss, test_accuracy=test_acc, u_vtilde_gap=float(gap),
+            train_loss=round_loss, test_accuracy=test_acc, u_vtilde_gap=gap,
             membership_counts=tuple(int(c) for c in np.bincount(edge_of, minlength=edge_count))))
         yield result
 

@@ -783,25 +783,29 @@ class TestGapBound:
 
 
 class TestGapBoundOracle:
-    def test_hand_made_trace(self):
+    # the second epsilon squares apart under pow(): eps ** 2 != eps * eps,
+    # and its U_k keep the drift term near half of T*eta*phi, so a one-ulp
+    # eps ** 2 moves the bound
+    @pytest.mark.parametrize("eps, uk", [(1.0, [0.01, 0.02]),
+                                         (0.08852520969064266, [0.0008, 0.0012])])
+    def test_hand_made_trace(self, eps, uk):
         # K = 2 epochs of span 2: the epochs start at vtilde rows 0 and 2,
         # at distances 5 and 2 from w* = 0, so phi is set by the first
-        eta, beta, rho, eps, T = 0.5, 1.0, 0.1, 1.0, 4
+        eta, beta, rho, T = 0.5, 1.0, 0.1, 4
         inputs = BoundInputs(beta=beta, rho=rho, eta=eta, tau_l=1, tau_e=2, cloud_epochs=2,
                              epsilon=eps, w_star=np.zeros(2), f_star=0.0)
         trace = SimpleNamespace(vtilde=np.array([[3.0, 4.0], [2.0, 3.0], [0.0, 2.0],
                                                  [0.0, 1.5], [0.0, 1.0]]))
-        uk = [0.01, 0.02]
         report = analysis.DriftBoundReport(value=np.array(uk), r_term=0.0,
                                            mobility_term=np.zeros(2), measured=np.zeros(2))
         losses = [(2.0, 1.8), (1.6, 1.5)]
         gr = check_gap_bound(trace, inputs, report, losses)
         phi = min((1 - beta * eta / 2) / d ** 2 for d in (5.0, 2.0))
-        denom = T * eta * phi - rho * sum(uk) / eps ** 2
+        denom = T * eta * phi - rho * sum(uk) / (eps * eps)
         assert gr.applicable and all(gr.conditions.values())
         assert gr.phi == pytest.approx(phi, rel=1e-12)
-        assert 1.0 / gr.bound == pytest.approx(denom, rel=1e-12)
-        assert gr.bound == pytest.approx(1.0 / denom, rel=1e-12)
+        assert 1.0 / gr.bound == denom
+        assert gr.bound == 1.0 / denom
         assert gr.measured_gap == 1.5
 
     # each gate's fault, in one epoch: (gate, F*, array, column, value)

@@ -438,10 +438,11 @@ class TestRecordingMatchesPerRowLoop:
         assoc = np.random.default_rng(tau_l).integers(0, 3, size=(7, 8))
         self.check(cfg, shards, spec, assoc, 4)
 
-    @pytest.mark.parametrize("chunk", [1, 2])
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
     def test_snapshots_in_chunks(self, monkeypatch, chunk):
         # a budget of chunk snapshots' fleet_averages terms splits each
-        # round's five in-round snapshots into several measurements
+        # round's five in-round snapshots into several measurements; 3 + 2
+        # is the one split whose partial last chunk holds several
         shards = datasets.shared_input_shards(8, 4, 1, 4, 20, 6, seed=5)
         spec = models.ModelSpec(models.QUADRATIC, dim=6, class_count=4, l2_reg=0.05)
         edges, P = 4, models.param_length(spec)
