@@ -121,11 +121,22 @@ MUTATIONS = [
              "tests/test_models.py::TestGradientProbes::test_entries_equal_gradient_xy_bitwise"),
     # the ones column of the activations left as tanh(1), which the step's
     # gradient and the evaluation's loss and accuracy each catch
-    Mutation(MODELS, "    Z1[..., -1] = 1.0  # the ones column", "    pass  # the ones column",
+    Mutation(MODELS, "self._Z1[..., -1] = 1.0  # the ones column", "pass  # the ones column",
              "tests/test_models.py::TestWorkspaceMatchesGradientXy"
              "::test_rows_equal_looped_gradient_xy_bitwise"),
-    Mutation(MODELS, "    Z1[..., -1] = 1.0  # the ones column", "    pass  # the ones column",
+    Mutation(MODELS, "self._Z1[..., -1] = 1.0  # the ones column", "pass  # the ones column",
              "tests/test_models.py::test_loss_equals_numpy_reductions"),
+    # each label's score taken from the raw scores, every class's summed
+    Mutation(MODELS, "lse -= _class_sum(np.multiply(S, T, out=E), rows)",
+             "lse -= _class_sum(S, rows)",
+             "tests/test_models.py::test_loss_equals_numpy_reductions"),
+    # an evaluation's vector never written into its workspace's row
+    Mutation(MODELS, "        self._w[:] = w\n", "",
+             "tests/test_models.py::test_loss_equals_numpy_reductions"),
+    # mlp1's backward buffers never built
+    Mutation(MODELS,
+             "self._D, self._dZ = np.empty(self._Z.shape), np.empty(self._Z.shape)",
+             "pass", "tests/test_models.py::TestWorkspaceMatchesGradientXy"),
     # an mlp1 layer's bias met by a zeros column; the loss shares the
     # fault, so only the unfolded layer algebra tells it apart
     Mutation(MODELS, "np.ones(X.shape[:-1] + (1,))", "np.zeros(X.shape[:-1] + (1,))",

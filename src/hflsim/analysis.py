@@ -13,8 +13,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .datasets import DegenerateDataError
 from .engine import membership_weights
-from .models import UnsupportedModelError, gradient_probes, loss, one_hot, row_norms
+from .models import EvalWorkspace, UnsupportedModelError, gradient_probes, one_hot, row_norms
 
 DEFAULT_SLACK = 1e-9
 
@@ -197,7 +198,8 @@ class BoundInputs:
         if self.epsilon <= 0:
             raise ValueError("epsilon must be > 0")
         if self.beta <= 0 or self.rho <= 0:
-            raise ValueError(f"beta and rho must be > 0, got beta={self.beta!r}, rho={self.rho!r}")
+            raise DegenerateDataError(
+                f"beta and rho must be > 0, got beta={self.beta!r}, rho={self.rho!r}")
 
     @property
     def eta_feasible(self):
@@ -347,9 +349,8 @@ class GapBoundReport:
 def epoch_losses(spec, union, trace, span, cloud_epochs):
     """(K, 2): F(vtilde) and F(u) at each cloud instant k*span, k = 1..K,
     the losses that choose_epsilon and check_gap_bound read."""
-    X, y = union.features, union.labels  # a convex family's model inputs
-    return np.array([(loss(spec, trace.vtilde[k * span], X, y),
-                      loss(spec, trace.u_cloud[k], X, y))
+    union_eval = EvalWorkspace(spec, union.features, union.labels)  # convex: model inputs
+    return np.array([(union_eval.loss(trace.vtilde[k * span]), union_eval.loss(trace.u_cloud[k]))
                      for k in range(1, cloud_epochs + 1)])
 
 

@@ -31,6 +31,11 @@ class CsvFormatError(ValueError):
     """Malformed dataset file; message names the offending row."""
 
 
+class DegenerateDataError(ValueError):
+    """The data a config's values drew, split or measured cannot serve the
+    run, which validate cannot see before the data exists."""
+
+
 @dataclass
 class LabeledDataset:
     features: np.ndarray  # (n, d) float64
@@ -141,7 +146,7 @@ def generate_synthetic(class_count, dim, samples_per_class, separation, seed,
     dist = np.sqrt((diffs ** 2).sum(axis=2))
     dmin = dist[np.triu_indices(n_clusters, k=1)].min()
     if dmin == 0.0:
-        raise ValueError("degenerate cluster means; choose another seed")
+        raise DegenerateDataError("degenerate cluster means; choose another seed")
     means *= separation / dmin
     cluster_of = np.arange(n_clusters) % class_count  # cluster -> class
     labels = []
@@ -173,7 +178,7 @@ def train_test_split(dataset, test_fraction, seed):
     train_idx = np.sort(np.concatenate(train_idx))
     test_idx = np.sort(np.concatenate(test_idx))
     if train_idx.size == 0 or test_idx.size == 0:
-        raise ValueError("split leaves an empty side; adjust test_fraction")
+        raise DegenerateDataError("split leaves an empty side; adjust test_fraction")
     return dataset.subset(train_idx), dataset.subset(test_idx)
 
 

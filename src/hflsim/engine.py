@@ -389,10 +389,11 @@ def edge_rounds(config, shards, spec, association=None, edge_count=1, *,
     the training loss and a Recording read the model-input rows of the
     shards stacked in id order, and the accuracy those of eval_data, each
     built once per run, as are the loss's and the accuracy's
-    models.EvalWorkspace. Every round boundary takes two fleet_averages,
-    before and after the aggregation, into one terms buffer built once per
-    run, and the Recording (built when config.record_virtual is set)
-    measures those same averages, so it changes no training bit.
+    models.EvalWorkspace, the loss's on the step's one-hot targets. Every
+    round boundary takes two fleet_averages, before and after the
+    aggregation, into one terms buffer built once per run, and the
+    Recording (built when config.record_virtual is set) measures those same
+    averages, so it changes no training bit.
     After every edge round yields one RunResult, updated in place: the
     metrics rows (the last is this round's), the loop's state as
     final_state, per-epoch cloud/vehicle-average consistency, and the
@@ -432,7 +433,7 @@ def edge_rounds(config, shards, spec, association=None, edge_count=1, *,
     fleet = union_of_shards(shards)
     X = model_inputs(spec, fleet.features)
     local = FleetStep(spec, W, X, fleet.labels, counts, sampler)
-    union_eval = EvalWorkspace(spec, X, fleet.labels) if train_loss else None
+    union_eval = EvalWorkspace(spec, X, fleet.labels, local.T) if train_loss else None
     split_eval = None if eval_data is None else EvalWorkspace(
         spec, model_inputs(spec, eval_data.features), eval_data.labels)
 

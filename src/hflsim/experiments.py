@@ -30,15 +30,13 @@ class Instance:
 
 @contextmanager
 def _config_fault(section):
-    """A ValueError raised inside comes from the values of [section], in a
-    way validate cannot see before the data exists (a seed that draws
-    coincident cluster means, a split that leaves a side empty): re-raise
-    it as a ConfigError. The exit-2 errors of datasets pass unchanged."""
+    """Re-raise a DegenerateDataError raised inside, a fault of [section]'s
+    values that validate cannot see before the data exists (coincident
+    cluster means, an empty split side, features without spread), as a
+    ConfigError; any other error passes unchanged."""
     try:
         yield
-    except (ConfigError, datasets.InfeasiblePartitionError, datasets.CsvFormatError):
-        raise
-    except ValueError as e:
+    except datasets.DegenerateDataError as e:
         raise ConfigError([f"[{section}] {e}"]) from e
 
 

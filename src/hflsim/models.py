@@ -81,23 +81,17 @@ def _check_dims(spec, w, X, width):
         raise ValueError(f"input width {X.shape[1]} != {width}")
 
 
-def _label_index(y, c):
-    """Flat index of entry [..., b, y[..., b]] of a C-contiguous array of
-    shape y.shape + (c,): one index, where fancy indexing over every axis
-    would build one index array per axis."""
-    label = np.arange(0, y.size * c, c).reshape(y.shape)
-    label += y
-    return label
-
-
 def one_hot(y, class_count):
     """The one-hot rows of the labels y (any leading axes), shape
-    y.shape + (class_count,): the targets every gradient but gradient_xy
-    takes. The quadratic family regresses on them, and the cross-entropy
-    families subtract them from the softmax, so a caller whose labels do
-    not change builds them once."""
+    y.shape + (class_count,): the targets every gradient but gradient_xy,
+    and GradientWorkspace.loss, take. The quadratic family regresses on
+    them, and the cross-entropy families subtract them from the softmax,
+    so a caller whose labels do not change builds them once."""
+    y = np.asarray(y)
+    if y.size and (y.min() < 0 or y.max() >= class_count):
+        raise ValueError(f"labels outside [0, {class_count})")
     T = np.zeros(y.shape + (class_count,))
-    T.reshape(-1)[_label_index(y, class_count)] = 1.0
+    np.put_along_axis(T, y[..., None], 1.0, axis=-1)
     return T
 
 
@@ -180,86 +174,37 @@ def accuracy(spec, w, X, y):
     return EvalWorkspace(spec, X, y).accuracy(w)
 
 
-def _mlp_scores(X, B1, B2, Z1, out):
-    """mlp1 class scores of the model-input rows X (..., n, d + 1) into out
-    (..., n, c), leaving the hidden activations and their ones column in
-    Z1 (..., n, h + 1), C-contiguous. The product fills Z1's first h
-    columns; tanh over the whole buffer is faster than over the view and
-    keeps a fresh product's bits, and the last column is set back to ones
-    after it."""
-    np.matmul(X, B1, out=Z1[..., :-1])
-    np.tanh(Z1, out=Z1)
-    Z1[..., -1] = 1.0  # the ones column
-    return np.matmul(Z1, B2, out=out)
-
-
 class EvalWorkspace:
     """The loss and the accuracy at any parameter vector over fixed
-    model-input rows X (n, .) and their labels y (n,), on buffers built
-    once, for a caller that evaluates many vectors on the same rows (a
-    run's training union and eval split at every edge round).
+    model-input rows X (n, .) and their labels y (n,), for a caller that
+    evaluates many vectors on the same rows (a run's training union and
+    eval split at every edge round): a one-row GradientWorkspace over
+    X[None] and y's one-hot targets T (built here unless passed, as a
+    run's union passes its local step's), whose row each vector is copied
+    into."""
 
-    The workspace holds the class scores, their residuals or
-    exponentials, two row buffers, the argmax and hit rows, the quadratic
-    targets or the flat label index, and for mlp1 the hidden activations
-    with their ones column. Every result equals the one the 2-D numpy
-    formula gives on fresh arrays, bit for bit: the same products, the
-    reductions in numpy's order (_class_max, _class_sum), and mlp1's
-    forward pass in _mlp_scores, which GradientWorkspace shares.
-    """
-
-    def __init__(self, spec, X, y):
-        n, c, h = X.shape[0], spec.class_count, spec.hidden_width
+    def __init__(self, spec, X, y, T=None):
         y = np.asarray(y)
-        if y.shape != (n,):
-            raise ValueError(f"labels {y.shape} do not match {n} rows")
-        if n and (y.min() < 0 or y.max() >= c):
-            raise ValueError(f"labels outside [0, {c})")
-        self.spec, self.X, self.y, self.n = spec, X, y, n
-        self._width = spec.dim + (spec.family == MLP1)  # mlp1's ones column
-        self._scores, self._work = np.empty((n, c)), np.empty((n, c))
-        self._rows, self._lse = np.empty(n), np.empty(n)
-        self._best, self._hit = np.empty(n, dtype=np.intp), np.empty(n, dtype=bool)
-        self._targets = one_hot(y, c) if spec.family == QUADRATIC else None
-        self._label = None if self._targets is not None else _label_index(y, c)
-        if spec.family == MLP1:
-            self._Z1 = np.ones((n, h + 1))
+        if y.shape != (X.shape[0],):
+            raise ValueError(f"labels {y.shape} do not match {X.shape[0]} rows")
+        self.spec, self.X, self.y = spec, X[None], y[None]
+        self.T = one_hot(self.y, spec.class_count) if T is None else T[None]
+        self._w = np.empty(param_length(spec))
+        self._ws = GradientWorkspace(spec, self._w[None], len(y))
 
-    def _class_scores(self, w):
-        spec = self.spec
-        _check_dims(spec, w, self.X, self._width)
-        if spec.family != MLP1:
-            return np.matmul(self.X, w.reshape(spec.dim, spec.class_count), out=self._scores)
-        return _mlp_scores(self.X, *_mlp_unpack(spec, w), self._Z1, self._scores)
+    def _set(self, w):
+        _check_dims(self.spec, w, self.X[0], self.spec.dim + (self.spec.family == MLP1))
+        self._w[:] = w
 
     def loss(self, w):
         """Mean per-sample loss at w plus the l2 term."""
-        S = self._class_scores(w)
-        reg = 0.5 * self.spec.l2_reg * float(w @ w)
-        if self._targets is not None:
-            R = np.subtract(S, self._targets, out=self._work)
-            R *= R
-            return 0.5 * float(R.sum()) / self.n + reg
-        zmax = _class_max(S, self._rows)
-        # the row maxima spread over the rows first: numpy would give the
-        # broadcast operand a temporary buffer of its own
-        E = self._work
-        np.copyto(E, zmax[:, None])
-        np.subtract(S, E, out=E)
-        np.exp(E, out=E)
-        lse = _class_sum(E, self._lse)
-        np.log(lse, out=lse)
-        lse += zmax
-        # each label's score, into zmax's spent buffer; every label was
-        # checked in range, and take's default mode would copy through a
-        # temporary
-        lse -= S.reshape(-1).take(self._label, out=self._rows, mode="clip")
-        return float(lse.mean()) + reg
+        self._set(w)
+        return float(self._ws.loss(self.X, self.T)[0])
 
     def accuracy(self, w):
         """Share of the rows whose highest class score at w is their label."""
-        best = np.argmax(self._class_scores(w), axis=1, out=self._best)
-        return np.count_nonzero(np.equal(best, self.y, out=self._hit)) / self.n
+        self._set(w)
+        return float(self._ws.accuracy(self.X, self.y)[0])
 
 
 def gradient_xy(spec, w, X, y):
@@ -286,22 +231,23 @@ def gradient_xy(spec, w, X, y):
 
 
 class GradientWorkspace:
-    """gradient_xy for a whole fleet, on buffers that outlive a call: the
-    gradients of the weight rows W (M, P), C-contiguous, over batches of
-    n rows, for a caller that takes many steps on the same W and updates
-    it in place.
+    """gradient_xy, the loss and the accuracy for a whole fleet, on buffers
+    that outlive a call: at the weight rows W (M, P), C-contiguous, over
+    batches of n rows, for a caller that takes many steps (or evaluations)
+    on the same W and updates it in place.
 
-    The workspace keeps views of W's blocks ([W1; b1] and [W2; b2] for
-    mlp1, the (M, d, c) matrices otherwise) and of g's, and every
-    intermediate: for mlp1 the hidden activations Z1, with their ones
-    column, tanh's derivative D and dZ, the scores S, the softmax's row
-    reductions and their spread over the rows, and the l2 product.
-    gradient() writes into them with gradient_xy's operations in its
-    order on the stacked arrays, with batched matmul (numpy runs one
-    product per vehicle, as in the 2-D code) and every reduction adding
-    the terms the 2-D code adds in its order (_class_max, _class_sum),
-    and returns g, the same (M, P) array at every call. A call allocates
-    nothing.
+    The workspace keeps views of W's blocks ([W1; b1] and [W2; b2] for mlp1,
+    the (M, d, c) matrices otherwise) and of g's, and every intermediate:
+    for mlp1 the hidden activations Z1, with their ones column, and tanh's
+    derivative D and dZ (built by the first gradient call, so a workspace
+    that only evaluates holds neither), the scores S, the softmax's row
+    reductions and their spread over the rows, the l2 product, and the
+    loss's and the accuracy's rows. Every method writes into them with the
+    2-D numpy operations in their order on the stacked arrays, with batched
+    matmul (numpy runs one product per vehicle, as in the 2-D code) and
+    every reduction adding the terms the 2-D code adds in its order
+    (_class_max, _class_sum). gradient() returns g, the same (M, P) array at
+    every call, and allocates nothing.
     """
 
     def __init__(self, spec, W, n):
@@ -314,6 +260,8 @@ class GradientWorkspace:
         self._S = np.empty((M, n, c))
         # the softmax's row maxima, then its row sums, alone and spread
         self._rows, self._spread = np.empty(M * n), np.empty((M, n, c))
+        self._lse, self._best, self._hit = (np.empty((M, n)), np.empty((M, n), dtype=np.intp),
+                                            np.empty((M, n), dtype=bool))
         if spec.is_convex:
             self._Wm, self._gm = W.reshape(M, d, c), self.g.reshape(M, d, c)
             self._reg = np.empty((M, d, c))
@@ -324,7 +272,7 @@ class GradientWorkspace:
             self._reg = np.empty((M, P))
             self._Z1 = np.ones((M, n, h + 1))
             self._Z, self._Z1T = self._Z1[..., :h], np.swapaxes(self._Z1, 1, 2)
-            self._D, self._dZ = np.empty((M, n, h)), np.empty((M, n, h))
+            self._D = self._dZ = None
 
     def gradient(self, X, T):
         """Gradients at the current W over the model-input rows X (M, n, .)
@@ -337,8 +285,9 @@ class GradientWorkspace:
             _convex_gradients(spec, self._Wm, X, T, out=self._gm, residual=self._S,
                               rows=self._rows, spread=self._spread, reg=self._reg)
             return self.g
-        Z1 = self._Z1
-        S = _mlp_scores(X, self._B1, self._B2, Z1, self._S)
+        if self._D is None:  # the backward buffers, at the first call
+            self._D, self._dZ = np.empty(self._Z.shape), np.empty(self._Z.shape)
+        S = self._scores(X)
         _softmax(S, self._rows, self._spread)
         S -= T
         S /= self.n
@@ -356,6 +305,51 @@ class GradientWorkspace:
         np.matmul(X.swapaxes(1, 2), dZ, out=self._gB1)
         self.g += np.multiply(spec.l2_reg, self.W, out=self._reg)
         return self.g
+
+    def _scores(self, X):
+        """The class scores at the current W of the model-input rows X
+        (M, n, .), into S. For mlp1 the product fills Z1's first h columns;
+        tanh over the whole buffer is faster than over the view and keeps a
+        fresh product's bits, and the last column is set back to ones
+        after it."""
+        if self.spec.is_convex:
+            return np.matmul(X, self._Wm, out=self._S)
+        np.matmul(X, self._B1, out=self._Z1[..., :-1])
+        np.tanh(self._Z1, out=self._Z1)
+        self._Z1[..., -1] = 1.0  # the ones column
+        return np.matmul(self._Z1, self._B2, out=self._S)
+
+    def loss(self, X, T):
+        """Each row's mean per-sample loss at the current W over the
+        model-input rows X (M, n, .) and their one-hot targets T (M, n, c),
+        plus the l2 term: (M,), row m bitwise the 2-D formula at W[m]."""
+        S, E = self._scores(X), self._spread
+        # each row's w @ w, by the dot call the 1-D product makes
+        reg = 0.5 * self.spec.l2_reg * (self.W[:, None, :] @ self.W[:, :, None]).reshape(-1)
+        if self.spec.family == QUADRATIC:
+            R = np.subtract(S, T, out=E)
+            R *= R
+            return 0.5 * R.reshape(len(R), -1).sum(axis=1) / self.n + reg
+        rows, lse = self._rows.reshape(self._lse.shape), self._lse
+        zmax = _class_max(S, rows)
+        # the row maxima spread over the rows first: numpy would give the
+        # broadcast operand a temporary buffer of its own
+        np.copyto(E, zmax[..., None])
+        np.subtract(S, E, out=E)
+        np.exp(E, out=E)
+        np.log(_class_sum(E, lse), out=lse)
+        lse += zmax
+        # each label's score, into zmax's spent buffer: the class sum of
+        # the scores times the targets, every term but the label's a
+        # signed zero where the scores are finite
+        lse -= _class_sum(np.multiply(S, T, out=E), rows)
+        return lse.mean(axis=1) + reg
+
+    def accuracy(self, X, y):
+        """Each row's share of the model-input rows X (M, n, .) whose
+        highest class score at the current W is their label y (M, n): (M,)."""
+        best = np.argmax(self._scores(X), axis=-1, out=self._best)
+        return np.count_nonzero(np.equal(best, y, out=self._hit), axis=-1) / self.n
 
 
 def _convex_gradients(spec, Wm, X, T, out=None, residual=None, *, rows=None, spread=None,

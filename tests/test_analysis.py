@@ -231,6 +231,18 @@ class TestEstimateDivergences:
         valid = ~np.isnan(est.delta_n_bracket)
         assert np.all(est.delta_n_bracket[valid] <= est.delta_m.max() + 1e-12)
 
+    def test_no_probe_rejected(self):
+        spec = models.ModelSpec(models.QUADRATIC, dim=5, class_count=3)
+        base = datasets.generate_synthetic(3, 5, 10, 3.0, seed=4)
+        with pytest.raises(ValueError, match="need at least one probe point"):
+            estimate_divergences(spec, [base], np.zeros((1, 1), dtype=int), np.empty((0, 15)))
+
+    def test_closed_form_needs_shared_features(self):
+        shards = datasets.shared_input_shards(8, 4, 1, 4, 30, 6, seed=2)
+        shards[3] = datasets.LabeledDataset(shards[3].features + 1.0, shards[3].labels, 4)
+        with pytest.raises(ValueError, match="shards do not share a feature matrix"):
+            shared_input_delta_m(shards)
+
     def test_mlp_rejected(self):
         spec = models.ModelSpec(models.MLP1, dim=4, class_count=3, hidden_width=4)
         base = datasets.generate_synthetic(3, 4, 10, 3.0, seed=4)

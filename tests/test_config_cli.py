@@ -573,19 +573,25 @@ class TestCmdVerifyBounds:
 
     def test_each_epoch_loss_once(self, tmp_path, monkeypatch):
         # F(vtilde) and F(u) at each of the 3 cloud instants, each computed
-        # once and read by both choose_epsilon and check_gap_bound; without
-        # shared inputs the two differ, so every read is pinned
+        # once, on one workspace, and read by both choose_epsilon and
+        # check_gap_bound; without shared inputs the two differ, so every
+        # read is pinned
         text = BOUNDS.replace("shared_input = true", "shared_input = false")
-        values, real = [], analysis.loss
+        values, built = [], []
 
-        def counted(*args):
-            values.append(real(*args))
-            return values[-1]
+        class Counted(models.EvalWorkspace):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
 
-        monkeypatch.setattr(analysis, "loss", counted)
+            def loss(self, w):
+                values.append(super().loss(w))
+                return values[-1]
+
+        monkeypatch.setattr(analysis, "EvalWorkspace", Counted)
         suite = experiments.verify_bounds(config.load_config(write_cfg(tmp_path, text)))
         gap = suite.gap_report
-        assert len(values) == 2 * 3 and len(set(values)) == 6
+        assert len(built) == 1 and len(values) == 2 * 3 and len(set(values)) == 6
         f_star = suite.inputs.f_star
         assert gap.measured_gap == values[-1] - f_star
         eps = min(min(values[0::2]) - f_star, min(values[1::2]))
@@ -1263,6 +1269,16 @@ class TestExitCodes:
         path = write_cfg(tmp_path, MINI.replace("samples_per_class = 50", "samples_per_class = 2"))
         assert cli.main(["run", "--config", path]) == 2
         assert "[dataset] split leaves an empty side" in capsys.readouterr().err
+
+    def test_numpy_error_in_the_data_is_not_exit_2(self, tmp_path, monkeypatch):
+        # a ValueError no value of the config causes, here from a numpy call
+        # inside generate_synthetic, is a bug: it propagates, not exit 2
+        def broken(*args, **kwargs):
+            raise ValueError("operands could not be broadcast")
+
+        monkeypatch.setattr(datasets.np, "array_split", broken)
+        with pytest.raises(ValueError, match="operands could not be broadcast"):
+            cli.main(["run", "--config", write_cfg(tmp_path, MINI)])
 
     def test_empty_shard(self, tmp_path, capsys):
         text = MINI.replace("samples_per_class = 50", "samples_per_class = 5")

@@ -170,6 +170,14 @@ class TestPartition:
             partition(ds, EDGE_NONIID, vehicle_count=6, edge_count=4,
                       classes_per_unit=2, seed=0)
 
+    def test_edge_pool_smaller_than_its_vehicles(self):
+        # 4 samples of class 0 on edge 0, which is home to 8 vehicles
+        ds = generate_synthetic(4, 4, 4, 3.0, seed=0)
+        with pytest.raises(InfeasiblePartitionError,
+                           match="edge 0 pool too small to cover its vehicles"):
+            partition(ds, EDGE_NONIID, vehicle_count=32, edge_count=4,
+                      classes_per_unit=1, seed=0)
+
     def test_classes_per_unit_checked_for_every_regime(self):
         # iid ignores classes_per_unit, but a config file cannot set it to
         # 0, and neither can partition's caller

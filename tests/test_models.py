@@ -266,6 +266,34 @@ def test_loss_equals_numpy_reductions(family, c):
                 assert got_acc.hex() == want_acc.hex()
 
 
+@pytest.mark.parametrize("spec", FLEET_SPECS,
+                         ids=lambda s: f"{s.family}-C{s.class_count}-h{s.hidden_width}")
+def test_workspace_evaluates_every_row(spec):
+    # a GradientWorkspace's loss and accuracy over M rows: row m is the
+    # numpy formula at W[m] over batch m, bit for bit, and a workspace
+    # that only evaluates never builds mlp1's backward buffers
+    g = np.random.default_rng(spec.class_count)
+    M, n = 3, 33
+    W = init_params(spec, seed=1) + g.normal(size=(M, param_length(spec)))
+    X = 3.0 * g.normal(size=(M, n, spec.dim))
+    y = g.integers(0, spec.class_count, size=(M, n))
+    X1 = models.model_inputs(spec, X)
+    ws = models.GradientWorkspace(spec, W, n)
+    losses = ws.loss(X1, models.one_hot(y, spec.class_count))
+    hits = ws.accuracy(X1, y)
+    for m in range(M):
+        assert losses[m].hex() == numpy_loss(spec, W[m], X[m], y[m]).hex()
+        assert hits[m] == np.mean(np.argmax(numpy_logits(spec, W[m], X[m]), 1) == y[m])
+    assert getattr(ws, "_D", None) is None
+
+
+def test_one_hot_rejects_labels_outside_the_classes():
+    for y in ([0, 3], [-1, 0], [[1], [2]]):
+        with pytest.raises(ValueError, match=r"labels outside \[0, 2\)"):
+            models.one_hot(np.array(y), 2)
+    assert models.one_hot(np.zeros(0, int), 2).shape == (0, 2)
+
+
 @pytest.mark.parametrize("c", [2, 4])
 def test_one_hot_rows(c):
     # the targets every fast gradient takes: 1.0 at each label, 0.0
@@ -551,3 +579,7 @@ class TestWireFormat:
         raw = buf.getvalue()[:-3]
         with pytest.raises(IOError):
             read_param_vector(io.BytesIO(raw))
+
+    def test_truncated_header(self):
+        with pytest.raises(IOError, match="truncated parameter vector header"):
+            read_param_vector(io.BytesIO(b"\x04\x00\x00"))
