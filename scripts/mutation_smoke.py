@@ -38,13 +38,13 @@ TEST_ANALYSIS, TEST_ENGINE = "tests/test_analysis.py", "tests/test_engine.py"
 
 MUTATIONS = [
     # the edge-drift bracket off by one, ahead
-    Mutation(ANALYSIS, "    bracket = tau // inputs.tau_l\n",
-             "    bracket = (tau + 1) // inputs.tau_l\n",
+    Mutation(ANALYSIS, "    bracket = tau // trace.hfl.tau_l\n",
+             "    bracket = (tau + 1) // trace.hfl.tau_l\n",
              TEST_ANALYSIS + "::TestCheckersMatchScalarLoops::test_scaled_estimates"),
     # the edge-drift bracket one behind at tau = j*tau_l, where the
     # association changes
-    Mutation(ANALYSIS, "    bracket = tau // inputs.tau_l\n",
-             "    bracket = (tau - 1) // inputs.tau_l\n",
+    Mutation(ANALYSIS, "    bracket = tau // trace.hfl.tau_l\n",
+             "    bracket = (tau - 1) // trace.hfl.tau_l\n",
              TEST_ANALYSIS + "::TestPlantedViolations::test_edge_drift_at_a_membership_change"),
     # (j + 1) weights in the central drift bound's mobility term
     Mutation(ANALYSIS, "mix = (js * estimates.Delta_bracket[idx]).sum(axis=-1)",
@@ -70,12 +70,21 @@ MUTATIONS = [
     Mutation(ANALYSIS, "s = np.where(edge, trace.s_edge[prev], trace.s_vehicle[prev])",
              "s = np.where(edge, trace.s_vehicle[prev], trace.s_vehicle[prev])",
              TEST_ANALYSIS + "::TestCheckersMatchScalarLoops::test_bumped_recursion_cases"),
+    # the recursion's smoothness the union's beta, which a shard's exceeds
+    # off the shared-input construction
+    Mutation(ANALYSIS, "beta = max(inputs.beta, float(inputs.beta_m.max()))",
+             "beta = inputs.beta",
+             TEST_ANALYSIS + "::TestRecursionOffTheConstruction"),
+    # the clock's cloud period misread from the trace's schedule as tau_l
+    Mutation(ANALYSIS, "    span = trace.hfl.tau_l * trace.hfl.tau_e\n    tau = np.arange",
+             "    span = trace.hfl.tau_l\n    tau = np.arange",
+             TEST_ANALYSIS + "::TestCheckersMatchScalarLoops::test_scaled_estimates"),
     # a slack that forgives violations of 1e-8
     Mutation(ANALYSIS, "DEFAULT_SLACK = 1e-9\n", "DEFAULT_SLACK = 1e-6\n",
              TEST_ANALYSIS + "::TestPlantedViolations"),
     # phi with beta*eta/4
-    Mutation(ANALYSIS, "phi = float(((1.0 - inputs.beta * inputs.eta / 2.0)",
-             "phi = float(((1.0 - inputs.beta * inputs.eta / 4.0)",
+    Mutation(ANALYSIS, "phi = float(((1.0 - inputs.beta * eta / 2.0)",
+             "phi = float(((1.0 - inputs.beta * eta / 4.0)",
              TEST_ANALYSIS + "::TestGapBoundOracle::test_hand_made_trace"),
     # the vehicle bound with the edge correction of a zero Delta
     Mutation(ANALYSIS, "drift_bound(tau0[:, None], estimates.delta_m, estimates.delta_m,",

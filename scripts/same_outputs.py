@@ -104,6 +104,37 @@ INTERLEAVED = (ROOT / "configs/interleaved.cfg").read_text()
 GAP_BOUND = (ROOT / "configs/gap_bound.cfg").read_text()
 
 
+# No other case verifies shards of different feature spread: a shard's
+# smoothness is 3.6 times the union's, which the recursion check must read.
+NON_SHARED = """[dataset]
+classes = 4
+dim = 4
+samples_per_class = 40
+seed = 2
+
+[partition]
+regime = local_noniid
+classes_per_unit = 1
+vehicles = 8
+
+[mobility]
+edges = 4
+side_length = 200.0
+intersection_zone = 10.0
+speed = 60.0
+
+[hfl]
+eta = 0.015
+tau_l = 2
+tau_e = 3
+cloud_epochs = 2
+
+[model]
+family = quadratic
+l2_reg = 0.05
+"""
+
+
 @dataclass(frozen=True)
 class Case:
     name: str
@@ -149,6 +180,8 @@ CASES = [
          variants=("repeat",)),
     Case("verify-logistic-1", VERIFY.command, LOGISTIC, 1, VERIFY.outputs),
     Case("verify-gap-1", VERIFY.command, GAP_BOUND, 1, VERIFY.outputs),
+    Case("verify-non-shared-1", VERIFY.command, NON_SHARED, 1, VERIFY.outputs,
+         variants=("threads", "repeat")),
     # the sweep config has a duplicate pair (speed 0 under edge_noniid), so
     # the pool's one-run-per-schedule grouping meets the serial loop
     Case("sweep-1", SWEEP.command, SWEEP.name, 1, SWEEP.outputs, variants=("parallel",)),

@@ -184,12 +184,11 @@ def drift_bound(tau0, delta, Delta, eta, beta):
 
 @dataclass
 class BoundInputs:
-    beta: float
+    """The constants estimated from a run's data; the schedule they are
+    checked against is the trace's hfl."""
+    beta: float           # the union's smoothness
+    beta_m: np.ndarray    # (M,) each shard's
     rho: float
-    eta: float
-    tau_l: int
-    tau_e: int
-    cloud_epochs: int
     epsilon: float
     w_star: np.ndarray
     f_star: float
@@ -200,10 +199,6 @@ class BoundInputs:
         if self.beta <= 0 or self.rho <= 0:
             raise DegenerateDataError(
                 f"beta and rho must be > 0, got beta={self.beta!r}, rho={self.rho!r}")
-
-    @property
-    def eta_feasible(self):
-        return self.eta <= 1.0 / self.beta
 
 
 @dataclass
@@ -225,7 +220,7 @@ class DriftBoundReport:
         return sum(self.value.tolist())
 
 
-def central_drift_bound(k, estimates, inputs):
+def central_drift_bound(k, estimates, inputs, hfl):
     """Central-cloud drift bound for the window starting at k*tau_l*tau_e.
 
     k is 0-based here, an integer or an integer array: the returned value
@@ -234,7 +229,7 @@ def central_drift_bound(k, estimates, inputs):
     (U, r_term, mobility_term); U and mobility_term take k's shape, and
     r_term is the same for every window.
     """
-    tau_l, tau_e, eta = inputs.tau_l, inputs.tau_e, inputs.eta
+    tau_l, tau_e, eta = hfl.tau_l, hfl.tau_e, hfl.eta
     delta = estimates.delta
     r_term = drift_bound(tau_l * tau_e, delta, 0.0, eta, inputs.beta)
     js = np.arange(1, tau_e)
@@ -248,8 +243,8 @@ def central_drift_bound(k, estimates, inputs):
 
 def build_drift_report(trace, estimates, inputs):
     """Every cloud epoch's bound vs the measured central-cloud gap."""
-    span, K = inputs.tau_l * inputs.tau_e, inputs.cloud_epochs
-    value, r_term, mob = central_drift_bound(np.arange(K), estimates, inputs)
+    span, K = trace.hfl.tau_l * trace.hfl.tau_e, trace.hfl.cloud_epochs
+    value, r_term, mob = central_drift_bound(np.arange(K), estimates, inputs, trace.hfl)
     return DriftBoundReport(value=value, r_term=r_term, mobility_term=mob,
                             measured=trace.gap_u_vtilde[span::span][:K])
 
@@ -266,9 +261,9 @@ class Violation:
         return f"{self.check} violated at {loc}: {self.measured} > {self.bound}"
 
 
-def _clock(trace, inputs):
+def _clock(trace):
     """tau = 1..T and tau0, the steps since the last cloud synchronization."""
-    span = inputs.tau_l * inputs.tau_e
+    span = trace.hfl.tau_l * trace.hfl.tau_e
     tau = np.arange(1, trace.total_iterations + 1)
     return tau, tau - ((tau - 1) // span) * span
 
@@ -293,8 +288,8 @@ def violations(measured, bound, label):
 
 def check_vehicle_drift(trace, estimates, inputs):
     """Vehicle drift vs its bound, for every vehicle and iteration."""
-    tau, tau0 = _clock(trace, inputs)
-    bound = drift_bound(tau0[:, None], estimates.delta_m, estimates.delta_m, inputs.eta,
+    tau, tau0 = _clock(trace)
+    bound = drift_bound(tau0[:, None], estimates.delta_m, estimates.delta_m, trace.hfl.eta,
                         inputs.beta)
     return violations(
         trace.vehicle_gap[:, 1:].T, bound,
@@ -303,10 +298,10 @@ def check_vehicle_drift(trace, estimates, inputs):
 
 def check_edge_drift(trace, estimates, inputs):
     """Edge drift vs its bound; empty edges (NaN) never fire."""
-    tau, tau0 = _clock(trace, inputs)
-    bracket = tau // inputs.tau_l
+    tau, tau0 = _clock(trace)
+    bracket = tau // trace.hfl.tau_l
     bound = drift_bound(tau0[:, None], estimates.delta_n_bracket[bracket],
-                        estimates.Delta_n_bracket[bracket], inputs.eta, inputs.beta)
+                        estimates.Delta_n_bracket[bracket], trace.hfl.eta, inputs.beta)
     # the estimates stop at the highest edge the association history
     # names; an edge past it never held a vehicle, so its gaps are all NaN
     return violations(
@@ -315,13 +310,16 @@ def check_edge_drift(trace, estimates, inputs):
 
 
 def check_recursion(trace, inputs):
-    """Three-case recursion on ||u - vtilde||, one inequality per iteration."""
-    tau, _ = _clock(trace, inputs)
-    prev = tau - 1
-    cloud = prev % (inputs.tau_l * inputs.tau_e) == 0
-    edge = ~cloud & (prev % inputs.tau_l == 0)
+    """Three-case recursion on ||u - vtilde||, one inequality per iteration.
+    Each vehicle steps on its own shard, so a step's smoothness is max_m
+    beta_m (the union's beta where a shard's rounds below it)."""
+    tau, _ = _clock(trace)
+    hfl, prev = trace.hfl, tau - 1
+    beta = max(inputs.beta, float(inputs.beta_m.max()))
+    cloud = prev % (hfl.tau_l * hfl.tau_e) == 0
+    edge = ~cloud & (prev % hfl.tau_l == 0)
     s = np.where(edge, trace.s_edge[prev], trace.s_vehicle[prev])
-    rhs = np.where(cloud, 0.0, trace.gap_u_v[prev] + inputs.eta * inputs.beta * s)
+    rhs = np.where(cloud, 0.0, trace.gap_u_v[prev] + hfl.eta * beta * s)
     case = np.where(cloud, "cloud", np.where(edge, "edge", "local"))
     return violations(trace.gap_u_vtilde[1:], rhs,
                       lambda t: (f"recursion[{case[t]}]", {"tau": int(tau[t])}))
@@ -346,12 +344,13 @@ class GapBoundReport:
     note: str = ""
 
 
-def epoch_losses(spec, union, trace, span, cloud_epochs):
-    """(K, 2): F(vtilde) and F(u) at each cloud instant k*span, k = 1..K,
-    the losses that choose_epsilon and check_gap_bound read."""
+def epoch_losses(spec, union, trace):
+    """(K, 2): F(vtilde) and F(u) at the trace's cloud instants k*span,
+    k = 1..K, the losses that choose_epsilon and check_gap_bound read."""
     union_eval = EvalWorkspace(spec, union.features, union.labels)  # convex: model inputs
+    span = trace.hfl.tau_l * trace.hfl.tau_e
     return np.array([(union_eval.loss(trace.vtilde[k * span]), union_eval.loss(trace.u_cloud[k]))
-                     for k in range(1, cloud_epochs + 1)])
+                     for k in range(1, trace.hfl.cloud_epochs + 1)])
 
 
 def check_gap_bound(trace, inputs, drift_report, losses):
@@ -368,8 +367,7 @@ def check_gap_bound(trace, inputs, drift_report, losses):
     Both are reported; applicability follows the raw form. losses are
     epoch_losses(...).
     """
-    span = inputs.tau_l * inputs.tau_e
-    K = inputs.cloud_epochs
+    eta, span, K = trace.hfl.eta, trace.hfl.tau_l * trace.hfl.tau_e, trace.hfl.cloud_epochs
     T = K * span
     eps = inputs.epsilon
     f_vt, f_w = np.asarray(losses).T
@@ -383,19 +381,19 @@ def check_gap_bound(trace, inputs, drift_report, losses):
             measured_gap=measured,
             phi=float("inf"), epsilon=eps, conditions={},
             degenerate=True, note="bound degenerate, training already optimal")
-    phi = float(((1.0 - inputs.beta * inputs.eta / 2.0) / (dists * dists)).min())
+    phi = float(((1.0 - inputs.beta * eta / 2.0) / (dists * dists)).min())
 
     conditions = {
-        "eta_le_inv_beta": inputs.eta_feasible,
+        "eta_le_inv_beta": eta <= 1.0 / inputs.beta,
         "positive_margin": bool(np.all(
-            inputs.eta * phi - inputs.rho * drift_report.value / (span * (eps * eps)) > 0.0)),
+            eta * phi - inputs.rho * drift_report.value / (span * (eps * eps)) > 0.0)),
         "vtilde_gap_ge_eps": bool(np.all(f_vt - inputs.f_star >= eps)),
         "w_loss_ge_eps": bool(np.all(f_w >= eps)),
         "w_gap_ge_eps_strict": bool(np.all(f_w - inputs.f_star >= eps)),
         "uk_upper_bounds_gap": bool(np.all(drift_report.satisfied)),
     }
     applicable = all(v for name, v in conditions.items() if name != "w_gap_ge_eps_strict")
-    denom = T * inputs.eta * phi - inputs.rho * drift_report.total / (eps * eps)
+    denom = T * eta * phi - inputs.rho * drift_report.total / (eps * eps)
     bound = 1.0 / denom if (applicable and denom > 0.0) else float("nan")
     if applicable and denom <= 0.0:
         applicable = False

@@ -279,6 +279,7 @@ class VirtualTrace:
     edge_gap: np.ndarray          # (N, T+1) ||u_n_pre - vtilde||, nan for empty edges
     u_cloud: np.ndarray           # (K+1, P) u_post at cloud instants; row 0 = w0
     association_history: np.ndarray  # (K*tau_e + 1, M) edge index per round
+    hfl: HflConfig                # the schedule the run recorded under
 
     @property
     def total_iterations(self):
@@ -313,7 +314,7 @@ class Recording:
             vtilde=np.zeros((n, P)), gap_u_vtilde=np.zeros(n), gap_u_v=np.zeros(n),
             s_vehicle=np.zeros(n), s_edge=np.zeros(n), vehicle_gap=np.zeros((M, n)),
             edge_gap=np.full((edge_count, n), np.nan), u_cloud=np.zeros((K + 1, P)),
-            association_history=association)
+            association_history=association, hfl=config)
         self.trace.vtilde[0] = self.trace.u_cloud[0] = w0
         self.trace.edge_gap[:, 0] = 0.0
 

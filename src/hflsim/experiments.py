@@ -338,17 +338,15 @@ def verify_bounds(cfg, delta_scale=1.0):
                                         probes).scaled(delta_scale)
 
     beta = models.estimate_constants(inst.spec, inst.union)
+    beta_m = np.array([models.estimate_constants(inst.spec, s) for s in inst.shards])
     # rho over the vtilde rows, which lead the probes
     rho = max(est.grad_norm[:len(tr.vtilde)].tolist())
-    losses = analysis.epoch_losses(inst.spec, inst.union, tr, cfg.hfl.tau_l * cfg.hfl.tau_e,
-                                   cfg.hfl.cloud_epochs)
+    losses = analysis.epoch_losses(inst.spec, inst.union, tr)
     eps = analysis.choose_epsilon(losses, opt.value)
     # features without spread (and l2_reg = 0) give beta = 0 or rho = 0
     with _config_fault("dataset"):
-        inputs = analysis.BoundInputs(
-            beta=beta, rho=rho, eta=cfg.hfl.eta, tau_l=cfg.hfl.tau_l,
-            tau_e=cfg.hfl.tau_e, cloud_epochs=cfg.hfl.cloud_epochs,
-            epsilon=max(eps, 1e-12), w_star=opt.w, f_star=opt.value)
+        inputs = analysis.BoundInputs(beta=beta, beta_m=beta_m, rho=rho,
+                                      epsilon=max(eps, 1e-12), w_star=opt.w, f_star=opt.value)
 
     central, drift_report = analysis.check_central_drift(tr, est, inputs)
     violations = (analysis.check_vehicle_drift(tr, est, inputs)

@@ -448,8 +448,8 @@ def solve_optimum(spec, data, grad_tol=1e-8, max_iter=2_000_000):
 
     quadratic: regularized normal equations (minimum-norm least squares
     when l2_reg == 0 and the system is singular, flagged). logistic:
-    full-batch gradient descent with step 1/beta until the gradient norm
-    falls below grad_tol.
+    full-batch descent with step 1/beta, on a one-row GradientWorkspace,
+    until the gradient norm falls below grad_tol.
     """
     if not spec.is_convex:
         raise UnsupportedModelError(f"{spec.family} is not convex")
@@ -470,12 +470,14 @@ def solve_optimum(spec, data, grad_tol=1e-8, max_iter=2_000_000):
         w = W.ravel()
         return Optimum(w, loss(spec, w, X, y), fallback)
     step = 1.0 / estimate_constants(spec, data)
-    w = np.zeros(param_length(spec))
+    W = np.zeros((1, param_length(spec)))
+    descent, XT = GradientWorkspace(spec, W, n), (X[None], one_hot(y, spec.class_count)[None])
     for _ in range(max_iter):
-        g = gradient_xy(spec, w, X, y)
+        g = descent.gradient(*XT)[0]
         if np.linalg.norm(g) <= grad_tol:
-            return Optimum(w, loss(spec, w, X, y))
-        w = w - step * g
+            return Optimum(W[0], loss(spec, W[0], X, y))
+        g *= step  # then W -= g: the two roundings of w - step * g
+        W -= g
     raise RuntimeError(f"descent did not reach grad_tol={grad_tol} in {max_iter} steps")
 
 

@@ -54,9 +54,13 @@ class TestDriftPolynomial:
         assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
 
 
-def make_inputs(eta=0.1, beta=1.0, tau_l=6, tau_e=10, K=3, eps=1.0):
-    return BoundInputs(beta=beta, rho=1.0, eta=eta, tau_l=tau_l, tau_e=tau_e,
-                       cloud_epochs=K, epsilon=eps, w_star=np.zeros(2), f_star=0.0)
+def make_inputs(beta=1.0):
+    return BoundInputs(beta=beta, beta_m=np.array([beta]), rho=1.0, epsilon=1.0,
+                       w_star=np.zeros(2), f_star=0.0)
+
+
+def make_schedule(eta=0.1, tau_l=6, tau_e=10, K=3):
+    return engine.HflConfig(eta=eta, tau_l=tau_l, tau_e=tau_e, cloud_epochs=K)
 
 
 def const_estimates(delta, Delta, brackets, N=1):
@@ -70,23 +74,23 @@ def const_estimates(delta, Delta, brackets, N=1):
 
 class TestComputeUk:
     def test_delta_equals_Delta_reduces_to_r(self):
-        inputs = make_inputs(eta=0.05, beta=2.0)
+        inputs, hfl = make_inputs(beta=2.0), make_schedule(eta=0.05)
         est = const_estimates(delta=0.7, Delta=0.7, brackets=40)
-        value, r_term, mob = central_drift_bound(0, est, inputs)
+        value, r_term, mob = central_drift_bound(0, est, inputs, hfl)
         assert mob == pytest.approx(0.0, abs=1e-12)
         assert value == pytest.approx(drift_bound(60, 0.7, 0.0, 0.05, 2.0), rel=1e-12)
 
     def test_zero_Delta_substitution(self):
-        inputs = make_inputs(eta=0.05, beta=2.0)
+        inputs, hfl = make_inputs(beta=2.0), make_schedule(eta=0.05)
         est = const_estimates(delta=0.7, Delta=0.0, brackets=40)
-        value, r_term, mob = central_drift_bound(0, est, inputs)
+        value, r_term, mob = central_drift_bound(0, est, inputs, hfl)
         want = drift_bound(60, 0.7, 0.0, 0.05, 2.0) - 0.5 * 0.05 * 6 * 10 * 9 * 0.7
         assert value == pytest.approx(want, rel=1e-12)
 
     def test_tau_e_one_empty_sum(self):
-        inputs = make_inputs(eta=0.05, beta=2.0, tau_l=6, tau_e=1)
+        inputs, hfl = make_inputs(beta=2.0), make_schedule(eta=0.05, tau_l=6, tau_e=1)
         est = const_estimates(delta=0.7, Delta=0.3, brackets=5)
-        value, r_term, mob = central_drift_bound(2, est, inputs)
+        value, r_term, mob = central_drift_bound(2, est, inputs, hfl)
         assert mob == 0.0
         assert value == pytest.approx(drift_bound(6, 0.7, 0.0, 0.05, 2.0), rel=1e-12)
 
@@ -97,29 +101,28 @@ class TestComputeUk:
         tau_l, tau_e = 3, 4
         g = np.random.default_rng(seed)
         Delta = g.uniform(0.0, delta if delta > 0 else 1.0, size=20)
-        inputs = make_inputs(eta=eta, beta=beta, tau_l=tau_l, tau_e=tau_e)
+        inputs, hfl = make_inputs(beta=beta), make_schedule(eta=eta, tau_l=tau_l, tau_e=tau_e)
         est = const_estimates(delta=delta, Delta=0.0, brackets=20)
         est.Delta_bracket = Delta
-        value, _, _ = central_drift_bound(k, est, inputs)
+        value, _, _ = central_drift_bound(k, est, inputs, hfl)
         want = drift_fraction(k, tau_l, tau_e, eta, delta, beta, Delta)
         assert value == pytest.approx(want, rel=1e-9, abs=1e-9)
 
     def test_monotone_in_each_Delta(self):
-        inputs = make_inputs(eta=0.05, beta=2.0)
+        inputs, hfl = make_inputs(beta=2.0), make_schedule(eta=0.05)
         est = const_estimates(delta=0.7, Delta=0.3, brackets=40)
-        base, _, _ = central_drift_bound(0, est, inputs)
-        for j in range(1, inputs.tau_e):
+        base, _, _ = central_drift_bound(0, est, inputs, hfl)
+        for j in range(1, hfl.tau_e):
             bumped = const_estimates(delta=0.7, Delta=0.3, brackets=40)
             bumped.Delta_bracket = bumped.Delta_bracket.copy()
             bumped.Delta_bracket[j] += 0.1
-            up, _, _ = central_drift_bound(0, bumped, inputs)
+            up, _, _ = central_drift_bound(0, bumped, inputs, hfl)
             assert up > base
 
     def test_missing_brackets_raise(self):
-        inputs = make_inputs()
         est = const_estimates(delta=0.7, Delta=0.3, brackets=5)
         with pytest.raises(ValueError):
-            central_drift_bound(3, est, inputs)
+            central_drift_bound(3, est, make_inputs(), make_schedule())
 
 
 class TestDriftBounds:
@@ -546,10 +549,10 @@ def bound_suite_run(speed, K=4, eta=0.05, seed=13):
     probes = np.vstack([tr.vtilde, np.zeros(tr.vtilde.shape[1]), opt.w])
     est = estimate_divergences(spec, shards, tr.association_history, probes)
     beta = models.estimate_constants(spec, union)
+    beta_m = np.array([models.estimate_constants(spec, s) for s in shards])
     rho = max(est.grad_norm[:len(tr.vtilde)].tolist())
-    eps = choose_epsilon(analysis.epoch_losses(spec, union, tr, 60, K), opt.value)
-    inputs = BoundInputs(beta=beta, rho=rho, eta=eta, tau_l=6, tau_e=10,
-                         cloud_epochs=K, epsilon=max(eps, 1e-12),
+    eps = choose_epsilon(analysis.epoch_losses(spec, union, tr), opt.value)
+    inputs = BoundInputs(beta=beta, beta_m=beta_m, rho=rho, epsilon=max(eps, 1e-12),
                          w_star=opt.w, f_star=opt.value)
     return spec, union, tr, est, inputs
 
@@ -576,9 +579,64 @@ class TestInequalitySuite:
 
     def test_recursion_zero_after_cloud_instant(self):
         spec, union, tr, est, inputs = bound_suite_run(speed=30.0, K=2)
-        span = inputs.tau_l * inputs.tau_e
-        for k in range(inputs.cloud_epochs):
+        span = tr.hfl.tau_l * tr.hfl.tau_e
+        for k in range(tr.hfl.cloud_epochs):
             assert tr.gap_u_vtilde[k * span + 1] <= 1e-9
+
+
+# Label-skewed shards of different feature spread: at eta*beta = 0.4995 a
+# shard's beta_m reaches 118.87 against the union's 33.30
+NON_SHARED_CONFIG = """
+[dataset]
+classes = 4
+dim = 4
+samples_per_class = 40
+seed = 2
+
+[partition]
+regime = local_noniid
+classes_per_unit = 1
+vehicles = 8
+
+[mobility]
+edges = 4
+side_length = 200.0
+intersection_zone = 10.0
+speed = {speed}
+
+[hfl]
+eta = 0.015
+tau_l = 2
+tau_e = 3
+cloud_epochs = 2
+
+[model]
+family = quadratic
+l2_reg = 0.05
+"""
+
+
+class TestRecursionOffTheConstruction:
+    """Each vehicle steps on its own shard, so the recursion's smoothness
+    is the largest shard's beta_m, not the union's beta."""
+
+    @pytest.mark.parametrize("speed", [60.0, 0.0])
+    def test_honest_run_holds(self, speed):
+        cfg = config.parse_config(NON_SHARED_CONFIG.format(speed=speed))
+        suite = experiments.verify_bounds(cfg)
+        assert suite.violations == []
+        inst = experiments.build_instance(cfg)
+        tr = experiments.run_instance(inst, record_virtual=True, full_batch=True).trace
+        inputs = suite.inputs
+        assert inputs.beta_m.tolist() == [models.estimate_constants(inst.spec, s)
+                                          for s in inst.shards]
+        assert inputs.beta < inputs.beta_m.max()
+        # with the union's beta a local step exceeds its bound, and the
+        # scalar oracle lists the same violations
+        union_only = replace(inputs, beta_m=np.array([inputs.beta]))
+        got = check_recursion(tr, union_only)
+        assert any(v.check == "recursion[local]" for v in got)
+        assert as_tuples(got) == loop_recursion(tr, union_only)
 
 
 class TestDriftReport:
@@ -587,8 +645,8 @@ class TestDriftReport:
         # total differs from the left-to-right one in the last bit
         spec, union, tr, est, inputs = bound_suite_run(speed=30.0, K=8)
         report = build_drift_report(tr, est, inputs)
-        K, span = inputs.cloud_epochs, inputs.tau_l * inputs.tau_e
-        windows = [central_drift_bound(k, est, inputs) for k in range(K)]
+        K, span = tr.hfl.cloud_epochs, tr.hfl.tau_l * tr.hfl.tau_e
+        windows = [central_drift_bound(k, est, inputs, tr.hfl) for k in range(K)]
         assert report.value.tolist() == [float(u) for u, _, _ in windows]
         assert report.mobility_term.tolist() == [float(m) for _, _, m in windows]
         assert all(r == report.r_term for _, r, _ in windows)
@@ -602,11 +660,11 @@ class TestDriftReport:
 def loop_vehicle_drift(trace, est, inputs, slack=analysis.DEFAULT_SLACK):
     """Scalar-loop oracle: one bound per (iteration, vehicle)."""
     out = []
-    span = inputs.tau_l * inputs.tau_e
+    span = trace.hfl.tau_l * trace.hfl.tau_e
     for tau in range(1, trace.total_iterations + 1):
         tau0 = tau - ((tau - 1) // span) * span
         for m in range(trace.vehicle_gap.shape[0]):
-            dm, eta, beta = est.delta_m[m], inputs.eta, inputs.beta
+            dm, eta, beta = est.delta_m[m], trace.hfl.eta, inputs.beta
             bound = dm / beta * (analysis._powi(1 + eta * beta, tau0) - 1.0)
             measured = float(trace.vehicle_gap[m, tau])
             if measured > bound + slack:
@@ -618,34 +676,42 @@ def loop_vehicle_drift(trace, est, inputs, slack=analysis.DEFAULT_SLACK):
 def loop_edge_drift(trace, est, inputs, slack=analysis.DEFAULT_SLACK):
     """Scalar-loop oracle: one bound per (iteration, occupied edge)."""
     out = []
-    span = inputs.tau_l * inputs.tau_e
+    hfl = trace.hfl
+    span = hfl.tau_l * hfl.tau_e
     for tau in range(1, trace.total_iterations + 1):
         tau0 = tau - ((tau - 1) // span) * span
         for n in range(trace.edge_gap.shape[0]):
             measured = trace.edge_gap[n, tau]
             if np.isnan(measured):
                 continue
-            dn = float(est.delta_n_bracket[tau // inputs.tau_l, n])
-            Dn = float(est.Delta_n_bracket[tau // inputs.tau_l, n])
+            dn = float(est.delta_n_bracket[tau // hfl.tau_l, n])
+            Dn = float(est.Delta_n_bracket[tau // hfl.tau_l, n])
             if np.isnan(dn):
                 continue
-            bound = drift_bound(tau0, dn, Dn, inputs.eta, inputs.beta)
+            bound = drift_bound(tau0, dn, Dn, hfl.eta, inputs.beta)
             if measured > bound + slack:
                 out.append(("edge_drift", {"n": n, "tau": tau, "tau0": tau0},
                             float(measured), bound))
     return out
 
 
+def recursion_beta(inputs):
+    """The recursion's smoothness: the largest shard's, or the union's
+    where every shard's rounds below it."""
+    return max(inputs.beta, float(inputs.beta_m.max()))
+
+
 def loop_recursion(trace, inputs, slack=analysis.DEFAULT_SLACK):
     """Scalar-loop oracle: one three-case recursion step per iteration."""
     out = []
-    span = inputs.tau_l * inputs.tau_e
-    eb = inputs.eta * inputs.beta
+    hfl = trace.hfl
+    span = hfl.tau_l * hfl.tau_e
+    eb = hfl.eta * recursion_beta(inputs)
     for tau in range(1, trace.total_iterations + 1):
         prev = tau - 1
         if prev % span == 0:
             rhs, case = 0.0, "cloud"
-        elif prev % inputs.tau_l == 0:
+        elif prev % hfl.tau_l == 0:
             rhs, case = trace.gap_u_v[prev] + eb * trace.s_edge[prev], "edge"
         else:
             rhs, case = trace.gap_u_v[prev] + eb * trace.s_vehicle[prev], "local"
@@ -683,9 +749,9 @@ class TestCheckersMatchScalarLoops:
     def test_bumped_recursion_cases(self, suite):
         tr, _, inputs = suite
         tr = copy.deepcopy(tr)
-        span = inputs.tau_l * inputs.tau_e
+        span = tr.hfl.tau_l * tr.hfl.tau_e
         # tau - 1 a cloud instant, an edge-only instant, and a local step
-        for tau in (span + 1, inputs.tau_l + 1, 3):
+        for tau in (span + 1, tr.hfl.tau_l + 1, 3):
             tr.gap_u_vtilde[tau] += 1.0
         got = check_recursion(tr, inputs)
         assert [v.check for v in got] == ["recursion[local]", "recursion[edge]",
@@ -717,7 +783,7 @@ class TestCheckersMatchScalarLoops:
         assert (tr.edge_gap.shape[0], est.delta_n_bracket.shape[1]) == (4, 3)
         est.delta_n_bracket = est.delta_n_bracket * 0.5
         est.Delta_n_bracket = est.Delta_n_bracket * 0.5
-        inputs = make_inputs(eta=0.05, beta=1.0, tau_l=2, tau_e=2, K=2)
+        inputs = make_inputs()
         got = check_edge_drift(tr, est, inputs)
         assert len(got) > 0
         assert as_tuples(got) == loop_edge_drift(tr, est, inputs)
@@ -731,17 +797,12 @@ class TestCheckersMatchScalarLoops:
         assert all(type(x) is int for x in v.where.values())
 
 
-def gap_losses(spec, union, tr, inputs):
-    return analysis.epoch_losses(spec, union, tr, inputs.tau_l * inputs.tau_e,
-                                 inputs.cloud_epochs)
-
-
 class TestGapBound:
     def test_eta_above_one_over_beta_not_applicable(self):
         spec, union, tr, est, inputs = bound_suite_run(speed=0.0, K=2)
-        inputs.beta = 2.0 / inputs.eta  # force eta > 1/beta
+        inputs.beta = 2.0 / tr.hfl.eta  # force eta > 1/beta
         report_uk = build_drift_report(tr, est, inputs)
-        gr = check_gap_bound(tr, inputs, report_uk, gap_losses(spec, union, tr, inputs))
+        gr = check_gap_bound(tr, inputs, report_uk, analysis.epoch_losses(spec, union, tr))
         assert not gr.applicable
         assert not gr.conditions["eta_le_inv_beta"]
         assert np.isnan(gr.bound)
@@ -762,11 +823,11 @@ class TestGapBound:
         assert est.delta <= 1e-12
         beta = models.estimate_constants(spec, union)
         rho = max(est.grad_norm[:len(tr.vtilde)].tolist())
-        losses = analysis.epoch_losses(spec, union, tr, 4, 3)
+        losses = analysis.epoch_losses(spec, union, tr)
         eps = choose_epsilon(losses, opt.value)
-        inputs = BoundInputs(beta=beta, rho=rho, eta=0.2, tau_l=2, tau_e=2,
-                             cloud_epochs=3, epsilon=max(eps, 1e-12),
-                             w_star=opt.w, f_star=opt.value)
+        beta_m = np.array([models.estimate_constants(spec, s) for s in shards])
+        inputs = BoundInputs(beta=beta, beta_m=beta_m, rho=rho,
+                             epsilon=max(eps, 1e-12), w_star=opt.w, f_star=opt.value)
         uk = build_drift_report(tr, est, inputs)
         assert uk.total == pytest.approx(0.0, abs=1e-10)
         gr = check_gap_bound(tr, inputs, uk, losses)
@@ -780,7 +841,7 @@ class TestGapBound:
         opt_w = tr.vtilde[0].copy()  # pretend the start is the optimum
         inputs.w_star = opt_w
         uk = build_drift_report(tr, est, inputs)
-        gr = check_gap_bound(tr, inputs, uk, gap_losses(spec, union, tr, inputs))
+        gr = check_gap_bound(tr, inputs, uk, analysis.epoch_losses(spec, union, tr))
         assert gr.degenerate
         assert not gr.applicable
         assert "optimal" in gr.note
@@ -788,8 +849,8 @@ class TestGapBound:
     def test_uk_premise_gate(self):
         spec, union, tr, est, inputs = bound_suite_run(speed=0.0, K=2)
         uk = build_drift_report(tr, est, inputs)
-        uk.value = np.full(inputs.cloud_epochs, -1.0)  # unsatisfiable premise
-        gr = check_gap_bound(tr, inputs, uk, gap_losses(spec, union, tr, inputs))
+        uk.value = np.full(tr.hfl.cloud_epochs, -1.0)  # unsatisfiable premise
+        gr = check_gap_bound(tr, inputs, uk, analysis.epoch_losses(spec, union, tr))
         assert not gr.conditions["uk_upper_bounds_gap"]
         assert not gr.applicable
 
@@ -804,10 +865,11 @@ class TestGapBoundOracle:
         # K = 2 epochs of span 2: the epochs start at vtilde rows 0 and 2,
         # at distances 5 and 2 from w* = 0, so phi is set by the first
         eta, beta, rho, T = 0.5, 1.0, 0.1, 4
-        inputs = BoundInputs(beta=beta, rho=rho, eta=eta, tau_l=1, tau_e=2, cloud_epochs=2,
-                             epsilon=eps, w_star=np.zeros(2), f_star=0.0)
+        inputs = BoundInputs(beta=beta, beta_m=np.array([beta]), rho=rho, epsilon=eps,
+                             w_star=np.zeros(2), f_star=0.0)
         trace = SimpleNamespace(vtilde=np.array([[3.0, 4.0], [2.0, 3.0], [0.0, 2.0],
-                                                 [0.0, 1.5], [0.0, 1.0]]))
+                                                 [0.0, 1.5], [0.0, 1.0]]),
+                                hfl=make_schedule(eta=eta, tau_l=1, tau_e=2, K=2))
         report = analysis.DriftBoundReport(value=np.array(uk), r_term=0.0,
                                            mobility_term=np.zeros(2), measured=np.zeros(2))
         losses = [(2.0, 1.8), (1.6, 1.5)]
@@ -833,10 +895,11 @@ class TestGapBoundOracle:
         # the hand-made trace with every gate holding, then one gate's
         # fault in epoch k + 1; F* > 0 tells the strict gate from the raw
         # one, and F* < 0 the raw gate from the strict one
-        inputs = BoundInputs(beta=1.0, rho=0.1, eta=0.5, tau_l=1, tau_e=2, cloud_epochs=2,
-                             epsilon=1.0, w_star=np.zeros(2), f_star=f_star)
+        inputs = BoundInputs(beta=1.0, beta_m=np.ones(1), rho=0.1, epsilon=1.0,
+                             w_star=np.zeros(2), f_star=f_star)
         trace = SimpleNamespace(vtilde=np.array([[3.0, 4.0], [2.0, 3.0], [0.0, 2.0],
-                                                 [0.0, 1.5], [0.0, 1.0]]))
+                                                 [0.0, 1.5], [0.0, 1.0]]),
+                                hfl=make_schedule(eta=0.5, tau_l=1, tau_e=2, K=2))
         arrays = {"value": np.array([0.01, 0.02]), "measured": np.zeros(2),
                   "losses": np.array([(2.0, 1.8), (1.6, 1.5)])}
         arrays[array][(k,) if column is None else (k, column)] = fault
@@ -871,7 +934,7 @@ class TestPlantedViolations:
         tr = copy.deepcopy(tr)
         m, tau = 5, 9  # tau0 = 9, inside the first cloud epoch
         tr.vehicle_gap[m, tau] = excess + drift_bound(
-            tau, est.delta_m[m], est.delta_m[m], inputs.eta, inputs.beta)
+            tau, est.delta_m[m], est.delta_m[m], tr.hfl.eta, inputs.beta)
         got = [(v.where["m"], v.where["tau"]) for v in check_vehicle_drift(tr, est, inputs)]
         assert got == [(m, tau)] * reported
 
@@ -880,12 +943,12 @@ class TestPlantedViolations:
         tr, est, inputs = suite
         tr = copy.deepcopy(tr)
         tau = 9
-        bracket = tau // inputs.tau_l
+        bracket = tau // tr.hfl.tau_l
         n = int(np.flatnonzero(~np.isnan(tr.edge_gap[:, tau])
                                & ~np.isnan(est.delta_n_bracket[bracket]))[0])
         tr.edge_gap[n, tau] = excess + drift_bound(
             tau, est.delta_n_bracket[bracket, n], est.Delta_n_bracket[bracket, n],
-            inputs.eta, inputs.beta)
+            tr.hfl.eta, inputs.beta)
         got = [(v.where["n"], v.where["tau"]) for v in check_edge_drift(tr, est, inputs)]
         assert got == [(n, tau)] * reported
 
@@ -895,18 +958,19 @@ class TestPlantedViolations:
         # planted between the two bounds must be reported there
         tr, est, inputs = suite
         tr = copy.deepcopy(tr)
-        span = inputs.tau_l * inputs.tau_e
+        hfl = tr.hfl
+        span = hfl.tau_l * hfl.tau_e
 
         def bounds(j, bracket):
             """Every edge's bound at tau = j*tau_l under the given bracket."""
-            tau = j * inputs.tau_l
+            tau = j * hfl.tau_l
             tau0 = tau - ((tau - 1) // span) * span
             return drift_bound(tau0, est.delta_n_bracket[bracket],
-                               est.Delta_n_bracket[bracket], inputs.eta, inputs.beta)
+                               est.Delta_n_bracket[bracket], hfl.eta, inputs.beta)
 
-        j, n = next((j, n) for j in range(1, tr.total_iterations // inputs.tau_l + 1)
+        j, n = next((j, n) for j in range(1, tr.total_iterations // hfl.tau_l + 1)
                     for n in np.flatnonzero(bounds(j, j) + 1e-6 < bounds(j, j - 1)))
-        tau = j * inputs.tau_l
+        tau = j * hfl.tau_l
         tr.edge_gap[n, tau] = (bounds(j, j)[n] + bounds(j, j - 1)[n]) / 2
         got = [(v.where["n"], v.where["tau"]) for v in check_edge_drift(tr, est, inputs)]
         assert got == [(n, tau)]
@@ -916,7 +980,7 @@ class TestPlantedViolations:
         tr, _, inputs = suite
         tr = copy.deepcopy(tr)
         tau = 3  # tau - 1 = 2 is a local step
-        rhs = tr.gap_u_v[tau - 1] + inputs.eta * inputs.beta * tr.s_vehicle[tau - 1]
+        rhs = tr.gap_u_v[tau - 1] + tr.hfl.eta * recursion_beta(inputs) * tr.s_vehicle[tau - 1]
         tr.gap_u_vtilde[tau] = rhs + excess
         got = [(v.check, v.where["tau"]) for v in check_recursion(tr, inputs)]
         assert got == [("recursion[local]", tau)] * reported
@@ -925,8 +989,8 @@ class TestPlantedViolations:
     def test_central_drift(self, suite, excess, reported):
         tr, est, inputs = suite
         tr = copy.deepcopy(tr)
-        uk, _, _ = central_drift_bound(1, est, inputs)  # the window of epoch 2
-        tr.gap_u_vtilde[2 * inputs.tau_l * inputs.tau_e] = uk + excess
+        uk, _, _ = central_drift_bound(1, est, inputs, tr.hfl)  # the window of epoch 2
+        tr.gap_u_vtilde[2 * tr.hfl.tau_l * tr.hfl.tau_e] = uk + excess
         got, _ = check_central_drift(tr, est, inputs)
         assert [v.where for v in got] == [{"k": 2}] * reported
 

@@ -859,12 +859,13 @@ class TestRun:
         assert not isinstance(e.value, ValueError)
 
     def test_association_history_is_the_schedule(self):
+        # the trace carries the association and the schedule it ran under
         shards = make_shards(4)
         cfg = HflConfig(eta=0.1, tau_l=2, tau_e=2, cloud_epochs=2, batch_size=16, seed=1,
                         record_virtual=True)
         assoc = np.array([[0, 1, 1, 3]] * 3 + [[2, 1, 0, 3]] * 2)
         res = run(cfg, shards, logistic_spec(), assoc, 4)
-        assert res.trace.association_history is assoc
+        assert res.trace.association_history is assoc and res.trace.hfl is cfg
         counts = [r.membership_counts for r in res.metrics]
         assert counts == [(1, 2, 0, 1), (1, 2, 0, 1), (1, 1, 1, 1), (1, 1, 1, 1)]
 

@@ -548,6 +548,26 @@ class TestSolveOptimum:
         assert opt.min_norm_fallback
 
 
+@pytest.mark.parametrize("C", [4, 8])  # from 8 classes up numpy's own sums
+def test_logistic_optimum_takes_no_gradient_xy(monkeypatch, C):
+    # the descent runs on a workspace row, bit for bit the reference
+    # descent w - step * gradient_xy(w), which the test takes first
+    ds = small_dataset(C=C)
+    spec = ModelSpec(MULTINOMIAL_LOGISTIC, dim=6, class_count=C, l2_reg=0.05)
+    step = 1.0 / estimate_constants(spec, ds)
+    w = np.zeros(param_length(spec))
+    while np.linalg.norm(g := gradient_xy(spec, w, ds.features, ds.labels)) > 1e-8:
+        w = w - step * g
+
+    def refuse(*args):
+        raise AssertionError("gradient_xy is the oracle only")
+
+    monkeypatch.setattr(models, "gradient_xy", refuse)
+    opt = solve_optimum(spec, ds)
+    assert opt.w.tobytes() == w.tobytes()
+    assert opt.value == loss(spec, w, ds)
+
+
 class TestHypothesisProperties:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000), lam=st.floats(0.0, 1.0))
