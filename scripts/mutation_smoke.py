@@ -37,23 +37,35 @@ ENGINE, MODELS = "src/hflsim/engine.py", "src/hflsim/models.py"
 TEST_ANALYSIS, TEST_ENGINE = "tests/test_analysis.py", "tests/test_engine.py"
 
 MUTATIONS = [
-    # the edge-drift bracket off by one, ahead
-    Mutation(ANALYSIS, "    bracket = tau // trace.hfl.tau_l\n",
-             "    bracket = (tau + 1) // trace.hfl.tau_l\n",
+    # a local step weighed by the association the round boundary puts in
+    # force, not the one in force
+    Mutation(ANALYSIS, "V[j - 1] * (beta_m * B)", "V[j] * (beta_m * B)",
              TEST_ANALYSIS + "::TestCheckersMatchScalarLoops::test_scaled_estimates"),
-    # the edge-drift bracket one behind at tau = j*tau_l, where the
-    # association changes
-    Mutation(ANALYSIS, "    bracket = tau // trace.hfl.tau_l\n",
-             "    bracket = (tau - 1) // trace.hfl.tau_l\n",
+    # the edge step reading Delta_n of the new bracket
+    Mutation(ANALYSIS, "+ c[j - 1]", "+ c[j]",
+             TEST_ANALYSIS + "::TestCheckersMatchScalarLoops::test_bounds_equal_scalar_recursion"),
+    # a changed edge restarting over its old members
+    Mutation(ANALYSIS, "np.cumsum(V[j] * B[:, None]", "np.cumsum(V[j - 1] * B[:, None]",
              TEST_ANALYSIS + "::TestPlantedViolations::test_edge_drift_at_a_membership_change"),
-    # (j + 1) weights in the central drift bound's mobility term
-    Mutation(ANALYSIS, "mix = (js * estimates.Delta_bracket[idx]).sum(axis=-1)",
-             "mix = ((js + 1) * estimates.Delta_bracket[idx]).sum(axis=-1)",
-             TEST_ANALYSIS + "::TestComputeUk::test_rational_term_by_term_oracle"),
+    # a changed edge keeping its old E
+    Mutation(ANALYSIS, "np.where(changed, restart, S[1:])", "np.where(False, restart, S[1:])",
+             TEST_ANALYSIS + "::TestPlantedViolations::test_edge_drift_at_a_membership_change"),
+    # B not reset to its edge's bound after an edge aggregation
+    Mutation(ANALYSIS, "            B = S[1 + hist[j]]\n", "            pass\n",
+             TEST_ANALYSIS + "::TestHonestRuns::test_no_violation"),
+    # beta_m read as the union's beta in the recursion
+    Mutation(ANALYSIS, "hfl.eta, inputs.beta_m, estimates.alpha",
+             "hfl.eta, inputs.beta, estimates.alpha",
+             TEST_ANALYSIS + "::TestDriftRecursion"
+             "::test_each_vehicle_steps_with_its_own_smoothness"),
+    # U_k read one step before its cloud instant
+    Mutation(ANALYSIS, "value=bounds.central[span - 1::span]",
+             "value=bounds.central[span - 2::span]",
+             TEST_ANALYSIS + "::TestDriftReport::test_epochs_read_the_cloud_instants"),
     # each epoch's U_k compared with the gap at the epoch's start, not its end
-    Mutation(ANALYSIS, "measured=trace.gap_u_vtilde[span::span][:K]",
-             "measured=trace.gap_u_vtilde[::span][:K]",
-             TEST_ANALYSIS + "::TestDriftReport::test_epochs_equal_per_window_bounds"),
+    Mutation(ANALYSIS, "measured=trace.gap_u_vtilde[span::span]",
+             "measured=trace.gap_u_vtilde[:-1:span]",
+             TEST_ANALYSIS + "::TestDriftReport::test_epochs_read_the_cloud_instants"),
     # a gate that holds when it holds in any epoch
     Mutation(ANALYSIS, '"vtilde_gap_ge_eps": bool(np.all(',
              '"vtilde_gap_ge_eps": bool(np.any(',
@@ -86,14 +98,14 @@ MUTATIONS = [
     Mutation(ANALYSIS, "phi = float(((1.0 - inputs.beta * eta / 2.0)",
              "phi = float(((1.0 - inputs.beta * eta / 4.0)",
              TEST_ANALYSIS + "::TestGapBoundOracle::test_hand_made_trace"),
-    # the vehicle bound with the edge correction of a zero Delta
-    Mutation(ANALYSIS, "drift_bound(tau0[:, None], estimates.delta_m, estimates.delta_m,",
-             "drift_bound(tau0[:, None], estimates.delta_m, 0.0,",
+    # the vehicle step without its divergence
+    Mutation(ANALYSIS, "kick = 1.0 + eta * beta_m, eta * estimates.delta_m",
+             "kick = 1.0 + eta * beta_m, 0.0 * estimates.delta_m",
              TEST_ANALYSIS + "::TestCheckersMatchScalarLoops::test_scaled_estimates"),
-    # r_term without its -T*eta*delta
-    Mutation(ANALYSIS, "r_term = drift_bound(tau_l * tau_e, delta, 0.0,",
-             "r_term = drift_bound(tau_l * tau_e, delta, delta,",
-             TEST_ANALYSIS + "::TestComputeUk::test_rational_term_by_term_oracle"),
+    # U's step adding the union's divergence, which is zero
+    Mutation(ANALYSIS, "np.concatenate([np.zeros((len(A), 1)), estimates.Delta_n_bracket]",
+             "np.concatenate([np.full((len(A), 1), estimates.delta), estimates.Delta_n_bracket]",
+             TEST_ANALYSIS + "::TestDriftRecursion::test_central_matches_rational_oracle"),
     # rho over every probe instead of the vtilde rows
     Mutation(EXPERIMENTS, "rho = max(est.grad_norm[:len(tr.vtilde)].tolist())",
              "rho = max(est.grad_norm.tolist())",

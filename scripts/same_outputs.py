@@ -102,6 +102,8 @@ INTERLEAVED = (ROOT / "configs/interleaved.cfg").read_text()
 # On perfbench's verify config epsilon clamps to 1e-12 and the gap bound
 # never applies; here all of its conditions hold (the acceptance suite's A4).
 GAP_BOUND = (ROOT / "configs/gap_bound.cfg").read_text()
+# The same at speed 30, where vehicles change edges and the bound still applies.
+GAP_BOUND_30 = GAP_BOUND.replace("speed = 0.0", "speed = 30.0")
 
 
 # No other case verifies shards of different feature spread: a shard's
@@ -180,6 +182,7 @@ CASES = [
          variants=("repeat",)),
     Case("verify-logistic-1", VERIFY.command, LOGISTIC, 1, VERIFY.outputs),
     Case("verify-gap-1", VERIFY.command, GAP_BOUND, 1, VERIFY.outputs),
+    Case("verify-gap-30-1", VERIFY.command, GAP_BOUND_30, 1, VERIFY.outputs),
     Case("verify-non-shared-1", VERIFY.command, NON_SHARED, 1, VERIFY.outputs,
          variants=("threads", "repeat")),
     # the sweep config has a duplicate pair (speed 0 under edge_noniid), so

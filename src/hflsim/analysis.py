@@ -34,7 +34,6 @@ class DivergenceEstimates:
     delta_m: np.ndarray          # (M,)
     delta: float                 # sum_m alpha_m delta_m
     alpha: np.ndarray            # (M,)
-    delta_n_bracket: np.ndarray  # (J+1, N); nan for empty edges
     Delta_n_bracket: np.ndarray  # (J+1, N); nan for empty edges
     Delta_bracket: np.ndarray    # (J+1,)  sum_n theta_n Delta_n
     grad_norm: np.ndarray        # (Q,)    ||grad F|| at each probe
@@ -45,7 +44,6 @@ class DivergenceEstimates:
         which a scale below 1 must make the checks report violations."""
         delta_m = self.delta_m * s
         return replace(self, delta_m=delta_m, delta=float(self.alpha @ delta_m),
-                       delta_n_bracket=self.delta_n_bracket * s,
                        Delta_n_bracket=self.Delta_n_bracket * s,
                        Delta_bracket=self.Delta_bracket * s)
 
@@ -81,7 +79,7 @@ def estimate_divergences(spec, shards, association_history, probes):
     rows, inv = np.unique(hist, axis=0, return_inverse=True)
     inv = inv.reshape(-1)  # its shape varies across numpy 2.0.x releases
     A_rows, theta_rows = membership_weights(rows, sizes, N)
-    A, theta = A_rows[inv], theta_rows[inv]
+    theta = theta_rows[inv]
     occupied = theta > 0
     B = A_rows.reshape(-1, M)  # one row per (distinct row, edge)
     P, C = probes.shape[1], spec.class_count
@@ -124,11 +122,10 @@ def estimate_divergences(spec, shards, association_history, probes):
             np.maximum(sq, D.sum(axis=2).max(axis=0), out=sq)
     delta_m, Delta_u = np.sqrt(delta_sq), np.sqrt(Delta_sq)
     Delta_n = np.where(occupied, Delta_u.reshape(-1, N)[inv], np.nan)
-    delta_n = np.where(occupied, A @ delta_m, np.nan)
     Delta = np.nansum(np.where(occupied, theta * Delta_n, 0.0), axis=1)
     return DivergenceEstimates(
         delta_m=delta_m, delta=float(alpha @ delta_m), alpha=alpha,
-        delta_n_bracket=delta_n, Delta_n_bracket=Delta_n,
+        Delta_n_bracket=Delta_n,
         Delta_bracket=Delta, grad_norm=grad_norm)
 
 
@@ -146,40 +143,6 @@ def shared_input_delta_m(shards):
     onehots = one_hot(np.stack([s.labels for s in shards]), shards[0].class_count)
     Ybar = onehots.mean(axis=0)
     return np.array([np.linalg.norm(X.T @ (Ybar - Ym)) / n for Ym in onehots])
-
-
-def _powi(base, n):
-    """base**n by square-and-multiply on the exact binary value.
-
-    Element-wise over an integer array of exponents, each element getting
-    the same products as a scalar call; a scalar exponent gives a float.
-    Overflow saturates to inf, as scalar float arithmetic does.
-    """
-    k = np.asarray(n, dtype=np.int64)
-    if np.any(k < 0):
-        raise ValueError("exponent must be >= 0")
-    result = np.ones(k.shape)
-    acc = float(base)
-    with np.errstate(over="ignore"):
-        while np.any(k):
-            np.multiply(result, acc, out=result, where=(k & 1) == 1)
-            acc *= acc
-            k = k >> 1
-    return float(result) if result.ndim == 0 else result
-
-
-def drift_bound(tau0, delta, Delta, eta, beta):
-    """delta/beta*((1+eta*beta)^tau0 - 1) - eta*tau0*(delta - Delta): the
-    drift from the centralized trajectory tau0 >= 1 steps after the last
-    cloud synchronization. Delta = delta gives a vehicle's bound, an edge's
-    divergence Delta_n an edge's, and Delta = 0 the central r_term.
-    Broadcasts over arrays."""
-    if not np.all(0 < np.asarray(tau0)):
-        raise ValueError("tau0 must be positive")
-    if beta <= 0:
-        raise ValueError("beta must be > 0")
-    return (delta / beta * (_powi(1.0 + eta * beta, tau0) - 1.0)
-            - eta * tau0 * (delta - Delta))
 
 
 @dataclass
@@ -202,13 +165,63 @@ class BoundInputs:
 
 
 @dataclass
+class DriftBounds:
+    """Each drift bound at tau = 1..T, taken before the aggregation at tau."""
+    vehicle: np.ndarray  # (T, M) bounds ||w_m - vtilde||
+    edge: np.ndarray     # (T, N) bounds ||u_n - vtilde||; nan for an empty edge
+    central: np.ndarray  # (T,)   bounds ||u - vtilde||
+
+
+def drift_recursion(trace, estimates, inputs):
+    """Every drift bound of the trace's run, from one pass of the
+    triangle-inequality and smoothness step over its association history.
+
+    The state is B (M,) per vehicle, E (N,) per edge and U, all 0 after a
+    cloud round. A local step under the association row in force, whose
+    membership weights are A, first adds eta*A@(beta_m*B) + eta*Delta_n
+    to E and eta*alpha@(beta_m*B) to U, then sets B to (1 + eta*beta_m)*B
+    + eta*delta_m. At a round boundary an edge whose member set stays
+    keeps E, a changed edge restarts at A_new@B and an empty one is NaN;
+    those are the edges' bounds before the aggregation, after which each
+    vehicle takes its edge's bound. Each weighted sum adds in id order."""
+    hfl, hist = trace.hfl, trace.association_history
+    eta, beta_m, alpha = hfl.eta, inputs.beta_m, estimates.alpha
+    N = estimates.Delta_n_bracket.shape[1]
+    A, theta = membership_weights(hist, alpha, N)  # the sizes' weights, to rounding
+    # vehicle-major weights (J+1, M, 1 + N): column 0 weighs u and 1 + n
+    # edge n, and a cumsum over the vehicle axis adds in id order (a sum
+    # over so few columns may add pairwise); c is what the divergences add
+    # at a step under each row
+    V = np.concatenate([np.broadcast_to(alpha[:, None], (len(A), len(alpha), 1)),
+                        A.transpose(0, 2, 1)], axis=2)
+    c = eta * np.concatenate([np.zeros((len(A), 1)), estimates.Delta_n_bracket], axis=1)
+    grow, kick = 1.0 + eta * beta_m, eta * estimates.delta_m
+    B, S = np.zeros(len(alpha)), np.zeros(N + 1)  # S = (U, E)
+    T = trace.total_iterations
+    vehicle, layers, tau = np.empty((T, len(alpha))), np.empty((T, N + 1)), 0
+    for j in range(1, hfl.cloud_epochs * hfl.tau_e + 1):
+        for _ in range(hfl.tau_l):
+            S += eta * np.cumsum(V[j - 1] * (beta_m * B)[:, None], axis=0)[-1] + c[j - 1]
+            B = grow * B + kick
+            vehicle[tau], layers[tau] = B, S
+            tau += 1
+        changed = (A[j] != A[j - 1]).any(axis=1)
+        restart = np.cumsum(V[j] * B[:, None], axis=0)[-1, 1:]
+        S[1:] = layers[tau - 1, 1:] = np.where(
+            theta[j] > 0, np.where(changed, restart, S[1:]), np.nan)
+        if j % hfl.tau_e == 0:
+            B, S = np.zeros_like(B), np.zeros_like(S)
+        else:
+            B = S[1 + hist[j]]
+    return DriftBounds(vehicle=vehicle, edge=layers[:, 1:], central=layers[:, 0])
+
+
+@dataclass
 class DriftBoundReport:
     """U_k against the measured central-cloud gap, entry k-1 for cloud
     epoch k = 1..K."""
-    value: np.ndarray          # (K,) U_k
-    r_term: float              # shared by every epoch
-    mobility_term: np.ndarray  # (K,)
-    measured: np.ndarray       # (K,) ||u - vtilde|| at the epoch's cloud instant
+    value: np.ndarray     # (K,) U_k
+    measured: np.ndarray  # (K,) ||u - vtilde|| at the epoch's cloud instant
 
     @property
     def satisfied(self):
@@ -218,35 +231,6 @@ class DriftBoundReport:
     def total(self):
         # left to right: from 8 terms up np.sum adds pairwise
         return sum(self.value.tolist())
-
-
-def central_drift_bound(k, estimates, inputs, hfl):
-    """Central-cloud drift bound for the window starting at k*tau_l*tau_e.
-
-    k is 0-based here, an integer or an integer array: the returned value
-    bounds ||u - vtilde|| at iteration (k+1)*tau_l*tau_e, and consumes the
-    bracket divergences Delta^[k*tau_e + j] for j = 1..tau_e-1. Returns
-    (U, r_term, mobility_term); U and mobility_term take k's shape, and
-    r_term is the same for every window.
-    """
-    tau_l, tau_e, eta = hfl.tau_l, hfl.tau_e, hfl.eta
-    delta = estimates.delta
-    r_term = drift_bound(tau_l * tau_e, delta, 0.0, eta, inputs.beta)
-    js = np.arange(1, tau_e)
-    idx = np.asarray(k)[..., None] * tau_e + js
-    if idx.size and idx.max() >= estimates.Delta_bracket.shape[0]:
-        raise ValueError(f"missing Delta bracket entries for window {k}")
-    mix = (js * estimates.Delta_bracket[idx]).sum(axis=-1)
-    mobility_term = -eta * tau_l * (0.5 * tau_e * (tau_e - 1) * delta - mix)
-    return r_term + mobility_term, r_term, mobility_term
-
-
-def build_drift_report(trace, estimates, inputs):
-    """Every cloud epoch's bound vs the measured central-cloud gap."""
-    span, K = trace.hfl.tau_l * trace.hfl.tau_e, trace.hfl.cloud_epochs
-    value, r_term, mob = central_drift_bound(np.arange(K), estimates, inputs, trace.hfl)
-    return DriftBoundReport(value=value, r_term=r_term, mobility_term=mob,
-                            measured=trace.gap_u_vtilde[span::span][:K])
 
 
 @dataclass
@@ -286,26 +270,21 @@ def violations(measured, bound, label):
     return out
 
 
-def check_vehicle_drift(trace, estimates, inputs):
+def check_vehicle_drift(trace, bounds):
     """Vehicle drift vs its bound, for every vehicle and iteration."""
     tau, tau0 = _clock(trace)
-    bound = drift_bound(tau0[:, None], estimates.delta_m, estimates.delta_m, trace.hfl.eta,
-                        inputs.beta)
     return violations(
-        trace.vehicle_gap[:, 1:].T, bound,
+        trace.vehicle_gap[:, 1:].T, bounds.vehicle,
         lambda t, m: ("vehicle_drift", {"m": int(m), "tau": int(tau[t]), "tau0": int(tau0[t])}))
 
 
-def check_edge_drift(trace, estimates, inputs):
+def check_edge_drift(trace, bounds):
     """Edge drift vs its bound; empty edges (NaN) never fire."""
     tau, tau0 = _clock(trace)
-    bracket = tau // trace.hfl.tau_l
-    bound = drift_bound(tau0[:, None], estimates.delta_n_bracket[bracket],
-                        estimates.Delta_n_bracket[bracket], trace.hfl.eta, inputs.beta)
     # the estimates stop at the highest edge the association history
     # names; an edge past it never held a vehicle, so its gaps are all NaN
     return violations(
-        trace.edge_gap[:bound.shape[1], 1:].T, bound,
+        trace.edge_gap[:bounds.edge.shape[1], 1:].T, bounds.edge,
         lambda t, n: ("edge_drift", {"n": int(n), "tau": int(tau[t]), "tau0": int(tau0[t])}))
 
 
@@ -325,9 +304,12 @@ def check_recursion(trace, inputs):
                       lambda t: (f"recursion[{case[t]}]", {"tau": int(tau[t])}))
 
 
-def check_central_drift(trace, estimates, inputs):
-    """Central drift vs U_k per cloud epoch, and the report they come from."""
-    report = build_drift_report(trace, estimates, inputs)
+def check_central_drift(trace, bounds):
+    """Central drift vs U_k at each cloud instant, and the report they
+    come from."""
+    span = trace.hfl.tau_l * trace.hfl.tau_e
+    report = DriftBoundReport(value=bounds.central[span - 1::span],
+                              measured=trace.gap_u_vtilde[span::span])
     return violations(report.measured, report.value,
                       lambda i: ("central_drift", {"k": int(i) + 1})), report
 
@@ -358,11 +340,9 @@ def check_gap_bound(trace, inputs, drift_report, losses):
 
     Gates: step size at most 1/beta, a positive per-epoch margin, two
     loss-level floors, and the definitional premise that every supplied
-    U_k actually upper-bounds the measured central-cloud gap (with
-    small-eta iid-like runs the drift formula can go negative, in which
-    case no valid U_k exists and the bound is inapplicable), read from the
-    report's `satisfied`. Each per-epoch gate holds when it holds in every
-    epoch. The fourth gate is evaluated twice: on the raw loss,
+    U_k actually upper-bounds the measured central-cloud gap, read from
+    the report's `satisfied`. Each per-epoch gate holds when it holds in
+    every epoch. The fourth gate is evaluated twice: on the raw loss,
     F(w) >= epsilon, and in a strict centered mode, F(w) - F* >= epsilon.
     Both are reported; applicability follows the raw form. losses are
     epoch_losses(...).

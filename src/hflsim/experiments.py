@@ -348,9 +348,10 @@ def verify_bounds(cfg, delta_scale=1.0):
         inputs = analysis.BoundInputs(beta=beta, beta_m=beta_m, rho=rho,
                                       epsilon=max(eps, 1e-12), w_star=opt.w, f_star=opt.value)
 
-    central, drift_report = analysis.check_central_drift(tr, est, inputs)
-    violations = (analysis.check_vehicle_drift(tr, est, inputs)
-                  + analysis.check_edge_drift(tr, est, inputs)
+    bounds = analysis.drift_recursion(tr, est, inputs)
+    central, drift_report = analysis.check_central_drift(tr, bounds)
+    violations = (analysis.check_vehicle_drift(tr, bounds)
+                  + analysis.check_edge_drift(tr, bounds)
                   + analysis.check_recursion(tr, inputs) + central)
     gap = analysis.check_gap_bound(tr, inputs, drift_report, losses)
     if gap.applicable:

@@ -1,4 +1,6 @@
 import copy
+import json
+import os
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -7,170 +9,137 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hflsim import analysis, config, datasets, engine, experiments, mobility, models
+from hflsim import analysis, cli, config, datasets, engine, experiments, mobility, models
 from hflsim.analysis import (
-    BoundInputs, build_drift_report, central_drift_bound, check_central_drift,
-    check_edge_drift, check_gap_bound, check_recursion, check_vehicle_drift,
-    choose_epsilon, drift_bound, estimate_divergences,
+    BoundInputs, check_central_drift, check_edge_drift, check_gap_bound, check_recursion,
+    check_vehicle_drift, choose_epsilon, drift_recursion, estimate_divergences,
     mobility_mixing_report, shared_input_delta_m,
 )
+from test_acceptance import SHARED_INPUT_CFG
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+
+
+def drift_bound(tau0, delta, Delta, eta, beta):
+    """The closed form the recursion solves with no membership change,
+    co-members holding the same data and every beta_m = beta: Delta =
+    delta gives a vehicle's bound, an edge's Delta_n an edge's and 0 the
+    central U, tau0 steps after a cloud round."""
+    return delta / beta * ((1.0 + eta * beta) ** tau0 - 1.0) - eta * tau0 * (delta - Delta)
 
 
 def poly_fraction(tau, eta, delta, beta):
-    """Exact-rational oracle for the drift polynomial."""
+    """Exact-rational drift_bound(tau, delta, 0, eta, beta)."""
     eta, delta, beta = Fraction(eta), Fraction(delta), Fraction(beta)
     return float(delta / beta * ((1 + eta * beta) ** tau - 1) - tau * eta * delta)
-
-
-def drift_fraction(k, tau_l, tau_e, eta, delta, beta, Delta):
-    """Term-by-term rational evaluation of the drift-plus-mixing bound."""
-    eta, delta, beta = Fraction(eta), Fraction(delta), Fraction(beta)
-    r = delta / beta * ((1 + eta * beta) ** (tau_l * tau_e) - 1) - tau_l * tau_e * eta * delta
-    s = sum(Fraction(j) * Fraction(Delta[k * tau_e + j]) for j in range(1, tau_e))
-    return float(r - eta * tau_l * (Fraction(tau_e * (tau_e - 1), 2) * delta - s))
-
-
-class TestDriftPolynomial:
-    """drift_bound with Delta = 0, the central bound's r_term."""
-
-    def test_zero_steps_rejected(self):
-        # the central window always spans tau_l*tau_e >= 1 steps
-        with pytest.raises(ValueError):
-            drift_bound(0, 2.0, 0.0, 0.1, 1.5)
-
-    def test_one_step_cancels(self):
-        assert drift_bound(1, 2.0, 0.0, 0.1, 1.5) == pytest.approx(0.0, abs=1e-15)
-
-    def test_hand_value(self):
-        # (1/1)*((1.1)^2 - 1) - 2*0.1*1 = 0.01
-        assert drift_bound(2, 1.0, 0.0, 0.1, 1.0) == pytest.approx(0.01, abs=1e-12)
-
-    @settings(max_examples=50, deadline=None)
-    @given(tau=st.integers(1, 40), eta=st.floats(1e-4, 0.5),
-           delta=st.floats(0.0, 5.0), beta=st.floats(0.1, 4.0))
-    def test_matches_rational_oracle(self, tau, eta, delta, beta):
-        got = drift_bound(tau, delta, 0.0, eta, beta)
-        want = poly_fraction(tau, eta, delta, beta)
-        assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
-
-
-def make_inputs(beta=1.0):
-    return BoundInputs(beta=beta, beta_m=np.array([beta]), rho=1.0, epsilon=1.0,
-                       w_star=np.zeros(2), f_star=0.0)
 
 
 def make_schedule(eta=0.1, tau_l=6, tau_e=10, K=3):
     return engine.HflConfig(eta=eta, tau_l=tau_l, tau_e=tau_e, cloud_epochs=K)
 
 
-def const_estimates(delta, Delta, brackets, N=1):
+def hand_run(hist, delta_m, Delta_n, beta_m, eta=0.1, tau_l=2, tau_e=2, K=1):
+    """A trace, estimates and inputs that the recursion reads, for an
+    association history and constants given by hand; equal shards."""
+    hist = np.asarray(hist)
+    M = hist.shape[1]
+    hfl = make_schedule(eta=eta, tau_l=tau_l, tau_e=tau_e, K=K)
+    trace = SimpleNamespace(hfl=hfl, association_history=hist,
+                            total_iterations=K * tau_e * tau_l)
+    Delta_n = np.asarray(Delta_n, dtype=float)
     est = analysis.DivergenceEstimates(
-        delta_m=np.array([delta]), delta=delta, alpha=np.array([1.0]),
-        delta_n_bracket=np.full((brackets, N), delta),
-        Delta_n_bracket=np.full((brackets, N), Delta),
-        Delta_bracket=np.full(brackets, Delta), grad_norm=np.ones(1))
-    return est
+        delta_m=np.asarray(delta_m, dtype=float), delta=float(np.mean(delta_m)),
+        alpha=np.full(M, 1.0 / M), Delta_n_bracket=Delta_n,
+        Delta_bracket=np.nanmean(Delta_n, axis=1), grad_norm=np.ones(1))
+    inputs = BoundInputs(beta=max(beta_m), beta_m=np.asarray(beta_m, dtype=float), rho=1.0,
+                         epsilon=1.0, w_star=np.zeros(2), f_star=0.0)
+    return trace, est, inputs
 
 
-class TestComputeUk:
-    def test_delta_equals_Delta_reduces_to_r(self):
-        inputs, hfl = make_inputs(beta=2.0), make_schedule(eta=0.05)
-        est = const_estimates(delta=0.7, Delta=0.7, brackets=40)
-        value, r_term, mob = central_drift_bound(0, est, inputs, hfl)
-        assert mob == pytest.approx(0.0, abs=1e-12)
-        assert value == pytest.approx(drift_bound(60, 0.7, 0.0, 0.05, 2.0), rel=1e-12)
+class TestDriftRecursion:
+    def test_hand_values(self):
+        # one vehicle, delta = 2, eta*beta = 0.1: B = 0.2 then 1.1*0.2 +
+        # 0.2 = 0.42, and U = 0 then eta*beta*0.2 = 0.02
+        trace, est, inputs = hand_run([[0]] * 3, [2.0], [[2.0]] * 3, [1.0])
+        b = drift_recursion(trace, est, inputs)
+        assert b.vehicle[:2, 0] == pytest.approx([0.2, 0.42], abs=1e-15)
+        assert b.central[:2] == pytest.approx([0.0, 0.02], abs=1e-15)
+        # the edge of its one member: E = B
+        assert b.edge[:, 0] == pytest.approx(b.vehicle[:, 0], abs=1e-15)
 
-    def test_zero_Delta_substitution(self):
-        inputs, hfl = make_inputs(beta=2.0), make_schedule(eta=0.05)
-        est = const_estimates(delta=0.7, Delta=0.0, brackets=40)
-        value, r_term, mob = central_drift_bound(0, est, inputs, hfl)
-        want = drift_bound(60, 0.7, 0.0, 0.05, 2.0) - 0.5 * 0.05 * 6 * 10 * 9 * 0.7
-        assert value == pytest.approx(want, rel=1e-12)
+    def test_each_vehicle_steps_with_its_own_smoothness(self):
+        # two vehicles on edges of their own, beta_m 1 and 3, two steps
+        trace, est, inputs = hand_run([[0, 1]] * 3, [2.0, 2.0], [[2.0, 2.0]] * 3, [1.0, 3.0])
+        b = drift_recursion(trace, est, inputs)
+        assert b.vehicle[1].tolist() == [(1 + 0.1 * bm) * (0.1 * 2.0) + 0.1 * 2.0
+                                         for bm in (1.0, 3.0)]
 
-    def test_tau_e_one_empty_sum(self):
-        inputs, hfl = make_inputs(beta=2.0), make_schedule(eta=0.05, tau_l=6, tau_e=1)
-        est = const_estimates(delta=0.7, Delta=0.3, brackets=5)
-        value, r_term, mob = central_drift_bound(2, est, inputs, hfl)
-        assert mob == 0.0
-        assert value == pytest.approx(drift_bound(6, 0.7, 0.0, 0.05, 2.0), rel=1e-12)
-
-    @settings(max_examples=40, deadline=None)
-    @given(k=st.integers(0, 2), eta=st.floats(0.01, 0.2), delta=st.floats(0.0, 2.0),
-           beta=st.floats(0.5, 3.0), seed=st.integers(0, 100))
-    def test_rational_term_by_term_oracle(self, k, eta, delta, beta, seed):
-        tau_l, tau_e = 3, 4
-        g = np.random.default_rng(seed)
-        Delta = g.uniform(0.0, delta if delta > 0 else 1.0, size=20)
-        inputs, hfl = make_inputs(beta=beta), make_schedule(eta=eta, tau_l=tau_l, tau_e=tau_e)
-        est = const_estimates(delta=delta, Delta=0.0, brackets=20)
-        est.Delta_bracket = Delta
-        value, _, _ = central_drift_bound(k, est, inputs, hfl)
-        want = drift_fraction(k, tau_l, tau_e, eta, delta, beta, Delta)
-        assert value == pytest.approx(want, rel=1e-9, abs=1e-9)
-
-    def test_monotone_in_each_Delta(self):
-        inputs, hfl = make_inputs(beta=2.0), make_schedule(eta=0.05)
-        est = const_estimates(delta=0.7, Delta=0.3, brackets=40)
-        base, _, _ = central_drift_bound(0, est, inputs, hfl)
-        for j in range(1, hfl.tau_e):
-            bumped = const_estimates(delta=0.7, Delta=0.3, brackets=40)
-            bumped.Delta_bracket = bumped.Delta_bracket.copy()
-            bumped.Delta_bracket[j] += 0.1
-            up, _, _ = central_drift_bound(0, bumped, inputs, hfl)
-            assert up > base
-
-    def test_missing_brackets_raise(self):
-        est = const_estimates(delta=0.7, Delta=0.3, brackets=5)
-        with pytest.raises(ValueError):
-            central_drift_bound(3, est, make_inputs(), make_schedule())
-
-
-class TestDriftBounds:
     def test_zero_divergence_zero_bound(self):
-        for tau0 in (1, 5, 60):
-            assert drift_bound(tau0, 0.0, 0.0, 0.1, 1.0) == 0.0
+        trace, est, inputs = hand_run([[0, 1]] * 5, [0.0, 0.0], [[0.0, 0.0]] * 5, [1.0, 3.0],
+                                      K=2)
+        b = drift_recursion(trace, est, inputs)
+        for a in (b.vehicle, b.edge, b.central):
+            assert not a.any()
 
-    def test_edge_bound_reduces_to_vehicle_form(self):
-        # Delta_n = delta_n leaves the vehicle form, bit for bit
-        b3 = drift_bound(7, 0.5, 0.5, 0.1, 2.0)
-        b2 = 0.5 / 2.0 * (analysis._powi(1.0 + 0.1 * 2.0, 7) - 1.0)
-        assert b3 == b2
+    @settings(max_examples=50, deadline=None)
+    @given(tau=st.integers(1, 40), eta=st.floats(1e-4, 0.5),
+           delta=st.floats(0.0, 5.0), beta=st.floats(0.1, 4.0))
+    def test_central_matches_rational_oracle(self, tau, eta, delta, beta):
+        # one vehicle on one edge, one cloud epoch of tau steps
+        trace, est, inputs = hand_run([[0]] * 2, [delta], [[delta]] * 2, [beta], eta=eta,
+                                      tau_l=tau, tau_e=1)
+        got = drift_recursion(trace, est, inputs).central[-1]
+        assert got == pytest.approx(poly_fraction(tau, eta, delta, beta), rel=1e-10, abs=1e-12)
 
-    def test_hand_value(self):
-        # 2/1 * ((1.1)^2 - 1) = 0.42
-        assert drift_bound(2, 2.0, 2.0, 0.1, 1.0) == pytest.approx(0.42, abs=1e-12)
+    def test_restart_at_a_membership_change(self):
+        # single-member edges, each Delta_n its member's delta_m: vehicles
+        # 0 and 1 swap edges 0 and 1 after round 1, and after round 2
+        # vehicle 2 leaves edge 2 empty and joins vehicle 0 on edge 1
+        hist = [[0, 1, 2], [1, 0, 2], [1, 0, 1]]
+        delta, beta = [1.0, 2.0, 3.0], [1.0, 2.0, 3.0]
+        trace, est, inputs = hand_run(hist, delta, [[1.0, 2.0, 3.0], [2.0, 1.0, 3.0],
+                                                    [2.0, 1.5, np.nan]], beta, tau_l=1)
+        b = drift_recursion(trace, est, inputs)
+        B1, B2 = b.vehicle
+        # edges 0 and 1 restart at their new member's bound, where their
+        # own recursions stood at B1[0] and B1[1]
+        assert b.edge[0].tolist() == [B1[1], B1[0], B1[2]] and B1[0] != B1[1]
+        # every vehicle took its edge's bound, its own, and stepped once
+        assert B2.tolist() == [(1 + 0.1 * bm) * B + 0.1 * d for B, bm, d in zip(B1, beta, delta)]
+        assert b.edge[1, 1] == pytest.approx((B2[0] + B2[2]) / 2, rel=1e-15)
+        assert np.isnan(b.edge[1, 2])
 
-    def test_arrays_match_scalar_calls_bitwise(self):
-        g = np.random.default_rng(3)
-        tau0 = g.integers(1, 200, size=(7, 1))
-        dm = g.uniform(0.0, 3.0, size=5)
-        Dn = g.uniform(0.0, 3.0, size=5)
-        eta, beta = 0.07, 1.9
-        got_v = drift_bound(tau0, dm, dm, eta, beta)
-        got_e = drift_bound(tau0, dm, Dn, eta, beta)
-        got_p = analysis._powi(1.0 + eta * beta, tau0[:, 0])
-        for i in range(tau0.shape[0]):
-            t = int(tau0[i, 0])
-            assert got_p[i] == analysis._powi(1.0 + eta * beta, t)
-            for m in range(dm.size):
-                assert got_v[i, m] == drift_bound(t, float(dm[m]), float(dm[m]), eta, beta)
-                assert got_e[i, m] == drift_bound(t, float(dm[m]), float(Dn[m]), eta, beta)
+    def test_linear_in_the_divergences(self):
+        _, _, tr, est, inputs = bound_suite_run(speed=30.0, K=2)
+        b = drift_recursion(tr, est, inputs)
+        half = drift_recursion(tr, est.scaled(0.5), inputs)
+        for a, h in ((b.vehicle, half.vehicle), (b.edge, half.edge), (b.central, half.central)):
+            np.testing.assert_allclose(h, 0.5 * a, rtol=1e-12)
 
-    def test_scalar_in_float_out(self):
-        assert type(analysis._powi(1.1, 3)) is float
-        assert type(drift_bound(3, 0.5, 0.5, 0.1, 1.0)) is float
-
-    def test_powi_overflow_saturates(self):
-        big = analysis._powi(10.0, np.array([2, 400]))
-        assert big[0] == 100.0 and big[1] == np.inf
-
-    def test_nonpositive_tau0_rejected(self):
-        with pytest.raises(ValueError):
-            drift_bound(0, 1.0, 1.0, 0.1, 1.0)
-        with pytest.raises(ValueError):
-            drift_bound(np.array([3, 0]), 1.0, 0.5, 0.1, 1.0)
-        with pytest.raises(ValueError):
-            analysis._powi(1.1, np.array([2, -1]))
+    @pytest.mark.parametrize("eta", [0.05, 0.01, 0.001])
+    def test_reduces_to_closed_forms(self, eta):
+        # A3's config at speed 0: no membership changes, co-members hold
+        # the same data and the shared features give every beta_m the
+        # union's beta (to rounding)
+        cfg = config.parse_config(SHARED_INPUT_CFG.format(speed=0.0, eta=eta, K=3))
+        inst = experiments.build_instance(cfg)
+        tr = experiments.run_instance(inst, record_virtual=True, full_batch=True).trace
+        suite = experiments.verify_bounds(cfg)
+        est, inputs = suite.estimates, suite.inputs
+        assert np.all(tr.association_history == tr.association_history[0])
+        b = drift_recursion(tr, est, inputs)
+        hfl, beta = tr.hfl, inputs.beta
+        span = hfl.tau_l * hfl.tau_e
+        tau = np.arange(1, tr.total_iterations + 1)
+        tau0 = (tau - (tau - 1) // span * span)[:, None]
+        A = engine.membership_weights(tr.association_history[0], est.alpha,
+                                      est.Delta_n_bracket.shape[1])[0]
+        vehicle = drift_bound(tau0, est.delta_m, est.delta_m, hfl.eta, beta)
+        edge = drift_bound(tau0, A @ est.delta_m, est.Delta_n_bracket[0], hfl.eta, beta)
+        central = drift_bound(span, est.delta, 0.0, hfl.eta, beta)
+        np.testing.assert_allclose(b.vehicle, vehicle, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(b.edge, edge, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(b.central[span - 1::span], central, rtol=1e-12, atol=0)
 
 
 class TestEstimateDivergences:
@@ -231,8 +200,11 @@ class TestEstimateDivergences:
         hist = datasets.home_edges(8, 4)[None]
         est = estimate_divergences(spec, shards, hist, [np.zeros(24)])
         assert est.delta <= est.delta_m.max() + 1e-12
-        valid = ~np.isnan(est.delta_n_bracket)
-        assert np.all(est.delta_n_bracket[valid] <= est.delta_m.max() + 1e-12)
+        # the triangle inequality: an edge's divergence is at most its
+        # members' weighted delta_m
+        sizes = np.array([s.size for s in shards], dtype=np.float64)
+        A, _ = engine.membership_weights(hist, sizes, 4)
+        assert np.all(est.Delta_n_bracket <= A @ est.delta_m + 1e-12)
 
     def test_no_probe_rejected(self):
         spec = models.ModelSpec(models.QUADRATIC, dim=5, class_count=3)
@@ -268,7 +240,7 @@ def loop_divergences(spec, shards, hist, probes):
     rows, inv = np.unique(hist, axis=0, return_inverse=True)
     inv = inv.reshape(-1)
     A_rows, theta_rows = engine.membership_weights(rows, sizes, N)
-    A, theta = A_rows[inv], theta_rows[inv]
+    theta = theta_rows[inv]
     occupied = theta > 0
     delta_m = np.zeros(M)
     Delta_u = np.zeros((rows.shape[0], N))
@@ -282,7 +254,6 @@ def loop_divergences(spec, shards, hist, probes):
         Delta_u = np.maximum(Delta_u, np.linalg.norm(ge - gF, axis=1).reshape(-1, N))
     Delta_n = np.where(occupied, Delta_u[inv], np.nan)
     return dict(delta_m=delta_m, delta=float(alpha @ delta_m), alpha=alpha,
-                delta_n_bracket=np.where(occupied, A @ delta_m, np.nan),
                 Delta_n_bracket=Delta_n,
                 Delta_bracket=np.nansum(np.where(occupied, theta * Delta_n, 0.0), axis=1),
                 grad_norm=np.array(grad_norm))
@@ -385,11 +356,6 @@ class TestDivergencesMatchProbeLoop:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(analysis, "CHUNK_BYTES", chunk_bytes)
             est = self.check(spec, shards, hist, probes)
-        # delta_n is elementwise in the bracket's row, so the full history
-        # gives the same bits
-        sizes = np.array([s.size for s in shards], dtype=np.float64)
-        A, theta = engine.membership_weights(hist, sizes, int(hist.max()) + 1)
-        assert_same_bits(est.delta_n_bracket, np.where(theta > 0, A @ est.delta_m, np.nan))
         # one product row per bracket agrees to rounding, relative to the
         # gradient scale (a Delta_n can be a rounding residue near 0)
         old = bracket_product_Delta_n(spec, shards, hist, probes)
@@ -557,25 +523,29 @@ def bound_suite_run(speed, K=4, eta=0.05, seed=13):
     return spec, union, tr, est, inputs
 
 
+def drift_report(tr, est, inputs):
+    """The central drift report verify_bounds hands check_gap_bound."""
+    return check_central_drift(tr, drift_recursion(tr, est, inputs))[1]
+
+
+def drift_violations(tr, est, inputs):
+    """The vehicle, edge and central drift checks' violations, in order."""
+    bounds = drift_recursion(tr, est, inputs)
+    return (check_vehicle_drift(tr, bounds) + check_edge_drift(tr, bounds)
+            + check_central_drift(tr, bounds)[0])
+
+
 class TestInequalitySuite:
     def test_all_checks_pass_on_construction(self):
         spec, union, tr, est, inputs = bound_suite_run(speed=30.0)
-        assert check_vehicle_drift(tr, est, inputs) == []
-        assert check_edge_drift(tr, est, inputs) == []
+        assert drift_violations(tr, est, inputs) == []
         assert check_recursion(tr, inputs) == []
-        viols, report = check_central_drift(tr, est, inputs)
-        assert viols == []
-        assert report.satisfied.all()
+        assert drift_report(tr, est, inputs).satisfied.all()
 
     def test_corrupted_delta_detected(self):
         spec, union, tr, est, inputs = bound_suite_run(speed=0.0, K=2)
-        est.delta_m = est.delta_m * 0.5
-        est.delta *= 0.5
-        est.delta_n_bracket = est.delta_n_bracket * 0.5
-        est.Delta_n_bracket = est.Delta_n_bracket * 0.5
-        est.Delta_bracket = est.Delta_bracket * 0.5
-        viols = check_vehicle_drift(tr, est, inputs) + check_edge_drift(tr, est, inputs)
-        assert len(viols) > 0
+        bounds = drift_recursion(tr, est.scaled(0.5), inputs)
+        assert len(check_vehicle_drift(tr, bounds) + check_edge_drift(tr, bounds)) > 0
 
     def test_recursion_zero_after_cloud_instant(self):
         spec, union, tr, est, inputs = bound_suite_run(speed=30.0, K=2)
@@ -639,33 +609,130 @@ class TestRecursionOffTheConstruction:
         assert as_tuples(got) == loop_recursion(tr, union_only)
 
 
+# Off the construction: label-skewed shards of their own features, on
+# which the closed-form bounds failed at eta = 0.001
+HONEST_CONFIG = """
+[dataset]
+classes = 4
+dim = 8
+samples_per_class = 80
+
+[partition]
+regime = edge_noniid
+classes_per_unit = 1
+vehicles = 16
+
+[mobility]
+edges = 4
+speed = {speed}
+
+[hfl]
+eta = {eta}
+tau_l = 6
+tau_e = 10
+cloud_epochs = 3
+full_batch = true
+
+[model]
+family = {family}
+l2_reg = 0.05
+"""
+
+HONEST_RUNS = {
+    "shared_input": lambda speed, eta: SHARED_INPUT_CFG.format(speed=speed, eta=eta, K=3),
+    "quadratic": lambda speed, eta: HONEST_CONFIG.format(speed=speed, eta=eta,
+                                                         family="quadratic"),
+    "logistic": lambda speed, eta: HONEST_CONFIG.format(speed=speed, eta=eta,
+                                                        family="multinomial_logistic"),
+}
+
+
+class TestHonestRuns:
+    """Exact or probe-estimated constants on a run's own trajectory: no
+    drift bound may fail, whatever the step size or speed."""
+
+    @pytest.mark.parametrize("speed", [0.0, 30.0])
+    @pytest.mark.parametrize("eta", [0.05, 0.01, 0.001])
+    @pytest.mark.parametrize("run", sorted(HONEST_RUNS))
+    def test_no_violation(self, run, eta, speed):
+        cfg = config.parse_config(HONEST_RUNS[run](speed, eta))
+        assert [str(v) for v in experiments.verify_bounds(cfg).violations] == []
+
+    def test_gap_bound_falls_with_speed(self, tmp_path):
+        # the catalog's gap-bound instance applies at every speed, and
+        # mixing lowers it
+        text = open(os.path.join(ROOT, "configs", "gap_bound.cfg")).read()
+        bounds = []
+        for speed in (0.0, 5.0, 30.0):
+            path = tmp_path / f"v{speed:g}.cfg"
+            path.write_text(text.replace("speed = 0.0", f"speed = {speed}"))
+            out = tmp_path / f"out{speed:g}"
+            assert cli.main(["verify-bounds", "--config", str(path), "--out", str(out)]) == 0
+            summary = json.loads((out / "bound_summary.json").read_text())
+            assert summary["applicable"], summary["conditions"]
+            bounds.append(summary["bound"])
+        assert bounds[0] > bounds[1] > bounds[2]
+
+
 class TestDriftReport:
-    def test_epochs_equal_per_window_bounds(self):
+    def test_epochs_read_the_cloud_instants(self):
         # K = 8: from 8 terms up np.sum adds pairwise, and on this run its
         # total differs from the left-to-right one in the last bit
         spec, union, tr, est, inputs = bound_suite_run(speed=30.0, K=8)
-        report = build_drift_report(tr, est, inputs)
+        bounds = drift_recursion(tr, est, inputs)
+        _, report = check_central_drift(tr, bounds)
         K, span = tr.hfl.cloud_epochs, tr.hfl.tau_l * tr.hfl.tau_e
-        windows = [central_drift_bound(k, est, inputs, tr.hfl) for k in range(K)]
-        assert report.value.tolist() == [float(u) for u, _, _ in windows]
-        assert report.mobility_term.tolist() == [float(m) for _, _, m in windows]
-        assert all(r == report.r_term for _, r, _ in windows)
+        assert report.value.tolist() == [bounds.central[k * span - 1] for k in range(1, K + 1)]
         assert report.measured.tolist() == [tr.gap_u_vtilde[k * span] for k in range(1, K + 1)]
         total = 0
-        for u, _, _ in windows:
+        for u in report.value.tolist():
             total += u
         assert report.total == total
+
+
+def scalar_recursion(trace, est, inputs):
+    """The drift recursion entry by entry in Python floats: for tau = 1..T
+    the lists B (M) and E (N) and the float U, before the aggregation at
+    tau. Each weighted sum runs from 0.0 in id order."""
+    hfl, hist = trace.hfl, trace.association_history.tolist()
+    eta, alpha = hfl.eta, est.alpha.tolist()
+    bm, dm, Dn = inputs.beta_m.tolist(), est.delta_m.tolist(), est.Delta_n_bracket.tolist()
+    M, N = len(alpha), len(Dn[0])
+    A = engine.membership_weights(trace.association_history, est.alpha, N)[0].tolist()
+
+    def wsum(w, x):
+        s = 0.0
+        for m in range(M):
+            s += w[m] * x[m]
+        return s
+
+    B, E, U, out = [0.0] * M, [0.0] * N, 0.0, []
+    for j in range(1, hfl.cloud_epochs * hfl.tau_e + 1):
+        for _ in range(hfl.tau_l):
+            x = [bm[m] * B[m] for m in range(M)]
+            U += eta * wsum(alpha, x)
+            E = [E[n] + (eta * wsum(A[j - 1][n], x) + eta * Dn[j - 1][n]) for n in range(N)]
+            B = [(1.0 + eta * bm[m]) * B[m] + eta * dm[m] for m in range(M)]
+            out.append((B, E, U))
+        for n in range(N):
+            if n not in hist[j]:
+                E[n] = float("nan")
+            elif A[j][n] != A[j - 1][n]:
+                E[n] = wsum(A[j][n], B)
+        if j % hfl.tau_e == 0:
+            B, E, U = [0.0] * M, [0.0] * N, 0.0
+        else:
+            B = [E[hist[j][m]] for m in range(M)]
+    return out
 
 
 def loop_vehicle_drift(trace, est, inputs, slack=analysis.DEFAULT_SLACK):
     """Scalar-loop oracle: one bound per (iteration, vehicle)."""
     out = []
     span = trace.hfl.tau_l * trace.hfl.tau_e
-    for tau in range(1, trace.total_iterations + 1):
+    for tau, (B, _, _) in enumerate(scalar_recursion(trace, est, inputs), 1):
         tau0 = tau - ((tau - 1) // span) * span
-        for m in range(trace.vehicle_gap.shape[0]):
-            dm, eta, beta = est.delta_m[m], trace.hfl.eta, inputs.beta
-            bound = dm / beta * (analysis._powi(1 + eta * beta, tau0) - 1.0)
+        for m, bound in enumerate(B):
             measured = float(trace.vehicle_gap[m, tau])
             if measured > bound + slack:
                 out.append(("vehicle_drift", {"m": m, "tau": tau, "tau0": tau0},
@@ -676,22 +743,16 @@ def loop_vehicle_drift(trace, est, inputs, slack=analysis.DEFAULT_SLACK):
 def loop_edge_drift(trace, est, inputs, slack=analysis.DEFAULT_SLACK):
     """Scalar-loop oracle: one bound per (iteration, occupied edge)."""
     out = []
-    hfl = trace.hfl
-    span = hfl.tau_l * hfl.tau_e
-    for tau in range(1, trace.total_iterations + 1):
+    span = trace.hfl.tau_l * trace.hfl.tau_e
+    for tau, (_, E, _) in enumerate(scalar_recursion(trace, est, inputs), 1):
         tau0 = tau - ((tau - 1) // span) * span
-        for n in range(trace.edge_gap.shape[0]):
-            measured = trace.edge_gap[n, tau]
-            if np.isnan(measured):
+        for n, bound in enumerate(E):
+            measured = float(trace.edge_gap[n, tau])
+            if np.isnan(measured) or np.isnan(bound):
                 continue
-            dn = float(est.delta_n_bracket[tau // hfl.tau_l, n])
-            Dn = float(est.Delta_n_bracket[tau // hfl.tau_l, n])
-            if np.isnan(dn):
-                continue
-            bound = drift_bound(tau0, dn, Dn, hfl.eta, inputs.beta)
             if measured > bound + slack:
                 out.append(("edge_drift", {"n": n, "tau": tau, "tau0": tau0},
-                            float(measured), bound))
+                            measured, bound))
     return out
 
 
@@ -725,23 +786,53 @@ def as_tuples(violations):
     return [(v.check, v.where, float(v.measured), float(v.bound)) for v in violations]
 
 
+def config_run(text):
+    """A config's recorded trace, with verify_bounds' estimates and inputs."""
+    cfg = config.parse_config(text)
+    inst = experiments.build_instance(cfg)
+    tr = experiments.run_instance(inst, record_virtual=True, full_batch=True).trace
+    suite = experiments.verify_bounds(cfg)
+    return tr, suite.estimates, suite.inputs
+
+
+def assert_bounds_equal_scalar_recursion(tr, est, inputs):
+    bounds = drift_recursion(tr, est, inputs)
+    B, E, U = zip(*scalar_recursion(tr, est, inputs))
+    assert_same_bits(bounds.vehicle, np.array(B))
+    assert_same_bits(bounds.edge, np.array(E))
+    assert_same_bits(bounds.central, np.array(U))
+
+
 class TestCheckersMatchScalarLoops:
-    """The array checkers list the same violations, in the same order
-    (iteration-major, then vehicle or edge id), as per-entry loops."""
+    """The array recursion and checkers give the same bounds, bit for bit,
+    and the same violations, in the same order (iteration-major, then
+    vehicle or edge id), as per-entry loops."""
 
     @pytest.fixture(scope="class")
     def suite(self):
         _, _, tr, est, inputs = bound_suite_run(speed=30.0, K=2)
         return tr, est, inputs
 
+    def test_bounds_equal_scalar_recursion(self, suite):
+        assert_bounds_equal_scalar_recursion(*suite)
+
+    def test_off_the_construction(self):
+        # a logistic run with shards of their own features and smoothness
+        tr, est, inputs = config_run(HONEST_RUNS["logistic"](30.0, 0.001))
+        assert len(np.unique(tr.association_history, axis=0)) > 1
+        assert_bounds_equal_scalar_recursion(tr, est, inputs)
+        est = est.scaled(0.5)
+        bounds = drift_recursion(tr, est, inputs)
+        vehicle, edge = check_vehicle_drift(tr, bounds), check_edge_drift(tr, bounds)
+        assert len(vehicle) > 0 and len(edge) > 0
+        assert as_tuples(vehicle) == loop_vehicle_drift(tr, est, inputs)
+        assert as_tuples(edge) == loop_edge_drift(tr, est, inputs)
+
     def test_scaled_estimates(self, suite):
         tr, est, inputs = suite
-        est = copy.deepcopy(est)
-        est.delta_m = est.delta_m * 0.5
-        est.delta_n_bracket = est.delta_n_bracket * 0.5
-        est.Delta_n_bracket = est.Delta_n_bracket * 0.5
-        vehicle = check_vehicle_drift(tr, est, inputs)
-        edge = check_edge_drift(tr, est, inputs)
+        est = est.scaled(0.5)
+        bounds = drift_recursion(tr, est, inputs)
+        vehicle, edge = check_vehicle_drift(tr, bounds), check_edge_drift(tr, bounds)
         assert len(vehicle) > 0 and len(edge) > 0
         assert as_tuples(vehicle) == loop_vehicle_drift(tr, est, inputs)
         assert as_tuples(edge) == loop_edge_drift(tr, est, inputs)
@@ -758,41 +849,44 @@ class TestCheckersMatchScalarLoops:
                                           "recursion[cloud]"]
         assert as_tuples(got) == loop_recursion(tr, inputs)
 
-    def test_empty_edge_rows_never_fire(self, suite):
-        tr, est, inputs = suite
-        tr, est = copy.deepcopy(tr), copy.deepcopy(est)
-        est.delta_n_bracket = est.delta_n_bracket * 0.5
-        est.Delta_n_bracket = est.Delta_n_bracket * 0.5
-        tr.edge_gap[1, :] = np.nan
-        est.delta_n_bracket[2:5, 3] = np.nan
-        got = check_edge_drift(tr, est, inputs)
+    @staticmethod
+    def partial_run(rows):
+        """8 shared-input shards on 4 edges under the given association rows."""
+        shards = datasets.shared_input_shards(8, 4, 1, 4, 20, 6, seed=5)
+        spec = models.ModelSpec(models.QUADRATIC, dim=6, class_count=4, l2_reg=0.05)
+        cfg = engine.HflConfig(eta=0.05, tau_l=2, tau_e=2, cloud_epochs=2, seed=1,
+                               record_virtual=True, full_batch=True)
+        tr = engine.run(cfg, shards, spec, np.array(rows), 4).trace
+        est = estimate_divergences(spec, shards, tr.association_history, tr.vtilde)
+        beta_m = np.array([models.estimate_constants(spec, s) for s in shards])
+        inputs = BoundInputs(beta=float(beta_m.max()), beta_m=beta_m, rho=1.0, epsilon=1.0,
+                             w_star=np.zeros(2), f_star=0.0)
+        return tr, est.scaled(0.5), inputs
+
+    def test_empty_edge_rows_never_fire(self):
+        # edge 1 empties at every other round boundary, and its members
+        # join edges 0 and 2; its gaps and bounds are NaN there
+        on3, off1 = [m % 3 for m in range(8)], [0, 2] * 4
+        tr, est, inputs = self.partial_run([on3, off1, on3, off1, on3])
+        bounds = drift_recursion(tr, est, inputs)
+        assert np.isnan(tr.edge_gap[1, 1:]).tolist() == np.isnan(bounds.edge[:, 1]).tolist()
+        assert np.isnan(bounds.edge[:, 1]).any()
+        got = check_edge_drift(tr, bounds)
         assert len(got) > 0
-        assert all(v.where["n"] != 1 for v in got)
         assert as_tuples(got) == loop_edge_drift(tr, est, inputs)
 
     def test_never_occupied_last_edge(self):
         # the estimates have a column per edge up to the highest one the
         # history names; the trace has one per edge of the topology
-        shards = datasets.shared_input_shards(8, 4, 1, 4, 20, 6, seed=5)
-        spec = models.ModelSpec(models.QUADRATIC, dim=6, class_count=4, l2_reg=0.05)
-        cfg = engine.HflConfig(eta=0.05, tau_l=2, tau_e=2, cloud_epochs=2, seed=1,
-                               record_virtual=True, full_batch=True)
-        assoc = np.array([[m % 3 for m in range(8)]] * 5)
-        tr = engine.run(cfg, shards, spec, assoc, 4).trace
-        est = estimate_divergences(spec, shards, tr.association_history, tr.vtilde)
-        assert (tr.edge_gap.shape[0], est.delta_n_bracket.shape[1]) == (4, 3)
-        est.delta_n_bracket = est.delta_n_bracket * 0.5
-        est.Delta_n_bracket = est.Delta_n_bracket * 0.5
-        inputs = make_inputs()
-        got = check_edge_drift(tr, est, inputs)
+        tr, est, inputs = self.partial_run([[m % 3 for m in range(8)]] * 5)
+        assert (tr.edge_gap.shape[0], est.Delta_n_bracket.shape[1]) == (4, 3)
+        got = check_edge_drift(tr, drift_recursion(tr, est, inputs))
         assert len(got) > 0
         assert as_tuples(got) == loop_edge_drift(tr, est, inputs)
 
     def test_fields_are_python_scalars(self, suite):
         tr, est, inputs = suite
-        est = copy.deepcopy(est)
-        est.delta_m = est.delta_m * 0.5
-        v = check_vehicle_drift(tr, est, inputs)[0]
+        v = check_vehicle_drift(tr, drift_recursion(tr, est.scaled(0.5), inputs))[0]
         assert type(v.measured) is float and type(v.bound) is float
         assert all(type(x) is int for x in v.where.values())
 
@@ -801,7 +895,7 @@ class TestGapBound:
     def test_eta_above_one_over_beta_not_applicable(self):
         spec, union, tr, est, inputs = bound_suite_run(speed=0.0, K=2)
         inputs.beta = 2.0 / tr.hfl.eta  # force eta > 1/beta
-        report_uk = build_drift_report(tr, est, inputs)
+        report_uk = drift_report(tr, est, inputs)
         gr = check_gap_bound(tr, inputs, report_uk, analysis.epoch_losses(spec, union, tr))
         assert not gr.applicable
         assert not gr.conditions["eta_le_inv_beta"]
@@ -828,7 +922,7 @@ class TestGapBound:
         beta_m = np.array([models.estimate_constants(spec, s) for s in shards])
         inputs = BoundInputs(beta=beta, beta_m=beta_m, rho=rho,
                              epsilon=max(eps, 1e-12), w_star=opt.w, f_star=opt.value)
-        uk = build_drift_report(tr, est, inputs)
+        uk = drift_report(tr, est, inputs)
         assert uk.total == pytest.approx(0.0, abs=1e-10)
         gr = check_gap_bound(tr, inputs, uk, losses)
         if gr.applicable:
@@ -840,7 +934,7 @@ class TestGapBound:
         spec, union, tr, est, inputs = bound_suite_run(speed=0.0, K=2)
         opt_w = tr.vtilde[0].copy()  # pretend the start is the optimum
         inputs.w_star = opt_w
-        uk = build_drift_report(tr, est, inputs)
+        uk = drift_report(tr, est, inputs)
         gr = check_gap_bound(tr, inputs, uk, analysis.epoch_losses(spec, union, tr))
         assert gr.degenerate
         assert not gr.applicable
@@ -848,7 +942,7 @@ class TestGapBound:
 
     def test_uk_premise_gate(self):
         spec, union, tr, est, inputs = bound_suite_run(speed=0.0, K=2)
-        uk = build_drift_report(tr, est, inputs)
+        uk = drift_report(tr, est, inputs)
         uk.value = np.full(tr.hfl.cloud_epochs, -1.0)  # unsatisfiable premise
         gr = check_gap_bound(tr, inputs, uk, analysis.epoch_losses(spec, union, tr))
         assert not gr.conditions["uk_upper_bounds_gap"]
@@ -870,8 +964,7 @@ class TestGapBoundOracle:
         trace = SimpleNamespace(vtilde=np.array([[3.0, 4.0], [2.0, 3.0], [0.0, 2.0],
                                                  [0.0, 1.5], [0.0, 1.0]]),
                                 hfl=make_schedule(eta=eta, tau_l=1, tau_e=2, K=2))
-        report = analysis.DriftBoundReport(value=np.array(uk), r_term=0.0,
-                                           mobility_term=np.zeros(2), measured=np.zeros(2))
+        report = analysis.DriftBoundReport(value=np.array(uk), measured=np.zeros(2))
         losses = [(2.0, 1.8), (1.6, 1.5)]
         gr = check_gap_bound(trace, inputs, report, losses)
         phi = min((1 - beta * eta / 2) / d ** 2 for d in (5.0, 2.0))
@@ -903,9 +996,7 @@ class TestGapBoundOracle:
         arrays = {"value": np.array([0.01, 0.02]), "measured": np.zeros(2),
                   "losses": np.array([(2.0, 1.8), (1.6, 1.5)])}
         arrays[array][(k,) if column is None else (k, column)] = fault
-        report = analysis.DriftBoundReport(value=arrays["value"], r_term=0.0,
-                                           mobility_term=np.zeros(2),
-                                           measured=arrays["measured"])
+        report = analysis.DriftBoundReport(value=arrays["value"], measured=arrays["measured"])
         gr = check_gap_bound(trace, inputs, report, arrays["losses"])
         assert [name for name, holds in gr.conditions.items() if not holds] == [gate]
         # the strict gate is reported only
@@ -920,64 +1011,63 @@ class TestPlantedViolations:
     @pytest.fixture(scope="class")
     def suite(self):
         spec, union, tr, est, inputs = bound_suite_run(speed=30.0, K=2)
-        assert check_vehicle_drift(tr, est, inputs) == []
-        assert check_edge_drift(tr, est, inputs) == []
+        assert drift_violations(tr, est, inputs) == []
         assert check_recursion(tr, inputs) == []
-        assert check_central_drift(tr, est, inputs)[0] == []
-        return tr, est, inputs
+        return tr, est, inputs, drift_recursion(tr, est, inputs)
 
     PLANTS = pytest.mark.parametrize("excess, reported", [(1e-8, True), (1e-10, False)])
 
     @PLANTS
     def test_vehicle_drift(self, suite, excess, reported):
-        tr, est, inputs = suite
+        tr, _, _, bounds = suite
         tr = copy.deepcopy(tr)
         m, tau = 5, 9  # tau0 = 9, inside the first cloud epoch
-        tr.vehicle_gap[m, tau] = excess + drift_bound(
-            tau, est.delta_m[m], est.delta_m[m], tr.hfl.eta, inputs.beta)
-        got = [(v.where["m"], v.where["tau"]) for v in check_vehicle_drift(tr, est, inputs)]
+        tr.vehicle_gap[m, tau] = excess + bounds.vehicle[tau - 1, m]
+        got = [(v.where["m"], v.where["tau"]) for v in check_vehicle_drift(tr, bounds)]
         assert got == [(m, tau)] * reported
 
     @PLANTS
     def test_edge_drift(self, suite, excess, reported):
-        tr, est, inputs = suite
+        tr, _, _, bounds = suite
         tr = copy.deepcopy(tr)
         tau = 9
-        bracket = tau // tr.hfl.tau_l
         n = int(np.flatnonzero(~np.isnan(tr.edge_gap[:, tau])
-                               & ~np.isnan(est.delta_n_bracket[bracket]))[0])
-        tr.edge_gap[n, tau] = excess + drift_bound(
-            tau, est.delta_n_bracket[bracket, n], est.Delta_n_bracket[bracket, n],
-            tr.hfl.eta, inputs.beta)
-        got = [(v.where["n"], v.where["tau"]) for v in check_edge_drift(tr, est, inputs)]
+                               & ~np.isnan(bounds.edge[tau - 1]))[0])
+        tr.edge_gap[n, tau] = excess + bounds.edge[tau - 1, n]
+        got = [(v.where["n"], v.where["tau"]) for v in check_edge_drift(tr, bounds)]
         assert got == [(n, tau)] * reported
 
-    def test_edge_drift_at_a_membership_change(self, suite):
-        # at tau = j*tau_l the edge bound reads bracket j, the association
-        # that round boundary puts in force, not bracket j - 1; a gap
-        # planted between the two bounds must be reported there
-        tr, est, inputs = suite
+    def test_edge_drift_at_a_membership_change(self):
+        # at tau = j*tau_l an edge whose member set changes restarts at
+        # A@B, A the weights of the members that round boundary puts in
+        # force and B the vehicles' bounds at tau; a gap planted just above
+        # that bound is reported there. The run has shards of their own
+        # data, and the change taken is the one where the old and the new
+        # members' averages of B differ most
+        tr, est, inputs = config_run(HONEST_RUNS["logistic"](30.0, 0.001))
+        bounds = drift_recursion(tr, est, inputs)
+        hist, N, tau_l = tr.association_history, est.Delta_n_bracket.shape[1], tr.hfl.tau_l
+        A = engine.membership_weights(hist, est.alpha, N)[0]
+        changes = [(j, n) for j in range(1, len(hist)) for n in range(N)
+                   if (A[j, n] != A[j - 1, n]).any() and A[j, n].any()]
+
+        def spread(j, n):
+            B = bounds.vehicle[j * tau_l - 1]
+            return abs(A[j, n] @ B - A[j - 1, n] @ B)
+
+        j, n = max(changes, key=lambda c: spread(*c))
+        tau = j * tau_l
+        bound = bounds.edge[tau - 1, n]
+        assert spread(j, n) > 1e-3 * bound
+        assert bound == pytest.approx(A[j, n] @ bounds.vehicle[tau - 1], rel=1e-12)
         tr = copy.deepcopy(tr)
-        hfl = tr.hfl
-        span = hfl.tau_l * hfl.tau_e
-
-        def bounds(j, bracket):
-            """Every edge's bound at tau = j*tau_l under the given bracket."""
-            tau = j * hfl.tau_l
-            tau0 = tau - ((tau - 1) // span) * span
-            return drift_bound(tau0, est.delta_n_bracket[bracket],
-                               est.Delta_n_bracket[bracket], hfl.eta, inputs.beta)
-
-        j, n = next((j, n) for j in range(1, tr.total_iterations // hfl.tau_l + 1)
-                    for n in np.flatnonzero(bounds(j, j) + 1e-6 < bounds(j, j - 1)))
-        tau = j * hfl.tau_l
-        tr.edge_gap[n, tau] = (bounds(j, j)[n] + bounds(j, j - 1)[n]) / 2
-        got = [(v.where["n"], v.where["tau"]) for v in check_edge_drift(tr, est, inputs)]
+        tr.edge_gap[n, tau] = bound + 1e-8
+        got = [(v.where["n"], v.where["tau"]) for v in check_edge_drift(tr, bounds)]
         assert got == [(n, tau)]
 
     @PLANTS
     def test_recursion(self, suite, excess, reported):
-        tr, _, inputs = suite
+        tr, _, inputs, _ = suite
         tr = copy.deepcopy(tr)
         tau = 3  # tau - 1 = 2 is a local step
         rhs = tr.gap_u_v[tau - 1] + tr.hfl.eta * recursion_beta(inputs) * tr.s_vehicle[tau - 1]
@@ -987,11 +1077,11 @@ class TestPlantedViolations:
 
     @PLANTS
     def test_central_drift(self, suite, excess, reported):
-        tr, est, inputs = suite
+        tr, _, _, bounds = suite
         tr = copy.deepcopy(tr)
-        uk, _, _ = central_drift_bound(1, est, inputs, tr.hfl)  # the window of epoch 2
-        tr.gap_u_vtilde[2 * tr.hfl.tau_l * tr.hfl.tau_e] = uk + excess
-        got, _ = check_central_drift(tr, est, inputs)
+        span = tr.hfl.tau_l * tr.hfl.tau_e
+        tr.gap_u_vtilde[2 * span] = bounds.central[2 * span - 1] + excess  # U_2
+        got, _ = check_central_drift(tr, bounds)
         assert [v.where for v in got] == [{"k": 2}] * reported
 
     @PLANTS
@@ -1011,7 +1101,7 @@ class TestPlantedViolations:
 
 class TestMixingReport:
     def test_static_membership_constant(self):
-        est = const_estimates(delta=1.0, Delta=0.4, brackets=40)
+        _, est, _ = hand_run([[0, 1]] * 40, [1.0, 1.0], [[0.4, 0.4]] * 40, [1.0, 1.0])
         mix = mobility_mixing_report(est)
         assert mix.first_quarter_mean == pytest.approx(mix.last_quarter_mean, rel=1e-12)
 

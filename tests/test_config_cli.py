@@ -510,8 +510,7 @@ class TestCmdVerifyBounds:
         out = tmp_path / "out"
         with open(out / "bound_report.csv") as f:
             rows = list(csv.reader(f))
-        assert rows[0] == ["k", "U_k", "r_term", "mobility_term",
-                           "measured_gap_u_vtilde", "satisfied"]
+        assert rows[0] == ["k", "U_k", "measured_gap_u_vtilde", "satisfied"]
         assert len(rows) == 1 + 3
         summary = json.loads((out / "bound_summary.json").read_text())
         assert {"beta", "rho", "delta", "epsilon", "phi", "bound",
