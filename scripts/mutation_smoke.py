@@ -59,13 +59,11 @@ MUTATIONS = [
              TEST_ANALYSIS + "::TestDriftRecursion"
              "::test_each_vehicle_steps_with_its_own_smoothness"),
     # U_k read one step before its cloud instant
-    Mutation(ANALYSIS, "value=bounds.central[span - 1::span]",
-             "value=bounds.central[span - 2::span]",
-             TEST_ANALYSIS + "::TestDriftReport::test_epochs_read_the_cloud_instants"),
+    Mutation(ANALYSIS, "bounds.central[span - 1::span]", "bounds.central[span - 2::span]",
+             TEST_ANALYSIS + "::TestCentralRow::test_epochs_read_the_cloud_instants"),
     # each epoch's U_k compared with the gap at the epoch's start, not its end
-    Mutation(ANALYSIS, "measured=trace.gap_u_vtilde[span::span]",
-             "measured=trace.gap_u_vtilde[:-1:span]",
-             TEST_ANALYSIS + "::TestDriftReport::test_epochs_read_the_cloud_instants"),
+    Mutation(ANALYSIS, "trace.gap_u_vtilde[span::span]", "trace.gap_u_vtilde[:-1:span]",
+             TEST_ANALYSIS + "::TestCentralRow::test_epochs_read_the_cloud_instants"),
     # a gate that holds when it holds in any epoch
     Mutation(ANALYSIS, '"vtilde_gap_ge_eps": bool(np.all(',
              '"vtilde_gap_ge_eps": bool(np.any(',
@@ -88,8 +86,7 @@ MUTATIONS = [
              "beta = inputs.beta",
              TEST_ANALYSIS + "::TestRecursionOffTheConstruction"),
     # the clock's cloud period misread from the trace's schedule as tau_l
-    Mutation(ANALYSIS, "    span = trace.hfl.tau_l * trace.hfl.tau_e\n    tau = np.arange",
-             "    span = trace.hfl.tau_l\n    tau = np.arange",
+    Mutation(ANALYSIS, "    span = hfl.tau_l * hfl.tau_e\n", "    span = hfl.tau_l\n",
              TEST_ANALYSIS + "::TestCheckersMatchScalarLoops::test_scaled_estimates"),
     # a slack that forgives violations of 1e-8
     Mutation(ANALYSIS, "DEFAULT_SLACK = 1e-9\n", "DEFAULT_SLACK = 1e-6\n",
@@ -110,6 +107,13 @@ MUTATIONS = [
     Mutation(EXPERIMENTS, "rho = max(est.grad_norm[:len(tr.vtilde)].tolist())",
              "rho = max(est.grad_norm.tolist())",
              TEST_ANALYSIS + "::TestRhoOverVtildeRows"),
+    # the gap bound's gates read from the recursion's row, not the central one
+    Mutation(EXPERIMENTS, "check_gap_bound(tr, inputs, central, losses)",
+             "check_gap_bound(tr, inputs, checks[2], losses)",
+             TEST_ANALYSIS + "::TestVerifyBoundsOrder::test_rows_in_report_order"),
+    # a gap bound compared with its measured gap though its gates fail
+    Mutation(EXPERIMENTS, "    if gap.applicable:\n", "    if True:\n",
+             TEST_ANALYSIS + "::TestPlantedViolations::test_gap_bound"),
     # pretraining that returns at the round that hits the target
     Mutation(EXPERIMENTS, "if hit and len(res.metrics) % pre.hfl.tau_e == 0:", "if hit:",
              "tests/test_config_cli.py::TestPretrain::test_target_first_hit_mid_epoch"),

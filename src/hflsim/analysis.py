@@ -217,23 +217,6 @@ def drift_recursion(trace, estimates, inputs):
 
 
 @dataclass
-class DriftBoundReport:
-    """U_k against the measured central-cloud gap, entry k-1 for cloud
-    epoch k = 1..K."""
-    value: np.ndarray     # (K,) U_k
-    measured: np.ndarray  # (K,) ||u - vtilde|| at the epoch's cloud instant
-
-    @property
-    def satisfied(self):
-        return ~_exceeds(self.measured, self.value)
-
-    @property
-    def total(self):
-        # left to right: from 8 terms up np.sum adds pairwise
-        return sum(self.value.tolist())
-
-
-@dataclass
 class Violation:
     check: str
     where: dict
@@ -245,73 +228,74 @@ class Violation:
         return f"{self.check} violated at {loc}: {self.measured} > {self.bound}"
 
 
-def _clock(trace):
-    """tau = 1..T and tau0, the steps since the last cloud synchronization."""
-    span = trace.hfl.tau_l * trace.hfl.tau_e
-    tau = np.arange(1, trace.total_iterations + 1)
-    return tau, tau - ((tau - 1) // span) * span
-
-
 def _exceeds(measured, bound):
     """The one comparison of a measurement with its bound; NaN never exceeds."""
     return measured > bound + DEFAULT_SLACK
 
 
-def violations(measured, bound, label):
-    """One Violation per entry with measured > bound + slack, in row-major
-    order: iteration first, then vehicle or edge id. A NaN entry never
-    fires, and a scalar is one entry with an empty index. label(*index)
-    gives the entry's check name and location."""
-    measured, bound = np.asarray(measured), np.asarray(bound)
+@dataclass
+class Check:
+    """One checked inequality, measured <= bound entry by entry; a scalar
+    is one entry with an empty index. label(*index) gives the entry's
+    check name and location."""
+    measured: np.ndarray
+    bound: np.ndarray
+    label: object
+
+    def __post_init__(self):
+        self.measured, self.bound = np.asarray(self.measured), np.asarray(self.bound)
+
+    @property
+    def satisfied(self):
+        return ~_exceeds(self.measured, self.bound)
+
+
+def violations(check):
+    """One Violation per entry of check with measured > bound + slack, in
+    row-major order: iteration first, then vehicle or edge id. A NaN entry
+    never fires."""
     out = []
-    for i in map(tuple, np.argwhere(_exceeds(measured, bound))):
-        check, where = label(*i)
-        out.append(Violation(check, where, float(measured[i]), float(bound[i])))
+    for i in map(tuple, np.argwhere(~check.satisfied)):
+        name, where = check.label(*i)
+        out.append(Violation(name, where, float(check.measured[i]), float(check.bound[i])))
     return out
 
 
-def check_vehicle_drift(trace, bounds):
-    """Vehicle drift vs its bound, for every vehicle and iteration."""
-    tau, tau0 = _clock(trace)
-    return violations(
-        trace.vehicle_gap[:, 1:].T, bounds.vehicle,
-        lambda t, m: ("vehicle_drift", {"m": int(m), "tau": int(tau[t]), "tau0": int(tau0[t])}))
+def drift_checks(trace, bounds, inputs):
+    """Every drift inequality of the trace's run, in report order: vehicle
+    and edge drift against their bounds at each iteration, the three-case
+    recursion on ||u - vtilde|| and the central drift against U_k at each
+    cloud instant, entry k-1 for cloud epoch k = 1..K.
 
-
-def check_edge_drift(trace, bounds):
-    """Edge drift vs its bound; empty edges (NaN) never fire."""
-    tau, tau0 = _clock(trace)
-    # the estimates stop at the highest edge the association history
-    # names; an edge past it never held a vehicle, so its gaps are all NaN
-    return violations(
-        trace.edge_gap[:bounds.edge.shape[1], 1:].T, bounds.edge,
-        lambda t, n: ("edge_drift", {"n": int(n), "tau": int(tau[t]), "tau0": int(tau0[t])}))
-
-
-def check_recursion(trace, inputs):
-    """Three-case recursion on ||u - vtilde||, one inequality per iteration.
-    Each vehicle steps on its own shard, so a step's smoothness is max_m
-    beta_m (the union's beta where a shard's rounds below it)."""
-    tau, _ = _clock(trace)
-    hfl, prev = trace.hfl, tau - 1
+    The recursion's step reads each vehicle's own shard, so its smoothness
+    is max_m beta_m (the union's beta where a shard's rounds below it)."""
+    hfl = trace.hfl
+    span = hfl.tau_l * hfl.tau_e
+    # tau = 1..T and tau0, the steps since the last cloud synchronization
+    tau = np.arange(1, trace.total_iterations + 1)
+    prev = tau - 1
+    tau0 = tau - (prev // span) * span
     beta = max(inputs.beta, float(inputs.beta_m.max()))
-    cloud = prev % (hfl.tau_l * hfl.tau_e) == 0
+    cloud = prev % span == 0
     edge = ~cloud & (prev % hfl.tau_l == 0)
     s = np.where(edge, trace.s_edge[prev], trace.s_vehicle[prev])
     rhs = np.where(cloud, 0.0, trace.gap_u_v[prev] + hfl.eta * beta * s)
     case = np.where(cloud, "cloud", np.where(edge, "edge", "local"))
-    return violations(trace.gap_u_vtilde[1:], rhs,
-                      lambda t: (f"recursion[{case[t]}]", {"tau": int(tau[t])}))
 
+    def drift(name, key):
+        return lambda t, i: (name, {key: int(i), "tau": int(tau[t]), "tau0": int(tau0[t])})
 
-def check_central_drift(trace, bounds):
-    """Central drift vs U_k at each cloud instant, and the report they
-    come from."""
-    span = trace.hfl.tau_l * trace.hfl.tau_e
-    report = DriftBoundReport(value=bounds.central[span - 1::span],
-                              measured=trace.gap_u_vtilde[span::span])
-    return violations(report.measured, report.value,
-                      lambda i: ("central_drift", {"k": int(i) + 1})), report
+    return [
+        Check(trace.vehicle_gap[:, 1:].T, bounds.vehicle, drift("vehicle_drift", "m")),
+        # the estimates stop at the highest edge the association history
+        # names; an edge past it never held a vehicle, so its gaps are all NaN
+        Check(trace.edge_gap[:bounds.edge.shape[1], 1:].T, bounds.edge,
+              drift("edge_drift", "n")),
+        Check(trace.gap_u_vtilde[1:], rhs,
+              lambda t: (f"recursion[{case[t]}]", {"tau": int(tau[t])})),
+        Check(trace.gap_u_vtilde[span::span], bounds.central[span - 1::span],
+              lambda i: ("central_drift", {"k": int(i) + 1})),
+    ]
 
 
 @dataclass
@@ -335,17 +319,18 @@ def epoch_losses(spec, union, trace):
                      for k in range(1, trace.hfl.cloud_epochs + 1)])
 
 
-def check_gap_bound(trace, inputs, drift_report, losses):
+def check_gap_bound(trace, inputs, central, losses):
     """Evaluate the convergence-gap bound and its applicability gates.
 
-    Gates: step size at most 1/beta, a positive per-epoch margin, two
-    loss-level floors, and the definitional premise that every supplied
-    U_k actually upper-bounds the measured central-cloud gap, read from
-    the report's `satisfied`. Each per-epoch gate holds when it holds in
-    every epoch. The fourth gate is evaluated twice: on the raw loss,
-    F(w) >= epsilon, and in a strict centered mode, F(w) - F* >= epsilon.
-    Both are reported; applicability follows the raw form. losses are
-    epoch_losses(...).
+    central is drift_checks' central-drift row: its bound is U_k and its
+    measured the central-cloud gap at each cloud instant. Gates: step size
+    at most 1/beta, a positive per-epoch margin, two loss-level floors, and
+    the definitional premise that every supplied U_k actually upper-bounds
+    the measured central-cloud gap, read from the row's `satisfied`. Each
+    per-epoch gate holds when it holds in every epoch. The fourth gate is
+    evaluated twice: on the raw loss, F(w) >= epsilon, and in a strict
+    centered mode, F(w) - F* >= epsilon. Both are reported; applicability
+    follows the raw form. losses are epoch_losses(...).
     """
     eta, span, K = trace.hfl.eta, trace.hfl.tau_l * trace.hfl.tau_e, trace.hfl.cloud_epochs
     T = K * span
@@ -366,14 +351,15 @@ def check_gap_bound(trace, inputs, drift_report, losses):
     conditions = {
         "eta_le_inv_beta": eta <= 1.0 / inputs.beta,
         "positive_margin": bool(np.all(
-            eta * phi - inputs.rho * drift_report.value / (span * (eps * eps)) > 0.0)),
+            eta * phi - inputs.rho * central.bound / (span * (eps * eps)) > 0.0)),
         "vtilde_gap_ge_eps": bool(np.all(f_vt - inputs.f_star >= eps)),
         "w_loss_ge_eps": bool(np.all(f_w >= eps)),
         "w_gap_ge_eps_strict": bool(np.all(f_w - inputs.f_star >= eps)),
-        "uk_upper_bounds_gap": bool(np.all(drift_report.satisfied)),
+        "uk_upper_bounds_gap": bool(np.all(central.satisfied)),
     }
     applicable = all(v for name, v in conditions.items() if name != "w_gap_ge_eps_strict")
-    denom = T * eta * phi - inputs.rho * drift_report.total / (eps * eps)
+    # sum U_k left to right: from 8 terms up np.sum adds pairwise
+    denom = T * eta * phi - inputs.rho * sum(central.bound.tolist()) / (eps * eps)
     bound = 1.0 / denom if (applicable and denom > 0.0) else float("nan")
     if applicable and denom <= 0.0:
         applicable = False

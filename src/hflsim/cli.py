@@ -170,9 +170,9 @@ def cmd_verify_bounds(args):
     cfg = _load(args)
     suite = experiments.verify_bounds(cfg, delta_scale=args.debug_scale_delta)
     out = cfg.output.directory
-    dr = suite.drift_report
+    uk = suite.central
     rows = [["k", "U_k", "measured_gap_u_vtilde", "satisfied"]]
-    rows += [[k, *row] for k, row in enumerate(zip(dr.value, dr.measured, dr.satisfied), 1)]
+    rows += [[k, *row] for k, row in enumerate(zip(uk.bound, uk.measured, uk.satisfied), 1)]
     atomic_write_csv(os.path.join(out, "bound_report.csv"), rows)
     gr = suite.gap_report
     atomic_write_text(os.path.join(out, "bound_summary.json"), to_json({

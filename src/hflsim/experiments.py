@@ -120,12 +120,12 @@ def centralized_ceiling(inst):
     iteration budget as the federated run)."""
     if inst.spec.is_convex:
         opt = models.solve_optimum(inst.spec, inst.union)
-        return models.accuracy(inst.spec, opt.w, inst.test.features, inst.test.labels), opt
+        return models.accuracy(inst.spec, opt.w, inst.test.features, inst.test.labels)
     rc = replace(inst.cfg.hfl, record_virtual=False, full_batch=False)
     res = engine.run(rc, [inst.union], inst.spec, eval_data=inst.test,
                      train_loss=False)
     best = max(r.test_accuracy for r in res.metrics)
-    return float(best), None
+    return float(best)
 
 
 def rounds_to_targets(metrics, targets):
@@ -245,7 +245,7 @@ def sweep_speed(cfg, speeds, seeds, target_fractions=DEFAULT_TARGET_FRACTIONS,
         if g == len(distinct):
             distinct.append((association, i))
         group.append(g)
-    ceiling, _ = centralized_ceiling(base)
+    ceiling = centralized_ceiling(base)
     targets = [f * ceiling for f in target_fractions]
     result = SweepResult(speeds=speeds, seeds=seeds, targets=targets,
                          target_fractions=list(target_fractions), ceiling=ceiling)
@@ -304,16 +304,17 @@ def pretrain_checkpoint(cfg, accuracy_target, max_epochs=200):
 class BoundSuite:
     inputs: object
     estimates: object
-    drift_report: object
+    central: object       # drift_checks' central-drift row: U_k and the gap they bound
     gap_report: object
     violations: list
 
 
 def verify_bounds(cfg, delta_scale=1.0):
     """Full-batch convex run, divergence estimation and every inequality
-    check, each through analysis.violations. delta_scale in [0, 1] is a
-    test hook: scaling the estimated divergences down must make the
-    checker report violations."""
+    check: drift_checks' rows, then the gap bound where it applies, each
+    through analysis.violations. delta_scale in [0, 1] is a test hook:
+    scaling the estimated divergences down must make the checker report
+    violations."""
     if not 0.0 <= delta_scale <= 1.0:  # NaN fails too
         raise ConfigError([f"--debug-scale-delta must be a finite value in [0, 1], "
                            f"got {delta_scale!r}"])
@@ -348,14 +349,11 @@ def verify_bounds(cfg, delta_scale=1.0):
         inputs = analysis.BoundInputs(beta=beta, beta_m=beta_m, rho=rho,
                                       epsilon=max(eps, 1e-12), w_star=opt.w, f_star=opt.value)
 
-    bounds = analysis.drift_recursion(tr, est, inputs)
-    central, drift_report = analysis.check_central_drift(tr, bounds)
-    violations = (analysis.check_vehicle_drift(tr, bounds)
-                  + analysis.check_edge_drift(tr, bounds)
-                  + analysis.check_recursion(tr, inputs) + central)
-    gap = analysis.check_gap_bound(tr, inputs, drift_report, losses)
+    checks = analysis.drift_checks(tr, analysis.drift_recursion(tr, est, inputs), inputs)
+    central = checks[-1]
+    gap = analysis.check_gap_bound(tr, inputs, central, losses)
     if gap.applicable:
-        violations += analysis.violations(gap.measured_gap, gap.bound,
-                                          lambda: ("gap_bound", {"T": tr.total_iterations}))
-    return BoundSuite(inputs=inputs, estimates=est, drift_report=drift_report,
-                      gap_report=gap, violations=violations)
+        checks.append(analysis.Check(gap.measured_gap, gap.bound,
+                                     lambda: ("gap_bound", {"T": tr.total_iterations})))
+    return BoundSuite(inputs=inputs, estimates=est, central=central, gap_report=gap,
+                      violations=[v for c in checks for v in analysis.violations(c)])

@@ -11,9 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from hflsim import analysis, cli, config, datasets, engine, experiments, mobility, models
 from hflsim.analysis import (
-    BoundInputs, check_central_drift, check_edge_drift, check_gap_bound, check_recursion,
-    check_vehicle_drift, choose_epsilon, drift_recursion, estimate_divergences,
-    mobility_mixing_report, shared_input_delta_m,
+    BoundInputs, Check, check_gap_bound, choose_epsilon, drift_checks, drift_recursion,
+    estimate_divergences, mobility_mixing_report, shared_input_delta_m, violations,
 )
 from test_acceptance import SHARED_INPUT_CFG
 
@@ -523,29 +522,31 @@ def bound_suite_run(speed, K=4, eta=0.05, seed=13):
     return spec, union, tr, est, inputs
 
 
-def drift_report(tr, est, inputs):
-    """The central drift report verify_bounds hands check_gap_bound."""
-    return check_central_drift(tr, drift_recursion(tr, est, inputs))[1]
+VEHICLE, EDGE, RECURSION, CENTRAL = range(4)  # drift_checks' rows
 
 
-def drift_violations(tr, est, inputs):
-    """The vehicle, edge and central drift checks' violations, in order."""
-    bounds = drift_recursion(tr, est, inputs)
-    return (check_vehicle_drift(tr, bounds) + check_edge_drift(tr, bounds)
-            + check_central_drift(tr, bounds)[0])
+def found(tr, bounds, inputs, *rows):
+    """The violations of drift_checks' rows given, in the order given."""
+    checks = drift_checks(tr, bounds, inputs)
+    return [v for r in rows for v in violations(checks[r])]
+
+
+def central_row(tr, est, inputs):
+    """The central drift row verify_bounds hands check_gap_bound."""
+    return drift_checks(tr, drift_recursion(tr, est, inputs), inputs)[CENTRAL]
 
 
 class TestInequalitySuite:
     def test_all_checks_pass_on_construction(self):
         spec, union, tr, est, inputs = bound_suite_run(speed=30.0)
-        assert drift_violations(tr, est, inputs) == []
-        assert check_recursion(tr, inputs) == []
-        assert drift_report(tr, est, inputs).satisfied.all()
+        bounds = drift_recursion(tr, est, inputs)
+        assert found(tr, bounds, inputs, VEHICLE, EDGE, RECURSION, CENTRAL) == []
+        assert central_row(tr, est, inputs).satisfied.all()
 
     def test_corrupted_delta_detected(self):
         spec, union, tr, est, inputs = bound_suite_run(speed=0.0, K=2)
         bounds = drift_recursion(tr, est.scaled(0.5), inputs)
-        assert len(check_vehicle_drift(tr, bounds) + check_edge_drift(tr, bounds)) > 0
+        assert len(found(tr, bounds, inputs, VEHICLE, EDGE)) > 0
 
     def test_recursion_zero_after_cloud_instant(self):
         spec, union, tr, est, inputs = bound_suite_run(speed=30.0, K=2)
@@ -604,7 +605,7 @@ class TestRecursionOffTheConstruction:
         # with the union's beta a local step exceeds its bound, and the
         # scalar oracle lists the same violations
         union_only = replace(inputs, beta_m=np.array([inputs.beta]))
-        got = check_recursion(tr, union_only)
+        got = found(tr, drift_recursion(tr, suite.estimates, union_only), union_only, RECURSION)
         assert any(v.check == "recursion[local]" for v in got)
         assert as_tuples(got) == loop_recursion(tr, union_only)
 
@@ -674,20 +675,16 @@ class TestHonestRuns:
         assert bounds[0] > bounds[1] > bounds[2]
 
 
-class TestDriftReport:
+class TestCentralRow:
     def test_epochs_read_the_cloud_instants(self):
-        # K = 8: from 8 terms up np.sum adds pairwise, and on this run its
-        # total differs from the left-to-right one in the last bit
         spec, union, tr, est, inputs = bound_suite_run(speed=30.0, K=8)
         bounds = drift_recursion(tr, est, inputs)
-        _, report = check_central_drift(tr, bounds)
+        row = drift_checks(tr, bounds, inputs)[CENTRAL]
         K, span = tr.hfl.cloud_epochs, tr.hfl.tau_l * tr.hfl.tau_e
-        assert report.value.tolist() == [bounds.central[k * span - 1] for k in range(1, K + 1)]
-        assert report.measured.tolist() == [tr.gap_u_vtilde[k * span] for k in range(1, K + 1)]
-        total = 0
-        for u in report.value.tolist():
-            total += u
-        assert report.total == total
+        assert row.bound.tolist() == [bounds.central[k * span - 1] for k in range(1, K + 1)]
+        assert row.measured.tolist() == [tr.gap_u_vtilde[k * span] for k in range(1, K + 1)]
+        assert [row.label(k) for k in range(K)] \
+            == [("central_drift", {"k": k}) for k in range(1, K + 1)]
 
 
 def scalar_recursion(trace, est, inputs):
@@ -823,7 +820,7 @@ class TestCheckersMatchScalarLoops:
         assert_bounds_equal_scalar_recursion(tr, est, inputs)
         est = est.scaled(0.5)
         bounds = drift_recursion(tr, est, inputs)
-        vehicle, edge = check_vehicle_drift(tr, bounds), check_edge_drift(tr, bounds)
+        vehicle, edge = found(tr, bounds, inputs, VEHICLE), found(tr, bounds, inputs, EDGE)
         assert len(vehicle) > 0 and len(edge) > 0
         assert as_tuples(vehicle) == loop_vehicle_drift(tr, est, inputs)
         assert as_tuples(edge) == loop_edge_drift(tr, est, inputs)
@@ -832,19 +829,19 @@ class TestCheckersMatchScalarLoops:
         tr, est, inputs = suite
         est = est.scaled(0.5)
         bounds = drift_recursion(tr, est, inputs)
-        vehicle, edge = check_vehicle_drift(tr, bounds), check_edge_drift(tr, bounds)
+        vehicle, edge = found(tr, bounds, inputs, VEHICLE), found(tr, bounds, inputs, EDGE)
         assert len(vehicle) > 0 and len(edge) > 0
         assert as_tuples(vehicle) == loop_vehicle_drift(tr, est, inputs)
         assert as_tuples(edge) == loop_edge_drift(tr, est, inputs)
 
     def test_bumped_recursion_cases(self, suite):
-        tr, _, inputs = suite
+        tr, est, inputs = suite
         tr = copy.deepcopy(tr)
         span = tr.hfl.tau_l * tr.hfl.tau_e
         # tau - 1 a cloud instant, an edge-only instant, and a local step
         for tau in (span + 1, tr.hfl.tau_l + 1, 3):
             tr.gap_u_vtilde[tau] += 1.0
-        got = check_recursion(tr, inputs)
+        got = found(tr, drift_recursion(tr, est, inputs), inputs, RECURSION)
         assert [v.check for v in got] == ["recursion[local]", "recursion[edge]",
                                           "recursion[cloud]"]
         assert as_tuples(got) == loop_recursion(tr, inputs)
@@ -871,7 +868,7 @@ class TestCheckersMatchScalarLoops:
         bounds = drift_recursion(tr, est, inputs)
         assert np.isnan(tr.edge_gap[1, 1:]).tolist() == np.isnan(bounds.edge[:, 1]).tolist()
         assert np.isnan(bounds.edge[:, 1]).any()
-        got = check_edge_drift(tr, bounds)
+        got = found(tr, bounds, inputs, EDGE)
         assert len(got) > 0
         assert as_tuples(got) == loop_edge_drift(tr, est, inputs)
 
@@ -880,13 +877,13 @@ class TestCheckersMatchScalarLoops:
         # history names; the trace has one per edge of the topology
         tr, est, inputs = self.partial_run([[m % 3 for m in range(8)]] * 5)
         assert (tr.edge_gap.shape[0], est.Delta_n_bracket.shape[1]) == (4, 3)
-        got = check_edge_drift(tr, drift_recursion(tr, est, inputs))
+        got = found(tr, drift_recursion(tr, est, inputs), inputs, EDGE)
         assert len(got) > 0
         assert as_tuples(got) == loop_edge_drift(tr, est, inputs)
 
     def test_fields_are_python_scalars(self, suite):
         tr, est, inputs = suite
-        v = check_vehicle_drift(tr, drift_recursion(tr, est.scaled(0.5), inputs))[0]
+        v = found(tr, drift_recursion(tr, est.scaled(0.5), inputs), inputs, VEHICLE)[0]
         assert type(v.measured) is float and type(v.bound) is float
         assert all(type(x) is int for x in v.where.values())
 
@@ -895,8 +892,8 @@ class TestGapBound:
     def test_eta_above_one_over_beta_not_applicable(self):
         spec, union, tr, est, inputs = bound_suite_run(speed=0.0, K=2)
         inputs.beta = 2.0 / tr.hfl.eta  # force eta > 1/beta
-        report_uk = drift_report(tr, est, inputs)
-        gr = check_gap_bound(tr, inputs, report_uk, analysis.epoch_losses(spec, union, tr))
+        gr = check_gap_bound(tr, inputs, central_row(tr, est, inputs),
+                             analysis.epoch_losses(spec, union, tr))
         assert not gr.applicable
         assert not gr.conditions["eta_le_inv_beta"]
         assert np.isnan(gr.bound)
@@ -922,8 +919,8 @@ class TestGapBound:
         beta_m = np.array([models.estimate_constants(spec, s) for s in shards])
         inputs = BoundInputs(beta=beta, beta_m=beta_m, rho=rho,
                              epsilon=max(eps, 1e-12), w_star=opt.w, f_star=opt.value)
-        uk = drift_report(tr, est, inputs)
-        assert uk.total == pytest.approx(0.0, abs=1e-10)
+        uk = central_row(tr, est, inputs)
+        assert sum(uk.bound.tolist()) == pytest.approx(0.0, abs=1e-10)
         gr = check_gap_bound(tr, inputs, uk, losses)
         if gr.applicable:
             T = 12
@@ -934,7 +931,7 @@ class TestGapBound:
         spec, union, tr, est, inputs = bound_suite_run(speed=0.0, K=2)
         opt_w = tr.vtilde[0].copy()  # pretend the start is the optimum
         inputs.w_star = opt_w
-        uk = drift_report(tr, est, inputs)
+        uk = central_row(tr, est, inputs)
         gr = check_gap_bound(tr, inputs, uk, analysis.epoch_losses(spec, union, tr))
         assert gr.degenerate
         assert not gr.applicable
@@ -942,11 +939,16 @@ class TestGapBound:
 
     def test_uk_premise_gate(self):
         spec, union, tr, est, inputs = bound_suite_run(speed=0.0, K=2)
-        uk = drift_report(tr, est, inputs)
-        uk.value = np.full(tr.hfl.cloud_epochs, -1.0)  # unsatisfiable premise
+        uk = central_row(tr, est, inputs)
+        uk.bound = np.full(tr.hfl.cloud_epochs, -1.0)  # unsatisfiable premise
         gr = check_gap_bound(tr, inputs, uk, analysis.epoch_losses(spec, union, tr))
         assert not gr.conditions["uk_upper_bounds_gap"]
         assert not gr.applicable
+
+
+def uk_row(uk, measured):
+    """A central drift row of U_k given by hand."""
+    return Check(measured, uk, lambda i: ("central_drift", {"k": int(i) + 1}))
 
 
 class TestGapBoundOracle:
@@ -964,9 +966,8 @@ class TestGapBoundOracle:
         trace = SimpleNamespace(vtilde=np.array([[3.0, 4.0], [2.0, 3.0], [0.0, 2.0],
                                                  [0.0, 1.5], [0.0, 1.0]]),
                                 hfl=make_schedule(eta=eta, tau_l=1, tau_e=2, K=2))
-        report = analysis.DriftBoundReport(value=np.array(uk), measured=np.zeros(2))
         losses = [(2.0, 1.8), (1.6, 1.5)]
-        gr = check_gap_bound(trace, inputs, report, losses)
+        gr = check_gap_bound(trace, inputs, uk_row(uk, np.zeros(2)), losses)
         phi = min((1 - beta * eta / 2) / d ** 2 for d in (5.0, 2.0))
         denom = T * eta * phi - rho * sum(uk) / (eps * eps)
         assert gr.applicable and all(gr.conditions.values())
@@ -975,8 +976,25 @@ class TestGapBoundOracle:
         assert gr.bound == 1.0 / denom
         assert gr.measured_gap == 1.5
 
+    def test_uk_summed_left_to_right(self):
+        # from 8 terms up np.sum adds pairwise: eight U_k of 0.1 sum to
+        # 0.7999999999999999 left to right and 0.8 pairwise, and with
+        # T*eta*phi = 1 the bound tells the two apart
+        eta, beta, K = 0.25, 4.0, 8
+        inputs = BoundInputs(beta=beta, beta_m=np.array([beta]), rho=1.0, epsilon=1.0,
+                             w_star=np.zeros(2), f_star=0.0)
+        trace = SimpleNamespace(vtilde=np.tile([0.0, 1.0], (K + 1, 1)),
+                                hfl=make_schedule(eta=eta, tau_l=1, tau_e=1, K=K))
+        uk = [0.1] * K
+        gr = check_gap_bound(trace, inputs, uk_row(uk, np.zeros(K)), [(2.0, 1.5)] * K)
+        total = 0.0
+        for u in uk:
+            total += u
+        assert total != np.sum(uk)
+        assert gr.applicable and gr.bound == 1.0 / (1.0 - total)
+
     # each gate's fault, in one epoch: (gate, F*, array, column, value)
-    FAULTS = [("positive_margin", 0.25, "value", None, 0.5),
+    FAULTS = [("positive_margin", 0.25, "bound", None, 0.5),
               ("vtilde_gap_ge_eps", 0.25, "losses", 0, 1.1),
               ("w_loss_ge_eps", -0.25, "losses", 1, 0.9),
               ("w_gap_ge_eps_strict", 0.25, "losses", 1, 1.1),
@@ -993,11 +1011,11 @@ class TestGapBoundOracle:
         trace = SimpleNamespace(vtilde=np.array([[3.0, 4.0], [2.0, 3.0], [0.0, 2.0],
                                                  [0.0, 1.5], [0.0, 1.0]]),
                                 hfl=make_schedule(eta=0.5, tau_l=1, tau_e=2, K=2))
-        arrays = {"value": np.array([0.01, 0.02]), "measured": np.zeros(2),
+        arrays = {"bound": np.array([0.01, 0.02]), "measured": np.zeros(2),
                   "losses": np.array([(2.0, 1.8), (1.6, 1.5)])}
         arrays[array][(k,) if column is None else (k, column)] = fault
-        report = analysis.DriftBoundReport(value=arrays["value"], measured=arrays["measured"])
-        gr = check_gap_bound(trace, inputs, report, arrays["losses"])
+        gr = check_gap_bound(trace, inputs, uk_row(arrays["bound"], arrays["measured"]),
+                             arrays["losses"])
         assert [name for name, holds in gr.conditions.items() if not holds] == [gate]
         # the strict gate is reported only
         assert gr.applicable == (gate == "w_gap_ge_eps_strict")
@@ -1011,30 +1029,30 @@ class TestPlantedViolations:
     @pytest.fixture(scope="class")
     def suite(self):
         spec, union, tr, est, inputs = bound_suite_run(speed=30.0, K=2)
-        assert drift_violations(tr, est, inputs) == []
-        assert check_recursion(tr, inputs) == []
-        return tr, est, inputs, drift_recursion(tr, est, inputs)
+        bounds = drift_recursion(tr, est, inputs)
+        assert found(tr, bounds, inputs, VEHICLE, EDGE, RECURSION, CENTRAL) == []
+        return tr, est, inputs, bounds
 
     PLANTS = pytest.mark.parametrize("excess, reported", [(1e-8, True), (1e-10, False)])
 
     @PLANTS
     def test_vehicle_drift(self, suite, excess, reported):
-        tr, _, _, bounds = suite
+        tr, _, inputs, bounds = suite
         tr = copy.deepcopy(tr)
         m, tau = 5, 9  # tau0 = 9, inside the first cloud epoch
         tr.vehicle_gap[m, tau] = excess + bounds.vehicle[tau - 1, m]
-        got = [(v.where["m"], v.where["tau"]) for v in check_vehicle_drift(tr, bounds)]
+        got = [(v.where["m"], v.where["tau"]) for v in found(tr, bounds, inputs, VEHICLE)]
         assert got == [(m, tau)] * reported
 
     @PLANTS
     def test_edge_drift(self, suite, excess, reported):
-        tr, _, _, bounds = suite
+        tr, _, inputs, bounds = suite
         tr = copy.deepcopy(tr)
         tau = 9
         n = int(np.flatnonzero(~np.isnan(tr.edge_gap[:, tau])
                                & ~np.isnan(bounds.edge[tau - 1]))[0])
         tr.edge_gap[n, tau] = excess + bounds.edge[tau - 1, n]
-        got = [(v.where["n"], v.where["tau"]) for v in check_edge_drift(tr, bounds)]
+        got = [(v.where["n"], v.where["tau"]) for v in found(tr, bounds, inputs, EDGE)]
         assert got == [(n, tau)] * reported
 
     def test_edge_drift_at_a_membership_change(self):
@@ -1062,41 +1080,86 @@ class TestPlantedViolations:
         assert bound == pytest.approx(A[j, n] @ bounds.vehicle[tau - 1], rel=1e-12)
         tr = copy.deepcopy(tr)
         tr.edge_gap[n, tau] = bound + 1e-8
-        got = [(v.where["n"], v.where["tau"]) for v in check_edge_drift(tr, bounds)]
+        got = [(v.where["n"], v.where["tau"]) for v in found(tr, bounds, inputs, EDGE)]
         assert got == [(n, tau)]
 
     @PLANTS
     def test_recursion(self, suite, excess, reported):
-        tr, _, inputs, _ = suite
+        tr, _, inputs, bounds = suite
         tr = copy.deepcopy(tr)
         tau = 3  # tau - 1 = 2 is a local step
         rhs = tr.gap_u_v[tau - 1] + tr.hfl.eta * recursion_beta(inputs) * tr.s_vehicle[tau - 1]
         tr.gap_u_vtilde[tau] = rhs + excess
-        got = [(v.check, v.where["tau"]) for v in check_recursion(tr, inputs)]
+        got = [(v.check, v.where["tau"]) for v in found(tr, bounds, inputs, RECURSION)]
         assert got == [("recursion[local]", tau)] * reported
 
     @PLANTS
     def test_central_drift(self, suite, excess, reported):
-        tr, _, _, bounds = suite
+        tr, _, inputs, bounds = suite
         tr = copy.deepcopy(tr)
         span = tr.hfl.tau_l * tr.hfl.tau_e
         tr.gap_u_vtilde[2 * span] = bounds.central[2 * span - 1] + excess  # U_2
-        got, _ = check_central_drift(tr, bounds)
+        got = found(tr, bounds, inputs, CENTRAL)
         assert [v.where for v in got] == [{"k": 2}] * reported
 
     @PLANTS
-    def test_gap_bound(self, excess, reported, monkeypatch):
-        # verify_bounds compares the gap with the bound; the report it
-        # compares is planted
+    @pytest.mark.parametrize("applicable", [True, False])
+    def test_gap_bound(self, applicable, excess, reported, monkeypatch):
+        # verify_bounds compares the gap with the bound only where the
+        # bound applies; the report it compares is planted
         real = analysis.check_gap_bound
 
         def planted(*args):
-            return replace(real(*args), applicable=True, bound=1.0, measured_gap=1.0 + excess)
+            return replace(real(*args), applicable=applicable, bound=1.0,
+                           measured_gap=1.0 + excess)
 
         monkeypatch.setattr(analysis, "check_gap_bound", planted)
         cfg = config.parse_config(RHO_CONFIG.format(family="quadratic", shared="true"))
         got = [v for v in experiments.verify_bounds(cfg).violations if v.check == "gap_bound"]
-        assert [(v.measured, v.bound) for v in got] == [(1.0 + excess, 1.0)] * reported
+        assert [(v.measured, v.bound) for v in got] \
+            == [(1.0 + excess, 1.0)] * (reported and applicable)
+
+
+class TestVerifyBoundsOrder:
+    """verify_bounds lists the violations of drift_checks' rows and then
+    the gap bound's, each row in its own order; the CLI prints the first."""
+
+    KINDS = ["vehicle_drift", "edge_drift", "recursion", "central_drift", "gap_bound"]
+
+    def test_rows_in_report_order(self, monkeypatch):
+        # halved divergences fire the vehicle and edge drift; a gap raised
+        # by 1 at tau = 3 fires a local recursion step, and at the first
+        # cloud instant that step and U_1; the gap bound's report is planted
+        real_checks, real_gap = analysis.drift_checks, analysis.check_gap_bound
+        rows, handed = [], []
+
+        def planted_checks(tr, bounds, inputs):
+            tr = copy.deepcopy(tr)
+            for tau in (3, tr.hfl.tau_l * tr.hfl.tau_e):
+                tr.gap_u_vtilde[tau] += 1.0
+            rows[:] = real_checks(tr, bounds, inputs)
+            return list(rows)
+
+        def planted_gap(tr, inputs, central, losses):
+            handed.append(central)
+            return replace(real_gap(tr, inputs, central, losses), applicable=True,
+                           bound=1.0, measured_gap=2.0)
+
+        monkeypatch.setattr(analysis, "drift_checks", planted_checks)
+        monkeypatch.setattr(analysis, "check_gap_bound", planted_gap)
+        cfg = config.parse_config(RHO_CONFIG.format(family="quadratic", shared="true"))
+        suite = experiments.verify_bounds(cfg, delta_scale=0.5)
+        assert suite.central is rows[CENTRAL] and handed == [rows[CENTRAL]]
+        T = cfg.hfl.cloud_epochs * cfg.hfl.tau_e * cfg.hfl.tau_l
+        gap = analysis.Violation("gap_bound", {"T": T}, 2.0, 1.0)
+        assert suite.violations == [v for r in rows for v in violations(r)] + [gap]
+        kinds = [self.KINDS.index(v.check.split("[")[0]) for v in suite.violations]
+        assert sorted(set(kinds)) == list(range(5)) and kinds == sorted(kinds)
+        for kind in range(5):
+            # iteration-major, then vehicle or edge id
+            where = [tuple(v.where.get(key, 0) for key in ("tau", "k", "m", "n"))
+                     for v, i in zip(suite.violations, kinds) if i == kind]
+            assert where == sorted(where)
 
 
 class TestMixingReport:

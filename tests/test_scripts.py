@@ -3,6 +3,7 @@ cloud epochs, the command its first line gives. The mutation script is
 only checked for stale entries, and the output-equality script through
 its runner on one small case; CI runs both in full."""
 
+import ast
 import csv
 import importlib.util
 import os
@@ -88,6 +89,26 @@ def test_mutation_smoke_texts_occur_once():
     module = load("mutation_smoke")
     assert len(module.MUTATIONS) >= 8
     assert module.text_problems() == []
+
+
+def test_mutation_smoke_nodes_resolve():
+    # every entry's node names a class or def of its test file, so a
+    # renamed test shows here and not only in a full mutation run
+    module = load("mutation_smoke")
+    missing = []
+    for m in module.MUTATIONS:
+        path, *names = m.node.split("::")
+        with open(os.path.join(ROOT, path)) as f:
+            body = ast.parse(f.read()).body
+        for name in names:
+            name = name.split("[")[0]  # a parametrized node's id
+            node = next((d for d in body if isinstance(d, (ast.ClassDef, ast.FunctionDef))
+                         and d.name == name), None)
+            if node is None:
+                missing.append(m.node)
+                break
+            body = node.body
+    assert missing == []
 
 
 def test_same_outputs_runner(tmp_path):

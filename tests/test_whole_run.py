@@ -79,7 +79,7 @@ class TestWholeRun:
 def reference_sweep(cfg, speeds, seeds):
     """The sweep as a per-cell loop: a fresh instance and a training run
     for every (speed, seed), against the ceiling of a fresh instance."""
-    ceiling, _ = experiments.centralized_ceiling(experiments.build_instance(cfg))
+    ceiling = experiments.centralized_ceiling(experiments.build_instance(cfg))
     fractions = list(experiments.DEFAULT_TARGET_FRACTIONS)
     ref = experiments.SweepResult(speeds=speeds, seeds=seeds, ceiling=ceiling,
                                   targets=[f * ceiling for f in fractions],
