@@ -39,14 +39,18 @@ TEST_ANALYSIS, TEST_ENGINE = "tests/test_analysis.py", "tests/test_engine.py"
 MUTATIONS = [
     # a local step weighed by the association the round boundary puts in
     # force, not the one in force
-    Mutation(ANALYSIS, "V[j - 1] * (beta_m * B)", "V[j] * (beta_m * B)",
+    Mutation(ANALYSIS, "fleet_averages(V[j - 1], ", "fleet_averages(V[j], ",
              TEST_ANALYSIS + "::TestCheckersMatchScalarLoops::test_scaled_estimates"),
     # the edge step reading Delta_n of the new bracket
     Mutation(ANALYSIS, "+ c[j - 1]", "+ c[j]",
              TEST_ANALYSIS + "::TestCheckersMatchScalarLoops::test_bounds_equal_scalar_recursion"),
     # a changed edge restarting over its old members
-    Mutation(ANALYSIS, "np.cumsum(V[j] * B[:, None]", "np.cumsum(V[j - 1] * B[:, None]",
+    Mutation(ANALYSIS, "fleet_averages(V[j, 1:], B", "fleet_averages(V[j - 1, 1:], B",
              TEST_ANALYSIS + "::TestPlantedViolations::test_edge_drift_at_a_membership_change"),
+    # an edge emptied or filled by the round boundary taking the occupancy
+    # of the weights the round trained with
+    Mutation(ANALYSIS, "np.where(occupied[j], ", "np.where(occupied[j - 1], ",
+             TEST_ANALYSIS + "::TestDriftRecursion::test_restart_at_a_membership_change"),
     # a changed edge keeping its old E
     Mutation(ANALYSIS, "np.where(changed, restart, S[1:])", "np.where(False, restart, S[1:])",
              TEST_ANALYSIS + "::TestPlantedViolations::test_edge_drift_at_a_membership_change"),
@@ -54,8 +58,8 @@ MUTATIONS = [
     Mutation(ANALYSIS, "            B = S[1 + hist[j]]\n", "            pass\n",
              TEST_ANALYSIS + "::TestHonestRuns::test_no_violation"),
     # beta_m read as the union's beta in the recursion
-    Mutation(ANALYSIS, "hfl.eta, inputs.beta_m, estimates.alpha",
-             "hfl.eta, inputs.beta, estimates.alpha",
+    Mutation(ANALYSIS, "eta, beta_m = hfl.eta, inputs.beta_m\n",
+             "eta, beta_m = hfl.eta, np.full_like(inputs.beta_m, inputs.beta)\n",
              TEST_ANALYSIS + "::TestDriftRecursion"
              "::test_each_vehicle_steps_with_its_own_smoothness"),
     # U_k read one step before its cloud instant
@@ -100,8 +104,8 @@ MUTATIONS = [
              "kick = 1.0 + eta * beta_m, 0.0 * estimates.delta_m",
              TEST_ANALYSIS + "::TestCheckersMatchScalarLoops::test_scaled_estimates"),
     # U's step adding the union's divergence, which is zero
-    Mutation(ANALYSIS, "np.concatenate([np.zeros((len(A), 1)), estimates.Delta_n_bracket]",
-             "np.concatenate([np.full((len(A), 1), estimates.delta), estimates.Delta_n_bracket]",
+    Mutation(ANALYSIS, "np.concatenate([np.zeros((len(V), 1)), estimates.Delta_n_bracket]",
+             "np.concatenate([np.full((len(V), 1), estimates.delta), estimates.Delta_n_bracket]",
              TEST_ANALYSIS + "::TestDriftRecursion::test_central_matches_rational_oracle"),
     # rho over every probe instead of the vtilde rows
     Mutation(EXPERIMENTS, "rho = max(est.grad_norm[:len(tr.vtilde)].tolist())",
@@ -181,9 +185,19 @@ MUTATIONS = [
              "::test_logistic_minibatch_turning_vehicles"),
     # the pre-aggregation distances masked by the empty edges of the
     # association the round trained with, not of the one taking effect
-    Mutation(ENGINE, "            state.tau, W, avgs, theta)\n",
-             "            state.tau, W, avgs, membership_weights(association[j - 1], sizes,"
+    Mutation(ENGINE, "            state.tau, W, B, avgs, theta)\n",
+             "            state.tau, W, B, avgs, membership_weights(association[j - 1], sizes,"
              " edge_count)[1])\n",
+             TEST_ENGINE + "::TestRecordingMatchesPerRowLoop"
+             "::test_logistic_minibatch_turning_vehicles"),
+    # the weights of a round boundary recorded as the round's before it
+    Mutation(ENGINE, "self.trace.weights[tau // self.tau_l] = B",
+             "self.trace.weights[tau // self.tau_l] = self.trace.weights[tau // self.tau_l - 1]",
+             TEST_ENGINE + "::TestRecordingMatchesPerRowLoop"
+             "::test_logistic_minibatch_turning_vehicles"),
+    # the edge drift sum taken over the empty edges' NaN distances too
+    Mutation(ENGINE, "fleet_averages(theta[None], np.where(occupied, edge, 0.0))",
+             "fleet_averages(theta[None], edge)",
              TEST_ENGINE + "::TestRecordingMatchesPerRowLoop"
              "::test_logistic_minibatch_turning_vehicles"),
     # the shared-input class coverage left to edge_noniid's rule, which the

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .datasets import DegenerateDataError
-from .engine import membership_weights
+from .engine import fleet_averages, membership_weights
 from .models import EvalWorkspace, UnsupportedModelError, gradient_probes, one_hot, row_norms
 
 DEFAULT_SLACK = 1e-9
@@ -123,10 +123,8 @@ def estimate_divergences(spec, shards, association_history, probes):
     delta_m, Delta_u = np.sqrt(delta_sq), np.sqrt(Delta_sq)
     Delta_n = np.where(occupied, Delta_u.reshape(-1, N)[inv], np.nan)
     Delta = np.nansum(np.where(occupied, theta * Delta_n, 0.0), axis=1)
-    return DivergenceEstimates(
-        delta_m=delta_m, delta=float(alpha @ delta_m), alpha=alpha,
-        Delta_n_bracket=Delta_n,
-        Delta_bracket=Delta, grad_norm=grad_norm)
+    return DivergenceEstimates(delta_m=delta_m, delta=float(alpha @ delta_m), alpha=alpha,
+                               Delta_n_bracket=Delta_n, Delta_bracket=Delta, grad_norm=grad_norm)
 
 
 def shared_input_delta_m(shards):
@@ -173,42 +171,39 @@ class DriftBounds:
 
 
 def drift_recursion(trace, estimates, inputs):
-    """Every drift bound of the trace's run, from one pass of the
-    triangle-inequality and smoothness step over its association history.
+    """Every drift bound of the trace's run, from one pass per round over
+    trace.weights, the weights the run aggregated with: under association
+    row j, weights[j] (1 + N, M) weighs u in row 0 and edge n in row 1 + n.
 
     The state is B (M,) per vehicle, E (N,) per edge and U, all 0 after a
-    cloud round. A local step under the association row in force, whose
-    membership weights are A, first adds eta*A@(beta_m*B) + eta*Delta_n
-    to E and eta*alpha@(beta_m*B) to U, then sets B to (1 + eta*beta_m)*B
-    + eta*delta_m. At a round boundary an edge whose member set stays
-    keeps E, a changed edge restarts at A_new@B and an empty one is NaN;
+    cloud round. Each step of round j adds eta*weights[j - 1]@(beta_m*B) +
+    eta*(0, Delta_n) to (U, E), then sets B to (1 + eta*beta_m)*B +
+    eta*delta_m: B takes the round's steps first, then one fleet_averages
+    (the id-order sum) and one cumsum from (U, E) add their terms. At a
+    round boundary an edge whose weights stay keeps E, a changed edge
+    restarts at its new weights@B and an empty one (a zero row) is NaN;
     those are the edges' bounds before the aggregation, after which each
-    vehicle takes its edge's bound. Each weighted sum adds in id order."""
+    vehicle takes its edge's bound."""
     hfl, hist = trace.hfl, trace.association_history
-    eta, beta_m, alpha = hfl.eta, inputs.beta_m, estimates.alpha
-    N = estimates.Delta_n_bracket.shape[1]
-    A, theta = membership_weights(hist, alpha, N)  # the sizes' weights, to rounding
-    # vehicle-major weights (J+1, M, 1 + N): column 0 weighs u and 1 + n
-    # edge n, and a cumsum over the vehicle axis adds in id order (a sum
-    # over so few columns may add pairwise); c is what the divergences add
-    # at a step under each row
-    V = np.concatenate([np.broadcast_to(alpha[:, None], (len(A), len(alpha), 1)),
-                        A.transpose(0, 2, 1)], axis=2)
-    c = eta * np.concatenate([np.zeros((len(A), 1)), estimates.Delta_n_bracket], axis=1)
+    eta, beta_m = hfl.eta, inputs.beta_m
+    N, tau_l = estimates.Delta_n_bracket.shape[1], hfl.tau_l
+    V = trace.weights[:, :1 + N]
+    occupied = V[:, 1:].any(axis=2)
+    c = eta * np.concatenate([np.zeros((len(V), 1)), estimates.Delta_n_bracket], axis=1)
     grow, kick = 1.0 + eta * beta_m, eta * estimates.delta_m
-    B, S = np.zeros(len(alpha)), np.zeros(N + 1)  # S = (U, E)
-    T = trace.total_iterations
-    vehicle, layers, tau = np.empty((T, len(alpha))), np.empty((T, N + 1)), 0
+    B, S, T = np.zeros(V.shape[2]), np.zeros(N + 1), trace.total_iterations  # S = (U, E)
+    vehicle, layers = np.empty((T, len(B))), np.empty((T, N + 1))
     for j in range(1, hfl.cloud_epochs * hfl.tau_e + 1):
-        for _ in range(hfl.tau_l):
-            S += eta * np.cumsum(V[j - 1] * (beta_m * B)[:, None], axis=0)[-1] + c[j - 1]
-            B = grow * B + kick
-            vehicle[tau], layers[tau] = B, S
-            tau += 1
-        changed = (A[j] != A[j - 1]).any(axis=1)
-        restart = np.cumsum(V[j] * B[:, None], axis=0)[-1, 1:]
-        S[1:] = layers[tau - 1, 1:] = np.where(
-            theta[j] > 0, np.where(changed, restart, S[1:]), np.nan)
+        taus, before = range((j - 1) * tau_l, j * tau_l), []  # B before each step
+        for tau in taus:
+            before.append(B)
+            vehicle[tau] = B = grow * B + kick
+        steps = fleet_averages(V[j - 1], beta_m[:, None] * np.array(before).T)
+        layers[taus] = np.cumsum(np.vstack([S, eta * steps.T + c[j - 1]]), axis=0)[1:]
+        S = layers[tau].copy()
+        changed = (V[j, 1:] != V[j - 1, 1:]).any(axis=1)
+        restart = fleet_averages(V[j, 1:], B[:, None])[:, 0]
+        S[1:] = layers[tau, 1:] = np.where(occupied[j], np.where(changed, restart, S[1:]), np.nan)
         if j % hfl.tau_e == 0:
             B, S = np.zeros_like(B), np.zeros_like(S)
         else:
@@ -342,10 +337,9 @@ def check_gap_bound(trace, inputs, central, losses):
     dists = row_norms(trace.vtilde[:T:span] - inputs.w_star)
     if dists.min() == 0.0:
         return GapBoundReport(
-            applicable=False, bound=float("nan"),
-            measured_gap=measured,
-            phi=float("inf"), epsilon=eps, conditions={},
-            degenerate=True, note="bound degenerate, training already optimal")
+            applicable=False, bound=float("nan"), measured_gap=measured, phi=float("inf"),
+            epsilon=eps, conditions={}, degenerate=True,
+            note="bound degenerate, training already optimal")
     phi = float(((1.0 - inputs.beta * eta / 2.0) / (dists * dists)).min())
 
     conditions = {
@@ -389,6 +383,5 @@ def mobility_mixing_report(estimates):
     D = estimates.Delta_bracket
     J = D.shape[0]
     q = max(1, J // 4)
-    return MixingReport(
-        first_quarter_mean=float(D[:q].mean()),
-        last_quarter_mean=float(D[J - q:].mean()))
+    return MixingReport(first_quarter_mean=float(D[:q].mean()),
+                        last_quarter_mean=float(D[J - q:].mean()))

@@ -87,10 +87,7 @@ def to_json(obj):
 def _load(args):
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg.dataset.seed = args.seed
-        cfg.partition.seed = args.seed
-        cfg.mobility.seed = args.seed
-        cfg.hfl.seed = args.seed
+        cfg.dataset.seed = cfg.partition.seed = cfg.mobility.seed = cfg.hfl.seed = args.seed
     if args.out is not None:
         cfg.output.directory = args.out
     validate(cfg)
@@ -160,8 +157,7 @@ def cmd_sweep_speed(args):
              for v in result.speeds]
     atomic_write_csv(os.path.join(out, "sweep_summary.csv"), rows)
     meta = {"ceiling": result.ceiling, "targets": result.targets,
-            "target_fractions": result.target_fractions,
-            "completed": done}
+            "target_fractions": result.target_fractions, "completed": done}
     atomic_write_text(manifest_path, to_json(meta))
     return EXIT_OK
 

@@ -8,8 +8,8 @@ always use the association in force at the aggregation instant.
 
 When record_virtual is on, a Recording also materializes the virtual
 trajectories used by the analysis module: u (size-weighted average of all
-vehicle models at every iteration), the centralized descent v, and its
-pre-synchronization value vtilde.
+vehicle models at every iteration), the centralized descent v, its
+pre-synchronization value vtilde, and the weights every round aggregated with.
 """
 
 import hashlib
@@ -279,6 +279,7 @@ class VirtualTrace:
     edge_gap: np.ndarray          # (N, T+1) ||u_n_pre - vtilde||, nan for empty edges
     u_cloud: np.ndarray           # (K+1, P) u_post at cloud instants; row 0 = w0
     association_history: np.ndarray  # (K*tau_e + 1, M) edge index per round
+    weights: np.ndarray           # (K*tau_e + 1, 1 + N, M) each row's B: alpha, then edges
     hfl: HflConfig                # the schedule the run recorded under
 
     @property
@@ -295,27 +296,27 @@ class RunResult:
 
 
 class Recording:
-    """The virtual trajectories of one run, in trace. Each call takes the B
-    and theta of the association in force, and terms, the run's one
-    fleet_averages buffer, of at least B.size * chunk * P entries."""
+    """The virtual trajectories of one run, in trace. Construction and each
+    call take the B (calls also theta) of the association in force, and
+    terms, the run's one fleet_averages buffer, of at least B.size * chunk * P entries."""
 
-    def __init__(self, config, spec, w0, X, T, alpha, edge_count, association):
-        M, P, K, n = len(alpha), len(w0), config.cloud_epochs, config.total_iterations + 1
-        self.eta, self.tau_l, self.alpha = config.eta, config.tau_l, alpha
+    def __init__(self, config, spec, w0, X, T, B, association):
+        M, P, K, n = B.shape[1], len(w0), config.cloud_epochs, config.total_iterations + 1
+        self.eta, self.tau_l, self.alpha = config.eta, config.tau_l, B[0]
         # v, one fleet row on the union, is vtilde after every step
         self._X, self._T, self.v = X[None], T[None], w0.copy()
         self._descent = GradientWorkspace(spec, self.v[None], len(X))
         # snapshots of W, measured a chunk at a time, whose fleet_averages
         # terms (M, N + 1, chunk * P) stay within BATCH_CHUNK_BYTES
-        self.chunk = max(1, min(self.tau_l - 1,
-                                BATCH_CHUNK_BYTES // (8 * M * (edge_count + 1) * P)))
+        self.chunk = max(1, min(self.tau_l - 1, BATCH_CHUNK_BYTES // (8 * B.size * P)))
         self._snaps = np.empty((M, self.chunk, P))
         self.trace = VirtualTrace(
             vtilde=np.zeros((n, P)), gap_u_vtilde=np.zeros(n), gap_u_v=np.zeros(n),
             s_vehicle=np.zeros(n), s_edge=np.zeros(n), vehicle_gap=np.zeros((M, n)),
-            edge_gap=np.full((edge_count, n), np.nan), u_cloud=np.zeros((K + 1, P)),
-            association_history=association, hfl=config)
-        self.trace.vtilde[0] = self.trace.u_cloud[0] = w0
+            edge_gap=np.full((len(B) - 1, n), np.nan), u_cloud=np.zeros((K + 1, P)),
+            association_history=association, weights=np.empty((len(association),) + B.shape),
+            hfl=config)
+        self.trace.vtilde[0], self.trace.u_cloud[0], self.trace.weights[0] = w0, w0, B
         self.trace.edge_gap[:, 0] = 0.0
 
     def step(self, tau, W, B, theta, terms):
@@ -338,9 +339,11 @@ class Recording:
                 avgs = fleet_averages(B, Ws.reshape(len(W), -1), terms)
                 self._store(taus, Ws, avgs, self.trace.vtilde[taus], theta, pre=True, post=True)
 
-    def before_aggregation(self, tau, W, avgs, theta):
-        """The pre fields at tau from avgs, the fleet_averages of W under
-        the new association; returns ||u_pre - vtilde||."""
+    def before_aggregation(self, tau, W, B, avgs, theta):
+        """The weights B of the association the round ending at tau puts in
+        force, and the pre fields at tau from avgs, the fleet_averages of W
+        under B; returns ||u_pre - vtilde||."""
+        self.trace.weights[tau // self.tau_l] = B
         self._store(slice(tau, tau + 1), W[:, None], avgs, self.v, theta,
                     pre=True, post=False)  # v is vtilde
         return float(self.trace.gap_u_vtilde[tau])
@@ -366,16 +369,16 @@ class Recording:
         diff -= ref
         dist = row_norms(diff.reshape(-1, P)).reshape(diff.shape[:2])
         gap, vehicle = dist[M], dist[:M]
-        edge = np.where(theta[:, None] > 0, dist[M + 1:], np.nan)
+        occupied = theta[:, None] > 0
+        edge = np.where(occupied, dist[M + 1:], np.nan)
         if pre:
             tr.gap_u_vtilde[taus] = gap
             tr.vehicle_gap[:, taus] = vehicle
             tr.edge_gap[:, taus] = edge
         if post:
             tr.gap_u_v[taus] = gap
-            # cumsum adds strictly in id order, like a running loop from zero
-            tr.s_vehicle[taus] = np.cumsum(alpha[:, None] * vehicle, axis=0)[-1]
-            tr.s_edge[taus] = np.cumsum(theta[theta > 0, None] * edge[theta > 0], axis=0)[-1]
+            tr.s_vehicle[taus] = fleet_averages(alpha[None], vehicle)[0]
+            tr.s_edge[taus] = fleet_averages(theta[None], np.where(occupied, edge, 0.0))[0]
 
 
 def edge_rounds(config, shards, spec, association=None, edge_count=1, *,
@@ -443,7 +446,7 @@ def edge_rounds(config, shards, spec, association=None, edge_count=1, *,
     A, theta = membership_weights(association[0], sizes, edge_count)
     B = np.vstack([alpha, A])
 
-    recording = Recording(config, spec, w0, X, local.T, alpha, edge_count,
+    recording = Recording(config, spec, w0, X, local.T, B,
                           association) if config.record_virtual else None
     # every fleet_averages call's terms: a round boundary's, or a recorded chunk's
     terms = np.empty(B.size * P * (1 if recording is None else recording.chunk))
@@ -461,7 +464,7 @@ def edge_rounds(config, shards, spec, association=None, edge_count=1, *,
         B = np.vstack([alpha, A])
         avgs = fleet_averages(B, W, terms)  # u_pre, then every edge's average
         gap = float("nan") if recording is None else recording.before_aggregation(
-            state.tau, W, avgs, theta)
+            state.tau, W, B, avgs, theta)
 
         edge_params[:] = avgs[1:]
         # every edge id is in range; take's default mode would copy its

@@ -179,16 +179,18 @@ class EvalWorkspace:
     model-input rows X (n, .) and their labels y (n,), for a caller that
     evaluates many vectors on the same rows (a run's training union and
     eval split at every edge round): a one-row GradientWorkspace over
-    X[None] and y's one-hot targets T (built here unless passed, as a
-    run's union passes its local step's), whose row each vector is copied
-    into."""
+    X[None] and y's one-hot targets T (passed, as a run's union passes its
+    local step's, or built by the first loss call, so a workspace that only
+    scores the accuracy holds none), whose row each vector is copied into."""
 
     def __init__(self, spec, X, y, T=None):
         y = np.asarray(y)
         if y.shape != (X.shape[0],):
             raise ValueError(f"labels {y.shape} do not match {X.shape[0]} rows")
+        if y.size and (y.min() < 0 or y.max() >= spec.class_count):
+            raise ValueError(f"labels outside [0, {spec.class_count})")  # as one_hot would
         self.spec, self.X, self.y = spec, X[None], y[None]
-        self.T = one_hot(self.y, spec.class_count) if T is None else T[None]
+        self.T = None if T is None else T[None]
         self._w = np.empty(param_length(spec))
         self._ws = GradientWorkspace(spec, self._w[None], len(y))
 
@@ -199,6 +201,8 @@ class EvalWorkspace:
     def loss(self, w):
         """Mean per-sample loss at w plus the l2 term."""
         self._set(w)
+        if self.T is None:
+            self.T = one_hot(self.y, self.spec.class_count)
         return float(self._ws.loss(self.X, self.T)[0])
 
     def accuracy(self, w):
@@ -242,12 +246,13 @@ class GradientWorkspace:
     derivative D and dZ (built by the first gradient call, so a workspace
     that only evaluates holds neither), the scores S, the softmax's row
     reductions and their spread over the rows, the l2 product, and the
-    loss's and the accuracy's rows. Every method writes into them with the
-    2-D numpy operations in their order on the stacked arrays, with batched
-    matmul (numpy runs one product per vehicle, as in the 2-D code) and
-    every reduction adding the terms the 2-D code adds in its order
-    (_class_max, _class_sum). gradient() returns g, the same (M, P) array at
-    every call, and allocates nothing.
+    loss's and the accuracy's rows (each built by its first call, so a
+    workspace that only steps holds neither). Every method writes into them
+    with the 2-D numpy operations in their order on the stacked arrays,
+    with batched matmul (numpy runs one product per vehicle, as in the 2-D
+    code) and every reduction adding the terms the 2-D code adds in its
+    order (_class_max, _class_sum). gradient() returns g, the same (M, P)
+    array at every call, and allocates nothing.
     """
 
     def __init__(self, spec, W, n):
@@ -260,8 +265,7 @@ class GradientWorkspace:
         self._S = np.empty((M, n, c))
         # the softmax's row maxima, then its row sums, alone and spread
         self._rows, self._spread = np.empty(M * n), np.empty((M, n, c))
-        self._lse, self._best, self._hit = (np.empty((M, n)), np.empty((M, n), dtype=np.intp),
-                                            np.empty((M, n), dtype=bool))
+        self._lse = self._best = self._hit = None
         if spec.is_convex:
             self._Wm, self._gm = W.reshape(M, d, c), self.g.reshape(M, d, c)
             self._reg = np.empty((M, d, c))
@@ -330,6 +334,8 @@ class GradientWorkspace:
             R = np.subtract(S, T, out=E)
             R *= R
             return 0.5 * R.reshape(len(R), -1).sum(axis=1) / self.n + reg
+        if self._lse is None:
+            self._lse = np.empty(S.shape[:2])
         rows, lse = self._rows.reshape(self._lse.shape), self._lse
         zmax = _class_max(S, rows)
         # the row maxima spread over the rows first: numpy would give the
@@ -348,6 +354,8 @@ class GradientWorkspace:
     def accuracy(self, X, y):
         """Each row's share of the model-input rows X (M, n, .) whose
         highest class score at the current W is their label y (M, n): (M,)."""
+        if self._best is None:
+            self._best, self._hit = (np.empty(self._S.shape[:2], t) for t in (np.intp, bool))
         best = np.argmax(self._scores(X), axis=-1, out=self._best)
         return np.count_nonzero(np.equal(best, y, out=self._hit), axis=-1) / self.n
 

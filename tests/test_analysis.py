@@ -43,9 +43,11 @@ def hand_run(hist, delta_m, Delta_n, beta_m, eta=0.1, tau_l=2, tau_e=2, K=1):
     hist = np.asarray(hist)
     M = hist.shape[1]
     hfl = make_schedule(eta=eta, tau_l=tau_l, tau_e=tau_e, K=K)
-    trace = SimpleNamespace(hfl=hfl, association_history=hist,
-                            total_iterations=K * tau_e * tau_l)
     Delta_n = np.asarray(Delta_n, dtype=float)
+    A = engine.membership_weights(hist, np.ones(M), Delta_n.shape[1])[0]
+    trace = SimpleNamespace(
+        hfl=hfl, association_history=hist, total_iterations=K * tau_e * tau_l,
+        weights=np.concatenate([np.full((len(hist), 1, M), 1.0 / M), A], axis=1))
     est = analysis.DivergenceEstimates(
         delta_m=np.asarray(delta_m, dtype=float), delta=float(np.mean(delta_m)),
         alpha=np.full(M, 1.0 / M), Delta_n_bracket=Delta_n,
@@ -687,15 +689,19 @@ class TestCentralRow:
             == [("central_drift", {"k": k}) for k in range(1, K + 1)]
 
 
-def scalar_recursion(trace, est, inputs):
+def scalar_recursion(trace, est, inputs, weights=None):
     """The drift recursion entry by entry in Python floats: for tau = 1..T
     the lists B (M) and E (N) and the float U, before the aggregation at
-    tau. Each weighted sum runs from 0.0 in id order."""
+    tau, under the trace's weights unless others are given, u's in row 0
+    and edge n's in row 1 + n. Each weighted sum runs from 0.0 in id
+    order."""
     hfl, hist = trace.hfl, trace.association_history.tolist()
-    eta, alpha = hfl.eta, est.alpha.tolist()
-    bm, dm, Dn = inputs.beta_m.tolist(), est.delta_m.tolist(), est.Delta_n_bracket.tolist()
-    M, N = len(alpha), len(Dn[0])
-    A = engine.membership_weights(trace.association_history, est.alpha, N)[0].tolist()
+    eta, dm, Dn = hfl.eta, est.delta_m.tolist(), est.Delta_n_bracket.tolist()
+    bm = inputs.beta_m.tolist()
+    M, N = len(dm), len(Dn[0])
+    V = (trace.weights if weights is None else weights).tolist()
+    alpha = [row[0] for row in V]
+    A = [row[1:] for row in V]
 
     def wsum(w, x):
         s = 0.0
@@ -707,7 +713,7 @@ def scalar_recursion(trace, est, inputs):
     for j in range(1, hfl.cloud_epochs * hfl.tau_e + 1):
         for _ in range(hfl.tau_l):
             x = [bm[m] * B[m] for m in range(M)]
-            U += eta * wsum(alpha, x)
+            U += eta * wsum(alpha[j - 1], x)
             E = [E[n] + (eta * wsum(A[j - 1][n], x) + eta * Dn[j - 1][n]) for n in range(N)]
             B = [(1.0 + eta * bm[m]) * B[m] + eta * dm[m] for m in range(M)]
             out.append((B, E, U))
@@ -824,6 +830,25 @@ class TestCheckersMatchScalarLoops:
         assert len(vehicle) > 0 and len(edge) > 0
         assert as_tuples(vehicle) == loop_vehicle_drift(tr, est, inputs)
         assert as_tuples(edge) == loop_edge_drift(tr, est, inputs)
+
+    def test_weights_of_the_shard_sizes(self):
+        # configs/logistic.cfg holds shards of two sizes, whose weights
+        # rebuilt from alpha round apart from the sizes' own: the bounds
+        # are those of the scalar recursion fed the sizes' weights
+        text = open(os.path.join(ROOT, "configs", "logistic.cfg")).read()
+        tr, est, inputs = config_run(text)
+        sizes = np.array([s.size for s in
+                          experiments.build_instance(config.parse_config(text)).shards], float)
+        N = est.Delta_n_bracket.shape[1]
+        weights = np.stack([np.vstack([sizes / sizes.sum(), engine.membership_weights(
+            row, sizes, N)[0]]) for row in tr.association_history])
+        assert (engine.membership_weights(tr.association_history, est.alpha, N)[0]
+                != weights[:, 1:]).any()
+        bounds = drift_recursion(tr, est, inputs)
+        B, E, U = zip(*scalar_recursion(tr, est, inputs, weights))
+        assert_same_bits(bounds.vehicle, np.array(B))
+        assert_same_bits(bounds.edge, np.array(E))
+        assert_same_bits(bounds.central, np.array(U))
 
     def test_scaled_estimates(self, suite):
         tr, est, inputs = suite
@@ -1065,7 +1090,7 @@ class TestPlantedViolations:
         tr, est, inputs = config_run(HONEST_RUNS["logistic"](30.0, 0.001))
         bounds = drift_recursion(tr, est, inputs)
         hist, N, tau_l = tr.association_history, est.Delta_n_bracket.shape[1], tr.hfl.tau_l
-        A = engine.membership_weights(hist, est.alpha, N)[0]
+        A = tr.weights[:, 1:1 + N]
         changes = [(j, n) for j in range(1, len(hist)) for n in range(N)
                    if (A[j, n] != A[j - 1, n]).any() and A[j, n].any()]
 

@@ -340,10 +340,12 @@ def reference_record(cfg, shards, spec, association, edge_count):
     out = dict(vtilde=np.zeros((T + 1, P)), gap_u_vtilde=np.zeros(T + 1),
                gap_u_v=np.zeros(T + 1), s_vehicle=np.zeros(T + 1), s_edge=np.zeros(T + 1),
                vehicle_gap=np.zeros((M, T + 1)),
-               edge_gap=np.full((edge_count, T + 1), np.nan), u_cloud=np.zeros((K + 1, P)))
+               edge_gap=np.full((edge_count, T + 1), np.nan), u_cloud=np.zeros((K + 1, P)),
+               weights=np.zeros((K * tau_e + 1, 1 + edge_count, M)))
     out["vtilde"][0] = out["u_cloud"][0] = w0
     out["edge_gap"][:, 0] = 0.0
     A, theta = membership_weights(association[0], sizes, edge_count)
+    out["weights"][0] = np.vstack([alpha, A])
 
     def measure(ref):
         u = weighted_sum(alpha, W)
@@ -379,6 +381,7 @@ def reference_record(cfg, shards, spec, association, edge_count):
                 store(tau, measure(v), pre=True, post=True)
         edge_of = association[j]
         A, theta = membership_weights(edge_of, sizes, edge_count)
+        out["weights"][j] = np.vstack([alpha, A])
         is_cloud = j % tau_e == 0
         look = measure(vtilde)
         store(tau, look, pre=True, post=False)

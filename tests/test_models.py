@@ -287,6 +287,27 @@ def test_workspace_evaluates_every_row(spec):
     assert getattr(ws, "_D", None) is None
 
 
+@pytest.mark.parametrize("spec", FLEET_SPECS,
+                         ids=lambda s: f"{s.family}-C{s.class_count}-h{s.hidden_width}")
+def test_workspaces_build_only_what_they_use(spec):
+    # a workspace that only steps holds no loss or accuracy rows, and an
+    # EvalWorkspace that only scores the accuracy (a run's eval split)
+    # holds no one-hot targets; the first loss call builds them
+    g = np.random.default_rng(spec.class_count)
+    M, n = 3, 33
+    W = init_params(spec, seed=1) + g.normal(size=(M, param_length(spec)))
+    X1 = models.model_inputs(spec, 3.0 * g.normal(size=(M, n, spec.dim)))
+    y = g.integers(0, spec.class_count, size=(M, n))
+    ws = models.GradientWorkspace(spec, W, n)
+    ws.gradient(X1, models.one_hot(y, spec.class_count))
+    assert all(getattr(ws, a, None) is None for a in ("_lse", "_best", "_hit"))
+    ev = models.EvalWorkspace(spec, X1[0], y[0])
+    ev.accuracy(W[0])
+    assert getattr(ev, "T", None) is None
+    ev.loss(W[0])
+    assert ev.T.tobytes() == models.one_hot(y[:1], spec.class_count).tobytes()
+
+
 def test_one_hot_rejects_labels_outside_the_classes():
     for y in ([0, 3], [-1, 0], [[1], [2]]):
         with pytest.raises(ValueError, match=r"labels outside \[0, 2\)"):
