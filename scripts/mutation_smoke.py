@@ -107,6 +107,11 @@ MUTATIONS = [
     Mutation(ANALYSIS, "np.concatenate([np.zeros((len(V), 1)), estimates.Delta_n_bracket]",
              "np.concatenate([np.full((len(V), 1), estimates.delta), estimates.Delta_n_bracket]",
              TEST_ANALYSIS + "::TestDriftRecursion::test_central_matches_rational_oracle"),
+    # an association history naming an edge past the run's edge count
+    # accepted, its vehicles dropped from every edge's weights
+    Mutation(ANALYSIS, "    if ((hist < 0) | (hist >= N)).any():\n", "    if (hist < 0).any():\n",
+             TEST_ANALYSIS + "::TestDivergencesMatchProbeLoop"
+             "::test_edge_outside_the_count_rejected"),
     # rho over every probe instead of the vtilde rows
     Mutation(EXPERIMENTS, "rho = max(est.grad_norm[:len(tr.vtilde)].tolist())",
              "rho = max(est.grad_norm.tolist())",
@@ -185,14 +190,13 @@ MUTATIONS = [
              "::test_logistic_minibatch_turning_vehicles"),
     # the pre-aggregation distances masked by the empty edges of the
     # association the round trained with, not of the one taking effect
-    Mutation(ENGINE, "            state.tau, W, B, avgs, theta)\n",
-             "            state.tau, W, B, avgs, membership_weights(association[j - 1], sizes,"
-             " edge_count)[1])\n",
+    Mutation(ENGINE, "            state.tau, W, avgs, theta)\n",
+             "            state.tau, W, avgs, thetas[j - 1])\n",
              TEST_ENGINE + "::TestRecordingMatchesPerRowLoop"
              "::test_logistic_minibatch_turning_vehicles"),
-    # the weights of a round boundary recorded as the round's before it
-    Mutation(ENGINE, "self.trace.weights[tau // self.tau_l] = B",
-             "self.trace.weights[tau // self.tau_l] = self.trace.weights[tau // self.tau_l - 1]",
+    # a round boundary aggregating with the weights of the round before it
+    Mutation(ENGINE, "edge_of, B, theta = association[j], weights[j], thetas[j]",
+             "edge_of, B, theta = association[j], weights[j - 1], thetas[j]",
              TEST_ENGINE + "::TestRecordingMatchesPerRowLoop"
              "::test_logistic_minibatch_turning_vehicles"),
     # the edge drift sum taken over the empty edges' NaN distances too

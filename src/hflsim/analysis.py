@@ -48,13 +48,15 @@ class DivergenceEstimates:
                        Delta_bracket=self.Delta_bracket * s)
 
 
-def estimate_divergences(spec, shards, association_history, probes):
+def estimate_divergences(spec, shards, association_history, probes, edge_count):
     """Definition-style divergence constants, maximized over the probes.
 
     delta_m = max_w ||grad f_m(w) - grad F(w)||; Delta_n at bracket j uses
     the weighted edge objective over the snapshot at j. Full-batch
     gradients throughout. grad_norm[q] = ||grad F(probe q)||,
     whose maximum over a probe subset is the region Lipschitz constant rho.
+    Delta_n_bracket has a column per edge of the run, NaN where it is
+    empty; an edge id outside [0, edge_count) is a ValueError.
 
     Delta_n depends on a bracket only through its association row, so the
     edge gradients are computed once per distinct row and expanded to the
@@ -72,8 +74,9 @@ def estimate_divergences(spec, shards, association_history, probes):
     M = len(shards)
     sizes = np.array([s.size for s in shards], dtype=np.float64)
     alpha = sizes / sizes.sum()
-    hist = np.asarray(association_history)
-    N = int(hist.max()) + 1 if hist.size else 1
+    hist, N = np.asarray(association_history), edge_count
+    if ((hist < 0) | (hist >= N)).any():
+        raise ValueError(f"association history names an edge outside [0, {N})")
 
     # rows[inv[j]] is bracket j's association; A_rows[r, n, m] = alpha_{m,n}
     rows, inv = np.unique(hist, axis=0, return_inverse=True)
@@ -172,8 +175,8 @@ class DriftBounds:
 
 def drift_recursion(trace, estimates, inputs):
     """Every drift bound of the trace's run, from one pass per round over
-    trace.weights, the weights the run aggregated with: under association
-    row j, weights[j] (1 + N, M) weighs u in row 0 and edge n in row 1 + n.
+    trace.weights, the run's membership schedule: under association row j,
+    weights[j] (1 + N, M) weighs u in row 0 and edge n in row 1 + n.
 
     The state is B (M,) per vehicle, E (N,) per edge and U, all 0 after a
     cloud round. Each step of round j adds eta*weights[j - 1]@(beta_m*B) +
@@ -186,13 +189,12 @@ def drift_recursion(trace, estimates, inputs):
     vehicle takes its edge's bound."""
     hfl, hist = trace.hfl, trace.association_history
     eta, beta_m = hfl.eta, inputs.beta_m
-    N, tau_l = estimates.Delta_n_bracket.shape[1], hfl.tau_l
-    V = trace.weights[:, :1 + N]
+    V, tau_l = trace.weights, hfl.tau_l
     occupied = V[:, 1:].any(axis=2)
     c = eta * np.concatenate([np.zeros((len(V), 1)), estimates.Delta_n_bracket], axis=1)
     grow, kick = 1.0 + eta * beta_m, eta * estimates.delta_m
-    B, S, T = np.zeros(V.shape[2]), np.zeros(N + 1), trace.total_iterations  # S = (U, E)
-    vehicle, layers = np.empty((T, len(B))), np.empty((T, N + 1))
+    B, S, T = np.zeros(V.shape[2]), np.zeros(V.shape[1]), trace.total_iterations  # S = (U, E)
+    vehicle, layers = np.empty((T, len(B))), np.empty((T, len(S)))
     for j in range(1, hfl.cloud_epochs * hfl.tau_e + 1):
         taus, before = range((j - 1) * tau_l, j * tau_l), []  # B before each step
         for tau in taus:
@@ -282,10 +284,7 @@ def drift_checks(trace, bounds, inputs):
 
     return [
         Check(trace.vehicle_gap[:, 1:].T, bounds.vehicle, drift("vehicle_drift", "m")),
-        # the estimates stop at the highest edge the association history
-        # names; an edge past it never held a vehicle, so its gaps are all NaN
-        Check(trace.edge_gap[:bounds.edge.shape[1], 1:].T, bounds.edge,
-              drift("edge_drift", "n")),
+        Check(trace.edge_gap[:, 1:].T, bounds.edge, drift("edge_drift", "n")),
         Check(trace.gap_u_vtilde[1:], rhs,
               lambda t: (f"recursion[{case[t]}]", {"tau": int(tau[t])})),
         Check(trace.gap_u_vtilde[span::span], bounds.central[span - 1::span],

@@ -296,27 +296,27 @@ class RunResult:
 
 
 class Recording:
-    """The virtual trajectories of one run, in trace. Construction and each
-    call take the B (calls also theta) of the association in force, and
-    terms, the run's one fleet_averages buffer, of at least B.size * chunk * P entries."""
+    """The virtual trajectories of one run, in trace, whose weights is the
+    run's membership schedule itself. step takes the B and theta of the
+    association in force, and terms, the run's one fleet_averages buffer,
+    of at least B.size * chunk * P entries."""
 
-    def __init__(self, config, spec, w0, X, T, B, association):
-        M, P, K, n = B.shape[1], len(w0), config.cloud_epochs, config.total_iterations + 1
-        self.eta, self.tau_l, self.alpha = config.eta, config.tau_l, B[0]
+    def __init__(self, config, spec, w0, X, T, weights, association):
+        M, P, K, n = weights.shape[2], len(w0), config.cloud_epochs, config.total_iterations + 1
+        self.eta, self.tau_l, self.alpha = config.eta, config.tau_l, weights[0, 0]
         # v, one fleet row on the union, is vtilde after every step
         self._X, self._T, self.v = X[None], T[None], w0.copy()
         self._descent = GradientWorkspace(spec, self.v[None], len(X))
         # snapshots of W, measured a chunk at a time, whose fleet_averages
         # terms (M, N + 1, chunk * P) stay within BATCH_CHUNK_BYTES
-        self.chunk = max(1, min(self.tau_l - 1, BATCH_CHUNK_BYTES // (8 * B.size * P)))
+        self.chunk = max(1, min(self.tau_l - 1, BATCH_CHUNK_BYTES // (8 * weights[0].size * P)))
         self._snaps = np.empty((M, self.chunk, P))
         self.trace = VirtualTrace(
             vtilde=np.zeros((n, P)), gap_u_vtilde=np.zeros(n), gap_u_v=np.zeros(n),
             s_vehicle=np.zeros(n), s_edge=np.zeros(n), vehicle_gap=np.zeros((M, n)),
-            edge_gap=np.full((len(B) - 1, n), np.nan), u_cloud=np.zeros((K + 1, P)),
-            association_history=association, weights=np.empty((len(association),) + B.shape),
-            hfl=config)
-        self.trace.vtilde[0], self.trace.u_cloud[0], self.trace.weights[0] = w0, w0, B
+            edge_gap=np.full((weights.shape[1] - 1, n), np.nan), u_cloud=np.zeros((K + 1, P)),
+            association_history=association, weights=weights, hfl=config)
+        self.trace.vtilde[0], self.trace.u_cloud[0] = w0, w0
         self.trace.edge_gap[:, 0] = 0.0
 
     def step(self, tau, W, B, theta, terms):
@@ -339,11 +339,10 @@ class Recording:
                 avgs = fleet_averages(B, Ws.reshape(len(W), -1), terms)
                 self._store(taus, Ws, avgs, self.trace.vtilde[taus], theta, pre=True, post=True)
 
-    def before_aggregation(self, tau, W, B, avgs, theta):
-        """The weights B of the association the round ending at tau puts in
-        force, and the pre fields at tau from avgs, the fleet_averages of W
-        under B; returns ||u_pre - vtilde||."""
-        self.trace.weights[tau // self.tau_l] = B
+    def before_aggregation(self, tau, W, avgs, theta):
+        """The pre fields at tau from avgs, the fleet_averages of W under the
+        weights of the association the round ending at tau puts in force,
+        and theta, that association's; returns ||u_pre - vtilde||."""
         self._store(slice(tau, tau + 1), W[:, None], avgs, self.v, theta,
                     pre=True, post=False)  # v is vtilde
         return float(self.trace.gap_u_vtilde[tau])
@@ -393,7 +392,8 @@ def edge_rounds(config, shards, spec, association=None, edge_count=1, *,
     the training loss and a Recording read the model-input rows of the
     shards stacked in id order, and the accuracy those of eval_data, each
     built once per run, as are the loss's and the accuracy's
-    models.EvalWorkspace, the loss's on the step's one-hot targets. Every
+    models.EvalWorkspace, the loss's on the step's one-hot targets, and the
+    weights of every association row. Every
     round boundary takes two fleet_averages, before and after the
     aggregation, into one terms buffer built once per run, and the
     Recording (built when config.record_virtual is set) measures those same
@@ -401,7 +401,8 @@ def edge_rounds(config, shards, spec, association=None, edge_count=1, *,
     After every edge round yields one RunResult, updated in place: the
     metrics rows (the last is this round's), the loop's state as
     final_state, per-epoch cloud/vehicle-average consistency, and the
-    Recording's VirtualTrace, filled up to this round. An empty edge takes
+    Recording's VirtualTrace, filled up to this round but for its weights,
+    the whole schedule from the first round on. An empty edge takes
     its zero average, so a state yielded mid-epoch holds zeros for empty
     edges. With train_loss=False the metrics rows carry a nan training
     loss, and the full-union loss is not evaluated; nothing else changes.
@@ -441,15 +442,16 @@ def edge_rounds(config, shards, spec, association=None, edge_count=1, *,
     split_eval = None if eval_data is None else EvalWorkspace(
         spec, model_inputs(spec, eval_data.features), eval_data.labels)
 
-    # weights of the association in force, and B, the weights of u (row 0)
-    # and of every edge's average; refreshed at every round boundary
-    A, theta = membership_weights(association[0], sizes, edge_count)
-    B = np.vstack([alpha, A])
+    # the membership schedule, built once: weights[j] (1 + N, M) is B, the
+    # weights of u (row 0) and of every edge's average under association
+    # row j, and thetas[j] each edge's share of the data under it
+    weights, thetas = membership_weights(association, sizes, edge_count)
+    weights = np.concatenate([np.broadcast_to(alpha, weights[:, :1].shape), weights], axis=1)
 
-    recording = Recording(config, spec, w0, X, local.T, B,
+    recording = Recording(config, spec, w0, X, local.T, weights,
                           association) if config.record_virtual else None
     # every fleet_averages call's terms: a round boundary's, or a recorded chunk's
-    terms = np.empty(B.size * P * (1 if recording is None else recording.chunk))
+    terms = np.empty(weights[0].size * P * (1 if recording is None else recording.chunk))
 
     result = RunResult([], state, None if recording is None else recording.trace)
     for j in range(1, rounds + 1):
@@ -457,14 +459,12 @@ def edge_rounds(config, shards, spec, association=None, edge_count=1, *,
             state.tau += 1
             local.step(config.eta, state.tau)
             if recording is not None:
-                recording.step(state.tau, W, B, theta, terms)
+                recording.step(state.tau, W, weights[j - 1], thetas[j - 1], terms)
         # round boundary: the new association takes effect, then aggregation
-        edge_of = association[j]
-        A, theta = membership_weights(edge_of, sizes, edge_count)
-        B = np.vstack([alpha, A])
+        edge_of, B, theta = association[j], weights[j], thetas[j]
         avgs = fleet_averages(B, W, terms)  # u_pre, then every edge's average
         gap = float("nan") if recording is None else recording.before_aggregation(
-            state.tau, W, B, avgs, theta)
+            state.tau, W, avgs, theta)
 
         edge_params[:] = avgs[1:]
         # every edge id is in range; take's default mode would copy its

@@ -180,7 +180,7 @@ def _sweep_cell(inst, targets, init_params_vec, association=None):
         from . import analysis  # only a recorded cell estimates divergences
         probes = np.vstack([np.zeros(tr.vtilde.shape[1]), tr.vtilde[-1]])
         est = analysis.estimate_divergences(inst.spec, inst.shards, tr.association_history,
-                                            probes)
+                                            probes, mo.edges)
         mix = analysis.mobility_mixing_report(est)
         cell.delta_first_quarter = mix.first_quarter_mean
         cell.delta_last_quarter = mix.last_quarter_mean
@@ -336,7 +336,7 @@ def verify_bounds(cfg, delta_scale=1.0):
     # optimum; this is exactly where the recursion evaluates gradients
     probes = np.vstack([tr.vtilde, tr.u_cloud, np.zeros(tr.vtilde.shape[1]), opt.w])
     est = analysis.estimate_divergences(inst.spec, inst.shards, tr.association_history,
-                                        probes).scaled(delta_scale)
+                                        probes, inst.cfg.mobility.edges).scaled(delta_scale)
 
     beta = models.estimate_constants(inst.spec, inst.union)
     beta_m = np.array([models.estimate_constants(inst.spec, s) for s in inst.shards])

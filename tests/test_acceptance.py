@@ -263,7 +263,7 @@ def test_a8_delta_mixing_trend():
     def mixing(speed):
         veh = mobility.init_positions(net, 32, seed=11, sides=datasets.home_edges(32, 4))
         _, hist = mobility.schedule(net, *veh, speed, rounds)
-        est = analysis.estimate_divergences(spec, shards, hist, [np.zeros(32)])
+        est = analysis.estimate_divergences(spec, shards, hist, [np.zeros(32)], net.edge_count)
         return analysis.mobility_mixing_report(est)
 
     moving = mixing(30.0)

@@ -150,7 +150,7 @@ class TestEstimateDivergences:
         spec = models.ModelSpec(models.MULTINOMIAL_LOGISTIC, dim=5, class_count=3)
         hist = np.zeros((1, 4), dtype=np.int64)
         probes = [np.zeros(models.param_length(spec)), np.ones(models.param_length(spec))]
-        est = estimate_divergences(spec, shards, hist, probes)
+        est = estimate_divergences(spec, shards, hist, probes, 1)
         assert np.max(est.delta_m) <= 1e-12
         assert est.delta <= 1e-12
         assert np.nanmax(est.Delta_bracket) <= 1e-12
@@ -161,7 +161,7 @@ class TestEstimateDivergences:
         hist = datasets.home_edges(8, 4)[None]
         g = np.random.default_rng(0)
         probes = [g.normal(size=24) for _ in range(3)]
-        est = estimate_divergences(spec, shards, hist, probes)
+        est = estimate_divergences(spec, shards, hist, probes, 4)
         exact = shared_input_delta_m(shards)
         assert np.max(np.abs(est.delta_m - exact)) <= 1e-10
 
@@ -175,8 +175,8 @@ class TestEstimateDivergences:
             ds, datasets.EDGE_NONIID, vehicle_count=32, edge_count=4,
             classes_per_unit=1, seed=22)
         hist = datasets.home_edges(32, 4)[None]
-        est_i = estimate_divergences(spec, sh_i, hist, probes)
-        est_e = estimate_divergences(spec, sh_e, hist, probes)
+        est_i = estimate_divergences(spec, sh_i, hist, probes, 4)
+        est_e = estimate_divergences(spec, sh_e, hist, probes, 4)
         assert est_i.delta_m.max() < est_e.delta_m.max()
         # the edge-level divergence collapses for iid partitions
         assert est_i.Delta_bracket[0] < 0.05 * est_e.Delta_bracket[0]
@@ -187,7 +187,7 @@ class TestEstimateDivergences:
         home = datasets.home_edges(8, 4)
         hist = np.array([home, (home + 1) % 4])
         probes = [np.zeros(24), np.ones(24)]
-        est = estimate_divergences(spec, shards, hist, probes)
+        est = estimate_divergences(spec, shards, hist, probes, 4)
         # delta and Delta^[j] are the alpha- and theta-weighted sums of their parts
         assert abs(float(est.alpha @ est.delta_m) - est.delta) <= 1e-12
         sizes = np.array([s.size for s in shards], dtype=np.float64)
@@ -199,7 +199,7 @@ class TestEstimateDivergences:
         shards = datasets.shared_input_shards(8, 4, 2, 4, 30, 6, seed=5)
         spec = models.ModelSpec(models.QUADRATIC, dim=6, class_count=4, l2_reg=0.1)
         hist = datasets.home_edges(8, 4)[None]
-        est = estimate_divergences(spec, shards, hist, [np.zeros(24)])
+        est = estimate_divergences(spec, shards, hist, [np.zeros(24)], 4)
         assert est.delta <= est.delta_m.max() + 1e-12
         # the triangle inequality: an edge's divergence is at most its
         # members' weighted delta_m
@@ -211,7 +211,8 @@ class TestEstimateDivergences:
         spec = models.ModelSpec(models.QUADRATIC, dim=5, class_count=3)
         base = datasets.generate_synthetic(3, 5, 10, 3.0, seed=4)
         with pytest.raises(ValueError, match="need at least one probe point"):
-            estimate_divergences(spec, [base], np.zeros((1, 1), dtype=int), np.empty((0, 15)))
+            estimate_divergences(spec, [base], np.zeros((1, 1), dtype=int), np.empty((0, 15)),
+                                 1)
 
     def test_closed_form_needs_shared_features(self):
         shards = datasets.shared_input_shards(8, 4, 1, 4, 30, 6, seed=2)
@@ -224,20 +225,19 @@ class TestEstimateDivergences:
         base = datasets.generate_synthetic(3, 4, 10, 3.0, seed=4)
         with pytest.raises(models.UnsupportedModelError):
             estimate_divergences(spec, [base],
-                                 np.zeros((1, 1), dtype=int), [np.zeros(1)])
+                                 np.zeros((1, 1), dtype=int), [np.zeros(1)], 1)
 
 
-def loop_divergences(spec, shards, hist, probes):
+def loop_divergences(spec, shards, hist, probes, N):
     """estimate_divergences one probe at a time, one gradient_xy call per
     shard, the edge gradients of the distinct association rows through one
     product and norm per probe, expanded to the brackets afterwards, and
-    the norm of each probe's full gradient."""
+    the norm of each probe's full gradient; N edges."""
     probes = np.atleast_2d(np.asarray(probes, dtype=np.float64))
     M = len(shards)
     sizes = np.array([s.size for s in shards], dtype=np.float64)
     alpha = sizes / sizes.sum()
     hist = np.asarray(hist)
-    N = int(hist.max()) + 1
     rows, inv = np.unique(hist, axis=0, return_inverse=True)
     inv = inv.reshape(-1)
     A_rows, theta_rows = engine.membership_weights(rows, sizes, N)
@@ -260,14 +260,13 @@ def loop_divergences(spec, shards, hist, probes):
                 grad_norm=np.array(grad_norm))
 
 
-def bracket_product_Delta_n(spec, shards, hist, probes):
+def bracket_product_Delta_n(spec, shards, hist, probes, N):
     """Delta_n with one product row per (bracket, edge), repeats included:
     the same values, but BLAS may round a row of this larger product
     differently."""
     M = len(shards)
     sizes = np.array([s.size for s in shards], dtype=np.float64)
     alpha = sizes / sizes.sum()
-    N = int(hist.max()) + 1
     A, theta = engine.membership_weights(hist, sizes, N)
     Delta_n = np.zeros((hist.shape[0], N))
     for w in probes:
@@ -320,7 +319,6 @@ class TestDivergencesMatchProbeLoop:
         # brackets drawn from a few distinct rows, so rows repeat
         g = np.random.default_rng(seed)
         base = g.integers(0, N, size=(3, M))
-        base[0, -1] = N - 1  # the highest edge is named at least once
         return base[g.integers(0, 3, size=rows)]
 
     @staticmethod
@@ -335,9 +333,9 @@ class TestDivergencesMatchProbeLoop:
         monkeypatch.setattr(analysis, "gradient_probes", spy)
         return sizes
 
-    def check(self, spec, shards, hist, probes):
-        est = estimate_divergences(spec, shards, hist, probes)
-        for name, want in loop_divergences(spec, shards, hist, probes).items():
+    def check(self, spec, shards, hist, probes, N):
+        est = estimate_divergences(spec, shards, hist, probes, N)
+        for name, want in loop_divergences(spec, shards, hist, probes, N).items():
             assert_same_bits(getattr(est, name), want)
         return est
 
@@ -356,10 +354,10 @@ class TestDivergencesMatchProbeLoop:
         probes = np.random.default_rng(seed).normal(size=(3, models.param_length(spec)))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(analysis, "CHUNK_BYTES", chunk_bytes)
-            est = self.check(spec, shards, hist, probes)
+            est = self.check(spec, shards, hist, probes, N)
         # one product row per bracket agrees to rounding, relative to the
         # gradient scale (a Delta_n can be a rounding residue near 0)
-        old = bracket_product_Delta_n(spec, shards, hist, probes)
+        old = bracket_product_Delta_n(spec, shards, hist, probes, N)
         assert_same_bits(np.isnan(est.Delta_n_bracket), np.isnan(old))
         scale = max(np.linalg.norm(models.gradient_xy(spec, w, s.features, s.labels))
                     for w in probes for s in shards)
@@ -374,7 +372,7 @@ class TestDivergencesMatchProbeLoop:
         hist = self.history(len(shards), 23, 4, seed=len(case))
         probes = np.random.default_rng(1).normal(size=(7, models.param_length(spec)))
         monkeypatch.setattr(analysis, "CHUNK_BYTES", chunk_bytes)
-        self.check(spec, shards, hist, probes)
+        self.check(spec, shards, hist, probes, 4)
 
     def test_partial_last_chunk(self, monkeypatch):
         shards, spec = local_noniid_unequal(), DIVERGENCE_CASES["logistic_local_noniid_unequal"][1]
@@ -391,30 +389,40 @@ class TestDivergencesMatchProbeLoop:
                          * models.param_length(spec))
         monkeypatch.setattr(analysis, "CHUNK_BYTES", 3 * per_probe)
         chunks = self.spy_chunks(monkeypatch)
-        self.check(spec, shards, hist, probes)
+        self.check(spec, shards, hist, probes, 4)
         # one call per shard size and chunk: 3 + 3 + 1 probes
         assert sorted(set(chunks)) == [1, 3] and sum(chunks) == 7 * len({s.size for s in shards})
         # a byte less holds two probes a chunk: 2 + 2 + 2 + 1
         monkeypatch.setattr(analysis, "CHUNK_BYTES", 3 * per_probe - 1)
         chunks.clear()
-        self.check(spec, shards, hist, probes)
+        self.check(spec, shards, hist, probes, 4)
         assert sorted(set(chunks)) == [1, 2] and sum(chunks) == 7 * len({s.size for s in shards})
 
     def test_single_probe(self):
         make, spec = DIVERGENCE_CASES["quadratic_two_classes"]
         shards = make()
         self.check(spec, shards, self.history(len(shards), 5, 2, seed=4),
-                   np.ones(models.param_length(spec)))
+                   np.ones(models.param_length(spec)), 2)
 
     def test_never_occupied_last_edge(self):
         # the topology has 4 edges, the history names 0..2 and leaves edge 1
-        # empty in some brackets: those entries are NaN in both
+        # empty in some brackets: those entries are NaN in both, and edge 3
+        # is a column of NaN
         make, spec = DIVERGENCE_CASES["quadratic_shared_input"]
         shards = make()
         hist = np.array([[m % 3 for m in range(8)], [0, 2] * 4, [m % 3 for m in range(8)]] * 4)
-        est = self.check(spec, shards, hist, np.random.default_rng(5).normal(size=(4, 24)))
-        assert est.Delta_n_bracket.shape == (12, 3)
+        est = self.check(spec, shards, hist, np.random.default_rng(5).normal(size=(4, 24)), 4)
+        assert est.Delta_n_bracket.shape == (12, 4)
         assert np.isnan(est.Delta_n_bracket[1, 1]) and not np.isnan(est.Delta_n_bracket[0, 1])
+        assert np.isnan(est.Delta_n_bracket[:, 3]).all()
+
+    @pytest.mark.parametrize("edge", [-1, 3])
+    def test_edge_outside_the_count_rejected(self, edge):
+        make, spec = DIVERGENCE_CASES["quadratic_shared_input"]
+        hist = np.array([[m % 3 for m in range(8)]] * 2)
+        hist[1, 5] = edge
+        with pytest.raises(ValueError, match=r"names an edge outside \[0, 3\)"):
+            estimate_divergences(spec, make(), hist, [np.zeros(24)], 3)
 
     def test_recorded_run(self):
         # the verify-bounds shape: a mobile run's history and trajectory probes
@@ -422,7 +430,7 @@ class TestDivergencesMatchProbeLoop:
         probes = np.vstack([tr.vtilde, np.zeros(tr.vtilde.shape[1])])
         shards = datasets.shared_input_shards(32, 4, 1, 4, 40, 8, seed=5)
         assert len(np.unique(tr.association_history, axis=0)) < len(tr.association_history)
-        self.check(spec, shards, tr.association_history, probes)
+        self.check(spec, shards, tr.association_history, probes, 4)
 
 
 RHO_CONFIG = """
@@ -465,7 +473,7 @@ class TestRhoFromDivergenceGradients:
         inst = experiments.build_instance(cfg)
         tr = experiments.run_instance(inst, record_virtual=True, full_batch=True).trace
         norms = loop_divergences(inst.spec, inst.shards, tr.association_history,
-                                 tr.vtilde)["grad_norm"]
+                                 tr.vtilde, cfg.mobility.edges)["grad_norm"]
         assert type(rho) is float and rho == max(norms.tolist())
         # the shard-weighted gradient is the union's up to rounding
         X, y = inst.union.features, inst.union.labels
@@ -485,8 +493,8 @@ class TestRhoOverVtildeRows:
         calls = []
         real = analysis.estimate_divergences
 
-        def spy(spec, shards, hist, probes):
-            calls.append((probes, real(spec, shards, hist, probes)))
+        def spy(spec, shards, hist, probes, edge_count):
+            calls.append((probes, real(spec, shards, hist, probes, edge_count)))
             return calls[-1][1]
 
         monkeypatch.setattr(analysis, "estimate_divergences", spy)
@@ -514,7 +522,7 @@ def bound_suite_run(speed, K=4, eta=0.05, seed=13):
     opt = models.solve_optimum(spec, union)
     tr = res.trace
     probes = np.vstack([tr.vtilde, np.zeros(tr.vtilde.shape[1]), opt.w])
-    est = estimate_divergences(spec, shards, tr.association_history, probes)
+    est = estimate_divergences(spec, shards, tr.association_history, probes, net.edge_count)
     beta = models.estimate_constants(spec, union)
     beta_m = np.array([models.estimate_constants(spec, s) for s in shards])
     rho = max(est.grad_norm[:len(tr.vtilde)].tolist())
@@ -879,7 +887,7 @@ class TestCheckersMatchScalarLoops:
         cfg = engine.HflConfig(eta=0.05, tau_l=2, tau_e=2, cloud_epochs=2, seed=1,
                                record_virtual=True, full_batch=True)
         tr = engine.run(cfg, shards, spec, np.array(rows), 4).trace
-        est = estimate_divergences(spec, shards, tr.association_history, tr.vtilde)
+        est = estimate_divergences(spec, shards, tr.association_history, tr.vtilde, 4)
         beta_m = np.array([models.estimate_constants(spec, s) for s in shards])
         inputs = BoundInputs(beta=float(beta_m.max()), beta_m=beta_m, rho=1.0, epsilon=1.0,
                              w_star=np.zeros(2), f_star=0.0)
@@ -898,11 +906,15 @@ class TestCheckersMatchScalarLoops:
         assert as_tuples(got) == loop_edge_drift(tr, est, inputs)
 
     def test_never_occupied_last_edge(self):
-        # the estimates have a column per edge up to the highest one the
-        # history names; the trace has one per edge of the topology
+        # the estimates, the trace and the bounds have a column per edge of
+        # the topology; edge 3 never holds a vehicle, so its are all NaN
         tr, est, inputs = self.partial_run([[m % 3 for m in range(8)]] * 5)
-        assert (tr.edge_gap.shape[0], est.Delta_n_bracket.shape[1]) == (4, 3)
-        got = found(tr, drift_recursion(tr, est, inputs), inputs, EDGE)
+        bounds = drift_recursion(tr, est, inputs)
+        assert (tr.edge_gap.shape[0], est.Delta_n_bracket.shape[1], bounds.edge.shape[1]) \
+            == (4, 4, 4)
+        for a in (tr.edge_gap[3], est.Delta_n_bracket[:, 3], bounds.edge[:, 3]):
+            assert np.isnan(a[1:]).all()
+        got = found(tr, bounds, inputs, EDGE)
         assert len(got) > 0
         assert as_tuples(got) == loop_edge_drift(tr, est, inputs)
 
@@ -911,6 +923,77 @@ class TestCheckersMatchScalarLoops:
         v = found(tr, drift_recursion(tr, est.scaled(0.5), inputs), inputs, VEHICLE)[0]
         assert type(v.measured) is float and type(v.bound) is float
         assert all(type(x) is int for x in v.where.values())
+
+
+# Three iid vehicles on four edges: at speed 0 they stay on edges 0-2, and
+# at speed 60 they drive round a short road, emptying and filling edges;
+# eta*max(beta_m) stays below 2, so no vehicle's step diverges
+THREE_ON_FOUR_CONFIG = """
+[dataset]
+classes = 4
+dim = 4
+samples_per_class = 30
+
+[partition]
+regime = iid
+vehicles = 3
+
+[mobility]
+edges = 4
+side_length = 100.0
+intersection_zone = 10.0
+speed = {speed}
+seed = 5
+
+[hfl]
+eta = 0.02
+tau_l = 2
+tau_e = 3
+cloud_epochs = 2
+
+[model]
+family = quadratic
+l2_reg = 0.05
+"""
+
+
+class TestEdgeCountThroughVerifyBounds:
+    """verify_bounds sizes every edge axis by the run's edge count, not by
+    the edges its association history happens to name."""
+
+    @staticmethod
+    def run(speed):
+        cfg = config.parse_config(THREE_ON_FOUR_CONFIG.format(speed=speed))
+        suite = experiments.verify_bounds(cfg)
+        inst = experiments.build_instance(cfg)
+        tr = experiments.run_instance(inst, record_virtual=True, full_batch=True).trace
+        assert cfg.hfl.eta * suite.inputs.beta_m.max() <= 2.0
+        return tr, suite
+
+    def test_static_run_never_names_the_top_edge(self):
+        tr, suite = self.run(0.0)
+        est = suite.estimates
+        assert (tr.association_history < 3).all()
+        assert est.Delta_n_bracket.shape == (len(tr.association_history), 4)
+        assert np.isnan(est.Delta_n_bracket[:, 3]).all()
+        assert suite.violations == []
+        assert_bounds_equal_scalar_recursion(tr, est, suite.inputs)
+
+    def test_mobile_run_empties_and_refills_an_edge(self):
+        tr, suite = self.run(60.0)
+        occupied = np.array([[n in row for n in range(4)] for row in tr.association_history])
+        flips = np.diff(occupied.astype(int), axis=0)  # -1 empties an edge, +1 fills it
+
+        def refilled(col):
+            emptied = np.flatnonzero(col == -1)
+            return emptied.size > 0 and (np.flatnonzero(col == 1) > emptied[0]).any()
+
+        assert any(refilled(flips[:, n]) for n in range(4))
+        bounds = drift_recursion(tr, suite.estimates, suite.inputs)
+        assert np.isnan(bounds.edge).any()
+        assert np.isnan(bounds.edge).tolist() == np.isnan(tr.edge_gap[:, 1:].T).tolist()
+        assert suite.violations == []
+        assert_bounds_equal_scalar_recursion(tr, suite.estimates, suite.inputs)
 
 
 class TestGapBound:
@@ -935,7 +1018,7 @@ class TestGapBound:
         union = datasets.union_of_shards(shards)
         opt = models.solve_optimum(spec, union)
         probes = np.vstack([tr.vtilde, np.zeros(tr.vtilde.shape[1]), opt.w])
-        est = estimate_divergences(spec, shards, tr.association_history, probes)
+        est = estimate_divergences(spec, shards, tr.association_history, probes, 1)
         assert est.delta <= 1e-12
         beta = models.estimate_constants(spec, union)
         rho = max(est.grad_norm[:len(tr.vtilde)].tolist())
@@ -1089,8 +1172,8 @@ class TestPlantedViolations:
         # members' averages of B differ most
         tr, est, inputs = config_run(HONEST_RUNS["logistic"](30.0, 0.001))
         bounds = drift_recursion(tr, est, inputs)
-        hist, N, tau_l = tr.association_history, est.Delta_n_bracket.shape[1], tr.hfl.tau_l
-        A = tr.weights[:, 1:1 + N]
+        hist, A, tau_l = tr.association_history, tr.weights[:, 1:], tr.hfl.tau_l
+        N = A.shape[1]
         changes = [(j, n) for j in range(1, len(hist)) for n in range(N)
                    if (A[j, n] != A[j - 1, n]).any() and A[j, n].any()]
 
@@ -1199,6 +1282,6 @@ class TestMixingReport:
         net = mobility.RoadNetwork()
         veh = mobility.init_positions(net, 32, seed=11, sides=datasets.home_edges(32, 4))
         _, hist = mobility.schedule(net, *veh, 30.0, 100)
-        est = estimate_divergences(spec, shards, hist, [np.zeros(32)])
+        est = estimate_divergences(spec, shards, hist, [np.zeros(32)], net.edge_count)
         mix = mobility_mixing_report(est)
         assert mix.last_quarter_mean < mix.first_quarter_mean

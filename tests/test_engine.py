@@ -481,6 +481,64 @@ class TestRecordingMatchesPerRowLoop:
         assert not np.isnan(tr.edge_gap).any()
 
 
+class TestMembershipSchedule:
+    """edge_rounds builds the weights of every association row in one
+    membership_weights call, and a recording run's trace holds that array."""
+
+    @staticmethod
+    def turning_run(monkeypatch, record):
+        # three vehicles on four edges with p_turn = 0.3, as the recording
+        # comparisons run; returns the generator, its association and shards,
+        # the shape of every membership_weights call's rows and every B that
+        # fleet_averages reads
+        shards = unequal_shards([23, 40, 31])
+        net = mobility.RoadNetwork(side_length=200.0, intersection_zone=10.0)
+        veh = mobility.init_positions(net, 3, seed=4)
+        cfg = HflConfig(eta=0.1, tau_l=3, tau_e=2, cloud_epochs=3, batch_size=16,
+                        seed=6, record_virtual=record)
+        _, assoc = mobility.schedule(net, *veh, 60.0, cfg.cloud_epochs * cfg.tau_e,
+                                     p_turn=0.3, seed=4)
+        calls, read = [], []
+        real_weights, real_averages = engine.membership_weights, engine.fleet_averages
+
+        def weights_spy(edge_of, sizes, edge_count):
+            calls.append(np.shape(edge_of))
+            return real_weights(edge_of, sizes, edge_count)
+
+        def averages_spy(B, W, terms=None):
+            read.append(B)
+            return real_averages(B, W, terms)
+
+        monkeypatch.setattr(engine, "membership_weights", weights_spy)
+        monkeypatch.setattr(engine, "fleet_averages", averages_spy)
+        rounds = engine.edge_rounds(cfg, shards, logistic_spec(), assoc, net.edge_count)
+        return rounds, assoc, shards, calls, read
+
+    def test_first_trace_holds_every_row(self, monkeypatch):
+        rounds, assoc, shards, calls, read = self.turning_run(monkeypatch, record=True)
+        tr = next(rounds).trace
+        sizes = np.array([s.size for s in shards], dtype=np.float64)
+        A, _ = membership_weights(assoc, sizes, 4)
+        want = np.concatenate([np.broadcast_to(sizes / sizes.sum(), (len(assoc), 1, 3)), A],
+                              axis=1)
+        assert len({tuple(r) for r in assoc[2:]}) > 1
+        assert tr.weights.shape == want.shape and tr.weights.tobytes() == want.tobytes()
+        for _ in rounds:
+            pass
+        # every vehicle-weighted average of the run read the trace's array
+        # (the edges' theta-weighted sums have N = 4 columns, not M = 3)
+        by_vehicle = [B for B in read if B.shape[-1] == 3]
+        assert len(by_vehicle) > 2 * len(assoc)
+        assert all(np.shares_memory(B, tr.weights) for B in by_vehicle)
+
+    @pytest.mark.parametrize("record", [True, False])
+    def test_one_call_per_run(self, monkeypatch, record):
+        rounds, assoc, _, calls, _ = self.turning_run(monkeypatch, record)
+        for _ in rounds:
+            pass
+        assert calls == [assoc.shape]
+
+
 def reference_rows(sizes, batch, seed, full):
     """Every vehicle's reference_batches stream, as rows of the shards
     stacked in id order."""
