@@ -126,6 +126,17 @@ MUTATIONS = [
     # pretraining that returns at the round that hits the target
     Mutation(EXPERIMENTS, "if hit and len(res.metrics) % pre.hfl.tau_e == 0:", "if hit:",
              "tests/test_config_cli.py::TestPretrain::test_target_first_hit_mid_epoch"),
+    # sweep cells keyed by their schedule's first row, so schedules that
+    # part later train once
+    Mutation(EXPERIMENTS, "keys.append(association.tobytes())",
+             "keys.append(association[:1].tobytes())",
+             "tests/test_config_cli.py::TestCmdSweep"
+             "::test_each_distinct_schedule_trains_once[edge_noniid]"),
+    # a sweep that takes a new trained cell at every cell, not at each
+    # schedule's first, so a copied cell trains the next schedule early
+    Mutation(EXPERIMENTS, "            if key not in done:\n", "            if True:\n",
+             "tests/test_config_cli.py::TestFaultPaths"
+             "::test_interrupted_sweep_lists_completed_cells"),
     # the fleet's weighted sum taken over the vehicles in reverse id order
     Mutation(ENGINE, "else terms.sum(axis=0)", "else terms[::-1].sum(axis=0)",
              TEST_ENGINE + "::TestBatchedMeasurement::test_fleet_averages_match_weighted_sum"),

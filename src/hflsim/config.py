@@ -57,10 +57,10 @@ class PartitionSection:
 @dataclass
 class MobilitySection:
     edges: int = 4                   # 4 = square topology, 1 = static degenerate
-    side_length: float = 1000.0
+    side_length: float = mobility.RoadNetwork.side_length
     speed: float = 30.0
-    slowdown_factor: float = 0.5
-    intersection_zone: float = 50.0
+    slowdown_factor: float = mobility.RoadNetwork.slowdown_factor
+    intersection_zone: float = mobility.RoadNetwork.intersection_zone
     p_turn: float = 0.0
     seed: int = 3
 

@@ -3,9 +3,8 @@ bound-verification suite. The CLI is a thin wrapper around this module;
 tests drive it directly."""
 
 import copy
-import functools
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -202,8 +201,11 @@ def sweep_speed(cfg, speeds, seeds, target_fractions=DEFAULT_TARGET_FRACTIONS,
     trains once, on its first cell, and the others copy that cell with
     their own speed and seed. Edge-skewed placement pins every vehicle to
     its data's side, which makes all speed-0 cells equal; with edges = 1
-    every cell is. result.cells and on_cell still cover every cell, in
-    order, and a DivergenceError stops the sweep at the same cell.
+    every cell is. The distinct schedules train through one ordered map,
+    the built-in map or, with parallel > 1, the pool's, which cancels the
+    schedules not yet handed to a worker once one raises. result.cells
+    and on_cell still cover every cell, in order, and a DivergenceError
+    stops the sweep at the same cell.
     """
     if parallel < 1:
         raise ConfigError([f"--parallel must be >= 1, got {parallel}"])
@@ -234,43 +236,38 @@ def sweep_speed(cfg, speeds, seeds, target_fractions=DEFAULT_TARGET_FRACTIONS,
         for s in seeds:
             mo = replace(cfg.mobility, speed=v, seed=s)
             cells.append(replace(base, cfg=validate(replace(cfg, mobility=mo))))
-    # one (association, first cell) per distinct schedule, in order of
-    # first appearance; group[i] is cell i's entry
-    rounds = cfg.hfl.cloud_epochs * cfg.hfl.tau_e
-    distinct, group = [], []
-    for i, inst in enumerate(cells):
-        association = schedule(inst, rounds)[1]
-        g = next((g for g, (a, _) in enumerate(distinct) if np.array_equal(a, association)),
-                 len(distinct))
-        if g == len(distinct):
-            distinct.append((association, i))
-        group.append(g)
     ceiling = centralized_ceiling(base)
     targets = [f * ceiling for f in target_fractions]
     result = SweepResult(speeds=speeds, seeds=seeds, targets=targets,
                          target_fractions=list(target_fractions), ceiling=ceiling)
-
-    def emit(trained):
-        """Every cell in order, as a copy of its schedule's trained cell."""
-        for inst, g in zip(cells, group):
-            cell = trained(g)
+    # every schedule of a sweep has one shape and dtype, so equal bytes are
+    # equal schedules; first holds the _sweep_cell arguments of each
+    # distinct one's first cell, in order
+    rounds = cfg.hfl.cloud_epochs * cfg.hfl.tau_e
+    keys, first = [], {}
+    for inst in cells:
+        association = schedule(inst, rounds)[1]
+        keys.append(association.tobytes())
+        first.setdefault(keys[-1], (inst, targets, init_params_vec, association))
+    pool, ordered_map = nullcontext(), map
+    if parallel > 1:
+        # imported here: the pool pulls in multiprocessing, which a serial
+        # sweep and every other command can do without
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=min(parallel, len(first)))
+        ordered_map = pool.map
+    with pool:
+        trained = ordered_map(_sweep_cell, *zip(*first.values()))
+        done = {}  # each schedule's trained cell, taken at its first cell
+        for inst, key in zip(cells, keys):
+            if key not in done:
+                done[key] = next(trained)
+            cell = done[key]
             result.cells.append(replace(cell, speed=inst.cfg.mobility.speed,
                                         seed=inst.cfg.mobility.seed,
                                         rounds_to_target=list(cell.rounds_to_target)))
             if on_cell:
                 on_cell(result.cells[-1])
-
-    if parallel > 1:
-        # imported here: the pool pulls in multiprocessing, which a serial
-        # sweep and every other command can do without
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(parallel, len(distinct))) as ex:
-            futs = [ex.submit(_sweep_cell, cells[i], targets, init_params_vec, association)
-                    for association, i in distinct]
-            emit(lambda g: futs[g].result())
-    else:
-        emit(functools.cache(lambda g: _sweep_cell(cells[distinct[g][1]], targets,
-                                                   init_params_vec, distinct[g][0])))
     return result
 
 

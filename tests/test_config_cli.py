@@ -301,6 +301,12 @@ class TestOwnersAgree:
                 raised = True
             assert raised == bool(rules), rules
 
+    def test_default_section_builds_the_default_road(self):
+        mo = config.MobilitySection()
+        assert mobility.RoadNetwork(side_length=mo.side_length,
+                                    intersection_zone=mo.intersection_zone,
+                                    slowdown_factor=mo.slowdown_factor) == mobility.RoadNetwork()
+
 
 class TestCmdRun:
     def test_smoke_and_outputs(self, tmp_path, capsys):
@@ -882,10 +888,8 @@ class TestCmdSweep:
             def __exit__(self, *exc):
                 return False
 
-            def submit(self, fn, *args):
-                fut = concurrent.futures.Future()
-                fut.set_result(fn(*args))
-                return fut
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         path = write_cfg(tmp_path, SWEEP)

@@ -10,7 +10,7 @@ import os
 import numpy as np
 import pytest
 
-from hflsim import mobility, models
+from hflsim import analysis, config, experiments, mobility, models
 
 TRACER = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                       "perfbench", "tracer.py")
@@ -99,7 +99,19 @@ def test_tracer_hooks_resolve(tmp_path, command, text):
     # every wrapped function is the original again
     assert mobility.associate is associate and models.gradient_xy is gradient_xy
     with np.load(spans) as f:
-        counters = json.loads(str(f["meta"]))["counters"]
+        meta = json.loads(str(f["meta"]))
         names = f["names"].tolist()
+    counters = meta["counters"]
     assert counters["mobility.handoffs"] > 0
     assert "mobility.associate" in names and "mobility.schedule" in names
+    if command == "verify-bounds":
+        # the hook reads estimate_divergences' probes and result: vtilde's
+        # T + 1 rows, u's K + 1, then zero and the optimum
+        exp = config.load_config(str(cfg))
+        exp.dataset.seed = exp.partition.seed = exp.mobility.seed = exp.hfl.seed = 1
+        h = exp.hfl
+        T, K = h.tau_l * h.tau_e * h.cloud_epochs, h.cloud_epochs
+        assert counters["analysis.estimate_divergences.probes"] == (T + 1) + (K + 1) + 2
+        shards = experiments.build_instance(exp).shards
+        np.testing.assert_allclose(meta["delta_m"], [analysis.shared_input_delta_m(shards)],
+                                   rtol=0, atol=1e-10)
