@@ -137,6 +137,12 @@ MUTATIONS = [
     Mutation(EXPERIMENTS, "            if key not in done:\n", "            if True:\n",
              "tests/test_config_cli.py::TestFaultPaths"
              "::test_interrupted_sweep_lists_completed_cells"),
+    # a sweep whose cell loop fails leaving the pool's map open, so every
+    # queued schedule still trains before the pool shuts down
+    Mutation(EXPERIMENTS, '            getattr(trained, "close", lambda: None)()\n',
+             "            pass\n",
+             "tests/test_config_cli.py::TestCmdSweep"
+             "::test_failing_cell_cancels_untaken_schedules"),
     # the fleet's weighted sum taken over the vehicles in reverse id order
     Mutation(ENGINE, "else terms.sum(axis=0)", "else terms[::-1].sum(axis=0)",
              TEST_ENGINE + "::TestBatchedMeasurement::test_fleet_averages_match_weighted_sum"),
@@ -215,6 +221,12 @@ MUTATIONS = [
              "fleet_averages(theta[None], edge)",
              TEST_ENGINE + "::TestRecordingMatchesPerRowLoop"
              "::test_logistic_minibatch_turning_vehicles"),
+    # each cluster's share repeated over the classes, not the shares tiled,
+    # so an uneven split gives a class's remainder to the wrong clusters
+    Mutation("src/hflsim/datasets.py", "np.tile(per_cluster, class_count)",
+             "np.repeat(per_cluster, class_count)",
+             "tests/test_datasets.py::TestGenerateSynthetic"
+             "::test_layout_matches_sample_by_sample_construction"),
     # the shared-input class coverage left to edge_noniid's rule, which the
     # partial-coverage flag excuses, so the construction drops the surplus
     # classes

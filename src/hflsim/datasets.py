@@ -149,16 +149,11 @@ def generate_synthetic(class_count, dim, samples_per_class, separation, seed,
         raise DegenerateDataError("degenerate cluster means; choose another seed")
     means *= separation / dmin
     cluster_of = np.arange(n_clusters) % class_count  # cluster -> class
-    labels = []
-    assignments = []
-    for c in range(class_count):
-        own = np.flatnonzero(cluster_of == c)
-        counts = np.array_split(np.empty(samples_per_class), clusters_per_class)
-        for cl, chunk in zip(own, counts):
-            assignments.extend([cl] * len(chunk))
-            labels.extend([c] * len(chunk))
-    assignments = np.array(assignments)
-    labels = np.array(labels, dtype=np.int64)
+    # each class's clusters in turn, each repeated by its share of the class
+    per_cluster = list(map(len, np.array_split(np.empty(samples_per_class), clusters_per_class)))
+    assignments = np.repeat(np.argsort(cluster_of, kind="stable"),
+                            np.tile(per_cluster, class_count))
+    labels = cluster_of[assignments]
     features = means[assignments] + g.normal(size=(labels.size, dim))
     return LabeledDataset(features, labels, class_count)
 
@@ -180,11 +175,6 @@ def train_test_split(dataset, test_fraction, seed):
     if train_idx.size == 0 or test_idx.size == 0:
         raise DegenerateDataError("split leaves an empty side; adjust test_fraction")
     return dataset.subset(train_idx), dataset.subset(test_idx)
-
-
-def _sorted_by_label(dataset):
-    # stable: ties keep original order, so the layout is deterministic
-    return np.argsort(dataset.labels, kind="stable")
 
 
 def _truncate_for_blocks(dataset, block_count):
@@ -260,7 +250,8 @@ def partition(dataset, regime, vehicle_count, edge_count, classes_per_unit=1, se
             raise InfeasiblePartitionError(
                 f"need at least vehicle_count*l = {M * l} samples, have {dataset.size}")
         data = _truncate_for_blocks(dataset, M * l)
-        blocks = _sorted_by_label(data).reshape(M * l, -1)
+        # stable: ties keep original order, so the layout is deterministic
+        blocks = np.argsort(data.labels, kind="stable").reshape(M * l, -1)
         return [data.subset(np.sort(blocks[m::M].ravel())) for m in range(M)]
 
     # edge_noniid

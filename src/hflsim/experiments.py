@@ -169,10 +169,9 @@ DEFAULT_TARGET_FRACTIONS = (0.65, 0.70, 0.75)
 def _sweep_cell(inst, targets, init_params_vec, association=None):
     res = run_instance(inst, init_params_vec=init_params_vec, association=association,
                        train_loss=False)
-    accs = np.array([r.test_accuracy for r in res.metrics])
-    best = float(np.max(accs[~np.isnan(accs)])) if np.any(~np.isnan(accs)) else float("nan")
     mo = inst.cfg.mobility
-    cell = SweepCell(speed=mo.speed, seed=mo.seed, max_test_accuracy=best,
+    cell = SweepCell(speed=mo.speed, seed=mo.seed,
+                     max_test_accuracy=max(r.test_accuracy for r in res.metrics),
                      rounds_to_target=rounds_to_targets(res.metrics, targets))
     tr = res.trace
     if tr is not None:
@@ -203,7 +202,8 @@ def sweep_speed(cfg, speeds, seeds, target_fractions=DEFAULT_TARGET_FRACTIONS,
     its data's side, which makes all speed-0 cells equal; with edges = 1
     every cell is. The distinct schedules train through one ordered map,
     the built-in map or, with parallel > 1, the pool's, which cancels the
-    schedules not yet handed to a worker once one raises. result.cells
+    schedules not yet handed to a worker once one raises or the loop over
+    the cells exits by an exception (on_cell's, say). result.cells
     and on_cell still cover every cell, in order, and a DivergenceError
     stops the sweep at the same cell.
     """
@@ -259,15 +259,21 @@ def sweep_speed(cfg, speeds, seeds, target_fractions=DEFAULT_TARGET_FRACTIONS,
     with pool:
         trained = ordered_map(_sweep_cell, *zip(*first.values()))
         done = {}  # each schedule's trained cell, taken at its first cell
-        for inst, key in zip(cells, keys):
-            if key not in done:
-                done[key] = next(trained)
-            cell = done[key]
-            result.cells.append(replace(cell, speed=inst.cfg.mobility.speed,
-                                        seed=inst.cfg.mobility.seed,
-                                        rounds_to_target=list(cell.rounds_to_target)))
-            if on_cell:
-                on_cell(result.cells[-1])
+        try:
+            for inst, key in zip(cells, keys):
+                if key not in done:
+                    done[key] = next(trained)
+                cell = done[key]
+                result.cells.append(replace(cell, speed=inst.cfg.mobility.speed,
+                                            seed=inst.cfg.mobility.seed,
+                                            rounds_to_target=list(cell.rounds_to_target)))
+                if on_cell:
+                    on_cell(result.cells[-1])
+        finally:
+            # closing the pool's map cancels the schedules no worker has
+            # taken, so a loop that exits early waits only for the running
+            # ones; the built-in map has nothing to close
+            getattr(trained, "close", lambda: None)()
     return result
 
 

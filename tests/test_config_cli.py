@@ -922,6 +922,37 @@ class TestCmdSweep:
         assert [(c.speed, c.seed) for c in res.cells] == [(0.0, 1), (0.0, 2), (30.0, 1), (30.0, 2)]
         assert calls.count(1) == 1 and len(calls) == trained + 1
 
+    def test_failing_cell_cancels_untaken_schedules(self, tmp_path, monkeypatch):
+        # a thread pool stands in for the process pool, so the stub below
+        # runs in it; the first schedule returns at once, the rest take a
+        # while, and on_cell fails at the first cell, as a failed manifest
+        # write does
+        started = []
+
+        def stub(inst, targets, init_params_vec, association):
+            started.append(inst.cfg.mobility.speed)
+            if inst.cfg.mobility.speed:
+                time.sleep(0.5)
+            return experiments.SweepCell(speed=0.0, seed=0, max_test_accuracy=0.0,
+                                         rounds_to_target=[])
+
+        def on_cell(cell):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            concurrent.futures.ThreadPoolExecutor)
+        monkeypatch.setattr(experiments, "_sweep_cell", stub)
+        cfg = validate(config.load_config(write_cfg(tmp_path, SWEEP)))
+        speeds = [0.0, 30.0, 60.0, 90.0, 120.0, 150.0]
+        base, rounds = experiments.build_instance(cfg), cfg.hfl.cloud_epochs * cfg.hfl.tau_e
+        mobilities = [replace(cfg.mobility, speed=v, seed=1) for v in speeds]
+        assert len({experiments.schedule(replace(base, cfg=replace(cfg, mobility=mo)),
+                                         rounds)[1].tobytes() for mo in mobilities}) == 6
+        with pytest.raises(OSError):
+            experiments.sweep_speed(cfg, speeds, [1], parallel=2, on_cell=on_cell)
+        # the workers took the first two or three; the rest were cancelled
+        assert started[0] == 0.0 and len(started) < len(speeds)
+
     def test_lazy_pool_import(self):
         # only a parallel sweep needs the process pool and what it imports,
         # and only verify-bounds and a recorded sweep cell need the analysis

@@ -1,10 +1,11 @@
 import csv
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hflsim import datasets, models
+from hflsim import datasets, models, rng
 from hflsim.datasets import (
     EDGE_NONIID, IID, LOCAL_NONIID,
     CsvFormatError, InfeasiblePartitionError, LabeledDataset,
@@ -71,6 +72,36 @@ class TestGenerateSynthetic:
         ds = generate_synthetic(4, 8, 500, 4.0, seed=1, clusters_per_class=2)
         assert ds.size == 2000 and ds.class_count == 4
         assert np.all(ds.label_histogram() == 500)
+
+    def test_layout_matches_sample_by_sample_construction(self):
+        # oracle: each class's clusters dealt their samples one list entry
+        # at a time, the first clusters taking the remainder of an uneven split
+        def oracle(class_count, dim, samples_per_class, separation, seed, clusters_per_class):
+            g = rng.stream(seed, rng.SYNTHETIC_DATA)
+            n_clusters = class_count * clusters_per_class
+            means = g.normal(size=(n_clusters, dim))
+            diffs = means[:, None, :] - means[None, :, :]
+            dist = np.sqrt((diffs ** 2).sum(axis=2))
+            means *= separation / dist[np.triu_indices(n_clusters, k=1)].min()
+            cluster_of = np.arange(n_clusters) % class_count
+            labels, assignments = [], []
+            for c in range(class_count):
+                own = np.flatnonzero(cluster_of == c)
+                counts = np.array_split(np.empty(samples_per_class), clusters_per_class)
+                for cl, chunk in zip(own, counts):
+                    assignments.extend([cl] * len(chunk))
+                    labels.extend([c] * len(chunk))
+            assignments = np.array(assignments)
+            labels = np.array(labels, dtype=np.int64)
+            return means[assignments] + g.normal(size=(labels.size, dim)), labels
+
+        for args in itertools.product((2, 3, 4, 8), (3,), (1, 5, 40, 501), (2.0,), (1, 9),
+                                      (1, 2, 3, 7)):
+            ds = generate_synthetic(*args)
+            features, labels = oracle(*args)
+            assert ds.features.dtype == features.dtype and ds.labels.dtype == labels.dtype
+            assert ds.features.tobytes() == features.tobytes(), args
+            assert ds.labels.tobytes() == labels.tobytes(), args
 
     @pytest.mark.parametrize("kwargs", [
         dict(class_count=1), dict(dim=1), dict(samples_per_class=0),
